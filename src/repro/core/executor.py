@@ -49,12 +49,11 @@ Three executor *tiers* exist, each a process-wide singleton:
     submit further work, so ``drx``-tier tasks may wait on ``codec``
     results without closing a cycle.
 
-A fourth tier sits *above* these three: the serve daemon
-(:mod:`repro.serve.server`) executes admitted client requests on its
-own private ``IOExecutor(name="serve")`` whose width is the daemon's
-global in-flight limit.  Serve tasks call down into ``drx``-tier work
-(which calls ``pfs``/``codec``), and nothing below ever waits on a
-``serve`` slot, so the tier ordering ``serve → drx → {pfs, codec}``
+There is no tier above these three: the serve daemon
+(:mod:`repro.serve.server`) runs an admitted request's handler on the
+connection thread that dispatched it, which calls down into
+``drx``-tier work (which calls ``pfs``/``codec``); nothing below ever
+waits on a connection thread, so the ordering ``drx → {pfs, codec}``
 keeps the wait graph acyclic.
 
 Determinism contract: every wired call site checks

@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.dump_stats:
-        from .client import DRXClient
+        from .shard import HashRing, ShardedClient
         if args.addresses:
             try:
                 targets = [_parse_address(a) for a in args.addresses]
@@ -113,17 +113,12 @@ def main(argv=None) -> int:
             print("drx-serve: --dump-stats needs --port or HOST:PORT "
                   "addresses", file=sys.stderr)
             return 2
-        snaps = []
-        for address in targets:
-            with DRXClient(address, client_id="drx-serve-cli",
-                           timeout=args.timeout) as client:
-                snaps.append(client.stats())
-        if len(snaps) == 1:
-            print(json.dumps(snaps[0], indent=2, sort_keys=True))
-        else:
-            from .shard import merge_stats
-            print(json.dumps(merge_stats(snaps), indent=2,
-                             sort_keys=True))
+        with ShardedClient(HashRing(targets), client_id="drx-serve-cli",
+                           timeout=args.timeout) as shards:
+            merged = shards.stats()
+        print(json.dumps(merged if len(targets) > 1
+                         else merged["shards"][0], indent=2,
+                         sort_keys=True))
         return 0
 
     if args.addresses:

@@ -35,13 +35,25 @@ Each request counts its ``attempt`` number in the header, so the
 daemon's per-client QoS records show how often this client was forced
 to retry.
 
-Retry accounting (pinned by a regression test): ``max_retries=N``
-means **N + 1 total attempts** — one initial try plus N retries.  The
-attempt counter increments *before* the give-up check and the backoff
-sleep, so the loop raises after attempt ``N + 1`` fails (``attempt >
-max_retries`` with ``attempt == N + 1``) and the first sleep is
-``BackoffPolicy.delay(1)`` — the policy's base delay, not the doubled
-``delay(2)`` an off-by-one would produce.
+**One request path.**  Every frame this module sends or receives goes
+through :class:`_Exchange`, one connection's request/reply loop: it
+stamps headers, transmits, receives one reply per step, classifies it
+and applies the retry rule.  The loop has two drivers.
+:meth:`DRXClient.request` drives it on the *calling* thread until its
+own reply is done — a synchronous call is a pipeline of depth one.
+:class:`Pipeline` drives the same loop from a background receiver
+thread so many requests stay in flight.  Which verbs exist and how
+their arguments and replies are coded lives in
+:data:`~repro.serve.protocol.VERB_TABLE`; the per-verb methods of both
+classes are derived from it.
+
+Retry accounting (pinned by a regression test over both drivers):
+``max_retries=N`` means **N + 1 total attempts** — one initial try
+plus N retries.  The attempt counter increments *before* the give-up
+check and the backoff sleep, so a request fails for good after attempt
+``N + 1`` fails (``attempt > max_retries`` with ``attempt == N + 1``)
+and the first sleep is ``BackoffPolicy.delay(1)`` — the policy's base
+delay, not the doubled ``delay(2)`` an off-by-one would produce.
 """
 
 from __future__ import annotations
@@ -52,9 +64,7 @@ import threading
 import time
 import uuid
 
-import numpy as np
-
-from ..core.errors import DeadlineError, ServeError
+from ..core.errors import DeadlineError, RetryLater, ServeError
 from ..core.watchdog import Deadline
 from ..drx.resilience import BackoffPolicy
 from .protocol import (
@@ -73,6 +83,7 @@ from .protocol import (
     recv_frame,
     send_frame,
     split_payload,
+    verb_surface,
 )
 
 __all__ = ["DRXClient", "Pipeline", "PendingReply"]
@@ -82,18 +93,276 @@ __all__ = ["DRXClient", "Pipeline", "PendingReply"]
 _SOCKET_GRACE = 1.0
 #: Socket timeout for requests without a deadline.
 _DEFAULT_SOCKET_TIMEOUT = 30.0
+#: Poll slice for PendingReply.result — bounds how late a deadline
+#: expiry with no server reply is noticed.
+_WAIT_POLL = 0.05
 
 
-def _decode_array(hdr: dict, payload) -> np.ndarray:
-    """A read reply's payload as a writable zero-copy ndarray (the
-    payload buffer is private to its reply frame, so mutating the
-    array is safe and cannot alias another reply's data)."""
-    arr = np.frombuffer(payload, dtype=hdr["dtype"])
-    return arr.reshape(hdr["shape"])
+def _socket_wait(budget: float | None) -> float:
+    return budget + _SOCKET_GRACE if budget is not None \
+        else _DEFAULT_SOCKET_TIMEOUT
 
 
+def _close(sock) -> None:
+    """Shut down, then close: the shutdown wakes a thread blocked in
+    ``recv`` on the socket, which a bare ``close`` does not."""
+    if sock is None:
+        return
+    for op in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+        try:
+            op()
+        except OSError:
+            pass
+
+
+class PendingReply:
+    """One request in flight and, eventually, its reply.
+
+    The exchange loop keeps the request side here too: ``_header`` is
+    stamped once and re-sent verbatim on every attempt; only
+    ``_attempt`` and the remaining budget are refreshed per
+    transmission.
+    """
+
+    __slots__ = ("verb", "rid", "_header", "_payload", "_deadline",
+                 "_decode", "_attempt", "_last", "_event", "_value",
+                 "_error")
+
+    def __init__(self, header: dict, payload, deadline: Deadline,
+                 decode=None) -> None:
+        self.verb = header["verb"]
+        self.rid = header["rid"]
+        self._header = header
+        self._payload = payload
+        self._deadline = deadline
+        self._decode = decode
+        self._attempt = 0
+        self._last: BaseException | None = None   #: why it last failed
+        self._event = threading.Event()
+        self._value = None
+        self._error: BaseException | None = None
+
+    def done(self) -> bool:
+        return self._event.is_set()
+
+    def result(self, timeout: float | None = None):
+        """Block until the reply lands; raises the transported failure.
+
+        The wait is bounded by the request's own deadline (raising
+        :class:`DeadlineError` on expiry) and, optionally, by
+        ``timeout`` seconds (raising :class:`TimeoutError`).
+        """
+        while not self._event.is_set():
+            budget = self._deadline.remaining()
+            if budget is not None and budget <= 0:
+                raise DeadlineError(
+                    f"deadline exceeded waiting for {self.verb} reply")
+            wait = _WAIT_POLL if budget is None else min(
+                _WAIT_POLL, budget)
+            if timeout is not None:
+                if timeout <= 0:
+                    raise TimeoutError(
+                        f"timed out waiting for {self.verb} reply")
+                wait = min(wait, timeout)
+                timeout -= wait
+            self._event.wait(wait + _SOCKET_GRACE
+                             if wait == budget else wait)
+        return self._outcome()
+
+    # internal — called by the exchange loop and its drivers
+    def _outcome(self):
+        if self._error is not None:
+            raise self._error
+        if self._decode is not None:
+            value, self._decode = self._decode(*self._value), None
+            self._value = value
+        return self._value
+
+    def _settle(self, value, error: BaseException | None) -> None:
+        self._value, self._error = value, error
+        self._event.set()
+
+
+class _Exchange:
+    """One connection's request/reply loop — the only code in this
+    module that touches the wire.  Whoever calls :meth:`step` drives it.
+
+    A torn connection fails nothing by itself: the next step reconnects
+    (through the owning client's ``resolver``, so a shard that moved is
+    found at its new home) and re-sends every outstanding request in
+    ``rid`` order under its **original idempotency key**.  A
+    ``RETRY_LATER`` or transient ERR re-sends just that request after
+    the shared backoff, leaving the rest of the window in flight.
+
+    ``depth`` bounds the in-flight window (:meth:`begin` blocks past
+    it), clamped to :data:`~repro.serve.protocol.MAX_PIPELINE_DEPTH` —
+    the cap the server's dedup window is sized against, so every
+    request that could be re-sent still has its result cached.
+    """
+
+    def __init__(self, client: "DRXClient", depth: int = 64) -> None:
+        self.client = client
+        self.depth = max(1, min(int(depth), MAX_PIPELINE_DEPTH))
+        self._slots = threading.BoundedSemaphore(self.depth)
+        self._state = threading.Lock()   # outstanding dict + socket ref
+        self._send = threading.Lock()    # connects, whole-frame writes
+        self._rid = itertools.count(1)
+        self._outstanding: dict[int, PendingReply] = {}
+        self._sock: socket.socket | None = None
+        self._fault: BaseException | None = None  #: why the wire last broke
+        self._closed = False
+        self.resends = 0                 #: requests re-transmitted
+
+    def begin(self, verb: str, header: dict | None, payload,
+              timeout: float | None, decode=None) -> PendingReply:
+        """Stamp, register and transmit one request.  The header's
+        fixed part — verb, client, idempotency key, ``rid`` — is
+        assigned here, once, BEFORE the first attempt: every retry,
+        including reconnect-with-resume after a daemon restart,
+        re-issues the request under the same ``(client, sid, seq)``."""
+        client = self.client
+        hdr = dict(header or {})
+        hdr["verb"] = verb
+        hdr["client"] = client.client_id
+        client._stamp_key(hdr)
+        deadline = Deadline(timeout if timeout is not None
+                            else client.timeout)
+        self._slots.acquire()
+        with self._state:
+            if self._closed:
+                self._slots.release()
+                raise ServeError("pipeline is closed")
+            hdr["rid"] = rid = next(self._rid)
+            req = self._outstanding[rid] = PendingReply(
+                hdr, payload, deadline, decode)
+        try:
+            self._transmit(req)
+        except BaseException as exc:
+            # not a wire failure (an unencodable header, say): nothing
+            # will ever retry it, so it must not hold a slot
+            self._finish(req, error=exc)
+            raise
+        return req
+
+    def step(self) -> None:
+        """One turn of the loop."""
+        with self._state:
+            sock = self._sock
+            stranded = list(self._outstanding.values()) \
+                if sock is None else ()
+        if sock is None:
+            # dicts keep insertion order, so this is rid order
+            self._retry(stranded, self._fault
+                        or ConnectionClosed("not connected"))
+            return
+        try:
+            kind, hdr, payload = recv_frame(sock, self.client.max_frame)
+        except (OSError, ProtocolError) as exc:
+            # a dying/restarting daemon, a torn frame, a socket timeout
+            self._lost(sock, exc)
+            return
+        rid = hdr.get("rid")
+        with self._state:
+            req = self._outstanding.get(rid) \
+                if isinstance(rid, int) else None
+        if req is None:
+            return          # late reply for an abandoned request: drop
+        err = self.client._verdict(kind, hdr)
+        if err is None:
+            self._finish(req, (hdr, payload))
+        elif getattr(err, "transient", False):
+            self._defer(self._retry, [req], err)
+        else:
+            self._finish(req, error=err)
+
+    def disconnect(self) -> None:
+        self._lost(self._sock, None)
+
+    # ------------------------------------------------------------------
+    def _defer(self, fn, *args) -> None:
+        """Run a backoff-and-resend; a background driver overrides this
+        to keep its receiver draining replies meanwhile."""
+        fn(*args)
+
+    def _transmit(self, req: PendingReply) -> None:
+        """One attempt on the wire.  A wire failure is only noted: the
+        next :meth:`step` finds the connection gone and retries."""
+        budget = req._deadline.remaining()
+        if budget is not None and budget <= 0:
+            self._finish(req, error=DeadlineError(
+                f"deadline exceeded during {req.verb} request"
+                + (f" (last failure: {req._last})" if req._last else "")))
+            return
+        hdr = dict(req._header, attempt=req._attempt)
+        if budget is not None:
+            hdr["timeout"] = budget
+        sock = None
+        try:
+            with self._send:
+                sock = self._sock
+                if sock is None:
+                    sock = self.client._new_socket(budget)
+                    with self._state:
+                        if self._closed:
+                            raise ConnectionClosed("pipeline closed")
+                        self._sock = sock
+                sock.settimeout(_socket_wait(budget))
+                send_frame(sock, REQ, hdr, req._payload)
+        except (OSError, ProtocolError) as exc:
+            self._lost(sock, exc)
+
+    def _lost(self, sock, exc: BaseException) -> None:
+        """Tear down after a failure on ``sock``.  The installed socket
+        is cleared only while it is still the one that failed: a
+        concurrent retry may already have swapped in a fresh, healthy
+        connection, which must survive."""
+        with self._state:
+            self._fault = exc
+            if self._sock is sock:
+                self._sock = None
+        _close(sock)
+
+    def _retry(self, reqs, exc: BaseException) -> None:
+        """The one give-up/backoff rule: ``reqs`` failed their current
+        attempt with ``exc`` — one request on a pushback reply,
+        everything outstanding on a lost connection.  See the module
+        docstring for the accounting."""
+        client = self.client
+        alive = []
+        for req in reqs:
+            if req.done():
+                continue
+            req._last = exc
+            req._attempt += 1
+            if req._attempt > client.max_retries:
+                self._finish(req, error=exc)
+            else:
+                alive.append(req)
+        if not alive:
+            return
+        with self._state:
+            self.resends += len(alive)
+        client._backoff(max(req._attempt for req in alive), len(alive))
+        for req in alive:
+            if not req.done():
+                self._transmit(req)
+                if self._sock is None:
+                    return      # lost again: the next step retries all
+
+    def _finish(self, req: PendingReply, result=None, error=None) -> None:
+        with self._state:
+            if self._outstanding.pop(req.rid, None) is None:
+                return
+        req._settle(result, error)
+        self._slots.release()
+
+
+@verb_surface
 class DRXClient:
-    """A retrying, deadline-aware connection to one array daemon."""
+    """A retrying, deadline-aware connection to one array daemon.
+    The per-verb methods (``ping``, ``open``, ``create``, ``read``,
+    ``write``, …) come from :data:`~repro.serve.protocol.VERB_TABLE`.
+    """
 
     def __init__(self, address: tuple[str, int], client_id: str = "anon",
                  timeout: float | None = None, max_retries: int = 8,
@@ -116,20 +385,20 @@ class DRXClient:
         self._sleep = sleep
         #: test hook: wraps each fresh connection (fault injection)
         self._socket_wrapper = socket_wrapper
-        self._sock: socket.socket | None = None
         #: idempotency-key state: a session token unique to this stub
         #: instance (two stubs sharing a client_id must not collide)
         #: plus a monotonic per-request counter
         self.session = uuid.uuid4().hex[:12]
         self._seq = itertools.count(1)
-        self._seq_lock = threading.Lock()
+        self._lock = threading.Lock()   # seq stamping + the counters
         #: lifetime counters mirrored client-side
         self.retries = 0
         self.retry_later_seen = 0
+        self._wire = _Exchange(self, depth=1)   # the synchronous connection
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self._drop_connection()
+        self._wire.disconnect()
 
     def __enter__(self) -> "DRXClient":
         return self
@@ -137,34 +406,48 @@ class DRXClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _drop_connection(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
     def _new_socket(self, budget: float | None) -> socket.socket:
         """One fresh connection: resolver-refreshed address, NODELAY,
-        wrapped by the fault-injection hook.  Shared by the synchronous
-        path and :class:`Pipeline`."""
+        wrapped by the fault-injection hook."""
         if self.resolver is not None:
             host, port = self.resolver()
             self.address = (host, int(port))
-        sock = socket.create_connection(
-            self.address,
-            timeout=budget + _SOCKET_GRACE if budget is not None
-            else _DEFAULT_SOCKET_TIMEOUT)
+        sock = socket.create_connection(self.address,
+                                        timeout=_socket_wait(budget))
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if self._socket_wrapper is not None:
             sock = self._socket_wrapper(sock)
         return sock
 
-    def _connection(self, budget: float | None) -> socket.socket:
-        if self._sock is None:
-            self._sock = self._new_socket(budget)
-        return self._sock
+    def _stamp_key(self, header: dict) -> None:
+        """Assign the idempotency key for a keyed verb, once, before
+        the first transmission — retries re-send it verbatim."""
+        if header.get("verb") in KEYED_VERBS and "seq" not in header:
+            with self._lock:
+                header["sid"] = self.session
+                header["seq"] = next(self._seq)
+
+    def _verdict(self, kind: int, hdr: dict) -> BaseException | None:
+        """The one reply classifier: ``None`` for OK, else the failure
+        — retried when its ``transient`` attribute is set (never a
+        ``DEADLINE``: the budget is spent), raised otherwise."""
+        if kind == OK:
+            return None
+        if kind == DEADLINE:
+            return DeadlineError(hdr.get("message", "deadline exceeded"))
+        if kind == RETRY_LATER:
+            with self._lock:
+                self.retry_later_seen += 1
+            return RetryLater(hdr.get("reason", "?"))
+        if kind == ERR:
+            return decode_error(hdr)
+        return ProtocolError(f"unexpected reply kind {kind}")
+
+    def _backoff(self, attempt: int, retried: int = 1) -> None:
+        """Count the retries and sleep the policy's delay."""
+        with self._lock:
+            self.retries += retried
+        self._sleep(self.backoff.delay(attempt))
 
     # ------------------------------------------------------------------
     def request(self, verb: str, header: dict | None = None,
@@ -176,159 +459,22 @@ class DRXClient:
         :class:`DeadlineError` when the budget runs out (server- or
         client-side), :class:`ServeError` for fatal server errors.
         """
-        deadline = Deadline(timeout if timeout is not None
-                            else self.timeout)
-        # the idempotency key is fixed BEFORE the attempt loop: every
-        # retry — including reconnect-with-resume after a daemon
-        # restart — re-issues the in-flight request under the same
-        # (client, sid, seq), so the server dedups replays exactly-once
-        idem = None
-        if verb in KEYED_VERBS and "seq" not in (header or {}):
-            with self._seq_lock:
-                idem = next(self._seq)
-        attempt = 0
-        last: Exception | None = None
-        while True:
-            budget = deadline.remaining()
-            if budget is not None and budget <= 0:
-                raise DeadlineError(
-                    f"deadline exceeded during {verb} request"
-                    + (f" (last failure: {last})" if last else ""))
-            req = dict(header or {})
-            req["verb"] = verb
-            req["client"] = self.client_id
-            req["attempt"] = attempt
-            if idem is not None:
-                req["sid"] = self.session
-                req["seq"] = idem
-            if budget is not None:
-                req["timeout"] = budget
-            try:
-                sock = self._connection(budget)
-                sock.settimeout(budget + _SOCKET_GRACE
-                                if budget is not None
-                                else _DEFAULT_SOCKET_TIMEOUT)
-                send_frame(sock, REQ, req, payload)
-                kind, rhdr, rpayload = recv_frame(sock, self.max_frame)
-            except socket.timeout as exc:
-                self._drop_connection()
-                last = exc
-            except (ConnectionClosed, ProtocolError, OSError) as exc:
-                # a dying/restarting daemon or a torn frame: reconnect
-                self._drop_connection()
-                last = exc
-            else:
-                if kind == OK:
-                    return rhdr, rpayload
-                if kind == DEADLINE:
-                    raise DeadlineError(
-                        rhdr.get("message", "deadline exceeded"))
-                if kind == RETRY_LATER:
-                    self.retry_later_seen += 1
-                    last = ServeError(
-                        f"server busy: {rhdr.get('reason', '?')}",
-                        kind="RetryLater", transient=True)
-                elif kind == ERR:
-                    err = decode_error(rhdr)
-                    if not err.transient:
-                        raise err
-                    last = err
-                else:
-                    self._drop_connection()
-                    last = ProtocolError(f"unexpected reply kind {kind}")
-            # accounting contract (see module docstring): attempt is
-            # incremented before the give-up check, so max_retries=N
-            # yields N+1 total attempts and the first sleep is delay(1)
-            attempt += 1
-            if attempt > self.max_retries:
-                raise last if last is not None else ServeError(
-                    f"{verb} failed after {self.max_retries} retries")
-            self.retries += 1
-            self._sleep(self.backoff.delay(attempt))
+        wire = self._wire
+        reply = wire.begin(verb, header, payload, timeout)
+        try:
+            while not reply.done():
+                wire.step()
+        except BaseException as exc:
+            # an interrupted call must not keep the connection's one slot
+            wire._finish(reply, error=exc)
+            raise
+        return reply._outcome()
+
+    def _call(self, spec, header: dict, payload, timeout):
+        return spec.decode(*self.request(spec.name, header, payload,
+                                         timeout))
 
     # ------------------------------------------------------------------
-    # convenience verbs
-    # ------------------------------------------------------------------
-    def ping(self, echo=None, timeout: float | None = None) -> dict:
-        return self.request("ping", {"echo": echo}, timeout=timeout)[0]
-
-    def open(self, name: str, timeout: float | None = None) -> dict:
-        return self.request("open", {"name": name}, timeout=timeout)[0]
-
-    def create(self, name: str, bounds, chunk, dtype: str = "<f8",
-               checksums: bool = False, codec: str = "none",
-               exists_ok: bool = False,
-               timeout: float | None = None) -> dict:
-        return self.request("create", {
-            "name": name, "bounds": list(bounds), "chunk": list(chunk),
-            "dtype": dtype, "checksums": checksums, "codec": codec,
-            "exists_ok": exists_ok}, timeout=timeout)[0]
-
-    def read(self, name: str, lo, hi,
-             timeout: float | None = None) -> np.ndarray:
-        """Read the box ``[lo, hi)``.
-
-        Zero-copy: the returned array is a view over the received
-        reply's payload buffer (``np.frombuffer``, no copy).  The
-        buffer is writable and private to this reply, so callers may
-        mutate the result in place exactly as they could when ``read``
-        returned a copy.
-        """
-        hdr, payload = self.request(
-            "read", {"name": name, "lo": list(lo), "hi": list(hi)},
-            timeout=timeout)
-        return _decode_array(hdr, payload)
-
-    def write(self, name: str, lo, values,
-              timeout: float | None = None, _delay: float = 0.0) -> dict:
-        values = np.ascontiguousarray(values)
-        header = {"name": name, "lo": list(lo),
-                  "shape": list(values.shape),
-                  "dtype": values.dtype.str}
-        if _delay:
-            header["_delay"] = _delay
-        return self.request("write", header, values.tobytes(),
-                            timeout=timeout)[0]
-
-    def extend(self, name: str, dim: int | None = None,
-               by: int | None = None, to=None,
-               timeout: float | None = None) -> dict:
-        if to is not None:
-            header = {"name": name, "to": list(to)}
-        else:
-            header = {"name": name, "dim": int(dim), "by": int(by)}
-        return self.request("extend", header, timeout=timeout)[0]
-
-    def flush(self, name: str, timeout: float | None = None) -> dict:
-        return self.request("flush", {"name": name}, timeout=timeout)[0]
-
-    def snapshot(self, name: str, dest: str,
-                 timeout: float | None = None) -> dict:
-        return self.request("snapshot", {"name": name, "dest": dest},
-                            timeout=timeout)[0]
-
-    def scrub(self, name: str, timeout: float | None = None) -> dict:
-        return self.request("scrub", {"name": name}, timeout=timeout)[0]
-
-    def stats(self, timeout: float | None = None) -> dict:
-        return self.request("stats", timeout=timeout)[0]
-
-    def shutdown(self, drain: bool = True,
-                 timeout: float | None = None) -> dict:
-        return self.request("shutdown", {"drain": drain},
-                            timeout=timeout)[0]
-
-    # ------------------------------------------------------------------
-    # batching and pipelining
-    # ------------------------------------------------------------------
-    def _stamp_key(self, header: dict) -> None:
-        """Assign the idempotency key for a keyed verb, once, before
-        the first transmission — retries re-send it verbatim."""
-        if header.get("verb") in KEYED_VERBS and "seq" not in header:
-            with self._seq_lock:
-                header["sid"] = self.session
-                header["seq"] = next(self._seq)
-
     def batch(self, ops, timeout: float | None = None,
               return_exceptions: bool = False) -> list:
         """Run several operations in one request frame (one round trip).
@@ -378,25 +524,14 @@ class DRXClient:
             retry: list[int] = []
             last: Exception | None = None
             for idx, res, piece in zip(pending, results, pieces):
-                kind, h = int(res["kind"]), res["header"]
-                if kind == OK:
-                    outcomes[idx] = (h, piece)
-                elif kind == DEADLINE:
-                    outcomes[idx] = DeadlineError(
-                        h.get("message", "deadline exceeded"))
-                elif kind == RETRY_LATER:
-                    self.retry_later_seen += 1
-                    last = ServeError(
-                        f"server busy: {h.get('reason', '?')}",
-                        kind="RetryLater", transient=True)
+                err = self._verdict(int(res["kind"]), res["header"])
+                if err is None:
+                    outcomes[idx] = (res["header"], piece)
+                elif getattr(err, "transient", False):
+                    last = err
                     retry.append(idx)
                 else:
-                    err = decode_error(h)
-                    if err.transient:
-                        last = err
-                        retry.append(idx)
-                    else:
-                        outcomes[idx] = err
+                    outcomes[idx] = err
             if retry:
                 attempt += 1
                 if attempt > self.max_retries:
@@ -404,8 +539,7 @@ class DRXClient:
                         outcomes[idx] = last
                     retry = []
                 else:
-                    self.retries += 1
-                    self._sleep(self.backoff.delay(attempt))
+                    self._backoff(attempt)
             pending = retry
         if not return_exceptions:
             for out in outcomes:
@@ -414,140 +548,28 @@ class DRXClient:
         return outcomes
 
     def pipeline(self, depth: int = 64) -> "Pipeline":
-        """A pipelined connection: many requests in flight, responses
-        matched by sequence id (see :class:`Pipeline`)."""
+        """A pipelined connection of its own (see :class:`Pipeline`)."""
         return Pipeline(self, depth=depth)
 
 
-class PendingReply:
-    """The eventual reply to one pipelined request."""
-
-    __slots__ = ("verb", "rid", "_event", "_value", "_error", "_decode",
-                 "_deadline")
-
-    def __init__(self, verb: str, rid: int, deadline: Deadline,
-                 decode=None) -> None:
-        self.verb = verb
-        self.rid = rid
-        self._deadline = deadline
-        self._decode = decode
-        self._event = threading.Event()
-        self._value = None
-        self._error: BaseException | None = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: float | None = None):
-        """Block until the reply lands; raises the transported failure.
-
-        The wait is bounded by the request's own deadline (raising
-        :class:`DeadlineError` on expiry) and, optionally, by
-        ``timeout`` seconds (raising :class:`TimeoutError`).
-        """
-        while not self._event.is_set():
-            budget = self._deadline.remaining()
-            if budget is not None and budget <= 0:
-                raise DeadlineError(
-                    f"deadline exceeded waiting for {self.verb} reply")
-            wait = _WAIT_POLL if budget is None else min(
-                _WAIT_POLL, budget)
-            if timeout is not None:
-                if timeout <= 0:
-                    raise TimeoutError(
-                        f"timed out waiting for {self.verb} reply")
-                wait = min(wait, timeout)
-                timeout -= wait
-            self._event.wait(wait + _SOCKET_GRACE
-                             if wait == budget else wait)
-        if self._error is not None:
-            raise self._error
-        if self._decode is not None:
-            value, self._decode = self._decode(*self._value), None
-            self._value = value
-        return self._value
-
-    # internal — called by the pipeline's receiver machinery
-    def _fulfill(self, hdr: dict, payload) -> None:
-        self._value = (hdr, payload)
-        self._event.set()
-
-    def _fail(self, exc: BaseException) -> None:
-        self._error = exc
-        self._event.set()
-
-
-#: Poll slice for PendingReply.result — bounds how late a deadline
-#: expiry with no server reply is noticed.
-_WAIT_POLL = 0.05
-
-
-class _PendingState:
-    """Pipeline-internal bookkeeping for one in-flight request."""
-
-    __slots__ = ("header", "payload", "deadline", "attempt", "last",
-                 "reply")
-
-    def __init__(self, header: dict, payload: bytes, deadline: Deadline,
-                 reply: PendingReply) -> None:
-        self.header = header
-        self.payload = payload
-        self.deadline = deadline
-        self.attempt = 0
-        self.last: BaseException | None = None
-        self.reply = reply
-
-
-class Pipeline:
+@verb_surface
+class Pipeline(_Exchange):
     """Many requests in flight on one connection, replies matched by id.
 
-    Each :meth:`submit` stamps the request with a connection-unique
-    ``rid`` and returns a :class:`PendingReply` immediately; a receiver
-    thread matches the server's (possibly out-of-order) replies back by
-    ``rid``.  The retry discipline mirrors :meth:`DRXClient.request`:
-
-    * **Reconnect-with-resume.**  A torn connection (daemon restart,
-      injected fault) fails nothing by itself: the receiver reconnects
-      — re-resolving the address through the owning client's
-      ``resolver``, so a shard that moved is found at its new home —
-      and re-sends every outstanding request in ``rid`` order under
-      its **original idempotency key**; the server's dedup table keeps
-      re-applied mutations exactly-once.
-    * **Per-request backpressure.**  ``RETRY_LATER`` (and transient
-      ERR) replies re-send just that request after the shared backoff,
-      leaving the rest of the window in flight.
-    * **Deadlines.**  Each request owns its budget; the remaining
-      budget ships with every (re)transmission and bounds the caller's
-      :meth:`PendingReply.result` wait.
+    Each :meth:`submit` (and each per-verb method, derived from
+    :data:`~repro.serve.protocol.VERB_TABLE`) returns a
+    :class:`PendingReply` immediately; a receiver thread drives the
+    exchange loop, so the retry discipline is
+    :meth:`DRXClient.request`'s.
 
     Ordering: requests in one pipeline may *execute* in any order —
     callers who need op B to observe op A must wait for A's reply
     before submitting B (or put both in one ``batch`` frame, which
     executes in list order).
-
-    ``depth`` bounds the in-flight window: past it, :meth:`submit`
-    blocks until a reply frees a slot.  It is clamped to
-    :data:`~repro.serve.protocol.MAX_PIPELINE_DEPTH` — the wire-level
-    cap the server's dedup window is sized against, so every request
-    this pipeline could re-send after a torn connection still has its
-    result cached (exactly-once needs the whole window covered).
     """
 
-    def __init__(self, client: DRXClient, depth: int = 64) -> None:
-        self.client = client
-        self.depth = max(1, min(int(depth), MAX_PIPELINE_DEPTH))
-        self._slots = threading.BoundedSemaphore(self.depth)
-        self._state = threading.Lock()   # outstanding dict + socket ref
-        self._send = threading.Lock()    # wire writes stay whole-frame
-        self._rid = itertools.count(1)
-        self._outstanding: dict[int, _PendingState] = {}
-        self._sock: socket.socket | None = None
-        self._recv: threading.Thread | None = None
-        self._closed = False
-        self._round = 0                  #: consecutive failed reconnects
-        self.resends = 0                 #: requests re-transmitted
+    _recv: threading.Thread | None = None    #: the receiver, while awake
 
-    # ------------------------------------------------------------------
     def __enter__(self) -> "Pipeline":
         return self
 
@@ -559,88 +581,25 @@ class Pipeline:
                decode=None) -> PendingReply:
         """Send one request without waiting; returns its
         :class:`PendingReply`."""
-        if self._closed:
-            raise ServeError("pipeline is closed")
-        self._slots.acquire()
-        try:
-            deadline = Deadline(timeout if timeout is not None
-                                else self.client.timeout)
-            hdr = dict(header or {})
-            hdr["verb"] = verb
-            hdr["client"] = self.client.client_id
-            self.client._stamp_key(hdr)
-            with self._state:
-                rid = next(self._rid)
-                hdr["rid"] = rid
-                st = _PendingState(hdr, bytes(payload), deadline,
-                                   PendingReply(verb, rid, deadline,
-                                                decode))
-                self._outstanding[rid] = st
-                sock = self._sock
-        except BaseException:
-            self._slots.release()
-            raise
-        # connect/send BEFORE waking the receiver: a receiver that saw
-        # "no socket + outstanding" mid-first-connect would burn a
-        # spurious retry round on a request that never failed
-        if sock is None:
-            sock = self._try_connect()
-            if sock is None:
-                st.last = ConnectionClosed("connect failed")
-        if sock is not None:
-            try:
-                self._send_state(sock, st)
-            except (OSError, ProtocolError) as exc:
-                st.last = exc
-                self._connection_lost(sock)
+        reply = self.begin(verb, header, bytes(payload), timeout, decode)
         with self._state:
-            self._ensure_receiver()
-        # not sent yet?  The receiver's retry round re-sends it.
-        return st.reply
+            if self._recv is None or not self._recv.is_alive():
+                self._recv = threading.Thread(
+                    target=self._recv_loop, name="drx-pipeline-recv",
+                    daemon=True)
+                self._recv.start()
+        return reply
 
-    # ------------------------------------------------------------------
-    # convenience verbs (mirror DRXClient, returning PendingReply)
-    # ------------------------------------------------------------------
-    def ping(self, echo=None, timeout=None) -> PendingReply:
-        return self.submit("ping", {"echo": echo}, timeout=timeout,
-                           decode=lambda h, p: h)
+    def _call(self, spec, header: dict, payload, timeout) -> PendingReply:
+        return self.submit(spec.name, header, payload, timeout,
+                           spec.decode)
 
-    def read(self, name: str, lo, hi, timeout=None) -> PendingReply:
-        return self.submit(
-            "read", {"name": name, "lo": list(lo), "hi": list(hi)},
-            timeout=timeout, decode=_decode_array)
-
-    def write(self, name: str, lo, values, timeout=None,
-              _delay: float = 0.0) -> PendingReply:
-        values = np.ascontiguousarray(values)
-        header = {"name": name, "lo": list(lo),
-                  "shape": list(values.shape),
-                  "dtype": values.dtype.str}
-        if _delay:
-            header["_delay"] = _delay
-        return self.submit("write", header, values.tobytes(),
-                           timeout=timeout, decode=lambda h, p: h)
-
-    def extend(self, name: str, dim=None, by=None, to=None,
-               timeout=None) -> PendingReply:
-        if to is not None:
-            header = {"name": name, "to": list(to)}
-        else:
-            header = {"name": name, "dim": int(dim), "by": int(by)}
-        return self.submit("extend", header, timeout=timeout,
-                           decode=lambda h, p: h)
-
-    def flush(self, name: str, timeout=None) -> PendingReply:
-        return self.submit("flush", {"name": name}, timeout=timeout,
-                           decode=lambda h, p: h)
-
-    # ------------------------------------------------------------------
     def drain(self, timeout: float | None = None) -> None:
         """Block until every submitted request has its reply (or has
         failed); per-reply failures surface from their own
         :meth:`PendingReply.result` calls, not here."""
         with self._state:
-            replies = [st.reply for st in self._outstanding.values()]
+            replies = list(self._outstanding.values())
         for reply in replies:
             try:
                 reply.result(timeout=timeout)
@@ -655,250 +614,27 @@ class Pipeline:
         with self._state:
             self._closed = True
             sock, self._sock = self._sock, None
-            for st in list(self._outstanding.values()):
-                self._finish_locked(
-                    st, error=st.last if st.last is not None
-                    else ConnectionClosed("pipeline closed"))
+            stranded = list(self._outstanding.values())
             recv = self._recv
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        for req in stranded:
+            self._finish(req, error=req._last
+                         or ConnectionClosed("pipeline closed"))
+        _close(sock)
         if recv is not None and recv is not threading.current_thread():
             recv.join(timeout=2.0)
 
-    @property
-    def outstanding(self) -> int:
-        with self._state:
-            return len(self._outstanding)
-
     # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _ensure_receiver(self) -> None:
-        # caller holds self._state
-        if self._recv is None or not self._recv.is_alive():
-            self._recv = threading.Thread(
-                target=self._recv_loop, name="drx-pipeline-recv",
-                daemon=True)
-            self._recv.start()
-
-    def _try_connect(self) -> socket.socket | None:
-        """Connect (resolver-refreshed) and install the socket; returns
-        ``None`` on failure — the retry machinery takes over."""
-        try:
-            sock = self.client._new_socket(None)
-        except OSError:
-            return None
-        with self._state:
-            if self._closed:
-                pass
-            elif self._sock is None:
-                self._sock = sock
-                return sock
-            else:
-                sock, installed = self._sock, sock
-                try:
-                    installed.close()       # lost the race: keep first
-                except OSError:
-                    pass
-                return sock
-        try:
-            sock.close()
-        except OSError:
-            pass
-        return None
-
-    def _send_state(self, sock: socket.socket, st: _PendingState) -> None:
-        hdr = dict(st.header)
-        hdr["attempt"] = st.attempt
-        budget = st.deadline.remaining()
-        if budget is not None:
-            hdr["timeout"] = max(0.0, budget)
-        with self._send:
-            send_frame(sock, REQ, hdr, st.payload)
-
-    def _connection_lost(self,
-                         failed: socket.socket | None = None) -> None:
-        """Tear down after a send/recv failure on ``failed``.  The
-        installed socket is cleared only while it is still the one
-        that failed: a concurrent retry round may have already swapped
-        in a fresh, healthy connection, which must survive — killing
-        it would force another reconnect round for nothing."""
-        with self._state:
-            if failed is not None and self._sock is not failed:
-                sock = failed        # stale snapshot: close it alone
-            else:
-                sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _finish_locked(self, st: _PendingState, result=None,
-                       error=None) -> None:
-        # caller holds self._state
-        if self._outstanding.pop(st.header["rid"], None) is None:
-            return
-        if error is not None:
-            st.reply._fail(error)
-        else:
-            st.reply._fulfill(*result)
-        self._slots.release()
-
-    def _finish(self, st: _PendingState, result=None, error=None) -> None:
-        with self._state:
-            self._finish_locked(st, result, error)
-
     def _recv_loop(self) -> None:
         while True:
             with self._state:
-                if self._closed and not self._outstanding:
+                if not self._outstanding and (self._closed
+                                              or self._sock is None):
+                    # nothing to receive or recover: go dormant,
+                    # submit() restarts the receiver
+                    self._recv = None
                     return
-                sock = self._sock
-                idle = not self._outstanding
-            if sock is None:
-                if idle and not self._closed:
-                    # nothing to recover: go dormant, submit() restarts
-                    with self._state:
-                        if not self._outstanding:
-                            self._recv = None
-                            return
-                    continue
-                if not self._retry_round():
-                    return
-                continue
-            try:
-                kind, hdr, payload = recv_frame(sock,
-                                                self.client.max_frame)
-            except (ConnectionClosed, ProtocolError, OSError,
-                    socket.timeout) as exc:
-                with self._state:
-                    for st in self._outstanding.values():
-                        st.last = exc
-                self._connection_lost(sock)
-                continue
-            self._deliver(sock, kind, hdr, payload)
+            self.step()
 
-    def _retry_round(self) -> bool:
-        """One reconnect + resend-all round; ``False`` ends the
-        receiver."""
-        with self._state:
-            if self._closed:
-                for st in list(self._outstanding.values()):
-                    self._finish_locked(
-                        st, error=st.last if st.last is not None else
-                        ConnectionClosed("pipeline closed"))
-                return False
-            states = list(self._outstanding.values())
-            # cull requests out of budget before burning a reconnect
-            survivors = []
-            for st in states:
-                st.attempt += 1
-                remaining = st.deadline.remaining()
-                if remaining is not None and remaining <= 0:
-                    self._finish_locked(st, error=DeadlineError(
-                        f"deadline exceeded during {st.header['verb']} "
-                        f"retry" + (f" (last failure: {st.last})"
-                                    if st.last else "")))
-                elif st.attempt > self.client.max_retries:
-                    self._finish_locked(
-                        st, error=st.last if st.last is not None else
-                        ServeError(f"{st.header['verb']} failed after "
-                                   f"{self.client.max_retries} retries"))
-                else:
-                    survivors.append(st)
-        if not survivors:
-            return True          # loop re-checks: idle exit or closed
-        self._round += 1
-        self.client.retries += len(survivors)
-        self.resends += len(survivors)
-        self.client._sleep(self.client.backoff.delay(
-            min(self._round, 16)))
-        sock = self._try_connect()
-        if sock is None:
-            exc = ConnectionClosed("reconnect failed")
-            with self._state:
-                for st in survivors:
-                    if st.header["rid"] in self._outstanding:
-                        st.last = exc
-            return True
-        self._round = 0
-        # re-send in rid order under the ORIGINAL idempotency keys —
-        # the server answers already-applied mutations from its dedup
-        # table, so the wire failure is invisible in the array
-        for st in sorted(survivors, key=lambda s: s.header["rid"]):
-            with self._state:
-                if st.header["rid"] not in self._outstanding:
-                    continue
-            try:
-                self._send_state(sock, st)
-            except (OSError, ProtocolError):
-                self._connection_lost(sock)
-                return True
-        return True
-
-    def _deliver(self, sock: socket.socket, kind: int, hdr: dict,
-                 payload) -> None:
-        rid = hdr.get("rid")
-        with self._state:
-            st = self._outstanding.get(rid)
-        if st is None:
-            return          # late reply for an abandoned request: drop
-        if kind == OK:
-            self._finish(st, result=(hdr, payload))
-        elif kind == DEADLINE:
-            self._finish(st, error=DeadlineError(
-                hdr.get("message", "deadline exceeded")))
-        elif kind == RETRY_LATER:
-            self.client.retry_later_seen += 1
-            self._resend_later(st, ServeError(
-                f"server busy: {hdr.get('reason', '?')}",
-                kind="RetryLater", transient=True))
-        elif kind == ERR:
-            err = decode_error(hdr)
-            if err.transient:
-                self._resend_later(st, err)
-            else:
-                self._finish(st, error=err)
-        else:
-            with self._state:
-                for s in self._outstanding.values():
-                    s.last = ProtocolError(
-                        f"unexpected reply kind {kind}")
-            self._connection_lost(sock)
-
-    def _resend_later(self, st: _PendingState, exc: Exception) -> None:
-        """Schedule one request's re-transmission after backoff, off
-        the receiver thread so other replies keep draining."""
-        st.last = exc
-        st.attempt += 1
-        if st.attempt > self.client.max_retries:
-            self._finish(st, error=exc)
-            return
-        remaining = st.deadline.remaining()
-        if remaining is not None and remaining <= 0:
-            self._finish(st, error=DeadlineError(
-                f"deadline exceeded during {st.header['verb']} retry "
-                f"(last failure: {exc})"))
-            return
-        self.client.retries += 1
-        self.resends += 1
-        delay = self.client.backoff.delay(st.attempt)
-        timer = threading.Timer(delay, self._resend_one, args=(st,))
-        timer.daemon = True
-        timer.start()
-
-    def _resend_one(self, st: _PendingState) -> None:
-        with self._state:
-            if st.header["rid"] not in self._outstanding:
-                return
-            sock = self._sock
-        if sock is None:
-            return           # the reconnect round will carry it
-        try:
-            self._send_state(sock, st)
-        except (OSError, ProtocolError):
-            self._connection_lost(sock)
+    def _defer(self, fn, *args) -> None:
+        threading.Thread(target=fn, args=args, name="drx-pipeline-retry",
+                         daemon=True).start()

@@ -39,18 +39,16 @@ Frame kinds:
 
 Pipelining wire rules (many REQ frames in flight per connection):
 
-* A REQ carrying a ``rid`` (an integer unique among the connection's
-  in-flight requests) opts into out-of-order dispatch: the server may
-  execute it concurrently with other ``rid``-tagged requests from the
-  same connection and reply **in any order**; every reply frame — OK,
-  ERR, RETRY_LATER and DEADLINE alike — echoes the request's ``rid``
-  so the client matches responses to requests by id, never by
-  position.  Per-array lock ordering still serializes overlapping
-  mutations; disjoint requests overlap.
-* A REQ *without* ``rid`` is the legacy contract: processed in
-  arrival order, exactly one in-order reply before the next frame is
-  read.  The two styles may be mixed on one connection; a rid-less
-  request acts as a pipeline barrier (the reader blocks on it).
+* Every REQ carries a ``rid``: a non-negative integer unique among the
+  connection's in-flight requests.  It is **mandatory** — a REQ whose
+  ``rid`` is missing or anything else is answered with one fatal
+  ``ERR`` and never dispatched; the connection stays usable.  The
+  server may execute requests of one connection concurrently and reply
+  **in any order**; every reply frame — OK, ERR, RETRY_LATER and
+  DEADLINE alike — echoes the request's ``rid`` so the client matches
+  responses to requests by id, never by position (a synchronous call
+  is a pipeline of depth one).  Per-array lock ordering still
+  serializes overlapping mutations; disjoint requests overlap.
 * The ``batch`` verb carries several operations in **one** frame: the
   header's ``ops`` list holds one sub-header per operation (its own
   ``verb``, parameters, idempotency key, and ``nbytes`` — the length
@@ -92,17 +90,22 @@ connection) so a misbehaving client cannot balloon server memory.
 
 from __future__ import annotations
 
+import inspect
 import json
 import socket
 import struct
 import zlib
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from ..core.errors import DRXError, ServeError
 from ..drx.resilience import is_transient
 
 __all__ = [
     "REQ", "OK", "ERR", "RETRY_LATER", "DEADLINE",
-    "KIND_NAMES", "VERBS", "KEYED_VERBS", "BATCHABLE_VERBS",
+    "KIND_NAMES", "Verb", "VERB_TABLE", "verb_surface",
+    "VERBS", "KEYED_VERBS", "BATCHABLE_VERBS", "CONTROL_VERBS",
     "MAX_FRAME", "MAX_BATCH_OPS", "MAX_PIPELINE_DEPTH", "DEDUP_WINDOW",
     "ProtocolError", "ConnectionClosed",
     "send_frame", "recv_frame", "encode_error", "decode_error",
@@ -118,19 +121,159 @@ DEADLINE = 5
 KIND_NAMES = {REQ: "REQ", OK: "OK", ERR: "ERR",
               RETRY_LATER: "RETRY_LATER", DEADLINE: "DEADLINE"}
 
-#: Every verb the daemon dispatches.
-VERBS = frozenset({
-    "ping", "open", "create", "read", "write", "extend", "flush",
-    "snapshot", "scrub", "stats", "shutdown", "batch",
-})
+def _ints(seq) -> list[int]:
+    """Coordinates, shapes and bounds as plain ints (numpy integers are
+    not JSON-serializable)."""
+    return [int(x) for x in seq]
 
-#: Mutating verbs the client stamps with an idempotency key — exactly
-#: the verbs the server journals and dedups.
-KEYED_VERBS = frozenset({"write", "extend"})
 
-#: Verbs allowed inside a ``batch`` frame: no nesting, and shutdown
-#: must stay a deliberate single-purpose request.
-BATCHABLE_VERBS = VERBS - {"batch", "shutdown"}
+def _reply_array(hdr: dict, payload) -> np.ndarray:
+    return np.frombuffer(payload, dtype=hdr["dtype"]).reshape(hdr["shape"])
+
+
+# Request encoders: the signature is the public signature of the verb's
+# method on every client surface; the result is ``(header, payload)``.
+# ``timeout`` is the request's whole budget — the exchange ships what
+# remains of it with each attempt, so it stays out of the header here.
+
+def _ping(echo=None, timeout: float | None = None):
+    return {"echo": echo}, b""
+
+
+def _named(name: str, timeout: float | None = None):
+    return {"name": name}, b""
+
+
+def _create(name: str, bounds, chunk, dtype: str = "<f8",
+            checksums: bool = False, codec: str = "none",
+            exists_ok: bool = False, timeout: float | None = None):
+    return {"name": name, "bounds": _ints(bounds), "chunk": _ints(chunk),
+            "dtype": dtype, "checksums": checksums, "codec": codec,
+            "exists_ok": exists_ok}, b""
+
+
+def _read(name: str, lo, hi, timeout: float | None = None):
+    """Read the box ``[lo, hi)``.
+
+    Zero-copy: the returned array is a view over the received reply's
+    payload buffer (``np.frombuffer``, no copy).  The buffer is
+    writable and private to its reply frame, so callers may mutate the
+    result in place and it cannot alias another reply's data.
+    """
+    return {"name": name, "lo": _ints(lo), "hi": _ints(hi)}, b""
+
+
+def _write(name: str, lo, values, timeout: float | None = None,
+           _delay: float = 0.0):
+    values = np.ascontiguousarray(values)
+    header = {"name": name, "lo": _ints(lo),
+              "shape": list(values.shape), "dtype": values.dtype.str}
+    if _delay:
+        header["_delay"] = _delay
+    return header, values.tobytes()
+
+
+def _extend(name: str, dim: int | None = None, by: int | None = None,
+            to=None, timeout: float | None = None):
+    if to is not None:
+        return {"name": name, "to": _ints(to)}, b""
+    return {"name": name, "dim": int(dim), "by": int(by)}, b""
+
+
+def _snapshot(name: str, dest: str, timeout: float | None = None):
+    return {"name": name, "dest": dest}, b""
+
+
+def _stats(timeout: float | None = None):
+    return {}, b""
+
+
+def _shutdown(drain: bool = True, timeout: float | None = None):
+    return {"drain": drain}, b""
+
+
+class Verb(NamedTuple):
+    """One row of :data:`VERB_TABLE`.
+
+    ``encode(*public args) -> (header, payload)`` (``None`` for
+    ``batch``, whose envelope the client assembles by hand) and
+    ``decode(reply header, reply payload) ->`` the method's result.
+    ``keyed``: mutating — the client stamps an idempotency key, the
+    server journals and dedups.  ``batchable``: allowed inside a
+    ``batch`` frame.  ``control``: answered without an admission slot —
+    cheap, touches no array data, must work while the daemon is
+    saturated.  ``routed``: the first argument is the array name and a
+    shard ring routes by it; unrouted verbs fan out to every shard.
+    """
+
+    name: str
+    encode: Callable | None
+    decode: Callable = lambda hdr, payload: hdr
+    keyed: bool = False
+    batchable: bool = True
+    control: bool = False
+    routed: bool = True
+
+
+#: Every verb the daemon dispatches.  Adding one is a row here plus a
+#: ``DRXServer._op_<name>`` handler: the methods of all four client
+#: surfaces, the sets below and the server's lookup derive from it.
+VERB_TABLE: dict[str, Verb] = {v.name: v for v in (
+    Verb("ping", _ping, control=True, routed=False),
+    Verb("open", _named),
+    Verb("create", _create),
+    Verb("read", _read, decode=_reply_array),
+    Verb("write", _write, keyed=True),
+    Verb("extend", _extend, keyed=True),
+    Verb("flush", _named),
+    Verb("snapshot", _snapshot),
+    Verb("scrub", _named),
+    Verb("stats", _stats, control=True, routed=False),
+    # shutdown must stay a deliberate single-purpose request
+    Verb("shutdown", _shutdown, batchable=False, control=True,
+         routed=False),
+    # no nesting
+    Verb("batch", None, batchable=False, routed=False),
+)}
+
+VERBS = frozenset(VERB_TABLE)
+KEYED_VERBS = frozenset(n for n, v in VERB_TABLE.items() if v.keyed)
+BATCHABLE_VERBS = frozenset(n for n, v in VERB_TABLE.items() if v.batchable)
+CONTROL_VERBS = frozenset(n for n, v in VERB_TABLE.items() if v.control)
+
+_SELF = inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+def _verb_method(spec: Verb):
+    encode = spec.encode
+    sig = inspect.signature(encode)
+    at = list(sig.parameters).index("timeout")
+
+    def method(self, *args, **kwargs):
+        header, payload = encode(*args, **kwargs)
+        timeout = args[at] if len(args) > at else kwargs.get("timeout")
+        return self._call(spec, header, payload, timeout)
+
+    method.__name__ = spec.name
+    method.__doc__ = encode.__doc__
+    method.__signature__ = sig.replace(
+        parameters=[_SELF, *sig.parameters.values()])
+    return method
+
+
+def verb_surface(cls):
+    """Class decorator: one method per table verb, taking the verb's
+    public arguments and handing ``(spec, header, payload, timeout)``
+    to the class's ``_call``.  A method the class defines itself wins
+    (``ShardedClient.stats`` merges its fan-out); a class whose
+    ``_call`` can only route by array name sets ``routed_only``."""
+    for spec in VERB_TABLE.values():
+        if spec.encode is None or spec.name in cls.__dict__:
+            continue
+        if spec.routed or not getattr(cls, "routed_only", False):
+            setattr(cls, spec.name, _verb_method(spec))
+    return cls
+
 
 #: Cap on operations per batch frame — bounded decode work per frame,
 #: same spirit as MAX_FRAME.
@@ -185,19 +328,6 @@ def send_frame(sock: socket.socket, kind: int, header: dict,
         sock.sendall(payload)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    parts: list[bytes] = []
-    got = 0
-    while got < n:
-        piece = sock.recv(min(n - got, 1 << 20))
-        if not piece:
-            raise ConnectionClosed(
-                f"connection closed mid-frame ({got}/{n} bytes)")
-        parts.append(piece)
-        got += len(piece)
-    return b"".join(parts)
-
-
 def _recv_exact_into(sock: socket.socket, buf: memoryview) -> None:
     """Fill ``buf`` completely from ``sock``.
 
@@ -230,7 +360,8 @@ def recv_frame(sock: socket.socket,
     included — the caller distinguishes by catching it around the first
     read) and :class:`ProtocolError` on malformed or oversize frames.
     """
-    head = _recv_exact(sock, _HEAD.size)
+    head = bytearray(_HEAD.size)
+    _recv_exact_into(sock, memoryview(head))
     body_len, kind, crc, header_len = _HEAD.unpack(head)
     if body_len > max_frame:
         raise ProtocolError(

@@ -8,18 +8,19 @@ cache and executor wiring), optionally one shared
 :class:`~repro.pfs.filesystem.ParallelFileSystem`.  The design
 commitments, in the order a request meets them:
 
-*Pipelining.*  A request carrying a ``rid`` is dispatched onto the
-connection's reusable worker pool (threads grown on demand, bounded,
-never created per-request once warm) and answered **out of order**
-(the reply echoes the ``rid``); the per-connection fan-out is capped by
-``max_conn_inflight`` (reader-side backpressure past it) and the
-work itself still funnels through admission control below.  Rid-less
-requests keep the legacy one-at-a-time in-order contract, which is
-also the path taken whenever chaos fault plans are armed — so kill
-schedules replay deterministically.  A ``batch`` frame carries many
-operations in one round trip; each passes through admission, QoS,
-deadline, and locking individually (see
-:mod:`repro.serve.protocol`).
+*One dispatch.*  Every request carries an integer ``rid``.  The
+connection's reader hands it to the connection's reusable worker pool
+(threads grown on demand, bounded, never created per-request once
+warm); the handler — ``_op_<verb>``, looked up through
+:data:`~repro.serve.protocol.VERB_TABLE` — runs on that worker and the
+reply, echoing the ``rid``, may leave **out of order**.  The
+per-connection fan-out is capped by ``max_conn_inflight`` (reader-side
+backpressure past it) and the work itself still funnels through
+admission control below.  While a chaos fault plan is armed the reader
+runs the same routine inline, one request at a time, so kill schedules
+replay deterministically.  A ``batch`` frame carries many operations
+in one round trip; each passes through admission, QoS, deadline, and
+locking individually (see :mod:`repro.serve.protocol`).
 
 *Admission control.*  A request first claims an in-flight slot —
 bounded per client and globally.  Waiters park on a condition variable
@@ -84,6 +85,7 @@ makes the daemon die abruptly at that instant via :meth:`kill`.
 from __future__ import annotations
 
 import functools
+import pathlib
 import queue
 import re
 import socket
@@ -98,11 +100,9 @@ from ..core.errors import (
     CrashError,
     DeadlineError,
     DRXError,
-    DRXFileError,
     RetryLater,
     ServeError,
 )
-from ..core.executor import IOExecutor
 from ..core.faultsites import crash_point
 from ..core.watchdog import CancelScope, Deadline, Watchdog, default_watchdog
 from ..drx.drxfile import DRXFile
@@ -119,8 +119,7 @@ from .protocol import (
     OK,
     REQ,
     RETRY_LATER,
-    VERBS,
-    ConnectionClosed,
+    VERB_TABLE,
     ProtocolError,
     encode_error,
     recv_frame,
@@ -136,11 +135,6 @@ __all__ = ["DRXServer", "CancelGateStore", "current_scope"]
 #: alphanumeric, then alphanumerics plus ``._-`` — no separators, so a
 #: root-directory server cannot be walked out of its root.
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,127}\Z")
-
-#: Verbs answered without claiming an admission slot: they are cheap,
-#: must work while the daemon is saturated (that is their whole point),
-#: and never touch array data.
-_CONTROL_VERBS = frozenset({"ping", "stats", "shutdown"})
 
 #: Slice length for simulated request computation (``_delay`` header),
 #: short enough that cancellation lands promptly.
@@ -320,36 +314,36 @@ class Admission:
 
 class _ConnWorkers:
     """A lazily-grown, bounded worker pool for one connection's
-    pipelined requests.
+    requests.
 
-    Threads are created on demand up to ``cap`` — the same bound as the
-    connection's inflight semaphore, so once warm the throughput path
-    never pays per-request thread creation — and reused across
-    requests.  Jobs are bounded by the caller's semaphore, so the queue
-    never holds more than ``cap`` entries.  A worker survives any job
-    failure; ``close()`` wakes every worker to exit, letting in-flight
-    handlers finish first.
+    ``cap`` bounds the jobs in flight — past it :meth:`submit` blocks,
+    so the connection's reader parks and TCP backpressure does the rest
+    — and thereby the threads: one is created only when every existing
+    worker is busy, and all are reused, so a synchronous client costs
+    one thread and a warm pipeline never pays per-request thread
+    creation.  A worker survives any job failure; ``close()`` wakes
+    every worker to exit, letting in-flight handlers finish first.
     """
 
     _STOP = object()
 
     def __init__(self, cap: int, name: str) -> None:
-        self.cap = max(1, int(cap))
         self.name = name
         self._q: queue.SimpleQueue = queue.SimpleQueue()
+        self._slots = threading.Semaphore(cap)
         self._lock = threading.Lock()
+        self._busy = 0      #: jobs queued or running
         self._threads: list[threading.Thread] = []
-        self._closed = False
 
     def submit(self, fn: Callable[[], None]) -> None:
         """Queue ``fn``, growing the pool when no worker may be free.
         Raises only when the job can never run — thread creation failed
         and the pool is empty — *without* having queued it, so the
         caller can fall back to running inline."""
+        self._slots.acquire()
         with self._lock:
-            if self._closed:
-                raise RuntimeError("connection worker pool is closed")
-            if len(self._threads) < self.cap:
+            self._busy += 1
+            if self._busy > len(self._threads):
                 t = threading.Thread(target=self._run, name=self.name,
                                      daemon=True)
                 try:
@@ -359,6 +353,8 @@ class _ConnWorkers:
                     # drain the queue), fatal-to-this-job otherwise —
                     # and the job is NOT queued, so no double run
                     if not self._threads:
+                        self._busy -= 1
+                        self._slots.release()
                         raise
                 else:
                     self._threads.append(t)
@@ -373,12 +369,13 @@ class _ConnWorkers:
                 fn()
             except Exception:   # noqa: BLE001 - job owns its errors
                 pass            # a worker must outlive any single job
+            finally:
+                with self._lock:
+                    self._busy -= 1
+                self._slots.release()
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            n = len(self._threads)
-        for _ in range(n):
+        for _ in self._threads:     # only the reader submits or closes
             self._q.put(self._STOP)
 
 
@@ -421,6 +418,59 @@ def _box_addresses(file: DRXFile, lo: Sequence[int],
     return [file.meta.eci.address(ci) for ci in product(*ranges)]
 
 
+_XMD = DRXFile.XMD_SUFFIX
+
+
+class _RootBackend:
+    """Arrays as ``.xmd``/``.xta`` pairs in one host directory."""
+
+    def __init__(self, root, **options) -> None:
+        self.root = pathlib.Path(root)
+        self.options = options      #: passed to every DRXFile it opens
+
+    def exists(self, name: str) -> bool:
+        return (self.root / (name + _XMD)).exists()
+
+    def open(self, name: str) -> DRXFile:
+        return DRXFile.open(self.root / name, "r+", **self.options)
+
+    def create(self, name: str, bounds, chunk, **kwargs) -> DRXFile:
+        return DRXFile.create(self.root / name, bounds, chunk,
+                              **kwargs, **self.options)
+
+    def names(self) -> list[str]:
+        return [p.name[:-len(_XMD)] for p in self.root.glob("*" + _XMD)]
+
+    def journal_store(self, name: str) -> ByteStore:
+        path = self.root / (name + JOURNAL_SUFFIX)
+        return PosixByteStore(path, "r+" if path.exists() else "x+")
+
+
+class _PFSBackend:
+    """Arrays as files of one shared ``ParallelFileSystem``."""
+
+    def __init__(self, fs, **options) -> None:
+        self.fs = fs
+        self.options = options
+
+    def exists(self, name: str) -> bool:
+        return self.fs.exists(name + _XMD)
+
+    def open(self, name: str) -> DRXFile:
+        return DRXFile.open_pfs(self.fs, name, "r+", **self.options)
+
+    def create(self, name: str, bounds, chunk, **kwargs) -> DRXFile:
+        return DRXFile.create_pfs(self.fs, name, bounds, chunk,
+                                  **kwargs, **self.options)
+
+    def names(self) -> list[str]:
+        return [n[:-len(_XMD)] for n in self.fs.listdir()
+                if n.endswith(_XMD)]
+
+    def journal_store(self, name: str) -> ByteStore:
+        return PFSByteStore(self.fs.open_or_create(name + JOURNAL_SUFFIX))
+
+
 class DRXServer:
     """A thread-per-connection array service over shared DRX state.
 
@@ -439,7 +489,7 @@ class DRXServer:
                  max_queue: int = 16, max_frame: int = MAX_FRAME,
                  cache_pages: int = 64, drain_timeout: float = 10.0,
                  watchdog: Watchdog | None = None,
-                 use_executor: bool = True, journal: bool = True,
+                 journal: bool = True,
                  journal_window: float = 0.0,
                  checkpoint_interval: float | None = None,
                  max_conn_inflight: int = 32) -> None:
@@ -454,6 +504,10 @@ class DRXServer:
         #: backpressure past it); admission still bounds actual work
         self.max_conn_inflight = max(1, int(max_conn_inflight))
         self.cache_pages = cache_pages
+        options = dict(cache_pages=cache_pages,
+                       store_wrapper=CancelGateStore)
+        self._backend = _PFSBackend(fs, **options) if fs is not None \
+            else _RootBackend(root, **options)
         self.drain_timeout = drain_timeout
         self.journal_enabled = bool(journal)
         self.journal_window = float(journal_window)
@@ -465,29 +519,17 @@ class DRXServer:
                                    max_inflight_per_client, max_queue)
         self._watchdog = watchdog if watchdog is not None \
             else default_watchdog()
-        #: the "serve" executor tier: admitted requests execute here,
-        #: sized to the global in-flight limit so an admitted request
-        #: never waits for a worker (see the tier note in
-        #: :mod:`repro.core.executor`)
-        self._exec: IOExecutor | None = (
-            IOExecutor(max_inflight, name="serve") if use_executor else None)
         self._arrays: dict[str, _ArrayEntry] = {}
         self._arrays_lock = threading.Lock()
         self._state = self.RUNNING
         self._state_lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._conn_threads: list[threading.Thread] = []
         self._conn_socks: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
+        self._answering = 0     #: requests between dispatch and reply sent
         self._scopes: set[CancelScope] = set()
         self._scopes_lock = threading.Lock()
-        self._handlers: dict[str, Callable] = {
-            "open": self._op_open, "create": self._op_create,
-            "read": self._op_read, "write": self._op_write,
-            "extend": self._op_extend, "flush": self._op_flush,
-            "snapshot": self._op_snapshot, "scrub": self._op_scrub,
-        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -564,6 +606,11 @@ class DRXServer:
             # them a moment to unwind through their checkpoints
             self._cancel_all_scopes("server draining")
             self.admission.wait_idle(1.0)
+        # a request that just gave its admission slot back still has its
+        # reply to send: let it out before the sockets close
+        patience = time.monotonic() + 1.0
+        while self._answering and time.monotonic() < patience:
+            time.sleep(0.002)
         self._cancel_checkpoint()
         try:
             crash_point("server.kill.daemon.drain.flush")
@@ -581,8 +628,6 @@ class DRXServer:
                 entry.journal.rotate(entry.dedup.snapshot(),
                                      entry.file.commit_epoch)
                 entry.journal.close()
-        if self._exec is not None:
-            self._exec.shutdown(wait=True)
         with self._state_lock:
             self._state = self.DEAD
         self._close_connections()
@@ -591,12 +636,11 @@ class DRXServer:
         """Abrupt death: no flush, no goodbye.
 
         Scopes are cancelled (in-flight work aborts at its next
-        checkpoint), queued-but-unstarted executor work is dropped,
-        sockets are torn down mid-frame, and every array is *abandoned*
-        — dirty cached pages vanish exactly as they would in a process
-        kill.  What this leaves on disk is whatever the store protocols
-        had committed: the chaos suite restarts a fresh daemon on the
-        same substrate and asserts recovery.
+        checkpoint), sockets are torn down mid-frame, and every array
+        is *abandoned* — dirty cached pages vanish exactly as they would
+        in a process kill.  What this leaves on disk is whatever the
+        store protocols had committed: the chaos suite restarts a fresh
+        daemon on the same substrate and asserts recovery.
         """
         with self._state_lock:
             if self._state == self.DEAD:
@@ -607,8 +651,6 @@ class DRXServer:
         self._cancel_all_scopes("server killed")
         self._close_listener()
         self._close_connections()
-        if self._exec is not None:
-            self._exec.shutdown(wait=False, cancel_futures=True)
         with self._arrays_lock:
             entries = list(self._arrays.values())
             self._arrays.clear()
@@ -737,14 +779,11 @@ class DRXServer:
                 t = threading.Thread(target=self._serve_connection,
                                      args=(sock,),
                                      name="drx-serve-conn", daemon=True)
-                self._conn_threads.append(t)
             t.start()
 
     def _serve_connection(self, sock: socket.socket) -> None:
-        owner = object()     # lock-ownership token for disconnect cleanup
         send_lock = threading.Lock()    # interleaved replies stay framed
-        inflight = threading.Semaphore(self.max_conn_inflight)
-        workers: _ConnWorkers | None = None
+        workers = _ConnWorkers(self.max_conn_inflight, "drx-serve-op")
         try:
             while self.state != self.DEAD:
                 kind, header, payload = recv_frame(sock, self.max_frame)
@@ -753,52 +792,34 @@ class DRXServer:
                 # after the client re-issues under the same key
                 crash_point("serve.net.recv.request")
                 if kind != REQ:
-                    raise ProtocolError(
-                        f"expected REQ, got kind {kind}")
+                    raise ProtocolError(f"expected REQ, got kind {kind}")
                 rid = header.get("rid")
-                if rid is None or faultsites.any_active():
-                    # legacy in-order contract — also the deterministic
-                    # path while chaos is armed, so kill-site schedules
-                    # replay exactly as scripted
-                    reply = self._dispatch(header, payload, owner)
-                    # lost-ack window: mutation applied and journal-
-                    # synced, OK not yet on the wire — the retry must be
-                    # answered from the dedup table, never re-applied
-                    crash_point("serve.net.send.reply")
-                    self._send_reply(sock, send_lock, rid, reply)
-                else:
-                    # pipelined: decode/dispatch/respond out of order.
-                    # The semaphore caps this connection's in-flight
-                    # fan-out; past the cap the reader parks here and
-                    # TCP backpressure does the rest.  Requests run on
-                    # the connection's reusable worker pool — no
-                    # per-request thread creation on the hot path.
-                    if workers is None:
-                        workers = _ConnWorkers(self.max_conn_inflight,
-                                               "drx-serve-op")
-                    inflight.acquire()
-                    job = functools.partial(
-                        self._pipelined_request, sock, send_lock,
-                        inflight, header, payload, rid)
-                    try:
-                        workers.submit(job)
-                    except RuntimeError:
-                        # no worker could ever run it: give the slot
-                        # back and degrade to inline (in-order) — the
-                        # window must not shrink permanently
-                        inflight.release()
-                        reply = self._dispatch(header, payload, owner)
-                        self._send_reply(sock, send_lock, rid, reply)
-        except ConnectionClosed:
-            pass                      # client went away — normal
+                if type(rid) is not int or rid < 0:
+                    # nothing to echo and nothing dispatched; the
+                    # stream itself is intact, so the connection lives
+                    with send_lock:
+                        send_frame(sock, ERR, encode_error(ServeError(
+                            "a REQ needs a non-negative integer rid, "
+                            f"got {rid!r}")))
+                    continue
+                answer = functools.partial(
+                    self._answer, sock, send_lock, header, payload, rid)
+                if faultsites.any_active():
+                    # the deterministic path while chaos is armed: one
+                    # request at a time, in arrival order, so kill-site
+                    # schedules replay exactly as scripted
+                    answer()
+                    continue
+                try:
+                    workers.submit(answer)      # replies leave out of order
+                except RuntimeError:
+                    answer()    # no worker could ever run it: inline
         except (ProtocolError, OSError):
-            pass                      # garbage or torn socket: drop it
+            pass        # client went away, garbage or a torn socket
         except CrashError:
             self.kill()               # chaos site fired: die abruptly
         finally:
-            if workers is not None:
-                workers.close()
-            self._release_owner(owner)
+            workers.close()
             with self._conn_lock:
                 self._conn_socks.discard(sock)
             try:
@@ -806,22 +827,27 @@ class DRXServer:
             except OSError:
                 pass
 
-    def _pipelined_request(self, sock: socket.socket,
-                           send_lock: threading.Lock,
-                           inflight: threading.Semaphore,
-                           header: dict, payload: bytes,
-                           rid) -> None:
-        """One rid-tagged request on its own worker thread: dispatch,
-        then reply out of order under the connection's send lock.  The
-        request gets a *private* owner token — its own locks release in
-        the handler's ``finally``; the backstop here reclaims whatever
-        a torn-down worker still held, without touching the locks of
-        sibling requests on the same connection."""
+    def _answer(self, sock: socket.socket, send_lock: threading.Lock,
+                header: dict, payload: bytes, rid: int) -> None:
+        """Dispatch one request and send its reply, echoing ``rid``.
+        The request gets a *private* owner token: its own locks release
+        in the handler's ``finally``; the backstop here reclaims
+        whatever a torn-down thread still held, without touching the
+        locks of sibling requests on the same connection."""
         owner = object()
+        with self._conn_lock:
+            self._answering += 1
         try:
-            reply = self._dispatch(header, payload, owner)
+            handle = self._handle_batch if header.get("verb") == "batch" \
+                else self._handle_request
+            kind, hdr, out = handle(header, payload, owner)
+            # lost-ack window: mutation applied and journal-synced, OK
+            # not yet on the wire — the retry must be answered from the
+            # dedup table, never re-applied
+            crash_point("serve.net.send.reply")
             try:
-                self._send_reply(sock, send_lock, rid, reply)
+                with send_lock:
+                    send_frame(sock, kind, dict(hdr, rid=rid), out)
             except (ProtocolError, OSError):
                 # connection died under a completed request: the op is
                 # applied (and journaled) — the client's retry will be
@@ -831,23 +857,8 @@ class DRXServer:
             self.kill()
         finally:
             self._release_owner(owner)
-            inflight.release()
-
-    @staticmethod
-    def _send_reply(sock: socket.socket, send_lock: threading.Lock,
-                    rid, reply: tuple[int, dict, bytes]) -> None:
-        kind, hdr, payload = reply
-        if rid is not None:
-            hdr = dict(hdr)
-            hdr["rid"] = rid
-        with send_lock:
-            send_frame(sock, kind, hdr, payload)
-
-    def _dispatch(self, header: dict, payload: bytes,
-                  owner: object) -> tuple[int, dict, bytes]:
-        if header.get("verb") == "batch":
-            return self._handle_batch(header, payload, owner)
-        return self._handle_request(header, payload, owner)
+            with self._conn_lock:
+                self._answering -= 1
 
     def _handle_batch(self, header: dict, payload: bytes,
                       owner: object) -> tuple[int, dict, bytes]:
@@ -892,7 +903,7 @@ class DRXServer:
             if "attempt" in header:
                 oh.setdefault("attempt", header["attempt"])
             verb = oh.get("verb")
-            if verb not in BATCHABLE_VERBS:
+            if not isinstance(verb, str) or verb not in BATCHABLE_VERBS:
                 k, h, p = (ERR, encode_error(ServeError(
                     f"verb {verb!r} not allowed in a batch")), b"")
             else:
@@ -919,13 +930,14 @@ class DRXServer:
                         owner: object) -> tuple[int, dict, bytes]:
         verb = header.get("verb")
         client = str(header.get("client", "anon"))
-        if verb not in VERBS:
+        spec = VERB_TABLE.get(verb) if isinstance(verb, str) else None
+        handler = getattr(self, f"_op_{verb}", None) if spec else None
+        if handler is None:
             return (ERR, encode_error(
                 ServeError(f"unknown verb {verb!r}")), b"")
-        if verb in _CONTROL_VERBS:
+        if spec.control:
             try:
-                hdr, pl = self._control(verb, header)
-                return (OK, hdr, pl)
+                return (OK, *handler(header, payload, owner, None))
             except Exception as exc:   # noqa: BLE001 - transported
                 return (ERR, encode_error(exc), b"")
 
@@ -961,8 +973,12 @@ class DRXServer:
             qos.enter_inflight()
             try:
                 crash_point("server.kill.daemon.admitted")
-                hdr, pl = self._execute(verb, header, payload, owner,
-                                        scope)
+                # the handler runs on the thread that dispatched it
+                _scope_local.value = scope
+                scope.check(f"{verb} dispatch")
+                if spec.keyed:
+                    handler = functools.partial(self._exactly_once, handler)
+                hdr, pl = handler(header, payload, owner, scope)
                 qos.bump(ok=1,
                          bytes_read=len(pl) if verb == "read" else 0,
                          bytes_written=(len(payload)
@@ -977,6 +993,7 @@ class DRXServer:
                 qos.bump(errors=1)
                 return (ERR, encode_error(exc), b"")
         finally:
+            _scope_local.value = None
             if admitted:
                 qos.exit_inflight()
                 self.admission.release(client)
@@ -984,23 +1001,6 @@ class DRXServer:
                 self._scopes.discard(scope)
             if wd_handle is not None:
                 self._watchdog.cancel(wd_handle)
-
-    def _execute(self, verb: str, header: dict, payload: bytes,
-                 owner: object, scope: CancelScope) -> tuple[dict, bytes]:
-        """Run one admitted request on the serve executor tier (inline
-        while a fault plan is armed, to keep chaos schedules
-        deterministic)."""
-        def run() -> tuple[dict, bytes]:
-            _scope_local.value = scope
-            try:
-                scope.check(f"{verb} dispatch")
-                return self._handlers[verb](header, payload, owner, scope)
-            finally:
-                _scope_local.value = None
-
-        if self._exec is None or faultsites.any_active():
-            return run()
-        return self._exec.result(self._exec.submit(run))
 
     @staticmethod
     def _simulate_delay(header: dict, scope: CancelScope) -> None:
@@ -1018,14 +1018,16 @@ class DRXServer:
     # ------------------------------------------------------------------
     # control-plane verbs (no admission slot)
     # ------------------------------------------------------------------
-    def _control(self, verb: str, header: dict) -> tuple[dict, bytes]:
-        if verb == "ping":
-            return ({"pong": True, "state": self.state,
-                     "echo": header.get("echo")}, b"")
-        if verb == "stats":
-            return (self.stats_snapshot(), b"")
-        # shutdown: acknowledge first, then drain in the background so
-        # the requesting client gets its reply before the socket dies
+    def _op_ping(self, header, payload, owner, scope):
+        return ({"pong": True, "state": self.state,
+                 "echo": header.get("echo")}, b"")
+
+    def _op_stats(self, header, payload, owner, scope):
+        return (self.stats_snapshot(), b"")
+
+    def _op_shutdown(self, header, payload, owner, scope):
+        # acknowledge first, then drain in the background so the
+        # requesting client gets its reply before the socket dies
         drain = bool(header.get("drain", True))
         threading.Thread(target=self.shutdown, kwargs={"drain": drain},
                          name="drx-serve-shutdown", daemon=True).start()
@@ -1082,26 +1084,6 @@ class DRXServer:
             raise ServeError(f"invalid array name {name!r}")
         return name
 
-    def _store_wrapper(self, store: ByteStore, role: str) -> ByteStore:
-        return CancelGateStore(store, role)
-
-    def _journal_store(self, name: str) -> ByteStore:
-        """Open (or create) the array's ``.xj`` journal store — raw, not
-        Mpool-buffered and not deadline-gated: journal appends for an
-        acknowledged mutation must land even if the *next* request's
-        scope has expired, and abandoning the buffer cache on
-        :meth:`kill` must not touch what :meth:`Journal.sync` already
-        made durable."""
-        if self.fs is not None:
-            return PFSByteStore(
-                self.fs.open_or_create(name + JOURNAL_SUFFIX))
-        import pathlib
-        path = pathlib.Path(self.root) / (name + JOURNAL_SUFFIX)
-        try:
-            return PosixByteStore(path, "r+")
-        except DRXFileError:
-            return PosixByteStore(path, "x+")
-
     def _attach_journal(self, entry: _ArrayEntry) -> None:
         """Recover then journal ``entry`` (the daemon-open path): scan
         the journal, replay committed-but-unapplied transactions,
@@ -1109,7 +1091,12 @@ class DRXServer:
         checkpoint so each crash's records replay exactly once."""
         if not self.journal_enabled:
             return
-        store = self._journal_store(entry.name)
+        # the journal store is raw — not Mpool-buffered and not
+        # deadline-gated: appends for an acknowledged mutation must land
+        # even if the *next* request's scope has expired, and abandoning
+        # the buffer cache on :meth:`kill` must not touch what
+        # :meth:`Journal.sync` already made durable
+        store = self._backend.journal_store(entry.name)
         report = recover(entry.file, store)
         entry.dedup.seed(report.dedup)
         entry.journal = Journal(store, start=report.valid_end,
@@ -1130,22 +1117,12 @@ class DRXServer:
             entry = self._arrays.get(name)
             if entry is not None:
                 return entry
-            if self.fs is not None:
-                if not self.fs.exists(name + DRXFile.XMD_SUFFIX):
-                    # a PFSError would read as transient to the client;
-                    # a missing array is permanent — fail fatally
-                    raise ServeError(f"no array named {name!r}",
-                                     kind="DRXFileNotFoundError")
-                file = DRXFile.open_pfs(
-                    self.fs, name, "r+", cache_pages=self.cache_pages,
-                    store_wrapper=self._store_wrapper)
-            else:
-                import pathlib
-                file = DRXFile.open(
-                    pathlib.Path(self.root) / name, "r+",
-                    cache_pages=self.cache_pages,
-                    store_wrapper=self._store_wrapper)
-            entry = _ArrayEntry(name, file)
+            if not self._backend.exists(name):
+                # a PFSError would read as transient to the client; a
+                # missing array is permanent — fail fatally
+                raise ServeError(f"no array named {name!r}",
+                                 kind="DRXFileNotFoundError")
+            entry = _ArrayEntry(name, self._backend.open(name))
             self._attach_journal(entry)
             self._arrays[name] = entry
             return entry
@@ -1154,17 +1131,8 @@ class DRXServer:
         """Eagerly open — and thereby crash-recover — every array in
         the backing store (``drx-serve --recover``).  Returns
         ``{name: recovery summary}``."""
-        if self.fs is not None:
-            names = [n[:-len(DRXFile.XMD_SUFFIX)]
-                     for n in self.fs.listdir()
-                     if n.endswith(DRXFile.XMD_SUFFIX)]
-        else:
-            import pathlib
-            names = [p.name[:-len(DRXFile.XMD_SUFFIX)]
-                     for p in pathlib.Path(self.root).glob(
-                         "*" + DRXFile.XMD_SUFFIX)]
         return {name: dict(self._entry(name).recovery or {})
-                for name in sorted(names)}
+                for name in sorted(self._backend.names())}
 
     def _info(self, entry: _ArrayEntry) -> dict:
         f = entry.file
@@ -1189,33 +1157,17 @@ class DRXServer:
         name = self._check_name(header["name"])
         with self._arrays_lock:
             exists = name in self._arrays
-        if not exists:
-            if self.fs is not None:
-                exists = self.fs.exists(name + DRXFile.XMD_SUFFIX)
-            else:
-                import pathlib
-                p = pathlib.Path(self.root) / name
-                exists = p.with_name(p.name + DRXFile.XMD_SUFFIX).exists()
-        if exists:
+        if exists or self._backend.exists(name):
             if header.get("exists_ok"):
                 return (self._info(self._entry(name)), b"")
             raise ServeError(f"array {name!r} already exists",
                              kind="DRXFileExistsError")
         bounds = [int(b) for b in header["bounds"]]
         chunk = [int(c) for c in header["chunk"]]
-        kwargs = dict(dtype=header.get("dtype", "<f8"),
-                      checksums=bool(header.get("checksums", False)),
-                      codec=header.get("codec", "none"),
-                      cache_pages=self.cache_pages,
-                      store_wrapper=self._store_wrapper)
-        if self.fs is not None:
-            file = DRXFile.create_pfs(self.fs, name, bounds, chunk,
-                                      **kwargs)
-        else:
-            import pathlib
-            file = DRXFile.create(pathlib.Path(self.root) / name,
-                                  bounds, chunk, **kwargs)
-        entry = _ArrayEntry(name, file)
+        entry = _ArrayEntry(name, self._backend.create(
+            name, bounds, chunk, dtype=header.get("dtype", "<f8"),
+            checksums=bool(header.get("checksums", False)),
+            codec=header.get("codec", "none")))
         self._attach_journal(entry)
         with self._arrays_lock:
             self._arrays[name] = entry
@@ -1230,17 +1182,28 @@ class DRXServer:
                     str(header["sid"]), int(header["seq"]))
         return None
 
-    def _dedup_claim(self, entry: _ArrayEntry, key, header: dict,
-                     scope: CancelScope) -> dict | None:
-        """Claim ``key`` for this attempt; returns the cached result
-        when this is a replayed retry (counted in ``dedup_hits``)."""
+    def _exactly_once(self, handler, header, payload, owner, scope):
+        """Run a keyed verb's handler under its idempotency key: a
+        replayed retry is answered from the dedup table (counted in
+        ``dedup_hits``) instead of re-applied.  The result is cached
+        when the handler returns, so a keyed handler must return only
+        after its COMMIT record is synced — a replay must never be
+        acked from cache before that."""
+        key = self._idem_key(header)
         if key is None:
-            return None
+            return handler(header, payload, owner, scope)
+        entry = self._entry(header["name"])
         cached = entry.dedup.claim(key, scope)
         if cached is not None:
-            self.qos.client(str(header.get("client", "anon"))).bump(
-                dedup_hits=1)
-        return cached
+            self.qos.client(key[0]).bump(dedup_hits=1)
+            return (cached, b"")
+        try:
+            result, out = handler(header, payload, owner, scope)
+        except BaseException:
+            entry.dedup.abandon(key)
+            raise
+        entry.dedup.fulfill(key, result)
+        return (result, out)
 
     def _op_read(self, header, payload, owner, scope):
         entry = self._entry(header["name"])
@@ -1268,58 +1231,45 @@ class DRXServer:
         values = values.reshape(shape)
         hi = [l + s for l, s in zip(lo, shape)]
         key = self._idem_key(header)
-        cached = self._dedup_claim(entry, key, header, scope)
-        if cached is not None:
-            return (cached, b"")
-        done = False
+        lsn = None
+        entry.rw.acquire_shared(scope, owner)
         try:
-            lsn = None
-            entry.rw.acquire_shared(scope, owner)
+            taken = entry.chunks.acquire(
+                _box_addresses(entry.file, lo, hi), owner, scope)
             try:
-                taken = entry.chunks.acquire(
-                    _box_addresses(entry.file, lo, hi), owner, scope)
+                crash_point("server.kill.daemon.locked")
+                if entry.journal is not None:
+                    # redo logging: intent + payload hit the journal
+                    # before the Mpool sees the mutation
+                    txn = entry.journal.begin(
+                        "write", key,
+                        {"lo": lo, "shape": shape,
+                         "dtype": header["dtype"]}, payload)
+                crash_point("server.kill.daemon.journaled")
+                # pre-image for rollback: a deadline that fires
+                # before the mutation is acknowledged must not leave
+                # a half-applied (or applied-but-unacked) box behind
+                pre = entry.file.read(lo, hi)
                 try:
-                    crash_point("server.kill.daemon.locked")
-                    if entry.journal is not None:
-                        # redo logging: intent + payload hit the journal
-                        # before the Mpool sees the mutation
-                        txn = entry.journal.begin(
-                            "write", key,
-                            {"lo": lo, "shape": shape,
-                             "dtype": header["dtype"]}, payload)
-                    crash_point("server.kill.daemon.journaled")
-                    # pre-image for rollback: a deadline that fires
-                    # before the mutation is acknowledged must not leave
-                    # a half-applied (or applied-but-unacked) box behind
-                    pre = entry.file.read(lo, hi)
-                    try:
-                        entry.file.write(lo, values)
-                        self._simulate_delay(header, scope)
-                    except DeadlineError:
-                        # no COMMIT record: recovery discards the txn
-                        self._rollback(entry, lo, pre)
-                        raise
-                    seq = entry.next_seq()
-                    result = {"seq": seq, "nbytes": len(payload)}
-                    if entry.journal is not None:
-                        lsn = entry.journal.commit(txn, key, result)
-                    crash_point("server.kill.daemon.applied")
-                finally:
-                    entry.chunks.release(taken)
+                    entry.file.write(lo, values)
+                    self._simulate_delay(header, scope)
+                except DeadlineError:
+                    # no COMMIT record: recovery discards the txn
+                    self._rollback(entry, lo, pre)
+                    raise
+                seq = entry.next_seq()
+                result = {"seq": seq, "nbytes": len(payload)}
+                if entry.journal is not None:
+                    lsn = entry.journal.commit(txn, key, result)
+                crash_point("server.kill.daemon.applied")
             finally:
-                entry.rw.release_shared(owner)
-            if lsn is not None:
-                # group commit *after* the locks drop, *before* OK
-                entry.journal.sync(lsn)
-            if key is not None:
-                # only after the covering sync: a replayed retry must
-                # never be acked from cache before its COMMIT is durable
-                entry.dedup.fulfill(key, result)
-            done = True
-            return (result, b"")
+                entry.chunks.release(taken)
         finally:
-            if not done and key is not None:
-                entry.dedup.abandon(key)
+            entry.rw.release_shared(owner)
+        if lsn is not None:
+            # group commit *after* the locks drop, *before* OK
+            entry.journal.sync(lsn)
+        return (result, b"")
 
     @staticmethod
     def _rollback(entry: _ArrayEntry, lo, pre) -> None:
@@ -1335,85 +1285,74 @@ class DRXServer:
     def _op_extend(self, header, payload, owner, scope):
         entry = self._entry(header["name"])
         key = self._idem_key(header)
-        cached = self._dedup_claim(entry, key, header, scope)
-        if cached is not None:
-            return (cached, b"")
-        done = False
+        entry.rw.acquire_exclusive(scope, owner)
         try:
-            entry.rw.acquire_exclusive(scope, owner)
+            crash_point("server.kill.daemon.locked")
+            # validate the target fully *before* journaling: once
+            # the COMMIT is durable, recovery will replay it, so a
+            # request that cannot apply must be rejected while the
+            # journal is still untouched
+            if "to" in header:
+                # absolute-shape form: idempotent as given
+                to = [int(x) for x in header["to"]]
+                if len(to) != entry.file.rank:
+                    raise ServeError(
+                        f"extend to= rank {len(to)} != "
+                        f"{entry.file.rank}")
+                if any(t < 0 for t in to):
+                    raise ServeError(
+                        f"extend to= has negative bound: {to}")
+            else:
+                # relative form: resolved to an absolute target
+                # under the exclusive lock, so the journaled intent
+                # — and any retry answered from the dedup table —
+                # is idempotent even though dim/by is not
+                dim = int(header["dim"])
+                if not 0 <= dim < entry.file.rank:
+                    raise ServeError(
+                        f"extend dim {dim} out of range for rank "
+                        f"{entry.file.rank}")
+                to = list(entry.file.shape)
+                to[dim] += int(header["by"])
+            seq = entry.next_seq()
+            result = {"seq": seq,
+                      "shape": [max(s, t) for s, t
+                                in zip(entry.file.shape, to)]}
+            if entry.journal is not None:
+                # intent logging, not redo: extend's apply is itself
+                # an immediate durable metadata commit, so the
+                # journal COMMIT must be durable *first* — a crash
+                # in between replays the (idempotent) absolute
+                # target and answers the retry from the recovered
+                # dedup table, never re-extends
+                txn = entry.journal.begin("extend", key, {"to": to})
+                entry.journal.sync(
+                    entry.journal.commit(txn, key, result))
+            crash_point("server.kill.daemon.journaled")
             try:
-                crash_point("server.kill.daemon.locked")
-                # validate the target fully *before* journaling: once
-                # the COMMIT is durable, recovery will replay it, so a
-                # request that cannot apply must be rejected while the
-                # journal is still untouched
-                if "to" in header:
-                    # absolute-shape form: idempotent as given
-                    to = [int(x) for x in header["to"]]
-                    if len(to) != entry.file.rank:
-                        raise ServeError(
-                            f"extend to= rank {len(to)} != "
-                            f"{entry.file.rank}")
-                    if any(t < 0 for t in to):
-                        raise ServeError(
-                            f"extend to= has negative bound: {to}")
-                else:
-                    # relative form: resolved to an absolute target
-                    # under the exclusive lock, so the journaled intent
-                    # — and any retry answered from the dedup table —
-                    # is idempotent even though dim/by is not
-                    dim = int(header["dim"])
-                    if not 0 <= dim < entry.file.rank:
-                        raise ServeError(
-                            f"extend dim {dim} out of range for rank "
-                            f"{entry.file.rank}")
-                    to = list(entry.file.shape)
-                    to[dim] += int(header["by"])
-                seq = entry.next_seq()
-                result = {"seq": seq,
-                          "shape": [max(s, t) for s, t
-                                    in zip(entry.file.shape, to)]}
+                for d, target in enumerate(to):
+                    by = target - entry.file.shape[d]
+                    if by > 0:
+                        entry.file.extend(d, by)
+            except Exception:
+                # the COMMIT is already durable but the client will
+                # see an error: journal a durable ABORT so recovery
+                # neither replays the failed extend nor answers a
+                # post-restart retry "ok" from the dedup cache (the
+                # journal store is raw — not deadline-gated — so
+                # this works even when a fired scope killed the
+                # apply)
                 if entry.journal is not None:
-                    # intent logging, not redo: extend's apply is itself
-                    # an immediate durable metadata commit, so the
-                    # journal COMMIT must be durable *first* — a crash
-                    # in between replays the (idempotent) absolute
-                    # target and answers the retry from the recovered
-                    # dedup table, never re-extends
-                    txn = entry.journal.begin("extend", key, {"to": to})
-                    entry.journal.sync(
-                        entry.journal.commit(txn, key, result))
-                crash_point("server.kill.daemon.journaled")
-                try:
-                    for d, target in enumerate(to):
-                        by = target - entry.file.shape[d]
-                        if by > 0:
-                            entry.file.extend(d, by)
-                except Exception:
-                    # the COMMIT is already durable but the client will
-                    # see an error: journal a durable ABORT so recovery
-                    # neither replays the failed extend nor answers a
-                    # post-restart retry "ok" from the dedup cache (the
-                    # journal store is raw — not deadline-gated — so
-                    # this works even when a fired scope killed the
-                    # apply)
-                    if entry.journal is not None:
-                        try:
-                            entry.journal.sync(
-                                entry.journal.abort(txn))
-                        except Exception:  # noqa: BLE001
-                            pass  # journal torn down by a racing kill
-                    raise
-                crash_point("server.kill.daemon.applied")
-            finally:
-                entry.rw.release_exclusive()
-            if key is not None:
-                entry.dedup.fulfill(key, result)
-            done = True
-            return (result, b"")
+                    try:
+                        entry.journal.sync(
+                            entry.journal.abort(txn))
+                    except Exception:  # noqa: BLE001
+                        pass  # journal torn down by a racing kill
+                raise
+            crash_point("server.kill.daemon.applied")
         finally:
-            if not done and key is not None:
-                entry.dedup.abandon(key)
+            entry.rw.release_exclusive()
+        return (result, b"")
 
     def _op_flush(self, header, payload, owner, scope):
         entry = self._entry(header["name"])
@@ -1436,19 +1375,9 @@ class DRXServer:
         try:
             src = entry.file
             src.flush()
-            kwargs = dict(dtype=src.dtype,
-                          checksums=src.checksums_enabled,
-                          codec=src.codec,
-                          cache_pages=self.cache_pages,
-                          store_wrapper=self._store_wrapper)
-            if self.fs is not None:
-                copy = DRXFile.create_pfs(self.fs, dest, src.shape,
-                                          src.chunk_shape, **kwargs)
-            else:
-                import pathlib
-                copy = DRXFile.create(pathlib.Path(self.root) / dest,
-                                      src.shape, src.chunk_shape,
-                                      **kwargs)
+            copy = self._backend.create(
+                dest, src.shape, src.chunk_shape, dtype=src.dtype,
+                checksums=src.checksums_enabled, codec=src.codec)
             try:
                 copy.write([0] * src.rank, src.read_all())
             finally:

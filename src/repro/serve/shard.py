@@ -43,6 +43,7 @@ import threading
 
 from ..core.errors import ServeError
 from .client import DRXClient, Pipeline
+from .protocol import VERB_TABLE, verb_surface
 
 __all__ = ["HashRing", "ShardedClient", "ShardedPipeline", "ShardSet",
            "merge_stats"]
@@ -117,14 +118,16 @@ class HashRing:
         return counts
 
 
+@verb_surface
 class ShardedClient:
     """Routes array operations onto a shard set through a
     :class:`HashRing`.
 
     One lazily-created :class:`DRXClient` per shard, each wired to the
-    ring's resolver so shard restarts are followed automatically.  All
-    per-array verbs route by array name; ``stats``/``ping`` fan out to
-    every shard.  Construction kwargs are forwarded to each per-shard
+    ring's resolver so shard restarts are followed automatically.  The
+    verb methods come from :data:`~.protocol.VERB_TABLE`: per-array
+    verbs route by array name; ``ping``/``stats``/``shutdown`` fan out
+    to every shard.  Construction kwargs are forwarded to each per-shard
     client (timeout, retries, backoff seed, fault-injection wrapper).
     """
 
@@ -166,44 +169,20 @@ class ShardedClient:
         self.close()
 
     # ------------------------------------------------------------------
-    # per-array verbs: route by name
-    # ------------------------------------------------------------------
-    def create(self, name, *args, **kwargs) -> dict:
-        return self.client_for(name).create(name, *args, **kwargs)
-
-    def open(self, name, **kwargs) -> dict:
-        return self.client_for(name).open(name, **kwargs)
-
-    def read(self, name, lo, hi, **kwargs):
-        return self.client_for(name).read(name, lo, hi, **kwargs)
-
-    def write(self, name, lo, values, **kwargs) -> dict:
-        return self.client_for(name).write(name, lo, values, **kwargs)
-
-    def extend(self, name, **kwargs) -> dict:
-        return self.client_for(name).extend(name, **kwargs)
-
-    def flush(self, name, **kwargs) -> dict:
-        return self.client_for(name).flush(name, **kwargs)
-
-    def snapshot(self, name, dest, **kwargs) -> dict:
-        return self.client_for(name).snapshot(name, dest, **kwargs)
-
-    def scrub(self, name, **kwargs) -> dict:
-        return self.client_for(name).scrub(name, **kwargs)
-
-    # ------------------------------------------------------------------
-    # fan-out verbs
-    # ------------------------------------------------------------------
-    def ping(self, **kwargs) -> list[dict]:
-        return [self.shard_client(i).ping(**kwargs)
+    def _call(self, spec, header: dict, payload, timeout):
+        """Routed verbs go to the shard owning the array they name;
+        the rest fan out, one reply per shard in index order."""
+        if spec.routed:
+            return self.client_for(header["name"])._call(
+                spec, header, payload, timeout)
+        return [self.shard_client(i)._call(spec, header, payload, timeout)
                 for i in range(self.ring.nshards)]
 
-    def stats(self, **kwargs) -> dict:
+    def stats(self, timeout: float | None = None) -> dict:
         """Merged per-shard + aggregate snapshot (see
         :func:`merge_stats`)."""
-        return merge_stats([self.shard_client(i).stats(**kwargs)
-                            for i in range(self.ring.nshards)])
+        return merge_stats(self._call(VERB_TABLE["stats"], {}, b"",
+                                      timeout))
 
     def batch(self, ops, timeout=None, return_exceptions=False) -> list:
         """Route a mixed batch: ops are grouped by owning shard, one
@@ -228,6 +207,7 @@ class ShardedClient:
         return ShardedPipeline(self, depth=depth)
 
 
+@verb_surface
 class ShardedPipeline:
     """One :class:`Pipeline` per shard, routed by array name.
 
@@ -235,6 +215,8 @@ class ShardedPipeline:
     per-shard pipeline keeps its own in-flight window, reconnect, and
     resend machinery.
     """
+
+    routed_only = True      # no single shard to send a fan-out verb to
 
     def __init__(self, sharded: ShardedClient, depth: int = 64) -> None:
         self.sharded = sharded
@@ -252,17 +234,9 @@ class ShardedPipeline:
                 self._pipes[idx] = pipe
             return pipe
 
-    def read(self, name, lo, hi, **kwargs):
-        return self._pipe_for(name).read(name, lo, hi, **kwargs)
-
-    def write(self, name, lo, values, **kwargs):
-        return self._pipe_for(name).write(name, lo, values, **kwargs)
-
-    def extend(self, name, **kwargs):
-        return self._pipe_for(name).extend(name, **kwargs)
-
-    def flush(self, name, **kwargs):
-        return self._pipe_for(name).flush(name, **kwargs)
+    def _call(self, spec, header: dict, payload, timeout):
+        return self._pipe_for(header["name"])._call(
+            spec, header, payload, timeout)
 
     def drain(self, timeout=None) -> None:
         with self._lock:
@@ -299,8 +273,6 @@ class ShardSet:
     def __init__(self, nshards: int, root=None, fs_factory=None,
                  host: str = "127.0.0.1", replicas: int = 64,
                  **server_kwargs) -> None:
-        from .server import DRXServer
-
         if (root is None) == (fs_factory is None):
             raise ServeError(
                 "exactly one of root= or fs_factory= must be given")
@@ -309,13 +281,8 @@ class ShardSet:
         self.fs_factory = fs_factory
         self.host = host
         self.server_kwargs = server_kwargs
-        self.servers: list = []
         self._backends: list = []
-        for idx in range(self.nshards):
-            server = DRXServer(**self._backend(idx),
-                               host=host, **server_kwargs)
-            server.start()
-            self.servers.append(server)
+        self.servers = [self._spawn(idx) for idx in range(self.nshards)]
         self.ring = HashRing([s.address for s in self.servers],
                              replicas=replicas)
 
@@ -330,6 +297,12 @@ class ShardSet:
                 self._backends.append({"fs": self.fs_factory(idx)})
         return self._backends[idx]
 
+    def _spawn(self, idx: int):
+        from .server import DRXServer
+
+        return DRXServer(**self._backend(idx), host=self.host,
+                         **self.server_kwargs).start()
+
     def client(self, client_id: str = "anon", **kwargs) -> ShardedClient:
         return ShardedClient(self.ring, client_id=client_id, **kwargs)
 
@@ -340,11 +313,7 @@ class ShardSet:
     def restart(self, idx: int, recover: bool = True):
         """Bring shard ``idx`` back over the same backend on a fresh
         port, replay its journals, republish its ring address."""
-        from .server import DRXServer
-
-        server = DRXServer(**self._backend(idx),
-                           host=self.host, **self.server_kwargs)
-        server.start()
+        server = self._spawn(idx)
         if recover:
             server.recover_all()
         self.servers[idx] = server

@@ -20,6 +20,7 @@ crash-recovery job sweeps it).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -848,40 +849,72 @@ class TestNetFaults:
 # ---------------------------------------------------------------------------
 # satellite: retry accounting pinned
 # ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def _sync_driver(c):
+    yield lambda verb, *a, **kw: getattr(c, verb)(*a, **kw)
+
+
+@contextlib.contextmanager
+def _pipelined_driver(c):
+    with c.pipeline(depth=4) as pipe:
+        yield lambda verb, *a, **kw: getattr(pipe, verb)(*a, **kw).result()
+
+
+_DRIVERS = pytest.mark.parametrize("driver", [
+    pytest.param(_sync_driver, id="sync"),
+    pytest.param(_pipelined_driver, id="pipelined")])
+
+
+def _fake_server(reply):
+    """A one-connection daemon stand-in: every request is answered with
+    ``reply(hdr) -> (kind, header)``, echoing the ``rid``."""
+    lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    lsock.bind(("127.0.0.1", 0))
+    lsock.listen(1)
+
+    def serve():
+        conn, _ = lsock.accept()
+        try:
+            while True:
+                _, hdr, _ = protocol.recv_frame(conn)
+                kind, out = reply(hdr)
+                protocol.send_frame(conn, kind, dict(out, rid=hdr["rid"]))
+        except Exception:       # noqa: BLE001 - client went away
+            pass
+        finally:
+            conn.close()
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    return lsock, t
+
+
 class TestRetryAccounting:
-    def test_max_retries_means_n_plus_one_attempts(self):
-        """Regression pin for the stub's retry loop: ``max_retries=3``
+    """One retry rule, two drivers: the synchronous call and the
+    pipelined one must account identically."""
+
+    @_DRIVERS
+    def test_max_retries_means_n_plus_one_attempts(self, driver):
+        """Regression pin for the exchange loop: ``max_retries=3``
         issues exactly 4 attempts with ``attempt`` headers 0..3, and
         the sleeps are ``delay(1..3)`` of an identically-seeded
         policy — no off-by-one in either direction."""
         attempts: list[int] = []
-        lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        lsock.bind(("127.0.0.1", 0))
-        lsock.listen(1)
 
-        def refuse_forever():
-            conn, _ = lsock.accept()
-            try:
-                while True:
-                    _, hdr, _ = protocol.recv_frame(conn)
-                    attempts.append(hdr["attempt"])
-                    protocol.send_frame(conn, protocol.RETRY_LATER,
-                                        {"reason": "always busy"})
-            except Exception:       # noqa: BLE001 - client went away
-                pass
-            finally:
-                conn.close()
+        def refuse(hdr):
+            attempts.append(hdr["attempt"])
+            return protocol.RETRY_LATER, {"reason": "always busy"}
 
-        t = threading.Thread(target=refuse_forever, daemon=True)
-        t.start()
+        lsock, t = _fake_server(refuse)
         sleeps: list[float] = []
         try:
             c = DRXClient(lsock.getsockname(), client_id="pin",
                           max_retries=3, seed=11,
                           sleep=sleeps.append)
             with pytest.raises(ServeError, match="busy"):
-                c.ping()
+                with driver(c) as call:
+                    call("ping")
             c.close()
         finally:
             lsock.close()
@@ -894,38 +927,26 @@ class TestRetryAccounting:
         assert c.retries == 3
         assert c.retry_later_seen == 4
 
-    def test_idempotency_key_is_stable_across_attempts(self):
+    @_DRIVERS
+    def test_idempotency_key_is_stable_across_attempts(self, driver):
         """Every retried attempt of one mutation carries the same
         ``(sid, seq)``; a *new* mutation gets a new seq."""
         seen: list[tuple[str, int, int]] = []
-        lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lsock.bind(("127.0.0.1", 0))
-        lsock.listen(1)
 
-        def observe():
-            conn, _ = lsock.accept()
-            try:
-                while True:
-                    _, hdr, _ = protocol.recv_frame(conn)
-                    seen.append((hdr["sid"], hdr["seq"],
-                                 hdr["attempt"]))
-                    kind = (protocol.RETRY_LATER
-                            if hdr["attempt"] == 0 else protocol.OK)
-                    protocol.send_frame(conn, kind,
-                                        {"reason": "one more"})
-            except Exception:       # noqa: BLE001
-                pass
-            finally:
-                conn.close()
+        def observe(hdr):
+            seen.append((hdr["sid"], hdr["seq"], hdr["attempt"]))
+            kind = (protocol.RETRY_LATER
+                    if hdr["attempt"] == 0 else protocol.OK)
+            return kind, {"reason": "one more"}
 
-        t = threading.Thread(target=observe, daemon=True)
-        t.start()
+        lsock, t = _fake_server(observe)
         try:
             with DRXClient(lsock.getsockname(), client_id="key",
                            max_retries=4, seed=0,
-                           sleep=lambda s: None) as c:
-                c.extend("a", dim=0, by=1)
-                c.extend("a", dim=0, by=1)
+                           sleep=lambda s: None) as c, \
+                    driver(c) as call:
+                call("extend", "a", dim=0, by=1)
+                call("extend", "a", dim=0, by=1)
         finally:
             lsock.close()
         t.join(5)
@@ -999,7 +1020,8 @@ class TestLockReclamation:
                 time.sleep(0.15)         # holder owns chunk 0
                 raw = socket.create_connection(srv.address)
                 protocol.send_frame(raw, protocol.REQ, {
-                    "verb": "write", "client": "victim", "name": "w",
+                    "verb": "write", "client": "victim", "rid": 1,
+                    "name": "w",
                     "lo": [0], "shape": [4], "dtype": "<f8",
                     "sid": "dead", "seq": 1,
                 }, np.zeros(4).tobytes())

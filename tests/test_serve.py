@@ -656,22 +656,71 @@ class TestDrainAndDisconnect:
                 c.create("g", [8, 8], [4, 4])
                 base = np.full((8, 8), 1.0)
                 c.write("g", (0, 0), base)
-            victim = make_client(srv, "victim")
-            victim.create("g", [8, 8], [4, 4], exists_ok=True)
+            victim = socket.create_connection(srv.address)
             # fire a slow write, then tear the socket down mid-flight
             hdr = {"verb": "write", "client": "victim", "attempt": 0,
-                   "name": "g", "lo": [0, 0], "shape": [8, 8],
+                   "rid": 1, "name": "g", "lo": [0, 0], "shape": [8, 8],
                    "dtype": "<f8", "_delay": 0.4}
-            protocol.send_frame(victim._sock, protocol.REQ, hdr,
+            protocol.send_frame(victim, protocol.REQ, hdr,
                                 np.full((8, 8), 9.0).tobytes())
             time.sleep(0.1)
-            victim._sock.close()
+            victim.close()
             time.sleep(0.8)            # let the server finish/clean up
             with make_client(srv, "check") as c2:
                 got = c2.read("g", (0, 0), (8, 8))
                 assert (np.array_equal(got, base)
                         or np.array_equal(got, np.full((8, 8), 9.0)))
                 assert c2.stats()["chunk_locks_held"] == 0
+
+
+class TestHostileWire:
+    @pytest.mark.parametrize("bad", [
+        {}, {"rid": None}, {"rid": "x"}, {"rid": [1]}, {"rid": -1},
+        {"rid": 1.5}, {"rid": True}])
+    def test_bad_rid_is_refused_and_connection_survives(self, bad):
+        """A REQ whose rid is missing or not a non-negative integer
+        gets one fatal ERR — no dispatch, no admission slot — and the
+        next well-formed frame on the same connection is served."""
+        with serve_ctx() as (srv, _):
+            raw = socket.create_connection(srv.address, timeout=5.0)
+            try:
+                protocol.send_frame(raw, protocol.REQ, dict(
+                    bad, verb="create", client="h", name="never",
+                    bounds=[4], chunk=[2]))
+                kind, hdr, _ = protocol.recv_frame(raw)
+                assert kind == protocol.ERR
+                assert not hdr["transient"] and "rid" not in hdr
+                assert "rid" in hdr["message"]
+                protocol.send_frame(raw, protocol.REQ, {
+                    "verb": "ping", "client": "h", "rid": 0})
+                kind, hdr, _ = protocol.recv_frame(raw)
+                assert (kind, hdr["rid"], hdr["pong"]) == \
+                    (protocol.OK, 0, True)
+            finally:
+                raw.close()
+            snap = srv.stats_snapshot()
+            assert snap["arrays"] == [] and snap["inflight"] == 0
+            assert snap["qos"]["totals"].get("requests", 0) == 0
+
+    @pytest.mark.parametrize("verb", ["frobnicate", None, ["read"], 7])
+    def test_unknown_verb_mid_pipeline_echoes_rid(self, verb):
+        with serve_ctx() as (srv, _):
+            raw = socket.create_connection(srv.address, timeout=5.0)
+            try:
+                for rid, v in enumerate(["ping", verb, "ping"]):
+                    protocol.send_frame(raw, protocol.REQ, {
+                        "verb": v, "client": "h", "rid": rid})
+                replies = {}
+                for _ in range(3):
+                    kind, hdr, _ = protocol.recv_frame(raw)
+                    replies[hdr["rid"]] = (kind, hdr)
+            finally:
+                raw.close()
+            assert replies[0][0] == replies[2][0] == protocol.OK
+            kind, hdr = replies[1]
+            assert kind == protocol.ERR and not hdr["transient"]
+            assert "unknown verb" in hdr["message"]
+            assert srv.stats_snapshot()["inflight"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -967,6 +1016,21 @@ class TestPipeline:
             snap = srv.qos.snapshot()
             assert conservation_holds({"qos": snap})
             assert snap["totals"]["dedup_hits"] >= 1
+
+
+    def test_close_on_idle_pipeline_is_prompt(self):
+        """Regression: close() used to stall 2 s joining a receiver
+        blocked in recv — the socket is shut down first now."""
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "idle") as c:
+                pipe = c.pipeline(depth=4)
+                assert pipe.ping().result()["pong"]
+                recv = pipe._recv
+                assert recv is not None and recv.is_alive()
+                t0 = time.monotonic()
+                pipe.close()
+                assert time.monotonic() - t0 < 0.25
+                assert not recv.is_alive()
 
 
 class TestBatch:

@@ -9,6 +9,7 @@ Env knobs (the CI shard job turns them up)::
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import signal
@@ -22,9 +23,16 @@ import pytest
 
 from repro.core.errors import ServeError
 from repro.pfs import ParallelFileSystem
-from repro.serve import DRXClient, DRXServer
+from repro.serve import DRXClient, DRXServer, Pipeline, protocol
 from repro.serve.cli import main as cli_main
-from repro.serve.shard import HashRing, ShardedClient, ShardSet, merge_stats
+from repro.serve.protocol import VERB_TABLE
+from repro.serve.shard import (
+    HashRing,
+    ShardedClient,
+    ShardedPipeline,
+    ShardSet,
+    merge_stats,
+)
 
 SEED = int(os.environ.get("DRX_FAULT_SEED", "0"))
 SOAK_CLIENTS = int(os.environ.get("DRX_SOAK_CLIENTS", "8"))
@@ -40,6 +48,103 @@ def conservation_ok(stats: dict) -> bool:
 
 def fs_factory(idx: int) -> ParallelFileSystem:
     return ParallelFileSystem(nservers=2, stripe_size=1024)
+
+
+# ---------------------------------------------------------------------------
+# one verb table, four client surfaces
+# ---------------------------------------------------------------------------
+SURFACES = (DRXClient, Pipeline, ShardedClient, ShardedPipeline)
+
+
+class TestVerbTable:
+    def test_every_routed_verb_on_every_surface_same_signature(self):
+        routed = [v for v in VERB_TABLE.values() if v.routed]
+        assert {v.name for v in routed} >= {
+            "open", "create", "read", "write", "extend", "flush",
+            "snapshot", "scrub"}
+        for verb in routed:
+            sigs = {cls.__name__: inspect.signature(getattr(cls, verb.name))
+                    for cls in SURFACES}
+            assert len(set(sigs.values())) == 1, (verb.name, sigs)
+            params = list(sigs["DRXClient"].parameters)
+            assert params[:2] == ["self", "name"] and "timeout" in params
+
+    def test_fan_out_verbs_and_batch(self):
+        for verb in VERB_TABLE.values():
+            if verb.name == "batch":
+                assert verb.encode is None
+            elif not verb.routed:
+                # synchronous surfaces fan out; a sharded pipeline has
+                # no single shard to send them to
+                for cls in (DRXClient, Pipeline, ShardedClient):
+                    assert callable(getattr(cls, verb.name)), verb.name
+                assert not hasattr(ShardedPipeline, verb.name)
+
+    def test_sets_equal_the_table_flags(self):
+        def flagged(flag):
+            return {n for n, v in VERB_TABLE.items() if getattr(v, flag)}
+        assert protocol.VERBS == set(VERB_TABLE)
+        assert protocol.KEYED_VERBS == flagged("keyed") == \
+            {"write", "extend"}
+        assert protocol.BATCHABLE_VERBS == flagged("batchable") == \
+            protocol.VERBS - {"batch", "shutdown"}
+        assert protocol.CONTROL_VERBS == flagged("control") == \
+            {"ping", "stats", "shutdown"}
+        # the server's lookup is the table too: one handler per verb
+        for name in protocol.VERBS - {"batch"}:
+            assert callable(getattr(DRXServer, f"_op_{name}")), name
+
+    def test_routed_verbs_shard_by_first_argument(self):
+        ring = HashRing([("127.0.0.1", 7000 + i) for i in range(4)])
+        sc = ShardedClient(ring)
+        sp = sc.pipeline()
+        asked = []
+        sc.client_for = lambda name: asked.append(name) or _Sink()
+        sp._pipe_for = lambda name: asked.append(name) or _Sink()
+        args = {"create": ([4], [2]), "read": ([0], [4]),
+                "write": ([0], np.zeros(4)), "snapshot": ("copy",),
+                "extend": (0, 1)}
+        for verb in VERB_TABLE.values():
+            if verb.routed:
+                for surface in (sc, sp):
+                    name = f"{verb.name}-target"
+                    getattr(surface, verb.name)(
+                        name, *args.get(verb.name, ()))
+                    assert asked.pop() == name
+
+    def test_numpy_integer_arguments_on_all_four_surfaces(self):
+        """Regression: np.int64 coordinates used to die in json.dumps;
+        the table coerces every coordinate/shape/bound once."""
+        i = np.int64
+        with ShardSet(2, fs_factory=fs_factory) as ss, \
+                ss.client("np", timeout=30.0) as sc, \
+                DRXClient(ss.servers[0].address, client_id="np1",
+                          timeout=30.0) as c:
+            now = lambda x: x
+            later = lambda pending: pending.result()
+            with c.pipeline() as pipe, sc.pipeline() as spipe:
+                for n, (surface, get) in enumerate([
+                        (c, now), (pipe, later), (sc, now),
+                        (spipe, later)]):
+                    name = f"np{n}"
+                    get(surface.create(name, (i(4), np.int32(4)),
+                                       np.array([2, 2])))
+                    vals = np.arange(4.0).reshape(2, 2)
+                    get(surface.write(name, (i(1), i(2)), vals))
+                    got = get(surface.read(name, np.array([1, 2]),
+                                           (i(3), i(4))))
+                    assert np.array_equal(got, vals), name
+                    shape = get(surface.extend(
+                        name, dim=np.int8(0), by=i(2)))["shape"]
+                    assert shape == [6, 4]
+                    shape = get(surface.extend(
+                        name, to=np.array([6, 8])))["shape"]
+                    assert shape == [6, 8]
+
+
+class _Sink:
+    def _call(self, spec, header, payload, timeout):
+        return None
 
 
 # ---------------------------------------------------------------------------
