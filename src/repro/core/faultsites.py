@@ -19,9 +19,7 @@ plan observes the site and may act.  Two families of sites exist:
 
 This module lives in :mod:`repro.core` so that both the ``drx`` and
 ``pfs`` layers can import it without cycles (``drx.storage`` imports
-``pfs.pfile``, so ``pfs`` must not import anything from ``drx``).  The
-historical import path :mod:`repro.drx.faultpoints` re-exports
-everything here.
+``pfs.pfile``, so ``pfs`` must not import anything from ``drx``).
 """
 
 from __future__ import annotations

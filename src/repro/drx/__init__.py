@@ -8,6 +8,7 @@ transparently compressed per chunk (:mod:`repro.drx.codec` +
 direct-placement layout bit for bit.
 """
 
+from ..core.faultsites import CRASH_SITES, crash_point
 from .chunkalloc import Slot, SlotTable
 from .codec import (
     Codec,
@@ -17,7 +18,6 @@ from .codec import (
     get_codec,
 )
 from .drxfile import DRXFile
-from .faultpoints import CRASH_SITES, crash_point
 from .inspect import describe, load_meta, verify
 from .ioplan import IOPlan, Run, Visit, coalesce_addresses, plan_box, plan_slab
 from .memarray import MemExtendibleArray

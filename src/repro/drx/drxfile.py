@@ -38,6 +38,7 @@ import numpy as np
 from ..core import faultsites
 from ..core.chunking import box_shape, chunk_of, validate_box
 from ..core.errors import (
+    CrashError,
     DRXClosedError,
     DRXFileExistsError,
     DRXFileError,
@@ -45,11 +46,11 @@ from ..core.errors import (
     DRXIndexError,
 )
 from ..core.executor import IOExecutor, default_executor, resolve_executor
+from ..core.faultsites import crash_point
 from ..core.hyperslab import Hyperslab
 from ..core.metadata import DRXMeta, DRXType
 from .chunkalloc import SlotTable
 from .codec import CodecStats, get_codec
-from .faultpoints import crash_point
 from .ioplan import IOPlan, PlanCache, coalesce_addresses
 from .mpool import Mpool
 from .resilience import ChecksumGuard, ScrubReport, chunk_crc
@@ -103,10 +104,8 @@ class DRXFile:
         #: the advisor's report when ``tune="auto"`` was requested
         self.tuning_advice = None
         self._owned_executor: "IOExecutor | None" = None
-        if tune not in (None, "", "off"):
-            if tune != "auto":
-                raise DRXFileError(
-                    f"tune must be 'auto' or None, got {tune!r}")
+        self._check_options(tune=tune)
+        if tune == "auto":
             readahead = self._auto_tune(data_store, executor, readahead)
         # Per-chunk compression: the data store is wrapped in a
         # CompressedByteStore exposing the logical chunk address space,
@@ -196,8 +195,81 @@ class DRXFile:
         return readahead
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle: each public constructor only resolves its raw backing
+    # stores (POSIX pair, memory, PFS pair); one create body / one open
+    # body does the rest
     # ------------------------------------------------------------------
+    @classmethod
+    def _check_options(cls, tune: str | None = None, **_handle) -> None:
+        """Reject bad handle options; the create body calls this before
+        any store is opened, so a typo cannot truncate an array."""
+        if tune not in (None, "", "off", "auto"):
+            raise DRXFileError(f"tune must be 'auto' or None, got {tune!r}")
+
+    @classmethod
+    def _mount(cls, meta: DRXMeta, data: ByteStore,
+               meta_store: ByteStore | None,
+               store_wrapper: StoreWrapper | None, writable: bool,
+               **handle) -> "DRXFile":
+        """Decorate the raw backing stores and build the handle."""
+        if store_wrapper is not None:
+            data = store_wrapper(data, "data")
+            if meta_store is not None:
+                meta_store = store_wrapper(meta_store, "meta")
+        return cls(meta, data, meta_store, writable=writable, **handle)
+
+    @classmethod
+    def _create(cls, place: Callable[[], tuple], bounds: Sequence[int],
+                chunk_shape: Sequence[int], dtype, checksums: bool,
+                codec: str, fill, store_wrapper: StoreWrapper | None,
+                **handle) -> "DRXFile":
+        """The one create body.  ``place()`` opens the fresh raw stores
+        and returns ``(data, meta_store, discard)``; whatever fails after
+        it closes them and calls ``discard()`` to remove what this call
+        created, so a corrected retry does not die with "already
+        exists"."""
+        meta = DRXMeta.create(bounds, chunk_shape, dtype)
+        meta.codec = get_codec(codec, meta.dtype.itemsize).name
+        if checksums:
+            meta.chunk_crcs = {}
+        cls._check_options(**handle)
+        data, meta_store, discard = place()
+        try:
+            obj = cls._mount(meta, data, meta_store, store_wrapper,
+                             writable=True, **handle)
+            if fill != 0:
+                obj._fill_chunks(range(meta.num_chunks), fill)
+            obj._persist_meta()
+        except CrashError:
+            raise               # a simulated process death cleans up nothing
+        except BaseException:
+            for store in (data, meta_store):
+                if store is not None:
+                    store.close()
+            discard()
+            raise
+        return obj
+
+    @classmethod
+    def _open(cls, mode: str, resolve: Callable[[], tuple],
+              store_wrapper: StoreWrapper | None, **handle) -> "DRXFile":
+        """The one open body.  ``resolve()`` returns ``(meta, data,
+        meta_store)`` — the document parsed from the *raw* meta store,
+        so open-time reads never enter an op-count-ordered fault
+        schedule."""
+        if mode not in ("r", "r+"):
+            raise DRXFileError(f"mode must be 'r' or 'r+', got {mode!r}")
+        meta, data, meta_store = resolve()
+        return cls._mount(meta, data, meta_store, store_wrapper,
+                          writable=(mode == "r+"), **handle)
+
+    @classmethod
+    def _pair_paths(cls, path: str | pathlib.Path
+                    ) -> tuple[pathlib.Path, pathlib.Path]:
+        path = pathlib.Path(path)
+        return (path.with_name(path.name + cls.XMD_SUFFIX),
+                path.with_name(path.name + cls.XTA_SUFFIX))
+
     @classmethod
     def create(cls, path: str | pathlib.Path | None,
                bounds: Sequence[int], chunk_shape: Sequence[int],
@@ -223,32 +295,20 @@ class DRXFile:
         ``store_wrapper`` decorates the backing stores (fault injection,
         retries) before any byte moves.
         """
-        meta = DRXMeta.create(bounds, chunk_shape, dtype)
-        meta.codec = get_codec(codec, meta.dtype.itemsize).name
-        if checksums:
-            meta.chunk_crcs = {}
-        if path is None:
-            data: ByteStore = MemoryByteStore()
-            meta_store: ByteStore | None = None
-        else:
-            path = pathlib.Path(path)
-            xmd = path.with_name(path.name + cls.XMD_SUFFIX)
-            xta = path.with_name(path.name + cls.XTA_SUFFIX)
+        def place():
+            if path is None:
+                return MemoryByteStore(), None, lambda: None
+            xmd, xta = cls._pair_paths(path)
             if not overwrite and (xmd.exists() or xta.exists()):
                 raise DRXFileExistsError(f"array {path} already exists")
             meta_store = PosixByteStore(xmd, "w+")
-            data = PosixByteStore(xta, "w+")
-        if store_wrapper is not None:
-            data = store_wrapper(data, "data")
-            if meta_store is not None:
-                meta_store = store_wrapper(meta_store, "meta")
-        obj = cls(meta, data, meta_store, writable=True,
-                  cache_pages=cache_pages, coalesce=coalesce,
-                  executor=executor, readahead=readahead, tune=tune)
-        if fill != 0:
-            obj._fill_chunks(range(meta.num_chunks), fill)
-        obj._persist_meta()
-        return obj
+            return PosixByteStore(xta, "w+"), meta_store, \
+                lambda: (xmd.unlink(), xta.unlink())
+        return cls._create(place, bounds, chunk_shape, dtype, checksums,
+                           codec, fill, store_wrapper,
+                           cache_pages=cache_pages, coalesce=coalesce,
+                           executor=executor, readahead=readahead,
+                           tune=tune)
 
     @classmethod
     def open(cls, path: str | pathlib.Path, mode: str = "r",
@@ -264,22 +324,16 @@ class DRXFile:
         CRC table; ``store_wrapper`` decorates the backing stores as in
         :meth:`create`.
         """
-        if mode not in ("r", "r+"):
-            raise DRXFileError(f"mode must be 'r' or 'r+', got {mode!r}")
-        path = pathlib.Path(path)
-        xmd = path.with_name(path.name + cls.XMD_SUFFIX)
-        xta = path.with_name(path.name + cls.XTA_SUFFIX)
-        if not xmd.exists() or not xta.exists():
-            raise DRXFileNotFoundError(f"no array named {path}")
-        meta = DRXMeta.from_bytes(xmd.read_bytes())
-        meta_store = PosixByteStore(xmd, mode if mode == "r" else "r+")
-        data = PosixByteStore(xta, mode)
-        if store_wrapper is not None:
-            data = store_wrapper(data, "data")
-            meta_store = store_wrapper(meta_store, "meta")
-        return cls(meta, data, meta_store, writable=(mode == "r+"),
-                   cache_pages=cache_pages, coalesce=coalesce,
-                   executor=executor, readahead=readahead, tune=tune)
+        def resolve():
+            xmd, xta = cls._pair_paths(path)
+            if not xmd.exists() or not xta.exists():
+                raise DRXFileNotFoundError(f"no array named {path}")
+            meta = DRXMeta.from_bytes(xmd.read_bytes())
+            meta_store = PosixByteStore(xmd, mode)
+            return meta, PosixByteStore(xta, mode), meta_store
+        return cls._open(mode, resolve, store_wrapper,
+                         cache_pages=cache_pages, coalesce=coalesce,
+                         executor=executor, readahead=readahead, tune=tune)
 
     @classmethod
     def create_pfs(cls, fs, name: str,
@@ -302,23 +356,17 @@ class DRXFile:
         including compressed arrays (``codec``), whose CRCs cover the
         compressed payload at its physical slot.
         """
-        meta = DRXMeta.create(bounds, chunk_shape, dtype)
-        meta.codec = get_codec(codec, meta.dtype.itemsize).name
-        if checksums:
-            meta.chunk_crcs = {}
-        meta_store: ByteStore = PFSByteStore(
-            fs.create(name + cls.XMD_SUFFIX))
-        data: ByteStore = PFSByteStore(fs.create(name + cls.XTA_SUFFIX))
-        if store_wrapper is not None:
-            data = store_wrapper(data, "data")
-            meta_store = store_wrapper(meta_store, "meta")
-        obj = cls(meta, data, meta_store, writable=True,
-                  cache_pages=cache_pages, coalesce=coalesce,
-                  executor=executor, readahead=readahead, tune=tune)
-        if fill != 0:
-            obj._fill_chunks(range(meta.num_chunks), fill)
-        obj._persist_meta()
-        return obj
+        xmd, xta = name + cls.XMD_SUFFIX, name + cls.XTA_SUFFIX
+
+        def place():
+            meta_store = PFSByteStore(fs.create(xmd))
+            return PFSByteStore(fs.create(xta)), meta_store, \
+                lambda: (fs.delete(xmd), fs.delete(xta))
+        return cls._create(place, bounds, chunk_shape, dtype, checksums,
+                           codec, fill, store_wrapper,
+                           cache_pages=cache_pages, coalesce=coalesce,
+                           executor=executor, readahead=readahead,
+                           tune=tune)
 
     @classmethod
     def open_pfs(cls, fs, name: str, mode: str = "r",
@@ -328,18 +376,14 @@ class DRXFile:
                  readahead: int | None = None,
                  tune: str | None = None) -> "DRXFile":
         """Open a PFS-backed array created by :meth:`create_pfs`."""
-        if mode not in ("r", "r+"):
-            raise DRXFileError(f"mode must be 'r' or 'r+', got {mode!r}")
-        xmd = fs.open(name + cls.XMD_SUFFIX)
-        meta = DRXMeta.from_bytes(xmd.read(0, xmd.size))
-        meta_store: ByteStore = PFSByteStore(xmd)
-        data: ByteStore = PFSByteStore(fs.open(name + cls.XTA_SUFFIX))
-        if store_wrapper is not None:
-            data = store_wrapper(data, "data")
-            meta_store = store_wrapper(meta_store, "meta")
-        return cls(meta, data, meta_store, writable=(mode == "r+"),
-                   cache_pages=cache_pages, coalesce=coalesce,
-                   executor=executor, readahead=readahead, tune=tune)
+        def resolve():
+            xmd = fs.open(name + cls.XMD_SUFFIX)
+            meta = DRXMeta.from_bytes(xmd.read(0, xmd.size))
+            return meta, PFSByteStore(fs.open(name + cls.XTA_SUFFIX)), \
+                PFSByteStore(xmd)
+        return cls._open(mode, resolve, store_wrapper,
+                         cache_pages=cache_pages, coalesce=coalesce,
+                         executor=executor, readahead=readahead, tune=tune)
 
     def close(self) -> None:
         """Flush and close both files (idempotent)."""
@@ -363,43 +407,44 @@ class DRXFile:
             self._persist_meta()
 
     def _persist_meta(self) -> None:
-        """Commit the meta-data crash-consistently.
-
-        The whole document (axial vectors, bounds, checksum table) goes
-        through the store's atomic ``replace`` — for a POSIX file that
-        is temp-file + fsync + rename, so a crash at any instant leaves
-        either the previous or the new ``.xmd``, never a torn one.
+        """Commit the meta-data crash-consistently — the one commit
+        sequence of both containers; only :meth:`_land_meta` differs.
 
         For a compressed array the slot-allocation table commits with
         the document: its copy-on-write discipline guarantees that no
         extent the *previous* committed table references has been
         overwritten, so a crash anywhere (``codec.slots.written`` being
         the canonical point: payloads down, table not) reopens the old
-        table with every old payload intact.  Only after the replace
+        table with every old payload intact.  Only after the document
         lands are the table's quarantined extents released for reuse.
+
+        A scratch in-memory array has no durable document: the
+        in-memory table is the only truth, so every commit completes
+        immediately and quarantined extents recycle.
         """
-        if self._meta_store is None:
-            if self._codec_store is not None:
-                # no durable meta-data (scratch in-memory array): the
-                # in-memory table is the only truth, so every commit
-                # completes immediately and quarantined extents recycle
-                self._pool.drain_writebehind()
-                self._codec_store.table.mark_committed()
-            self._note_committed()
-            return
-        if self._codec_store is not None:
+        cstore = self._codec_store
+        if cstore is not None:
             # quiesce background write-backs so the serialized table
             # matches the payloads actually on the store
             self._pool.drain_writebehind()
-            crash_point("codec.slots.written")
-            self.meta.chunk_slots = self._codec_store.table.serialize()
+        if self._meta_store is not None:
+            if cstore is not None:
+                crash_point("codec.slots.written")
+                self.meta.chunk_slots = cstore.table.serialize()
+            self._land_meta(self.meta.to_bytes())
+        if cstore is not None:
+            cstore.table.mark_committed()
+        self._note_committed()
+
+    def _land_meta(self, blob: bytes) -> None:
+        """Make ``blob`` the committed document (the container-specific
+        step of :meth:`_persist_meta`).  The ``.xmd`` goes through the
+        store's atomic ``replace`` — for a POSIX file temp-file + fsync +
+        rename, so a crash at any instant leaves either the previous or
+        the new document, never a torn one."""
         crash_point("xmd.commit.begin")
-        blob = self.meta.to_bytes()
         self._meta_store.replace(blob)
         crash_point("xmd.commit.end")
-        if self._codec_store is not None:
-            self._codec_store.table.mark_committed()
-        self._note_committed()
 
     def _note_committed(self) -> None:
         self._commit_epoch += 1

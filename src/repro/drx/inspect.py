@@ -36,7 +36,7 @@ def load_meta(path: str | pathlib.Path) -> tuple[DRXMeta, str, int]:
         f = DRXSingleFile.open(path)
         try:
             meta = f.meta.replicate()
-            present = max(0, f._raw.size - f._reserve)
+            present = max(0, f._meta_store.size - f._reserve)
         finally:
             f.close()
         return meta, "single-file (.drx)", present

@@ -69,7 +69,7 @@ import numpy as np
 
 from ..core import faultsites
 from ..core.errors import DRXError
-from .faultpoints import crash_point
+from ..core.faultsites import crash_point
 from .ioplan import coalesce_addresses
 from .storage import ByteStore
 

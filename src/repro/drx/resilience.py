@@ -9,7 +9,7 @@ Three cooperating pieces, all deterministic and seedable:
   ``p`` drawn from a seeded RNG).  Rule kinds: transient errors, short
   reads, torn (partially applied) writes, and simulated crashes — both
   at store operations and at the named code sites of
-  :mod:`repro.drx.faultpoints`.  Activate a plan (``with plan:``) to arm
+  :mod:`repro.core.faultsites`.  Activate a plan (``with plan:``) to arm
   its crash sites; store-level rules fire through a
   :class:`FaultInjector`.
 
@@ -53,10 +53,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..core.errors import ChecksumError, CrashError, DRXError, DRXFileError, PFSError
-from . import faultpoints
-from .faultpoints import (ALL_SITES, CRASH_SITES, DAEMON_SITES, KILL_SITES,
-                          crash_point)
-from .storage import ByteStore, Extent
+from ..core import faultsites
+from ..core.faultsites import (ALL_SITES, CRASH_SITES, DAEMON_SITES,
+                               KILL_SITES, crash_point)
+from .storage import ByteStore, Extent, StoreDecorator
 
 __all__ = [
     "FaultPlan",
@@ -290,18 +290,18 @@ class FaultPlan:
 
     # -- activation (arms crash sites) -------------------------------------
     def __enter__(self) -> "FaultPlan":
-        faultpoints.activate(self)
+        faultsites.activate(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        faultpoints.deactivate(self)
+        faultsites.deactivate(self)
 
 
 # ---------------------------------------------------------------------------
 # fault-injecting store decorator
 # ---------------------------------------------------------------------------
 
-class FaultInjector(ByteStore):
+class FaultInjector(StoreDecorator):
     """Wrap any byte store and subject every entry point to a plan.
 
     Scalar *and* vectored operations consult the plan, so the coalesced
@@ -315,8 +315,9 @@ class FaultInjector(ByteStore):
       ``writev``, a prefix of the flat buffer split across extents),
       then raise — the on-store state is genuinely torn.
 
-    The wrapper shares the inner store's :class:`StoreStats` so layered
-    decorators present one accounting surface.
+    ``read_alternates``/``repair`` stay the base class's plain forwards:
+    arbitration exists to recover from faults, so it is out of band and
+    the plan is not consulted.
     """
 
     #: Fault schedules are op-count ordered: the n-th matching call
@@ -325,10 +326,8 @@ class FaultInjector(ByteStore):
     deterministic_only = True
 
     def __init__(self, inner: ByteStore, plan: FaultPlan) -> None:
-        super().__init__()
-        self._inner = inner
+        super().__init__(inner)
         self.plan = plan
-        self.stats = inner.stats
 
     # -- reads -------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
@@ -406,22 +405,6 @@ class FaultInjector(ByteStore):
             raise rule.make_error("flush()")
         self._inner.flush()
 
-    def read_alternates(self, offset: int, length: int) -> list[bytes]:
-        # arbitration reads are out of band: they exist to recover from
-        # faults, so the plan is not consulted
-        return self._inner.read_alternates(offset, length)
-
-    def repair(self, offset: int, data) -> None:
-        # the heal side of arbitration is equally out of band
-        self._inner.repair(offset, data)
-
-    @property
-    def size(self) -> int:
-        return self._inner.size
-
-    def close(self) -> None:
-        self._inner.close()
-
 
 # ---------------------------------------------------------------------------
 # retry backoff policy
@@ -463,7 +446,7 @@ class BackoffPolicy:
 # retrying store decorator
 # ---------------------------------------------------------------------------
 
-class RetryingByteStore(ByteStore):
+class RetryingByteStore(StoreDecorator):
     """Retry transient store faults with backoff + deterministic jitter.
 
     Every operation is re-issued up to ``max_retries`` times when
@@ -477,7 +460,8 @@ class RetryingByteStore(ByteStore):
     ``max_delay`` and scaled by a jitter factor in ``[0.5, 1.5)`` drawn
     from a seeded RNG — deterministic for a given seed, so tests and
     benchmarks replay identically.  ``retries`` and ``giveups`` land in
-    the shared :class:`StoreStats`.
+    the shared :class:`StoreStats`.  ``read_alternates``/``repair`` are
+    best-effort by definition, so they stay plain forwards.
     """
 
     def __init__(self, inner: ByteStore, max_retries: int = 5,
@@ -486,21 +470,15 @@ class RetryingByteStore(ByteStore):
                  sleep: Callable[[float], None] | None = None,
                  classify: Callable[[BaseException], bool] = is_transient
                  ) -> None:
-        super().__init__()
+        super().__init__(inner)
         if max_retries < 0:
             raise DRXFileError(f"max_retries must be >= 0, got {max_retries}")
-        self._inner = inner
         self.max_retries = max_retries
         self.backoff = BackoffPolicy(base_delay, max_delay, seed)
         self.base_delay = base_delay
         self.max_delay = max_delay
         self._sleep = time.sleep if sleep is None else sleep
         self._classify = classify
-        self.stats = inner.stats
-        # a retry layer over an order-sensitive store is itself
-        # order-sensitive (and its backoff RNG is sequential anyway)
-        self.deterministic_only = getattr(inner, "deterministic_only",
-                                          False)
 
     def _run(self, describe: str, attempt: Callable[[], object]):
         tries = 0
@@ -558,21 +536,6 @@ class RetryingByteStore(ByteStore):
 
     def flush(self) -> None:
         self._run("flush", lambda: self._inner.flush())
-
-    def read_alternates(self, offset: int, length: int) -> list[bytes]:
-        # best-effort by definition — no retry semantics to add
-        return self._inner.read_alternates(offset, length)
-
-    def repair(self, offset: int, data) -> None:
-        # best-effort by definition — no retry semantics to add
-        self._inner.repair(offset, data)
-
-    @property
-    def size(self) -> int:
-        return self._inner.size
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,18 @@ staggered past the previous one so the commit never tears the blob it is
 replacing.  Chunk appends then overwrite stale tail copies, and the next
 flush writes a fresh one.
 
-Version-1 files (``b"DRXSF\\x01"`` magic, single unguarded offset/length
-pointer at byte 8) are still read; the first writable commit upgrades
-them in place to version 2 (that one-time migration is the only commit
-that is *not* crash-atomic).
+Any other header version (``b"DRXSF\\x01"`` was a single unguarded
+offset/length pointer) is refused with a
+:class:`~repro.core.errors.DRXFormatError` naming it.
 
-:class:`DRXSingleFile` wraps :class:`~repro.drx.drxfile.DRXFile` — same
-API, same chunk bytes, different container.
+:class:`DRXSingleFile` *is a* :class:`~repro.drx.drxfile.DRXFile` — same
+API, same chunk bytes, same create/open bodies and commit sequence.  It
+differs in the three places the container shows: one physical store
+(decorated once, in the role ``"data"``) serves both regions — the
+handle's data store is an offset view past the reserve, its meta store
+the whole file; the commit's landing step is the shadow-slot flip
+above instead of an atomic replace; and ``extend`` recommits a
+tail-resident blob past the projected chunk-region end first.
 """
 
 from __future__ import annotations
@@ -57,17 +62,16 @@ from ..core.errors import (
     DRXFileNotFoundError,
     DRXFormatError,
 )
+from ..core.faultsites import crash_point
 from ..core.metadata import DRXMeta, DRXType
 from .codec import get_codec
 from .drxfile import DRXFile, StoreWrapper
-from .faultpoints import crash_point
-from .storage import ByteStore, MemoryByteStore, PosixByteStore
+from .storage import (ByteStore, MemoryByteStore, PosixByteStore,
+                      StoreDecorator)
 
-__all__ = ["DRXSingleFile", "SINGLE_MAGIC", "SINGLE_MAGIC_V1",
-           "DEFAULT_HEADER_RESERVE"]
+__all__ = ["DRXSingleFile", "SINGLE_MAGIC", "DEFAULT_HEADER_RESERVE"]
 
 SINGLE_MAGIC = b"DRXSF\x02\x00\x00"
-SINGLE_MAGIC_V1 = b"DRXSF\x01\x00\x00"
 #: One header slot: generation, meta offset, meta length, meta CRC32 —
 #: followed by the CRC32 of those four fields (the slot's own guard).
 _SLOT_BODY_FMT = "<QQQI"
@@ -75,9 +79,6 @@ _SLOT_BODY_SIZE = struct.calcsize(_SLOT_BODY_FMT)
 _SLOT_SIZE = _SLOT_BODY_SIZE + 4
 _SLOT0_OFF = len(SINGLE_MAGIC)
 _HEADER_END = _SLOT0_OFF + 2 * _SLOT_SIZE
-# legacy v1 header: magic + <QQ> offset/length pointer
-_HEADER_FMT_V1 = "<QQ"
-_HEADER_END_V1 = len(SINGLE_MAGIC_V1) + struct.calcsize(_HEADER_FMT_V1)
 DEFAULT_HEADER_RESERVE = 64 * 1024
 
 
@@ -96,23 +97,23 @@ def _unpack_slot(raw: bytes) -> tuple[int, int, int, int] | None:
     return struct.unpack(_SLOT_BODY_FMT, body)
 
 
-class _OffsetByteStore(ByteStore):
+class _OffsetByteStore(StoreDecorator):
     """A byte store view shifted by a fixed base offset.
 
-    Presents the chunk region of the single file as a zero-based store so
-    the inner :class:`DRXFile` needs no changes.
+    Presents the chunk region of the single file as a zero-based store,
+    so the chunk engine addresses it exactly like an ``.xta``.  Nothing
+    reaches below ``base`` through the view: offsets are shifted, and
+    whole-store ``replace`` (which would overwrite the header) is
+    refused.  ``close`` is a no-op — the file's lifetime belongs to the
+    handle's meta store, the undecorated view of the same file.
     """
 
     def __init__(self, inner: ByteStore, base: int) -> None:
-        super().__init__()
-        self._inner = inner
+        super().__init__(inner)
         self._base = base
-        # one accounting surface per physical file
-        self.stats = inner.stats
-        # an order-sensitive inner store (fault injection) keeps the
-        # concurrency layers serial through the offset view too
-        self.deterministic_only = getattr(inner, "deterministic_only",
-                                          False)
+
+    def _shift(self, extents) -> list[tuple[int, int]]:
+        return [(self._base + off, length) for off, length in extents]
 
     def read(self, offset: int, length: int) -> bytes:
         return self._inner.read(self._base + offset, length)
@@ -121,12 +122,22 @@ class _OffsetByteStore(ByteStore):
         self._inner.write(self._base + offset, data)
 
     def readv(self, extents) -> bytes:
-        return self._inner.readv(
-            [(self._base + off, length) for off, length in extents])
+        return self._inner.readv(self._shift(extents))
 
     def writev(self, extents, data) -> None:
-        self._inner.writev(
-            [(self._base + off, length) for off, length in extents], data)
+        self._inner.writev(self._shift(extents), data)
+
+    def replace(self, data) -> None:
+        raise DRXFileError(
+            "replace() is not supported on the chunk region of a single "
+            "file (it would overwrite the header)"
+        )
+
+    def read_alternates(self, offset: int, length: int) -> list[bytes]:
+        return self._inner.read_alternates(self._base + offset, length)
+
+    def repair(self, offset: int, data) -> None:
+        self._inner.repair(self._base + offset, data)
 
     @property
     def size(self) -> int:
@@ -135,65 +146,83 @@ class _OffsetByteStore(ByteStore):
     def truncate(self, size: int) -> None:
         self._inner.truncate(self._base + size)
 
-    def flush(self) -> None:
-        self._inner.flush()
-
     def close(self) -> None:
-        # lifetime owned by the wrapping DRXSingleFile
         pass
 
 
-class DRXSingleFile:
+class DRXSingleFile(DRXFile):
     """A DRX array stored as one self-describing file."""
 
     SUFFIX = ".drx"
 
     def __init__(self, meta: DRXMeta, raw: ByteStore, writable: bool,
-                 header_reserve: int, cache_pages: int = 64,
-                 generation: int = 0,
+                 header_reserve: int, generation: int = 0,
                  blob_span: tuple[int, int] | None = None,
-                 header_version: int = 2,
-                 executor="auto") -> None:
-        if header_reserve < _HEADER_END + 64:
-            raise DRXFileError(
-                f"header reserve {header_reserve} too small "
-                f"(need >= {_HEADER_END + 64})"
-            )
-        self._raw = raw
+                 **handle) -> None:
+        self._check_options(header_reserve=header_reserve)
         self._reserve = header_reserve
-        self._writable = writable
         #: generation of the last committed header slot (0 = none yet)
         self._generation = generation
         #: (offset, length) of the committed meta blob, for overlap
         #: avoidance when commits relocate to the tail
         self._blob_span = blob_span
-        #: 1 for a legacy file whose first commit must migrate the header
-        self._header_version = header_version
         #: lower bound (relative to the chunk region) for tail-resident
         #: blob placement; raised during extend() so the committed copy
         #: is recommitted past the *projected* chunk-region end before
         #: new chunk payloads can clobber it
         self._tail_floor = 0
-        chunk_region = _OffsetByteStore(raw, header_reserve)
-        # The inner DRXFile manages chunks + cache; meta persistence is
-        # overridden to land in this container's header/tail.
-        self._inner = DRXFile(meta, chunk_region, meta_store=None,
-                              writable=writable, cache_pages=cache_pages,
-                              executor=executor)
-        self._inner._persist_meta = self._persist_meta  # type: ignore[method-assign]
-        # A compressed array's slot allocator must route around a
-        # tail-resident committed meta blob (offsets are chunk-region
-        # relative); re-registering the same span is a no-op.
-        cstore = self._inner._codec_store
-        if cstore is not None and blob_span is not None \
-                and blob_span[0] >= header_reserve:
-            cstore.table.reserve(blob_span[0] - header_reserve,
-                                 blob_span[1])
+        meta.extra["container"] = "single-file"
+        meta.extra["header_reserve"] = header_reserve
+        super().__init__(meta, _OffsetByteStore(raw, header_reserve),
+                         meta_store=raw, writable=writable, **handle)
+        self._fence_tail_blob()
+
+    def _fence_tail_blob(self) -> None:
+        """A compressed array's slot allocator must route around a
+        tail-resident committed meta blob (offsets are chunk-region
+        relative): fence its span off from future chunk-slot
+        allocations.  The stale previous copy's span is released by the
+        reserve swap; re-registering the same span is a no-op."""
+        cstore, span = self._codec_store, self._blob_span
+        if cstore is not None and span is not None \
+                and span[0] >= self._reserve:
+            cstore.table.mark_committed()
+            cstore.table.reserve(span[0] - self._reserve, span[1])
             cstore.table.mark_committed()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    @classmethod
+    def _check_options(cls, header_reserve: int = DEFAULT_HEADER_RESERVE,
+                       **handle) -> None:
+        if header_reserve < _HEADER_END + 64:
+            raise DRXFileError(
+                f"header reserve {header_reserve} too small "
+                f"(need >= {_HEADER_END + 64})"
+            )
+        super()._check_options(**handle)
+
+    @classmethod
+    def _mount(cls, meta: DRXMeta | None, raw: ByteStore, _meta_store,
+               store_wrapper: StoreWrapper | None, writable: bool,
+               header_reserve: int | None = None,
+               **handle) -> "DRXSingleFile":
+        """One physical store, decorated once in the role ``"data"``.
+        ``meta=None`` (open) recovers the document through the decorated
+        store, as every later header access goes."""
+        if store_wrapper is not None:
+            raw = store_wrapper(raw, "data")
+        if meta is None:
+            meta, header_reserve, generation, span = cls._read_header(raw)
+        else:
+            # magic + zeroed (hence invalid-CRC) slots, so a crash before
+            # the first commit is recognizable as an uncommitted file
+            raw.write(0, SINGLE_MAGIC + bytes(2 * _SLOT_SIZE))
+            generation, span = 0, None
+        return cls(meta, raw, writable, header_reserve, generation, span,
+                   **handle)
+
     @classmethod
     def create(cls, path: str | pathlib.Path | None,
                bounds: Sequence[int], chunk_shape: Sequence[int],
@@ -204,46 +233,37 @@ class DRXSingleFile:
                codec: str = "none",
                store_wrapper: StoreWrapper | None = None,
                executor="auto") -> "DRXSingleFile":
-        meta = DRXMeta.create(bounds, chunk_shape, dtype)
-        meta.extra["container"] = "single-file"
-        meta.codec = get_codec(codec, meta.dtype.itemsize).name
-        if checksums:
-            meta.chunk_crcs = {}
-        if path is None:
-            raw: ByteStore = MemoryByteStore()
-        else:
-            path = cls._with_suffix(path)
-            if path.exists() and not overwrite:
-                raise DRXFileExistsError(f"array {path} already exists")
-            raw = PosixByteStore(path, "w+")
-        if store_wrapper is not None:
-            raw = store_wrapper(raw, "data")
-        # magic + zeroed (hence invalid-CRC) slots, so a crash before the
-        # first commit is recognizable as an uncommitted file
-        raw.write(0, SINGLE_MAGIC + bytes(2 * _SLOT_SIZE))
-        obj = cls(meta, raw, writable=True, header_reserve=header_reserve,
-                  cache_pages=cache_pages, executor=executor)
-        obj._persist_meta()
-        return obj
+        def place():
+            if path is None:
+                return MemoryByteStore(), None, lambda: None
+            drx = cls._with_suffix(path)
+            if drx.exists() and not overwrite:
+                raise DRXFileExistsError(f"array {drx} already exists")
+            return PosixByteStore(drx, "w+"), None, drx.unlink
+        return cls._create(place, bounds, chunk_shape, dtype, checksums,
+                           codec, 0, store_wrapper,
+                           header_reserve=header_reserve,
+                           cache_pages=cache_pages, executor=executor)
 
     @classmethod
     def open(cls, path: str | pathlib.Path, mode: str = "r",
              cache_pages: int = 64,
              store_wrapper: StoreWrapper | None = None,
              executor="auto") -> "DRXSingleFile":
-        if mode not in ("r", "r+"):
-            raise DRXFileError(f"mode must be 'r' or 'r+', got {mode!r}")
-        path = cls._with_suffix(path)
-        if not path.exists():
-            raise DRXFileNotFoundError(f"no array named {path}")
-        raw: ByteStore = PosixByteStore(path, mode)
-        if store_wrapper is not None:
-            raw = store_wrapper(raw, "data")
-        meta, reserve, gen, span, version = cls._read_header(raw)
-        return cls(meta, raw, writable=(mode == "r+"),
-                   header_reserve=reserve, cache_pages=cache_pages,
-                   generation=gen, blob_span=span, header_version=version,
-                   executor=executor)
+        def resolve():
+            drx = cls._with_suffix(path)
+            if not drx.exists():
+                raise DRXFileNotFoundError(f"no array named {drx}")
+            return None, PosixByteStore(drx, mode), None
+        return cls._open(mode, resolve, store_wrapper,
+                         cache_pages=cache_pages, executor=executor)
+
+    @classmethod
+    def create_pfs(cls, *_args, **_kwargs):
+        raise DRXFileError("a single-file array lives in one POSIX file "
+                           "(or in memory), not on the simulated PFS")
+
+    open_pfs = create_pfs
 
     @classmethod
     def _with_suffix(cls, path: str | pathlib.Path) -> pathlib.Path:
@@ -254,20 +274,22 @@ class DRXSingleFile:
 
     @classmethod
     def _read_header(cls, raw: ByteStore
-                     ) -> tuple[DRXMeta, int, int, tuple[int, int], int]:
-        """Decode the header: ``(meta, reserve, generation, blob span,
-        header version)``.
+                     ) -> tuple[DRXMeta, int, int, tuple[int, int]]:
+        """Decode the header: ``(meta, reserve, generation, blob span)``.
 
-        A version-2 header is recovered from whichever slot holds the
-        highest generation that validates end to end (slot CRC *and*
-        blob CRC *and* a parseable document) — a torn commit therefore
-        falls back to the previous generation instead of failing.
+        It is recovered from whichever slot holds the highest generation
+        that validates end to end (slot CRC *and* blob CRC *and* a
+        parseable document) — a torn commit therefore falls back to the
+        previous generation instead of failing.
         """
         head = raw.read(0, _HEADER_END)
         magic = head[:len(SINGLE_MAGIC)]
-        if magic == SINGLE_MAGIC_V1:
-            return cls._read_header_v1(raw, head)
         if magic != SINGLE_MAGIC:
+            if magic[:5] == SINGLE_MAGIC[:5]:
+                raise DRXFormatError(
+                    f"unsupported single-file header version {magic[5]} "
+                    f"(this library reads version {SINGLE_MAGIC[5]})"
+                )
             raise DRXFormatError("not a single-file DRX array (bad magic)")
         candidates = []
         for i in range(2):
@@ -288,39 +310,11 @@ class DRXSingleFile:
                 continue
             reserve = int(meta.extra.get("header_reserve",
                                          DEFAULT_HEADER_RESERVE))
-            return meta, reserve, gen, (off, length), 2
+            return meta, reserve, gen, (off, length)
         raise DRXFormatError(
             "corrupt single-file header (no slot commits a valid "
             "meta-data blob)"
         )
-
-    @classmethod
-    def _read_header_v1(cls, raw: ByteStore, head: bytes
-                        ) -> tuple[DRXMeta, int, int, tuple[int, int], int]:
-        """Legacy single-pointer header (format version 1)."""
-        off, length = struct.unpack_from(_HEADER_FMT_V1, head,
-                                         len(SINGLE_MAGIC_V1))
-        if length == 0 or off < _HEADER_END_V1:
-            raise DRXFormatError("corrupt single-file header")
-        meta = DRXMeta.from_bytes(raw.read(off, length))
-        reserve = int(meta.extra.get("header_reserve",
-                                     DEFAULT_HEADER_RESERVE))
-        return meta, reserve, 0, (off, length), 1
-
-    def close(self) -> None:
-        if self._inner._closed:
-            return
-        self._inner.close()      # flushes chunks + persists meta
-        self._raw.close()
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def __enter__(self) -> "DRXSingleFile":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # meta persistence (shadow-slot commit; reserve while it fits, tail
@@ -347,148 +341,34 @@ class DRXSingleFile:
                 offset = prev_off + prev_len
         return offset
 
-    def _persist_meta(self) -> None:
-        if not self._writable:
-            return
-        meta = self._inner.meta
-        meta.extra["container"] = "single-file"
-        meta.extra["header_reserve"] = self._reserve
-        cstore = self._inner._codec_store
-        if cstore is not None:
-            # commit the slot-allocation table with the document (same
-            # copy-on-write discipline as the two-file container)
-            self._inner._pool.drain_writebehind()
-            crash_point("codec.slots.written")
-            meta.chunk_slots = cstore.table.serialize()
-        blob = meta.to_bytes()
+    def _land_meta(self, blob: bytes) -> None:
+        """The shadow-slot commit: blob into the region the live slot
+        does not point at, durable, then the slot flip."""
+        raw = self._meta_store              # the whole file, header at 0
         blob_crc = zlib.crc32(blob) & 0xFFFFFFFF
         gen = self._generation + 1
         # tail placement must clear the *physical* chunk-region extent —
         # for a compressed array that is the slot table's high-water
         # mark, which can sit above or below the logical data_nbytes
         offset = self._blob_offset(gen, len(blob),
-                                   self._inner.data_extent_nbytes())
-        if self._header_version == 1:
-            # One-time in-place migration of a legacy header.  The v1
-            # blob may occupy the very bytes the slot table needs, so
-            # this single commit is NOT crash-atomic (documented); every
-            # subsequent commit is.
-            self._raw.write(offset, blob)
-            self._raw.flush()
-            header = bytearray(SINGLE_MAGIC + bytes(2 * _SLOT_SIZE))
-            base = _SLOT0_OFF + (gen % 2) * _SLOT_SIZE
-            header[base:base + _SLOT_SIZE] = _pack_slot(
-                gen, offset, len(blob), blob_crc)
-            self._raw.write(0, bytes(header))
-            self._raw.flush()
-            self._header_version = 2
-        else:
-            crash_point("sf.meta.before_blob")
-            self._raw.write(offset, blob)
-            crash_point("sf.meta.after_blob")
-            self._raw.flush()        # blob durable before the slot flips
-            slot = _pack_slot(gen, offset, len(blob), blob_crc)
-            crash_point("sf.header.before_slot")
-            self._raw.write(_SLOT0_OFF + (gen % 2) * _SLOT_SIZE, slot)
-            crash_point("sf.header.after_slot")
-            self._raw.flush()
+                                   self.data_extent_nbytes())
+        crash_point("sf.meta.before_blob")
+        raw.write(offset, blob)
+        crash_point("sf.meta.after_blob")
+        raw.flush()                  # blob durable before the slot flips
+        slot = _pack_slot(gen, offset, len(blob), blob_crc)
+        crash_point("sf.header.before_slot")
+        raw.write(_SLOT0_OFF + (gen % 2) * _SLOT_SIZE, slot)
+        crash_point("sf.header.after_slot")
+        raw.flush()
         self._generation = gen
         self._blob_span = (offset, len(blob))
-        if cstore is not None:
-            cstore.table.mark_committed()
-            if offset >= self._reserve:
-                # the newly committed blob sits in the tail: fence its
-                # span off from future chunk-slot allocations (the stale
-                # previous copy's span is released by the reserve swap)
-                cstore.table.reserve(offset - self._reserve, len(blob))
-                cstore.table.mark_committed()
-
-    # ------------------------------------------------------------------
-    # delegation: same API as DRXFile
-    # ------------------------------------------------------------------
-    @property
-    def meta(self) -> DRXMeta:
-        return self._inner.meta
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._inner.shape
-
-    @property
-    def chunk_shape(self) -> tuple[int, ...]:
-        return self._inner.chunk_shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._inner.dtype
-
-    @property
-    def rank(self) -> int:
-        return self._inner.rank
-
-    @property
-    def num_chunks(self) -> int:
-        return self._inner.num_chunks
-
-    @property
-    def cache_stats(self):
-        return self._inner.cache_stats
-
-    @property
-    def attrs(self):
-        """User attributes (persisted in the header on flush/close)."""
-        return self._inner.meta.attrs
-
-    @property
-    def checksums_enabled(self) -> bool:
-        return self._inner.checksums_enabled
-
-    @property
-    def codec(self) -> str:
-        return self._inner.codec
-
-    @property
-    def codec_stats(self):
-        return self._inner.codec_stats
-
-    def data_extent_nbytes(self) -> int:
-        return self._inner.data_extent_nbytes()
-
-    def compact(self, max_moves: int | None = None):
-        """Defragment a compressed array's chunk region (see
-        :meth:`repro.drx.drxfile.DRXFile.compact`).  Tail-resident meta
-        blobs stay fenced off via the table's reserved span."""
-        return self._inner.compact(max_moves)
-
-    def scrub(self, batch_chunks: int = 256):
-        """Verify every committed chunk against its stored CRC32 (see
-        :meth:`repro.drx.drxfile.DRXFile.scrub`)."""
-        return self._inner.scrub(batch_chunks)
-
-    def get(self, index):
-        return self._inner.get(index)
-
-    def put(self, index, value) -> None:
-        self._inner.put(index, value)
-
-    def read(self, lo=None, hi=None, order: str = "C") -> np.ndarray:
-        return self._inner.read(lo, hi, order)
-
-    def write(self, lo, values) -> None:
-        self._inner.write(lo, values)
-
-    def read_slab(self, start, stride, count, order: str = "C") -> np.ndarray:
-        return self._inner.read_slab(start, stride, count, order)
-
-    def write_slab(self, start, stride, values) -> None:
-        self._inner.write_slab(start, stride, values)
-
-    def read_all(self, order: str = "C") -> np.ndarray:
-        return self._inner.read_all(order)
+        self._fence_tail_blob()
 
     def extend(self, dim: int, by: int) -> None:
+        self._require_open()
         if self._writable and self._blob_span is not None \
-                and self._inner._codec_store is None \
+                and self._codec_store is None \
                 and self._blob_span[0] >= self._reserve:
             # The committed blob lives in the tail, where the extension
             # is about to materialize chunk payloads.  Recommit it past
@@ -496,7 +376,7 @@ class DRXSingleFile:
             # the extension still leaves a readable file.  (Compressed
             # arrays skip this: their slot allocator routes new payloads
             # around the blob's reserved span instead.)
-            meta = self._inner.meta
+            meta = self.meta
             bounds = list(meta.element_bounds)
             bounds[dim] += by
             new_chunks = prod(chunk_bounds_for(bounds, meta.chunk_shape))
@@ -505,11 +385,11 @@ class DRXSingleFile:
                 if self._blob_span[0] < self._reserve + new_end:
                     self._tail_floor = new_end
                     self._persist_meta()
-                self._inner.extend(dim, by)
+                super().extend(dim, by)
             finally:
                 self._tail_floor = 0
             return
-        self._inner.extend(dim, by)
+        super().extend(dim, by)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DRXSingleFile(shape={self.shape}, "
@@ -526,36 +406,31 @@ class DRXSingleFile:
         axial vectors are carried verbatim; the codec follows the source
         unless overridden — payloads cross the boundary decompressed, so
         conversions can also recompress with a different codec)."""
-        pair.flush()
-        out = cls.create(path, pair.shape, pair.chunk_shape,
-                         pair.meta.dtype_name, overwrite=True,
-                         header_reserve=header_reserve,
-                         codec=pair.meta.codec if codec is None else codec)
-        out._inner.meta.eci = pair.meta.eci.copy()
-        out._inner.meta.element_bounds = pair.meta.element_bounds
-        total = pair.meta.num_chunks * pair.meta.chunk_nbytes
-        if total:
-            blob = pair._data.readv([(0, total)])
-            out._inner._data.writev([(0, total)], blob)
-        out._persist_meta()
-        return out
+        return _repackage(pair, cls.create, path, codec, overwrite=True,
+                          header_reserve=header_reserve)
 
     def to_pair(self, path: str | pathlib.Path,
                 overwrite: bool = False,
                 codec: str | None = None) -> DRXFile:
         """Repackage into the classic ``.xmd``/``.xta`` pair (codec
         carried over unless overridden)."""
-        self.flush()
-        out = DRXFile.create(path, self.shape, self.chunk_shape,
-                             self.meta.dtype_name, overwrite=overwrite,
-                             codec=self.meta.codec if codec is None
-                             else codec)
-        out.meta.eci = self.meta.eci.copy()
-        out.meta.element_bounds = self.meta.element_bounds
-        out.meta.extra.pop("container", None)
-        total = self.meta.num_chunks * self.meta.chunk_nbytes
-        if total:
-            blob = self._inner._data.readv([(0, total)])
-            out._data.writev([(0, total)], blob)
-        out._persist_meta()
-        return out
+        return _repackage(self, DRXFile.create, path, codec,
+                          overwrite=overwrite)
+
+
+def _repackage(src: DRXFile, create, path, codec: str | None,
+               **options) -> DRXFile:
+    """Carry ``src`` into the fresh container ``create`` makes at
+    ``path``: same geometry and axial vectors, the logical chunk address
+    space copied in one vectored transfer."""
+    src.flush()
+    out = create(path, src.shape, src.chunk_shape, src.meta.dtype_name,
+                 codec=src.meta.codec if codec is None else codec,
+                 **options)
+    out.meta.eci = src.meta.eci.copy()
+    out.meta.element_bounds = src.meta.element_bounds
+    total = src.meta.num_chunks * src.meta.chunk_nbytes
+    if total:
+        out._data.writev([(0, total)], src._data.readv([(0, total)]))
+    out._persist_meta()
+    return out

@@ -33,6 +33,14 @@ one crash-consistent step.  :class:`PosixByteStore` implements it as the
 classic temp-file + fsync + atomic-rename sequence (with named crash
 points for the crash-consistency tests); the in-memory default is a
 plain rewrite.  The meta-data commit protocols build on it.
+
+Stores stack: every wrapper — fault injection and retries
+(:mod:`repro.drx.resilience`), the serve daemon's deadline gate, the
+single file's offset view, and :class:`CompressedByteStore` here —
+derives from :class:`StoreDecorator`, which forwards the whole interface
+to the inner store and shares its counters, so a wrapper spells out only
+the entry points it changes.  ``DRXFile._mount`` is the one place a
+caller's ``store_wrapper`` is applied to the raw backends.
 """
 
 from __future__ import annotations
@@ -45,13 +53,13 @@ from typing import Sequence
 
 from ..core import faultsites
 from ..core.errors import DRXFileError, PFSError
+from ..core.faultsites import crash_point
 from ..pfs.pfile import PFSFile
 from .chunkalloc import SlotTable
 from .codec import Codec, CodecStats, timed_frame_decode, timed_frame_encode
-from .faultpoints import crash_point
 
-__all__ = ["ByteStore", "StoreStats", "PosixByteStore", "MemoryByteStore",
-           "PFSByteStore", "CompressedByteStore"]
+__all__ = ["ByteStore", "StoreStats", "StoreDecorator", "PosixByteStore",
+           "MemoryByteStore", "PFSByteStore", "CompressedByteStore"]
 
 #: A half-open byte extent ``(offset, length)``.
 Extent = tuple[int, int]
@@ -250,6 +258,63 @@ class ByteStore:
 
     def close(self) -> None:
         pass
+
+
+class StoreDecorator(ByteStore):
+    """A byte store layered over an ``inner`` one — the base of every
+    wrapper in the stack (fault injection, retries, deadline gates, the
+    single file's offset view, compression).
+
+    It presents one accounting surface per physical file (``stats`` *is*
+    the inner store's counter block), stays order-sensitive when anything
+    below it is (``deterministic_only`` is inherited once, here, so it is
+    visible through any stack depth), and forwards all eleven entry
+    points to the inner method of the same name.  The forwards are
+    explicit methods, not ``__getattr__``: :class:`ByteStore`'s own
+    ``readv``/``writev``/``replace`` fallbacks would otherwise win the
+    lookup and silently split a vectored call into scalar ones.  A
+    subclass defines only the entry points whose behaviour it changes.
+    """
+
+    def __init__(self, inner: ByteStore) -> None:
+        self._inner = inner
+        self.stats = inner.stats
+        if getattr(inner, "deterministic_only", False):
+            self.deterministic_only = True
+
+    def read(self, offset: int, length: int) -> bytes:
+        return self._inner.read(offset, length)
+
+    def write(self, offset: int, data) -> None:
+        self._inner.write(offset, data)
+
+    def readv(self, extents: Sequence[Extent]) -> bytes:
+        return self._inner.readv(extents)
+
+    def writev(self, extents: Sequence[Extent], data) -> None:
+        self._inner.writev(extents, data)
+
+    def replace(self, data) -> None:
+        self._inner.replace(data)
+
+    def read_alternates(self, offset: int, length: int) -> list[bytes]:
+        return self._inner.read_alternates(offset, length)
+
+    def repair(self, offset: int, data) -> None:
+        self._inner.repair(offset, data)
+
+    @property
+    def size(self) -> int:
+        return self._inner.size
+
+    def truncate(self, size: int) -> None:
+        self._inner.truncate(size)
+
+    def flush(self) -> None:
+        self._inner.flush()
+
+    def close(self) -> None:
+        self._inner.close()
 
 
 class PosixByteStore(ByteStore):
@@ -470,7 +535,7 @@ class PFSByteStore(ByteStore):
         self._pfile.set_size(size)
 
 
-class CompressedByteStore(ByteStore):
+class CompressedByteStore(StoreDecorator):
     """Transparent per-chunk compression over an inner byte store.
 
     Exposes the array's *logical* uncompressed chunk address space —
@@ -507,10 +572,10 @@ class CompressedByteStore(ByteStore):
     def __init__(self, inner: ByteStore, codec: Codec, table: SlotTable,
                  chunk_nbytes: int, logical_nbytes: int = 0,
                  guard=None, executor=None) -> None:
-        super().__init__()
+        # one accounting surface per physical file (compressed bytes)
+        super().__init__(inner)
         if chunk_nbytes < 1:
             raise DRXFileError(f"chunk size must be >= 1, got {chunk_nbytes}")
-        self._inner = inner
         self._codec = codec
         self._table = table
         self._nb = int(chunk_nbytes)
@@ -518,15 +583,11 @@ class CompressedByteStore(ByteStore):
         self._guard = guard
         self._executor = executor
         self.codec_stats = CodecStats()
-        # one accounting surface per physical file (compressed bytes)
-        self.stats = inner.stats
         # table mutations race between the foreground thread and the
         # pool's write-behind tasks; inner I/O runs outside the lock
         # (slot extents are disjoint per chunk, and the pool already
         # orders same-chunk operations)
         self._ch_lock = threading.RLock()
-        self.deterministic_only = getattr(inner, "deterministic_only",
-                                          False)
 
     # -- wiring surface for the file layer ---------------------------------
     @property
@@ -681,6 +742,13 @@ class CompressedByteStore(ByteStore):
             "replace() is not supported on a compressed chunk store"
         )
 
+    # The logical address space has no replica copies of its own (a CRC
+    # mismatch arbitrates inside, at the chunk's physical slot), so the
+    # single-copy defaults apply rather than a forward of logical
+    # offsets to the physical store.
+    read_alternates = ByteStore.read_alternates
+    repair = ByteStore.repair
+
     # -- geometry / lifecycle -------------------------------------------------
     @property
     def size(self) -> int:
@@ -702,9 +770,3 @@ class CompressedByteStore(ByteStore):
                     if self._guard is not None:
                         self._guard.crcs.pop(c, None)
             self._logical = size
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def close(self) -> None:
-        self._inner.close()

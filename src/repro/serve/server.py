@@ -106,7 +106,8 @@ from ..core.errors import (
 from ..core.faultsites import crash_point
 from ..core.watchdog import CancelScope, Deadline, Watchdog, default_watchdog
 from ..drx.drxfile import DRXFile
-from ..drx.storage import ByteStore, PFSByteStore, PosixByteStore
+from ..drx.storage import (ByteStore, PFSByteStore, PosixByteStore,
+                           StoreDecorator)
 from .journal import JOURNAL_SUFFIX, DedupTable, Journal
 from .locks import ArrayRWLock, ChunkLocks, _wait
 from .protocol import (
@@ -149,7 +150,7 @@ def current_scope() -> CancelScope | None:
     return getattr(_scope_local, "value", None)
 
 
-class CancelGateStore(ByteStore):
+class CancelGateStore(StoreDecorator):
     """A :class:`ByteStore` decorator that checkpoints the current
     request's :class:`CancelScope` before every transfer.
 
@@ -159,15 +160,15 @@ class CancelGateStore(ByteStore):
     store operation issued after expiry raises
     :class:`~repro.core.errors.DeadlineError` instead of doing the I/O.
     Operations issued from background threads (read-ahead, write-behind)
-    carry no scope and pass through ungated.
+    carry no scope and pass through ungated.  Only the four transfers
+    are gated; ``replace`` deliberately stays the base class's plain
+    forward — it is the crash-consistent meta-data commit, and once
+    entered it must complete: a deadline must not tear a commit in half.
     """
 
     def __init__(self, inner: ByteStore, role: str = "data") -> None:
-        super().__init__()
-        self._inner = inner
+        super().__init__(inner)
         self.role = role
-        self.stats = inner.stats
-        self.deterministic_only = getattr(inner, "deterministic_only", False)
 
     def _gate(self, what: str) -> None:
         scope = current_scope()
@@ -189,31 +190,6 @@ class CancelGateStore(ByteStore):
     def writev(self, extents, data) -> None:
         self._gate("writev")
         self._inner.writev(extents, data)
-
-    def replace(self, data) -> None:
-        # deliberately ungated: replace() is the crash-consistent
-        # meta-data commit — once entered it must complete, a deadline
-        # must not tear a commit in half
-        self._inner.replace(data)
-
-    def read_alternates(self, offset: int, length: int) -> list[bytes]:
-        return self._inner.read_alternates(offset, length)
-
-    def repair(self, offset: int, data) -> None:
-        self._inner.repair(offset, data)
-
-    @property
-    def size(self) -> int:
-        return self._inner.size
-
-    def truncate(self, size: int) -> None:
-        self._inner.truncate(size)
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 class Admission:

@@ -4,7 +4,7 @@ The commit protocols (temp-file + fsync + rename for ``.xmd``,
 generation-stamped CRC-guarded shadow slots for the ``.drx`` header)
 promise that a crash at *any* instant leaves a reopenable array in
 either the old or the new committed state — never garbage.  These tests
-sweep every site in :data:`repro.drx.faultpoints.CRASH_SITES`, simulate
+sweep every site in :data:`repro.core.faultsites.CRASH_SITES`, simulate
 dying there, abandon the handle, and reopen.
 """
 
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core.errors import CrashError
-from repro.drx import CRASH_SITES, DRXFile, DRXSingleFile, FaultPlan
+from repro.core.faultsites import CRASH_SITES
+from repro.drx import DRXFile, DRXSingleFile, FaultPlan
 from repro.pfs import ParallelFileSystem
 from repro.workloads import pattern_array, random_growth
 

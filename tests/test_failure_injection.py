@@ -259,3 +259,55 @@ class TestMisuse:
         PosixByteStore(tmp_path / "x", mode="x+").close()
         with pytest.raises(DRXFileError):
             PosixByteStore(tmp_path / "x", mode="x+")
+
+
+def _open_fds() -> int:
+    import os
+    return len(os.listdir("/proc/self/fd"))
+
+
+#: a create call per container, and an option each one rejects
+CONTAINERS = {
+    "pair": (DRXFile.create, {"tune": "bogus"}),
+    "single": (DRXSingleFile.create, {"header_reserve": 10}),
+}
+
+
+@pytest.mark.parametrize("container", CONTAINERS)
+class TestFailedCreateLeavesNothingBehind:
+    def test_bad_option_opens_no_store(self, tmp_path, container):
+        create, bad = CONTAINERS[container]
+        fds = _open_fds()
+        with pytest.raises(DRXFileError):
+            create(tmp_path / "a", (8, 8), (4, 4), **bad)
+        assert list(tmp_path.iterdir()) == []
+        assert _open_fds() == fds
+        # the corrected call is not refused with "already exists"
+        create(tmp_path / "a", (8, 8), (4, 4), overwrite=False).close()
+
+    def test_bad_option_does_not_truncate_an_overwritten_array(
+            self, tmp_path, container):
+        create, bad = CONTAINERS[container]
+        with create(tmp_path / "a", (4, 4), (2, 2)) as a:
+            a.write((0, 0), pattern_array((4, 4)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(DRXFileError):
+            create(tmp_path / "a", (8, 8), (4, 4), overwrite=True, **bad)
+        assert {p.name: p.read_bytes()
+                for p in tmp_path.iterdir()} == before
+
+    def test_failure_after_the_stores_opened_removes_them(
+            self, tmp_path, container):
+        create, _bad = CONTAINERS[container]
+        plan = FaultPlan()
+        # the first commit dies: .xmd replace / .drx header-slot write
+        plan.fail("replace", times=None, error=DRXFileError)
+        plan.fail("write", after=1, times=None, error=DRXFileError)
+        fds = _open_fds()
+        with pytest.raises(DRXFileError):
+            create(tmp_path / "a", (8, 8), (4, 4),
+                   store_wrapper=lambda s, role: FaultInjector(s, plan))
+        assert plan.injected, "the commit was never reached"
+        assert list(tmp_path.iterdir()) == []
+        assert _open_fds() == fds
+        create(tmp_path / "a", (8, 8), (4, 4), overwrite=False).close()

@@ -455,3 +455,225 @@ class TestEndToEndUnderFaults:
         with DRXSingleFile.open(tmp_path / "sff") as b:
             assert np.allclose(b.read((0, 0), (8, 8)), ref)
             assert b.scrub().ok
+
+
+# ---------------------------------------------------------------------------
+# the decorator contract (one base, five decorators, eleven entry points)
+# ---------------------------------------------------------------------------
+
+import ast
+import importlib
+import inspect
+import textwrap
+
+from repro.core.watchdog import CancelScope
+from repro.drx import SlotTable, get_codec
+from repro.drx.singlefile import _OffsetByteStore
+from repro.drx.storage import ByteStore, CompressedByteStore, StoreDecorator
+from repro.serve import server as serve_server
+from repro.serve.server import CancelGateStore
+
+_BASE = 64           # the offset view's shift
+_NB = 8              # the compressed store's chunk size
+
+
+class _Recorder(MemoryByteStore):
+    """A leaf store logging every entry point that is called *on it from
+    outside* (its own vectored fallbacks calling ``read``/``write`` are
+    not logged), with the arguments it saw."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple] = []
+        self._depth = 0
+
+    def _log(self, name, *args):
+        if self._depth == 0:
+            self.calls.append((name, *args))
+        self._depth += 1
+        try:
+            attr = getattr(super(), name)
+            return attr(*args) if callable(attr) else attr
+        finally:
+            self._depth -= 1
+
+    @property
+    def size(self):
+        return self._log("size")
+
+
+for _name in ("read", "write", "readv", "writev", "replace",
+              "read_alternates", "repair", "truncate", "flush", "close"):
+    setattr(_Recorder, _name,
+            lambda self, *args, _name=_name: self._log(_name, *args))
+
+
+DECORATORS = {
+    "CancelGateStore": lambda inner: CancelGateStore(inner),
+    "FaultInjector": lambda inner: FaultInjector(inner, FaultPlan()),
+    "RetryingByteStore": lambda inner: RetryingByteStore(inner,
+                                                         base_delay=0.0),
+    "_OffsetByteStore": lambda inner: _OffsetByteStore(inner, _BASE),
+    "CompressedByteStore": lambda inner: CompressedByteStore(
+        inner, get_codec("zlib", 1), SlotTable(), _NB),
+}
+
+#: every entry point with arguments valid in any decorator's address
+#: space (chunk-aligned for the compressed one); ``None`` = a property
+ENTRY_POINTS = {
+    "read": (0, _NB),
+    "write": (0, b"w" * _NB),
+    "readv": ([(0, _NB)],),
+    "writev": ([(0, _NB)], b"v" * _NB),
+    "replace": (b"R" * _NB,),
+    "read_alternates": (0, _NB),
+    "repair": (0, b"h" * _NB),
+    "size": None,
+    "truncate": (2 * _NB,),
+    "flush": (),
+    "close": (),
+}
+
+#: the deliberate departures from "lands on the inner method of the same
+#: name, once": the inner calls expected instead, or the refusal raised
+DEPARTURES = {
+    # the file's lifetime belongs to the handle, not to the view
+    ("_OffsetByteStore", "close"): [],
+    # a whole-store replace would overwrite the .drx header
+    ("_OffsetByteStore", "replace"): DRXFileError,
+    # chunk payloads always move through the vectored path ...
+    ("CompressedByteStore", "read"): ["readv"],
+    ("CompressedByteStore", "write"): ["writev"],
+    ("CompressedByteStore", "repair"): ["writev"],
+    # ... and the logical address space is not the physical one
+    ("CompressedByteStore", "replace"): DRXFileError,
+    ("CompressedByteStore", "read_alternates"): [],
+    ("CompressedByteStore", "size"): [],
+    ("CompressedByteStore", "truncate"): [],
+}
+
+
+class TestDecoratorContract:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("deco", DECORATORS)
+    def test_entry_point_reaches_the_same_inner_method_once(self, deco,
+                                                            entry):
+        inner = _Recorder()
+        store = DECORATORS[deco](inner)
+        store.write(0, b"p" * _NB)          # something to read back
+        inner.calls.clear()
+        args = ENTRY_POINTS[entry]
+        want = DEPARTURES.get((deco, entry), [entry])
+        if isinstance(want, type):
+            with pytest.raises(want):
+                getattr(store, entry)(*args)
+            want = []
+        elif args is None:
+            getattr(store, entry)
+        else:
+            getattr(store, entry)(*args)
+        assert [c[0] for c in inner.calls] == want
+
+    @pytest.mark.parametrize("deco", DECORATORS)
+    def test_stats_and_order_sensitivity_come_from_the_inner_store(
+            self, deco):
+        inner = MemoryByteStore()
+        store = DECORATORS[deco](inner)
+        assert store.stats is inner.stats
+        assert store.deterministic_only is (deco == "FaultInjector")
+        inner.deterministic_only = True
+        assert DECORATORS[deco](inner).deterministic_only is True
+
+    def test_order_sensitivity_is_visible_through_any_stack_depth(self):
+        def injected():
+            return FaultInjector(MemoryByteStore(), FaultPlan())
+        assert CancelGateStore(RetryingByteStore(injected())) \
+            .deterministic_only
+        assert _OffsetByteStore(injected(), _BASE).deterministic_only
+        assert CompressedByteStore(
+            _OffsetByteStore(RetryingByteStore(injected()), _BASE),
+            get_codec("zlib", 1), SlotTable(), _NB).deterministic_only
+        assert not CancelGateStore(RetryingByteStore(
+            _OffsetByteStore(MemoryByteStore(), _BASE))).deterministic_only
+
+    def test_cancel_gate_gates_transfers_but_never_the_commit(
+            self, monkeypatch):
+        inner = _Recorder()
+        store = CancelGateStore(inner, "meta")
+        scope = CancelScope()
+        scope.cancel("deadline passed")
+        monkeypatch.setattr(serve_server._scope_local, "value", scope,
+                            raising=False)
+        for entry in ("read", "write", "readv", "writev"):
+            with pytest.raises(serve_server.DeadlineError):
+                getattr(store, entry)(*ENTRY_POINTS[entry])
+        assert inner.calls == []
+        store.replace(b"committed")         # once entered it must complete
+        assert inner.calls == [("replace", b"committed")]
+        assert inner.read(0, 9) == b"committed"
+
+    def test_offset_view_never_touches_bytes_below_its_base(self):
+        inner = _Recorder()
+        header = bytes(range(_BASE))
+        inner.write(0, header)
+        view = _OffsetByteStore(inner, _BASE)
+        inner.calls.clear()
+        with pytest.raises(DRXFileError):
+            view.replace(b"X" * (2 * _BASE))
+        view.repair(0, b"h" * _NB)
+        view.read_alternates(0, _NB)
+        view.writev([(0, 4), (_NB, 4)], b"abcdefgh")
+        view.truncate(0)
+        assert inner.calls == [
+            ("repair", _BASE, b"h" * _NB),
+            ("read_alternates", _BASE, _NB),
+            ("writev", [(_BASE, 4), (_BASE + _NB, 4)], b"abcdefgh"),
+            ("truncate", _BASE),
+        ]
+        assert inner.read(0, _BASE) == header
+        assert inner.size == _BASE and view.size == 0
+
+    def test_every_wrapper_derives_from_the_base_and_forwards_nothing(self):
+        """Structural guard: a ``ByteStore`` whose constructor takes
+        ``inner`` is a :class:`StoreDecorator`, and defines no method
+        that merely repeats the base class's forward."""
+        for mod in ("repro.drx.storage", "repro.drx.resilience",
+                    "repro.drx.singlefile", "repro.serve.server"):
+            importlib.import_module(mod)
+        classes, todo = [], [ByteStore]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                if sub not in classes and sub.__module__.startswith("repro"):
+                    classes.append(sub)
+                    todo.append(sub)
+        wrappers = [c for c in classes if "inner" in
+                    inspect.signature(c.__init__).parameters]
+        assert {c.__name__ for c in wrappers} >= set(DECORATORS)
+        for cls in wrappers:
+            assert issubclass(cls, StoreDecorator), cls
+            if cls is StoreDecorator:
+                continue
+            for name, attr in vars(cls).items():
+                fn = attr.fget if isinstance(attr, property) else attr
+                if inspect.isfunction(fn):
+                    assert not _is_bare_forward(fn), \
+                        f"{cls.__name__}.{name} only forwards to the " \
+                        f"inner store — inherit it from StoreDecorator"
+
+
+def _is_bare_forward(fn) -> bool:
+    """``def f(self, a, b): [return] self._inner.f(a, b)`` (or, for a
+    property, ``return self._inner.f``) and nothing else."""
+    node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    body = [s for s in node.body
+            if not (isinstance(s, ast.Expr)
+                    and isinstance(s.value, ast.Constant))]   # docstring
+    if len(body) != 1 or not isinstance(body[0], (ast.Return, ast.Expr)):
+        return False
+    target = call = body[0].value
+    if isinstance(call, ast.Call):
+        params = [a.arg for a in node.args.args[1:]]
+        if call.keywords or [ast.unparse(a) for a in call.args] != params:
+            return False
+        target = call.func
+    return ast.unparse(target) == f"self._inner.{node.name}"

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
-import struct
 import zlib
 
 import numpy as np
 import pytest
 
 from repro.core.errors import (
+    DRXError,
     DRXFileError,
     DRXFileExistsError,
     DRXFileNotFoundError,
@@ -22,7 +23,6 @@ from repro.drx.singlefile import (
     _SLOT_SIZE,
     _unpack_slot,
     SINGLE_MAGIC,
-    SINGLE_MAGIC_V1,
 )
 from repro.workloads import pattern_array, random_growth
 
@@ -96,6 +96,37 @@ class TestLifecycle:
         assert np.allclose(a.read(), np.eye(4))
         a.close()
 
+    def test_abandon_drops_unflushed_state_and_the_descriptor(
+            self, tmp_path):
+        committed = pattern_array((4, 4))
+        a = DRXSingleFile.create(tmp_path / "a", (4, 4), (2, 2))
+        a.write((0, 0), committed)
+        a.flush()
+        a.write((0, 0), committed + 1)      # dirty pages, never flushed
+        fd = a._meta_store._fd
+        a.abandon()
+        a.abandon()                         # idempotent
+        with pytest.raises(OSError):
+            os.fstat(fd)                    # the raw .drx store is closed
+        with pytest.raises(DRXError):
+            a.read()
+        with DRXSingleFile.open(tmp_path / "a", mode="r+") as b:
+            assert np.array_equal(b.read(), committed)
+
+    def test_commit_epoch_and_hooks_behave_as_on_a_pair(self, tmp_path):
+        for cls in (DRXFile, DRXSingleFile):
+            a = cls.create(tmp_path / cls.__name__, (4, 4), (2, 2))
+            seen: list[int] = []
+            a.register_commit_hook(seen.append)
+            start = a.commit_epoch
+            assert start == 1, "create commits once"
+            a.write((0, 0), pattern_array((4, 4)))
+            a.flush()
+            a.extend(0, 2)
+            a.close()
+            assert seen == [start + 1, start + 2, start + 3]
+            assert a.commit_epoch == start + 3
+
 
 class TestGrowth:
     def test_extend_and_reopen(self, tmp_path, rng):
@@ -131,27 +162,18 @@ class TestGrowth:
         assert b.meta.eci.num_records > 10
         b.close()
 
-    def test_legacy_v1_header_opens_and_upgrades(self, tmp_path, rng):
-        """A version-1 file (single unguarded pointer) still opens; the
-        first writable commit migrates it to the v2 slot table."""
-        ref = rng.random((4, 4))
+    def test_legacy_v1_header_is_refused_by_version(self, tmp_path):
+        """A version-1 magic (single unguarded pointer) is no longer
+        read: the error names the version instead of "bad magic"."""
         DRXSingleFile.create(tmp_path / "v1", (4, 4), (2, 2)).close()
         p = tmp_path / "v1.drx"
         raw = bytearray(p.read_bytes())
-        gen, off, length, _crc = committed_slot(bytes(raw))
-        # rewrite the header in the v1 layout: the blob keeps its place
-        # (v2 offsets are legal v1 offsets), the slot table goes away
-        head = SINGLE_MAGIC_V1 + struct.pack("<QQ", off, length)
-        raw[:_HEADER_END] = head + bytes(_HEADER_END - len(head))
+        raw[:len(SINGLE_MAGIC)] = b"DRXSF\x01\x00\x00"
         p.write_bytes(bytes(raw))
-
-        with DRXSingleFile.open(tmp_path / "v1", mode="r+") as a:
-            assert a.shape == (4, 4)
-            a.write((0, 0), ref)
-        raw2 = p.read_bytes()
-        assert raw2.startswith(SINGLE_MAGIC), "upgrade should stamp v2"
-        with DRXSingleFile.open(tmp_path / "v1") as b:
-            assert np.allclose(b.read(), ref)
+        for mode in ("r", "r+"):
+            with pytest.raises(DRXFormatError, match="version 1"):
+                DRXSingleFile.open(tmp_path / "v1", mode=mode)
+        assert p.read_bytes() == bytes(raw), "a refused open writes nothing"
 
     def test_chunk_bytes_never_move(self, tmp_path):
         a = DRXSingleFile.create(tmp_path / "s", (4, 4), (2, 2),
