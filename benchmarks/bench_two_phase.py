@@ -1,14 +1,18 @@
 #!/usr/bin/env python
-"""Two-phase collective I/O vs the legacy rank-0 funnel.
+"""Two-phase collective I/O vs independent access.
+
+The comparison of Thakur, Gropp & Lusk ("Optimizing Noncontiguous
+Accesses in MPI-IO"): the same collective call with two-phase and data
+sieving switched off (``romio_cb_*`` = ``romio_ds_*`` = ``disable``), so
+every rank issues its own extents one by one, against the engine.
 
 The E3-style strided pattern at 8 ranks: each rank owns K interleaved
 blocks, and in the *holey* variant the union of all ranks covers only
-every other block of the file, so the pre-engine path degenerates into
-one seek-laden request per 512-byte run.  The two-phase engine merges
-each aggregator's file domain into data-sieved covering windows — a
-couple of large requests instead of hundreds of small ones — and ships
-each byte point-to-point exactly once instead of broadcasting every
-rank's result to all P ranks.
+every other block of the file, so independent access is one seek-laden
+request per 512-byte run.  The two-phase engine merges each
+aggregator's file domain into data-sieved covering windows — a couple
+of large requests instead of hundreds of small ones — at the price of
+shipping each byte point-to-point once.
 
 Sweeps ``cb_nodes`` x ``cb_buffer_size`` x access pattern, checks every
 configuration bit-identical to the serial reference, and writes
@@ -43,15 +47,9 @@ PATTERNS = {
 }
 
 
-def full_info(**over):
-    """Every steering knob explicit, so CI env overrides cannot skew."""
-    info = {"cb_nodes": 1, "cb_buffer_size": 4 << 20,
-            "ind_rd_buffer_size": 4 << 20, "ind_wr_buffer_size": 512 << 10,
-            "romio_cb_read": "auto", "romio_cb_write": "auto",
-            "romio_ds_read": "auto", "romio_ds_write": "auto",
-            "ds_hole_threshold": 4096}
-    info.update(over)
-    return info
+#: the baseline: every rank moves its own extents, unmerged
+INDEPENDENT = {"romio_cb_read": "disable", "romio_cb_write": "disable",
+               "romio_ds_read": "disable", "romio_ds_write": "disable"}
 
 
 def make_view(rank: int, pattern: str):
@@ -131,20 +129,19 @@ def run_experiment():
     table = Table(
         f"Two-phase collective read, P={P}, {K} x {BLOCK}B blocks/rank",
         ["pattern", "path", "cb_nodes", "cb_buffer", "PFS reqs",
-         "io_time", "exchange", "vs legacy"],
+         "io_time", "exchange", "vs independent"],
     )
     results = []
     for pattern in PATTERNS:
-        legacy = run_read(pattern, full_info(romio_cb_read="legacy",
-                                             romio_cb_write="legacy"))
-        results.append({"pattern": pattern, "path": "legacy", **legacy})
-        table.add(pattern, "legacy", "-", "-", legacy["requests"],
-                  f"{legacy['io_time'] * 1e3:.1f} ms",
-                  f"{legacy['exchange_bytes'] // 1024} KiB", "1.0x")
+        indep = run_read(pattern, INDEPENDENT)
+        results.append({"pattern": pattern, "path": "independent", **indep})
+        table.add(pattern, "independent", "-", "-", indep["requests"],
+                  f"{indep['io_time'] * 1e3:.1f} ms",
+                  f"{indep['exchange_bytes'] // 1024} KiB", "1.0x")
         for cb_nodes in (1, 2, 4, 8):
             for cb_buf in (64 * 1024, 1 << 20):
-                r = run_read(pattern, full_info(cb_nodes=cb_nodes,
-                                                cb_buffer_size=cb_buf))
+                r = run_read(pattern, {"cb_nodes": cb_nodes,
+                                       "cb_buffer_size": cb_buf})
                 results.append({"pattern": pattern, "path": "two-phase",
                                 "cb_nodes": cb_nodes,
                                 "cb_buffer_size": cb_buf, **r})
@@ -152,26 +149,24 @@ def run_experiment():
                           f"{cb_buf // 1024} KiB", r["requests"],
                           f"{r['io_time'] * 1e3:.1f} ms",
                           f"{r['exchange_bytes'] // 1024} KiB",
-                          f"{legacy['requests'] / r['requests']:.0f}x")
+                          f"{indep['requests'] / r['requests']:.0f}x")
 
-    wlegacy = run_write("strided-holey",
-                        full_info(romio_cb_read="legacy",
-                                  romio_cb_write="legacy"))
-    wtp = run_write("strided-holey", full_info(cb_nodes=2))
-    writes = [{"pattern": "strided-holey", "path": "legacy", **wlegacy},
+    windep = run_write("strided-holey", INDEPENDENT)
+    wtp = run_write("strided-holey", {"cb_nodes": 2})
+    writes = [{"pattern": "strided-holey", "path": "independent", **windep},
               {"pattern": "strided-holey", "path": "two-phase",
                "cb_nodes": 2, **wtp}]
-    table.add("strided-holey", "legacy write", "-", "-",
-              wlegacy["requests"], f"{wlegacy['io_time'] * 1e3:.1f} ms",
-              f"{wlegacy['exchange_bytes'] // 1024} KiB", "1.0x")
+    table.add("strided-holey", "independent write", "-", "-",
+              windep["requests"], f"{windep['io_time'] * 1e3:.1f} ms",
+              f"{windep['exchange_bytes'] // 1024} KiB", "1.0x")
     table.add("strided-holey", "two-phase write", 2, "4096 KiB",
               wtp["requests"], f"{wtp['io_time'] * 1e3:.1f} ms",
               f"{wtp['exchange_bytes'] // 1024} KiB",
-              f"{wlegacy['requests'] / wtp['requests']:.0f}x")
+              f"{windep['requests'] / wtp['requests']:.0f}x")
     table.note("every row is bit-identical to the serial reference; "
                "the holey pattern is where sieved covering windows pay "
-               "(wasted hole bytes buy back seeks), and exchange volume "
-               "drops from P*data (broadcast) to data (point-to-point)")
+               "(wasted hole bytes buy back seeks), and the exchange "
+               "ships each requested byte once (point-to-point)")
 
     doc = {
         "benchmark": "bench_two_phase",
@@ -186,9 +181,10 @@ def run_experiment():
         },
         "acceptance": {
             "pattern": "strided-holey", "cb_nodes": 2,
-            "legacy_requests": next(
+            "independent_requests": next(
                 r["requests"] for r in results
-                if r["pattern"] == "strided-holey" and r["path"] == "legacy"),
+                if r["pattern"] == "strided-holey"
+                and r["path"] == "independent"),
             "two_phase_requests": next(
                 r["requests"] for r in results
                 if r["pattern"] == "strided-holey"
@@ -199,40 +195,41 @@ def run_experiment():
         "writes": writes,
     }
     doc["acceptance"]["request_reduction"] = (
-        doc["acceptance"]["legacy_requests"]
+        doc["acceptance"]["independent_requests"]
         / doc["acceptance"]["two_phase_requests"])
     return table, doc
 
 
-def test_two_phase_read_beats_legacy_5x():
+def test_two_phase_read_beats_independent_5x():
     """Acceptance: the strided collective pattern at 8 ranks with 2
     aggregators issues >=5x fewer PFS requests (and less simulated
-    io_time) than the pre-engine funnel, bit-identical to serial."""
-    legacy = run_read("strided-holey",
-                      full_info(romio_cb_read="legacy"))
-    tp = run_read("strided-holey", full_info(cb_nodes=2))
-    ratio = legacy["requests"] / tp["requests"]
+    io_time) than independent access, bit-identical to serial, and
+    ships each requested byte at most once."""
+    indep = run_read("strided-holey", INDEPENDENT)
+    tp = run_read("strided-holey", {"cb_nodes": 2})
+    ratio = indep["requests"] / tp["requests"]
     assert ratio >= 5.0, f"only {ratio:.1f}x fewer requests"
-    assert tp["io_time"] < legacy["io_time"]
-    assert tp["exchange_bytes"] < legacy["exchange_bytes"]
+    assert tp["io_time"] < indep["io_time"]
+    assert indep["exchange_bytes"] == 0
+    assert tp["exchange_bytes"] <= P * K * BLOCK
 
 
-def test_two_phase_write_beats_legacy_5x():
-    legacy = run_write("strided-holey",
-                       full_info(romio_cb_write="legacy"))
-    tp = run_write("strided-holey", full_info(cb_nodes=2))
-    ratio = legacy["requests"] / tp["requests"]
+def test_two_phase_write_beats_independent_5x():
+    indep = run_write("strided-holey", INDEPENDENT)
+    tp = run_write("strided-holey", {"cb_nodes": 2})
+    ratio = indep["requests"] / tp["requests"]
     assert ratio >= 5.0, f"only {ratio:.1f}x fewer requests"
-    assert tp["io_time"] < legacy["io_time"]
+    assert tp["io_time"] < indep["io_time"]
 
 
-def test_dense_pattern_no_regression():
-    """Where the legacy funnel already aggregated perfectly (one
-    contiguous union run) the engine must match it, not regress."""
-    legacy = run_read("interleaved-dense",
-                      full_info(romio_cb_read="legacy"))
-    tp = run_read("interleaved-dense", full_info(cb_nodes=1))
-    assert tp["requests"] <= legacy["requests"] + 1
+def test_dense_pattern_collapses_to_one_run():
+    """Where the union of all ranks is one contiguous run, a single
+    aggregator reads it in one request per stripe it spans; no rank's
+    interleaved blocks reach the PFS one by one."""
+    indep = run_read("interleaved-dense", INDEPENDENT)
+    tp = run_read("interleaved-dense", {"cb_nodes": 1})
+    assert indep["requests"] == P * K
+    assert tp["requests"] == -(-P * K * BLOCK // STRIPE)
 
 
 if __name__ == "__main__":

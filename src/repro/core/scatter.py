@@ -24,15 +24,14 @@ a dense grid (hyperslabs that skip chunks, degenerate plans) fall back
 to a per-chunk loop over **vectorized** box arithmetic — the geometry
 is still computed for the whole batch at once.
 
-``DRX_VECTORIZE=0`` (or :func:`set_vectorized`) forces the per-chunk
-fallback everywhere; the autotune macro-benchmark flips this switch to
-measure the pure-CPU win of vectorization with no other confounder.
-Both paths are bit-identical by construction and by regression test.
+:func:`set_vectorized` forces the per-chunk fallback everywhere; the
+autotune macro-benchmark flips this switch to measure the pure-CPU win
+of vectorization with no other confounder, and the regression tests
+flip it to prove both paths bit-identical.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -51,7 +50,7 @@ __all__ = [
 ]
 
 
-_vectorized = os.environ.get("DRX_VECTORIZE", "1") not in ("0", "off", "")
+_vectorized = True
 
 #: Dense-grid fast path cutoff: chunk payloads at most this many bytes
 #: go through the grid kernels.  Small chunks are interpreter-bound (the

@@ -71,6 +71,13 @@ __all__ = ["DRXFile"]
 StoreWrapper = Callable[[ByteStore, str], ByteStore]
 
 
+def _close_stores(*stores: ByteStore | None) -> None:
+    """Close the raw stores of a create/open that failed midway."""
+    for store in stores:
+        if store is not None:
+            store.close()
+
+
 class DRXFile:
     """A disk-resident extendible array (serial access).
 
@@ -243,9 +250,7 @@ class DRXFile:
         except CrashError:
             raise               # a simulated process death cleans up nothing
         except BaseException:
-            for store in (data, meta_store):
-                if store is not None:
-                    store.close()
+            _close_stores(data, meta_store)
             discard()
             raise
         return obj
@@ -256,12 +261,19 @@ class DRXFile:
         """The one open body.  ``resolve()`` returns ``(meta, data,
         meta_store)`` — the document parsed from the *raw* meta store,
         so open-time reads never enter an op-count-ordered fault
-        schedule."""
+        schedule.  A mount that fails (a ``.drx`` header that does not
+        validate, a bad handle option) closes the stores it resolved."""
         if mode not in ("r", "r+"):
             raise DRXFileError(f"mode must be 'r' or 'r+', got {mode!r}")
         meta, data, meta_store = resolve()
-        return cls._mount(meta, data, meta_store, store_wrapper,
-                          writable=(mode == "r+"), **handle)
+        try:
+            return cls._mount(meta, data, meta_store, store_wrapper,
+                              writable=(mode == "r+"), **handle)
+        except CrashError:
+            raise               # as in _create
+        except BaseException:
+            _close_stores(data, meta_store)
+            raise
 
     @classmethod
     def _pair_paths(cls, path: str | pathlib.Path
@@ -395,6 +407,10 @@ class DRXFile:
         if self._meta_store is not None:
             self._meta_store.close()
         self._closed = True
+        self._shutdown_owned_executor()
+
+    def _shutdown_owned_executor(self) -> None:
+        """Stop the pool ``tune="auto"`` started for this handle."""
         if self._owned_executor is not None:
             self._owned_executor.shutdown()
             self._owned_executor = None
@@ -488,6 +504,7 @@ class DRXFile:
                 store.close()
             except Exception:           # noqa: BLE001 - crash path
                 pass
+        self._shutdown_owned_executor()
 
     def __enter__(self) -> "DRXFile":
         return self

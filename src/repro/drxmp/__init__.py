@@ -31,7 +31,6 @@ from .gaops import (
 )
 from .handles import DRXMDHdl, DRXMDMemHdl
 from .partition import BlockCyclicPartition, BlockPartition, Zone, dims_create
-from .tuning import chunk_stripe_report, suggest_chunk_shape
 from .subarray import (
     box_read,
     box_write,
@@ -53,5 +52,4 @@ __all__ = [
     "Zone", "BlockPartition", "BlockCyclicPartition", "dims_create",
     "zone_read", "zone_write", "box_read", "box_write",
     "chunk_datatype", "indexed_filetype",
-    "suggest_chunk_shape", "chunk_stripe_report",
 ]

@@ -152,6 +152,25 @@ def _gather_chunks(meta: DRXMeta, values: np.ndarray,
                          values, origin, dtype=meta.dtype)
 
 
+def _transfer(fh: File, meta: DRXMeta, addrs: np.ndarray,
+              staging: np.ndarray, write: bool, collective: bool) -> None:
+    """Move ``staging`` (one row per chunk, file order) between memory
+    and the whole chunks at the sorted addresses ``addrs``: ``Set_view``
+    with the listing's indexed filetype, then one access at offset 0.
+    A rank with no chunks sets a plain view and moves zero bytes, which
+    keeps collective call counts matched across ranks."""
+    etype = datatypes.from_numpy_dtype(meta.dtype)
+    if len(addrs):
+        fh.Set_view(0, etype, indexed_filetype(meta, addrs))
+    else:
+        fh.Set_view(0, etype)
+    if write:
+        op = fh.Write_at_all if collective else fh.Write_at
+    else:
+        op = fh.Read_at_all if collective else fh.Read_at
+    op(0, staging)
+
+
 # ---------------------------------------------------------------------------
 # zone-granularity transfers (the primary DRX-MP read/write path)
 # ---------------------------------------------------------------------------
@@ -167,18 +186,9 @@ def zone_read(fh: File, meta: DRXMeta, zone: Zone, order: str = "C",
     if order not in ("C", "F"):
         raise DRXIndexError(f"order must be 'C' or 'F', got {order!r}")
     addrs, _idx = _sorted_chunk_plan(meta, zone.chunk_indices())
-    etype = datatypes.from_numpy_dtype(meta.dtype)
     # zero-filled: unwritten chunks (sparse/short reads) must read as 0
     staging = np.zeros((len(addrs), *meta.chunk_shape), dtype=meta.dtype)
-    if len(addrs):
-        ft = indexed_filetype(meta, addrs)
-        fh.Set_view(0, etype, ft)
-    else:
-        fh.Set_view(0, etype)
-    if collective:
-        fh.Read_at_all(0, staging if len(addrs) else staging[:0])
-    else:
-        fh.Read_at(0, staging if len(addrs) else staging[:0])
+    _transfer(fh, meta, addrs, staging, False, collective)
     lo, hi = zone.element_box(meta.chunk_shape, meta.element_bounds)
     out = np.zeros(box_shape(lo, hi), dtype=meta.dtype, order=order)
     _scatter_chunks(meta, staging, addrs, out, lo)
@@ -198,16 +208,7 @@ def zone_write(fh: File, meta: DRXMeta, zone: Zone, values: np.ndarray,
     values = np.asarray(values, dtype=meta.dtype)
     addrs, _idx = _sorted_chunk_plan(meta, zone.chunk_indices())
     staging = _gather_chunks(meta, values, addrs, lo)
-    etype = datatypes.from_numpy_dtype(meta.dtype)
-    if len(addrs):
-        ft = indexed_filetype(meta, addrs)
-        fh.Set_view(0, etype, ft)
-    else:
-        fh.Set_view(0, etype)
-    if collective:
-        fh.Write_at_all(0, staging if len(addrs) else staging[:0])
-    else:
-        fh.Write_at(0, staging if len(addrs) else staging[:0])
+    _transfer(fh, meta, addrs, staging, True, collective)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +222,8 @@ def box_read(fh: File, meta: DRXMeta, lo, hi, order: str = "C",
     validate_box(lo, hi, meta.element_bounds)
     covering = chunks_covering_box(lo, hi, meta.chunk_shape)
     addrs, _idx = _sorted_chunk_plan(meta, covering)
-    etype = datatypes.from_numpy_dtype(meta.dtype)
     staging = np.zeros((len(addrs), *meta.chunk_shape), dtype=meta.dtype)
-    if len(addrs):
-        fh.Set_view(0, etype, indexed_filetype(meta, addrs))
-    else:
-        fh.Set_view(0, etype)
-    if collective:
-        fh.Read_at_all(0, staging)
-    else:
-        fh.Read_at(0, staging)
+    _transfer(fh, meta, addrs, staging, False, collective)
     out = np.zeros(box_shape(lo, hi), dtype=meta.dtype, order=order)
     # scatter only the intersection of each chunk with the box — the
     # kernel clips every chunk box against [lo, hi) in one batch
@@ -254,7 +247,6 @@ def box_write(fh: File, meta: DRXMeta, lo, values: np.ndarray,
     validate_box(lo, hi, meta.element_bounds)
     covering = chunks_covering_box(lo, hi, meta.chunk_shape)
     addrs, _idx = _sorted_chunk_plan(meta, covering)
-    etype = datatypes.from_numpy_dtype(meta.dtype)
     cs = meta.chunk_shape
     indices = f_star_inv_many(meta.eci, addrs) if len(addrs) else \
         np.empty((0, meta.rank), dtype=np.int64)
@@ -263,27 +255,13 @@ def box_write(fh: File, meta: DRXMeta, lo, values: np.ndarray,
         ~full_chunk_mask(indices, cs, meta.element_bounds, lo, hi)
     ).tolist() if len(addrs) else []
     staging = np.zeros((len(addrs), *cs), dtype=meta.dtype)
-    if partial_slots:
-        part_addrs = addrs[partial_slots]
-        fh.Set_view(0, etype, indexed_filetype(meta, part_addrs))
-        part = np.zeros((len(part_addrs), *cs), dtype=meta.dtype)
-        if collective:
-            fh.Read_at_all(0, part)
-        else:
-            fh.Read_at(0, part)
+    if partial_slots or collective:
+        # a collective pre-read happens on every rank, partial chunks or
+        # not, so call counts stay matched
+        part = np.zeros((len(partial_slots), *cs), dtype=meta.dtype)
+        _transfer(fh, meta, addrs[partial_slots], part, False, collective)
         staging[partial_slots] = part
-    elif collective:
-        # keep collective call counts matched across ranks
-        fh.Set_view(0, etype)
-        fh.Read_at_all(0, staging[:0])
     # overlay the box onto the (pre-read where partial) payloads
     gather_chunks(indices, cs, meta.element_bounds, values, lo,
                   staging=staging)
-    if len(addrs):
-        fh.Set_view(0, etype, indexed_filetype(meta, addrs))
-    else:
-        fh.Set_view(0, etype)
-    if collective:
-        fh.Write_at_all(0, staging)
-    else:
-        fh.Write_at(0, staging)
+    _transfer(fh, meta, addrs, staging, True, collective)

@@ -35,6 +35,15 @@ IOExecutor`; under an armed fault plan the aggregators additionally
 serialize phase B in aggregator order through a token chain, extending
 the established serial-fallback-under-armed-faults rule to the fan-out.
 
+Both optimizations are one kernel: coalesce the requested extents into
+runs, merge runs across tolerable holes into covering groups, move the
+covering extents window by window, carve the requested bytes back out.
+Independent sieving is phase B with one source and one window.
+
+Steering comes from MPI-IO hints only (``info`` at ``File.Open`` /
+``Set_info`` / ``Set_view``), resolved once into a
+:class:`CollectiveHints` stored on the file.
+
 Everything is accounted in :class:`~repro.pfs.stats.CollectiveStats`
 (``PFSFile.cstats``): requests before/after aggregation, sieve covering
 reads and read-modify-writes, wasted hole bytes, phase-A exchange
@@ -43,9 +52,9 @@ bytes and time, phase-B simulated I/O time.
 
 from __future__ import annotations
 
-import os
 import time
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -66,28 +75,14 @@ TAG_REQ = 0x7E01     # requests (reads) / requests + data (writes)
 TAG_DATA = 0x7E02    # read replies, aggregator -> requester
 TAG_TOKEN = 0x7E03   # aggregator serialization under armed faults
 
-#: hint name -> environment fallback variable
-_ENV = {
-    "cb_nodes": "DRX_CB_NODES",
-    "cb_buffer_size": "DRX_CB_BUFFER_SIZE",
-    "ind_rd_buffer_size": "DRX_IND_RD_BUFFER_SIZE",
-    "ind_wr_buffer_size": "DRX_IND_WR_BUFFER_SIZE",
-    "romio_cb_read": "DRX_CB_READ",
-    "romio_cb_write": "DRX_CB_WRITE",
-    "romio_ds_read": "DRX_DS_READ",
-    "romio_ds_write": "DRX_DS_WRITE",
-    "ds_hole_threshold": "DRX_DS_HOLE_THRESHOLD",
-}
-
-HINT_KEYS = tuple(_ENV)
-
-_CB_MODES = ("enable", "disable", "auto", "legacy")
+#: ``auto`` is ``enable``: only ``disable`` turns two-phase off
+_CB_MODES = ("enable", "disable", "auto")
 _DS_MODES = ("enable", "disable", "auto")
 
 
 @dataclass(frozen=True)
 class CollectiveHints:
-    """Resolved MPI-IO hints (ROMIO names, ``DRX_*`` env fallbacks)."""
+    """Resolved MPI-IO hints (ROMIO names)."""
 
     #: number of aggregator ranks; None = one per simulated node
     cb_nodes: int | None = None
@@ -97,9 +92,9 @@ class CollectiveHints:
     ind_rd_buffer_size: int = 4 << 20
     #: covering-extent cap for independent sieved writes
     ind_wr_buffer_size: int = 512 << 10
-    #: two-phase on reads: enable | disable | auto | legacy
+    #: two-phase on reads: enable | disable | auto
     romio_cb_read: str = "auto"
-    #: two-phase on writes: enable | disable | auto | legacy
+    #: two-phase on writes: enable | disable | auto
     romio_cb_write: str = "auto"
     #: data sieving on reads: enable | disable | auto
     romio_ds_read: str = "auto"
@@ -110,20 +105,12 @@ class CollectiveHints:
 
     @classmethod
     def resolve(cls, info: dict | None = None) -> "CollectiveHints":
-        """Build hints from the environment, overridden by ``info``."""
-        raw: dict[str, Any] = {}
-        for key, env in _ENV.items():
-            val = os.environ.get(env)
-            if val is not None and val != "":
-                raw[key] = val
-        if info:
-            for key, val in info.items():
-                if key not in _ENV:
-                    raise MPIFileError(
-                        f"unknown hint {key!r} (known: {sorted(_ENV)})")
-                raw[key] = val
+        """Validate ``info`` over the defaults."""
         vals: dict[str, Any] = {}
-        for key, val in raw.items():
+        for key, val in (info or {}).items():
+            if key not in HINT_KEYS:
+                raise MPIFileError(
+                    f"unknown hint {key!r} (known: {sorted(HINT_KEYS)})")
             if key.startswith("romio_"):
                 mode = str(val).lower()
                 allowed = _CB_MODES if "cb" in key else _DS_MODES
@@ -153,6 +140,9 @@ class CollectiveHints:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+HINT_KEYS = tuple(f.name for f in fields(CollectiveHints))
+
+
 # ---------------------------------------------------------------------------
 # stats plumbing
 # ---------------------------------------------------------------------------
@@ -176,7 +166,7 @@ def choose_aggregators(comm, hints: CollectiveHints) -> list[int]:
     first rank), then a second rank per node, and so on until
     ``cb_nodes`` aggregators are chosen.  With the default node map
     (every rank on one node) and no ``cb_nodes`` hint this degenerates
-    to the single rank-0 aggregator of the legacy path.
+    to a single aggregator, rank 0.
     """
     node_of = comm.node_map()
     by_node: dict[int, list[int]] = {}
@@ -248,28 +238,22 @@ def _domain_splits(extents: Sequence[Extent], bounds: list[int]
 
 
 # ---------------------------------------------------------------------------
-# sieve planning
+# the aggregation kernel: covering groups, moved window by window
 # ---------------------------------------------------------------------------
 
-def _ds_threshold(mode: str, auto_threshold: int, buffer_cap: int) -> int:
-    """Largest hole sieving may read through (-1 = sieving off)."""
-    if mode == "disable":
-        return -1
-    if mode == "enable":
-        return buffer_cap
-    return auto_threshold        # auto
+#: a covering group: (start, end, holes, useful_bytes, first_run, end_run)
+Group = tuple[int, int, int, int, int, int]
 
 
 def _plan_groups(runs: list[Extent], max_hole: int, max_cover: int
-                 ) -> list[tuple[int, int, int, int, int, int]]:
+                 ) -> list[Group]:
     """Merge coalesced runs across holes into covering groups.
 
     ``runs`` must be sorted and disjoint (``coalesce_extents`` output).
-    Returns ``(start, end, holes, useful_bytes, first_run, end_run)``
-    groups: holes no larger than ``max_hole`` are merged as long as the
-    covering extent stays within ``max_cover``.
+    Holes no larger than ``max_hole`` are merged as long as the covering
+    extent stays within ``max_cover``.
     """
-    groups: list[tuple[int, int, int, int, int, int]] = []
+    groups: list[Group] = []
     for i, (off, length) in enumerate(runs):
         if groups:
             s, e, holes, useful, i0, _i1 = groups[-1]
@@ -282,13 +266,28 @@ def _plan_groups(runs: list[Extent], max_hole: int, max_cover: int
     return groups
 
 
-def _windows(groups: Iterable[tuple], cap: int) -> Iterator[list[tuple]]:
-    """Batch covering groups into collective-buffer-size windows."""
-    win: list[tuple] = []
+def _sieve_plan(extents: list[Extent], mode: str, hints: CollectiveHints,
+                cap: int) -> tuple[list[Extent], list[Group]]:
+    """Coalesce ``extents`` into runs and merge the runs into covering
+    groups no longer than ``cap``, as the ``romio_ds_*`` ``mode``
+    allows.  Returns ``(runs, groups)``."""
+    runs = coalesce_extents(extents)
+    # largest hole to read through: none when sieving is off, anything
+    # the buffer covers when forced on, the threshold under ``auto``
+    max_hole = {"disable": -1, "enable": cap}.get(mode,
+                                                  hints.ds_hole_threshold)
+    return runs, _plan_groups(runs, max_hole, cap)
+
+
+def _windows(groups: Iterable[Group], cap: int | None
+             ) -> Iterator[list[Group]]:
+    """Batch covering groups into windows of at most ``cap`` bytes
+    (``None``: everything in one window)."""
+    win: list[Group] = []
     size = 0
     for g in groups:
         glen = g[1] - g[0]
-        if win and size + glen > cap:
+        if win and cap is not None and size + glen > cap:
             yield win
             win, size = [], 0
         win.append(g)
@@ -315,42 +314,102 @@ def _extract(starts: list[int], blobs: list[bytes],
     return bytes(out)
 
 
+def _read_groups(pfile: PFSFile, groups: list[Group], window: int | None,
+                 sieve_site: str | None = None
+                 ) -> tuple[list[int], list[bytes], float]:
+    """Read every group's covering extent, one vectored request per
+    window.  Returns the covering ``(starts, blobs)`` index for
+    :func:`_extract` and the summed simulated time; ``sieve_site`` names
+    the crash point visited before a hole-bearing window."""
+    starts: list[int] = []
+    blobs: list[bytes] = []
+    io_t = 0.0
+    after = 0
+    for win in _windows(groups, window):
+        if sieve_site and any(g[2] for g in win):
+            crash_point(sieve_site)
+        covering = [(s, e - s) for s, e, *_ in win]
+        blob, t = pfile.readv(covering)
+        io_t += t
+        after += len(covering)
+        pos = 0
+        for s, n in covering:
+            starts.append(s)
+            blobs.append(blob[pos:pos + n])
+            pos += n
+    account(pfile,
+            sieve_reads=sum(1 for g in groups if g[2]),
+            wasted_bytes=sum((e - s) - u for s, e, _h, u, *_ in groups),
+            requests_after=after)
+    return starts, blobs, io_t
+
+
+def _write_groups(pfile: PFSFile,
+                  sources: list[tuple[list[Extent], bytes]],
+                  runs: list[Extent], groups: list[Group],
+                  window: int | None,
+                  sieve_site: str | None = None) -> float:
+    """Assemble every source's ``(extents, payload)`` into the coalesced
+    ``runs`` (in source order, so a later source wins overlaps), then
+    flush window by window: hole-free runs in one vectored write,
+    hole-bearing groups as read-modify-writes of the covering extent
+    (see :meth:`PFSFile.sieve_writev` for why that is
+    concurrency-safe).  Returns the summed simulated time;
+    ``sieve_site`` names the crash point visited before a window with a
+    read-modify-write."""
+    run_starts = [s for s, _n in runs]
+    bufs = [bytearray(n) for _s, n in runs]
+    for exts, payload in sources:
+        pos = 0
+        for off, length in exts:
+            i = bisect_right(run_starts, off) - 1
+            at = off - run_starts[i]
+            bufs[i][at:at + length] = payload[pos:pos + length]
+            pos += length
+    io_t = 0.0
+    after = rmw_n = waste = 0
+    for win in _windows(groups, window):
+        direct_ext: list[Extent] = []
+        direct_data = bytearray()
+        rmw: list[tuple[int, int, list[tuple[int, bytes]]]] = []
+        for s, e, holes, useful, i0, i1 in win:
+            if holes == 0:      # hole-free group is exactly one run
+                direct_ext.append((s, e - s))
+                direct_data += bufs[i0]
+            else:
+                pieces = [(run_starts[i], bytes(bufs[i]))
+                          for i in range(i0, i1)]
+                rmw.append((s, e - s, pieces))
+                waste += (e - s) - useful
+        if sieve_site and rmw:
+            crash_point(sieve_site)
+        io_t += pfile.sieve_writev((direct_ext, bytes(direct_data)), rmw)
+        after += len(direct_ext) + len(rmw)
+        rmw_n += len(rmw)
+    account(pfile, sieve_rmw=rmw_n, wasted_bytes=waste,
+            requests_after=after)
+    return io_t
+
+
 # ---------------------------------------------------------------------------
-# independent data sieving
+# independent data sieving: the kernel with one source and one window
 # ---------------------------------------------------------------------------
 
 def sieved_readv(pfile: PFSFile, extents: list[Extent],
                  hints: CollectiveHints) -> tuple[bytes, float]:
     """Independent vectored read with data sieving.
 
-    Falls through to the historical ``pfile.readv(extents)`` — byte- and
-    stats-identical — whenever sieving is disabled or no hole gets
-    merged; otherwise issues one vectored read of the covering extents
-    and extracts the pieces in memory.
+    Falls through to a plain ``pfile.readv(extents)`` whenever sieving
+    is disabled or no hole gets merged; otherwise issues one vectored
+    read of the covering extents and extracts the pieces in memory.
     """
-    max_hole = _ds_threshold(hints.romio_ds_read, hints.ds_hole_threshold,
-                             hints.ind_rd_buffer_size)
-    if not extents or max_hole < 0:
+    _runs, groups = _sieve_plan(extents, hints.romio_ds_read, hints,
+                                hints.ind_rd_buffer_size)
+    if not any(g[2] for g in groups):
         return pfile.readv(extents)
-    runs = coalesce_extents(extents)
-    groups = _plan_groups(runs, max_hole, hints.ind_rd_buffer_size)
-    if all(g[2] == 0 for g in groups):
-        return pfile.readv(extents)
-    covering = [(s, e - s) for s, e, _h, _u, _i0, _i1 in groups]
-    blob, elapsed = pfile.readv(covering)
-    starts: list[int] = []
-    blobs: list[bytes] = []
-    pos = 0
-    for s, e, _h, _u, _i0, _i1 in groups:
-        starts.append(s)
-        blobs.append(blob[pos:pos + e - s])
-        pos += e - s
+    starts, blobs, elapsed = _read_groups(pfile, groups, None)
+    account(pfile, requests_before=len(extents))
     out = b"".join(_extract(starts, blobs, off, n) for off, n in extents)
-    account(pfile,
-            sieve_reads=sum(1 for g in groups if g[2]),
-            wasted_bytes=sum((e - s) - u for s, e, _h, u, *_ in groups),
-            requests_before=len(extents),
-            requests_after=len(covering))
     return out, elapsed
 
 
@@ -358,57 +417,74 @@ def sieved_writev(pfile: PFSFile, extents: list[Extent], data: bytes,
                   hints: CollectiveHints) -> float:
     """Independent vectored write with data sieving.
 
-    Hole-free behavior is the historical ``pfile.writev``; hole-bearing
-    run groups become atomic read-modify-writes of the covering extent
-    (see :meth:`PFSFile.sieve_writev` for why that is concurrency-safe).
+    Falls through to a plain ``pfile.writev`` whenever sieving is
+    disabled or no hole gets merged; otherwise hole-bearing run groups
+    become atomic read-modify-writes of the covering extent.
     """
-    max_hole = _ds_threshold(hints.romio_ds_write, hints.ds_hole_threshold,
-                             hints.ind_wr_buffer_size)
-    if not extents or max_hole < 0:
+    runs, groups = _sieve_plan(extents, hints.romio_ds_write, hints,
+                               hints.ind_wr_buffer_size)
+    if not any(g[2] for g in groups):
         return pfile.writev(extents, data)
-    runs = coalesce_extents(extents)
-    groups = _plan_groups(runs, max_hole, hints.ind_wr_buffer_size)
-    if all(g[2] == 0 for g in groups):
-        return pfile.writev(extents, data)
-    run_starts = [s for s, _n in runs]
-    bufs = [bytearray(n) for _s, n in runs]
-    pos = 0
-    for off, length in extents:
-        i = bisect_right(run_starts, off) - 1
-        at = off - run_starts[i]
-        bufs[i][at:at + length] = data[pos:pos + length]
-        pos += length
-    direct_ext: list[Extent] = []
-    direct_data = bytearray()
-    rmw: list[tuple[int, int, list[tuple[int, bytes]]]] = []
-    waste = 0
-    for s, e, holes, useful, i0, i1 in groups:
-        if holes == 0:          # hole-free group is exactly one run
-            direct_ext.append((s, e - s))
-            direct_data += bufs[i0]
-        else:
-            pieces = [(run_starts[i], bytes(bufs[i])) for i in range(i0, i1)]
-            rmw.append((s, e - s, pieces))
-            waste += (e - s) - useful
-    elapsed = pfile.sieve_writev((direct_ext, bytes(direct_data)), rmw)
-    account(pfile,
-            sieve_rmw=len(rmw),
-            wasted_bytes=waste,
-            requests_before=len(extents),
-            requests_after=len(direct_ext) + len(rmw))
+    elapsed = _write_groups(pfile, [(extents, data)], runs, groups, None)
+    account(pfile, requests_before=len(extents))
     return elapsed
 
 
 # ---------------------------------------------------------------------------
-# two-phase collective read
+# two-phase collective I/O
 # ---------------------------------------------------------------------------
 
-def _check_hints_agree(meta: list[tuple]) -> None:
-    digests = {m[3] for m in meta}
-    if len(digests) > 1:
+def _agree(comm, pfile: PFSFile, extents: list[Extent],
+           hints: CollectiveHints) -> tuple[float, list[tuple]]:
+    """Open a collective: every rank publishes its byte range, request
+    count and hint digest (this allgather is also the operation's
+    synchronization).  Returns the start time and the gathered meta."""
+    lo = min(o for o, _n in extents) if extents else None
+    hi = max(o + n for o, n in extents) if extents else None
+    t0 = time.perf_counter()
+    meta = comm.allgather((lo, hi, len(extents), hints.digest()))
+    if len({m[3] for m in meta}) > 1:
         raise MPIFileError(
             "collective I/O hints differ across ranks; set them "
             "identically (File.Set_info is collective configuration)")
+    if comm.rank == 0:
+        account(pfile, collectives=1,
+                requests_before=sum(m[2] for m in meta))
+    return t0, meta
+
+
+def _domains(comm, pfile: PFSFile, extents: list[Extent],
+             hints: CollectiveHints, meta: list[tuple]
+             ) -> tuple[list[int], list[list[tuple[int, int, int]]]]:
+    """Partition the aggregate byte range into one stripe-aligned file
+    domain per aggregator.  Returns the aggregator ranks and this
+    rank's extents chopped per domain (see :func:`_domain_splits`),
+    both empty when no rank moves a byte; visits the ``exchange`` crash
+    site once the split is planned."""
+    los = [m[0] for m in meta if m[0] is not None]
+    if not los:
+        return [], []
+    agg_hi = max(m[1] for m in meta if m[1] is not None)
+    aggs = choose_aggregators(comm, hints)
+    bounds = file_domains(min(los), agg_hi, len(aggs),
+                          pfile.layout.stripe_size)
+    mine = _domain_splits(extents, bounds)
+    crash_point("server.kill.collective.exchange")
+    return aggs, mine
+
+
+@contextmanager
+def _aggregator_turn(comm, pfile: PFSFile, aggs: list[int]):
+    """Phase B of one aggregator.  Under an armed fault plan the
+    aggregators take turns in aggregator order (a token chain), so
+    scripted fault schedules see a deterministic PFS call order."""
+    my_idx = aggs.index(comm.rank)
+    serialize = pfile.faults_armed() and len(aggs) > 1
+    if serialize and my_idx > 0:
+        comm.recv(source=aggs[my_idx - 1], tag=TAG_TOKEN)
+    yield
+    if serialize and my_idx + 1 < len(aggs):
+        comm.send(None, aggs[my_idx + 1], tag=TAG_TOKEN)
 
 
 def two_phase_read(comm, pfile: PFSFile, extents: list[Extent],
@@ -416,29 +492,15 @@ def two_phase_read(comm, pfile: PFSFile, extents: list[Extent],
     """Collective read through two-phase buffering; returns this rank's
     bytes, concatenated in data order.  ``extents`` must be clamped."""
     total = sum(n for _o, n in extents)
-    lo = min(o for o, _n in extents) if extents else None
-    hi = max(o + n for o, n in extents) if extents else None
-    t0 = time.perf_counter()
-    meta = comm.allgather((lo, hi, len(extents), hints.digest()))
-    _check_hints_agree(meta)
-    if comm.rank == 0:
-        account(pfile, collectives=1,
-                requests_before=sum(m[2] for m in meta))
+    t0, meta = _agree(comm, pfile, extents, hints)
     if hints.romio_cb_read == "disable":
         # every rank accesses the PFS itself (sieved); the allgather
         # above already provided the collective synchronization
         data, _t = sieved_readv(pfile, extents, hints)
         return data
-    los = [m[0] for m in meta if m[0] is not None]
-    if not los:
+    aggs, mine = _domains(comm, pfile, extents, hints, meta)
+    if not aggs:
         return b""
-    agg_lo = min(los)
-    agg_hi = max(m[1] for m in meta if m[1] is not None)
-    aggs = choose_aggregators(comm, hints)
-    bounds = file_domains(agg_lo, agg_hi, len(aggs),
-                          pfile.layout.stripe_size)
-    mine = _domain_splits(extents, bounds)
-    crash_point("server.kill.collective.exchange")
     requests = {agg: [(off, n) for off, n, _p in mine[d]]
                 for d, agg in enumerate(aggs)}
     incoming = comm.exchange_p2p(
@@ -448,15 +510,17 @@ def two_phase_read(comm, pfile: PFSFile, extents: list[Extent],
     replies: dict[int, bytes] = {}
     if comm.rank in aggs:
         account(pfile, exchange_time=time.perf_counter() - t0)
-        my_idx = aggs.index(comm.rank)
-        serialize = pfile.faults_armed() and len(aggs) > 1
-        if serialize and my_idx > 0:
-            comm.recv(source=aggs[my_idx - 1], tag=TAG_TOKEN)
-        crash_point("server.kill.collective.read")
-        starts, blobs = _serve_read_domain(pfile, incoming, comm.size,
-                                           hints)
-        if serialize and my_idx + 1 < len(aggs):
-            comm.send(None, aggs[my_idx + 1], tag=TAG_TOKEN)
+        with _aggregator_turn(comm, pfile, aggs):
+            crash_point("server.kill.collective.read")
+            # phase B: serve this file domain, one vectored request per
+            # collective-buffer window
+            flat = [e for src in range(comm.size) for e in incoming[src]]
+            _runs, groups = _sieve_plan(flat, hints.romio_ds_read, hints,
+                                        hints.cb_buffer_size)
+            starts, blobs, io_t = _read_groups(
+                pfile, groups, hints.cb_buffer_size,
+                "server.kill.collective.sieve")
+            account(pfile, io_time=io_t)
         xbytes = 0
         for src in range(comm.size):
             reply = b"".join(_extract(starts, blobs, off, n)
@@ -475,74 +539,19 @@ def two_phase_read(comm, pfile: PFSFile, extents: list[Extent],
     return bytes(out)
 
 
-def _serve_read_domain(pfile: PFSFile,
-                       reqs_by_rank: dict[int, list[Extent]],
-                       size: int, hints: CollectiveHints
-                       ) -> tuple[list[int], list[bytes]]:
-    """Phase B of a read: serve this aggregator's file domain with one
-    vectored request per collective-buffer window, sieving hole-bearing
-    windows.  Returns the covering ``(starts, blobs)`` index."""
-    flat = [e for src in range(size) for e in reqs_by_rank[src]]
-    if not flat:
-        return [], []
-    runs = coalesce_extents(flat)
-    max_hole = _ds_threshold(hints.romio_ds_read, hints.ds_hole_threshold,
-                             hints.cb_buffer_size)
-    groups = _plan_groups(runs, max_hole, hints.cb_buffer_size)
-    starts: list[int] = []
-    blobs: list[bytes] = []
-    io_t = 0.0
-    after = sieve_n = waste = 0
-    for window in _windows(groups, hints.cb_buffer_size):
-        if any(g[2] for g in window):
-            crash_point("server.kill.collective.sieve")
-        covering = [(s, e - s) for s, e, *_ in window]
-        blob, t = pfile.readv(covering)
-        io_t += t
-        after += len(covering)
-        pos = 0
-        for s, e, holes, useful, _i0, _i1 in window:
-            starts.append(s)
-            blobs.append(blob[pos:pos + e - s])
-            pos += e - s
-            sieve_n += 1 if holes else 0
-            waste += (e - s) - useful
-    account(pfile, sieve_reads=sieve_n, wasted_bytes=waste,
-            requests_after=after, io_time=io_t)
-    return starts, blobs
-
-
-# ---------------------------------------------------------------------------
-# two-phase collective write
-# ---------------------------------------------------------------------------
-
 def two_phase_write(comm, pfile: PFSFile, extents: list[Extent],
                     data: bytes, hints: CollectiveHints) -> None:
     """Collective write through two-phase buffering.  Overlapping
     writers are resolved in rank order (higher rank wins)."""
-    lo = min(o for o, _n in extents) if extents else None
-    hi = max(o + n for o, n in extents) if extents else None
-    t0 = time.perf_counter()
-    meta = comm.allgather((lo, hi, len(extents), hints.digest()))
-    _check_hints_agree(meta)
-    if comm.rank == 0:
-        account(pfile, collectives=1,
-                requests_before=sum(m[2] for m in meta))
+    t0, meta = _agree(comm, pfile, extents, hints)
     if hints.romio_cb_write == "disable":
         sieved_writev(pfile, extents, data, hints)
         comm.barrier()
         return
-    los = [m[0] for m in meta if m[0] is not None]
-    if not los:
+    aggs, mine = _domains(comm, pfile, extents, hints, meta)
+    if not aggs:
         comm.barrier()
         return
-    agg_lo = min(los)
-    agg_hi = max(m[1] for m in meta if m[1] is not None)
-    aggs = choose_aggregators(comm, hints)
-    bounds = file_domains(agg_lo, agg_hi, len(aggs),
-                          pfile.layout.stripe_size)
-    mine = _domain_splits(extents, bounds)
-    crash_point("server.kill.collective.exchange")
     payloads: dict[int, tuple[list[Extent], bytes]] = {}
     xbytes = 0
     for d, agg in enumerate(aggs):
@@ -557,60 +566,16 @@ def two_phase_write(comm, pfile: PFSFile, extents: list[Extent],
         TAG_REQ)
     if comm.rank in aggs:
         account(pfile, exchange_time=time.perf_counter() - t0)
-        my_idx = aggs.index(comm.rank)
-        serialize = pfile.faults_armed() and len(aggs) > 1
-        if serialize and my_idx > 0:
-            comm.recv(source=aggs[my_idx - 1], tag=TAG_TOKEN)
-        crash_point("server.kill.collective.write")
-        _serve_write_domain(pfile, incoming, comm.size, hints)
-        if serialize and my_idx + 1 < len(aggs):
-            comm.send(None, aggs[my_idx + 1], tag=TAG_TOKEN)
+        with _aggregator_turn(comm, pfile, aggs):
+            crash_point("server.kill.collective.write")
+            # phase B: every rank's pieces in rank order, flushed per
+            # collective-buffer window
+            sources = [incoming[src] for src in range(comm.size)]
+            flat = [e for exts, _payload in sources for e in exts]
+            runs, groups = _sieve_plan(flat, hints.romio_ds_write, hints,
+                                       hints.cb_buffer_size)
+            io_t = _write_groups(pfile, sources, runs, groups,
+                                 hints.cb_buffer_size,
+                                 "server.kill.collective.sieve")
+            account(pfile, io_time=io_t)
     comm.barrier()
-
-
-def _serve_write_domain(pfile: PFSFile,
-                        incoming: dict[int, tuple[list[Extent], bytes]],
-                        size: int, hints: CollectiveHints) -> None:
-    """Phase B of a write: assemble every rank's pieces into the
-    coalesced runs of this file domain (rank order — higher rank wins
-    overlaps), then flush per collective-buffer window: hole-free runs
-    in one vectored write, hole-bearing groups as read-modify-writes."""
-    flat = [e for src in range(size) for e in incoming[src][0]]
-    if not flat:
-        return
-    runs = coalesce_extents(flat)
-    run_starts = [s for s, _n in runs]
-    bufs = [bytearray(n) for _s, n in runs]
-    for src in range(size):
-        exts, payload = incoming[src]
-        pos = 0
-        for off, length in exts:
-            i = bisect_right(run_starts, off) - 1
-            at = off - run_starts[i]
-            bufs[i][at:at + length] = payload[pos:pos + length]
-            pos += length
-    max_hole = _ds_threshold(hints.romio_ds_write, hints.ds_hole_threshold,
-                             hints.cb_buffer_size)
-    groups = _plan_groups(runs, max_hole, hints.cb_buffer_size)
-    io_t = 0.0
-    after = rmw_n = waste = 0
-    for window in _windows(groups, hints.cb_buffer_size):
-        direct_ext: list[Extent] = []
-        direct_data = bytearray()
-        rmw: list[tuple[int, int, list[tuple[int, bytes]]]] = []
-        for s, e, holes, useful, i0, i1 in window:
-            if holes == 0:      # hole-free group is exactly one run
-                direct_ext.append((s, e - s))
-                direct_data += bufs[i0]
-            else:
-                pieces = [(run_starts[i], bytes(bufs[i]))
-                          for i in range(i0, i1)]
-                rmw.append((s, e - s, pieces))
-                waste += (e - s) - useful
-        if rmw:
-            crash_point("server.kill.collective.sieve")
-        io_t += pfile.sieve_writev((direct_ext, bytes(direct_data)), rmw)
-        after += len(direct_ext) + len(rmw)
-        rmw_n += len(rmw)
-    account(pfile, sieve_rmw=rmw_n, wasted_bytes=waste,
-            requests_after=after, io_time=io_t)

@@ -22,7 +22,6 @@ barrier and a bulletin board (collectives).  Semantics follow MPI:
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
@@ -161,8 +160,8 @@ class _CommShared:
         self.barrier = _AbortableBarrier(size, abort_event)
         self.board: dict[int, dict[int, Any]] = {}
         self.board_lock = threading.Lock()
-        #: pluggable topology: node id per rank (None = derive from the
-        #: ``DRX_RANKS_PER_NODE`` environment, see Intracomm.node_map)
+        #: pluggable topology: node id per rank (None = every rank on
+        #: one node, see Intracomm.node_map)
         self.node_map: list[int] | None = None
 
 
@@ -644,19 +643,11 @@ class Intracomm:
         self._shared.node_map = nm
 
     def node_map(self) -> list[int]:
-        """Node id per rank.  Defaults to ``rank // DRX_RANKS_PER_NODE``
-        (everything on one node when the variable is unset, which keeps
-        the default aggregator count at one)."""
+        """Node id per rank.  Until :meth:`Set_node_map` says otherwise
+        every rank is on one node, which keeps the default aggregator
+        count at one."""
         nm = self._shared.node_map
-        if nm is not None:
-            return list(nm)
-        try:
-            rpn = int(os.environ.get("DRX_RANKS_PER_NODE", "0"))
-        except ValueError:
-            rpn = 0
-        if rpn <= 0:
-            rpn = self.size
-        return [r // rpn for r in range(self.size)]
+        return list(nm) if nm is not None else [0] * self.size
 
     # ------------------------------------------------------------------
     # point-to-point exchange (O(sent + received), not O(P^2))

@@ -16,8 +16,8 @@ covering access instead of many small ones.  Collective operations
 aggregator ranks exchange data point-to-point and issue one large
 vectored request per file domain per buffer window — which is what
 experiment E3 measures against the independent path.  Both paths are
-steered by MPI-IO hints (``Set_info`` / ``Open(..., info=...)`` /
-``DRX_CB_*`` environment variables); see DESIGN.md §5f.
+steered by MPI-IO hints (``Open(..., info=...)`` / ``Set_info``),
+resolved once into the file's ``CollectiveHints``; see DESIGN.md §5f.
 
 ``status.count`` is always the byte count of *whole etype elements*
 transferred (MPI semantics: a partial trailing element at EOF is not
@@ -135,8 +135,9 @@ class File:
         self._fp = 0            # individual file pointer, in etype units
         self._open = True
         self._info: dict = dict(info or {})
-        # fail fast on malformed hints (and on an unknown hint name)
-        self._hints()
+        # resolved here and at Set_info only; fails fast on a malformed
+        # or unknown hint
+        self._hints = CollectiveHints.resolve(self._info)
 
     # ------------------------------------------------------------------
     # lifecycle (collective)
@@ -206,25 +207,21 @@ class File:
 
         Like MPI, hints steer performance only — results are identical
         under any setting.  All ranks must set the same values (checked
-        at the next collective operation).  Known hints and their
-        ``DRX_*`` environment fallbacks are listed in
+        at the next collective operation).  Known hints are listed in
         :class:`~repro.mpi.collective.CollectiveHints`.
         """
         self._require_open()
         if info:
             merged = dict(self._info)
             merged.update(info)
-            CollectiveHints.resolve(merged)     # validate before adopting
+            # a bad merge raises here and leaves the file's hints as
+            # they were
+            self._hints = CollectiveHints.resolve(merged)
             self._info = merged
 
     def Get_info(self) -> dict:
-        """The *effective* hints: env fallbacks + per-file overrides."""
-        return self._hints().as_dict()
-
-    def _hints(self) -> CollectiveHints:
-        # resolved per operation so env changes (and monkeypatched tests)
-        # take effect without reopening the file
-        return CollectiveHints.resolve(self._info)
+        """The *effective* hints: defaults + per-file overrides."""
+        return self._hints.as_dict()
 
     # ------------------------------------------------------------------
     # views and pointers
@@ -297,7 +294,7 @@ class File:
         extents = self._view.extents(offset * self._view.etype.size, nbytes)
         extents = _clamp_extents(extents, self._pfile.size)
         data, _t = collective.sieved_readv(self._pfile, extents,
-                                           self._hints())
+                                           self._hints)
         _unpack_buf(buf, data)
         return self._finish(status, len(data))
 
@@ -313,7 +310,7 @@ class File:
         data = _pack_buf(buf)
         extents = self._view.extents(offset * self._view.etype.size, len(data))
         _check_write_extents(extents, data)
-        collective.sieved_writev(self._pfile, extents, data, self._hints())
+        collective.sieved_writev(self._pfile, extents, data, self._hints)
         return self._finish(status, len(data))
 
     def Write(self, buf, status: Status | None = None) -> int:
@@ -335,33 +332,10 @@ class File:
             self._pfile.size,
         )
         crash_point("server.kill.collective.entry")
-        hints = self._hints()
-        if hints.romio_cb_read == "legacy":
-            data = self._legacy_read_all(extents)
-        else:
-            data = collective.two_phase_read(self.comm, self._pfile,
-                                             extents, hints)
+        data = collective.two_phase_read(self.comm, self._pfile, extents,
+                                         self._hints)
         _unpack_buf(buf, data)
         return self._finish(status, len(data))
-
-    def _legacy_read_all(self, extents: list[Extent]) -> bytes:
-        """The pre-engine path: rank 0 funnels the aggregated access and
-        every rank's result is *broadcast to every rank* through the
-        bulletin board — O(P**2) exchange bytes, kept (with honest
-        accounting) as the baseline the two-phase benchmark beats."""
-        all_extents = self.comm.allgather(extents)
-        if self.comm.rank == 0:
-            crash_point("server.kill.collective.read")
-            per_rank, io_t = self._pfile.collective_readv(all_extents)
-            collective.account(
-                self._pfile, collectives=1, io_time=io_t,
-                requests_before=sum(len(e) for e in all_extents),
-                exchange_bytes=self.comm.size * sum(
-                    len(b) for b in per_rank))
-        else:
-            per_rank = None
-        shared = self.comm.allgather(per_rank)
-        return shared[0][self.comm.rank]
 
     def Read_all(self, buf, status: Status | None = None) -> int:
         n = self.Read_at_all(self._fp, buf, status)
@@ -372,9 +346,9 @@ class File:
                      status: Status | None = None) -> int:
         """Collective write at explicit offsets (MPI_File_write_at_all).
 
-        Unlike the legacy path, extents overlapping *across ranks* are
-        legal and resolve in rank order (higher rank wins), matching the
-        serial reference in which ranks write one after the other.
+        Extents overlapping *across ranks* are legal and resolve in rank
+        order (higher rank wins), matching the serial reference in which
+        ranks write one after the other.
         """
         self._require_open()
         self._require_writable()
@@ -382,30 +356,9 @@ class File:
         extents = self._view.extents(offset * self._view.etype.size, len(data))
         _check_write_extents(extents, data)
         crash_point("server.kill.collective.entry")
-        hints = self._hints()
-        if hints.romio_cb_write == "legacy":
-            self._legacy_write_all(extents, data)
-        else:
-            collective.two_phase_write(self.comm, self._pfile, extents,
-                                       data, hints)
+        collective.two_phase_write(self.comm, self._pfile, extents, data,
+                                   self._hints)
         return self._finish(status, len(data))
-
-    def _legacy_write_all(self, extents: list[Extent],
-                          data: bytes) -> None:
-        """Pre-engine collective write: rank 0 funnels everything (and
-        the allgather ships each rank's payload to *all* ranks —
-        O(P**2) exchange bytes).  Overlapping writers are rejected."""
-        gathered = self.comm.allgather((extents, data))
-        if self.comm.rank == 0:
-            crash_point("server.kill.collective.write")
-            io_t = self._pfile.collective_writev(
-                [g[0] for g in gathered], [g[1] for g in gathered])
-            collective.account(
-                self._pfile, collectives=1, io_time=io_t,
-                requests_before=sum(len(g[0]) for g in gathered),
-                exchange_bytes=self.comm.size * sum(
-                    len(g[1]) for g in gathered))
-        self.comm.barrier()
 
     def Write_all(self, buf, status: Status | None = None) -> int:
         n = self.Write_at_all(self._fp, buf, status)

@@ -1,13 +1,10 @@
 """A logical file striped over the I/O servers.
 
 :class:`PFSFile` presents the byte-stream abstraction the MPI-IO layer
-needs — vectored reads and writes of byte extents — on top of the striped
-server objects.  It also implements the *collective* variants used by
-two-phase collective I/O: the extents of every process are aggregated
-(sorted + coalesced) before hitting the servers, then the data is
-redistributed to the requesting processes.  The difference between the
-independent and collective paths is precisely what experiment E3
-measures.
+needs — vectored reads and writes of byte extents, plus the atomic
+read-modify-write data sieving needs — on top of the striped server
+objects.  Aggregating the extents of many processes before they reach
+this file is the business of :mod:`repro.mpi.collective`.
 
 When the layout is a :class:`~repro.pfs.replication.ReplicaLayout` with
 ``replication > 1`` the file becomes server-failure tolerant:
@@ -38,7 +35,7 @@ Two notions of time coexist and must not be conflated:
     how the Python process actually executes the batches.
 ``wall_time``
     *Measured* wall-clock seconds this process spent inside ``readv`` /
-    ``writev`` (collectives included — they funnel through both).  With
+    ``writev`` (the aggregators of a collective included).  With
     an :class:`~repro.core.executor.IOExecutor` attached, per-server
     batches are dispatched concurrently and ``wall_time`` genuinely
     shrinks toward the max-server shape ``io_time`` always assumed;
@@ -65,7 +62,7 @@ from ..core.faultsites import crash_point
 from .replication import ReplicaLayout, replica_object_name
 from .server import IOServer
 from .stats import CollectiveStats, ReplicaStats
-from .striping import Extent, StripeLayout, coalesce_extents
+from .striping import Extent, StripeLayout
 
 __all__ = ["PFSFile"]
 
@@ -781,74 +778,6 @@ class PFSFile:
         return bad
 
     # ------------------------------------------------------------------
-    # collective (two-phase) I/O
-    # ------------------------------------------------------------------
-    def collective_readv(self, extents_per_rank: list[list[Extent]]
-                         ) -> tuple[list[bytes], float]:
-        """Aggregated read on behalf of all ranks at once.
-
-        Phase 1: union all extents, coalesce into the fewest contiguous
-        runs, read them with one vectored request.  Phase 2: carve each
-        rank's bytes out of the aggregate.  Returns one concatenated
-        buffer per rank plus the simulated elapsed time.
-        """
-        with self._lock:
-            union = coalesce_extents(
-                [e for rank in extents_per_rank for e in rank]
-            )
-            blob, elapsed = self.readv(union)
-            # index into the aggregate
-            starts: list[tuple[int, int]] = []   # (offset, blob position)
-            pos = 0
-            for off, length in union:
-                starts.append((off, pos))
-                pos += length
-            out: list[bytes] = []
-            for rank_extents in extents_per_rank:
-                buf = bytearray()
-                for off, length in rank_extents:
-                    run_off, run_pos = _containing_run(starts, union, off)
-                    at = run_pos + (off - run_off)
-                    buf += blob[at:at + length]
-                out.append(bytes(buf))
-            return out, elapsed
-
-    def collective_writev(self, extents_per_rank: list[list[Extent]],
-                          data_per_rank: list[bytes]) -> float:
-        """Aggregated write on behalf of all ranks at once.
-
-        Ranks must not overlap (MPI leaves overlapping collective writes
-        undefined; we raise).  Adjacent extents across ranks merge into
-        single contiguous server writes.
-        """
-        with self._lock:
-            tagged: list[tuple[int, int, int, int]] = []  # off, len, rank, pos
-            for r, rank_extents in enumerate(extents_per_rank):
-                pos = 0
-                for off, length in rank_extents:
-                    tagged.append((off, length, r, pos))
-                    pos += length
-                if pos != len(data_per_rank[r]):
-                    raise PFSError(
-                        f"rank {r}: extents cover {pos} bytes, data has "
-                        f"{len(data_per_rank[r])}"
-                    )
-            # validate non-overlap, then merge adjacents
-            coalesce_extents([(o, n) for o, n, _r, _p in tagged],
-                             merge_overlaps=False)
-            tagged.sort()
-            merged_extents: list[Extent] = []
-            payload = bytearray()
-            for off, length, r, pos in tagged:
-                payload += data_per_rank[r][pos:pos + length]
-                if merged_extents and merged_extents[-1][0] + merged_extents[-1][1] == off:
-                    o0, n0 = merged_extents[-1]
-                    merged_extents[-1] = (o0, n0 + length)
-                else:
-                    merged_extents.append((off, length))
-            return self.writev(merged_extents, bytes(payload))
-
-    # ------------------------------------------------------------------
     # convenience scalar forms
     # ------------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
@@ -858,18 +787,3 @@ class PFSFile:
     def write(self, offset: int, data: bytes) -> None:
         self.writev([(offset, len(data))], data)
 
-
-def _containing_run(starts: list[tuple[int, int]],
-                    union: list[Extent], off: int) -> tuple[int, int]:
-    """Binary search the coalesced run containing logical offset ``off``."""
-    lo, hi = 0, len(starts)
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if starts[mid][0] <= off:
-            lo = mid
-        else:
-            hi = mid
-    run_off, run_pos = starts[lo]
-    if not run_off <= off < run_off + union[lo][1]:
-        raise PFSError(f"internal: offset {off} outside aggregated runs")
-    return run_off, run_pos

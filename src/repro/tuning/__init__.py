@@ -27,12 +27,11 @@ printed by the CLI::
 
     python -m repro.tuning report --bounds 4096,4096 --chunk 64,64
 
-The chunk-shape heuristics of :mod:`repro.drxmp.tuning` (E5's
-chunk/stripe reconciliation) are re-exported here so this package is
-the single entry point for tuning questions.
+The chunk-shape heuristics (E5's chunk/stripe reconciliation) live in
+:mod:`repro.tuning.chunkshape`, so this package is the single entry
+point for tuning questions.
 """
 
-from ..drxmp.tuning import chunk_stripe_report, suggest_chunk_shape
 from .advisor import (
     Advice,
     Candidate,
@@ -43,6 +42,7 @@ from .advisor import (
     observed_profile,
     pfs_geometry,
 )
+from .chunkshape import chunk_stripe_report, suggest_chunk_shape
 
 __all__ = [
     "Advice",

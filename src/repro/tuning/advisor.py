@@ -6,7 +6,7 @@ and a small CPU model of the request-assembly path, then sweeps each
 tuning knob over a candidate list and keeps the cheapest value:
 
 ``chunk_shape``
-    Candidates from :func:`~repro.drxmp.tuning.suggest_chunk_shape`
+    Candidates from :func:`~repro.tuning.chunkshape.suggest_chunk_shape`
     around the current shape; priced by how many server requests a
     chunk access costs (the E5 curve) and how much per-chunk assembly
     CPU a pass burns.
@@ -46,8 +46,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..core.metadata import DRXType
-from ..drxmp.tuning import chunk_stripe_report, suggest_chunk_shape
 from ..pfs.costmodel import DEFAULT_COST_MODEL, CostModel
+from .chunkshape import chunk_stripe_report, suggest_chunk_shape
 
 __all__ = ["Workload", "Candidate", "Advice", "Observed",
            "advise", "advise_file", "observed_profile", "pfs_geometry"]

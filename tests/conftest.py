@@ -39,3 +39,18 @@ def fig1_index() -> ExtendibleChunkIndex:
 @pytest.fixture
 def pfs() -> ParallelFileSystem:
     return ParallelFileSystem(nservers=4, stripe_size=1024)
+
+
+@pytest.fixture(params=[
+    pytest.param(None, id=pytest.HIDDEN_PARAM),
+    pytest.param({"cb_nodes": 2, "romio_ds_read": "enable"},
+                 id="two-aggregator"),
+])
+def hints(request) -> dict | None:
+    """MPI-IO hints to pass as ``info=``: the defaults (that leg keeps
+    the test's plain id), and a steering that takes the other branches
+    of the collective engine — two aggregators, so the byte range is
+    split into file domains and extents cross their boundaries, and
+    read sieving forced on.  Hints never change results, so any
+    round-trip or bit-identity test may take it."""
+    return request.param

@@ -9,7 +9,6 @@ import pytest
 
 from repro import mpi
 from repro.core.errors import MPIFileError
-from repro.mpi import collective
 from repro.mpi.collective import (CollectiveHints, choose_aggregators,
                                   file_domains)
 from repro.mpi.file import FileView, _check_write_extents
@@ -25,15 +24,7 @@ def make_fs(stripe=64 * 1024, nservers=4):
     return ParallelFileSystem(nservers=nservers, stripe_size=stripe)
 
 
-@pytest.fixture
-def clean_hints(monkeypatch):
-    """Strip every hint environment override (the CI matrix sets some)."""
-    for env in collective._ENV.values():
-        monkeypatch.delenv(env, raising=False)
-    monkeypatch.delenv("DRX_RANKS_PER_NODE", raising=False)
-
-
-#: fully explicit steering, so tests mean the same thing under any env
+#: fully explicit steering: every hint spelled out, then overridden
 def hints_info(**over):
     info = {"cb_nodes": 1, "cb_buffer_size": 4 << 20,
             "ind_rd_buffer_size": 4 << 20, "ind_wr_buffer_size": 512 << 10,
@@ -60,7 +51,7 @@ class _FakeComm:
 # ---------------------------------------------------------------------------
 
 class TestHints:
-    def test_defaults(self, clean_hints):
+    def test_defaults(self):
         h = CollectiveHints.resolve()
         assert h.cb_nodes is None
         assert h.cb_buffer_size == 4 << 20
@@ -69,36 +60,22 @@ class TestHints:
         assert h.romio_ds_write == "auto"
         assert h.ds_hole_threshold == 4096
 
-    def test_env_fallbacks(self, clean_hints, monkeypatch):
-        monkeypatch.setenv("DRX_CB_NODES", "3")
-        monkeypatch.setenv("DRX_DS_READ", "disable")
-        monkeypatch.setenv("DRX_CB_BUFFER_SIZE", "65536")
-        h = CollectiveHints.resolve()
-        assert h.cb_nodes == 3
-        assert h.romio_ds_read == "disable"
-        assert h.cb_buffer_size == 65536
-
-    def test_info_overrides_env(self, clean_hints, monkeypatch):
-        monkeypatch.setenv("DRX_CB_NODES", "3")
-        h = CollectiveHints.resolve({"cb_nodes": 1})
-        assert h.cb_nodes == 1
-
-    def test_validation(self, clean_hints):
+    def test_validation(self):
         with pytest.raises(MPIFileError):
             CollectiveHints.resolve({"no_such_hint": 1})
         with pytest.raises(MPIFileError):
             CollectiveHints.resolve({"romio_ds_read": "maybe"})
         with pytest.raises(MPIFileError):
-            CollectiveHints.resolve({"romio_ds_read": "legacy"})  # cb-only
+            CollectiveHints.resolve({"romio_cb_write": "legacy"})  # gone
         with pytest.raises(MPIFileError):
             CollectiveHints.resolve({"cb_buffer_size": 0})
         with pytest.raises(MPIFileError):
             CollectiveHints.resolve({"cb_nodes": "many"})
-        # legacy is a cb mode, and modes are case-insensitive strings
+        # modes are case-insensitive strings
         assert CollectiveHints.resolve(
-            {"romio_cb_write": "LEGACY"}).romio_cb_write == "legacy"
+            {"romio_cb_write": "DISABLE"}).romio_cb_write == "disable"
 
-    def test_set_info_get_info(self, clean_hints):
+    def test_set_info_get_info(self):
         fs = make_fs()
 
         def body(comm):
@@ -122,7 +99,7 @@ class TestHints:
 
         assert run(2, body) == [True, True]
 
-    def test_open_info_mismatch_detected(self, clean_hints):
+    def test_open_info_mismatch_detected(self):
         fs = make_fs()
 
         def body(comm):
@@ -134,7 +111,7 @@ class TestHints:
         with pytest.raises(SPMDFailure):
             run(2, body)
 
-    def test_hint_divergence_caught_at_collective(self, clean_hints):
+    def test_hint_divergence_caught_at_collective(self):
         fs = make_fs()
         fs.create("f").write(0, bytes(1024))
 
@@ -155,37 +132,31 @@ class TestHints:
 # ---------------------------------------------------------------------------
 
 class TestPlacement:
-    def test_default_single_aggregator(self, clean_hints):
+    def test_default_single_aggregator(self):
         h = CollectiveHints.resolve()
         assert choose_aggregators(_FakeComm([0, 0, 0, 0]), h) == [0]
 
-    def test_one_per_node(self, clean_hints):
+    def test_one_per_node(self):
         h = CollectiveHints.resolve()
         assert choose_aggregators(_FakeComm([0, 0, 1, 1]), h) == [0, 2]
         assert choose_aggregators(_FakeComm([1, 1, 0, 0]), h) == [0, 2]
 
-    def test_round_robin_second_sweep(self, clean_hints):
+    def test_round_robin_second_sweep(self):
         h = CollectiveHints.resolve({"cb_nodes": 3})
         assert choose_aggregators(_FakeComm([0, 0, 1, 1]), h) == [0, 1, 2]
 
-    def test_cb_nodes_clamped_to_size(self, clean_hints):
+    def test_cb_nodes_clamped_to_size(self):
         h = CollectiveHints.resolve({"cb_nodes": 99})
         assert choose_aggregators(_FakeComm([0, 0]), h) == [0, 1]
 
-    def test_ranks_per_node_env(self, clean_hints, monkeypatch):
-        monkeypatch.setenv("DRX_RANKS_PER_NODE", "2")
-
+    def test_set_node_map(self):
         def body(comm):
-            return comm.node_map()
-
-        assert run(4, body)[0] == [0, 0, 1, 1]
-
-    def test_set_node_map(self, clean_hints):
-        def body(comm):
+            before = comm.node_map()        # default: one node
+            comm.barrier()
             comm.Set_node_map([1, 0])
-            return comm.node_map()
+            return before, comm.node_map()
 
-        assert run(2, body) == [[1, 0], [1, 0]]
+        assert run(2, body) == [([0, 0], [1, 0])] * 2
 
     def test_file_domains(self):
         bounds = file_domains(0, 4096, 4, 1024)
@@ -210,7 +181,7 @@ def holey_view():
 
 
 class TestDataSieving:
-    def test_read_request_reduction_and_bytes(self, clean_hints):
+    def test_read_request_reduction_and_bytes(self):
         fs = make_fs()
         pattern = bytes(range(256)) * 4      # 1024 bytes
         fs.create("f").write(0, pattern)
@@ -237,7 +208,7 @@ class TestDataSieving:
         assert cs.wasted_bytes == 7 * 64     # the read-through holes
         assert cs.requests_before == 8 and cs.requests_after == 1
 
-    def test_auto_threshold_respected(self, clean_hints):
+    def test_auto_threshold_respected(self):
         fs = make_fs()
         fs.create("f").write(0, bytes(1024))
 
@@ -255,7 +226,7 @@ class TestDataSieving:
         assert fs.total_stats().read_requests == 8
         assert fs.collective_stats().sieve_reads == 0
 
-    def test_write_rmw_preserves_hole_bytes(self, clean_hints):
+    def test_write_rmw_preserves_hole_bytes(self):
         fs = make_fs()
         pattern = bytes(range(256)) * 4
         fs.create("f").write(0, pattern)
@@ -284,7 +255,7 @@ class TestDataSieving:
         fs2.create("f").write(0, pattern)
         assert run(1, lambda comm: body(comm, "disable")) == [True]
 
-    def test_writes_bit_identical_across_modes(self, clean_hints):
+    def test_writes_bit_identical_across_modes(self):
         pattern = bytes(range(256)) * 4
         payload = bytes(range(256)) * 2
         images = {}
@@ -332,7 +303,7 @@ def serial_reference(total, writers):
 
 class TestTwoPhase:
     @pytest.mark.parametrize("cb_nodes", [1, 2, NP])
-    def test_read_bit_identical_to_serial(self, clean_hints, cb_nodes):
+    def test_read_bit_identical_to_serial(self, cb_nodes):
         fs = make_fs()
         pattern = bytes(range(256)) * 4      # 1024 = 16 blocks of 64
         fs.create("f").write(0, pattern)
@@ -355,7 +326,7 @@ class TestTwoPhase:
 
     @pytest.mark.parametrize("cb_nodes", [1, 2, NP])
     @pytest.mark.parametrize("ds", ["disable", "auto"])
-    def test_write_bit_identical_to_serial(self, clean_hints, cb_nodes, ds):
+    def test_write_bit_identical_to_serial(self, cb_nodes, ds):
         fs = make_fs()
         fs.create("f")
 
@@ -377,7 +348,7 @@ class TestTwoPhase:
                             bytes([rank + 1]) * 256))
         assert fs.open("f").read(0, 1024) == serial_reference(1024, writers)
 
-    def test_overlapping_writers_rank_order(self, clean_hints):
+    def test_overlapping_writers_rank_order(self):
         """Overlap resolves as if ranks wrote serially in rank order:
         the higher rank's bytes win everywhere the ranges intersect."""
         fs = make_fs()
@@ -396,20 +367,7 @@ class TestTwoPhase:
         got = fs.open("f").read(0, 128)
         assert got == b"\x01" * 32 + b"\x02" * 96
 
-        # the legacy funnel rejects overlap outright
-        fs2 = make_fs()
-        fs2.create("f")
-
-        def legacy(comm):
-            fh = mpi.File.Open(comm, "f", mpi.MODE_RDWR, fs2,
-                               info=hints_info(romio_cb_write="legacy"))
-            fh.Write_at_all(32 * comm.rank, bytearray(96))
-            fh.Close()
-
-        with pytest.raises(SPMDFailure):
-            run(2, legacy)
-
-    def test_holey_roundtrip_with_sieving(self, clean_hints):
+    def test_holey_roundtrip_with_sieving(self):
         """Interleaved holey writers then readers, 2 aggregators: the
         write side read-modify-writes, the read side covering-reads,
         and every rank gets its own bytes back bit-exact."""
@@ -435,7 +393,7 @@ class TestTwoPhase:
         assert cs.sieve_rmw >= 1             # holey write windows
         assert cs.requests_after < cs.requests_before
 
-    def test_empty_rank_participates(self, clean_hints):
+    def test_empty_rank_participates(self):
         fs = make_fs()
         fs.create("f").write(0, bytes(range(128)))
 
@@ -450,7 +408,7 @@ class TestTwoPhase:
         out = run(2, body)
         assert out[0] == bytes(range(64)) and out[1] == b""
 
-    def test_eof_short_read_collective(self, clean_hints):
+    def test_eof_short_read_collective(self):
         fs = make_fs()
         fs.create("f").write(0, bytes(20))
 
@@ -467,7 +425,7 @@ class TestTwoPhase:
 
         assert run(2, body) == [(20, 16, 2)] * 2
 
-    def test_status_count_consistent_across_paths(self, clean_hints):
+    def test_status_count_consistent_across_paths(self):
         fs = make_fs()
         fs.create("f").write(0, bytes(20))
 
@@ -485,7 +443,7 @@ class TestTwoPhase:
 
         assert run(1, body) == [[(16, 2), (16, 2)]]
 
-    def test_cb_disable_matches_two_phase(self, clean_hints):
+    def test_cb_disable_matches_two_phase(self):
         fs = make_fs()
         pattern = bytes(range(256)) * 4
         fs.create("f").write(0, pattern)
@@ -500,13 +458,12 @@ class TestTwoPhase:
             return bytes(buf)
 
         assert run(NP, body, "disable") == run(NP, body, "auto") \
-            == run(NP, body, "legacy")
+            == run(NP, body, "enable")
 
-    def test_aggregation_reduces_requests(self, clean_hints):
+    def test_aggregation_reduces_requests(self):
         """The E3 shape: strided per-rank blocks, collectively read.
         Two-phase turns NP sieved covering reads into one aggregated
-        request (and the legacy funnel into the same single request,
-        but at O(P**2) exchange volume — see the next test)."""
+        request."""
         fs = make_fs()
         fs.create("f").write(0, bytes(range(256)) * 4)
 
@@ -532,37 +489,31 @@ class TestTwoPhase:
         assert cs.requests_after == 1
 
     @pytest.mark.parametrize("nprocs", [2, 4])
-    def test_exchange_volume_scales_linearly(self, clean_hints, nprocs,
+    def test_exchange_volume_scales_linearly(self, nprocs,
                                              request):
-        """Regression for the O(P**2) result broadcast: each rank reads
-        its own contiguous 4 KiB block.  Legacy pushes every rank's
-        bytes to every rank (P * total); two-phase ships each byte to
-        exactly one requester (total)."""
-        measured = {}
-        for mode in ("legacy", "auto"):
-            fs = make_fs()
-            fs.create("f").write(0, bytes(4096) * nprocs)
+        """Regression for an O(P**2) result broadcast: each rank reads
+        its own contiguous 4 KiB block, and two-phase ships each byte
+        to exactly one requester — O(total), not O(P * total)."""
+        fs = make_fs()
+        fs.create("f").write(0, bytes(4096) * nprocs)
 
-            def body(comm):
-                fh = mpi.File.Open(comm, "f", mpi.MODE_RDONLY, fs,
-                                   info=hints_info(romio_cb_read=mode))
-                buf = bytearray(4096)
-                fh.Read_at_all(4096 * comm.rank, buf)
-                fh.Close()
-                return True
+        def body(comm):
+            fh = mpi.File.Open(comm, "f", mpi.MODE_RDONLY, fs,
+                               info=hints_info())
+            buf = bytearray(4096)
+            fh.Read_at_all(4096 * comm.rank, buf)
+            fh.Close()
+            return True
 
-            assert all(run(nprocs, body))
-            measured[mode] = fs.collective_stats().exchange_bytes
-        total = 4096 * nprocs
-        assert measured["legacy"] == nprocs * total     # O(P**2)
-        assert measured["auto"] <= 2 * total            # O(P)
+        assert all(run(nprocs, body))
+        measured = fs.collective_stats().exchange_bytes
+        assert measured <= 2 * 4096 * nprocs            # O(P)
         # stash for the cross-P ratio check
         cache = request.config.cache
-        cache.set(f"collective/xchg/{nprocs}", measured)
-        small = cache.get("collective/xchg/2", None)
+        cache.set(f"collective/two_phase_xchg/{nprocs}", measured)
+        small = cache.get("collective/two_phase_xchg/2", None)
         if nprocs == 4 and small:
-            assert measured["legacy"] / small["legacy"] >= 3.5
-            assert measured["auto"] / small["auto"] <= 2.5
+            assert measured / small <= 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +545,7 @@ class TestPlumbing:
         a.reset()
         assert a.collectives == 0 and a.exchange_bytes == 0
 
-    def test_fs_reset_clears_collective_stats(self, clean_hints):
+    def test_fs_reset_clears_collective_stats(self):
         fs = make_fs()
         fs.create("f").write(0, bytes(1024))
 
@@ -610,7 +561,7 @@ class TestPlumbing:
         fs.reset_stats()
         assert fs.collective_stats().collectives == 0
 
-    def test_ga_info_plumbing(self, clean_hints):
+    def test_ga_info_plumbing(self):
         from repro.drxmp import DRXMPFile
         from repro.drxmp.ga import GlobalArray
         fs = make_fs()

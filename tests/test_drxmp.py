@@ -100,11 +100,12 @@ class TestLifecycle:
 
 class TestZoneIO:
     @pytest.mark.parametrize("nproc", [1, 2, 4, 6])
-    def test_zone_write_read_roundtrip(self, pfs, nproc):
+    def test_zone_write_read_roundtrip(self, pfs, hints, nproc):
         ref = pattern_array((11, 13))
         name = f"Z{nproc}"
         def body(comm):
-            a = DRXMPFile.create(comm, pfs, name, (11, 13), (3, 4))
+            a = DRXMPFile.create(comm, pfs, name, (11, 13), (3, 4),
+                                 info=hints)
             part = a.partition()
             mem = a.read_zone(part)
             lo, hi = mem.zone.element_box(a.chunk_shape, a.shape)
@@ -117,10 +118,11 @@ class TestZoneIO:
             return ok
         assert all(run(nproc, body))
 
-    def test_fortran_order_zone(self, pfs):
+    def test_fortran_order_zone(self, pfs, hints):
         ref = pattern_array((8, 9))
         def body(comm):
-            a = DRXMPFile.create(comm, pfs, "F", (8, 9), (2, 2))
+            a = DRXMPFile.create(comm, pfs, "F", (8, 9), (2, 2),
+                                 info=hints)
             if comm.rank == 0:
                 a.write((0, 0), ref)
             comm.barrier()
@@ -133,10 +135,11 @@ class TestZoneIO:
             return ok
         assert all(run(4, body))
 
-    def test_independent_zone_io(self, pfs):
+    def test_independent_zone_io(self, pfs, hints):
         ref = pattern_array((9, 9))
         def body(comm):
-            a = DRXMPFile.create(comm, pfs, "I", (9, 9), (2, 2))
+            a = DRXMPFile.create(comm, pfs, "I", (9, 9), (2, 2),
+                                 info=hints)
             part = a.partition()
             mem = a.read_zone(part, collective=False)
             lo, hi = mem.zone.element_box(a.chunk_shape, a.shape)
@@ -165,14 +168,15 @@ class TestZoneIO:
 
 
 class TestBoxIO:
-    def test_disjoint_writers(self, pfs):
+    def test_disjoint_writers(self, pfs, hints):
         # slabs are chunk-aligned: concurrent writers must never share a
         # chunk (the chunk is the unit of access; unaligned concurrent
         # writes would race on the read-modify-write, in the real system
         # as much as here)
         ref = pattern_array((16, 8))
         def body(comm):
-            a = DRXMPFile.create(comm, pfs, "D", (16, 8), (4, 4))
+            a = DRXMPFile.create(comm, pfs, "D", (16, 8), (4, 4),
+                                 info=hints)
             rows = 16 // comm.size
             lo = (comm.rank * rows, 0)
             hi = ((comm.rank + 1) * rows, 8)
@@ -183,12 +187,13 @@ class TestBoxIO:
             return np.array_equal(got, ref)
         assert all(run(4, body))
 
-    def test_unaligned_writers_serialized(self, pfs):
+    def test_unaligned_writers_serialized(self, pfs, hints):
         """Non-chunk-aligned disjoint boxes are fine when the writes are
         ordered (here: one rank after another via a token ring)."""
         ref = pattern_array((12, 8))
         def body(comm):
-            a = DRXMPFile.create(comm, pfs, "DS", (12, 8), (4, 4))
+            a = DRXMPFile.create(comm, pfs, "DS", (12, 8), (4, 4),
+                                 info=hints)
             rows = 12 // comm.size
             lo = (comm.rank * rows, 0)
             if comm.rank > 0:
@@ -202,10 +207,11 @@ class TestBoxIO:
             return np.array_equal(got, ref)
         assert all(run(4, body))
 
-    def test_unaligned_box_read_write(self, pfs):
+    def test_unaligned_box_read_write(self, pfs, hints):
         ref = pattern_array((10, 10))
         def body(comm):
-            a = DRXMPFile.create(comm, pfs, "U", (10, 10), (3, 3))
+            a = DRXMPFile.create(comm, pfs, "U", (10, 10), (3, 3),
+                                 info=hints)
             if comm.rank == 0:
                 a.write((0, 0), ref)
             comm.barrier()

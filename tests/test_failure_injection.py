@@ -311,3 +311,19 @@ class TestFailedCreateLeavesNothingBehind:
         assert list(tmp_path.iterdir()) == []
         assert _open_fds() == fds
         create(tmp_path / "a", (8, 8), (4, 4), overwrite=False).close()
+
+
+def test_failed_open_closes_the_store_it_resolved(tmp_path):
+    """``DRXSingleFile.open`` validates the header *after* opening the
+    file: a bad magic or an unread version must not leak the
+    descriptor."""
+    DRXSingleFile.create(tmp_path / "a", (4, 4), (2, 2)).close()
+    p = tmp_path / "a.drx"
+    raw = p.read_bytes()
+    fds = _open_fds()
+    for magic in (b"NOTADRX!", b"DRXSF\x01\x00\x00"):
+        p.write_bytes(magic + raw[len(magic):])
+        for mode in ("r", "r+"):
+            with pytest.raises(DRXFormatError):
+                DRXSingleFile.open(tmp_path / "a", mode=mode)
+    assert _open_fds() == fds

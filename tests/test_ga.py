@@ -119,10 +119,11 @@ class TestGetPutAcc:
 
 
 class TestFileRoundtrip:
-    def test_to_file_from_file(self, pfs):
+    def test_to_file_from_file(self, pfs, hints):
         ref = pattern_array((10, 10))
         def body(comm):
-            a = DRXMPFile.create(comm, pfs, "RT", (10, 10), (3, 3))
+            a = DRXMPFile.create(comm, pfs, "RT", (10, 10), (3, 3),
+                                 info=hints)
             ga = GlobalArray.from_file(a)
             if comm.rank == 0:
                 ga.put((0, 0), ref)
@@ -134,10 +135,11 @@ class TestFileRoundtrip:
             return np.array_equal(got, ref)
         assert all(run(4, body))
 
-    def test_block_cyclic_distribution(self, pfs):
+    def test_block_cyclic_distribution(self, pfs, hints):
         ref = pattern_array((8, 8))
         def body(comm):
-            a = DRXMPFile.create(comm, pfs, "BC", (8, 8), (2, 2))
+            a = DRXMPFile.create(comm, pfs, "BC", (8, 8), (2, 2),
+                                 info=hints)
             if comm.rank == 0:
                 a.write((0, 0), ref)
             comm.barrier()
@@ -149,11 +151,12 @@ class TestFileRoundtrip:
             return np.array_equal(got, ref)
         assert all(run(4, body))
 
-    def test_extended_array_through_ga(self, pfs):
+    def test_extended_array_through_ga(self, pfs, hints):
         """GA over an array with a non-trivial growth history: the slot
         arithmetic must follow the axial addresses, not row-major."""
         def body(comm):
-            a = DRXMPFile.create(comm, pfs, "EX", (4, 4), (2, 2))
+            a = DRXMPFile.create(comm, pfs, "EX", (4, 4), (2, 2),
+                                 info=hints)
             a.extend(1, 4)
             a.extend(0, 4)
             ref = pattern_array((8, 8))

@@ -173,50 +173,6 @@ class TestFileSystem:
 
 
 class TestCollectiveIO:
-    def test_collective_read_fewer_requests(self):
-        """The two-phase aggregation claim: interleaved per-rank extents
-        become one contiguous run."""
-        fs = ParallelFileSystem(nservers=1, stripe_size=1 << 20)
-        f = fs.create("x")
-        f.write(0, bytes(range(250)) + bytes(6))
-        # 4 ranks, each owning every 4th 8-byte block of a 256-byte file
-        rank_extents = [
-            [(off, 8) for off in range(r * 8, 256, 32)] for r in range(4)
-        ]
-        fs.reset_stats()
-        out, _t = f.collective_readv(rank_extents)
-        st = fs.total_stats()
-        assert st.read_requests == 1          # fully coalesced
-        whole = f.read(0, 256)
-        for r in range(4):
-            expect = b"".join(whole[o:o + 8] for o, _n in rank_extents[r])
-            assert out[r] == expect
-        # independent comparison: one request per extent
-        fs.reset_stats()
-        for r in range(4):
-            f.readv(rank_extents[r])
-        assert fs.total_stats().read_requests == 32
-
-    def test_collective_write_roundtrip(self):
-        fs = ParallelFileSystem(nservers=2, stripe_size=16)
-        f = fs.create("x")
-        extents = [[(0, 8), (16, 8)], [(8, 8), (24, 8)]]
-        data = [b"A" * 16, b"B" * 16]
-        f.collective_writev(extents, data)
-        assert f.read(0, 32) == b"A" * 8 + b"B" * 8 + b"A" * 8 + b"B" * 8
-
-    def test_collective_write_overlap_rejected(self):
-        fs = ParallelFileSystem(nservers=2, stripe_size=16)
-        f = fs.create("x")
-        with pytest.raises(PFSError):
-            f.collective_writev([[(0, 8)], [(4, 8)]], [b"x" * 8, b"y" * 8])
-
-    def test_collective_write_length_mismatch(self):
-        fs = ParallelFileSystem(nservers=2, stripe_size=16)
-        f = fs.create("x")
-        with pytest.raises(PFSError):
-            f.collective_writev([[(0, 8)]], [b"xy"])
-
     def test_seek_counting(self):
         fs = ParallelFileSystem(nservers=1, stripe_size=1 << 20)
         f = fs.create("x")

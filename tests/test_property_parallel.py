@@ -14,7 +14,7 @@ Invariants pinned here:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import mpi
@@ -94,9 +94,11 @@ def zone_io_cases(draw):
 _case_counter = [0]
 
 
-@settings(max_examples=25, deadline=None)
+# ``hints`` hands back a constant, so reusing it across examples is safe
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(zone_io_cases())
-def test_zone_roundtrip_arbitrary(case):
+def test_zone_roundtrip_arbitrary(hints, case):
     bounds, chunk, history, nproc, seed = case
     _case_counter[0] += 1
     name = f"prop{_case_counter[0]}"
@@ -109,7 +111,7 @@ def test_zone_roundtrip_arbitrary(case):
     ref = np.random.default_rng(seed).random(tuple(final_bounds))
 
     def body(comm):
-        a = DRXMPFile.create(comm, fs, name, bounds, chunk)
+        a = DRXMPFile.create(comm, fs, name, bounds, chunk, info=hints)
         for dim, by in history:
             a.extend(dim, by * chunk[dim])   # element-level growth
         assert a.shape == tuple(final_bounds)

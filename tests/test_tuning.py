@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import DRXExtendError
-from repro.drxmp.tuning import chunk_stripe_report, suggest_chunk_shape
+from repro.tuning import chunk_stripe_report, suggest_chunk_shape
 
 
 class TestSuggest:

@@ -4,7 +4,7 @@ Three contracts pinned here:
 
 * the dense-grid scatter/gather kernels and the vectorized datatype
   pack/unpack are **bit-identical** to the historical per-chunk loops
-  (``DRX_VECTORIZE=0`` path) on every geometry class — dense grids,
+  (the ``set_vectorized(False)`` path) on every geometry class — dense grids,
   non-dense chunk sets, clipped edge chunks, above/below the dense-path
   size cutoff;
 * the hot paths are **zero-copy**: ``_as_bytes_view`` aliases the
@@ -18,6 +18,7 @@ Three contracts pinned here:
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.core.scatter import (
 from repro.drx.drxfile import DRXFile
 from repro.drx.ioplan import PlanCache
 from repro.mpi.datatypes import DATATYPE_STATS, DOUBLE, _as_bytes_view
+from repro.pfs import ParallelFileSystem
 
 
 @pytest.fixture
@@ -364,6 +366,21 @@ class TestAutoTune:
         monkeypatch.setitem(os.environ, "DRX_EXECUTOR_THREADS", "0")
         with DRXFile.create(None, (64, 64), (8, 8), tune="auto") as a:
             assert a._owned_executor is None
+
+    def test_abandon_stops_the_tuned_executor(self, monkeypatch):
+        """``abandon()`` releases what ``close()`` releases: no worker
+        of the pool ``tune="auto"`` started outlives the handle."""
+        monkeypatch.delitem(os.environ, "DRX_EXECUTOR_THREADS",
+                            raising=False)
+        # two servers: the advisor narrows the pool from the default 4
+        fs = ParallelFileSystem(nservers=2, stripe_size=4096)
+        a = DRXFile.create_pfs(fs, "a", (64, 64), (8, 8), tune="auto")
+        assert a._owned_executor is not None
+        a._owned_executor.map(abs, [1, 2])      # spin the workers up
+        assert any("drx-tuned" in t.name for t in threading.enumerate())
+        a.abandon()
+        assert [t.name for t in threading.enumerate()
+                if "drx-tuned" in t.name] == []
 
     def test_round_trip_unchanged(self):
         """Auto-tuning never changes array contents."""
