@@ -2,15 +2,16 @@
 """Run coalescing: per-chunk vs vectored store traffic on real files.
 
 Sweeps chunk sizes and zone shapes over a disk-resident array and
-compares the legacy one-store-call-per-chunk execution
-(``coalesce=False``) against the run-coalesced planner: physical store
-calls, coalesced runs, mean bytes per call, and wall-clock throughput
-for both reads and writes.
+compares chunk-at-a-time access (one ``read``/``write`` per chunk box,
+so one store call per chunk) against one request for the whole zone,
+which the planner coalesces into runs: physical store calls, coalesced
+runs, mean bytes per call, and wall-clock throughput for both reads and
+writes.
 
 ``F*`` lays any rectilinear zone out as a few contiguous address runs,
-so the coalesced engine moves whole runs with one positioned transfer
-each — a full-array scan becomes a single vectored call — while the
-legacy path pays one call per chunk.
+so the engine moves whole runs with one positioned transfer each — a
+full-array scan becomes a single vectored call — while chunk-wise
+access pays one call per chunk.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from repro.bench import Table, wallclock
 from repro.drx import DRXFile
+from repro.workloads import chunk_boxes
 
 ARRAY = (256, 256)               # doubles: 512 KiB on disk
 CACHE_PAGES = 8
@@ -34,25 +36,34 @@ ZONES = [
 ]
 
 
-def _make(path: pathlib.Path, chunk, coalesce: bool,
-          data: np.ndarray) -> DRXFile:
+def _make(path: pathlib.Path, chunk, data: np.ndarray) -> DRXFile:
     a = DRXFile.create(path, ARRAY, chunk, overwrite=True,
-                       cache_pages=CACHE_PAGES, coalesce=coalesce)
+                       cache_pages=CACHE_PAGES)
     a.write((0, 0), data)
     a.flush()
     return a
 
 
-def measure_read(path: pathlib.Path, chunk, coalesce: bool,
+def _requests(chunk, chunkwise: bool, lo, hi):
+    """The zone as one request, or cut into one request per chunk."""
+    return list(chunk_boxes(lo, hi, chunk)) if chunkwise else [(lo, hi)]
+
+
+def measure_read(path: pathlib.Path, chunk, chunkwise: bool,
                  data: np.ndarray, lo, hi, repeat: int = 5):
     """Best-of-``repeat`` cold read of ``[lo, hi)``; returns
     ``(seconds, StoreStats of the last run)``."""
-    a = _make(path, chunk, coalesce, data)
+    a = _make(path, chunk, data)
+    boxes = _requests(chunk, chunkwise, lo, hi)
 
     def once():
         a._pool.invalidate()          # cold cache (pages are clean)
         a._data.stats.reset()
-        return a.read(lo, hi)
+        out = np.empty((hi[0] - lo[0], hi[1] - lo[1]))
+        for (r0, c0), (r1, c1) in boxes:
+            out[r0 - lo[0]:r1 - lo[0], c0 - lo[1]:c1 - lo[1]] = \
+                a.read((r0, c0), (r1, c1))
+        return out
 
     secs, out = wallclock(once, repeat)
     assert np.allclose(out, data[lo[0]:hi[0], lo[1]:hi[1]])
@@ -61,18 +72,20 @@ def measure_read(path: pathlib.Path, chunk, coalesce: bool,
     return secs, stats
 
 
-def measure_write(path: pathlib.Path, chunk, coalesce: bool,
+def measure_write(path: pathlib.Path, chunk, chunkwise: bool,
                   data: np.ndarray, repeat: int = 5):
     """Best-of-``repeat`` full-array write+flush; returns
     ``(seconds, StoreStats of the last run)``."""
     stats = None
+    boxes = _requests(chunk, chunkwise, (0, 0), ARRAY)
 
     def once():
         nonlocal stats
         a = DRXFile.create(path, ARRAY, chunk, overwrite=True,
-                           cache_pages=CACHE_PAGES, coalesce=coalesce)
+                           cache_pages=CACHE_PAGES)
         a._data.stats.reset()
-        a.write((0, 0), data)
+        for (r0, c0), (r1, c1) in boxes:
+            a.write((r0, c0), data[r0:r1, c0:c1])
         a.flush()
         stats = a._data.stats.snapshot()
         a.close()
@@ -97,9 +110,9 @@ def run_experiment(workdir: pathlib.Path) -> list[Table]:
     for chunk in CHUNKS:
         for zone, lo, hi in ZONES:
             nbytes = (hi[0] - lo[0]) * (hi[1] - lo[1]) * 8
-            pt, ps = measure_read(workdir / "per", chunk, False,
+            pt, ps = measure_read(workdir / "per", chunk, True,
                                   data, lo, hi)
-            ct, cs = measure_read(workdir / "coa", chunk, True,
+            ct, cs = measure_read(workdir / "coa", chunk, False,
                                   data, lo, hi)
             read_tab.add(f"{chunk[0]}x{chunk[1]}", zone,
                          ps.syscalls, cs.syscalls, cs.coalesced_runs,
@@ -116,12 +129,12 @@ def run_experiment(workdir: pathlib.Path) -> list[Table]:
     )
     nbytes = ARRAY[0] * ARRAY[1] * 8
     for chunk in CHUNKS:
-        pt, ps = measure_write(workdir / "per", chunk, False, data)
-        ct, cs = measure_write(workdir / "coa", chunk, True, data)
+        pt, ps = measure_write(workdir / "per", chunk, True, data)
+        ct, cs = measure_write(workdir / "coa", chunk, False, data)
         write_tab.add(f"{chunk[0]}x{chunk[1]}", ps.syscalls, cs.syscalls,
                       _mb_s(nbytes, pt), _mb_s(nbytes, ct))
-    write_tab.note("per-chunk writes fault + write back every chunk "
-                   "through the pool; coalesced streams full chunks as "
+    write_tab.note("chunk-wise writes fault + write back every chunk "
+                   "through the pool; one request streams full chunks as "
                    "whole runs")
     return [read_tab, write_tab]
 
@@ -131,9 +144,9 @@ def run_experiment(workdir: pathlib.Path) -> list[Table]:
 # ----------------------------------------------------------------------
 def test_full_scan_read_coalesces_4x(tmp_path, rng):
     data = rng.random(ARRAY)
-    _, per = measure_read(tmp_path / "p", (16, 16), False, data,
+    _, per = measure_read(tmp_path / "p", (16, 16), True, data,
                           (0, 0), ARRAY, repeat=1)
-    _, coa = measure_read(tmp_path / "c", (16, 16), True, data,
+    _, coa = measure_read(tmp_path / "c", (16, 16), False, data,
                           (0, 0), ARRAY, repeat=1)
     # 256 chunks per-chunk vs one vectored run
     assert coa.syscalls * 4 <= per.syscalls
@@ -145,9 +158,9 @@ def test_full_scan_read_coalesces_4x(tmp_path, rng):
 
 def test_full_array_write_coalesces_4x(tmp_path, rng):
     data = rng.random(ARRAY)
-    _, per = measure_write(tmp_path / "p", (16, 16), False, data,
+    _, per = measure_write(tmp_path / "p", (16, 16), True, data,
                            repeat=1)
-    _, coa = measure_write(tmp_path / "c", (16, 16), True, data,
+    _, coa = measure_write(tmp_path / "c", (16, 16), False, data,
                            repeat=1)
     assert coa.syscalls * 4 <= per.syscalls
     assert coa.writev_calls >= 1
@@ -157,16 +170,16 @@ def test_every_zone_no_more_calls_than_per_chunk(tmp_path, rng):
     data = rng.random(ARRAY)
     for chunk in CHUNKS:
         for zone, lo, hi in ZONES:
-            _, per = measure_read(tmp_path / "p", chunk, False, data,
+            _, per = measure_read(tmp_path / "p", chunk, True, data,
                                   lo, hi, repeat=1)
-            _, coa = measure_read(tmp_path / "c", chunk, True, data,
+            _, coa = measure_read(tmp_path / "c", chunk, False, data,
                                   lo, hi, repeat=1)
             assert coa.syscalls <= per.syscalls, (chunk, zone)
 
 
 def test_read_benchmark(benchmark, tmp_path, rng):
     data = rng.random(ARRAY)
-    a = _make(tmp_path / "b", (16, 16), True, data)
+    a = _make(tmp_path / "b", (16, 16), data)
 
     def scan():
         a._pool.invalidate()

@@ -17,14 +17,15 @@ scatter each chunk into its place in the requested in-memory order
 transposition.
 
 Every sub-array request is first compiled by :mod:`repro.drx.ioplan`
-into maximal contiguous address runs.  Small requests are served through
-the pool with batched faulting (one vectored store call for all missing
-chunks); requests larger than the pool **stream**: they move whole runs
-with ``readv``/``writev`` and never churn the cache, overlaying dirty
-cached pages on reads and refreshing stale cached pages on writes so the
-pool and the bypass stay coherent.  ``coalesce=False`` restores the
-legacy one-store-call-per-chunk execution (used by equivalence tests and
-the coalescing benchmark).
+into maximal contiguous address runs and executed on one of two routes,
+chosen from the plan's size.  A request that fits the pool is **pooled**:
+its chunks are pinned with batched faulting (one vectored store call for
+all missing chunks; a single-chunk request is the scalar case of the
+same route).  A request larger than the pool **streams**: it moves whole
+runs with ``readv``/``writev`` and never churns the cache, overlaying
+dirty cached pages on reads and refreshing stale cached pages on writes
+so the pool and the bypass stay coherent.  Both routes, in both
+directions, share one per-chunk copy (``DRXFile._copy_chunks``).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class DRXFile:
 
     def __init__(self, meta: DRXMeta, data_store: ByteStore,
                  meta_store: ByteStore | None, writable: bool,
-                 cache_pages: int = 64, coalesce: bool = True,
+                 cache_pages: int = 64,
                  executor: "IOExecutor | None | str" = "auto",
                  readahead: int | None = None,
                  tune: str | None = None) -> None:
@@ -154,7 +155,6 @@ class DRXFile:
         # bumps eci.generation) invalidates it for free; hit/miss
         # counters land in the data store's StoreStats.
         self._plans = PlanCache(stats=getattr(self._data, "stats", None))
-        self._coalesce = coalesce
         self._closed = False
         # -- lifecycle hooks (serve daemon, replication tooling) --------
         #: successful meta-data commits through this handle; an
@@ -288,8 +288,7 @@ class DRXFile:
                dtype: str | np.dtype | type = DRXType.DOUBLE,
                overwrite: bool = False, cache_pages: int = 64,
                fill: float | int | complex = 0,
-               coalesce: bool = True, checksums: bool = False,
-               codec: str = "none",
+               checksums: bool = False, codec: str = "none",
                store_wrapper: StoreWrapper | None = None,
                executor: "IOExecutor | None | str" = "auto",
                readahead: int | None = None,
@@ -318,13 +317,12 @@ class DRXFile:
                 lambda: (xmd.unlink(), xta.unlink())
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
                            codec, fill, store_wrapper,
-                           cache_pages=cache_pages, coalesce=coalesce,
-                           executor=executor, readahead=readahead,
-                           tune=tune)
+                           cache_pages=cache_pages, executor=executor,
+                           readahead=readahead, tune=tune)
 
     @classmethod
     def open(cls, path: str | pathlib.Path, mode: str = "r",
-             cache_pages: int = 64, coalesce: bool = True,
+             cache_pages: int = 64,
              store_wrapper: StoreWrapper | None = None,
              executor: "IOExecutor | None | str" = "auto",
              readahead: int | None = None,
@@ -344,16 +342,15 @@ class DRXFile:
             meta_store = PosixByteStore(xmd, mode)
             return meta, PosixByteStore(xta, mode), meta_store
         return cls._open(mode, resolve, store_wrapper,
-                         cache_pages=cache_pages, coalesce=coalesce,
-                         executor=executor, readahead=readahead, tune=tune)
+                         cache_pages=cache_pages, executor=executor,
+                         readahead=readahead, tune=tune)
 
     @classmethod
     def create_pfs(cls, fs, name: str,
                    bounds: Sequence[int], chunk_shape: Sequence[int],
                    dtype: str | np.dtype | type = DRXType.DOUBLE,
                    cache_pages: int = 64, fill: float | int | complex = 0,
-                   coalesce: bool = True, checksums: bool = False,
-                   codec: str = "none",
+                   checksums: bool = False, codec: str = "none",
                    store_wrapper: StoreWrapper | None = None,
                    executor: "IOExecutor | None | str" = "auto",
                    readahead: int | None = None,
@@ -376,13 +373,12 @@ class DRXFile:
                 lambda: (fs.delete(xmd), fs.delete(xta))
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
                            codec, fill, store_wrapper,
-                           cache_pages=cache_pages, coalesce=coalesce,
-                           executor=executor, readahead=readahead,
-                           tune=tune)
+                           cache_pages=cache_pages, executor=executor,
+                           readahead=readahead, tune=tune)
 
     @classmethod
     def open_pfs(cls, fs, name: str, mode: str = "r",
-                 cache_pages: int = 64, coalesce: bool = True,
+                 cache_pages: int = 64,
                  store_wrapper: StoreWrapper | None = None,
                  executor: "IOExecutor | None | str" = "auto",
                  readahead: int | None = None,
@@ -394,8 +390,8 @@ class DRXFile:
             return meta, PFSByteStore(fs.open(name + cls.XTA_SUFFIX)), \
                 PFSByteStore(xmd)
         return cls._open(mode, resolve, store_wrapper,
-                         cache_pages=cache_pages, coalesce=coalesce,
-                         executor=executor, readahead=readahead, tune=tune)
+                         cache_pages=cache_pages, executor=executor,
+                         readahead=readahead, tune=tune)
 
     def close(self) -> None:
         """Flush and close both files (idempotent)."""
@@ -677,7 +673,7 @@ class DRXFile:
         plan = self._plans.box(self.meta.eci, lo, hi, self.chunk_shape,
                                self.meta.chunk_nbytes)
         out = np.zeros(box_shape(lo, hi), dtype=self.dtype, order=order)
-        self._execute_read(plan, out)
+        self._execute(plan, out, to_box=True)
         return out
 
     def write(self, lo: Sequence[int], values: np.ndarray) -> None:
@@ -695,7 +691,7 @@ class DRXFile:
         validate_box(lo, hi, self.shape)
         plan = self._plans.box(self.meta.eci, lo, hi, self.chunk_shape,
                                self.meta.chunk_nbytes)
-        self._execute_write(plan, values)
+        self._execute(plan, values, to_box=False)
 
     def read_all(self, order: str = "C") -> np.ndarray:
         """The whole principal array as one in-memory array."""
@@ -719,7 +715,7 @@ class DRXFile:
         plan = self._plans.slab(self.meta.eci, slab, self.chunk_shape,
                                 self.meta.chunk_nbytes)
         out = np.zeros(slab.shape, dtype=self.dtype, order=order)
-        self._execute_read(plan, out)
+        self._execute(plan, out, to_box=True)
         return out
 
     def write_slab(self, start, stride, values: np.ndarray) -> None:
@@ -732,7 +728,7 @@ class DRXFile:
         slab.validate(self.shape)
         plan = self._plans.slab(self.meta.eci, slab, self.chunk_shape,
                                 self.meta.chunk_nbytes)
-        self._execute_write(plan, values)
+        self._execute(plan, values, to_box=False)
 
     # ------------------------------------------------------------------
     # integrity
@@ -863,31 +859,81 @@ class DRXFile:
                 "reclaimed": max(0, before - end)}
 
     # ------------------------------------------------------------------
-    # plan execution (per-chunk, pool-batched, or streaming)
+    # plan execution: pooled (the plan fits the Mpool) or streaming
     # ------------------------------------------------------------------
-    def _execute_read(self, plan: IOPlan, out: np.ndarray) -> None:
-        """Scatter the planned chunks into ``out`` (its ``box_slices``
-        coordinate frame)."""
-        cs = self.chunk_shape
-        if not self._coalesce or plan.num_chunks <= 1:
-            for v in plan.visits:
-                buf = self._pool.get(v.address)
-                try:
-                    arr = buf.view(self.dtype).reshape(cs)
-                    out[v.box_slices] = arr[v.chunk_slices]
-                finally:
-                    self._pool.put(v.address)
-        elif plan.num_chunks > self._pool.max_pages:
-            self._read_streaming(plan, out)
+    def _execute(self, plan: IOPlan, box: np.ndarray, to_box: bool) -> None:
+        """Move the planned chunks into (``to_box``, a read) or out of
+        ``box``, the request's in-memory array in the visits'
+        ``box_slices`` coordinate frame.  The route follows from the
+        plan's size against the pool's capacity."""
+        n = plan.num_chunks
+        if n > self._pool.max_pages:
+            stream = self._read_streaming if to_box else self._write_streaming
+            stream(plan, box)
         else:
-            addrs = plan.addresses
-            bufs = self._pool.get_many(addrs)
-            try:
-                for v, buf in zip(plan.visits, bufs):
-                    arr = buf.view(self.dtype).reshape(cs)
-                    out[v.box_slices] = arr[v.chunk_slices]
-            finally:
-                self._pool.put_many(addrs)
+            self._pooled(plan.visits, box, to_box, scalar=n <= 1)
+
+    def _copy_chunks(self, visits, bufs, box: np.ndarray,
+                     to_box: bool) -> None:
+        """The one per-chunk copy: each visit's region moves between its
+        chunk buffer (``bufs`` aligned with ``visits``; any object with
+        the buffer protocol holding one row-major chunk) and ``box``."""
+        cs = self.chunk_shape
+        dtype = self.dtype
+        for v, buf in zip(visits, bufs):
+            arr = np.frombuffer(buf, dtype=dtype).reshape(cs)
+            if to_box:
+                box[v.box_slices] = arr[v.chunk_slices]
+            else:
+                arr[v.chunk_slices] = box[v.box_slices]
+
+    def _pooled(self, visits, box: np.ndarray, to_box: bool,
+                scalar: bool = False) -> None:
+        """Pin the visits' chunks in the pool (at most its capacity),
+        copy, unpin — dirty after a write.  The misses fault with one
+        vectored store call; ``scalar`` (the plan is a single chunk)
+        pins through ``Mpool.get``/``put`` and a plain store ``read``."""
+        pool = self._pool
+        addrs = [v.address for v in visits]
+        bufs = [pool.get(q) for q in addrs] if scalar \
+            else pool.get_many(addrs)
+        try:
+            self._copy_chunks(visits, bufs, box, to_box)
+        finally:
+            if scalar:
+                for q in addrs:
+                    pool.put(q, dirty=not to_box)
+            else:
+                pool.put_many(addrs, dirty=not to_box)
+
+    def _stream_batches(self, plan: IOPlan) -> list[tuple[list, list]]:
+        """Group a streamed plan's runs into store transfers, each a
+        ``(visits, byte extents)`` pair.
+
+        One batch holding every run — a single vectored call — without
+        an executor, for a single run, or while fault machinery is armed
+        (its schedules count store calls); otherwise one batch per run,
+        so the next transfer is in flight while this one is copied.
+        """
+        runs = plan.runs
+        if self._executor is None or len(runs) <= 1 \
+                or faultsites.any_active():
+            groups = [runs]
+        else:
+            groups = [[r] for r in runs]
+        nb = plan.chunk_nbytes
+        return [(plan.visits[g[0].first:g[-1].first + g[-1].count],
+                 [r.byte_extent(nb) for r in g]) for g in groups]
+
+    def _begin(self, overlap: bool, call: Callable, *args) -> Callable:
+        """Start a store transfer and return the callable that waits for
+        it: in flight on the executor with ``overlap``, else run at the
+        wait itself."""
+        if not overlap:
+            return lambda: call(*args)
+        ex = self._executor
+        fut = ex.submit(call, *args)
+        return lambda: ex.result(fut)
 
     def _read_streaming(self, plan: IOPlan, out: np.ndarray) -> None:
         """Move whole runs with vectored reads, bypassing the pool.
@@ -899,92 +945,44 @@ class DRXFile:
         read must not observe the store before an already-submitted
         write-back lands.
 
-        With an executor the runs become a double-buffered pipeline: run
-        ``i+1`` is read in the background while run ``i`` scatters into
-        ``out``.  The serial path (no executor, a single run, or armed
-        fault machinery) keeps the historical one-``readv`` shape.
+        Batch ``i+1`` (see :meth:`_stream_batches`) is read while batch
+        ``i`` scatters into ``out``.
         """
-        cs = self.chunk_shape
         nb = self.meta.chunk_nbytes
         self._pool.drain_writebehind()
-        extents = plan.byte_extents()
-        ex = self._executor
-        if ex is None or len(extents) <= 1 or faultsites.any_active():
-            blob = memoryview(self._data.readv(extents))
-            self._scatter_run(plan.visits, blob, out)
-            return
-        visits = plan.visits
-        vpos = 0
-        fut = ex.submit(self._data.readv, [extents[0]])
-        for i, (_off, length) in enumerate(extents):
-            blob = memoryview(ex.result(fut))
-            if i + 1 < len(extents):
-                fut = ex.submit(self._data.readv, [extents[i + 1]])
-            count = length // nb
-            self._scatter_run(visits[vpos:vpos + count], blob, out)
-            vpos += count
-
-    def _scatter_run(self, visits, blob: memoryview,
-                     out: np.ndarray) -> None:
-        """Scatter one streamed blob (``visits`` in blob order) into
-        ``out``, shadowing dirty cached pages and verifying checksums."""
-        cs = self.chunk_shape
-        nb = self.meta.chunk_nbytes
-        pos = 0
-        for v in visits:
-            cached = self._pool.peek_dirty(v.address)
-            if cached is not None:
-                arr = cached.view(self.dtype).reshape(cs)
-            else:
-                raw = blob[pos:pos + nb]
-                if self._guard is not None:
-                    # a CRC mismatch arbitrates among replica copies of
-                    # the chunk (no-op alternates on unreplicated stores)
-                    raw = self._guard.check_or_arbitrate(
-                        v.address, raw, self._data, v.address * nb, nb)
-                arr = np.frombuffer(raw, dtype=self.dtype).reshape(cs)
-            out[v.box_slices] = arr[v.chunk_slices]
-            pos += nb
-
-    def _execute_write(self, plan: IOPlan, values: np.ndarray) -> None:
-        """Gather ``values`` (``box_slices`` frame) into the planned
-        chunks."""
-        cs = self.chunk_shape
-        if not self._coalesce or plan.num_chunks <= 1:
-            for v in plan.visits:
-                buf = self._pool.get(v.address)
-                try:
-                    arr = buf.view(self.dtype).reshape(cs)
-                    arr[v.chunk_slices] = values[v.box_slices]
-                finally:
-                    self._pool.put(v.address, dirty=True)
-        elif plan.num_chunks > self._pool.max_pages:
-            self._write_streaming(plan, values)
-        else:
-            addrs = plan.addresses
-            bufs = self._pool.get_many(addrs)
-            try:
-                for v, buf in zip(plan.visits, bufs):
-                    arr = buf.view(self.dtype).reshape(cs)
-                    arr[v.chunk_slices] = values[v.box_slices]
-            finally:
-                self._pool.put_many(addrs, dirty=True)
+        batches = self._stream_batches(plan)
+        overlap = len(batches) > 1
+        pending = self._begin(overlap, self._data.readv, batches[0][1])
+        for i, (visits, _extents) in enumerate(batches):
+            blob = memoryview(pending())
+            if i + 1 < len(batches):
+                pending = self._begin(overlap, self._data.readv,
+                                      batches[i + 1][1])
+            bufs = []
+            for pos, v in enumerate(visits):
+                buf = self._pool.peek_dirty(v.address)
+                if buf is None:
+                    buf = blob[pos * nb:(pos + 1) * nb]
+                    if self._guard is not None:
+                        # a CRC mismatch arbitrates among replica copies
+                        # of the chunk (no alternates when unreplicated)
+                        buf = self._guard.check_or_arbitrate(
+                            v.address, buf, self._data, v.address * nb, nb)
+                bufs.append(buf)
+            self._copy_chunks(visits, bufs, out, to_box=True)
 
     def _write_streaming(self, plan: IOPlan, values: np.ndarray) -> None:
         """Stream fully covered chunks to the store in coalesced runs.
 
         Partially covered (edge) chunks still read-modify-write through
-        the pool, in capacity-sized batches.  Cached copies of streamed
-        chunks are refreshed in place so the pool cannot later resurface
-        (or write back) stale bytes; pending background write-backs are
-        drained first (an in-flight write-back must not land *after*
-        this write) and pending read-aheads are invalidated (one could
-        have captured pre-write bytes).
+        the pool, in capacity-sized batches.  Pending background
+        write-backs are drained first (an in-flight write-back must not
+        land *after* this write) and pending read-aheads are invalidated
+        (one could have captured pre-write bytes).
 
-        With an executor the full-chunk runs pipeline: while run ``i``'s
-        ``writev`` is in flight, run ``i+1``'s payload is gathered and
-        its checksums recorded — at most one store write in flight, so
-        write ordering is preserved.
+        While batch ``i`` (see :meth:`_stream_batches`) is being
+        written, batch ``i+1``'s payload is gathered — at most one store
+        write in flight, so write ordering is preserved.
         """
         nb = self.meta.chunk_nbytes
         full = [v for v in plan.visits if v.full]
@@ -992,57 +990,32 @@ class DRXFile:
         self._pool.drain_writebehind()
         self._pool.discard_prefetch()
         if full:
-            starts, counts = coalesce_addresses(
-                np.asarray([v.address for v in full], dtype=np.int64))
-            extents = [(int(s) * nb, int(c) * nb)
-                       for s, c in zip(starts, counts)]
-            ex = self._executor
-            if ex is None or len(extents) <= 1 or faultsites.any_active():
-                payload = bytearray()
-                for v in full:
-                    raw = np.ascontiguousarray(
-                        values[v.box_slices]).tobytes()
-                    self._pool.refresh(v.address, raw)
-                    payload += raw
-                self._data.writev(extents, payload)
-                if self._guard is not None:
-                    pos = 0
-                    nbv = memoryview(payload)
-                    for v in full:
-                        self._guard.record(v.address, nbv[pos:pos + nb])
-                        pos += nb
-            else:
-                vpos = 0
-                pending = None
-                for off, length in extents:
-                    count = length // nb
-                    run = full[vpos:vpos + count]
-                    vpos += count
-                    payload = bytearray()
-                    for v in run:
-                        raw = np.ascontiguousarray(
-                            values[v.box_slices]).tobytes()
-                        self._pool.refresh(v.address, raw)
-                        payload += raw
-                    if self._guard is not None:
-                        pos = 0
-                        nbv = memoryview(payload)
-                        for v in run:
-                            self._guard.record(v.address,
-                                               nbv[pos:pos + nb])
-                            pos += nb
-                    if pending is not None:
-                        ex.result(pending)
-                    pending = ex.submit(self._data.writev,
-                                        [(off, length)], bytes(payload))
-                ex.result(pending)
+            batches = self._stream_batches(IOPlan(full, nb))
+            inflight = None
+            for visits, extents in batches:
+                payload = bytearray(len(visits) * nb)
+                mv = memoryview(payload)
+                chunks = [mv[i * nb:(i + 1) * nb]
+                          for i in range(len(visits))]
+                self._copy_chunks(visits, chunks, values, to_box=False)
+                if inflight is not None:
+                    self._landed(*inflight)
+                wait = self._begin(len(batches) > 1, self._data.writev,
+                                   extents, payload)
+                inflight = (wait, visits, chunks)
+            self._landed(*inflight)
         for i in range(0, len(partial), self._pool.max_pages):
-            batch = partial[i:i + self._pool.max_pages]
-            addrs = [v.address for v in batch]
-            bufs = self._pool.get_many(addrs)
-            try:
-                for v, buf in zip(batch, bufs):
-                    arr = buf.view(self.dtype).reshape(self.chunk_shape)
-                    arr[v.chunk_slices] = values[v.box_slices]
-            finally:
-                self._pool.put_many(addrs, dirty=True)
+            self._pooled(partial[i:i + self._pool.max_pages], values,
+                         to_box=False)
+
+    def _landed(self, wait: Callable, visits, chunks) -> None:
+        """Finish one streamed write batch.  Only once its store write
+        has returned are the chunks' checksums recorded and their cached
+        copies refreshed in place (so the pool cannot later resurface,
+        or write back, stale bytes): a write that fails leaves the CRC
+        table and the pool describing the bytes the store still holds."""
+        wait()
+        for v, raw in zip(visits, chunks):
+            if self._guard is not None:
+                self._guard.record(v.address, raw)
+            self._pool.refresh(v.address, raw)

@@ -18,15 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.chunking import (
-    box_shape,
-    chunk_of,
-    iter_box_intersections,
-    validate_box,
-)
+from ..core.chunking import box_shape, chunk_of, validate_box
 from ..core.errors import DRXIndexError
-from ..core.mapping import f_star_many
 from ..core.metadata import DRXMeta, DRXType
+from .ioplan import plan_box
 
 __all__ = ["MemExtendibleArray"]
 
@@ -120,8 +115,8 @@ class MemExtendibleArray:
         # allocate directly in the requested order and scatter chunks
         # into it — on-the-fly transposition, no post-hoc copy
         out = np.zeros(box_shape(lo, hi), dtype=self.dtype, order=order)
-        for q, inter in self._plan(lo, hi):
-            out[inter.box_slices] = self._chunks[q][inter.chunk_slices]
+        for v in self._visits(lo, hi):
+            out[v.box_slices] = self._chunks[v.address][v.chunk_slices]
         return out
 
     def write(self, lo: Sequence[int], values: np.ndarray) -> None:
@@ -129,15 +124,12 @@ class MemExtendibleArray:
         lo = tuple(lo)
         hi = tuple(l + s for l, s in zip(lo, values.shape))
         validate_box(lo, hi, self.shape)
-        for q, inter in self._plan(lo, hi):
-            self._chunks[q][inter.chunk_slices] = values[inter.box_slices]
+        for v in self._visits(lo, hi):
+            self._chunks[v.address][v.chunk_slices] = values[v.box_slices]
 
-    def _plan(self, lo, hi):
-        inters = list(iter_box_intersections(lo, hi, self.chunk_shape))
-        idx = np.asarray([it.chunk_index for it in inters], dtype=np.int64)
-        addrs = f_star_many(self.meta.eci, idx)
-        order = np.argsort(addrs, kind="stable")
-        return [(int(addrs[i]), inters[i]) for i in order]
+    def _visits(self, lo, hi):
+        return plan_box(self.meta.eci, lo, hi, self.chunk_shape,
+                        self.meta.chunk_nbytes).visits
 
     # ------------------------------------------------------------------
     # conversions

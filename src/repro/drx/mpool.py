@@ -29,7 +29,8 @@ hot pages pay the codec once, not per access.  The pool's ``guard`` is
 ``None`` in that configuration — CRC verification happens inside the
 adapter, over the compressed payload at its physical slot.
 
-Concurrency (optional, off unless an executor is attached):
+Concurrency (only with an attached executor; ``readahead=`` sizes the
+read-ahead window, write-behind has no switch of its own):
 
 * **Thread safety.**  Every public entry point runs under one reentrant
   lock, so the pool can be shared between the MPI-as-threads ranks and
@@ -43,10 +44,11 @@ Concurrency (optional, off unless an executor is attached):
   go through the normal ``_make_room``).  A prefetch that is never used
   is simply dropped (``prefetch_dropped``); a failed background read is
   ignored and the page faults normally.
-* **Write-behind.**  Eviction write-backs are handed to the executor:
-  the payload is copied, counters and checksums are recorded at submit
-  time (identical values to the synchronous path), and the future joins
-  a bounded dirty queue.  Overlapping submissions wait for their
+* **Write-behind.**  Eviction write-backs go through the same
+  ``_writeback_run`` as ``flush``, handed to the executor: the payload
+  is copied, counters and checksums are recorded at submit time
+  (identical values to the foreground call), and the future joins a
+  bounded dirty queue.  Overlapping submissions wait for their
   predecessors (per-page FIFO), demand faults wait for overlapping
   in-flight write-backs before touching the store, and ``flush()`` /
   ``invalidate()`` / ``drain_writebehind()`` are full barriers.
@@ -74,6 +76,10 @@ from .ioplan import coalesce_addresses
 from .storage import ByteStore
 
 __all__ = ["Mpool", "MpoolStats"]
+
+#: write-behind runs that may be in flight before an eviction stalls on
+#: the oldest one
+_WB_QUEUE = 4
 
 
 @dataclass
@@ -130,8 +136,7 @@ class Mpool:
 
     def __init__(self, store: ByteStore, page_size: int,
                  max_pages: int = 64, guard=None, executor=None,
-                 readahead: int = 8, write_behind: bool = True,
-                 wb_queue: int = 4) -> None:
+                 readahead: int = 8) -> None:
         if page_size < 1:
             raise DRXError(f"page size must be >= 1, got {page_size}")
         if max_pages < 1:
@@ -140,7 +145,7 @@ class Mpool:
         self.page_size = page_size
         self.max_pages = max_pages
         #: optional integrity hook (``repro.drx.resilience.ChecksumGuard``):
-        #: ``check(pageno, bytes)`` on every fault-in, ``record(pageno,
+        #: ``check_or_arbitrate`` on every fault-in, ``record(pageno,
         #: bytes)`` on every write-back — the pool is where chunk bytes
         #: cross the store boundary, so checksums are enforced here.
         self.guard = guard
@@ -157,8 +162,6 @@ class Mpool:
         self._executor = executor
         self._readahead = (max(0, min(int(readahead), max_pages // 2))
                            if executor is not None else 0)
-        self._write_behind = bool(write_behind) and executor is not None
-        self._wb_queue = max(1, int(wb_queue))
         #: pending write-behind: (future, frozenset of page numbers)
         self._wb: "deque[tuple[Future, frozenset[int]]]" = deque()
         #: pageno -> in-flight/landed read-ahead future; one future may
@@ -200,10 +203,7 @@ class Mpool:
                                           self.page_size)
                     self.stats.syscalls += 1
                     self.stats.bytes_faulted += self.page_size
-                    raw = self._verify(pageno, raw, pageno * self.page_size)
-                    page = _Page(np.frombuffer(bytearray(raw),
-                                               dtype=np.uint8))
-                    self._pages[pageno] = page
+                    page = self._install(pageno, raw)
             page.pins += 1
             self._note_scalar_access(pageno)
             return page.buf
@@ -294,28 +294,22 @@ class Mpool:
         self.stats.bytes_faulted += len(blob)
         mv = memoryview(blob)
         for i, p in enumerate(missing):
-            raw = self._verify(p, mv[i * ps:(i + 1) * ps], p * ps)
-            buf = np.frombuffer(bytearray(raw), dtype=np.uint8)
-            page = _Page(buf)
-            page.pins = 1               # protective pin, see get_many
-            self._pages[p] = page
+            # protective pin, see get_many
+            self._install(p, mv[i * ps:(i + 1) * ps]).pins = 1
 
-    def _verify(self, pageno: int, raw, offset: int):
-        """Run the integrity guard over a faulted-in page.
-
-        Guards that can arbitrate (``check_or_arbitrate``) get the store
-        handle so a CRC mismatch can be resolved from a replica copy —
-        the returned bytes are then the arbitrated version; plain guards
-        just verify in place.
-        """
-        if self.guard is None:
-            return raw
-        arbitrate = getattr(self.guard, "check_or_arbitrate", None)
-        if arbitrate is not None:
-            return arbitrate(pageno, raw, self.store, offset,
-                             self.page_size)
-        self.guard.check(pageno, raw)
-        return raw
+    def _install(self, pageno: int, raw) -> _Page:
+        """Cache the bytes just read for ``pageno`` as a clean page (the
+        caller has made room).  The integrity guard verifies them first;
+        it gets the store handle so a CRC mismatch can be resolved from
+        a replica copy — the installed bytes are then the arbitrated
+        version."""
+        if self.guard is not None:
+            ps = self.page_size
+            raw = self.guard.check_or_arbitrate(pageno, raw, self.store,
+                                                pageno * ps, ps)
+        page = _Page(np.frombuffer(bytearray(raw), dtype=np.uint8))
+        self._pages[pageno] = page
+        return page
 
     def put(self, pageno: int, dirty: bool = False) -> None:
         """Unpin page ``pageno``, optionally marking it dirty."""
@@ -369,42 +363,62 @@ class Mpool:
                 and nb.dirty and nb.pins == 0:
             members.append((hi, nb))
             hi += 1
-        if self._wb_allowed():
-            self._writeback_async(members)
-        else:
-            self._writeback_batch(members)
+        self._writeback_run(members, background=self._wb_allowed())
 
-    def _writeback(self, pageno: int, page: _Page) -> None:
-        """Write back one page, passing its buffer zero-copy."""
-        self.store.write(pageno * self.page_size, page.buf.data)
-        if self.guard is not None:
-            self.guard.record(pageno, page.buf.data)
-        self.stats.writebacks += 1
-        self.stats.syscalls += 1
-        self.stats.bytes_written += self.page_size
-        page.dirty = False
+    def _writeback_run(self, members: list[tuple[int, _Page]],
+                       background: bool = False) -> None:
+        """Write back a set of dirty pages as sorted coalesced runs.
 
-    def _writeback_batch(self, members: list[tuple[int, _Page]]) -> None:
-        """Write back a set of dirty pages as sorted coalesced runs."""
+        A single page moves with a plain ``write`` of its buffer, more
+        with one ``writev`` of the joined payload.  In the foreground
+        the checksums and counters are recorded once the store call has
+        returned.  With ``background`` (write-behind) the call is handed
+        to the executor instead: the payload is a *copy* (the pages stay
+        cached and may be re-dirtied while the write is in flight),
+        checksums and counters are recorded at submit time — the same
+        values — and ordering is preserved by waiting for any pending
+        write-behind touching the same pages (per-page FIFO) and by the
+        bounded queue.
+        """
         if not members:
-            return
-        if len(members) == 1:
-            self._writeback(*members[0])
             return
         members = sorted(members, key=lambda m: m[0])
         ps = self.page_size
-        starts, counts = coalesce_addresses(
-            np.asarray([p for p, _pg in members], dtype=np.int64))
-        extents = [(int(s) * ps, int(c) * ps)
-                   for s, c in zip(starts, counts)]
-        payload = b"".join(pg.buf.data for _p, pg in members)
-        self.store.writev(extents, payload)
+        if len(members) == 1:
+            pageno, page = members[0]
+            calls, vectored = 1, 0
+            payload = bytes(page.buf.data) if background else page.buf.data
+            call, args = self.store.write, (pageno * ps, payload)
+        else:
+            starts, counts = coalesce_addresses(
+                np.asarray([p for p, _pg in members], dtype=np.int64))
+            extents = [(int(s) * ps, int(c) * ps)
+                       for s, c in zip(starts, counts)]
+            calls = vectored = len(extents)
+            payload = b"".join(pg.buf.data for _p, pg in members)
+            call, args = self.store.writev, (extents, payload)
+        if background:
+            pages = frozenset(p for p, _pg in members)
+            self._wb_wait_overlap(pages)
+            while len(self._wb) >= _WB_QUEUE:
+                self.stats.writebehind_stalls += 1
+                fut, _pages = self._wb.popleft()
+                fut.result()
+            fut = self._executor.submit(
+                call, *args,
+                key=("mpool-wb", id(self), members[0][0], len(members)))
+            self._wb.append((fut, pages))
+            self.stats.writebehind_runs += 1
+            self.stats.writebehind_bytes += len(payload)
+        else:
+            call(*args)
         if self.guard is not None:
-            for p, pg in members:
-                self.guard.record(p, pg.buf.data)
+            mv = memoryview(payload)
+            for i, (p, _pg) in enumerate(members):
+                self.guard.record(p, mv[i * ps:(i + 1) * ps])
         self.stats.writebacks += len(members)
-        self.stats.syscalls += len(extents)
-        self.stats.coalesced_runs += len(extents)
+        self.stats.syscalls += calls
+        self.stats.coalesced_runs += vectored
         self.stats.bytes_written += len(payload)
         for _p, pg in members:
             pg.dirty = False
@@ -413,61 +427,10 @@ class Mpool:
     # write-behind (executor-backed eviction write-backs)
     # ------------------------------------------------------------------
     def _wb_allowed(self) -> bool:
-        """Write-behind only without armed fault machinery: crash tests
-        reason about exactly which bytes are down at each crash point."""
-        return self._write_behind and not faultsites.any_active()
-
-    def _writeback_async(self, members: list[tuple[int, _Page]]) -> None:
-        """Hand a write-back run to the executor.
-
-        The payload is *copied* (the pages stay cached and may be
-        re-dirtied while the write is in flight), checksums and counters
-        are recorded at submit time — identical values to the
-        synchronous path — and ordering is preserved by waiting for any
-        pending write-behind touching the same pages (per-page FIFO)
-        and by the bounded queue.
-        """
-        members = sorted(members, key=lambda m: m[0])
-        pages = frozenset(p for p, _pg in members)
-        self._wb_wait_overlap(pages)
-        while len(self._wb) >= self._wb_queue:
-            self.stats.writebehind_stalls += 1
-            fut, _pages = self._wb.popleft()
-            fut.result()
-        ps = self.page_size
-        if len(members) == 1:
-            pageno, page = members[0]
-            payload = bytes(page.buf.data)
-            fut = self._executor.submit(
-                self.store.write, pageno * ps, payload,
-                key=("mpool-wb", id(self), pageno, 1))
-            if self.guard is not None:
-                self.guard.record(pageno, payload)
-            self.stats.writebacks += 1
-            self.stats.syscalls += 1
-            self.stats.bytes_written += ps
-        else:
-            starts, counts = coalesce_addresses(
-                np.asarray([p for p, _pg in members], dtype=np.int64))
-            extents = [(int(s) * ps, int(c) * ps)
-                       for s, c in zip(starts, counts)]
-            payload = b"".join(bytes(pg.buf.data) for _p, pg in members)
-            fut = self._executor.submit(
-                self.store.writev, extents, payload,
-                key=("mpool-wb", id(self), members[0][0], len(members)))
-            if self.guard is not None:
-                mv = memoryview(payload)
-                for i, (p, _pg) in enumerate(members):
-                    self.guard.record(p, mv[i * ps:(i + 1) * ps])
-            self.stats.writebacks += len(members)
-            self.stats.syscalls += len(extents)
-            self.stats.coalesced_runs += len(extents)
-            self.stats.bytes_written += len(payload)
-        self.stats.writebehind_runs += 1
-        self.stats.writebehind_bytes += len(payload)
-        for _p, pg in members:
-            pg.dirty = False
-        self._wb.append((fut, pages))
+        """Evictions write behind whenever an executor is attached —
+        except with armed fault machinery: crash tests reason about
+        exactly which bytes are down at each crash point."""
+        return self._executor is not None and not faultsites.any_active()
 
     def _wb_wait_overlap(self, pages: set[int] | frozenset[int]) -> None:
         """Wait for pending write-behind futures touching ``pages``.
@@ -615,13 +578,9 @@ class Mpool:
             start, blob = fut.result()
         except Exception:
             return None     # advisory data only; demand path recovers
-        ps = self.page_size
-        at = (pageno - start) * ps
-        raw = self._verify(pageno, blob[at:at + ps], pageno * ps)
+        at = (pageno - start) * self.page_size
         self._make_room(1)
-        page = _Page(np.frombuffer(bytearray(raw), dtype=np.uint8))
-        self._pages[pageno] = page
-        return page
+        return self._install(pageno, blob[at:at + self.page_size])
 
     def _pf_discard(self, wait: bool) -> None:
         """Drop every pending read-ahead (counting unused pages as
@@ -687,7 +646,7 @@ class Mpool:
             self._pf_discard(wait=True)
             crash_point("mpool.flush.begin")
             dirty = [(p, pg) for p, pg in self._pages.items() if pg.dirty]
-            self._writeback_batch(dirty)
+            self._writeback_run(dirty)
             crash_point("mpool.flush.after_writeback")
             self.store.flush()
 
@@ -718,7 +677,7 @@ class Mpool:
         with self._lock:
             self._wb_drain()
             self._pf_discard(wait=True)
-            self._writeback_batch(
+            self._writeback_run(
                 [(p, pg) for p, pg in self._pages.items()
                  if pg.dirty and pg.pins == 0]
             )

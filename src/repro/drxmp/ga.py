@@ -26,7 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.chunking import box_shape, chunk_element_box, chunks_covering_box, validate_box
+from ..core.chunking import (
+    box_shape,
+    chunk_element_box,
+    iter_box_intersections,
+    validate_box,
+)
 from ..core.errors import DRXDistributionError, DRXIndexError
 from ..core.inverse import f_star_inv_many
 from ..core.mapping import f_star_many
@@ -155,17 +160,10 @@ class GlobalArray:
         lo, hi = tuple(lo), tuple(hi)
         validate_box(lo, hi, self.shape)
         out = np.zeros(box_shape(lo, hi), dtype=self.meta.dtype)
-        for ci in chunks_covering_box(lo, hi, self.chunk_shape):
-            ci = tuple(int(x) for x in ci)
-            payload, _owner, _slot = self._chunk_rma(ci, fetch=True)
-            c_lo, c_hi = chunk_element_box(ci, self.chunk_shape, self.shape)
-            o_lo = tuple(max(a, b) for a, b in zip(c_lo, lo))
-            o_hi = tuple(min(a, b) for a, b in zip(c_hi, hi))
-            src = tuple(slice(a - c, b - c)
-                        for a, b, c in zip(o_lo, o_hi, c_lo))
-            dst = tuple(slice(a - l, b - l)
-                        for a, b, l in zip(o_lo, o_hi, lo))
-            out[dst] = payload[src]
+        for it in iter_box_intersections(lo, hi, self.chunk_shape):
+            payload, _owner, _slot = self._chunk_rma(it.chunk_index,
+                                                     fetch=True)
+            out[it.box_slices] = payload[it.chunk_slices]
         return out
 
     def put(self, lo: Sequence[int], values: np.ndarray) -> None:
@@ -176,26 +174,15 @@ class GlobalArray:
         hi = tuple(l + s for l, s in zip(lo, values.shape))
         validate_box(lo, hi, self.shape)
         nelem = self.meta.chunk_elems
-        for ci in chunks_covering_box(lo, hi, self.chunk_shape):
-            ci = tuple(int(x) for x in ci)
-            owner, slot = self.owner_and_slot(ci)
-            c_lo, c_hi = chunk_element_box(ci, self.chunk_shape, self.shape)
-            full_lo = tuple(c * s for c, s in zip(ci, self.chunk_shape))
-            full_hi = tuple(a + s for a, s in zip(full_lo, self.chunk_shape))
-            covered = all(l <= a and b <= h for a, b, l, h
-                          in zip(full_lo, full_hi, lo, hi))
-            o_lo = tuple(max(a, b) for a, b in zip(c_lo, lo))
-            o_hi = tuple(min(a, b) for a, b in zip(c_hi, hi))
-            dst = tuple(slice(a - c, b - c)
-                        for a, b, c in zip(o_lo, o_hi, full_lo))
-            src = tuple(slice(a - l, b - l)
-                        for a, b, l in zip(o_lo, o_hi, lo))
+        for it in iter_box_intersections(lo, hi, self.chunk_shape):
+            owner, slot = self.owner_and_slot(it.chunk_index)
+            dst, src = it.chunk_slices, it.box_slices
             if owner == self.comm.rank:
                 self.local[slot][dst] = values[src]
                 continue
             self._win.Lock(owner)
             try:
-                if covered and box_shape(o_lo, o_hi) == self.chunk_shape:
+                if it.full:
                     payload = np.ascontiguousarray(values[src])
                 else:
                     payload = np.empty(self.chunk_shape,
@@ -215,19 +202,10 @@ class GlobalArray:
         hi = tuple(l + s for l, s in zip(lo, values.shape))
         validate_box(lo, hi, self.shape)
         nelem = self.meta.chunk_elems
-        for ci in chunks_covering_box(lo, hi, self.chunk_shape):
-            ci = tuple(int(x) for x in ci)
-            owner, slot = self.owner_and_slot(ci)
-            c_lo, c_hi = chunk_element_box(ci, self.chunk_shape, self.shape)
-            full_lo = tuple(c * s for c, s in zip(ci, self.chunk_shape))
-            o_lo = tuple(max(a, b) for a, b in zip(c_lo, lo))
-            o_hi = tuple(min(a, b) for a, b in zip(c_hi, hi))
-            dst = tuple(slice(a - c, b - c)
-                        for a, b, c in zip(o_lo, o_hi, full_lo))
-            src = tuple(slice(a - l, b - l)
-                        for a, b, l in zip(o_lo, o_hi, lo))
+        for it in iter_box_intersections(lo, hi, self.chunk_shape):
+            owner, slot = self.owner_and_slot(it.chunk_index)
             addend = np.zeros(self.chunk_shape, dtype=self.meta.dtype)
-            addend[dst] = values[src]
+            addend[it.chunk_slices] = values[it.box_slices]
             self._win.Lock(owner)
             try:
                 self._win.Accumulate(addend, owner,

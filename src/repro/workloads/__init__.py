@@ -3,6 +3,7 @@
 from .generators import (
     boundary_slabs,
     bursty_growth,
+    chunk_boxes,
     column_scan_boxes,
     pattern_array,
     random_boxes,
@@ -22,4 +23,5 @@ __all__ = [
     "column_scan_boxes",
     "random_boxes",
     "boundary_slabs",
+    "chunk_boxes",
 ]

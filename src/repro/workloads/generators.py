@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..core.chunking import iter_box_intersections
 from ..core.errors import DRXError
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "column_scan_boxes",
     "random_boxes",
     "boundary_slabs",
+    "chunk_boxes",
 ]
 
 
@@ -154,3 +156,18 @@ def boundary_slabs(shape: Sequence[int],
         hi = list(shape)
         lo[d] = shape[d] - t
         yield tuple(lo), tuple(hi)
+
+
+def chunk_boxes(lo: Sequence[int], hi: Sequence[int],
+                chunk_shape: Sequence[int]
+                ) -> Iterator[tuple[tuple, tuple]]:
+    """The box ``[lo, hi)`` cut along chunk boundaries: one sub-box per
+    chunk it touches, in chunk-grid order.
+
+    Chunk-at-a-time access — every request compiles to a one-chunk
+    plan, so the engine issues one store call per chunk: the baseline
+    run coalescing is measured against.
+    """
+    for it in iter_box_intersections(lo, hi, chunk_shape):
+        yield (tuple(l + s.start for l, s in zip(lo, it.box_slices)),
+               tuple(l + s.stop for l, s in zip(lo, it.box_slices)))

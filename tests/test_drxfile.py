@@ -13,7 +13,12 @@ from repro.core.errors import (
     DRXIndexError,
 )
 from repro.drx import DRXFile
-from repro.workloads import boundary_slabs, pattern_array, random_boxes
+from repro.workloads import (
+    boundary_slabs,
+    chunk_boxes,
+    pattern_array,
+    random_boxes,
+)
 
 
 @pytest.fixture
@@ -245,12 +250,18 @@ class TestCache:
         b.close()
 
     def test_tiny_cache_per_chunk_path(self, tmp_path, rng):
-        # with coalescing off, every chunk still round-trips through the
-        # one-page pool, so the cache churns exactly as before
+        # one request per chunk: every chunk round-trips through the
+        # one-page pool, so the cache churns on each of them
         ref = rng.random((8, 8))
-        a = DRXFile.create(tmp_path / "c", (8, 8), (2, 2), cache_pages=1,
-                           coalesce=False)
-        a.write((0, 0), ref)
-        assert np.allclose(a.read(), ref)
+        a = DRXFile.create(tmp_path / "c", (8, 8), (2, 2), cache_pages=1)
+        got = np.empty_like(ref)
+        for (r0, c0), (r1, c1) in chunk_boxes((0, 0), a.shape,
+                                              a.chunk_shape):
+            a.write((r0, c0), ref[r0:r1, c0:c1])
+        for (r0, c0), (r1, c1) in chunk_boxes((0, 0), a.shape,
+                                              a.chunk_shape):
+            got[r0:r1, c0:c1] = a.read((r0, c0), (r1, c1))
+        assert np.allclose(got, ref)
         assert a.cache_stats.evictions > 0
+        assert a._data.stats.readv_calls == 0      # nothing streamed
         a.close()

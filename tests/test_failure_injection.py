@@ -20,6 +20,7 @@ from repro.core.errors import (
     DRXFormatError,
     PFSError,
 )
+from repro.core.executor import IOExecutor
 from repro.drx import (
     DRXFile,
     DRXSingleFile,
@@ -29,6 +30,7 @@ from repro.drx import (
     Mpool,
 )
 from repro.drx.singlefile import _SLOT0_OFF, _SLOT_SIZE, _unpack_slot
+from repro.drx.storage import StoreDecorator
 from repro.workloads import pattern_array
 from tests.test_singlefile import committed_slot
 
@@ -216,6 +218,53 @@ class TestStorageFaults:
             pool.flush()
         pool.flush()             # rule exhausted: retry succeeds
         assert store.read(0, 16) == b"\x03" * 16
+
+
+class _FailingWritev(StoreDecorator):
+    """A store whose vectored writes fail once armed.  No fault plan is
+    involved, so an attached executor really pipelines."""
+
+    armed = False
+
+    def writev(self, extents, data):
+        if self.armed:
+            raise PFSError("injected: writev failed")
+        super().writev(extents, data)
+
+
+@pytest.mark.parametrize("threads", [0, 2], ids=["one-batch", "pipelined"])
+def test_failed_streamed_write_leaves_crcs_and_pool_on_the_old_bytes(
+        threads):
+    """Checksums are recorded, and cached copies refreshed, only after
+    the batch's store write returned: when it raises, the CRC table and
+    the pool still describe what the store holds."""
+    wrapped = []
+
+    def wrapper(store, role):
+        wrapped.append(_FailingWritev(store))
+        return wrapped[-1]
+
+    ex = IOExecutor(threads) if threads else None
+    try:
+        a = DRXFile.create(None, (16, 16), (4, 4), cache_pages=2,
+                           checksums=True, store_wrapper=wrapper,
+                           executor=ex)
+        old = pattern_array((16, 16))
+        a.write((0, 0), old)
+        a.flush()
+        crcs = dict(a.meta.chunk_crcs)
+        assert a.get((0, 0)) == old[0, 0]          # chunk 0 cached, clean
+        wrapped[0].armed = True
+        with pytest.raises(PFSError):
+            a.write((0, 0), old[:, :8] + 1000)     # 8 chunks, 4 runs
+        wrapped[0].armed = False
+        assert a.meta.chunk_crcs == crcs
+        assert a.get((0, 0)) == old[0, 0]
+        assert np.array_equal(a.read(), old)       # verifies every CRC
+        a.close()
+    finally:
+        if ex is not None:
+            ex.shutdown()
 
 
 class TestMisuse:

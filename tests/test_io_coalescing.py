@@ -3,13 +3,16 @@
 Covers the I/O planning layer (:mod:`repro.drx.ioplan`), the vectored
 ``readv``/``writev`` store entry points, ``Mpool.get_many`` batch
 faulting and run-clustered write-back, the ``DRXFile`` routing policy
-(pooled batch vs streaming bypass vs legacy per-chunk), and the
-pre-coalesced MPI indexed filetype — including equivalence of every path
-against the legacy one-call-per-chunk execution on multi-segment
+(pooled batch vs streaming bypass), and the pre-coalesced MPI indexed
+filetype — including equivalence of every route with chunk-at-a-time
+access (one request per chunk, the scalar pooled case) on multi-segment
 extended arrays.
 """
 
 from __future__ import annotations
+
+import ast
+import inspect
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from repro.drx.ioplan import (
 )
 from repro.drx.storage import MemoryByteStore
 from repro.drxmp.subarray import chunk_datatype, indexed_filetype
+from repro.workloads import chunk_boxes
 
 
 class RecordingStore(MemoryByteStore):
@@ -271,7 +275,7 @@ class TestPoolBatch:
 
 
 # ----------------------------------------------------------------------
-# DRXFile routing: coalesced paths vs the legacy per-chunk path
+# DRXFile routing: coalesced routes vs chunk-at-a-time access
 # ----------------------------------------------------------------------
 def _grow_reference(a: DRXFile, rng) -> np.ndarray:
     """Extend ``a`` along both dims (multi-segment layout) and fill it
@@ -284,41 +288,60 @@ def _grow_reference(a: DRXFile, rng) -> np.ndarray:
     return ref
 
 
+def _read_chunkwise(a: DRXFile, lo, hi) -> np.ndarray:
+    """``a.read(lo, hi)`` assembled from one request per chunk."""
+    out = np.empty(tuple(h - l for l, h in zip(lo, hi)), dtype=a.dtype)
+    for c_lo, c_hi in chunk_boxes(lo, hi, a.chunk_shape):
+        out[tuple(slice(cl - l, ch - l)
+                  for l, cl, ch in zip(lo, c_lo, c_hi))] = a.read(c_lo, c_hi)
+    return out
+
+
 class TestFileRouting:
     def test_box_roundtrip_matches_per_chunk_path(self, tmp_path, rng):
         a = DRXFile.create(tmp_path / "a", (6, 6), (3, 3), cache_pages=4)
         ref = _grow_reference(a, rng)
         assert np.allclose(a.read(), ref)
         a.close()
-        # the legacy path sees the very same bytes
-        b = DRXFile.open(tmp_path / "a", cache_pages=4, coalesce=False)
-        assert np.allclose(b.read(), ref)
-        assert np.allclose(b.read((2, 3), (9, 11)), ref[2:9, 3:11])
+        # chunk-at-a-time reads see the very same bytes
+        b = DRXFile.open(tmp_path / "a", cache_pages=4)
+        assert np.allclose(_read_chunkwise(b, (0, 0), b.shape), ref)
+        assert np.allclose(_read_chunkwise(b, (2, 3), (9, 11)),
+                           ref[2:9, 3:11])
         b.close()
 
     def test_per_chunk_write_read_by_coalesced(self, tmp_path, rng):
         ref = rng.random((11, 13))
-        a = DRXFile.create(tmp_path / "a", (11, 13), (3, 4),
-                           cache_pages=4, coalesce=False)
-        a.write((0, 0), ref)
+        a = DRXFile.create(tmp_path / "a", (11, 13), (3, 4), cache_pages=4)
+        for lo, hi in chunk_boxes((0, 0), a.shape, a.chunk_shape):
+            a.write(lo, ref[lo[0]:hi[0], lo[1]:hi[1]])
+        assert a._data.stats.readv_calls == 0      # scalar faults only
         a.close()
         b = DRXFile.open(tmp_path / "a", cache_pages=4)
         assert np.allclose(b.read(), ref)
         b.close()
 
     def test_slab_roundtrip_matches_per_chunk_path(self, tmp_path, rng):
-        a = DRXFile.create(tmp_path / "a", (6, 6), (3, 3),
-                           cache_pages=4, coalesce=True)
+        a = DRXFile.create(tmp_path / "a", (6, 6), (3, 3), cache_pages=4)
         ref = _grow_reference(a, rng)
         got = a.read_slab((1, 0), (3, 2), (4, 6))
         assert np.allclose(got, ref[1::3, 0::2][:4, :6])
         patch = rng.random((4, 6))
         a.write_slab((1, 0), (3, 2), patch)
         a.close()
-        b = DRXFile.open(tmp_path / "a", mode="r", coalesce=False)
+        b = DRXFile.open(tmp_path / "a", mode="r")
         ref[1::3, 0::2][:4, :6] = patch
-        assert np.allclose(b.read(), ref)
-        assert np.allclose(b.read_slab((1, 0), (3, 2), (4, 6)), patch)
+        assert np.allclose(_read_chunkwise(b, (0, 0), b.shape), ref)
+        # the slab's lattice points chunk by chunk: the part of the
+        # lattice inside one chunk is itself a (one-chunk) slab
+        for (r0, c0), (r1, c1) in chunk_boxes((0, 0), b.shape,
+                                              b.chunk_shape):
+            rows = [r for r in range(1, 11, 3) if r0 <= r < r1]
+            cols = [c for c in range(0, 12, 2) if c0 <= c < c1]
+            if rows and cols:
+                got = b.read_slab((rows[0], cols[0]), (3, 2),
+                                  (len(rows), len(cols)))
+                assert np.allclose(got, ref[np.ix_(rows, cols)])
         b.close()
 
     def test_streaming_read_sees_dirty_pool_pages(self, rng):
@@ -364,6 +387,24 @@ class TestFileRouting:
         before = a.cache_stats.hits
         assert np.allclose(a.read(), ref)
         assert a.cache_stats.hits == before + 4
+
+
+def test_one_data_path_under_drxfile():
+    """Structural guard: ``drxfile.py`` has one per-chunk copy (every
+    route and direction calls it) and neither the file nor the pool
+    grows an engine switch back."""
+    import repro.drx.drxfile as module
+    copy_sites = [
+        fn.name for fn in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "chunk_slices"
+                for n in ast.walk(fn))]
+    assert len(copy_sites) == 1, copy_sites
+    for ctor in (DRXFile.__init__, DRXFile.create, DRXFile.open,
+                 DRXFile.create_pfs, DRXFile.open_pfs):
+        assert "coalesce" not in inspect.signature(ctor).parameters
+    assert not {"write_behind", "wb_queue"} \
+        & set(inspect.signature(Mpool.__init__).parameters)
 
 
 class TestContainers:

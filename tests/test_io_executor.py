@@ -32,6 +32,7 @@ from repro.drx.mpool import Mpool
 from repro.drx.resilience import FaultInjector, FaultPlan
 from repro.drx.storage import MemoryByteStore, PFSByteStore
 from repro.pfs import ParallelFileSystem
+from repro.workloads import random_boxes
 
 
 def pattern(n: int, salt: int = 0) -> bytes:
@@ -492,47 +493,85 @@ class TestWriteBehind:
 # DRX streaming pipelines
 # ---------------------------------------------------------------------------
 
+#: the three ways a plan executes, as (cache_pages, executor threads):
+#: everything fits the pool; streams as one vectored batch; streams one
+#: run per batch with the next transfer in flight
+ROUTES = {"pooled": (128, 0), "one-batch": (4, 0), "pipelined": (4, 2)}
+
+with_checksums = pytest.mark.parametrize("checksums", [
+    pytest.param(False, id=pytest.HIDDEN_PARAM),
+    pytest.param(True, id="checksums"),
+])
+
+
 class TestStreamingPipelines:
-    def build(self, executor):
-        a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=4,
-                           executor=executor)
-        return a
+    @pytest.fixture
+    def routes(self, checksums):
+        """One (64, 64) array of (8, 8) chunks per route."""
+        executors, arrays = [], {}
+        for name, (cache_pages, threads) in ROUTES.items():
+            e = IOExecutor(threads) if threads else None
+            executors.append(e)
+            arrays[name] = DRXFile.create(
+                None, (64, 64), (8, 8), cache_pages=cache_pages,
+                checksums=checksums, executor=e)
+        yield arrays
+        for a in arrays.values():
+            a.close()
+        for e in executors:
+            if e is not None:
+                e.shutdown()
 
-    def test_streamed_read_identity(self, rng_like=None):
-        rng = np.random.default_rng(42)
-        ref = rng.random((64, 64))
-        e = IOExecutor(3)
-        try:
-            a_ser = self.build(None)
-            a_par = self.build(e)
-            a_ser.write((0, 0), ref)
-            a_par.write((0, 0), ref)
-            # a tall narrow box -> many non-contiguous runs, streamed
-            box_s = a_ser.read((0, 0), (64, 24))
-            box_p = a_par.read((0, 0), (64, 24))
-            assert np.array_equal(box_s, box_p)
-            assert np.array_equal(box_p, ref[:64, :24])
-            assert np.array_equal(a_par.read(), ref)
-            a_ser.close()
-            a_par.close()
-        finally:
-            e.shutdown()
+    #: (start, stride, count) lattices over the (64, 64) array
+    SLABS = [((1, 0), (3, 2), (21, 32)), ((0, 5), (9, 1), (8, 40)),
+             ((7, 7), (8, 8), (8, 8))]
 
-    def test_streamed_write_identity(self):
+    @with_checksums
+    def test_streamed_read_identity(self, routes):
+        ref = np.random.default_rng(42).random((64, 64))
+        for a in routes.values():
+            a.write((0, 0), ref)
+        # a tall narrow box -> many non-contiguous runs when streamed
+        boxes = [((0, 0), (64, 24)), ((0, 0), (64, 64)),
+                 *random_boxes((64, 64), 12, seed=42)]
+        for lo, hi in boxes:
+            want = ref[lo[0]:hi[0], lo[1]:hi[1]]
+            for name, a in routes.items():
+                assert np.array_equal(a.read(lo, hi), want), (name, lo, hi)
+        for start, stride, count in self.SLABS:
+            want = ref[start[0]::stride[0], start[1]::stride[1]][
+                :count[0], :count[1]]
+            for name, a in routes.items():
+                assert np.array_equal(
+                    a.read_slab(start, stride, count), want), (name, start)
+        # the routes are the ones named: everything stayed resident in
+        # the big pool, the full scans went past the small ones
+        assert routes["pooled"].cache_stats.evictions == 0
+        assert routes["one-batch"].cache_stats.misses < 64
+        assert routes["pipelined"].cache_stats.misses < 64
+
+    @with_checksums
+    def test_streamed_write_identity(self, routes):
         rng = np.random.default_rng(7)
-        ref = rng.random((64, 40))
-        e = IOExecutor(3)
-        try:
-            a_ser = self.build(None)
-            a_par = self.build(e)
-            a_ser.write((0, 16), ref)
-            a_par.write((0, 16), ref)
-            assert np.array_equal(a_ser.read(), a_par.read())
-            assert np.array_equal(a_par.read((0, 16), (64, 56)), ref)
-            a_ser.close()
-            a_par.close()
-        finally:
-            e.shutdown()
+        ref = np.zeros((64, 64))
+        boxes = [((0, 16), (64, 56)), *random_boxes((64, 64), 12, seed=7)]
+        for lo, hi in boxes:
+            patch = rng.random((hi[0] - lo[0], hi[1] - lo[1]))
+            ref[lo[0]:hi[0], lo[1]:hi[1]] = patch
+            for a in routes.values():
+                a.write(lo, patch)
+        for start, stride, count in self.SLABS:
+            patch = rng.random(count)
+            ref[start[0]::stride[0], start[1]::stride[1]][
+                :count[0], :count[1]] = patch
+            for a in routes.values():
+                a.write_slab(start, stride, patch)
+        for name, a in routes.items():
+            assert np.array_equal(a.read(), ref), name
+            a.flush()
+            assert a.scrub().corrupt == [], name
+            assert np.array_equal(a.read((0, 16), (64, 56)),
+                                  ref[:, 16:56]), name
 
     def test_streamed_write_then_checksum_scrub(self):
         rng = np.random.default_rng(11)

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import DRXFileError
+from repro.core.executor import reset_default_executors
 from repro.core.metadata import DRXMeta
 from repro.core.scatter import (
     SCATTER_STATS,
@@ -367,11 +368,16 @@ class TestAutoTune:
         with DRXFile.create(None, (64, 64), (8, 8), tune="auto") as a:
             assert a._owned_executor is None
 
-    def test_abandon_stops_the_tuned_executor(self, monkeypatch):
+    def test_abandon_stops_the_tuned_executor(self, monkeypatch, request):
         """``abandon()`` releases what ``close()`` releases: no worker
         of the pool ``tune="auto"`` started outlives the handle."""
         monkeypatch.delitem(os.environ, "DRX_EXECUTOR_THREADS",
                             raising=False)
+        # the tier defaults cached under the suite's environment (none
+        # at all in the DRX_EXECUTOR_THREADS=0 leg) are re-read here and
+        # again, after the variable is back, by whoever asks next
+        reset_default_executors()
+        request.addfinalizer(reset_default_executors)
         # two servers: the advisor narrows the pool from the default 4
         fs = ParallelFileSystem(nservers=2, stripe_size=4096)
         a = DRXFile.create_pfs(fs, "a", (64, 64), (8, 8), tune="auto")
