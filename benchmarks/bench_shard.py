@@ -83,7 +83,6 @@ def make_set(nshards: int, nservers: int, admission: dict) -> ShardSet:
         nshards,
         fs_factory=lambda i: ParallelFileSystem(
             nservers=nservers, stripe_size=CHUNK_BYTES),
-        journal=False,              # pure data-path throughput
         **admission)
 
 
@@ -338,7 +337,6 @@ def run_experiment():
             "pipeline_depth": PIPE_DEPTH,
             "batch_ops_per_frame": BATCH_OPS,
             "sequential_admission": dict(SEQ_ADMISSION),
-            "journal": False,
             "time_unit": "wall-clock seconds (loopback TCP, in-process "
                          "daemons, GIL-releasing pinned service times)",
         },

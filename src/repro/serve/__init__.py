@@ -16,10 +16,12 @@ instances.  The robustness contract:
   overlapping writers serialize deterministically;
 * **graceful drain** on SIGTERM and abrupt-kill chaos coverage via the
   ``server.kill.daemon.*`` and ``serve.net.*`` fault sites;
-* **crash durability and exactly-once** — a per-array write-ahead
-  journal (:mod:`repro.serve.journal`) group-commit fsynced before
-  every OK, replayed on restart by :mod:`repro.serve.recovery`, with
-  ``(client, sid, seq)`` idempotency keys deduping retried mutations
+* **crash durability and exactly-once**, one rule with no switch —
+  every mutation carries a ``(client, sid, seq)`` idempotency key
+  (the daemon refuses one without) and is recorded under it in a
+  per-array write-ahead journal (:mod:`repro.serve.journal`),
+  group-commit fsynced before its OK and replayed on restart by
+  :mod:`repro.serve.recovery`; the key dedups retried mutations
   across reconnects and daemon restarts.
 
 :class:`DRXClient` is the retrying stub (transient-vs-fatal

@@ -24,9 +24,9 @@ lazily on first open::
 
     drx-serve --root /data/arrays --recover
 
-Durability knobs: ``--no-journal`` trades crash durability for write
-latency, ``--journal-window`` batches group commits, and
-``--checkpoint-interval`` bounds journal growth between flushes.
+Durability has no switch: every mutation is journaled under its
+idempotency key and fsynced before its OK.  ``--checkpoint-interval``
+bounds journal growth between flushes.
 
 The daemon drains gracefully on SIGTERM / SIGINT: it stops accepting,
 answers queued admissions with ``RETRY_LATER``, finishes (or
@@ -62,13 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-client in-flight request limit")
     p.add_argument("--max-queue", type=int, default=16,
                    help="admission queue depth before RETRY_LATER")
-    p.add_argument("--no-journal", action="store_true",
-                   help="disable the write-ahead journal (acknowledged "
-                        "writes may be lost on kill -9)")
-    p.add_argument("--journal-window", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="group-commit window: how long a sync leader "
-                        "waits for more committers before fsyncing")
     p.add_argument("--checkpoint-interval", type=float, default=None,
                    metavar="SECONDS",
                    help="periodically flush arrays and truncate their "
@@ -131,8 +124,6 @@ def main(argv=None) -> int:
                   max_inflight=args.max_inflight,
                   max_inflight_per_client=args.per_client,
                   max_queue=args.max_queue,
-                  journal=not args.no_journal,
-                  journal_window=args.journal_window,
                   checkpoint_interval=args.checkpoint_interval)
     if args.pfs is not None:
         from ..pfs import ParallelFileSystem

@@ -57,11 +57,13 @@ Record types, one mutation = one *transaction*:
 2. ``COMMIT`` is appended before the locks are released.
 3. The fsync (:meth:`Journal.sync`) happens after lock release — many
    requests' records batch under one physical ``fsync`` (*group
-   commit*), and only after its covering sync returns does a request
-   send OK.  A crash before the sync may lose the COMMIT: the request
-   was never acknowledged, the client retries, and either the recovered
-   dedup table answers it (COMMIT survived) or the mutation is simply
-   re-applied (it did not) — exactly once either way.
+   commit*: whoever waited on the sync mutex behind an fsync finds its
+   records covered by it), and only after its covering sync returns
+   does a request send OK.  A crash before the sync may lose the
+   COMMIT: the request was never acknowledged, the client retries,
+   and either the recovered dedup table answers it (COMMIT survived)
+   or the mutation is simply re-applied (it did not) — exactly once
+   either way.
 
 The journal bypasses the Mpool entirely: it appends straight to its
 own :class:`~repro.drx.storage.ByteStore` (``<name>.xj`` next to the
@@ -169,23 +171,21 @@ class Journal:
 
     ``start`` is where appending resumes — the valid end the recovery
     scan reported.  All appends serialize under one lock (record order
-    is the replay order); :meth:`sync` implements leader/follower group
-    commit: the first waiter becomes the leader and fsyncs once for
-    every record appended up to that instant, concurrent requesters
-    whose LSN that sync covers never touch the store.
+    is the replay order).  :meth:`sync` and :meth:`rotate` serialize
+    under a second, the sync mutex, held across the fsync — and that
+    mutex *is* the group commit: each fsync covers every record
+    appended before it started, so a requester that queued behind it
+    finds its LSN durable and never touches the store.
     """
 
     def __init__(self, store: ByteStore, *, start: int = 0,
-                 start_txn: int = 0, group_window: float = 0.0,
+                 start_txn: int = 0,
                  stats: JournalStats | None = None) -> None:
         self._store = store
         self._append_lock = threading.Lock()
-        self._sync_cond = threading.Condition()
+        self._sync_lock = threading.Lock()     #: taken before _append_lock
         self._end = int(start)          #: append offset == next LSN
         self._synced = int(start)       #: highest durable LSN
-        self._sync_leader = False
-        self._rot_epoch = 0             #: bumped by every rotate()
-        self.group_window = float(group_window)
         self.stats = stats if stats is not None else JournalStats()
         self._txn = int(start_txn)      #: resume above recovered txn ids
         self._closed = False
@@ -246,50 +246,26 @@ class Journal:
 
     def sync(self, lsn: int) -> None:
         """Group commit: return once every byte up to ``lsn`` is
-        durable, issuing at most one fsync per leader round.
+        durable.
 
-        A leader round advances ``_synced`` only when its own flush
-        succeeded *and* no :meth:`rotate` intervened: a rotation
-        truncates the journal and resets the offsets, so the round's
-        captured ``end`` is stale — advancing to it would mark
-        fresh post-rotation appends durable without any fsync.  The
-        round still *returns* success after a rotation, because rotate
-        is only called once the array itself was flushed, which makes
-        every pre-rotation transaction durable in the array.
+        Under the sync mutex, a requester whose LSN an earlier fsync
+        already covered returns at once (``batched_syncs``); otherwise
+        it fsyncs every record appended so far.  The durable watermark
+        advances only when that flush succeeded: a failed flush leaves
+        it put, so the next requester retries the fsync while this one
+        sees the error and never acks.
         """
-        with self._sync_cond:
+        with self._append_lock:     # counted on arrival, not once served
             self.stats.sync_requests += 1
-            while True:
-                if self._synced >= lsn:
-                    self.stats.batched_syncs += 1
-                    return
-                if not self._sync_leader:
-                    self._sync_leader = True
-                    break
-                self._sync_cond.wait(0.05)
-            epoch = self._rot_epoch
-        flushed = False
-        try:
-            if self.group_window > 0.0:
-                # let concurrent committers pile on before paying the
-                # fsync — the batch-size lever the bench sweeps
-                import time
-                time.sleep(self.group_window)
+        with self._sync_lock:
+            if self._synced >= lsn:
+                self.stats.batched_syncs += 1
+                return
             with self._append_lock:
                 end = self._end
+            self.stats.syncs += 1
             self._store.flush()
-            flushed = True
-        finally:
-            with self._sync_cond:
-                self._sync_leader = False
-                self.stats.syncs += 1
-                if flushed and epoch == self._rot_epoch \
-                        and self._synced < end:
-                    self._synced = end
-                # a failed flush leaves _synced put: a woken follower
-                # takes over the leader role and retries the fsync,
-                # while this caller sees the error and never acks
-                self._sync_cond.notify_all()
+            self._synced = end
 
     # ------------------------------------------------------------------
     def rotate(self, dedup_snapshot: dict, epoch: int) -> None:
@@ -297,23 +273,18 @@ class Journal:
         table.  Call only after the array itself was flushed — the
         checkpoint asserts every journaled mutation is durable in the
         array.  ``replace`` keeps the rewrite crash-safe on POSIX
-        (old-or-new); replaying a stale journal is idempotent anyway."""
+        (old-or-new); replaying a stale journal is idempotent anyway.
+        Holding the sync mutex makes a rotation wait for an in-flight
+        fsync, so no flush can advance the watermark over offsets the
+        truncation has renamed."""
         blob = encode_record(CHECKPOINT, {"epoch": int(epoch),
                                           "dedup": dedup_snapshot})
-        with self._append_lock:
+        with self._sync_lock, self._append_lock:
             if self._closed:
                 return
             self._store.replace(blob)
             self._store.flush()
-            self._end = len(blob)
-            new_end = self._end
-        with self._sync_cond:
-            # invalidate any in-flight sync leader round: its captured
-            # pre-rotation end no longer names these bytes, so it must
-            # not advance _synced past the checkpoint
-            self._rot_epoch += 1
-            self._synced = new_end
-            self._sync_cond.notify_all()
+            self._end = self._synced = len(blob)
         self.stats.rotations += 1
 
     def close(self) -> None:

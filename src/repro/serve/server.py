@@ -49,19 +49,21 @@ writers proceed concurrently; overlapping writers serialize, and each
 applied mutation gets a per-array sequence number so clients can
 observe the serialization order.
 
-*Durability and exactly-once.*  Every mutating request (``write`` /
-``extend``) is journaled: its intent (BEGIN/DATA records) is appended
-to the array's write-ahead journal (:mod:`repro.serve.journal`)
-*before* the mutation touches the Mpool, its COMMIT record — carrying
-the result and the request's idempotency key — before the range locks
-drop, and the journal is group-commit fsynced before the OK frame is
-sent.  Restart recovery (:mod:`repro.serve.recovery`) replays committed
-transactions and re-seeds the dedup table, so a ``kill -9`` at any
-fault site loses no acknowledged write, and a client retrying a request
-whose OK frame was lost is answered from cache instead of re-applied.
-A watchdog-driven checkpoint (``checkpoint_interval``) — and every
-explicit ``flush`` — truncates the journal once the array itself is
-durable.
+*Durability and exactly-once.*  One rule, no switch: every mutating
+request (``write`` / ``extend``) carries its ``(client, sid, seq)``
+idempotency key — a keyed verb without one is refused, fatally, before
+anything is journaled or applied — and is journaled under it: its
+intent (BEGIN/DATA records) is appended to the array's write-ahead
+journal (:mod:`repro.serve.journal`) *before* the mutation touches the
+Mpool, its COMMIT record — carrying the result and the key — before
+the range locks drop, and the journal is group-commit fsynced before
+the OK frame is sent.  Restart recovery (:mod:`repro.serve.recovery`)
+replays committed transactions and re-seeds the dedup table, so a
+``kill -9`` at any fault site loses no acknowledged write, and a client
+retrying a request whose OK frame was lost is answered from cache
+instead of re-applied.  A watchdog-driven checkpoint
+(``checkpoint_interval``) — and every explicit ``flush`` — truncates
+the journal once the array itself is durable.
 
 *Graceful drain.*  ``shutdown(drain=True)`` (also SIGTERM) stops
 accepting, refuses new admissions with ``RETRY_LATER``, lets in-flight
@@ -100,6 +102,7 @@ from ..core.errors import (
     CrashError,
     DeadlineError,
     DRXError,
+    DRXFileExistsError,
     RetryLater,
     ServeError,
 )
@@ -356,22 +359,47 @@ class _ConnWorkers:
 
 
 class _ArrayEntry:
-    """One open array plus its service-layer state."""
+    """One open array plus its service-layer state.
 
-    def __init__(self, name: str, file: DRXFile) -> None:
+    Opening one is the daemon's recovery path: scan the array's journal
+    (``journal_store``), replay committed-but-unapplied transactions,
+    re-seed the dedup table, and restart the journal from a clean
+    checkpoint so each crash's records replay exactly once.  The
+    journal store is raw — not Mpool-buffered and not deadline-gated:
+    appends for an acknowledged mutation must land even if the *next*
+    request's scope has expired, and abandoning the buffer cache on
+    :meth:`DRXServer.kill` must not touch what :meth:`Journal.sync`
+    already made durable.
+    """
+
+    def __init__(self, name: str, file: DRXFile,
+                 journal_store: ByteStore) -> None:
         self.name = name
         self.file = file
         self.rw = ArrayRWLock()
         self.chunks = ChunkLocks()
-        self.journal: Journal | None = None
         # the dedup window must cover every keyed mutation a client
         # could still retry — a maximal batch frame plus a full
         # pipeline window — or a torn batch's re-sent tail re-applies
         # mutations whose entries were evicted (a double extend)
         self.dedup = DedupTable(per_client=DEDUP_WINDOW)
-        self.recovery: dict | None = None    #: last recovery summary
         self._seq = 0
         self._seq_lock = threading.Lock()
+        report = recover(file, journal_store)
+        self.dedup.seed(report.dedup)
+        self.journal = Journal(journal_store, start=report.valid_end,
+                               start_txn=report.max_txn)
+        self.journal.stats.recovered_txns = report.replayed
+        self.journal.stats.discarded_txns = report.discarded_txns
+        self.journal.stats.torn_bytes = report.torn_bytes
+        self.rotate_journal()
+        self.recovery = report.snapshot()    #: the recovery summary
+
+    def rotate_journal(self) -> None:
+        """Truncate the journal to one CHECKPOINT record carrying the
+        dedup table forward.  Call only once every journaled mutation
+        is durable in the array (flushed, closed, or just recovered)."""
+        self.journal.rotate(self.dedup.snapshot(), self.file.commit_epoch)
 
     def next_seq(self) -> int:
         """Per-array apply sequence number, claimed while the mutation's
@@ -465,8 +493,6 @@ class DRXServer:
                  max_queue: int = 16, max_frame: int = MAX_FRAME,
                  cache_pages: int = 64, drain_timeout: float = 10.0,
                  watchdog: Watchdog | None = None,
-                 journal: bool = True,
-                 journal_window: float = 0.0,
                  checkpoint_interval: float | None = None,
                  max_conn_inflight: int = 32) -> None:
         if (root is None) == (fs is None):
@@ -485,8 +511,6 @@ class DRXServer:
         self._backend = _PFSBackend(fs, **options) if fs is not None \
             else _RootBackend(root, **options)
         self.drain_timeout = drain_timeout
-        self.journal_enabled = bool(journal)
-        self.journal_window = float(journal_window)
         self.checkpoint_interval = checkpoint_interval
         self._ckpt_handle = None
         self.checkpoints = 0
@@ -593,17 +617,12 @@ class DRXServer:
         except CrashError:
             self.kill()
             return
-        with self._arrays_lock:
-            entries = list(self._arrays.values())
-            self._arrays.clear()
-        for entry in entries:
+        for entry in self._take_entries():
             entry.file.close()
-            if entry.journal is not None:
-                # everything journaled is now durable in the array —
-                # leave a clean checkpoint carrying the dedup table
-                entry.journal.rotate(entry.dedup.snapshot(),
-                                     entry.file.commit_epoch)
-                entry.journal.close()
+            # everything journaled is now durable in the array —
+            # leave a clean checkpoint carrying the dedup table
+            entry.rotate_journal()
+            entry.journal.close()
         with self._state_lock:
             self._state = self.DEAD
         self._close_connections()
@@ -627,15 +646,19 @@ class DRXServer:
         self._cancel_all_scopes("server killed")
         self._close_listener()
         self._close_connections()
+        for entry in self._take_entries():
+            entry.file.abandon()
+            # no rotate, no fsync: the journal keeps exactly what
+            # sync() already made durable — recovery's input
+            entry.journal.close()
+
+    def _take_entries(self) -> list[_ArrayEntry]:
+        """Empty the array table and return what it held: shutdown and
+        kill then close (or abandon) each entry outside the lock."""
         with self._arrays_lock:
             entries = list(self._arrays.values())
             self._arrays.clear()
-        for entry in entries:
-            entry.file.abandon()
-            if entry.journal is not None:
-                # no rotate, no fsync: the journal keeps exactly what
-                # sync() already made durable — recovery's input
-                entry.journal.close()
+        return entries
 
     def _close_listener(self) -> None:
         listener, self._listener = self._listener, None
@@ -668,7 +691,7 @@ class DRXServer:
     # journal checkpointing
     # ------------------------------------------------------------------
     def _schedule_checkpoint(self) -> None:
-        if not self.journal_enabled or not self.checkpoint_interval:
+        if not self.checkpoint_interval:
             return
         if self.state != self.RUNNING:
             return
@@ -711,8 +734,6 @@ class DRXServer:
         with self._arrays_lock:
             entries = list(self._arrays.values())
         for entry in entries:
-            if entry.journal is None:
-                continue
             if self.state not in (self.RUNNING, self.DRAINING):
                 break
             entry.rw.acquire_exclusive()
@@ -720,8 +741,7 @@ class DRXServer:
                 before = entry.journal.size
                 try:
                     entry.file.flush()
-                    entry.journal.rotate(entry.dedup.snapshot(),
-                                         entry.file.commit_epoch)
+                    entry.rotate_journal()
                 except (DRXError, OSError, ValueError):
                     # a watchdog checkpoint racing shutdown/kill finds
                     # the file closed (or abandoned) under it — skip
@@ -1016,17 +1036,13 @@ class DRXServer:
             locks_held = sum(e.chunks.held()
                              for e in self._arrays.values())
             entries = list(self._arrays.values())
-        journal = {}
-        for e in entries:
-            if e.journal is None:
-                continue
-            journal[e.name] = {
-                "size": e.journal.size,
-                "stats": e.journal.stats.snapshot(),
-                "dedup_entries": len(e.dedup),
-                "dedup_hits": e.dedup.hits,
-                "recovery": e.recovery,
-            }
+        journal = {e.name: {
+            "size": e.journal.size,
+            "stats": e.journal.stats.snapshot(),
+            "dedup_entries": len(e.dedup),
+            "dedup_hits": e.dedup.hits,
+            "recovery": e.recovery,
+        } for e in entries}
         snap = {
             "state": self.state,
             "address": list(self.address),
@@ -1060,30 +1076,19 @@ class DRXServer:
             raise ServeError(f"invalid array name {name!r}")
         return name
 
-    def _attach_journal(self, entry: _ArrayEntry) -> None:
-        """Recover then journal ``entry`` (the daemon-open path): scan
-        the journal, replay committed-but-unapplied transactions,
-        re-seed the dedup table, and restart the journal from a clean
-        checkpoint so each crash's records replay exactly once."""
-        if not self.journal_enabled:
-            return
-        # the journal store is raw — not Mpool-buffered and not
-        # deadline-gated: appends for an acknowledged mutation must land
-        # even if the *next* request's scope has expired, and abandoning
-        # the buffer cache on :meth:`kill` must not touch what
-        # :meth:`Journal.sync` already made durable
-        store = self._backend.journal_store(entry.name)
-        report = recover(entry.file, store)
-        entry.dedup.seed(report.dedup)
-        entry.journal = Journal(store, start=report.valid_end,
-                                start_txn=report.max_txn,
-                                group_window=self.journal_window)
-        entry.journal.stats.recovered_txns = report.replayed
-        entry.journal.stats.discarded_txns = report.discarded_txns
-        entry.journal.stats.torn_bytes = report.torn_bytes
-        entry.journal.rotate(entry.dedup.snapshot(),
-                             entry.file.commit_epoch)
-        entry.recovery = report.snapshot()
+    def _check_new(self, name: str, exists_ok: bool = False) -> bool:
+        """The one existence check of ``create`` and ``snapshot``:
+        True when ``name`` is free to create, False when it is open or
+        in the backing store and ``exists_ok``.  Otherwise it refuses
+        up front, fatally — the PFS backend's own refusal is a
+        ``PFSError``, which the client would retry as transient."""
+        with self._arrays_lock:
+            exists = name in self._arrays
+        if not exists and not self._backend.exists(name):
+            return True
+        if exists_ok:
+            return False
+        raise DRXFileExistsError(f"array {name!r} already exists")
 
     def _entry(self, name: str) -> _ArrayEntry:
         """The open-array entry for ``name``, opening lazily (which runs
@@ -1098,8 +1103,8 @@ class DRXServer:
                 # missing array is permanent — fail fatally
                 raise ServeError(f"no array named {name!r}",
                                  kind="DRXFileNotFoundError")
-            entry = _ArrayEntry(name, self._backend.open(name))
-            self._attach_journal(entry)
+            entry = _ArrayEntry(name, self._backend.open(name),
+                                self._backend.journal_store(name))
             self._arrays[name] = entry
             return entry
 
@@ -1107,7 +1112,7 @@ class DRXServer:
         """Eagerly open — and thereby crash-recover — every array in
         the backing store (``drx-serve --recover``).  Returns
         ``{name: recovery summary}``."""
-        return {name: dict(self._entry(name).recovery or {})
+        return {name: dict(self._entry(name).recovery)
                 for name in sorted(self._backend.names())}
 
     def _info(self, entry: _ArrayEntry) -> dict:
@@ -1131,43 +1136,40 @@ class DRXServer:
 
     def _op_create(self, header, payload, owner, scope):
         name = self._check_name(header["name"])
-        with self._arrays_lock:
-            exists = name in self._arrays
-        if exists or self._backend.exists(name):
-            if header.get("exists_ok"):
-                return (self._info(self._entry(name)), b"")
-            raise ServeError(f"array {name!r} already exists",
-                             kind="DRXFileExistsError")
+        if not self._check_new(name, bool(header.get("exists_ok"))):
+            return (self._info(self._entry(name)), b"")
         bounds = [int(b) for b in header["bounds"]]
         chunk = [int(c) for c in header["chunk"]]
         entry = _ArrayEntry(name, self._backend.create(
             name, bounds, chunk, dtype=header.get("dtype", "<f8"),
             checksums=bool(header.get("checksums", False)),
-            codec=header.get("codec", "none")))
-        self._attach_journal(entry)
+            codec=header.get("codec", "none")),
+            self._backend.journal_store(name))
         with self._arrays_lock:
             self._arrays[name] = entry
         return (self._info(entry), b"")
 
     @staticmethod
-    def _idem_key(header: dict) -> tuple[str, str, int] | None:
-        """The request's ``(client, sid, seq)`` idempotency key, or
-        ``None`` for an unkeyed (pre-exactly-once) client."""
-        if "sid" in header and "seq" in header:
-            return (str(header.get("client", "anon")),
-                    str(header["sid"]), int(header["seq"]))
-        return None
+    def _idem_key(header: dict) -> tuple[str, str, int]:
+        """The request's ``(client, sid, seq)`` idempotency key.  A
+        keyed verb without one is refused with a fatal error."""
+        missing = [f for f in ("sid", "seq") if f not in header]
+        if missing:
+            raise ServeError(
+                f"{header.get('verb')} needs an idempotency key: "
+                f"missing {'/'.join(missing)}")
+        return (str(header.get("client", "anon")),
+                str(header["sid"]), int(header["seq"]))
 
     def _exactly_once(self, handler, header, payload, owner, scope):
         """Run a keyed verb's handler under its idempotency key: a
         replayed retry is answered from the dedup table (counted in
-        ``dedup_hits``) instead of re-applied.  The result is cached
-        when the handler returns, so a keyed handler must return only
-        after its COMMIT record is synced — a replay must never be
-        acked from cache before that."""
+        ``dedup_hits``) instead of re-applied, and a request without a
+        key is refused before anything is journaled or applied.  The
+        result is cached when the handler returns, so a keyed handler
+        must return only after its COMMIT record is synced — a replay
+        must never be acked from cache before that."""
         key = self._idem_key(header)
-        if key is None:
-            return handler(header, payload, owner, scope)
         entry = self._entry(header["name"])
         cached = entry.dedup.claim(key, scope)
         if cached is not None:
@@ -1207,20 +1209,18 @@ class DRXServer:
         values = values.reshape(shape)
         hi = [l + s for l, s in zip(lo, shape)]
         key = self._idem_key(header)
-        lsn = None
         entry.rw.acquire_shared(scope, owner)
         try:
             taken = entry.chunks.acquire(
                 _box_addresses(entry.file, lo, hi), owner, scope)
             try:
                 crash_point("server.kill.daemon.locked")
-                if entry.journal is not None:
-                    # redo logging: intent + payload hit the journal
-                    # before the Mpool sees the mutation
-                    txn = entry.journal.begin(
-                        "write", key,
-                        {"lo": lo, "shape": shape,
-                         "dtype": header["dtype"]}, payload)
+                # redo logging: intent + payload hit the journal
+                # before the Mpool sees the mutation
+                txn = entry.journal.begin(
+                    "write", key,
+                    {"lo": lo, "shape": shape,
+                     "dtype": header["dtype"]}, payload)
                 crash_point("server.kill.daemon.journaled")
                 # pre-image for rollback: a deadline that fires
                 # before the mutation is acknowledged must not leave
@@ -1235,16 +1235,14 @@ class DRXServer:
                     raise
                 seq = entry.next_seq()
                 result = {"seq": seq, "nbytes": len(payload)}
-                if entry.journal is not None:
-                    lsn = entry.journal.commit(txn, key, result)
+                lsn = entry.journal.commit(txn, key, result)
                 crash_point("server.kill.daemon.applied")
             finally:
                 entry.chunks.release(taken)
         finally:
             entry.rw.release_shared(owner)
-        if lsn is not None:
-            # group commit *after* the locks drop, *before* OK
-            entry.journal.sync(lsn)
+        # group commit *after* the locks drop, *before* OK
+        entry.journal.sync(lsn)
         return (result, b"")
 
     @staticmethod
@@ -1294,16 +1292,13 @@ class DRXServer:
             result = {"seq": seq,
                       "shape": [max(s, t) for s, t
                                 in zip(entry.file.shape, to)]}
-            if entry.journal is not None:
-                # intent logging, not redo: extend's apply is itself
-                # an immediate durable metadata commit, so the
-                # journal COMMIT must be durable *first* — a crash
-                # in between replays the (idempotent) absolute
-                # target and answers the retry from the recovered
-                # dedup table, never re-extends
-                txn = entry.journal.begin("extend", key, {"to": to})
-                entry.journal.sync(
-                    entry.journal.commit(txn, key, result))
+            # intent logging, not redo: extend's apply is itself an
+            # immediate durable metadata commit, so the journal COMMIT
+            # must be durable *first* — a crash in between replays the
+            # (idempotent) absolute target and answers the retry from
+            # the recovered dedup table, never re-extends
+            txn = entry.journal.begin("extend", key, {"to": to})
+            entry.journal.sync(entry.journal.commit(txn, key, result))
             crash_point("server.kill.daemon.journaled")
             try:
                 for d, target in enumerate(to):
@@ -1318,12 +1313,10 @@ class DRXServer:
                 # journal store is raw — not deadline-gated — so
                 # this works even when a fired scope killed the
                 # apply)
-                if entry.journal is not None:
-                    try:
-                        entry.journal.sync(
-                            entry.journal.abort(txn))
-                    except Exception:  # noqa: BLE001
-                        pass  # journal torn down by a racing kill
+                try:
+                    entry.journal.sync(entry.journal.abort(txn))
+                except Exception:  # noqa: BLE001
+                    pass  # journal torn down by a racing kill
                 raise
             crash_point("server.kill.daemon.applied")
         finally:
@@ -1335,11 +1328,9 @@ class DRXServer:
         entry.rw.acquire_exclusive(scope, owner)
         try:
             entry.file.flush()
-            if entry.journal is not None:
-                # the array is durable: truncate the journal to a clean
-                # checkpoint (carrying the dedup table forward)
-                entry.journal.rotate(entry.dedup.snapshot(),
-                                     entry.file.commit_epoch)
+            # the array is durable: truncate the journal to a clean
+            # checkpoint (carrying the dedup table forward)
+            entry.rotate_journal()
         finally:
             entry.rw.release_exclusive()
         return ({"commit_epoch": entry.file.commit_epoch}, b"")
@@ -1347,6 +1338,7 @@ class DRXServer:
     def _op_snapshot(self, header, payload, owner, scope):
         entry = self._entry(header["name"])
         dest = self._check_name(header["dest"])
+        self._check_new(dest)
         entry.rw.acquire_exclusive(scope)
         try:
             src = entry.file

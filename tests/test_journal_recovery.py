@@ -142,10 +142,10 @@ class TestJournal:
         assert j.stats.rotations == 1
 
     def test_rotate_during_sync_keeps_new_appends_unsynced(self):
-        """A rotation landing while a sync leader's fsync is in flight
-        truncates the journal; the leader must not then resurrect its
-        stale pre-rotation offset as the durable watermark, or fresh
-        post-rotation appends would be acked without any fsync."""
+        """A rotation requested while an fsync is in flight waits for
+        it: the flush must not advance the durable watermark over
+        offsets the truncation has renamed, or fresh post-rotation
+        appends would be acked without any fsync."""
         store = MemoryByteStore()
         j = Journal(store)
         for i in range(4):                   # fatten the pre-rotation end
@@ -153,19 +153,36 @@ class TestJournal:
                                    {"to": [8 + i]}),
                            ("c", "s", i), {"seq": i + 1})
         real_flush = store.flush
-        fired = []
+        in_flush, release = threading.Event(), threading.Event()
+        order = []
 
-        def flush_then_rotate():
+        def blocking_flush():
+            if not in_flush.is_set():        # rotate() flushes too
+                in_flush.set()
+                release.wait(10)
+                order.append("flush")
             real_flush()
-            if not fired:                    # rotate() flushes too
-                fired.append(True)
-                j.rotate({}, epoch=1)
 
-        store.flush = flush_then_rotate
+        def rotate():
+            j.rotate({}, epoch=1)
+            order.append("rotate")
+
+        store.flush = blocking_flush
         try:
-            j.sync(lsn)                      # leader round, rotated mid-flight
+            syncer = threading.Thread(target=j.sync, args=(lsn,))
+            syncer.start()
+            assert in_flush.wait(10)
+            rotator = threading.Thread(target=rotate)
+            rotator.start()
+            rotator.join(0.2)
+            assert rotator.is_alive(), "rotate did not wait for the fsync"
+            release.set()
+            syncer.join(10)
+            rotator.join(10)
         finally:
+            release.set()
             store.flush = real_flush
+        assert order == ["flush", "rotate"]
         # a fresh append (at a small post-rotation offset) must pay its
         # own fsync — it must not be covered by the stale watermark
         syncs = j.stats.syncs
@@ -198,7 +215,20 @@ class TestJournal:
         assert j._synced == j.size
 
     def test_group_commit_batches_concurrent_syncs(self):
-        j = Journal(MemoryByteStore(), group_window=0.03)
+        """The first fsync is held until all eight committers asked for
+        a sync: everyone queued behind it on the sync mutex is covered
+        by at most one more fsync."""
+        store = MemoryByteStore()
+        j = Journal(store)
+        real_flush = store.flush
+        release = threading.Event()
+
+        def first_flush_blocks():
+            store.flush = real_flush
+            release.wait(10)
+            real_flush()
+
+        store.flush = first_flush_blocks
         errors = []
 
         def one(i):
@@ -212,13 +242,17 @@ class TestJournal:
                    for i in range(8)]
         for t in threads:
             t.start()
+        deadline = time.monotonic() + 10
+        while j.stats.sync_requests < 8 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
         for t in threads:
             t.join(10)
         assert not errors
         assert j.stats.sync_requests == 8
         # the whole point of group commit: fewer fsyncs than requests
-        assert j.stats.syncs < 8
-        assert j.stats.batched_syncs >= 8 - j.stats.syncs
+        assert j.stats.syncs <= 2
+        assert j.stats.batched_syncs >= 6
 
     def test_append_after_close_refused(self):
         j = Journal(MemoryByteStore())
@@ -451,18 +485,6 @@ class TestKillRecover:
                 assert np.array_equal(got, _acked_model()), backend
         finally:
             srv2.shutdown(drain=True)
-
-    def test_journal_disabled_daemon_still_serves(self):
-        fs = ParallelFileSystem(nservers=3, stripe_size=1024)
-        srv = DRXServer(fs=fs, journal=False).start()
-        try:
-            with make_client(srv, "nj") as c:
-                c.create("a", [4], [2])
-                c.write("a", [0], np.ones(4))
-                assert np.array_equal(c.read("a", [0], [4]), np.ones(4))
-                assert c.stats()["journal"] == {}
-        finally:
-            srv.shutdown(drain=True)
 
     def test_drain_rotates_journal_to_clean_checkpoint(self, tmp_path):
         srv = DRXServer(root=str(tmp_path)).start()
@@ -1123,3 +1145,21 @@ class TestRecoverCLI:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+# ---------------------------------------------------------------------------
+# structure: one durability rule, no switch
+# ---------------------------------------------------------------------------
+def test_durability_has_no_switch():
+    """The journal is unconditional and group commit has no window: no
+    constructor option or CLI flag turns either back into a knob."""
+    import inspect
+
+    from repro.serve import cli
+
+    server_params = inspect.signature(DRXServer).parameters
+    assert not {"journal", "journal_window"} & set(server_params)
+    assert "group_window" not in inspect.signature(Journal).parameters
+    flags = {flag for action in cli.build_parser()._actions
+             for flag in action.option_strings}
+    assert not {"--no-journal", "--journal-window"} & flags

@@ -194,6 +194,27 @@ class TestBasics:
                 # none of those consumed a retry
                 assert c.retries == 0
 
+    @pytest.mark.parametrize("backend", ["root", "fs"])
+    def test_snapshot_onto_existing_name_is_fatal(self, backend,
+                                                  tmp_path):
+        """Snapshot and create share one existence check: on either
+        backend an existing destination is refused in one attempt with
+        DRXFileExistsError (the PFS backend's own refusal would read as
+        transient and be retried), and the source is untouched."""
+        data = np.arange(16.0).reshape(4, 4)
+        with serve_ctx(backend, tmp_path) as (srv, _):
+            with make_client(srv, "snap") as c:
+                c.create("a", [4, 4], [2, 2])
+                c.write("a", (0, 0), data)
+                c.create("b", [2], [2])
+                with pytest.raises(ServeError) as info:
+                    c.snapshot("a", "b")
+                assert info.value.kind == "DRXFileExistsError"
+                assert not info.value.transient
+                assert c.retries == 0
+                assert np.array_equal(c.read("a", (0, 0), (4, 4)), data)
+                assert c.open("b")["shape"] == [2]
+
     def test_unknown_verb(self):
         with serve_ctx() as (srv, _):
             with make_client(srv, "x", max_retries=0) as c:
@@ -660,7 +681,8 @@ class TestDrainAndDisconnect:
             # fire a slow write, then tear the socket down mid-flight
             hdr = {"verb": "write", "client": "victim", "attempt": 0,
                    "rid": 1, "name": "g", "lo": [0, 0], "shape": [8, 8],
-                   "dtype": "<f8", "_delay": 0.4}
+                   "dtype": "<f8", "_delay": 0.4,
+                   "sid": "victim-session", "seq": 1}
             protocol.send_frame(victim, protocol.REQ, hdr,
                                 np.full((8, 8), 9.0).tobytes())
             time.sleep(0.1)
@@ -721,6 +743,52 @@ class TestHostileWire:
             assert kind == protocol.ERR and not hdr["transient"]
             assert "unknown verb" in hdr["message"]
             assert srv.stats_snapshot()["inflight"] == 0
+
+    @pytest.mark.parametrize("form", ["write", "extend", "batch"])
+    def test_unkeyed_mutation_is_refused_before_journaling(self, form):
+        """A mutation without its ``sid``/``seq`` idempotency key — raw,
+        or as a batch sub-op — gets one fatal ERR with the rid echoed:
+        nothing journaled or deduped, no admission slot kept, and the
+        connection still serves."""
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "setup") as c:
+                c.create("k", [8], [4])
+                c.write("k", [0], np.ones(8))
+            entry = srv._entry("k")
+            size, deduped = entry.journal.size, len(entry.dedup)
+            hdr = {"verb": "write", "name": "k", "lo": [0], "shape": [4],
+                   "dtype": "<f8"}
+            payload = np.zeros(4).tobytes()
+            if form == "extend":
+                hdr, payload = {"verb": "extend", "name": "k", "dim": 0,
+                                "by": 4}, b""
+            elif form == "batch":
+                hdr = {"verb": "batch",
+                       "ops": [dict(hdr, nbytes=len(payload))]}
+            raw = socket.create_connection(srv.address, timeout=5.0)
+            try:
+                protocol.send_frame(raw, protocol.REQ,
+                                    dict(hdr, client="h", rid=7), payload)
+                kind, rep, _ = protocol.recv_frame(raw)
+                assert rep["rid"] == 7
+                if form == "batch":
+                    assert kind == protocol.OK
+                    (res,) = rep["results"]
+                    kind, rep = res["kind"], res["header"]
+                assert kind == protocol.ERR and not rep["transient"]
+                assert "idempotency key" in rep["message"]
+                protocol.send_frame(raw, protocol.REQ, {
+                    "verb": "ping", "client": "h", "rid": 8})
+                kind, rep, _ = protocol.recv_frame(raw)
+                assert (kind, rep["rid"], rep["pong"]) == \
+                    (protocol.OK, 8, True)
+            finally:
+                raw.close()
+            assert entry.journal.size == size
+            assert len(entry.dedup) == deduped
+            snap = srv.stats_snapshot()
+            assert snap["inflight"] == 0
+            assert snap["qos"]["clients"]["h"]["errors"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,7 @@ class TestShardedClient:
 # ---------------------------------------------------------------------------
 class TestShardFailover:
     def test_reconnect_reresolves_ring_not_dead_address(self):
-        with ShardSet(2, fs_factory=fs_factory, journal=True) as ss:
+        with ShardSet(2, fs_factory=fs_factory) as ss:
             with ss.client("failover", timeout=60.0, max_retries=60,
                            seed=SEED) as sc:
                 name = "fo"
@@ -310,7 +310,7 @@ class TestShardFailover:
         their original idempotency keys — each extend lands exactly
         once (extends are NOT idempotent, so the final shape is the
         proof)."""
-        with ShardSet(2, fs_factory=fs_factory, journal=True) as ss:
+        with ShardSet(2, fs_factory=fs_factory) as ss:
             with ss.client("pipefail", timeout=60.0, max_retries=60,
                            seed=SEED) as sc:
                 name = "grow"
