@@ -142,9 +142,9 @@ DAEMON_SITES: dict[str, str] = {
 #: Named sites at the daemon's network boundary — the instants where a
 #: request or its acknowledgement exists on exactly one side of the
 #: wire.  Chaos rules here model `kill -9` in the lost-request /
-#: lost-ack windows; :class:`repro.serve.netfault.FaultySocket` covers
-#: the corruption (bit flip / torn frame / delay) side of the same
-#: boundary client-side.
+#: lost-ack windows; the test suite's ``tests/support/netfault.py``
+#: ``FaultySocket`` covers the corruption (bit flip / torn frame /
+#: delay) side of the same boundary client-side.
 NET_SITES: dict[str, str] = {
     "serve.net.recv.request":
         "a complete request frame was received and CRC-verified, "

@@ -37,7 +37,6 @@ with its own journal, pool, and recovery domain.
 from .client import DRXClient, PendingReply, Pipeline
 from .journal import JOURNAL_SUFFIX, DedupTable, Journal, JournalStats
 from .locks import ArrayRWLock, ChunkLocks
-from .netfault import FaultySocket
 from .protocol import (
     KEYED_VERBS,
     MAX_FRAME,
@@ -75,5 +74,4 @@ __all__ = [
     "RecoveryReport",
     "recover",
     "scan_journal",
-    "FaultySocket",
 ]

@@ -79,6 +79,7 @@ from .protocol import (
     RETRY_LATER,
     ConnectionClosed,
     ProtocolError,
+    close_socket,
     decode_error,
     recv_frame,
     send_frame,
@@ -101,18 +102,6 @@ _WAIT_POLL = 0.05
 def _socket_wait(budget: float | None) -> float:
     return budget + _SOCKET_GRACE if budget is not None \
         else _DEFAULT_SOCKET_TIMEOUT
-
-
-def _close(sock) -> None:
-    """Shut down, then close: the shutdown wakes a thread blocked in
-    ``recv`` on the socket, which a bare ``close`` does not."""
-    if sock is None:
-        return
-    for op in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
-        try:
-            op()
-        except OSError:
-            pass
 
 
 class PendingReply:
@@ -320,7 +309,7 @@ class _Exchange:
             self._fault = exc
             if self._sock is sock:
                 self._sock = None
-        _close(sock)
+        close_socket(sock)
 
     def _retry(self, reqs, exc: BaseException) -> None:
         """The one give-up/backoff rule: ``reqs`` failed their current
@@ -619,7 +608,7 @@ class Pipeline(_Exchange):
         for req in stranded:
             self._finish(req, error=req._last
                          or ConnectionClosed("pipeline closed"))
-        _close(sock)
+        close_socket(sock)
         if recv is not None and recv is not threading.current_thread():
             recv.join(timeout=2.0)
 

@@ -212,16 +212,16 @@ class Journal:
     def begin(self, verb: str, key, fields: dict,
               payload: bytes | memoryview = b"") -> int:
         """Append BEGIN (+DATA when ``payload`` is non-empty) for a new
-        transaction; returns the transaction id.  Call while holding
-        the mutation's range locks, *before* touching the Mpool."""
+        transaction under the request's ``(client, sid, seq)`` key;
+        returns the transaction id.  Call while holding the mutation's
+        range locks, *before* touching the Mpool."""
         with self._append_lock:
             self._txn += 1
             txn = self._txn
         header = dict(fields)
         header["txn"] = txn
         header["verb"] = verb
-        if key is not None:
-            header["key"] = list(key)
+        header["key"] = list(key)
         blob = encode_record(BEGIN, header)
         n = 1
         if len(payload):
@@ -233,9 +233,7 @@ class Journal:
     def commit(self, txn: int, key, result: dict) -> int:
         """Append COMMIT; returns the LSN to pass to :meth:`sync`.
         Call before releasing the mutation's range locks."""
-        header = {"txn": txn, "result": dict(result)}
-        if key is not None:
-            header["key"] = list(key)
+        header = {"txn": txn, "result": dict(result), "key": list(key)}
         return self._append(encode_record(COMMIT, header), 1)
 
     def abort(self, txn: int) -> int:

@@ -11,14 +11,24 @@ Frame layout (all integers big-endian, no padding)::
 + payload_len``), so a reader always knows how many bytes to consume
 before dispatching — there is no sniffing and no resynchronization.
 ``crc32`` covers the header and payload bytes: a bit flipped anywhere
-on the wire (see :class:`repro.serve.netfault.FaultySocket`) fails the
-check and the receiver raises :class:`ProtocolError` instead of acting
-on corrupt data — the sender's retry layer reconnects and re-issues
-under the request's idempotency key.  The *header* is a UTF-8 JSON
-object carrying the verb and its scalar parameters; the *payload* is
-raw array bytes (C-order element data for ``read`` responses and
-``write`` requests, empty otherwise).  Keeping bulk data out of JSON
-keeps the framing overhead per megabyte moved at a few dozen bytes.
+on the wire (the test suite's ``tests/support/netfault.FaultySocket``
+flips them on purpose) fails the check and the receiver raises
+:class:`ProtocolError` instead of acting on corrupt data — the
+sender's retry layer reconnects and re-issues under the request's
+idempotency key.  The *header* is a UTF-8 JSON object carrying the
+verb and its scalar parameters; the *payload* is raw array bytes
+(C-order element data for ``read`` responses and ``write`` requests,
+empty otherwise).  Keeping bulk data out of JSON keeps the framing
+overhead per megabyte moved at a few dozen bytes.
+
+On the wire a frame is **one** gather send (``sendmsg`` of head,
+header and payload, never concatenated), and both ends turn Nagle's
+algorithm off with the socket's no-delay option — the client on
+connect, the daemon on accept — so no frame waits behind the peer's
+delayed ACK.  The receiver reads each frame with ``recv_into``
+straight into that frame's own buffer, and a ``read`` reply's payload
+is a memoryview over the array the engine just filled: a reply's
+bytes are copied neither on the way out nor on the way in.
 
 Frame kinds:
 
@@ -70,7 +80,9 @@ Pipelining wire rules (many REQ frames in flight per connection):
 ``OK``
     Success.  Verb-specific header + optional payload.
 ``ERR``
-    Failure.  Header: ``error`` (exception class name), ``message``,
+    Failure.  Header: ``error`` (the failure's kind — a
+    :class:`~repro.core.errors.ServeError`'s own ``kind``, else the
+    exception class name), ``message``,
     ``transient`` (the server-side
     :func:`repro.drx.resilience.is_transient` classification — the
     client stub retries transient failures and surfaces fatal ones).
@@ -108,8 +120,8 @@ __all__ = [
     "VERBS", "KEYED_VERBS", "BATCHABLE_VERBS", "CONTROL_VERBS",
     "MAX_FRAME", "MAX_BATCH_OPS", "MAX_PIPELINE_DEPTH", "DEDUP_WINDOW",
     "ProtocolError", "ConnectionClosed",
-    "send_frame", "recv_frame", "encode_error", "decode_error",
-    "split_payload",
+    "send_frame", "recv_frame", "close_socket", "encode_error",
+    "decode_error", "split_payload",
 ]
 
 REQ = 1
@@ -170,6 +182,9 @@ def _write(name: str, lo, values, timeout: float | None = None,
               "shape": list(values.shape), "dtype": values.dtype.str}
     if _delay:
         header["_delay"] = _delay
+    # a snapshot, not a view: a retry re-sends this payload under the
+    # same idempotency key, so it must carry the bytes the caller
+    # passed, not whatever the caller's array holds by then
     return header, values.tobytes()
 
 
@@ -316,34 +331,53 @@ class ConnectionClosed(ProtocolError):
 
 def send_frame(sock: socket.socket, kind: int, header: dict,
                payload: bytes | memoryview = b"") -> None:
-    """Serialize and send one frame (blocking, whole frame)."""
+    """Serialize and send one frame (blocking, whole frame).
+
+    The frame leaves as one gather write of ``[head, header, payload]``
+    — no concatenation, so the payload (any C-contiguous buffer, e.g.
+    a memoryview over an array of any shape) is never copied.
+    ``sendmsg`` may stop short, so the loop drops the buffers already
+    sent and trims the one it stopped inside.
+    """
     raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    crc = zlib.crc32(raw)
-    if len(payload):
-        crc = zlib.crc32(payload, crc)
-    body_len = 1 + 4 + 4 + len(raw) + len(payload)
-    sock.sendall(_HEAD.pack(body_len, kind, crc & 0xFFFFFFFF, len(raw))
-                 + raw)
-    if len(payload):
-        sock.sendall(payload)
+    view = memoryview(payload)
+    body = view.cast("B") if view.nbytes else b""   # lengths in bytes
+    crc = zlib.crc32(body, zlib.crc32(raw)) & 0xFFFFFFFF
+    head = _HEAD.pack(1 + 4 + 4 + len(raw) + len(body), kind, crc,
+                      len(raw))
+    bufs = [head, raw, body]
+    while bufs:
+        sent = sock.sendmsg(bufs)
+        while bufs and sent >= len(bufs[0]):
+            sent -= len(bufs.pop(0))
+        if sent:
+            bufs[0] = memoryview(bufs[0])[sent:]
+
+
+def close_socket(sock) -> None:
+    """Shut down, then close, ignoring a socket already gone: the
+    shutdown wakes a thread blocked in ``recv_into`` or ``accept`` on
+    the socket, which a bare ``close`` does not."""
+    if sock is None:
+        return
+    for op in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+        try:
+            op()
+        except OSError:
+            pass
 
 
 def _recv_exact_into(sock: socket.socket, buf: memoryview) -> None:
-    """Fill ``buf`` completely from ``sock``.
-
-    Goes through ``sock.recv`` (not ``recv_into``) so socket proxies
-    like :class:`~repro.serve.netfault.FaultySocket` — which intercept
-    ``recv`` to inject faults — still see every byte.
-    """
+    """Fill ``buf`` completely from ``sock``, receiving straight into
+    it, at most 1 MiB per ``recv_into`` call."""
     n = len(buf)
     got = 0
     while got < n:
-        piece = sock.recv(min(n - got, 1 << 20))
-        if not piece:
+        k = sock.recv_into(buf[got:], min(n - got, 1 << 20))
+        if not k:
             raise ConnectionClosed(
                 f"connection closed mid-frame ({got}/{n} bytes)")
-        buf[got:got + len(piece)] = piece
-        got += len(piece)
+        got += k
 
 
 def recv_frame(sock: socket.socket,
@@ -386,9 +420,12 @@ def recv_frame(sock: socket.socket,
 
 
 def encode_error(exc: BaseException) -> dict:
-    """Serialize a server-side failure for an ``ERR`` frame."""
+    """Serialize a server-side failure for an ``ERR`` frame.  A
+    :class:`ServeError` ships its own ``kind`` (the failure it stands
+    for), anything else its class name."""
     return {
-        "error": type(exc).__name__,
+        "error": exc.kind if isinstance(exc, ServeError)
+        else type(exc).__name__,
         "message": str(exc),
         "transient": bool(is_transient(exc)),
     }

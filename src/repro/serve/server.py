@@ -125,6 +125,7 @@ from .protocol import (
     RETRY_LATER,
     VERB_TABLE,
     ProtocolError,
+    close_socket,
     encode_error,
     recv_frame,
     send_frame,
@@ -662,24 +663,16 @@ class DRXServer:
 
     def _close_listener(self) -> None:
         listener, self._listener = self._listener, None
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
+        # the shutdown ends the accept loop now, not at its next poll
+        # timeout: a killed daemon's acceptor must not outlive it beside
+        # its successor
+        close_socket(listener)
 
     def _close_connections(self) -> None:
         with self._conn_lock:
             socks = list(self._conn_socks)
         for s in socks:
-            try:
-                s.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                s.close()
-            except OSError:
-                pass
+            close_socket(s)
 
     def _cancel_all_scopes(self, reason: str) -> None:
         with self._scopes_lock:
@@ -781,6 +774,9 @@ class DRXServer:
         send_lock = threading.Lock()    # interleaved replies stay framed
         workers = _ConnWorkers(self.max_conn_inflight, "drx-serve-op")
         try:
+            # a reply leaves the moment it is written: under Nagle a
+            # frame's tail would wait for the client's delayed ACK
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while self.state != self.DEAD:
                 kind, header, payload = recv_frame(sock, self.max_frame)
                 # lost-request window: frame received (CRC-verified),
@@ -1198,8 +1194,10 @@ class DRXServer:
                 entry.chunks.release(taken)
         finally:
             entry.rw.release_shared(owner)
+        # zero-copy reply: ``DRXFile.read`` fills a fresh array per call
+        # that no other request can see, so its bytes go out as they are
         return ({"shape": list(data.shape), "dtype": data.dtype.str},
-                data.tobytes())
+                memoryview(data).cast("B"))
 
     def _op_write(self, header, payload, owner, scope):
         entry = self._entry(header["name"])

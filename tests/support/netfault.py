@@ -9,6 +9,12 @@ every corruption, the stub's reconnect-with-resume must retry under the
 request's original idempotency key, and the server's dedup table must
 keep the retried mutation exactly-once.
 
+The proxy intercepts exactly the calls the protocol makes: one
+``sendmsg`` per frame sent (a partial send's continuation is another
+op) and one ``recv_into`` per receive (a frame is at least two: the
+fixed head, then the body in pieces of at most 1 MiB).  Any other
+attribute is forwarded untouched.
+
 Fault kinds (armed per direction, fire on the Nth following op):
 
 ``bitflip``
@@ -37,7 +43,7 @@ import socket
 import time
 from collections import deque
 
-__all__ = ["FaultySocket"]
+__all__ = ["FaultySocket", "arm_first_connection"]
 
 
 class FaultySocket:
@@ -45,7 +51,7 @@ class FaultySocket:
 
     Unarmed it is a transparent passthrough.  Rules fire at most once,
     in arming order per direction; ``after`` counts how many ops
-    (``sendall`` / ``recv`` calls) pass untouched first.
+    (``sendmsg`` / ``recv_into`` calls) pass untouched first.
     """
 
     def __init__(self, sock: socket.socket, seed: int = 0) -> None:
@@ -53,8 +59,8 @@ class FaultySocket:
         self.rng = random.Random(seed)
         self._send_rules: deque[dict] = deque()
         self._recv_rules: deque[dict] = deque()
-        self.sends = 0              #: sendall ops seen
-        self.recvs = 0              #: recv ops seen
+        self.sends = 0              #: sendmsg ops seen
+        self.recvs = 0              #: recv_into ops seen
         self.injected = 0           #: rules fired
 
     # ------------------------------------------------------------------
@@ -99,36 +105,34 @@ class FaultySocket:
     # ------------------------------------------------------------------
     # socket surface the protocol layer uses
     # ------------------------------------------------------------------
-    def sendall(self, data) -> None:
+    def sendmsg(self, buffers) -> int:
         self.sends += 1
         rule = self._due(self._send_rules, self.sends)
         if rule is None:
-            self._sock.sendall(data)
-            return
-        mangled = self._mangle(rule, bytes(data))
+            return self._sock.sendmsg(buffers)
+        mangled = self._mangle(rule, b"".join(buffers))
         if mangled is None:
             raise OSError("faulty socket: injected disconnect mid-send")
         self._sock.sendall(mangled)
         if rule["kind"] == "torn":
             self.close()
             raise OSError("faulty socket: frame torn mid-send")
+        return len(mangled)
 
-    def recv(self, n: int) -> bytes:
+    def recv_into(self, buf, nbytes: int = 0) -> int:
         self.recvs += 1
         rule = self._due(self._recv_rules, self.recvs)
         if rule is None:
-            return self._sock.recv(n)
+            return self._sock.recv_into(buf, nbytes)
         if rule["kind"] == "disconnect":
             self.close()
-            return b""
-        data = self._sock.recv(n)
-        mangled = self._mangle(rule, data)
-        if mangled is None:
-            return b""
+            return 0
+        n = self._sock.recv_into(buf, nbytes)
+        mangled = self._mangle(rule, bytes(buf[:n]))
+        buf[:len(mangled)] = mangled
         if rule["kind"] == "torn":
             self.close()
-            return mangled
-        return mangled
+        return len(mangled)
 
     def settimeout(self, value) -> None:
         self._sock.settimeout(value)
@@ -144,3 +148,19 @@ class FaultySocket:
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
+
+
+def arm_first_connection(arm, seed: int = 0):
+    """A ``socket_wrapper`` that wraps every connection a client opens
+    and arms only the first (``arm(fsock)``); reconnects pass through
+    clean.  Returns the wrapper and the list of proxies it made, in
+    connection order."""
+    made: list[FaultySocket] = []
+
+    def wrapper(sock):
+        made.append(FaultySocket(sock, seed=seed))
+        if len(made) == 1:
+            arm(made[0])
+        return made[-1]
+
+    return wrapper, made

@@ -39,7 +39,7 @@ from repro.drx.resilience import BackoffPolicy, FaultPlan
 from repro.drx.storage import MemoryByteStore
 from repro.drx.drxfile import DRXFile
 from repro.pfs import ParallelFileSystem
-from repro.serve import DRXClient, DRXServer, FaultySocket, protocol
+from repro.serve import DRXClient, DRXServer, protocol
 from repro.serve.journal import (
     ABORT,
     BEGIN,
@@ -53,6 +53,7 @@ from repro.serve.journal import (
 )
 from repro.serve.locks import ArrayRWLock
 from repro.serve.recovery import recover, scan_journal
+from tests.support.netfault import arm_first_connection
 
 SEED = int(os.environ.get("DRX_FAULT_SEED", "0"))
 
@@ -122,7 +123,7 @@ class TestJournal:
 
     def test_txn_ids_resume_above_recovered(self):
         j = Journal(MemoryByteStore(), start_txn=41)
-        assert j.begin("extend", None, {"to": [8]}) == 42
+        assert j.begin("extend", ("c", "s", 1), {"to": [8]}) == 42
 
     def test_rotate_truncates_to_checkpoint(self):
         store = MemoryByteStore()
@@ -258,7 +259,7 @@ class TestJournal:
         j = Journal(MemoryByteStore())
         j.close()
         with pytest.raises(ValueError, match="closed"):
-            j.begin("extend", None, {"to": [1]})
+            j.begin("extend", ("c", "s", 1), {"to": [1]})
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +417,10 @@ class TestRecovery:
     def test_checkpoint_supersedes_prior_records(self, tmp_path):
         store = MemoryByteStore()
         j = Journal(store)
-        txn = j.begin("write", None,
+        txn = j.begin("write", ("c", "s", 7),
                       {"lo": [0, 0], "shape": [4, 4], "dtype": "<f8"},
                       np.full((4, 4), 3.0).tobytes())
-        j.sync(j.commit(txn, None, {"seq": 1}))
+        j.sync(j.commit(txn, ("c", "s", 7), {"seq": 1}))
         j.rotate({"c": [['["s",7]', {"seq": 1}]]}, epoch=2)
         f = self._file(tmp_path)
         try:
@@ -735,22 +736,6 @@ class TestKillSweep:
 # ---------------------------------------------------------------------------
 # client-side network faults: CRC, torn frames, reconnect-with-resume
 # ---------------------------------------------------------------------------
-def _arm_first_connection(arm):
-    """A ``socket_wrapper`` arming only the client's FIRST connection;
-    reconnects pass through clean."""
-    state = {"n": 0, "fault": None}
-
-    def wrapper(sock):
-        state["n"] += 1
-        fsock = FaultySocket(sock, seed=SEED)
-        if state["n"] == 1:
-            arm(fsock)
-            state["fault"] = fsock
-        return fsock
-
-    return wrapper, state
-
-
 class TestNetFaults:
     def _serve(self):
         fs = ParallelFileSystem(nservers=3, stripe_size=1024)
@@ -765,8 +750,8 @@ class TestNetFaults:
         try:
             with make_client(srv, "setup") as s:
                 s.create("e", [8, 4], [4, 4])
-            wrapper, state = _arm_first_connection(
-                lambda f: f.arm_recv("disconnect"))
+            wrapper, made = arm_first_connection(
+                lambda f: f.arm_recv("disconnect"), SEED)
             with DRXClient(srv.address, client_id="dedup",
                            timeout=30.0, max_retries=8, seed=SEED,
                            socket_wrapper=wrapper) as c:
@@ -774,7 +759,7 @@ class TestNetFaults:
                 assert ack["shape"] == [12, 4]
                 assert c.retries >= 1
                 st = c.stats()
-            assert state["fault"].injected == 1
+            assert made[0].injected == 1
             assert st["qos"]["clients"]["dedup"]["dedup_hits"] == 1
             assert conservation_ok(st)
             with make_client(srv, "check") as c2:
@@ -791,8 +776,8 @@ class TestNetFaults:
             with make_client(srv, "setup") as s:
                 s.create("b", [8, 4], [4, 4])
             # recv op 1 = frame head, op 2 = header+payload body
-            wrapper, state = _arm_first_connection(
-                lambda f: f.arm_recv("bitflip", after=2))
+            wrapper, made = arm_first_connection(
+                lambda f: f.arm_recv("bitflip", after=2), SEED)
             with DRXClient(srv.address, client_id="flip",
                            timeout=30.0, max_retries=8, seed=SEED,
                            socket_wrapper=wrapper) as c:
@@ -800,7 +785,7 @@ class TestNetFaults:
                 assert ack["shape"] == [8, 8]
                 assert c.retries >= 1
                 st = c.stats()
-            assert state["fault"].injected == 1
+            assert made[0].injected == 1
             assert st["qos"]["clients"]["flip"]["dedup_hits"] == 1
             assert conservation_ok(st)
             with make_client(srv, "check") as c2:
@@ -813,15 +798,15 @@ class TestNetFaults:
         try:
             with make_client(srv, "setup") as s:
                 s.create("t", [8, 4], [4, 4])
-            wrapper, state = _arm_first_connection(
-                lambda f: f.arm_recv("torn", after=2, keep=0.5))
+            wrapper, made = arm_first_connection(
+                lambda f: f.arm_recv("torn", after=2, keep=0.5), SEED)
             with DRXClient(srv.address, client_id="torn",
                            timeout=30.0, max_retries=8, seed=SEED,
                            socket_wrapper=wrapper) as c:
                 ack = c.extend("t", dim=0, by=8)
                 assert ack["shape"] == [16, 4]
                 st = c.stats()
-            assert state["fault"].injected == 1
+            assert made[0].injected == 1
             assert st["qos"]["clients"]["torn"]["dedup_hits"] == 1
             assert conservation_ok(st)
         finally:
@@ -832,14 +817,14 @@ class TestNetFaults:
         try:
             with make_client(srv, "setup") as s:
                 s.create("d", [4], [2])
-            wrapper, state = _arm_first_connection(
-                lambda f: f.arm_recv("delay", seconds=0.15))
+            wrapper, made = arm_first_connection(
+                lambda f: f.arm_recv("delay", seconds=0.15), SEED)
             with DRXClient(srv.address, client_id="slow",
                            timeout=30.0, socket_wrapper=wrapper) as c:
                 c.write("d", [0], np.ones(4))
                 assert np.array_equal(c.read("d", [0], [4]), np.ones(4))
                 assert c.retries == 0            # latency, not loss
-            assert state["fault"].injected == 1
+            assert made[0].injected == 1
         finally:
             srv.shutdown(drain=True)
 
@@ -852,15 +837,15 @@ class TestNetFaults:
             with make_client(srv, "setup") as s:
                 s.create("q", [8, 4], [4, 4])
             # send op 1 on the fresh connection = the extend's REQ frame
-            wrapper, state = _arm_first_connection(
-                lambda f: f.arm_send("torn", after=1, keep=0.4))
+            wrapper, made = arm_first_connection(
+                lambda f: f.arm_send("torn", after=1, keep=0.4), SEED)
             with DRXClient(srv.address, client_id="reqtorn",
                            timeout=30.0, max_retries=8, seed=SEED + 3,
                            socket_wrapper=wrapper) as c:
                 ack = c.extend("q", dim=0, by=4)
                 assert ack["shape"] == [12, 4]
                 st = c.stats()
-            assert state["fault"].injected == 1
+            assert made[0].injected == 1
             assert conservation_ok(st)
             with make_client(srv, "check") as c2:
                 assert c2.open("q")["shape"] == [12, 4]
@@ -1079,14 +1064,14 @@ class TestQoSConservation:
             # losing its first request frame
             with make_client(srv, "clean") as c:
                 c.write("q", (0, 0), np.ones((8, 4)))
-            w1, _ = _arm_first_connection(
-                lambda f: f.arm_recv("disconnect"))
+            w1, _ = arm_first_connection(
+                lambda f: f.arm_recv("disconnect"), SEED)
             with DRXClient(srv.address, client_id="lost-ack",
                            timeout=30.0, max_retries=8, seed=SEED,
                            socket_wrapper=w1) as c:
                 c.extend("q", dim=0, by=4)
-            w2, _ = _arm_first_connection(
-                lambda f: f.arm_send("torn", after=1, keep=0.4))
+            w2, _ = arm_first_connection(
+                lambda f: f.arm_send("torn", after=1, keep=0.4), SEED)
             with DRXClient(srv.address, client_id="lost-req",
                            timeout=30.0, max_retries=8, seed=SEED + 1,
                            socket_wrapper=w2) as c:

@@ -56,6 +56,24 @@ def _edges() -> set[tuple[str, str, str]]:
     return out
 
 
+def test_test_rigs_stay_out_of_src():
+    """Wire chaos lives in ``tests/support``: the shipped package
+    neither carries it nor imports anything from ``tests``."""
+    assert not (ROOT / "serve" / "netfault.py").exists()
+    offenders = []
+    for path in sorted(ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [(path.relative_to(ROOT).as_posix(), n)
+                          for n in names if n.split(".")[0] == "tests"]
+    assert offenders == []
+
+
 def test_every_package_has_a_tier():
     packages = {p.name for p in ROOT.iterdir() if (p / "__init__.py").exists()}
     assert packages == set(TIER)

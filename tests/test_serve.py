@@ -43,6 +43,7 @@ from repro.pfs import ParallelFileSystem
 from repro.serve import DRXClient, DRXServer
 from repro.serve import protocol
 from repro.serve.locks import ArrayRWLock, ChunkLocks
+from tests.support.netfault import FaultySocket, arm_first_connection
 
 SEED = int(os.environ.get("DRX_FAULT_SEED", "0"))
 SOAK_CLIENTS = int(os.environ.get("DRX_SOAK_CLIENTS", "8"))
@@ -136,6 +137,131 @@ class TestProtocol:
         assert not err.transient and err.kind == "ValueError"
 
 
+class _TrickleSocket:
+    """Captures what ``send_frame`` writes, taking at most 7 bytes per
+    ``sendmsg`` so every partial-send branch runs."""
+
+    def __init__(self) -> None:
+        self.wire = bytearray()
+
+    def sendmsg(self, buffers) -> int:
+        room = 7
+        for buf in buffers:
+            piece = memoryview(buf).cast("B")[:room]
+            self.wire += piece
+            room -= len(piece)
+            if not room:
+                break
+        return 7 - room
+
+
+class _ReplaySocket:
+    """Feeds captured frame bytes back to ``recv_frame``."""
+
+    def __init__(self, data) -> None:
+        self._data = memoryview(data)
+
+    def recv_into(self, buf, nbytes: int = 0) -> int:
+        n = min(nbytes or len(buf), len(self._data))
+        buf[:n] = self._data[:n]
+        self._data = self._data[n:]
+        return n
+
+
+class TestWire:
+    """One gather send per frame on a no-delay socket, received
+    straight into the frame buffer, with every wire fault still
+    reaching the proxy that injects it."""
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param(np.random.default_rng(SEED).bytes(1 << 20),
+                     id="1MiB"),
+        pytest.param(memoryview(np.arange(48.0).reshape(6, 8)),
+                     id="2d-float64-view"),
+    ])
+    def test_partial_sends_rebuild_the_frame(self, payload):
+        header = {"verb": "write", "rid": 3, "shape": [6, 8]}
+        sock = _TrickleSocket()
+        protocol.send_frame(sock, protocol.REQ, header, payload)
+        nbytes = memoryview(payload).nbytes
+        raw = json.dumps(header, separators=(",", ":")).encode()
+        (body_len,) = struct.unpack("!I", sock.wire[:4])
+        assert body_len == len(sock.wire) - 4 == 9 + len(raw) + nbytes
+        kind, got_header, got = protocol.recv_frame(_ReplaySocket(sock.wire))
+        assert (kind, got_header) == (protocol.REQ, header)
+        assert bytes(got) == bytes(memoryview(payload).cast("B"))
+
+    def test_accepted_sockets_are_nodelay(self):
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "nd") as c, c.pipeline(depth=2) as pipe:
+                assert c.ping()["pong"] and pipe.ping().result()["pong"]
+                with srv._conn_lock:
+                    socks = list(srv._conn_socks)
+                assert len(socks) == 2
+                assert all(s.getsockopt(socket.IPPROTO_TCP,
+                                        socket.TCP_NODELAY)
+                           for s in socks)
+
+    def test_write_frame_is_one_send(self):
+        wrapper, fsocks = arm_first_connection(lambda f: None, SEED)
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "one", socket_wrapper=wrapper) as c:
+                c.create("w1", [512], [64])
+                sends = fsocks[0].sends
+                c.write("w1", [0], np.arange(512.0))
+                assert fsocks[0].sends == sends + 1
+                assert len(fsocks) == 1
+
+    @pytest.mark.parametrize("direction", ["send", "recv"])
+    def test_bitflip_is_caught_by_the_crc(self, direction):
+        """One flipped bit in a 4 KiB write request (send) or in a read
+        reply's payload (recv): the proxy fires once, the CRC refuses
+        the frame, the retry is clean — the corrupt write was never
+        applied (no dedup hit) and the corrupt read never returned."""
+        # send ops: create, write; recv ops: create reply (head, body),
+        # write reply (head, body), read reply head, read reply body
+        wrapper, fsocks = arm_first_connection(
+            lambda f: f.arm_send("bitflip", after=2) if direction == "send"
+            else f.arm_recv("bitflip", after=6), SEED)
+        values = np.arange(512.0)
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "flip", socket_wrapper=wrapper,
+                             max_retries=8, seed=SEED) as c:
+                c.create("bf", [512], [64])
+                c.write("bf", [0], values)
+                assert np.array_equal(c.read("bf", [0], [512]), values)
+                assert c.retries == 1
+            assert fsocks[0].injected == 1 and len(fsocks) == 2
+            assert srv.qos.snapshot()["clients"]["flip"]["dedup_hits"] == 0
+
+    def test_retried_write_resends_the_callers_original_values(self):
+        """A pipelined write's first attempt tears mid-frame; the caller
+        then reuses its array before the retry goes out.  The retry
+        carries the values as they were when the write was issued."""
+        overwritten = threading.Event()
+        wrapper, fsocks = arm_first_connection(
+            lambda f: f.arm_send("torn", after=1, keep=0.5), SEED)
+        values = np.arange(64.0).reshape(8, 8)
+        original = values.copy()
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "setup") as s:
+                s.create("reuse", [8, 8], [4, 4])
+            with make_client(srv, "reuser", socket_wrapper=wrapper,
+                             max_retries=8, seed=SEED,
+                             # the backoff before the retry waits for
+                             # the caller's overwrite
+                             sleep=lambda _s: overwritten.wait(10)) as c:
+                with c.pipeline(depth=2) as pipe:
+                    pend = pipe.write("reuse", (0, 0), values)
+                    values[:] = -1.0
+                    overwritten.set()
+                    assert pend.result()["nbytes"] == 64 * 8
+                    assert pipe.resends == 1
+                assert fsocks[0].injected == 1
+                assert np.array_equal(c.read("reuse", (0, 0), (8, 8)),
+                                      original)
+
+
 # ---------------------------------------------------------------------------
 # basic request/response over both backends
 # ---------------------------------------------------------------------------
@@ -192,6 +318,17 @@ class TestBasics:
                 assert c.create("dup", [4], [2],
                                 exists_ok=True)["shape"] == [4]
                 # none of those consumed a retry
+                assert c.retries == 0
+
+    def test_error_kind_survives_the_wire(self):
+        """Regression: a ``ServeError`` raised with its own ``kind``
+        reached the client as kind ``ServeError``."""
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "kind") as c:
+                with pytest.raises(ServeError) as info:
+                    c.read("missing", [0], [1])
+                assert info.value.kind == "DRXFileNotFoundError"
+                assert not info.value.transient
                 assert c.retries == 0
 
     @pytest.mark.parametrize("backend", ["root", "fs"])
@@ -583,6 +720,18 @@ class TestRangeLocks:
 # graceful drain and abrupt disconnect
 # ---------------------------------------------------------------------------
 class TestDrainAndDisconnect:
+    def test_kill_ends_the_accept_loop_at_once(self):
+        """The listener is shut down, not just closed, so the accept
+        loop leaves at once instead of at its next poll timeout — a
+        killed daemon's acceptor must not live on beside the daemon
+        restarted in its place."""
+        with serve_ctx() as (srv, _):
+            srv._listener.settimeout(30.0)   # a poll that never ends
+            time.sleep(0.5)                  # ... that the loop is now in
+            srv.kill()
+            srv._accept_thread.join(5.0)
+            assert not srv._accept_thread.is_alive()
+
     def test_drain_finishes_inflight_and_keeps_acked_writes(self):
         with serve_ctx() as (srv, fs):
             with make_client(srv, "d") as c:
@@ -1054,8 +1203,6 @@ class TestPipeline:
         """The connection dies with extends outstanding: the receiver
         reconnects and re-sends under the original keys — extends are
         not idempotent, so exactly-once shows in the final shape."""
-        from repro.serve import FaultySocket
-
         state = {"n": 0}
 
         def wrapper(sock):
@@ -1152,8 +1299,6 @@ class TestBatch:
         """The batch REQ frame tears mid-wire, then — on retry — the
         reply is lost too; both failures retry under the original
         per-op keys, and every extend still lands exactly once."""
-        from repro.serve import FaultySocket
-
         state = {"n": 0}
 
         def wrapper(sock):
@@ -1190,8 +1335,6 @@ class TestBatch:
         NOTHING on retry — the server's dedup window covers a maximal
         batch, so no fulfilled entry is evicted while still
         retryable."""
-        from repro.serve import FaultySocket
-
         state = {"n": 0}
 
         def wrapper(sock):
