@@ -18,12 +18,17 @@ space to the *chunk* index space:
   source/destination slices needed to copy that intersection — the
   primitive underneath every sub-array read/write in DRX and DRX-MP.
 
-Everything is pure and deterministic; heavy paths are vectorized.
+Everything is pure and deterministic.  The box primitive is scalar: a
+box's overlap with a chunk is separable, so :func:`axis_rows` walks each
+dimension's chunk range once and the chunks are the product of those
+rows — cheaper than any NumPy call on the few chunks of a small request.
+:func:`chunks_covering_box` stays vectorized for zone-sized batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 from typing import Iterator, Sequence
 
@@ -39,6 +44,7 @@ __all__ = [
     "chunk_element_box",
     "chunks_covering_box",
     "ChunkIntersection",
+    "axis_rows",
     "iter_box_intersections",
     "box_shape",
     "validate_box",
@@ -180,30 +186,48 @@ class ChunkIntersection:
         return prod(s.stop - s.start for s in self.chunk_slices)
 
 
+#: One chunk index along one dimension: ``(i, chunk_slice, box_slice,
+#: full)`` — see :func:`axis_rows`.
+AxisEntry = tuple[int, slice, slice, bool]
+
+
+def axis_rows(lo: Sequence[int], hi: Sequence[int],
+              chunk_shape: Sequence[int]) -> list[list[AxisEntry]]:
+    """The chunks covering ``[lo, hi)``, one row per dimension.
+
+    Row ``j`` holds one entry per chunk index ``i`` in
+    ``[lo_j // c_j, ceil(hi_j / c_j))``: ``(i, chunk_slice, box_slice,
+    full)``, the overlap of the box with that chunk along ``j`` in
+    chunk-local and box-relative coordinates, and whether it spans the
+    whole chunk.  A box's overlap with a chunk is separable, so the
+    covering chunks are exactly ``itertools.product`` of the rows — in
+    row-major order — and each chunk's overlap is its entries' slices.
+    An empty box (``lo_j >= hi_j``) gives an empty row.
+    """
+    rows = []
+    for l, h, c in zip(lo, hi, chunk_shape):
+        row = []
+        for i in range(l // c, -(-h // c)):
+            c_lo = i * c
+            c_hi = c_lo + c
+            o_lo = l if l > c_lo else c_lo
+            o_hi = h if h < c_hi else c_hi
+            row.append((i, slice(o_lo - c_lo, o_hi - c_lo),
+                        slice(o_lo - l, o_hi - l),
+                        o_lo == c_lo and o_hi == c_hi))
+        rows.append(row)
+    return rows
+
+
 def iter_box_intersections(lo: Sequence[int], hi: Sequence[int],
                            chunk_shape: Sequence[int],
                            ) -> Iterator[ChunkIntersection]:
     """Iterate every chunk intersecting ``[lo, hi)`` with its copy slices.
 
     The iteration order is row-major over the covered chunk grid, which is
-    also the order :func:`chunks_covering_box` returns.
+    also the order :func:`chunks_covering_box` returns.  Built on
+    :func:`axis_rows`: a chunk is one element of the rows' product.
     """
-    k = len(chunk_shape)
-    for row in chunks_covering_box(lo, hi, chunk_shape):
-        c_lo = [int(row[j]) * chunk_shape[j] for j in range(k)]
-        c_hi = [c_lo[j] + chunk_shape[j] for j in range(k)]
-        o_lo = [max(c_lo[j], lo[j]) for j in range(k)]
-        o_hi = [min(c_hi[j], hi[j]) for j in range(k)]
-        chunk_slices = tuple(
-            slice(o_lo[j] - c_lo[j], o_hi[j] - c_lo[j]) for j in range(k)
-        )
-        box_slices = tuple(
-            slice(o_lo[j] - lo[j], o_hi[j] - lo[j]) for j in range(k)
-        )
-        full = all(o_lo[j] == c_lo[j] and o_hi[j] == c_hi[j] for j in range(k))
-        yield ChunkIntersection(
-            chunk_index=tuple(int(x) for x in row),
-            chunk_slices=chunk_slices,
-            box_slices=box_slices,
-            full=full,
-        )
+    for chunk in product(*axis_rows(lo, hi, chunk_shape)):
+        index, chunk_slices, box_slices, full = zip(*chunk)
+        yield ChunkIntersection(index, chunk_slices, box_slices, all(full))

@@ -86,23 +86,31 @@ class Hyperslab:
         region), returns ``(box_slices, out_slices)`` such that
         ``out[out_slices] = box[box_slices]`` moves exactly the selected
         lattice points inside the box — or ``None`` when the box contains
-        no lattice point.  Strided NumPy slices, no element loops.
+        no lattice point.  Strided NumPy slices, no element loops.  The
+        selection is separable: it is :meth:`axis_selector` per dimension.
         """
         box_slices = []
         out_slices = []
-        for s, st, c, lo, hi in zip(self.start, self.stride, self.count,
-                                    box_lo, box_hi):
-            # first lattice index >= lo
-            if lo <= s:
-                first_i = 0
-            else:
-                first_i = -(-(lo - s) // st)
-            last_i = (hi - 1 - s) // st       # last lattice index < hi
-            if first_i >= c or last_i < first_i:
+        for j, (lo, hi) in enumerate(zip(box_lo, box_hi)):
+            sel = self.axis_selector(j, lo, hi)
+            if sel is None:
                 return None
-            last_i = min(last_i, c - 1)
-            first = s + first_i * st
-            box_slices.append(slice(first - lo,
-                                    (s + last_i * st) - lo + 1, st))
-            out_slices.append(slice(first_i, last_i + 1))
+            box_slices.append(sel[0])
+            out_slices.append(sel[1])
         return tuple(box_slices), tuple(out_slices)
+
+    def axis_selector(self, j: int, lo: int, hi: int
+                      ) -> tuple[slice, slice] | None:
+        """:meth:`box_selector` along dimension ``j`` alone: the slice of
+        ``[lo, hi)`` holding the lattice and the matching output slice,
+        or ``None`` when ``[lo, hi)`` holds no lattice index."""
+        s, st, c = self.start[j], self.stride[j], self.count[j]
+        # first lattice index >= lo
+        first_i = 0 if lo <= s else -(-(lo - s) // st)
+        last_i = (hi - 1 - s) // st           # last lattice index < hi
+        if first_i >= c or last_i < first_i:
+            return None
+        last_i = min(last_i, c - 1)
+        first = s + first_i * st
+        return (slice(first - lo, (s + last_i * st) - lo + 1, st),
+                slice(first_i, last_i + 1))

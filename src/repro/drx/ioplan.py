@@ -11,6 +11,23 @@ address order, grouped into **maximal contiguous runs**, each of which
 can move with a single vectored store call (the serial analog of MPI-IO
 data sieving / two-phase aggregation).
 
+How a plan is compiled: a box's overlap with a chunk is separable, so
+the compiler walks each dimension's chunk range once
+(:func:`~repro.core.chunking.axis_rows`).  Every chunk index ``i`` along
+dimension ``j`` gets a row entry — its chunk and box slices, whether it
+is full along ``j``, and its candidate record
+``eci.axial_vectors[j].search(i)`` (one binary search).  A hyperslab's
+lattice is applied to the rows too, dropping entries that hold no
+lattice point.  The chunks are the product of the rows; each takes the
+candidate with the largest segment start as its governing record and
+its address from that record's Eq. (1) — the paper's ``F*``, with the
+binary searches done once per row entry instead of once per chunk.  The
+visits are sorted by address and :class:`IOPlan` cuts them into runs in
+one pass.  The compiler is scalar Python on purpose: most requests
+cover a few chunks, where NumPy's fixed cost per call outweighs the
+arithmetic.  Zone file views, whose batches hold hundreds of chunks,
+use :func:`~repro.core.mapping.f_star_many` instead.
+
 The planner is pure geometry + address arithmetic; the transfers live in
 ``DRXFile`` (which executes plans against its :class:`Mpool` and
 :class:`~repro.drx.storage.ByteStore`) and in
@@ -23,15 +40,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import product
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..core.chunking import iter_box_intersections
+from ..core.chunking import AxisEntry, axis_rows
 from ..core.errors import DRXIndexError
 from ..core.extendible import ExtendibleChunkIndex
 from ..core.hyperslab import Hyperslab
-from ..core.mapping import f_star_many
 
 __all__ = ["Visit", "Run", "IOPlan", "PlanCache", "coalesce_addresses",
            "plan_box", "plan_slab"]
@@ -107,14 +125,23 @@ class IOPlan:
     def __init__(self, visits: list[Visit], chunk_nbytes: int) -> None:
         self.visits = visits
         self.chunk_nbytes = chunk_nbytes
-        addrs = np.fromiter((v.address for v in visits), dtype=np.int64,
-                            count=len(visits))
-        starts, counts = coalesce_addresses(addrs)
-        first = 0
+        # one pass: a run breaks wherever the next address is not the
+        # previous one plus one
         runs: list[Run] = []
-        for s, c in zip(starts, counts):
-            runs.append(Run(int(s), int(c), first))
-            first += int(c)
+        if visits:
+            start = prev = visits[0].address
+            first = 0
+            for n in range(1, len(visits)):
+                a = visits[n].address
+                if a != prev + 1:
+                    if a <= prev:
+                        raise DRXIndexError(
+                            "visit addresses must be strictly increasing"
+                        )
+                    runs.append(Run(start, n - first, first))
+                    start, first = a, n
+                prev = a
+            runs.append(Run(start, len(visits) - first, first))
         self.runs = runs
 
     @property
@@ -157,8 +184,14 @@ class PlanCache:
 
     ``stats`` (optional) is a :class:`~repro.drx.storage.StoreStats`
     whose ``plan_hits``/``plan_misses`` counters make the hit rate
-    observable — the tuning advisor treats a low hit rate as a sign the
-    workload is not iterative and read-ahead should shrink.
+    observable.
+
+    With the per-dimension compiler a miss costs little more than a
+    lookup, so the cache earns little.  It stays because the repository
+    benchmark's tracer binds its ``core.plan_map`` boundary to
+    :meth:`box`/:meth:`slab` (and ``core.plan_lookup``/``plan_store`` to
+    :meth:`lookup`/:meth:`store`); deleting it waits for a
+    benchmark-side change that moves that boundary.
     """
 
     def __init__(self, max_entries: int = 256, stats=None) -> None:
@@ -222,16 +255,8 @@ def plan_box(eci: ExtendibleChunkIndex, lo: Sequence[int],
              hi: Sequence[int], chunk_shape: Sequence[int],
              chunk_nbytes: int) -> IOPlan:
     """Compile a dense box request ``[lo, hi)`` into an :class:`IOPlan`."""
-    inters = list(iter_box_intersections(lo, hi, chunk_shape))
-    idx = np.asarray([it.chunk_index for it in inters], dtype=np.int64)
-    addrs = f_star_many(eci, idx)
-    order = np.argsort(addrs, kind="stable")
-    visits = [
-        Visit(int(addrs[i]), inters[i].chunk_slices,
-              inters[i].box_slices, inters[i].full)
-        for i in order
-    ]
-    return IOPlan(visits, chunk_nbytes)
+    return _compile(eci, _checked_rows(eci, lo, hi, chunk_shape),
+                    chunk_nbytes)
 
 
 def plan_slab(eci: ExtendibleChunkIndex, slab: Hyperslab,
@@ -240,29 +265,70 @@ def plan_slab(eci: ExtendibleChunkIndex, slab: Hyperslab,
 
     Chunks of the slab's bounding box that hold no lattice point are
     dropped; the surviving visits carry strided ``chunk_slices`` picking
-    the lattice and dense ``box_slices`` into the result array.
+    the lattice and dense ``box_slices`` into the result array.  The
+    lattice is separable, so it is applied to each dimension's row: an
+    entry with no lattice point drops every chunk that contains it.
     """
     lo, hi = slab.bounding_box()
-    inters = list(iter_box_intersections(lo, hi, chunk_shape))
-    idx = np.asarray([it.chunk_index for it in inters], dtype=np.int64)
-    addrs = f_star_many(eci, idx)
-    order = np.argsort(addrs, kind="stable")
-    visits: list[Visit] = []
-    for i in order:
-        inter = inters[i]
-        abs_lo = tuple(l + bs.start for l, bs in zip(lo, inter.box_slices))
-        abs_hi = tuple(l + bs.stop for l, bs in zip(lo, inter.box_slices))
-        sel = slab.box_selector(abs_lo, abs_hi)
-        if sel is None:
-            continue
-        rel_sl, out_sl = sel
-        chunk_sl = tuple(
-            slice(cs.start + rs.start, cs.start + rs.stop, rs.step)
-            for cs, rs in zip(inter.chunk_slices, rel_sl)
+    rows = []
+    for j, row in enumerate(_checked_rows(eci, lo, hi, chunk_shape)):
+        l, c = lo[j], chunk_shape[j]
+        kept = []
+        for i, cs, bs, full in row:
+            sel = slab.axis_selector(j, l + bs.start, l + bs.stop)
+            if sel is not None:
+                rs, out = sel
+                kept.append((i, slice(cs.start + rs.start,
+                                      cs.start + rs.stop, rs.step), out,
+                             full and rs.step == 1 and rs.start == 0
+                             and rs.stop == c))
+        rows.append(kept)
+    return _compile(eci, rows, chunk_nbytes)
+
+
+def _checked_rows(eci: ExtendibleChunkIndex, lo: Sequence[int],
+                  hi: Sequence[int], chunk_shape: Sequence[int]
+                  ) -> list[list[AxisEntry]]:
+    """:func:`axis_rows` of a non-empty box inside the chunk bounds."""
+    rows = axis_rows(lo, hi, chunk_shape)
+    problem = None
+    if len(rows) != eci.rank:
+        problem = f"has rank {len(rows)}, not the array's {eci.rank}"
+    elif not all(rows):
+        problem = "is empty"
+    elif any(row[0][0] < 0 or row[-1][0] >= n
+             for row, n in zip(rows, eci.bounds)):
+        problem = f"leaves the chunk bounds {eci.bounds}"
+    if problem is not None:
+        raise DRXIndexError(
+            f"box lo={tuple(lo)} hi={tuple(hi)} with chunk shape "
+            f"{tuple(chunk_shape)} {problem}"
         )
-        full = inter.full and all(
-            rs.step == 1 and rs.start == 0 and rs.stop == c
-            for rs, c in zip(rel_sl, chunk_shape)
-        )
-        visits.append(Visit(int(addrs[i]), chunk_sl, out_sl, full))
+    return rows
+
+
+def _compile(eci: ExtendibleChunkIndex, rows: list[list[AxisEntry]],
+             chunk_nbytes: int) -> IOPlan:
+    """The plan of the chunks in the product of per-dimension rows.
+
+    Each row entry gets its dimension's candidate record (one binary
+    search).  A chunk's governing record is its candidate with the
+    largest segment start, and its address is that record's Eq. (1).
+    Live records never share a start and sentinels (-1) never win, so
+    the dimension index in each key only keeps ``max`` from comparing
+    records.
+    """
+    keyed = []
+    for j, (row, vec) in enumerate(zip(rows, eci.axial_vectors)):
+        keyed_row = []
+        for i, cs, bs, full in row:
+            rec = vec.search(i)
+            keyed_row.append((rec.start_address, j, rec, i, cs, bs, full))
+        keyed.append(keyed_row)
+    visits = []
+    for chunk in product(*keyed):
+        gov = max(chunk)[2]
+        _, _, _, index, cs, bs, full = zip(*chunk)
+        visits.append(Visit(gov.address_of(index), cs, bs, all(full)))
+    visits.sort(key=attrgetter("address"))
     return IOPlan(visits, chunk_nbytes)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ class TestPlanners:
         assert plan.addresses == sorted(plan.addresses)
         # a strided pick of one element per chunk is never "full"
         assert not any(v.full for v in plan.visits)
+
+    def test_bad_box_errors_name_the_box(self, fig1_index):
+        # an empty box used to reach F* as a rank-0 index batch
+        with pytest.raises(DRXIndexError,
+                           match=r"box lo=\(0, 0\) hi=\(0, 4\) .* is empty"):
+            plan_box(fig1_index, (0, 0), (0, 4), (64, 64), 8)
+        with pytest.raises(DRXIndexError,
+                           match=r"box lo=\(0, 0\) hi=\(11, 4\) .* leaves "
+                                 r"the chunk bounds \(5, 4\)"):
+            plan_box(fig1_index, (0, 0), (11, 4), (2, 2), 8)
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +416,27 @@ def test_one_data_path_under_drxfile():
         assert "coalesce" not in inspect.signature(ctor).parameters
     assert not {"write_behind", "wb_queue"} \
         & set(inspect.signature(Mpool.__init__).parameters)
+
+
+def test_plan_compile_makes_no_numpy_call():
+    """Structural guard: a small request's plan is compiled without
+    NumPy (its fixed cost per call outweighs the arithmetic on a few
+    chunks), and the geometry primitive walks per-dimension rows rather
+    than building a NumPy chunk grid."""
+    import repro.core.chunking as chunking
+    import repro.drx.ioplan as ioplan
+
+    def names(fn):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+    for fn in (ioplan.plan_box, ioplan.plan_slab, ioplan._checked_rows,
+               ioplan._compile, ioplan.IOPlan.__init__, chunking.axis_rows,
+               chunking.iter_box_intersections):
+        assert "np" not in names(fn), fn.__qualname__
+    assert "f_star_many" not in vars(ioplan)
+    assert "chunks_covering_box" not in \
+        names(chunking.iter_box_intersections)
 
 
 class TestContainers:

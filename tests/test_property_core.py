@@ -25,7 +25,10 @@ from repro.core import (
     f_star_many,
     replay_history,
 )
+from repro.core.hyperslab import Hyperslab
 from repro.core.orders import SymmetricShellOrder, ZOrder
+from repro.drx.ioplan import plan_box, plan_slab
+from tests.support.fstar_oracle import f_star
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -115,6 +118,91 @@ def test_record_count_bounded_by_extensions(case, _seed):
         prev = dim
     for j, v in enumerate(eci.axial_vectors):
         assert len(v) <= 1 + runs[j]
+
+
+@st.composite
+def plan_cases(draw):
+    """An index grown with or without merging, a chunk shape, a box
+    and a hyperslab inside the element extent."""
+    bounds, history = draw(growth_cases(max_steps=6))
+    eci = ExtendibleChunkIndex(bounds)
+    for dim, by in history:
+        eci.extend(dim, by, merge=draw(st.booleans()))
+    k = eci.rank
+    chunk_shape = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    extent = [n * c for n, c in zip(eci.bounds, chunk_shape)]
+    lo = [draw(st.integers(0, e - 1)) for e in extent]
+    hi = [draw(st.integers(l + 1, e)) for l, e in zip(lo, extent)]
+    start = [draw(st.integers(0, e - 1)) for e in extent]
+    stride = [draw(st.integers(1, 4)) for _ in extent]
+    count = [draw(st.integers(1, (e - 1 - s) // t + 1))
+             for s, t, e in zip(start, stride, extent)]
+    return eci, chunk_shape, lo, hi, Hyperslab.build(start, stride, count)
+
+
+def reference_plan(eci, lo, hi, chunk_shape, slab=None):
+    """``(visits, runs)`` of a box or slab from first principles: every
+    chunk of the grid is clipped to the request, lattice points are
+    enumerated, and addresses come from the scalar oracle."""
+    visits = []
+    for index in np.ndindex(*eci.bounds):
+        cs, bs, full = [], [], True
+        for j, (i, c) in enumerate(zip(index, chunk_shape)):
+            c_lo, c_hi = i * c, (i + 1) * c
+            o_lo, o_hi = max(c_lo, lo[j]), min(c_hi, hi[j])
+            if o_lo >= o_hi:
+                break
+            if slab is None:
+                cs.append(slice(o_lo - c_lo, o_hi - c_lo))
+                bs.append(slice(o_lo - lo[j], o_hi - lo[j]))
+                full = full and (o_lo, o_hi) == (c_lo, c_hi)
+                continue
+            s, t = slab.start[j], slab.stride[j]
+            ts = [(p - s) // t for p in range(o_lo, o_hi)
+                  if p >= s and (p - s) % t == 0
+                  and (p - s) // t < slab.count[j]]
+            if not ts:
+                break
+            cs.append(slice(s + ts[0] * t - c_lo, s + ts[-1] * t - c_lo + 1, t))
+            bs.append(slice(ts[0], ts[-1] + 1))
+            # a strided pick is never "full", even of a one-wide chunk
+            full = full and t == 1 and (o_lo, o_hi) == (c_lo, c_hi)
+        else:
+            visits.append((f_star(eci, index), tuple(cs), tuple(bs), full))
+    visits.sort(key=lambda v: v[0])
+    runs = []
+    for n, (addr, *_rest) in enumerate(visits):
+        if runs and addr == runs[-1][0] + runs[-1][1]:
+            runs[-1][1] += 1
+        else:
+            runs.append([addr, 1, n])
+    return visits, [tuple(r) for r in runs]
+
+
+def _as_tuples(plan):
+    return ([(v.address, v.chunk_slices, v.box_slices, v.full)
+             for v in plan.visits],
+            [(r.start, r.count, r.first) for r in plan.runs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_cases())
+def test_plans_match_the_scalar_oracle(case):
+    """Box and slab plans equal the oracle's: visits, order, slices,
+    ``full`` flags and runs — under merged and unmerged histories."""
+    eci, chunk_shape, lo, hi, slab = case
+    assert _as_tuples(plan_box(eci, lo, hi, chunk_shape, 8)) == \
+        reference_plan(eci, lo, hi, chunk_shape)
+    s_lo, s_hi = slab.bounding_box()
+    assert _as_tuples(plan_slab(eci, slab, chunk_shape, 8)) == \
+        reference_plan(eci, s_lo, s_hi, chunk_shape, slab)
+    # over the whole grid the addresses are a bijection onto [0, M*)
+    whole = [n * c for n, c in zip(eci.bounds, chunk_shape)]
+    everything = list(range(eci.num_chunks))
+    assert plan_box(eci, [0] * eci.rank, whole, chunk_shape, 8).addresses \
+        == everything
+    assert sorted(f_star(eci, i) for i in np.ndindex(*eci.bounds)) \
+        == everything
 
 
 @settings(max_examples=100, deadline=None)
