@@ -23,6 +23,9 @@ stripe-aligned *file domains*, each owned by one *aggregator* rank
 :meth:`Intracomm.node_map`).  Phase A exchanges requests and data
 point-to-point — O(total data) bytes, not the O(P x data) of a
 bulletin-board broadcast — so only aggregators ever touch the PFS.
+Payloads pass by reference (ranks are threads of one process), so a
+read's aggregator carves each rank's bytes straight into that rank's
+buffer.
 Phase B issues one large vectored request per aggregator per
 ``cb_buffer_size`` window, data-sieving hole-bearing windows.
 Overlapping collective writers are legal and resolved in rank order
@@ -296,33 +299,38 @@ def _windows(groups: Iterable[Group], cap: int | None
         yield win
 
 
-def _extract(starts: list[int], blobs: list[bytes],
-             off: int, length: int) -> bytes:
-    """Carve ``[off, off+length)`` out of covering blobs (may span
-    several consecutive covering extents)."""
-    out = bytearray()
-    pos = off
-    end = off + length
-    i = bisect_right(starts, pos) - 1
-    while pos < end:
-        s = starts[i]
-        b = blobs[i]
-        take = min(end, s + len(b)) - pos
-        out += b[pos - s:pos - s + take]
-        pos += take
-        i += 1
-    return bytes(out)
+def _carve(starts: list[int], blobs: list[memoryview],
+           pieces: Iterable[tuple[int, int, int]], dest) -> int:
+    """Copy each ``(offset, length, data_position)`` piece out of the
+    covering blobs (a piece may span several consecutive covering
+    extents) into ``dest[data_position:data_position+length]``.
+    Returns the bytes copied."""
+    moved = 0
+    for off, length, at in pieces:
+        end = off + length
+        i = bisect_right(starts, off) - 1
+        while off < end:
+            s = starts[i]
+            b = blobs[i]
+            take = min(end, s + len(b)) - off
+            dest[at:at + take] = b[off - s:off - s + take]
+            off += take
+            at += take
+            i += 1
+        moved += length
+    return moved
 
 
 def _read_groups(pfile: PFSFile, groups: list[Group], window: int | None,
                  sieve_site: str | None = None
-                 ) -> tuple[list[int], list[bytes], float]:
+                 ) -> tuple[list[int], list[memoryview], float]:
     """Read every group's covering extent, one vectored request per
     window.  Returns the covering ``(starts, blobs)`` index for
-    :func:`_extract` and the summed simulated time; ``sieve_site`` names
-    the crash point visited before a hole-bearing window."""
+    :func:`_carve` (each blob a view into its window's reply) and the
+    summed simulated time; ``sieve_site`` names the crash point visited
+    before a hole-bearing window."""
     starts: list[int] = []
-    blobs: list[bytes] = []
+    blobs: list[memoryview] = []
     io_t = 0.0
     after = 0
     for win in _windows(groups, window):
@@ -332,10 +340,11 @@ def _read_groups(pfile: PFSFile, groups: list[Group], window: int | None,
         blob, t = pfile.readv(covering)
         io_t += t
         after += len(covering)
+        view = memoryview(blob)
         pos = 0
         for s, n in covering:
             starts.append(s)
-            blobs.append(blob[pos:pos + n])
+            blobs.append(view[pos:pos + n])
             pos += n
     account(pfile,
             sieve_reads=sum(1 for g in groups if g[2]),
@@ -360,30 +369,30 @@ def _write_groups(pfile: PFSFile,
     run_starts = [s for s, _n in runs]
     bufs = [bytearray(n) for _s, n in runs]
     for exts, payload in sources:
+        src = memoryview(payload)
         pos = 0
         for off, length in exts:
             i = bisect_right(run_starts, off) - 1
             at = off - run_starts[i]
-            bufs[i][at:at + length] = payload[pos:pos + length]
+            bufs[i][at:at + length] = src[pos:pos + length]
             pos += length
     io_t = 0.0
     after = rmw_n = waste = 0
     for win in _windows(groups, window):
         direct_ext: list[Extent] = []
-        direct_data = bytearray()
-        rmw: list[tuple[int, int, list[tuple[int, bytes]]]] = []
+        direct_bufs: list[bytearray] = []
+        rmw: list[tuple[int, int, list[tuple[int, bytearray]]]] = []
         for s, e, holes, useful, i0, i1 in win:
             if holes == 0:      # hole-free group is exactly one run
                 direct_ext.append((s, e - s))
-                direct_data += bufs[i0]
+                direct_bufs.append(bufs[i0])
             else:
-                pieces = [(run_starts[i], bytes(bufs[i]))
-                          for i in range(i0, i1)]
+                pieces = [(run_starts[i], bufs[i]) for i in range(i0, i1)]
                 rmw.append((s, e - s, pieces))
                 waste += (e - s) - useful
         if sieve_site and rmw:
             crash_point(sieve_site)
-        io_t += pfile.sieve_writev((direct_ext, bytes(direct_data)), rmw)
+        io_t += pfile.sieve_writev((direct_ext, b"".join(direct_bufs)), rmw)
         after += len(direct_ext) + len(rmw)
         rmw_n += len(rmw)
     account(pfile, sieve_rmw=rmw_n, wasted_bytes=waste,
@@ -395,13 +404,24 @@ def _write_groups(pfile: PFSFile,
 # independent data sieving: the kernel with one source and one window
 # ---------------------------------------------------------------------------
 
+def _data_pieces(extents: Iterable[Extent]) -> list[tuple[int, int, int]]:
+    """``(offset, length, data_position)`` of data-ordered extents packed
+    back to back from position 0."""
+    out = []
+    pos = 0
+    for off, n in extents:
+        out.append((off, n, pos))
+        pos += n
+    return out
+
+
 def sieved_readv(pfile: PFSFile, extents: list[Extent],
-                 hints: CollectiveHints) -> tuple[bytes, float]:
+                 hints: CollectiveHints) -> tuple[bytes | bytearray, float]:
     """Independent vectored read with data sieving.
 
     Falls through to a plain ``pfile.readv(extents)`` whenever sieving
     is disabled or no hole gets merged; otherwise issues one vectored
-    read of the covering extents and extracts the pieces in memory.
+    read of the covering extents and carves the pieces out in memory.
     """
     _runs, groups = _sieve_plan(extents, hints.romio_ds_read, hints,
                                 hints.ind_rd_buffer_size)
@@ -409,7 +429,8 @@ def sieved_readv(pfile: PFSFile, extents: list[Extent],
         return pfile.readv(extents)
     starts, blobs, elapsed = _read_groups(pfile, groups, None)
     account(pfile, requests_before=len(extents))
-    out = b"".join(_extract(starts, blobs, off, n) for off, n in extents)
+    out = bytearray(sum(n for _o, n in extents))
+    _carve(starts, blobs, _data_pieces(extents), out)
     return out, elapsed
 
 
@@ -488,55 +509,53 @@ def _aggregator_turn(comm, pfile: PFSFile, aggs: list[int]):
 
 
 def two_phase_read(comm, pfile: PFSFile, extents: list[Extent],
-                   hints: CollectiveHints) -> bytes:
-    """Collective read through two-phase buffering; returns this rank's
-    bytes, concatenated in data order.  ``extents`` must be clamped."""
-    total = sum(n for _o, n in extents)
+                   hints: CollectiveHints, dest) -> None:
+    """Collective read through two-phase buffering into ``dest``, a
+    writable byte view at least as long as ``extents`` (which must be
+    clamped); this rank's bytes land in data order from position 0.
+
+    Phase A ships ``dest`` itself with this rank's request to every
+    aggregator (:meth:`Intracomm.exchange_p2p` passes payloads by
+    reference), and each aggregator carves the requested pieces
+    straight from its covering windows into it, answering with a bare
+    completion message.  ``exchange_bytes`` counts the bytes carved.
+    ``dest`` is undefined when the collective fails: with several
+    aggregators, one may have filled its part before another raised."""
     t0, meta = _agree(comm, pfile, extents, hints)
     if hints.romio_cb_read == "disable":
         # every rank accesses the PFS itself (sieved); the allgather
         # above already provided the collective synchronization
         data, _t = sieved_readv(pfile, extents, hints)
-        return data
+        dest[:len(data)] = data
+        return
     aggs, mine = _domains(comm, pfile, extents, hints, meta)
     if not aggs:
-        return b""
-    requests = {agg: [(off, n) for off, n, _p in mine[d]]
-                for d, agg in enumerate(aggs)}
+        return
     incoming = comm.exchange_p2p(
-        requests,
+        {agg: (mine[d], dest) for d, agg in enumerate(aggs)},
         range(comm.size) if comm.rank in aggs else (),
         TAG_REQ)
-    replies: dict[int, bytes] = {}
+    done: dict[int, None] = {}
     if comm.rank in aggs:
         account(pfile, exchange_time=time.perf_counter() - t0)
         with _aggregator_turn(comm, pfile, aggs):
             crash_point("server.kill.collective.read")
             # phase B: serve this file domain, one vectored request per
             # collective-buffer window
-            flat = [e for src in range(comm.size) for e in incoming[src]]
+            flat = [(off, n) for src in range(comm.size)
+                    for off, n, _p in incoming[src][0]]
             _runs, groups = _sieve_plan(flat, hints.romio_ds_read, hints,
                                         hints.cb_buffer_size)
             starts, blobs, io_t = _read_groups(
                 pfile, groups, hints.cb_buffer_size,
                 "server.kill.collective.sieve")
             account(pfile, io_time=io_t)
-        xbytes = 0
-        for src in range(comm.size):
-            reply = b"".join(_extract(starts, blobs, off, n)
-                             for off, n in incoming[src])
-            replies[src] = reply
-            xbytes += len(reply)
-        account(pfile, exchange_bytes=xbytes)
-    parts = comm.exchange_p2p(replies, aggs, TAG_DATA)
-    out = bytearray(total)
-    for d, agg in enumerate(aggs):
-        reply = parts[agg]
-        cur = 0
-        for _off, n, data_pos in mine[d]:
-            out[data_pos:data_pos + n] = reply[cur:cur + n]
-            cur += n
-    return bytes(out)
+        account(pfile, exchange_bytes=sum(
+            _carve(starts, blobs, *incoming[src])
+            for src in range(comm.size)))
+        done = dict.fromkeys(range(comm.size))
+    # ``dest`` is complete once every aggregator has answered
+    comm.exchange_p2p(done, aggs, TAG_DATA)
 
 
 def two_phase_write(comm, pfile: PFSFile, extents: list[Extent],
@@ -554,9 +573,10 @@ def two_phase_write(comm, pfile: PFSFile, extents: list[Extent],
         return
     payloads: dict[int, tuple[list[Extent], bytes]] = {}
     xbytes = 0
+    view = memoryview(data)
     for d, agg in enumerate(aggs):
         ext_d = [(off, n) for off, n, _p in mine[d]]
-        buf_d = b"".join(data[p:p + n] for _off, n, p in mine[d])
+        buf_d = b"".join(view[p:p + n] for _off, n, p in mine[d])
         payloads[agg] = (ext_d, buf_d)
         xbytes += len(buf_d)
     account(pfile, exchange_bytes=xbytes)

@@ -664,10 +664,25 @@ class Intracomm:
         aggregators rather than publishing them to all P ranks.  Sends
         buffer eagerly, so the send loop never blocks; (source, tag)
         mailbox matching makes the receive order deterministic.
+
+        Ranks are threads of one process, so every payload is handed
+        over by reference, never pickled.  A payload is therefore
+        shared, not copied: the sender must not mutate it after the
+        call, and the receiver must not keep it past the collective it
+        serves.
         """
         for dest in sorted(payloads):
-            self.send(payloads[dest], dest, tag)
-        return {src: self.recv(source=src, tag=tag) for src in sources}
+            self._check_peer(dest, "destination")
+            self._check_abort()
+            self._shared.mailboxes[dest].put(self._rank, tag,
+                                             ("R", payloads[dest]))
+        self._check_abort()
+        mailbox = self._shared.mailboxes[self._rank]
+        out: dict[int, Any] = {}
+        for src in sources:
+            _s, _t, (_kind, data) = mailbox.get(src, tag)
+            out[src] = data
+        return out
 
     # ------------------------------------------------------------------
     # communicator management

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.errors import MPIFileError
+from ..core.errors import MPIDatatypeError, MPIFileError
 from ..core.faultsites import crash_point
 from ..pfs.filesystem import ParallelFileSystem
 from ..pfs.pfile import PFSFile
@@ -39,7 +39,7 @@ from ..pfs.striping import Extent
 from . import collective
 from .collective import CollectiveHints
 from .comm import Intracomm, _pack_buf, _parse_bufspec, _unpack_buf
-from .datatypes import BYTE, Datatype
+from .datatypes import BYTE, Datatype, _as_bytes_view
 from .status import Status
 
 __all__ = ["File", "FileView",
@@ -323,7 +323,11 @@ class File:
     # ------------------------------------------------------------------
     def Read_at_all(self, offset: int, buf,
                     status: Status | None = None) -> int:
-        """Collective read at explicit offsets (MPI_File_read_at_all)."""
+        """Collective read at explicit offsets (MPI_File_read_at_all).
+
+        If the collective fails, the contents of ``buf`` are undefined
+        (as MPI allows): an aggregator may have filled part of it
+        before another raised."""
         self._require_open()
         self._require_readable()
         nbytes, _arr = _buf_nbytes(buf)
@@ -331,11 +335,19 @@ class File:
             self._view.extents(offset * self._view.etype.size, nbytes),
             self._pfile.size,
         )
+        total = sum(n for _off, n in extents)
+        # the aggregators fill a plain contiguous buffer in place; any
+        # other buffer (typed, read-only, strided) reads into scratch and
+        # is unpacked -- or refused -- only after the collective, so a
+        # bad buffer on one rank never strands its peers
+        dest = _writable_view(buf)
+        into = bytearray(total) if dest is None else dest
         crash_point("server.kill.collective.entry")
-        data = collective.two_phase_read(self.comm, self._pfile, extents,
-                                         self._hints)
-        _unpack_buf(buf, data)
-        return self._finish(status, len(data))
+        collective.two_phase_read(self.comm, self._pfile, extents,
+                                  self._hints, into)
+        if dest is None:
+            _unpack_buf(buf, into)
+        return self._finish(status, total)
 
     def Read_all(self, buf, status: Status | None = None) -> int:
         n = self.Read_at_all(self._fp, buf, status)
@@ -386,6 +398,19 @@ def _buf_nbytes(buf) -> tuple[int, object]:
         return dtype.size * (count if count is not None else 1), arr
     a = np.asarray(arr)
     return a.nbytes, arr
+
+
+def _writable_view(buf) -> memoryview | None:
+    """A writable flat byte view of a plain buffer; None for a typed
+    buffer spec or a buffer no such view can be taken of (read-only,
+    non-contiguous)."""
+    arr, _count, dtype = _parse_bufspec(buf)
+    if dtype is not None:
+        return None
+    try:
+        return _as_bytes_view(arr, writable=True)
+    except (MPIDatatypeError, TypeError):
+        return None
 
 
 def _clamp_extents(extents: Sequence[Extent], file_size: int

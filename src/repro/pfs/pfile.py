@@ -600,15 +600,15 @@ class PFSFile:
     def _assemble(extents: list[Extent],
                   pieces: dict[int, bytes]) -> bytes:
         """Concatenate stripe pieces back into request order."""
-        out = bytearray()
+        order: list[bytes] = []
         for off, length in extents:
             pos = off
             end = off + length
             while pos < end:
                 piece = pieces[pos]
-                out += piece
+                order.append(piece)
                 pos += len(piece)
-        return bytes(out)
+        return b"".join(order)
 
     @staticmethod
     def _locate(slices: dict[int, tuple[int, int]], log_off: int

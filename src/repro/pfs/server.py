@@ -191,21 +191,19 @@ class IOServer:
             out: list[bytes] = []
             elapsed = 0.0
             head = self._head[name]
-            for off, length in requests:
-                seek = off != head
-                end = off + length
-                if end <= len(store):
-                    piece = bytes(store[off:end])
-                else:
-                    avail = store[off:len(store)] if off < len(store) else b""
-                    piece = bytes(avail) + b"\x00" * (length - len(avail))
-                out.append(piece)
-                elapsed += self.cost_model.request_time(length, seek)
-                self.stats.read_requests += 1
-                self.stats.bytes_read += length
-                if seek:
-                    self.stats.seeks += 1
-                head = end
+            # released on exit, so the object can grow again
+            with memoryview(store) as view:
+                for off, length in requests:
+                    seek = off != head
+                    end = off + length
+                    # one copy; past the written end reads as zeros
+                    out.append(bytes(view[off:end]).ljust(length, b"\x00"))
+                    elapsed += self.cost_model.request_time(length, seek)
+                    self.stats.read_requests += 1
+                    self.stats.bytes_read += length
+                    if seek:
+                        self.stats.seeks += 1
+                    head = end
             self._head[name] = head
             self.stats.busy_time += elapsed
             self._service_delay(elapsed)

@@ -29,14 +29,16 @@ def coalesce_extents(extents: Sequence[Extent],
 
     This is the aggregation step of two-phase collective I/O: the union
     of every process's request, expressed as the fewest contiguous runs.
+    Empty extents are dropped; a negative offset or length raises
+    :class:`PFSError`.
 
     With ``merge_overlaps=False`` overlapping extents raise
     :class:`PFSError` (collective writes must not overlap — the MPI
     standard leaves overlapping concurrent writes undefined).
     """
-    cleaned = [(int(o), int(n)) for o, n in extents if n > 0]
-    if any(o < 0 or n < 0 for o, n in cleaned):
+    if any(o < 0 or n < 0 for o, n in extents):
         raise PFSError(f"negative extent in {extents!r}")
+    cleaned = [(int(o), int(n)) for o, n in extents if n > 0]
     if not cleaned:
         return []
     cleaned.sort()

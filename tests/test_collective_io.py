@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.core.errors import MPIFileError
-from repro.mpi.collective import (CollectiveHints, choose_aggregators,
-                                  file_domains)
+from repro.core.errors import MPIDatatypeError, MPIFileError
+from repro.mpi.collective import (TAG_DATA, TAG_REQ, CollectiveHints,
+                                  choose_aggregators, file_domains)
+from repro.mpi.comm import Intracomm
 from repro.mpi.file import FileView, _check_write_extents
 from repro.mpi.runner import SPMDFailure
 from repro.pfs import ParallelFileSystem
@@ -301,52 +302,134 @@ def serial_reference(total, writers):
     return bytes(img)
 
 
+#: simulated placements of the NP ranks: all on one node (the default),
+#: one node per rank, and two nodes of two.  The map moves the
+#: aggregators, and so which ranks each aggregator serves.
+ONE_NODE, NODE_PER_RANK, TWO_NODES = None, list(range(NP)), [0, 0, 1, 1]
+NODE_MAPS = [pytest.param(ONE_NODE, id=pytest.HIDDEN_PARAM),
+             pytest.param(NODE_PER_RANK, id="node-per-rank"),
+             pytest.param(TWO_NODES, id="two-nodes")]
+
+
+def open_placed(comm, fs, amode, node_map, **hints):
+    """Open "f" after placing the ranks per ``node_map``."""
+    if node_map is not None:
+        comm.Set_node_map(node_map)
+    return mpi.File.Open(comm, "f", amode, fs, info=hints_info(**hints))
+
+
+def strided_read(comm, fs, cb_nodes, node_map):
+    """Every rank collectively reads its ``rank_blocks_view``."""
+    fh = open_placed(comm, fs, mpi.MODE_RDONLY, node_map, cb_nodes=cb_nodes)
+    fh.Set_view(0, mpi.BYTE, rank_blocks_view(comm.rank))
+    buf = bytearray(256)
+    n = fh.Read_at_all(0, buf)
+    fh.Close()
+    return n, bytes(buf)
+
+
+def strided_write(comm, fs, cb_nodes, node_map, ds):
+    """Every rank collectively writes ``rank + 1`` bytes through its
+    ``rank_blocks_view``."""
+    fh = open_placed(comm, fs, mpi.MODE_RDWR, node_map, cb_nodes=cb_nodes,
+                     romio_ds_write=ds)
+    fh.Set_view(0, mpi.BYTE, rank_blocks_view(comm.rank))
+    fh.Write_at_all(0, bytearray(bytes([comm.rank + 1]) * 256))
+    fh.Close()
+    return True
+
+
 class TestTwoPhase:
+    @pytest.mark.parametrize("node_map", NODE_MAPS)
     @pytest.mark.parametrize("cb_nodes", [1, 2, NP])
-    def test_read_bit_identical_to_serial(self, cb_nodes):
+    def test_read_bit_identical_to_serial(self, cb_nodes, node_map):
         fs = make_fs()
         pattern = bytes(range(256)) * 4      # 1024 = 16 blocks of 64
         fs.create("f").write(0, pattern)
 
-        def body(comm):
-            fh = mpi.File.Open(comm, "f", mpi.MODE_RDONLY, fs,
-                               info=hints_info(cb_nodes=cb_nodes))
-            ft = rank_blocks_view(comm.rank)
-            fh.Set_view(0, mpi.BYTE, ft)
-            buf = bytearray(256)
-            n = fh.Read_at_all(0, buf)
-            fh.Close()
-            return n, bytes(buf)
-
-        for rank, (n, got) in enumerate(run(NP, body)):
+        out = run(NP, strided_read, fs, cb_nodes, node_map)
+        for rank, (n, got) in enumerate(out):
             view = FileView(0, mpi.BYTE, rank_blocks_view(rank))
             expect = b"".join(pattern[o:o + ln]
                               for o, ln in view.extents(0, 256))
             assert n == 256 and got == expect, f"rank {rank} diverged"
 
+    @pytest.mark.parametrize("node_map", NODE_MAPS)
     @pytest.mark.parametrize("cb_nodes", [1, 2, NP])
     @pytest.mark.parametrize("ds", ["disable", "auto"])
-    def test_write_bit_identical_to_serial(self, cb_nodes, ds):
+    def test_write_bit_identical_to_serial(self, cb_nodes, ds, node_map):
         fs = make_fs()
         fs.create("f")
 
-        def body(comm):
-            fh = mpi.File.Open(comm, "f", mpi.MODE_RDWR, fs,
-                               info=hints_info(cb_nodes=cb_nodes,
-                                               romio_ds_write=ds))
-            fh.Set_view(0, mpi.BYTE, rank_blocks_view(comm.rank))
-            payload = bytes([comm.rank + 1]) * 256
-            fh.Write_at_all(0, bytearray(payload))
-            fh.Close()
-            return True
-
-        assert all(run(NP, body))
+        assert all(run(NP, strided_write, fs, cb_nodes, node_map, ds))
         writers = []
         for rank in range(NP):
             view = FileView(0, mpi.BYTE, rank_blocks_view(rank))
             writers.append((view.extents(0, 256),
                             bytes([rank + 1]) * 256))
         assert fs.open("f").read(0, 1024) == serial_reference(1024, writers)
+
+    def test_phase_a_never_pickles(self, monkeypatch):
+        """Phase A hands every payload over by reference: no
+        ``Intracomm.send`` on the two-phase tags on any node map, and
+        the same logical exchange volume on every map."""
+        tags = []
+        send = Intracomm.send
+
+        def counting_send(self, obj, dest, tag=0):
+            if tag in (TAG_REQ, TAG_DATA):
+                tags.append(tag)
+            return send(self, obj, dest, tag)
+
+        monkeypatch.setattr(Intracomm, "send", counting_send)
+        sends, volume = {}, {}
+        for name, node_map in (("one", ONE_NODE), ("per-rank", NODE_PER_RANK),
+                               ("two", TWO_NODES)):
+            fs = make_fs()
+            fs.create("f").write(0, bytes(range(256)) * 4)
+            tags.clear()
+            for cb_nodes in (1, 2, NP):
+                run(NP, strided_read, fs, cb_nodes, node_map)
+                run(NP, strided_write, fs, cb_nodes, node_map, "auto")
+            sends[name] = len(tags)
+            volume[name] = fs.collective_stats().exchange_bytes
+        assert sends == {"one": 0, "per-rank": 0, "two": 0}
+        assert volume["one"] == volume["per-rank"] == volume["two"] > 0
+
+    def test_bad_receive_buffer_fails_after_the_collective(self):
+        """A read-only or non-contiguous receive buffer raises
+        MPIDatatypeError on its own rank, and only once the collective
+        is over: the peer still gets its bytes instead of waiting for a
+        rank that never joined."""
+        fs = make_fs()
+        pattern = bytes(range(128))
+        fs.create("f").write(0, pattern)
+
+        def read_only():
+            buf = np.zeros(64, dtype=np.uint8)
+            buf.flags.writeable = False
+            return buf
+
+        bad = {"read-only": read_only,
+               "non-contiguous": lambda: np.zeros(16, dtype=np.int64)[::2]}
+
+        def body(comm):
+            fh = mpi.File.Open(comm, "f", mpi.MODE_RDONLY, fs,
+                               info=hints_info())
+            out = []
+            for kind, make in bad.items():
+                if comm.rank == 0:
+                    with pytest.raises(MPIDatatypeError):
+                        fh.Read_at_all(0, make())
+                    out.append(kind)
+                else:
+                    buf = bytearray(64)
+                    fh.Read_at_all(64, buf)
+                    out.append(bytes(buf))
+            fh.Close()
+            return out
+
+        assert run(2, body, timeout=20) == [list(bad), [pattern[64:]] * 2]
 
     def test_overlapping_writers_rank_order(self):
         """Overlap resolves as if ranks wrote serially in rank order:

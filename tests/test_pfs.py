@@ -41,6 +41,11 @@ class TestCoalesce:
     def test_negative_rejected(self):
         with pytest.raises(PFSError):
             coalesce_extents([(-1, 4)])
+        # a negative length is refused too, not dropped as empty
+        with pytest.raises(PFSError):
+            coalesce_extents([(3, -2)])
+        with pytest.raises(PFSError):
+            coalesce_extents([(0, 4), (10, -20)])
 
 
 class TestStripeLayout:
