@@ -3,12 +3,12 @@
 
 The simulator's analytic cost model always *charged* the max-of-servers
 elapsed time, but execution used to be strictly serial Python.  This
-benchmark makes the difference observable: every :class:`IOServer` runs
-with ``realtime_factor=1.0``, so serving a batch really sleeps for the
-cost model's per-server elapsed time (the sleep releases the GIL — one
-server is one busy disk; different servers can overlap).  Measured
-wall-clock time then shows whether per-server batches actually ran
-concurrently.
+benchmark makes the difference observable: it patches every
+:class:`IOServer` of its file systems so that serving a batch really
+sleeps for the cost model's per-server elapsed time, 1:1, while holding
+the server's lock (the sleep releases the GIL — one server is one busy
+disk; different servers can overlap).  Measured wall-clock time then
+shows whether per-server batches actually ran concurrently.
 
 Swept: executor width (0 = serial) x access pattern —
 
@@ -44,7 +44,7 @@ from repro.pfs import ParallelFileSystem
 NSERVERS = 4
 STRIPE = 64 * 1024
 FILE_BYTES = 4 << 20            # 64 stripes, 16 per server
-REALTIME = 1.0                  # sleep 1:1 with the cost model
+REALTIME = 1.0                  # wall seconds slept per simulated second
 THREADS = (0, 2, 4)
 
 
@@ -52,10 +52,26 @@ def payload(n: int = FILE_BYTES, salt: int = 0) -> bytes:
     return bytes((i * 17 + salt) % 256 for i in range(n))
 
 
+def realtime(server, batch):
+    """``batch`` (a server's bound ``read_batch``/``write_batch``) that
+    then sleeps out its simulated service time before it releases the
+    server's lock: the one simulated disk stays busy for that long."""
+    def serve(name, requests):
+        with server._lock:
+            out = batch(name, requests)
+            time.sleep(REALTIME * (out[1] if isinstance(out, tuple)
+                                   else out))
+            return out
+    return serve
+
+
 def make_fs(executor, replication: int = 1) -> ParallelFileSystem:
-    return ParallelFileSystem(nservers=NSERVERS, stripe_size=STRIPE,
-                              replication=replication, executor=executor,
-                              realtime_factor=REALTIME)
+    fs = ParallelFileSystem(nservers=NSERVERS, stripe_size=STRIPE,
+                            replication=replication, executor=executor)
+    for server in fs.servers:
+        server.read_batch = realtime(server, server.read_batch)
+        server.write_batch = realtime(server, server.write_batch)
+    return fs
 
 
 def timed(fn):

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """The sharded service under load: shard scaling and pipelining wins.
 
-Two experiments, both against in-process
-:class:`~repro.serve.shard.ShardSet` daemons.  Per-op service time is
-pinned with the daemon's ``_delay`` knob — a GIL-releasing sleep paid
-inside the request, while its admission slot is held — so each shard
+Two experiments, both against in-process shard daemons
+(``tests/support/shardset.py``).  Per-op service time is pinned with
+the slow-array rig (``tests/support/slowserve.py``) — a GIL-releasing
+sleep after each write of a benchmark array, paid inside the request
+while its admission slot and chunk locks are held — so each shard
 models a device with fixed service time and a queue depth equal to its
 admission window.  A shard's capacity is then window/service-time
 ops/s, a resource that genuinely multiplies with shard count even on
@@ -28,9 +29,9 @@ and queue-depth high-water marks.  Acceptance: 4 shards deliver
 op, distinct chunks) against a single shard, three ways: ``rpc`` (one
 op per round trip), ``pipelined`` (rid-tagged window of 32 in flight,
 replies matched by id), ``batch`` (frames of 32 ops).  Per-op service
-time is pinned at 10 ms with the daemon's ``_delay`` knob (a
-GIL-releasing stand-in for device latency, decoupled from write-back
-cache timing), so the experiment isolates exactly what the protocol
+time is pinned at 10 ms with the slow-array rig (a GIL-releasing
+stand-in for device latency, decoupled from write-back cache timing),
+so the experiment isolates exactly what the protocol
 controls: how much service time overlaps.  Acceptance: pipelining
 cuts wall-clock >= 3x vs RPC — the window overlaps service time that
 RPC pays serially.  Batching collapses 256 frames to 8 — its win is
@@ -40,7 +41,8 @@ execute in list order), and the table says so honestly.
 Every leg ends with a full read-back asserted bit-identical against
 the last acked write, and QoS conservation checked on the merged
 stats.  Run as a script this writes ``BENCH_shard.json`` at the repo
-root.
+root; it puts the repo root on ``sys.path`` itself, so only ``src`` need
+be on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import threading
 import time
 
@@ -55,7 +58,12 @@ import numpy as np
 
 from repro.bench import Table
 from repro.pfs import ParallelFileSystem
-from repro.serve.shard import ShardSet, merge_stats
+from repro.serve.shard import merge_stats
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))       # tests.support: the two rigs below
+from tests.support.shardset import ShardSet  # noqa: E402
+from tests.support.slowserve import slow_array  # noqa: E402
 
 NCLIENTS = int(os.environ.get("DRX_BENCH_CLIENTS", "128"))
 OPS_PER_CLIENT = int(os.environ.get("DRX_BENCH_OPS", "4"))
@@ -99,8 +107,7 @@ def _tenant_rpc(ss, i, nops, lats, errors):
                        seed=i) as c:
             for step in range(nops):
                 t0 = time.perf_counter()
-                c.write(f"t{i:04d}", (step * CHUNK, 0), block(i, step),
-                        _delay=DEV_DELAY)
+                c.write(f"t{i:04d}", (step * CHUNK, 0), block(i, step))
                 lats.append(time.perf_counter() - t0)
     except BaseException as exc:        # surfaced by the driver
         errors.append(exc)
@@ -113,7 +120,7 @@ def _tenant_pipelined(ss, i, nops, lats, errors):
             with c.pipeline(depth=PIPE_WINDOW) as pipe:
                 t0 = time.perf_counter()
                 pends = [pipe.write(f"t{i:04d}", (step * CHUNK, 0),
-                                    block(i, step), _delay=DEV_DELAY)
+                                    block(i, step))
                          for step in range(nops)]
                 for p in pends:
                     p.result()
@@ -135,9 +142,11 @@ def run_scaling(nshards: int, mode: str) -> dict:
                   admission=SCALE_ADMISSION) as ss:
         with ss.client("setup", timeout=60.0) as setup:
             for i in range(nclients):
-                setup.create(f"t{i:04d}",
-                             bounds=[nops * CHUNK, CHUNK],
+                name = f"t{i:04d}"
+                setup.create(name, bounds=[nops * CHUNK, CHUNK],
                              chunk=[CHUNK, CHUNK])
+                slow_array(ss.servers[ss.ring.shard_of(name)], name,
+                           write=DEV_DELAY)
         per_client: list[list[float]] = [[] for _ in range(nclients)]
         errors: list[BaseException] = []
         threads = [threading.Thread(target=tenant,
@@ -201,14 +210,14 @@ def run_sequential(mode: str) -> dict:
         with ss.client("setup", timeout=60.0) as setup:
             setup.create("seq", bounds=[SEQ_OPS * CHUNK, CHUNK],
                          chunk=[CHUNK, CHUNK])
+        slow_array(ss.servers[0], "seq", write=OP_DELAY)
         frames = 0
         with ss.client("seq-driver", timeout=300.0,
                        max_retries=200) as c:
             t0 = time.perf_counter()
             if mode == "rpc":
                 for step in range(SEQ_OPS):
-                    c.write("seq", (step * CHUNK, 0), block(0, step),
-                            _delay=OP_DELAY)
+                    c.write("seq", (step * CHUNK, 0), block(0, step))
                 frames = SEQ_OPS
             elif mode == "pipelined":
                 raw = c.client_for("seq")
@@ -216,8 +225,7 @@ def run_sequential(mode: str) -> dict:
                     pends = [pipe.submit(
                         "write",
                         {"name": "seq", "lo": [step * CHUNK, 0],
-                         "shape": [CHUNK, CHUNK], "dtype": "<f8",
-                         "_delay": OP_DELAY},
+                         "shape": [CHUNK, CHUNK], "dtype": "<f8"},
                         block(0, step).tobytes())
                         for step in range(SEQ_OPS)]
                     for p in pends:
@@ -228,7 +236,6 @@ def run_sequential(mode: str) -> dict:
                     ops = [{"verb": "write", "name": "seq",
                             "lo": [step * CHUNK, 0],
                             "shape": [CHUNK, CHUNK], "dtype": "<f8",
-                            "_delay": OP_DELAY,
                             "payload": block(0, step).tobytes()}
                            for step in range(lo, lo + BATCH_OPS)]
                     c.batch(ops)
@@ -377,7 +384,6 @@ if __name__ == "__main__":
     scaling_table.show()
     print()
     seq_table.show()
-    out = pathlib.Path(__file__).resolve().parent.parent \
-        / "BENCH_shard.json"
+    out = ROOT / "BENCH_shard.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"\nwrote {out}")

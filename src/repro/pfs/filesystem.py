@@ -43,8 +43,7 @@ class ParallelFileSystem:
     def __init__(self, nservers: int = 4, stripe_size: int = 64 * 1024,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  replication: int = 1, fault_plan=None,
-                 executor: "IOExecutor | None | str" = "auto",
-                 realtime_factor: float = 0.0) -> None:
+                 executor: "IOExecutor | None | str" = "auto") -> None:
         if replication == 1:
             self.layout: StripeLayout = StripeLayout(
                 nservers=nservers, stripe_size=stripe_size)
@@ -58,8 +57,7 @@ class ParallelFileSystem:
         #: (``"auto"`` = the process-wide ``pfs``-tier executor sized by
         #: ``DRX_EXECUTOR_THREADS``; ``None`` = serial)
         self.executor = resolve_executor(executor, tier="pfs")
-        self.servers = [IOServer(i, cost_model, fault_plan=fault_plan,
-                                 realtime_factor=realtime_factor)
+        self.servers = [IOServer(i, cost_model, fault_plan=fault_plan)
                         for i in range(nservers)]
         self._files: dict[str, PFSFile] = {}
         self._lock = threading.RLock()

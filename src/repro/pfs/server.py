@@ -33,18 +33,11 @@ Concurrency.  :class:`~repro.core.executor.IOExecutor` dispatches
 per-server batches from multiple threads, so every operation runs under
 a per-server reentrant lock: one server services one batch at a time
 (it models a single disk) while distinct servers proceed in parallel.
-With ``realtime_factor > 0`` a batch additionally *sleeps* for
-``elapsed * realtime_factor`` wall-clock seconds while holding the
-lock — the sleep releases the GIL, so concurrently dispatched batches
-on different servers genuinely overlap, which is what lets the
-executor benchmarks measure real (not just simulated) parallel
-speedup.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 from ..core.errors import PFSError, ServerDownError
 from .costmodel import CostModel, DEFAULT_COST_MODEL
@@ -61,13 +54,10 @@ class IOServer:
 
     def __init__(self, server_id: int,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 fault_plan=None, realtime_factor: float = 0.0) -> None:
+                 fault_plan=None) -> None:
         self.server_id = server_id
         self.cost_model = cost_model
         self.stats = IOStats()
-        #: wall-clock seconds slept per simulated second of service time
-        #: (0 = pure simulation, no sleeping)
-        self.realtime_factor = float(realtime_factor)
         #: one batch at a time per server (a server models one disk);
         #: distinct servers proceed concurrently under the executor
         self._lock = threading.RLock()
@@ -206,7 +196,6 @@ class IOServer:
                     head = end
             self._head[name] = head
             self.stats.busy_time += elapsed
-            self._service_delay(elapsed)
             return out, elapsed
 
     def write_batch(self, name: str,
@@ -232,16 +221,7 @@ class IOServer:
                 head = end
             self._head[name] = head
             self.stats.busy_time += elapsed
-            self._service_delay(elapsed)
             return elapsed
-
-    def _service_delay(self, elapsed: float) -> None:
-        """Sleep out the batch's simulated service time, scaled by
-        ``realtime_factor``.  Held under the server lock on purpose: the
-        single simulated disk stays busy for the duration, while other
-        servers' batches overlap it (the sleep releases the GIL)."""
-        if self.realtime_factor > 0.0 and elapsed > 0.0:
-            time.sleep(elapsed * self.realtime_factor)
 
     # ------------------------------------------------------------------
     # out-of-band hooks (verification / chaos tests only)

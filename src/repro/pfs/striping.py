@@ -23,18 +23,13 @@ __all__ = ["StripeLayout", "Extent", "coalesce_extents"]
 Extent = tuple[int, int]
 
 
-def coalesce_extents(extents: Sequence[Extent],
-                     merge_overlaps: bool = True) -> list[Extent]:
+def coalesce_extents(extents: Sequence[Extent]) -> list[Extent]:
     """Sort extents by offset and merge adjacent/overlapping runs.
 
     This is the aggregation step of two-phase collective I/O: the union
     of every process's request, expressed as the fewest contiguous runs.
     Empty extents are dropped; a negative offset or length raises
     :class:`PFSError`.
-
-    With ``merge_overlaps=False`` overlapping extents raise
-    :class:`PFSError` (collective writes must not overlap — the MPI
-    standard leaves overlapping concurrent writes undefined).
     """
     if any(o < 0 or n < 0 for o, n in extents):
         raise PFSError(f"negative extent in {extents!r}")
@@ -46,11 +41,6 @@ def coalesce_extents(extents: Sequence[Extent],
     for off, length in cleaned[1:]:
         last_off, last_len = out[-1]
         last_end = last_off + last_len
-        if off < last_end and not merge_overlaps:
-            raise PFSError(
-                f"overlapping extents: [{last_off},{last_end}) and "
-                f"[{off},{off + length})"
-            )
         if off <= last_end:
             out[-1] = (last_off, max(last_end, off + length) - last_off)
         else:

@@ -46,7 +46,7 @@ from .protocol import (
 from .qos import ClientQoS, QoSRegistry
 from .recovery import RecoveryReport, recover, scan_journal
 from .server import CancelGateStore, DRXServer
-from .shard import HashRing, ShardedClient, ShardedPipeline, ShardSet, merge_stats
+from .shard import HashRing, ShardedClient, ShardedPipeline, merge_stats
 
 __all__ = [
     "DRXServer",
@@ -56,7 +56,6 @@ __all__ = [
     "HashRing",
     "ShardedClient",
     "ShardedPipeline",
-    "ShardSet",
     "merge_stats",
     "ArrayRWLock",
     "ChunkLocks",

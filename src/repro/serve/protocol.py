@@ -175,13 +175,10 @@ def _read(name: str, lo, hi, timeout: float | None = None):
     return {"name": name, "lo": _ints(lo), "hi": _ints(hi)}, b""
 
 
-def _write(name: str, lo, values, timeout: float | None = None,
-           _delay: float = 0.0):
+def _write(name: str, lo, values, timeout: float | None = None):
     values = np.ascontiguousarray(values)
     header = {"name": name, "lo": _ints(lo),
               "shape": list(values.shape), "dtype": values.dtype.str}
-    if _delay:
-        header["_delay"] = _delay
     # a snapshot, not a view: a retry re-sends this payload under the
     # same idempotency key, so it must carry the bytes the caller
     # passed, not whatever the caller's array holds by then

@@ -35,7 +35,7 @@ and schedules one entry on the process-wide
 :func:`~repro.core.watchdog.default_watchdog` — the same monitor thread
 the MPI deadlock watchdog uses — whose callback cancels the scope.
 Every blocking point (admission wait, lock wait, store operation via
-:class:`CancelGateStore`, simulated computation) checkpoints the scope,
+:class:`CancelGateStore`) checkpoints the scope,
 so expiry aborts the request mid-flight rather than after the fact.  A
 mutation cancelled mid-apply is rolled back from its pre-image before
 the ``DEADLINE`` frame is sent.
@@ -140,10 +140,6 @@ __all__ = ["DRXServer", "CancelGateStore", "current_scope"]
 #: alphanumeric, then alphanumerics plus ``._-`` — no separators, so a
 #: root-directory server cannot be walked out of its root.
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,127}\Z")
-
-#: Slice length for simulated request computation (``_delay`` header),
-#: short enough that cancellation lands promptly.
-_DELAY_SLICE = 0.005
 
 _scope_local = threading.local()
 
@@ -994,19 +990,6 @@ class DRXServer:
             if wd_handle is not None:
                 self._watchdog.cancel(wd_handle)
 
-    @staticmethod
-    def _simulate_delay(header: dict, scope: CancelScope) -> None:
-        """Test hook: a ``_delay`` header simulates slow server-side
-        work *inside the request's locked region*, sliced so deadline
-        cancellation lands mid-way.  Read/write run it while holding
-        their chunk locks — how the suite makes lock overlap, admission
-        saturation, and mid-mutation deadlines observable."""
-        delay = float(header.get("_delay", 0.0))
-        end = time.monotonic() + delay
-        while time.monotonic() < end:
-            scope.check("simulated computation")
-            time.sleep(min(_DELAY_SLICE, max(0.0, end - time.monotonic())))
-
     # ------------------------------------------------------------------
     # control-plane verbs (no admission slot)
     # ------------------------------------------------------------------
@@ -1189,7 +1172,6 @@ class DRXServer:
                 _box_addresses(entry.file, lo, hi), owner, scope)
             try:
                 data = entry.file.read(lo, hi)
-                self._simulate_delay(header, scope)
             finally:
                 entry.chunks.release(taken)
         finally:
@@ -1226,7 +1208,6 @@ class DRXServer:
                 pre = entry.file.read(lo, hi)
                 try:
                     entry.file.write(lo, values)
-                    self._simulate_delay(header, scope)
                 except DeadlineError:
                     # no COMMIT record: recovery discards the txn
                     self._rollback(entry, lo, pre)

@@ -45,8 +45,7 @@ from ..core.errors import ServeError
 from .client import DRXClient, Pipeline
 from .protocol import VERB_TABLE, verb_surface
 
-__all__ = ["HashRing", "ShardedClient", "ShardedPipeline", "ShardSet",
-           "merge_stats"]
+__all__ = ["HashRing", "ShardedClient", "ShardedPipeline", "merge_stats"]
 
 
 def _point(key: str) -> int:
@@ -255,81 +254,6 @@ class ShardedPipeline:
 
     def __exit__(self, exc_type, *exc) -> None:
         self.close(drain=exc_type is None)
-
-
-class ShardSet:
-    """Spawn-and-own N in-process shard daemons (tests, benches).
-
-    Each shard gets its *own* backend — ``root/shard-NN`` on disk, or
-    one fresh substrate per shard from ``fs_factory(idx)`` — its own
-    journals, and its own admission window; exactly the isolation a
-    multi-process deployment has, minus the process boundary (the CLI
-    and the chaos tests cover true subprocess shards).  ``kill`` and
-    ``restart`` model a shard crash: restart opens a *new* daemon over
-    the same backend (running journal recovery) on a new port and
-    republishes it on the ring.
-    """
-
-    def __init__(self, nshards: int, root=None, fs_factory=None,
-                 host: str = "127.0.0.1", replicas: int = 64,
-                 **server_kwargs) -> None:
-        if (root is None) == (fs_factory is None):
-            raise ServeError(
-                "exactly one of root= or fs_factory= must be given")
-        self.nshards = int(nshards)
-        self.root = root
-        self.fs_factory = fs_factory
-        self.host = host
-        self.server_kwargs = server_kwargs
-        self._backends: list = []
-        self.servers = [self._spawn(idx) for idx in range(self.nshards)]
-        self.ring = HashRing([s.address for s in self.servers],
-                             replicas=replicas)
-
-    def _backend(self, idx: int) -> dict:
-        if len(self._backends) <= idx:
-            if self.root is not None:
-                import pathlib
-                path = pathlib.Path(self.root) / f"shard-{idx:02d}"
-                path.mkdir(parents=True, exist_ok=True)
-                self._backends.append({"root": path})
-            else:
-                self._backends.append({"fs": self.fs_factory(idx)})
-        return self._backends[idx]
-
-    def _spawn(self, idx: int):
-        from .server import DRXServer
-
-        return DRXServer(**self._backend(idx), host=self.host,
-                         **self.server_kwargs).start()
-
-    def client(self, client_id: str = "anon", **kwargs) -> ShardedClient:
-        return ShardedClient(self.ring, client_id=client_id, **kwargs)
-
-    def kill(self, idx: int) -> None:
-        """Abrupt death of one shard (in-process stand-in for kill -9)."""
-        self.servers[idx].kill()
-
-    def restart(self, idx: int, recover: bool = True):
-        """Bring shard ``idx`` back over the same backend on a fresh
-        port, replay its journals, republish its ring address."""
-        server = self._spawn(idx)
-        if recover:
-            server.recover_all()
-        self.servers[idx] = server
-        self.ring.set_address(idx, server.address)
-        return server
-
-    def stop(self, drain: bool = True) -> None:
-        for server in self.servers:
-            if server.state != server.DEAD:
-                server.shutdown(drain=drain)
-
-    def __enter__(self) -> "ShardSet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop(drain=False)
 
 
 def merge_stats(snapshots: list[dict]) -> dict:

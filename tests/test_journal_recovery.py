@@ -54,6 +54,7 @@ from repro.serve.journal import (
 from repro.serve.locks import ArrayRWLock
 from repro.serve.recovery import recover, scan_journal
 from tests.support.netfault import arm_first_connection
+from tests.support.slowserve import slow_array
 
 SEED = int(os.environ.get("DRX_FAULT_SEED", "0"))
 
@@ -1020,11 +1021,12 @@ class TestLockReclamation:
         try:
             with make_client(srv, "holder") as h:
                 h.create("w", [8], [4])
+                slow_array(srv, "w", write=0.5)
                 blocker = threading.Thread(
-                    target=lambda: h.write("w", [0], np.ones(4),
-                                           _delay=0.5))
+                    target=lambda: h.write("w", [0], np.ones(4)))
                 blocker.start()
                 time.sleep(0.15)         # holder owns chunk 0
+                slow_array(srv, "w")     # ... the victim's write is not slow
                 raw = socket.create_connection(srv.address)
                 protocol.send_frame(raw, protocol.REQ, {
                     "verb": "write", "client": "victim", "rid": 1,

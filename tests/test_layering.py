@@ -8,6 +8,7 @@ below it, at module level or inside a function; nothing imports upward.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import repro
@@ -56,22 +57,66 @@ def _edges() -> set[tuple[str, str, str]]:
     return out
 
 
+#: identifiers of test rigs that live in ``tests/support`` or the
+#: benchmarks: the shard-set harness, the daemon's client-set sleep and
+#: the PFS servers' realtime sleep
+RIG_NAMES = {"ShardSet", "_simulate_delay", "realtime_factor"}
+
+
+def _identifier(node: ast.AST) -> str | None:
+    for field in ("name", "id", "attr", "arg"):
+        value = getattr(node, field, None)
+        if isinstance(value, str):
+            return value
+    return None
+
+
 def test_test_rigs_stay_out_of_src():
-    """Wire chaos lives in ``tests/support``: the shipped package
-    neither carries it nor imports anything from ``tests``."""
+    """Wire chaos, the shard-set harness and injected service time live
+    in ``tests/support`` and the benchmarks: the shipped package carries
+    none of them, reads no ``_delay`` header, and imports nothing from
+    ``tests``."""
     assert not (ROOT / "serve" / "netfault.py").exists()
     offenders = []
     for path in sorted(ROOT.rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
+            if _identifier(node) in RIG_NAMES:
+                offenders.append((rel, _identifier(node)))
+            if isinstance(node, ast.Constant) and node.value == "_delay":
+                offenders.append((rel, "_delay"))
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 names = [node.module or ""]
             else:
                 continue
-            offenders += [(path.relative_to(ROOT).as_posix(), n)
-                          for n in names if n.split(".")[0] == "tests"]
+            offenders += [(rel, n) for n in names
+                          if n.split(".")[0] == "tests"]
     assert offenders == []
+
+
+def _design_module_map() -> set[str]:
+    """``package/module.py`` for every module the code block of
+    DESIGN.md §3 lists (packages at two spaces, modules at four)."""
+    text = (ROOT.parents[1] / "DESIGN.md").read_text()
+    block = text[text.index("## 3."):].split("```")[1]
+    modules, package = set(), None
+    for line in block.splitlines():
+        if m := re.match(r"  (\w+)/", line):
+            package = m.group(1)
+        elif m := re.match(r"    (\w+\.py)\b", line):
+            modules.add(f"{package}/{m.group(1)}")
+    return modules
+
+
+def test_design_module_map_matches_src():
+    """DESIGN.md §3 names every module under ``src/repro`` and no
+    module that is gone."""
+    shipped = {p.relative_to(ROOT).as_posix() for p in ROOT.rglob("*.py")
+               if p.stem not in ("__init__", "__main__")}
+    listed = _design_module_map()
+    assert (sorted(shipped - listed), sorted(listed - shipped)) == ([], [])
 
 
 def test_every_package_has_a_tier():

@@ -30,14 +30,6 @@ class TestCoalesce:
     def test_zero_length_dropped(self):
         assert coalesce_extents([(5, 0), (1, 2)]) == [(1, 2)]
 
-    def test_overlap_rejected_when_asked(self):
-        with pytest.raises(PFSError):
-            coalesce_extents([(0, 6), (4, 6)], merge_overlaps=False)
-
-    def test_adjacent_ok_even_strict(self):
-        assert coalesce_extents([(0, 4), (4, 4)],
-                                merge_overlaps=False) == [(0, 8)]
-
     def test_negative_rejected(self):
         with pytest.raises(PFSError):
             coalesce_extents([(-1, 4)])

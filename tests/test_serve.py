@@ -44,6 +44,7 @@ from repro.serve import DRXClient, DRXServer
 from repro.serve import protocol
 from repro.serve.locks import ArrayRWLock, ChunkLocks
 from tests.support.netfault import FaultySocket, arm_first_connection
+from tests.support.slowserve import slow_array
 
 SEED = int(os.environ.get("DRX_FAULT_SEED", "0"))
 SOAK_CLIENTS = int(os.environ.get("DRX_SOAK_CLIENTS", "8"))
@@ -369,12 +370,13 @@ class TestDeadlines:
                 c.create("a", [16, 16], [4, 4])
                 base = np.full((16, 16), 7.0)
                 c.write("a", (0, 0), base)
+                slow_array(srv, "a", write=5.0)
                 wd = default_watchdog().stats
                 scheduled0, settled0 = wd.scheduled, wd.fired + wd.cancelled
                 t0 = time.monotonic()
                 with pytest.raises(DeadlineError):
                     c.write("a", (0, 0), np.zeros((16, 16)),
-                            timeout=0.2, _delay=5.0)
+                            timeout=0.2)
                 # cancelled promptly, not after the 5 s "computation"
                 assert time.monotonic() - t0 < 2.0
                 # the half-done mutation was rolled back
@@ -397,10 +399,10 @@ class TestDeadlines:
             with make_client(srv, "hog") as hog, \
                     make_client(srv, "starved") as starved:
                 hog.create("q", [8, 8], [4, 4])
+                slow_array(srv, "q", write=1.5)
                 blocker = threading.Thread(
                     target=hog.write,
-                    args=("q", (0, 0), np.ones((8, 8))),
-                    kwargs={"_delay": 1.5})
+                    args=("q", (0, 0), np.ones((8, 8))))
                 blocker.start()
                 time.sleep(0.3)     # blocker holds the only slot
                 with pytest.raises(DeadlineError):
@@ -506,10 +508,10 @@ class TestAdmission:
                        max_queue=0) as (srv, _):
             with make_client(srv, "holder") as holder:
                 holder.create("b", [8, 8], [4, 4])
+                slow_array(srv, "b", write=1.0)
                 blocker = threading.Thread(
                     target=holder.write,
-                    args=("b", (0, 0), np.ones((8, 8))),
-                    kwargs={"_delay": 1.0})
+                    args=("b", (0, 0), np.ones((8, 8))))
                 blocker.start()
                 time.sleep(0.3)
                 # zero queue slots: an immediate, explicit refusal
@@ -537,14 +539,14 @@ class TestAdmission:
                        max_queue=3) as (srv, _):
             with make_client(srv, "seeder") as seeder:
                 seeder.create("c", [32, 8], [4, 4])
+            slow_array(srv, "c", write=0.05)
             threads = []
             for i in range(12):
                 cli = make_client(srv, f"swarm{i}", max_retries=60,
                                   seed=i)
                 t = threading.Thread(
                     target=lambda cl=cli: (cl.write(
-                        "c", (0, 0), np.ones((4, 4)), _delay=0.05),
-                        cl.close()))
+                        "c", (0, 0), np.ones((4, 4))), cl.close()))
                 threads.append(t)
                 t.start()
             for t in threads:
@@ -559,21 +561,23 @@ class TestAdmission:
                        max_queue=8) as (srv, _):
             with make_client(srv, "greedy") as g:
                 g.create("d", [16, 4], [4, 4])
+                g.create("d-light", [16, 4], [4, 4])
+            # greedy's array is slow, light's is not
+            slow_array(srv, "d", write=0.6)
             start = threading.Barrier(3)
             done = {}
 
             def hog(i):
                 with make_client(srv, "greedy") as cl:
                     start.wait()
-                    cl.write("d", (4 * i, 0), np.ones((4, 4)),
-                             _delay=0.6)
+                    cl.write("d", (4 * i, 0), np.ones((4, 4)))
                     done[f"greedy{i}"] = time.monotonic()
 
             def light():
                 with make_client(srv, "light") as cl:
                     start.wait()
                     time.sleep(0.15)     # let the hogs queue first
-                    cl.write("d", (8, 0), np.ones((4, 4)))
+                    cl.write("d-light", (8, 0), np.ones((4, 4)))
                     done["light"] = time.monotonic()
 
             t0 = time.monotonic()
@@ -618,18 +622,18 @@ class TestRangeLocks:
         assert locks.held() == 0
 
     def test_disjoint_writes_overlap_in_time(self):
-        """Two writers on disjoint chunk ranges hold their _delay
-        concurrently: wall time ~ max, not sum."""
+        """Two writers on disjoint chunk ranges hold their slow-array
+        sleep concurrently: wall time ~ max, not sum."""
         with serve_ctx(max_inflight=4) as (srv, _):
             with make_client(srv, "w0") as c:
                 c.create("par", [16, 16], [4, 4])
+            slow_array(srv, "par", write=0.5)
             spans = {}
 
             def writer(name, row):
                 with make_client(srv, name) as cl:
                     t0 = time.monotonic()
-                    cl.write("par", (row, 0),
-                             np.full((4, 16), float(row)), _delay=0.5)
+                    cl.write("par", (row, 0), np.full((4, 16), float(row)))
                     spans[name] = (t0, time.monotonic())
 
             ts = [threading.Thread(target=writer, args=(f"w{i}", 4 * i))
@@ -656,13 +660,13 @@ class TestRangeLocks:
         with serve_ctx(max_inflight=4) as (srv, _):
             with make_client(srv, "seed") as c:
                 c.create("ser", [8, 8], [4, 4])
+            slow_array(srv, "ser", write=0.4)
             results = {}
 
             def writer(tag, value):
                 with make_client(srv, tag) as cl:
                     t0 = time.monotonic()
-                    ack = cl.write("ser", (0, 0),
-                                   np.full((8, 8), value), _delay=0.4)
+                    ack = cl.write("ser", (0, 0), np.full((8, 8), value))
                     results[tag] = (ack["seq"], value,
                                     t0, time.monotonic())
 
@@ -690,12 +694,13 @@ class TestRangeLocks:
         with serve_ctx(max_inflight=4) as (srv, _):
             with make_client(srv, "s") as c:
                 c.create("x", [8, 8], [4, 4])
+            slow_array(srv, "x", write=0.5)
             base = time.monotonic()
             times = {}
 
             def slow_write():
                 with make_client(srv, "wrt") as cl:
-                    cl.write("x", (0, 0), np.ones((8, 8)), _delay=0.5)
+                    cl.write("x", (0, 0), np.ones((8, 8)))
                     times["write_done"] = time.monotonic() - base
 
             def extender():
@@ -741,12 +746,12 @@ class TestDrainAndDisconnect:
         with serve_ctx() as (srv, fs):
             with make_client(srv, "d") as c:
                 c.create("keep", [8, 8], [4, 4])
+                slow_array(srv, "keep", write=0.5)
                 acked = np.full((8, 8), 3.5)
                 results = {}
 
                 def slow():
-                    results["ack"] = c.write("keep", (0, 0), acked,
-                                             _delay=0.5)
+                    results["ack"] = c.write("keep", (0, 0), acked)
                 t = threading.Thread(target=slow)
                 t.start()
                 time.sleep(0.2)        # request is mid-flight
@@ -765,10 +770,10 @@ class TestDrainAndDisconnect:
                     make_client(srv, "holder") as holder, \
                     make_client(srv, "newcomer", max_retries=0) as nc:
                 c.create("nd", [4], [2])
+                slow_array(srv, "nd", write=1.0)
                 nc.ping()          # connect before the listener closes
                 hold = threading.Thread(
-                    target=holder.write, args=("nd", [0], np.ones(4)),
-                    kwargs={"_delay": 1.0})
+                    target=holder.write, args=("nd", [0], np.ones(4)))
                 hold.start()
                 time.sleep(0.2)
                 drainer = threading.Thread(target=srv.shutdown,
@@ -831,12 +836,12 @@ class TestDrainAndDisconnect:
                 c.create("g", [8, 8], [4, 4])
                 base = np.full((8, 8), 1.0)
                 c.write("g", (0, 0), base)
+            slow_array(srv, "g", write=0.4)
             victim = socket.create_connection(srv.address)
             # fire a slow write, then tear the socket down mid-flight
             hdr = {"verb": "write", "client": "victim", "attempt": 0,
                    "rid": 1, "name": "g", "lo": [0, 0], "shape": [8, 8],
-                   "dtype": "<f8", "_delay": 0.4,
-                   "sid": "victim-session", "seq": 1}
+                   "dtype": "<f8", "sid": "victim-session", "seq": 1}
             protocol.send_frame(victim, protocol.REQ, hdr,
                                 np.full((8, 8), 9.0).tobytes())
             time.sleep(0.1)
@@ -943,6 +948,33 @@ class TestHostileWire:
             snap = srv.stats_snapshot()
             assert snap["inflight"] == 0
             assert snap["qos"]["clients"]["h"]["errors"] == 1
+
+    def test_client_cannot_make_the_daemon_sleep(self):
+        """No header makes the daemon sleep: a write carrying
+        ``"_delay": 3600`` and no timeout is served at full speed, and
+        another client's extend of the same array — which needs the
+        array lock exclusive — gets through within its own budget."""
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "setup") as c:
+                c.create("nap", [4], [2])
+            raw = socket.create_connection(srv.address, timeout=5.0)
+            try:
+                t0 = time.monotonic()
+                protocol.send_frame(raw, protocol.REQ, {
+                    "verb": "write", "client": "sleeper", "rid": 1,
+                    "name": "nap", "lo": [0], "shape": [4],
+                    "dtype": "<f8", "sid": "sleeper", "seq": 1,
+                    "_delay": 3600}, np.ones(4).tobytes())
+                raw.settimeout(1.0)
+                kind, rep, _ = protocol.recv_frame(raw)
+                assert (kind, rep["rid"]) == (protocol.OK, 1)
+                assert time.monotonic() - t0 < 1.0
+            finally:
+                raw.close()
+            with make_client(srv, "other", timeout=2.0) as c2:
+                assert c2.extend("nap", dim=0, by=2)["shape"] == [6]
+                assert np.array_equal(c2.read("nap", [0], [4]),
+                                      np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -1171,11 +1203,11 @@ class TestPipeline:
         with serve_ctx(max_inflight=4) as (srv, _):
             with make_client(srv, "ooo") as c:
                 c.create("slow", [4, 4], [2, 2])
+                slow_array(srv, "slow", write=0.5)
                 with c.pipeline(depth=4) as pipe:
                     slow = pipe.submit(
                         "write", {"name": "slow", "lo": [0, 0],
-                                  "shape": [4, 4], "dtype": "<f8",
-                                  "_delay": 0.5},
+                                  "shape": [4, 4], "dtype": "<f8"},
                         np.ones((4, 4)).tobytes())
                     fast = pipe.ping()
                     assert fast.result()["pong"]
@@ -1190,11 +1222,11 @@ class TestPipeline:
             with make_client(srv, "narrow", max_retries=60,
                              seed=SEED) as c:
                 c.create("n", [8, 8], [4, 4])
+                slow_array(srv, "n", write=0.02)
                 with c.pipeline(depth=8) as pipe:
                     pends = [pipe.submit(
                         "write", {"name": "n", "lo": [0, 0],
-                                  "shape": [4, 4], "dtype": "<f8",
-                                  "_delay": 0.02},
+                                  "shape": [4, 4], "dtype": "<f8"},
                         np.full((4, 4), float(i)).tobytes())
                         for i in range(6)]
                     for p in pends:
@@ -1381,10 +1413,11 @@ class TestBatch:
         with serve_ctx() as (srv, _):
             with make_client(srv, "budget") as c:
                 c.create("bb", [4, 4], [2, 2])
+                slow_array(srv, "bb", read=per_op)
                 t0 = time.monotonic()
                 outs = c.batch(
                     [{"verb": "read", "name": "bb", "lo": [0, 0],
-                      "hi": [4, 4], "_delay": per_op}
+                      "hi": [4, 4]}
                      for _ in range(nops)],
                     timeout=2 * per_op + 0.05,
                     return_exceptions=True)

@@ -30,9 +30,9 @@ from repro.serve.shard import (
     HashRing,
     ShardedClient,
     ShardedPipeline,
-    ShardSet,
     merge_stats,
 )
+from tests.support.shardset import ShardSet
 
 SEED = int(os.environ.get("DRX_FAULT_SEED", "0"))
 SOAK_CLIENTS = int(os.environ.get("DRX_SOAK_CLIENTS", "8"))
