@@ -186,7 +186,18 @@ class RetryLater(ServeError):
 
 
 class PFSError(DRXError, OSError):
-    """Failure inside the simulated parallel file system."""
+    """Failure inside the simulated parallel file system.
+
+    Transient by default (a busy server, a lost message).  A refusal on
+    the request's own merits — a bad extent, a length mismatch, a file
+    that exists or does not — passes ``transient=False``, so retry
+    layers surface it at once.
+    """
+
+    def __init__(self, *args, transient: bool | None = None) -> None:
+        super().__init__(*args)
+        if transient is not None:
+            self.transient = transient
 
 
 class ServerDownError(PFSError):

@@ -25,7 +25,8 @@ point-to-point — O(total data) bytes, not the O(P x data) of a
 bulletin-board broadcast — so only aggregators ever touch the PFS.
 Payloads pass by reference (ranks are threads of one process), so a
 read's aggregator carves each rank's bytes straight into that rank's
-buffer.
+buffer, and a write's aggregator hands views into each rank's buffer
+straight to the PFS.
 Phase B issues one large vectored request per aggregator per
 ``cb_buffer_size`` window, data-sieving hole-bearing windows.
 Overlapping collective writers are legal and resolved in rank order
@@ -354,45 +355,43 @@ def _read_groups(pfile: PFSFile, groups: list[Group], window: int | None,
 
 
 def _write_groups(pfile: PFSFile,
-                  sources: list[tuple[list[Extent], bytes]],
+                  sources: list[tuple[list[tuple[int, int, int]], Any]],
                   runs: list[Extent], groups: list[Group],
                   window: int | None,
                   sieve_site: str | None = None) -> float:
-    """Assemble every source's ``(extents, payload)`` into the coalesced
-    ``runs`` (in source order, so a later source wins overlaps), then
-    flush window by window: hole-free runs in one vectored write,
-    hole-bearing groups as read-modify-writes of the covering extent
-    (see :meth:`PFSFile.sieve_writev` for why that is
-    concurrency-safe).  Returns the summed simulated time;
-    ``sieve_site`` names the crash point visited before a window with a
-    read-modify-write."""
+    """Write every source's ``(pieces, data)`` — its ``(offset, length,
+    data_position)`` pieces and the byte view they index — into the
+    coalesced ``runs``, window by window: hole-free runs in one vectored
+    write, hole-bearing groups as read-modify-writes of the covering
+    extent (see :meth:`PFSFile.sieve_writev` for why that is
+    concurrency-safe).  The pieces travel as views into the sources'
+    own buffers, in source order, so a later source wins an overlap.
+    Returns the summed simulated time; ``sieve_site`` names the crash
+    point visited before a window with a read-modify-write."""
     run_starts = [s for s, _n in runs]
-    bufs = [bytearray(n) for _s, n in runs]
-    for exts, payload in sources:
-        src = memoryview(payload)
-        pos = 0
-        for off, length in exts:
-            i = bisect_right(run_starts, off) - 1
-            at = off - run_starts[i]
-            bufs[i][at:at + length] = src[pos:pos + length]
-            pos += length
+    by_run: list[list[tuple[int, memoryview]]] = [[] for _ in runs]
+    for pieces, data in sources:
+        view = memoryview(data)
+        for off, length, at in pieces:
+            by_run[bisect_right(run_starts, off) - 1].append(
+                (off, view[at:at + length]))
     io_t = 0.0
     after = rmw_n = waste = 0
     for win in _windows(groups, window):
         direct_ext: list[Extent] = []
-        direct_bufs: list[bytearray] = []
-        rmw: list[tuple[int, int, list[tuple[int, bytearray]]]] = []
+        direct: list[tuple[int, memoryview]] = []
+        rmw: list[tuple[int, int, list[tuple[int, memoryview]]]] = []
         for s, e, holes, useful, i0, i1 in win:
             if holes == 0:      # hole-free group is exactly one run
                 direct_ext.append((s, e - s))
-                direct_bufs.append(bufs[i0])
+                direct.extend(by_run[i0])
             else:
-                pieces = [(run_starts[i], bufs[i]) for i in range(i0, i1)]
-                rmw.append((s, e - s, pieces))
+                rmw.append((s, e - s,
+                            [p for i in range(i0, i1) for p in by_run[i]]))
                 waste += (e - s) - useful
         if sieve_site and rmw:
             crash_point(sieve_site)
-        io_t += pfile.sieve_writev((direct_ext, b"".join(direct_bufs)), rmw)
+        io_t += pfile.sieve_writev((direct_ext, direct), rmw)
         after += len(direct_ext) + len(rmw)
         rmw_n += len(rmw)
     account(pfile, sieve_rmw=rmw_n, wasted_bytes=waste,
@@ -434,7 +433,7 @@ def sieved_readv(pfile: PFSFile, extents: list[Extent],
     return out, elapsed
 
 
-def sieved_writev(pfile: PFSFile, extents: list[Extent], data: bytes,
+def sieved_writev(pfile: PFSFile, extents: list[Extent], data,
                   hints: CollectiveHints) -> float:
     """Independent vectored write with data sieving.
 
@@ -446,7 +445,8 @@ def sieved_writev(pfile: PFSFile, extents: list[Extent], data: bytes,
                                hints.ind_wr_buffer_size)
     if not any(g[2] for g in groups):
         return pfile.writev(extents, data)
-    elapsed = _write_groups(pfile, [(extents, data)], runs, groups, None)
+    elapsed = _write_groups(pfile, [(_data_pieces(extents), data)], runs,
+                            groups, None)
     account(pfile, requests_before=len(extents))
     return elapsed
 
@@ -559,9 +559,15 @@ def two_phase_read(comm, pfile: PFSFile, extents: list[Extent],
 
 
 def two_phase_write(comm, pfile: PFSFile, extents: list[Extent],
-                    data: bytes, hints: CollectiveHints) -> None:
+                    data, hints: CollectiveHints) -> None:
     """Collective write through two-phase buffering.  Overlapping
-    writers are resolved in rank order (higher rank wins)."""
+    writers are resolved in rank order (higher rank wins).
+
+    ``data`` is a contiguous byte view of this rank's payload in data
+    order, borrowed until the call returns: phase A ships it by
+    reference with this rank's pieces to every aggregator, and the
+    aggregators' phase B hands views into it straight to the PFS, which
+    copies each byte once, into the server store."""
     t0, meta = _agree(comm, pfile, extents, hints)
     if hints.romio_cb_write == "disable":
         sieved_writev(pfile, extents, data, hints)
@@ -571,17 +577,10 @@ def two_phase_write(comm, pfile: PFSFile, extents: list[Extent],
     if not aggs:
         comm.barrier()
         return
-    payloads: dict[int, tuple[list[Extent], bytes]] = {}
-    xbytes = 0
-    view = memoryview(data)
-    for d, agg in enumerate(aggs):
-        ext_d = [(off, n) for off, n, _p in mine[d]]
-        buf_d = b"".join(view[p:p + n] for _off, n, p in mine[d])
-        payloads[agg] = (ext_d, buf_d)
-        xbytes += len(buf_d)
-    account(pfile, exchange_bytes=xbytes)
+    account(pfile, exchange_bytes=sum(
+        n for pieces in mine for _off, n, _p in pieces))
     incoming = comm.exchange_p2p(
-        payloads,
+        {agg: (mine[d], data) for d, agg in enumerate(aggs)},
         range(comm.size) if comm.rank in aggs else (),
         TAG_REQ)
     if comm.rank in aggs:
@@ -591,11 +590,13 @@ def two_phase_write(comm, pfile: PFSFile, extents: list[Extent],
             # phase B: every rank's pieces in rank order, flushed per
             # collective-buffer window
             sources = [incoming[src] for src in range(comm.size)]
-            flat = [e for exts, _payload in sources for e in exts]
+            flat = [(off, n) for pieces, _data in sources
+                    for off, n, _p in pieces]
             runs, groups = _sieve_plan(flat, hints.romio_ds_write, hints,
                                        hints.cb_buffer_size)
             io_t = _write_groups(pfile, sources, runs, groups,
                                  hints.cb_buffer_size,
                                  "server.kill.collective.sieve")
             account(pfile, io_time=io_t)
+    # the senders' buffers are free once every aggregator has written
     comm.barrier()

@@ -307,7 +307,7 @@ class File:
         """Independent write at an explicit offset (etype units)."""
         self._require_open()
         self._require_writable()
-        data = _pack_buf(buf)
+        data = _write_bytes(buf)
         extents = self._view.extents(offset * self._view.etype.size, len(data))
         _check_write_extents(extents, data)
         collective.sieved_writev(self._pfile, extents, data, self._hints)
@@ -361,10 +361,14 @@ class File:
         Extents overlapping *across ranks* are legal and resolve in rank
         order (higher rank wins), matching the serial reference in which
         ranks write one after the other.
+
+        A plain contiguous buffer is borrowed, not copied, until the
+        collective returns: the aggregators read it in place, so it must
+        not change while the call runs.
         """
         self._require_open()
         self._require_writable()
-        data = _pack_buf(buf)
+        data = _write_bytes(buf)
         extents = self._view.extents(offset * self._view.etype.size, len(data))
         _check_write_extents(extents, data)
         crash_point("server.kill.collective.entry")
@@ -398,6 +402,16 @@ def _buf_nbytes(buf) -> tuple[int, object]:
         return dtype.size * (count if count is not None else 1), arr
     a = np.asarray(arr)
     return a.nbytes, arr
+
+
+def _write_bytes(buf):
+    """The bytes a write moves: a read-only byte view of a plain
+    contiguous buffer (borrowed, no copy), or the packed bytes of a
+    typed buffer spec."""
+    arr, _count, dtype = _parse_bufspec(buf)
+    if dtype is not None:
+        return _pack_buf(buf)
+    return _as_bytes_view(arr).toreadonly()
 
 
 def _writable_view(buf) -> memoryview | None:

@@ -68,7 +68,7 @@ class ParallelFileSystem:
     def create(self, name: str) -> PFSFile:
         with self._lock:
             if name in self._files:
-                raise PFSError(f"file exists: {name!r}")
+                raise PFSError(f"file exists: {name!r}", transient=False)
             f = PFSFile(name, self.servers, self.layout,
                         executor=self.executor)
             self._files[name] = f
@@ -79,7 +79,8 @@ class ParallelFileSystem:
             try:
                 return self._files[name]
             except KeyError:
-                raise PFSError(f"no such file: {name!r}") from None
+                raise PFSError(f"no such file: {name!r}",
+                               transient=False) from None
 
     def open_or_create(self, name: str) -> PFSFile:
         with self._lock:
@@ -91,7 +92,8 @@ class ParallelFileSystem:
     def delete(self, name: str) -> None:
         with self._lock:
             if name not in self._files:
-                raise PFSError(f"no such file: {name!r}")
+                raise PFSError(f"no such file: {name!r}",
+                               transient=False)
             first_error: PFSError | None = None
             for copy in range(self.replication):
                 obj = replica_object_name(name, copy)

@@ -54,6 +54,8 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
+from typing import Any
 
 from ..core import faultsites
 from ..core.errors import PFSError, ServerDownError
@@ -119,7 +121,7 @@ class PFSFile:
     def set_size(self, size: int) -> None:
         """Preallocate / declare the logical size (MPI_File_set_size)."""
         if size < 0:
-            raise PFSError(f"negative size {size}")
+            raise PFSError(f"negative size {size}", transient=False)
         with self._lock:
             self._size = max(self._size, size) if size >= self._size else size
 
@@ -333,8 +335,12 @@ class PFSFile:
             self.io_time += elapsed
             return out, elapsed
 
-    def writev(self, extents: list[Extent], data: bytes) -> float:
+    def writev(self, extents: list[Extent], data) -> float:
         """Write ``data`` into the given byte extents, in order.
+
+        ``data`` is any contiguous bytes-like object; it is borrowed,
+        not copied, until the call returns.  Where extents overlap, the
+        later one's bytes win.
 
         Replicated layouts fan the write out to every copy.  Dead
         servers — and wiped-then-revived ones whose objects a rebuild
@@ -346,38 +352,42 @@ class PFSFile:
         least one *readable* copy or :class:`ServerDownError` is
         raised.
         """
+        view = memoryview(data).cast("B")
         total = sum(n for _o, n in extents)
-        if total != len(data):
+        if total != len(view):
             raise PFSError(
-                f"writev: extents cover {total} bytes, data has {len(data)}"
-            )
+                f"writev: extents cover {total} bytes, data has {len(view)}",
+                transient=False)
+        pieces = []
+        pos = 0
+        for off, n in extents:
+            pieces.append((off, view[pos:pos + n]))
+            pos += n
+        return self._write(extents, _Pieces(pieces))
+
+    def _write(self, extents: list[Extent], source: "_Pieces") -> float:
+        """Write ``source``'s bytes into ``extents``, split per server
+        exactly as the extents are."""
         t0 = time.perf_counter()
         try:
             with self._lock:
                 if self.replication == 1:
-                    return self._writev_plain(extents, data)
-                return self._writev_replicated(extents, data)
+                    return self._writev_plain(extents, source)
+                return self._writev_replicated(extents, source)
         finally:
             dt = time.perf_counter() - t0
             with self._lock:        # concurrent callers both account
                 self.wall_time += dt
 
-    def _writev_plain(self, extents: list[Extent], data: bytes) -> float:
+    def _writev_plain(self, extents: list[Extent], source: "_Pieces"
+                      ) -> float:
         """The historical unreplicated write path.  Batches are built in
         server order, then dispatched concurrently when the executor
         allows — bytes and stats identical to the serial loop."""
-        per_server = self.layout.split_extents(extents)
-        slices = self._slices(extents)
-        work: list[tuple[int, list[tuple[int, bytes]]]] = []
-        for sid, reqs in enumerate(per_server):
-            if not reqs:
-                continue
-            batch: list[tuple[int, bytes]] = []
-            for srv_off, log_off, ln in reqs:
-                src = self._locate(slices, log_off)
-                start = src[0] + (log_off - src[2])
-                batch.append((srv_off, bytes(data[start:start + ln])))
-            work.append((sid, batch))
+        work = [(sid, [(srv_off, source.take(log_off, ln))
+                       for srv_off, log_off, ln in reqs])
+                for sid, reqs in enumerate(self.layout.split_extents(extents))
+                if reqs]
         if len(work) > 1 and self._parallel_ok():
             futs = [self.executor.submit(
                         self.servers[sid].write_batch, self.name, batch)
@@ -393,13 +403,12 @@ class PFSFile:
         return elapsed
 
     def _writev_replicated(self, extents: list[Extent],
-                           data: bytes) -> float:
+                           source: "_Pieces") -> float:
         """Fan the write out to every replica copy."""
         crash_point("server.kill.writev.begin")
         layout: ReplicaLayout = self.layout  # type: ignore[assignment]
-        slices = self._slices(extents)
         if self._parallel_ok():
-            return self._writev_replicated_parallel(extents, data, slices)
+            return self._writev_replicated_parallel(extents, source)
         elapsed_by_server: dict[int, float] = {}
         #: landed copies per piece, keyed by logical offset
         landed: dict[int, int] = {}
@@ -418,13 +427,9 @@ class PFSFile:
                     # missing: rebuild recreates it and repays the debt
                     self.rstats.missed_writes += len(reqs)
                     continue
-                batch: list[tuple[int, bytes]] = []
-                nbytes = 0
-                for srv_off, log_off, ln in reqs:
-                    src = self._locate(slices, log_off)
-                    start = src[0] + (log_off - src[2])
-                    batch.append((srv_off, bytes(data[start:start + ln])))
-                    nbytes += ln
+                batch = [(srv_off, source.take(log_off, ln))
+                         for srv_off, log_off, ln in reqs]
+                nbytes = sum(ln for _so, _lo, ln in reqs)
                 try:
                     t = srv.write_batch(obj, batch)
                 except ServerDownError:
@@ -462,9 +467,7 @@ class PFSFile:
         return elapsed
 
     def _writev_replicated_parallel(self, extents: list[Extent],
-                                    data: bytes,
-                                    slices: dict[int, tuple[int, int]]
-                                    ) -> float:
+                                    source: "_Pieces") -> float:
         """Concurrent replica fan-out: liveness checks, skip accounting
         and batch assembly run in the main thread in the serial order;
         only the server batches themselves are dispatched concurrently,
@@ -478,7 +481,7 @@ class PFSFile:
         landed: dict[int, int] = {}
         jobs: list[tuple[int, int, IOServer, str,
                          list[tuple[int, int, int]],
-                         list[tuple[int, bytes]], int]] = []
+                         list[tuple[int, memoryview]], int]] = []
         for copy in range(self.replication):
             per_server = layout.split_extents_copy(extents, copy)
             obj = replica_object_name(self.name, copy)
@@ -491,13 +494,9 @@ class PFSFile:
                 if not srv.alive or (srv.stale and not srv.has_object(obj)):
                     self.rstats.missed_writes += len(reqs)
                     continue
-                batch: list[tuple[int, bytes]] = []
-                nbytes = 0
-                for srv_off, log_off, ln in reqs:
-                    src = self._locate(slices, log_off)
-                    start = src[0] + (log_off - src[2])
-                    batch.append((srv_off, bytes(data[start:start + ln])))
-                    nbytes += ln
+                batch = [(srv_off, source.take(log_off, ln))
+                         for srv_off, log_off, ln in reqs]
+                nbytes = sum(ln for _so, _lo, ln in reqs)
                 jobs.append((copy, sid, srv, obj, reqs, batch, nbytes))
         futs = [self.executor.submit(srv.write_batch, obj, batch)
                 for _copy, _sid, srv, obj, _reqs, batch, _n in jobs]
@@ -531,13 +530,18 @@ class PFSFile:
         return elapsed
 
     def sieve_writev(self,
-                     direct: tuple[list[Extent], bytes] | None,
-                     rmw: list[tuple[int, int, list[tuple[int, bytes]]]]
+                     direct: tuple[list[Extent], list[tuple[int, Any]]] | None,
+                     rmw: list[tuple[int, int, list[tuple[int, Any]]]]
                      ) -> float:
-        """One atomic data-sieving write: hole-free runs go straight to
-        :meth:`writev`; each ``(cover_off, cover_len, pieces)`` job in
-        ``rmw`` is a read-modify-write — read the covering extent, patch
-        the ``(offset, bytes)`` pieces in, write the whole extent back.
+        """One atomic data-sieving write.  ``direct`` is ``(runs,
+        pieces)``: hole-free runs, and the ``(offset, bytes)`` pieces
+        that cover them; the runs are split per server as they are,
+        whatever the piece boundaries.  Each ``(cover_off, cover_len,
+        pieces)`` job in ``rmw`` is a read-modify-write — read the
+        covering extent, patch the pieces in, write the whole extent
+        back.  Either way a later piece in the list wins an overlap.
+        The pieces are borrowed until the call returns; each byte is
+        copied once, into the server store or the covering buffer.
 
         The file lock is held across *all* of it, which is what makes
         concurrent sieved writers (two ranks with complementary strided
@@ -549,14 +553,15 @@ class PFSFile:
         elapsed = 0.0
         with self._lock:
             if direct is not None and direct[0]:
-                elapsed = max(elapsed, self.writev(direct[0], direct[1]))
+                elapsed = max(elapsed,
+                              self._write(direct[0], _Pieces(direct[1])))
             for cover_off, cover_len, pieces in rmw:
                 blob, t_r = self.readv([(cover_off, cover_len)])
                 buf = bytearray(blob)
                 for off, data in pieces:
                     at = off - cover_off
                     buf[at:at + len(data)] = data
-                t_w = self.writev([(cover_off, cover_len)], bytes(buf))
+                t_w = self.writev([(cover_off, cover_len)], buf)
                 elapsed = max(elapsed, t_r + t_w)
         return elapsed
 
@@ -586,17 +591,6 @@ class PFSFile:
         return fallback
 
     @staticmethod
-    def _slices(extents: list[Extent]) -> dict[int, tuple[int, int]]:
-        """Map each extent's logical offset to its slice of the flat
-        data buffer."""
-        slices: dict[int, tuple[int, int]] = {}
-        pos = 0
-        for off, length in extents:
-            slices[off] = (pos, length)
-            pos += length
-        return slices
-
-    @staticmethod
     def _assemble(extents: list[Extent],
                   pieces: dict[int, bytes]) -> bytes:
         """Concatenate stripe pieces back into request order."""
@@ -609,19 +603,6 @@ class PFSFile:
                 order.append(piece)
                 pos += len(piece)
         return b"".join(order)
-
-    @staticmethod
-    def _locate(slices: dict[int, tuple[int, int]], log_off: int
-                ) -> tuple[int, int, int]:
-        """Find the data-buffer slice containing logical offset ``log_off``.
-
-        Returns ``(buf_start, length, extent_offset)``.
-        """
-        # extents are few per call; a linear probe over the dict is fine
-        for ext_off, (buf_start, length) in slices.items():
-            if ext_off <= log_off < ext_off + length:
-                return buf_start, length, ext_off
-        raise PFSError(f"internal: no slice covers offset {log_off}")
 
     # ------------------------------------------------------------------
     # online rebuild / verification
@@ -787,3 +768,53 @@ class PFSFile:
     def write(self, offset: int, data: bytes) -> None:
         self.writev([(offset, len(data))], data)
 
+
+class _Pieces:
+    """The bytes of one write: ``(offset, bytes)`` pieces in write
+    order, a later piece winning an overlap.  :meth:`take` hands out
+    one stripe unit's bytes without copying them; only a unit that
+    straddles two pieces is joined, and only pieces that overlap are
+    first patched, in order, into one buffer.  So a write copies each
+    byte once, into the store."""
+
+    def __init__(self, pieces: list[tuple[int, Any]]) -> None:
+        views = [(off, memoryview(data).cast("B"))
+                 for off, data in pieces if len(data)]
+        order = sorted(range(len(views)), key=lambda i: views[i][0])
+        self._starts: list[int] = []
+        self._views: list[memoryview] = []
+        k = 0
+        while k < len(order):
+            start, view = views[order[k]]
+            end = start + len(view)
+            j = k + 1
+            while j < len(order) and views[order[j]][0] < end:
+                off, other = views[order[j]]
+                end = max(end, off + len(other))
+                j += 1
+            if j > k + 1:       # overlapping pieces: patch in write order
+                buf = bytearray(end - start)
+                for i in sorted(order[k:j]):
+                    off, other = views[i]
+                    buf[off - start:off - start + len(other)] = other
+                view = memoryview(buf)
+            self._starts.append(start)
+            self._views.append(view)
+            k = j
+
+    def take(self, off: int, length: int):
+        """The bytes of ``[off, off + length)``: a view into the piece
+        holding them, or the join of the pieces the range straddles."""
+        i = bisect_right(self._starts, off) - 1
+        at = off - self._starts[i]
+        view = self._views[i]
+        if at + length <= len(view):
+            return view[at:at + length]
+        parts = []
+        while length:
+            part = self._views[i][at:at + length]
+            parts.append(part)
+            length -= len(part)
+            i += 1
+            at = 0
+        return b"".join(parts)

@@ -32,7 +32,7 @@ def coalesce_extents(extents: Sequence[Extent]) -> list[Extent]:
     :class:`PFSError`.
     """
     if any(o < 0 or n < 0 for o, n in extents):
-        raise PFSError(f"negative extent in {extents!r}")
+        raise PFSError(f"negative extent in {extents!r}", transient=False)
     cleaned = [(int(o), int(n)) for o, n in extents if n > 0]
     if not cleaned:
         return []
@@ -79,7 +79,8 @@ class StripeLayout:
         lets callers map returned data back into the logical stream.
         """
         if offset < 0 or length < 0:
-            raise PFSError(f"bad extent ({offset}, {length})")
+            raise PFSError(f"bad extent ({offset}, {length})",
+                           transient=False)
         pos = offset
         end = offset + length
         while pos < end:

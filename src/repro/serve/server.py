@@ -1059,8 +1059,8 @@ class DRXServer:
         """The one existence check of ``create`` and ``snapshot``:
         True when ``name`` is free to create, False when it is open or
         in the backing store and ``exists_ok``.  Otherwise it refuses
-        up front, fatally — the PFS backend's own refusal is a
-        ``PFSError``, which the client would retry as transient."""
+        up front, fatally, as ``DRXFileExistsError`` on every
+        backend."""
         with self._arrays_lock:
             exists = name in self._arrays
         if not exists and not self._backend.exists(name):
@@ -1078,8 +1078,8 @@ class DRXServer:
             if entry is not None:
                 return entry
             if not self._backend.exists(name):
-                # a PFSError would read as transient to the client; a
-                # missing array is permanent — fail fatally
+                # a missing array is permanent on every backend — fail
+                # fatally, as DRXFileNotFoundError
                 raise ServeError(f"no array named {name!r}",
                                  kind="DRXFileNotFoundError")
             entry = _ArrayEntry(name, self._backend.open(name),

@@ -4,6 +4,9 @@ overlap tie-breaking, and the O(P) exchange-volume regression."""
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -291,9 +294,10 @@ def rank_blocks_view(rank, nblocks=4, block=64, stride=None):
     return blk.Create_indexed([1] * nblocks, disps).Commit()
 
 
-def serial_reference(total, writers):
-    """Ranks write one after the other, in rank order."""
-    img = bytearray(total)
+def serial_reference(total, writers, base=None):
+    """Ranks write one after the other, in rank order, over ``base``
+    (zeros by default)."""
+    img = bytearray(total) if base is None else bytearray(base)
     for extents, data in writers:
         pos = 0
         for off, length in extents:
@@ -597,6 +601,153 @@ class TestTwoPhase:
         small = cache.get("collective/two_phase_xchg/2", None)
         if nprocs == 4 and small:
             assert measured / small <= 2.5
+
+
+#: per-rank file extents of three collective writers on 512-byte stripe
+#: units; rank order decides every overlap
+WRITE_CASES = {
+    # rank 1 overwrites [700, 1100) of rank 0, across the unit boundary
+    # at 1024, and rank 2's 10 bytes straddle that boundary on top
+    "overlap": [[(100, 1000)], [(700, 1000)], [(1020, 10)]],
+    # disjoint pieces that meet inside stripe units (at 700 and 1700)
+    "adjacent": [[(100, 600)], [(700, 1000)], [(1700, 348)]],
+    # holes make one read-modify-write group; rank 1 overlaps rank 0
+    # and rank 2 straddles the boundary at 1024 over rank 0's bytes
+    "holey": [[(0, 300), (600, 500)], [(250, 100)],
+              [(1020, 8), (1200, 300)]],
+}
+
+
+def rank_payload(rank, n):
+    return bytes((7 * i + 31 * rank + 1) % 251 for i in range(n))
+
+
+def indexed_write(comm, fs, extents, cb_nodes):
+    """Rank ``r`` collectively writes ``rank_payload`` through an
+    indexed view of ``extents[r]``."""
+    mine = extents[comm.rank]
+    fh = mpi.File.Open(comm, "f", mpi.MODE_RDWR, fs,
+                       info=hints_info(cb_nodes=cb_nodes))
+    fh.Set_view(0, mpi.BYTE, mpi.BYTE.Create_indexed(
+        [n for _off, n in mine], [off for off, _n in mine]).Commit())
+    total = sum(n for _off, n in mine)
+    fh.Write_at_all(0, np.frombuffer(rank_payload(comm.rank, total),
+                                     dtype=np.uint8))
+    fh.Close()
+    return True
+
+
+class TestWriteByReference:
+    """Phase B hands the PFS views into the ranks' own buffers: bytes
+    still land exactly as a serial rank-order write, and the write
+    allocates no copy of the data."""
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    @pytest.mark.parametrize("cb_nodes", [1, 2])
+    @pytest.mark.parametrize("case", sorted(WRITE_CASES))
+    def test_rank_order_across_stripe_units(self, case, cb_nodes,
+                                            replication):
+        extents = WRITE_CASES[case]
+        fs = ParallelFileSystem(nservers=4, stripe_size=512,
+                                replication=replication)
+        base = bytes((13 * i + 5) % 256 for i in range(4096))
+        fs.create("f").write(0, base)
+
+        assert all(run(3, indexed_write, fs, extents, cb_nodes))
+        writers = [(ext, rank_payload(r, sum(n for _o, n in ext)))
+                   for r, ext in enumerate(extents)]
+        assert fs.open("f").read(0, 4096) == \
+            serial_reference(4096, writers, base)
+        assert fs.open("f").verify_replicas() == []
+        if case == "holey":
+            assert fs.collective_stats().sieve_rmw >= 1
+
+    def test_overwrite_allocates_no_copy(self):
+        """A 2-rank overwrite of 8 MiB per rank on a pre-sized file
+        grows the traced peak by less than 2 MiB beyond the callers'
+        buffers: no packed copy, per-aggregator join, run buffer or
+        window join of the data."""
+        n = 8 << 20
+        fs = make_fs()
+        fs.create("f").write(0, bytes(2 * n))
+        bufs = [np.full(n, rank + 1, dtype=np.uint8) for rank in range(2)]
+
+        def body(comm):
+            fh = mpi.File.Open(comm, "f", mpi.MODE_RDWR, fs)
+            fh.Write_at_all(comm.rank * n, bufs[comm.rank])
+            fh.Close()
+            return True
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert all(run(2, body))
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert growth < 2 << 20, f"peak grew by {growth} bytes"
+        got = fs.open("f").read(0, 2 * n)
+        assert got == b"\x01" * n + b"\x02" * n
+
+    def test_buffer_free_once_the_call_returns(self):
+        """Each rank scribbles over its buffer as soon as Write_at_all
+        returns, round after round, with more ranks than cores and a
+        short switch interval: every round reads back exactly that
+        round's bytes, so no aggregator reads a sender's buffer after
+        the call returned."""
+        fs = make_fs(stripe=512)
+        fs.create("f")
+
+        def body(comm):
+            fh = mpi.File.Open(comm, "f", mpi.MODE_RDWR, fs,
+                               info=hints_info(cb_nodes=2))
+            fh.Set_view(0, mpi.BYTE, rank_blocks_view(comm.rank))
+            buf = np.empty(256, dtype=np.uint8)
+            got = bytearray(256)
+            ok = []
+            for k in range(20):
+                value = (NP * k + comm.rank) % 255
+                buf[:] = value
+                fh.Write_at_all(0, buf)
+                buf[:] = 255
+                fh.Read_at_all(0, got)
+                ok.append(got == bytes([value]) * 256)
+            fh.Close()
+            return all(ok)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert all(run(NP, body))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_buffer_is_borrowed_read_only(self, monkeypatch):
+        """A plain buffer reaches the engine as a read-only view of
+        its own memory, not as a packed copy."""
+        seen = []
+        write = mpi.collective.two_phase_write
+
+        def spy(comm, pfile, extents, data, hints):
+            seen.append(data)
+            return write(comm, pfile, extents, data, hints)
+
+        monkeypatch.setattr(mpi.collective, "two_phase_write", spy)
+        fs = make_fs()
+        fs.create("f")
+        buf = np.arange(64, dtype=np.uint8)
+
+        def body(comm):
+            fh = mpi.File.Open(comm, "f", mpi.MODE_RDWR, fs)
+            fh.Write_at_all(0, buf if comm.rank == 0 else buf[:0])
+            fh.Close()
+            return True
+
+        assert all(run(2, body))
+        data = seen[0] if len(seen[0]) else seen[1]
+        assert isinstance(data, memoryview) and data.readonly
+        assert np.shares_memory(np.frombuffer(data, dtype=np.uint8), buf)
+        assert fs.open("f").read(0, 64) == buf.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,14 @@ from repro.drx import (
     FaultInjector,
     FaultPlan,
     MemoryByteStore,
+    PFSByteStore,
     PosixByteStore,
     RetryingByteStore,
     is_transient,
 )
+from repro.pfs import ParallelFileSystem
 from repro.pfs.server import IOServer
+from repro.pfs.striping import coalesce_extents
 from repro.workloads import pattern_array
 
 #: CI sweeps this over several values; each seed replays deterministically.
@@ -115,6 +118,47 @@ class TestClassification:
         exc2 = PFSError("fatal variant")
         exc2.transient = False
         assert not is_transient(exc2)
+
+
+class _ActingStore(PFSByteStore):
+    """A PFS store whose ``flush`` makes one given PFS call, so any
+    call runs through the retry layer."""
+
+    def __init__(self, pfile, action) -> None:
+        super().__init__(pfile)
+        self._action = action
+
+    def flush(self) -> None:
+        self._action()
+
+
+#: the PFS's refusals on a request's own merits, as calls on the file
+#: system and one of its files
+PFS_REFUSALS = {
+    "writev length mismatch": lambda fs, f: f.writev([(0, 8)], b"1234"),
+    "negative extent": lambda fs, f: f.readv([(-8, 8)]),
+    "negative size": lambda fs, f: f.set_size(-1),
+    "negative coalesced extent": lambda fs, f: coalesce_extents([(-1, 4)]),
+    "file exists": lambda fs, f: fs.create("f"),
+    "no such file": lambda fs, f: fs.open("nope"),
+    "delete of no such file": lambda fs, f: fs.delete("nope"),
+}
+
+
+class TestPFSRefusals:
+    @pytest.mark.parametrize("case", sorted(PFS_REFUSALS))
+    def test_surfaces_without_retry(self, case):
+        """A refusal no retry can heal surfaces at once from a
+        RetryingByteStore over a PFS store, flagged non-transient."""
+        fs = ParallelFileSystem(nservers=2, stripe_size=64)
+        pfile = fs.create("f")
+        store = RetryingByteStore(
+            _ActingStore(pfile, lambda: PFS_REFUSALS[case](fs, pfile)),
+            sleep=lambda _s: None)
+        with pytest.raises(PFSError) as info:
+            store.flush()
+        assert not is_transient(info.value)
+        assert store.stats.retries == 0 and store.stats.giveups == 1
 
 
 # ---------------------------------------------------------------------------
