@@ -14,15 +14,13 @@ bounded thread pool with
   :class:`~repro.drx.drxfile.DRXFile` double-buffered streaming),
 * *keyed* in-flight futures so two requests for the same extent share one
   physical transfer instead of issuing it twice, and
-* per-executor stats: in-flight high-water mark, busy vs. active wall
-  time (their ratio is the achieved overlap), and the time callers spent
-  blocked waiting on results.
+* per-executor stats: in-flight high-water mark, summed task time, and
+  the time callers spent blocked waiting on results.
 
 Configuration is one environment variable::
 
-    DRX_EXECUTOR_THREADS=0   # serial: every wired path takes the exact
-                             # historical code path, bit- and
-                             # stats-identical to the pre-executor tree
+    DRX_EXECUTOR_THREADS=0   # serial: no executor; every wired path
+                             # runs its tasks on the calling thread
     DRX_EXECUTOR_THREADS=4   # the default: up to 4 concurrent transfers
 
 Three executor *tiers* exist, each a process-wide singleton:
@@ -56,11 +54,13 @@ connection thread that dispatched it, which calls down into
 waits on a connection thread, so the ordering ``drx → {pfs, codec}``
 keeps the wait graph acyclic.
 
-Determinism contract: every wired call site checks
-:func:`repro.core.faultsites.any_active` (and, where applicable, the
-store's ``deterministic_only`` flag) and falls back to the serial path
-while a fault plan is armed, so seeded fault schedules and chaos kill
-sites fire in exactly the order they were scripted for.
+Determinism contract: the wired call sites have no serial twin.  The
+one decision lives in :meth:`IOExecutor.submit`: while a fault plan is
+armed (:func:`repro.core.faultsites.any_active`) it runs the task on the
+caller's thread at once and returns a settled future, so the code that
+ships is the code the fault suites exercise, and seeded fault schedules
+and chaos kill sites still fire in exactly the order they were scripted
+for.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
+from . import faultsites
+from .errors import CrashError
+
 __all__ = [
     "IOExecutor",
     "ExecutorStats",
@@ -79,6 +82,8 @@ __all__ = [
     "THREADS_ENV",
     "configured_threads",
     "default_executor",
+    "gather",
+    "run_inline",
     "resolve_executor",
     "reset_default_executors",
 ]
@@ -102,20 +107,8 @@ class ExecutorStats:
     inflight_hw: int = 0      #: high-water mark of concurrently pending tasks
     #: summed task execution time (seconds of work performed)
     busy_time: float = 0.0
-    #: wall time during which >= 1 task was running
-    active_time: float = 0.0
     #: time callers spent blocked in :meth:`IOExecutor.result` / ``gather``
     wait_time: float = 0.0
-
-    @property
-    def overlap_ratio(self) -> float:
-        """Achieved concurrency: summed task time over active wall time.
-
-        1.0 means the pool ran tasks back to back (no overlap — what a
-        serial loop would achieve); ``n`` means on average ``n`` tasks
-        were genuinely in flight together.
-        """
-        return self.busy_time / self.active_time if self.active_time else 0.0
 
     def snapshot(self) -> "ExecutorStats":
         return replace(self)
@@ -134,8 +127,6 @@ class IOExecutor:
             max_workers=self.threads, thread_name_prefix=f"drx-{name}")
         self._lock = threading.Lock()
         self._inflight = 0
-        self._running = 0
-        self._active_since = 0.0
         #: key -> in-flight future (dedup of identical extents)
         self._keyed: dict[object, Future] = {}
 
@@ -148,6 +139,14 @@ class IOExecutor:
         the same key is returned instead of issuing the work twice — the
         dedup that lets a demand read adopt a read-ahead already on the
         wire.  The key is released when the future completes.
+
+        While a fault plan is armed the task runs here, on the caller's
+        thread, and the future comes back settled: fault schedules are
+        op-count ordered, and this keeps every fan-out in submission
+        order.  A :class:`~repro.core.errors.CrashError` is process
+        death, so it propagates from ``submit`` and no later task of the
+        fan-out runs; any other exception lands in the future, as on the
+        pool.
         """
         with self._lock:
             if key is not None:
@@ -162,21 +161,11 @@ class IOExecutor:
 
         def run():
             t0 = time.perf_counter()
-            with self._lock:
-                self._running += 1
-                if self._running == 1:
-                    self._active_since = t0
             try:
                 return fn(*args, **kwargs)
             finally:
-                t1 = time.perf_counter()
                 with self._lock:
-                    self.stats.busy_time += t1 - t0
-                    self._running -= 1
-                    if self._running == 0:
-                        self.stats.active_time += t1 - self._active_since
-
-        fut = self._pool.submit(run)
+                    self.stats.busy_time += time.perf_counter() - t0
 
         def done(f: Future, key=key) -> None:
             with self._lock:
@@ -188,6 +177,12 @@ class IOExecutor:
                 if key is not None and self._keyed.get(key) is f:
                     del self._keyed[key]
 
+        if faultsites.any_active():
+            fut = Future()
+            fut.add_done_callback(done)
+            _settle(fut, run)
+            return fut
+        fut = self._pool.submit(run)
         fut.add_done_callback(done)
         if key is not None:
             with self._lock:
@@ -206,31 +201,14 @@ class IOExecutor:
 
     def gather(self, futures: Sequence[Future],
                return_exceptions: bool = False) -> list:
-        """Wait for every future, returning results in submission order.
-
-        With ``return_exceptions`` the raised exception object takes the
-        failed slot; otherwise the first failure (in order) is re-raised
-        after every future has settled, so no task is abandoned mid-air.
-        """
-        out: list = []
-        first_error: BaseException | None = None
+        """Module :func:`gather`, charging the wait to
+        ``stats.wait_time``."""
         t0 = time.perf_counter()
-        for fut in futures:
-            try:
-                out.append(fut.result())
-            except Exception as exc:  # noqa: BLE001 - transported verbatim
-                if return_exceptions:
-                    out.append(exc)
-                elif first_error is None:
-                    first_error = exc
-                    out.append(None)
-                else:
-                    out.append(None)
-        with self._lock:
-            self.stats.wait_time += time.perf_counter() - t0
-        if first_error is not None:
-            raise first_error
-        return out
+        try:
+            return gather(futures, return_exceptions)
+        finally:
+            with self._lock:
+                self.stats.wait_time += time.perf_counter() - t0
 
     def map(self, fn: Callable, items: Iterable) -> list:
         """``gather([submit(fn, it) for it in items])``."""
@@ -246,6 +224,56 @@ class IOExecutor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IOExecutor(name={self.name!r}, threads={self.threads}, "
                 f"inflight={self._inflight})")
+
+
+# ---------------------------------------------------------------------------
+# the caller's-thread schedule (no executor, a lone task, or armed faults)
+# ---------------------------------------------------------------------------
+
+def _settle(fut: Future, fn: Callable) -> None:
+    """Run ``fn()`` now and settle ``fut`` with its outcome.  A
+    :class:`~repro.core.errors.CrashError` settles ``fut`` and then
+    propagates."""
+    try:
+        fut.set_result(fn())
+    except CrashError as exc:
+        fut.set_exception(exc)
+        raise
+    except Exception as exc:  # noqa: BLE001 - transported verbatim
+        fut.set_exception(exc)
+
+
+def run_inline(fn: Callable, /, *args, **kwargs) -> Future:
+    """``fn(*args, **kwargs)`` on the caller's thread, as a settled
+    future — the ``submit`` of a fan-out with no executor to go to (see
+    :meth:`IOExecutor.submit` for what escapes it)."""
+    fut: Future = Future()
+    _settle(fut, lambda: fn(*args, **kwargs))
+    return fut
+
+
+def gather(futures: Sequence[Future],
+           return_exceptions: bool = False) -> list:
+    """Wait for every future, returning results in submission order.
+
+    With ``return_exceptions`` the raised exception object takes the
+    failed slot; otherwise the first failure (in order) is re-raised
+    after every future has settled, so no task is abandoned mid-air.
+    """
+    out: list = []
+    first_error: BaseException | None = None
+    for fut in futures:
+        try:
+            out.append(fut.result())
+        except Exception as exc:  # noqa: BLE001 - transported verbatim
+            if return_exceptions:
+                out.append(exc)
+            else:
+                first_error = first_error or exc
+                out.append(None)
+    if first_error is not None:
+        raise first_error
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -395,15 +395,6 @@ class ExtendibleChunkIndex:
 # coefficient helpers
 # ---------------------------------------------------------------------------
 
-def _row_major_coeffs(bounds: Sequence[int]) -> list[int]:
-    """Conventional row-major coefficients ``C_j = prod_{r>j} N_r``."""
-    k = len(bounds)
-    coeffs = [1] * k
-    for j in range(k - 2, -1, -1):
-        coeffs[j] = coeffs[j + 1] * bounds[j + 1]
-    return coeffs
-
-
 def _extension_coeffs(bounds: Sequence[int], l: int) -> list[int]:
     """Coefficients stored when dimension ``l`` is extended (Eq. 1).
 

@@ -186,11 +186,12 @@ def crash_point(site: str) -> None:
 def any_active() -> bool:
     """Whether any fault plan is currently observing sites.
 
-    The concurrency layers consult this before going parallel: fault
-    schedules are op-count ordered, so while a plan is armed every wired
-    path (per-server dispatch, read-ahead, write-behind, streaming
-    pipelines) falls back to its serial order to keep injected faults
-    and kill sites firing deterministically.
+    Fault schedules are op-count ordered, so while a plan is armed
+    :meth:`repro.core.executor.IOExecutor.submit` runs every task on the
+    caller's thread, in submission order: per-server dispatch,
+    read-ahead, write-behind, streaming and codec fan-out all keep their
+    one code path, and injected faults and kill sites fire
+    deterministically.
     """
     return bool(_ACTIVE)
 

@@ -36,7 +36,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import faultsites
 from ..core.chunking import box_shape, chunk_of, validate_box
 from ..core.errors import (
     CrashError,
@@ -104,11 +103,8 @@ class DRXFile:
         self._writable = writable
         # background executor for Mpool read-ahead / write-behind and
         # the streaming pipelines; ``"auto"`` = the process-wide
-        # ``drx``-tier pool sized by ``DRX_EXECUTOR_THREADS``.  Stores
-        # whose fault schedules depend on exact op order run serial.
+        # ``drx``-tier pool sized by ``DRX_EXECUTOR_THREADS``.
         self._executor = resolve_executor(executor, tier="drx")
-        if getattr(data_store, "deterministic_only", False):
-            self._executor = None
         #: the advisor's report when ``tune="auto"`` was requested
         self.tuning_advice = None
         self._owned_executor: "IOExecutor | None" = None
@@ -911,13 +907,11 @@ class DRXFile:
         ``(visits, byte extents)`` pair.
 
         One batch holding every run — a single vectored call — without
-        an executor, for a single run, or while fault machinery is armed
-        (its schedules count store calls); otherwise one batch per run,
-        so the next transfer is in flight while this one is copied.
+        an executor or for a single run; otherwise one batch per run, so
+        the next transfer is in flight while this one is copied.
         """
         runs = plan.runs
-        if self._executor is None or len(runs) <= 1 \
-                or faultsites.any_active():
+        if self._executor is None or len(runs) <= 1:
             groups = [runs]
         else:
             groups = [[r] for r in runs]

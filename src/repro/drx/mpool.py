@@ -54,9 +54,10 @@ read-ahead window, write-behind has no switch of its own):
   ``invalidate()`` / ``drain_writebehind()`` are full barriers.
 
 Everything stays strictly serial — bit- and counter-identical to the
-pre-executor pool — when no executor is attached, when the store is
-marked ``deterministic_only`` (fault injectors), or while a fault plan
-is armed (:func:`repro.core.faultsites.any_active`).
+pre-executor pool — when no executor is attached.  Fault injectors and
+armed fault plans get no path of their own: while a plan is armed the
+executor runs each read-ahead and write-behind on the calling thread as
+it is submitted (see :meth:`repro.core.executor.IOExecutor.submit`).
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import faultsites
 from ..core.errors import DRXError
 from ..core.faultsites import crash_point
 from .ioplan import coalesce_addresses
@@ -156,9 +156,6 @@ class Mpool:
         #: pool is shared between rank threads and background tasks
         self._lock = threading.RLock()
         # -- executor wiring (None = the exact historical serial pool) --
-        if executor is not None and getattr(store, "deterministic_only",
-                                            False):
-            executor = None     # order-sensitive store: stay serial
         self._executor = executor
         self._readahead = (max(0, min(int(readahead), max_pages // 2))
                            if executor is not None else 0)
@@ -363,7 +360,7 @@ class Mpool:
                 and nb.dirty and nb.pins == 0:
             members.append((hi, nb))
             hi += 1
-        self._writeback_run(members, background=self._wb_allowed())
+        self._writeback_run(members, background=self._executor is not None)
 
     def _writeback_run(self, members: list[tuple[int, _Page]],
                        background: bool = False) -> None:
@@ -426,12 +423,6 @@ class Mpool:
     # ------------------------------------------------------------------
     # write-behind (executor-backed eviction write-backs)
     # ------------------------------------------------------------------
-    def _wb_allowed(self) -> bool:
-        """Evictions write behind whenever an executor is attached —
-        except with armed fault machinery: crash tests reason about
-        exactly which bytes are down at each crash point."""
-        return self._executor is not None and not faultsites.any_active()
-
     def _wb_wait_overlap(self, pages: set[int] | frozenset[int]) -> None:
         """Wait for pending write-behind futures touching ``pages``.
 
@@ -528,8 +519,6 @@ class Mpool:
         """
         ex = self._executor
         if ex is None or not predicted:
-            return
-        if faultsites.any_active():
             return
         ps = self.page_size
         limit = self.store.size

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import errno
 import random
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -148,6 +149,12 @@ class FaultPlan:
     crash site is tallied in :attr:`hits`, and every injected fault in
     :attr:`injected`, so tests can assert both coverage ("this site
     fired") and effect ("this fault was actually delivered").
+
+    Consultation is thread-safe: one lock covers rule matching and the
+    tallies, so a plan consulted from executor threads fires each rule
+    exactly ``times`` times.  *Which* call a rule hits is only replayable
+    while the plan is active, when the executor runs every task in
+    submission order.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -156,6 +163,7 @@ class FaultPlan:
         self.rules: list[FaultRule] = []
         self.hits: dict[str, int] = {}
         self.injected: dict[str, int] = {}
+        self._lock = threading.Lock()
 
     # -- rule factories ----------------------------------------------------
     def fail(self, op: str = "*", after: int = 0, times: int | None = 1,
@@ -253,14 +261,15 @@ class FaultPlan:
         Returns the firing rule (the injector applies its effect), or
         ``None`` to proceed normally.
         """
-        self.hits[op] = self.hits.get(op, 0) + 1
         if op in ("read", "readv"):
             kinds = ("error", "crash", "short_read")
         elif op in ("write", "writev"):
             kinds = ("error", "crash", "torn_write")
         else:
             kinds = ("error", "crash")
-        return self._match(op, kinds, wildcard=True)
+        with self._lock:
+            self.hits[op] = self.hits.get(op, 0) + 1
+            return self._match(op, kinds, wildcard=True)
 
     def check(self, op: str) -> None:
         """Raise-if-armed form of :meth:`consult` for simple hooks.
@@ -278,8 +287,10 @@ class FaultPlan:
         if site not in ALL_SITES:
             raise DRXError(f"unknown fault site {site!r}; known sites: "
                            f"{sorted(ALL_SITES)}")
-        self.hits[site] = self.hits.get(site, 0) + 1
-        rule = self._match(site, ("crash", "error", "hook"), wildcard=False)
+        with self._lock:
+            self.hits[site] = self.hits.get(site, 0) + 1
+            rule = self._match(site, ("crash", "error", "hook"),
+                               wildcard=False)
         if rule is None:
             return
         if rule.kind == "hook":
@@ -319,11 +330,6 @@ class FaultInjector(StoreDecorator):
     arbitration exists to recover from faults, so it is out of band and
     the plan is not consulted.
     """
-
-    #: Fault schedules are op-count ordered: the n-th matching call
-    #: fires the n-th rule.  Concurrent access would scramble that
-    #: order, so the executor layers keep injected stores serial.
-    deterministic_only = True
 
     def __init__(self, inner: ByteStore, plan: FaultPlan) -> None:
         super().__init__(inner)

@@ -51,7 +51,6 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..core import faultsites
 from ..core.errors import DRXFileError, PFSError
 from ..core.faultsites import crash_point
 from ..pfs.pfile import PFSFile
@@ -163,12 +162,6 @@ class StoreStats:
 class ByteStore:
     """Abstract byte store interface (see module docstring)."""
 
-    #: True on stores whose behaviour depends on the exact *order* of
-    #: operations (fault-injecting decorators count ops to decide when a
-    #: scripted fault fires).  The concurrency layers check this flag and
-    #: keep every access to such a store strictly serial.
-    deterministic_only = False
-
     def __init__(self) -> None:
         self.stats = StoreStats()
 
@@ -266,9 +259,7 @@ class StoreDecorator(ByteStore):
     single file's offset view, compression).
 
     It presents one accounting surface per physical file (``stats`` *is*
-    the inner store's counter block), stays order-sensitive when anything
-    below it is (``deterministic_only`` is inherited once, here, so it is
-    visible through any stack depth), and forwards all eleven entry
+    the inner store's counter block) and forwards all eleven entry
     points to the inner method of the same name.  The forwards are
     explicit methods, not ``__getattr__``: :class:`ByteStore`'s own
     ``readv``/``writev``/``replace`` fallbacks would otherwise win the
@@ -279,8 +270,6 @@ class StoreDecorator(ByteStore):
     def __init__(self, inner: ByteStore) -> None:
         self._inner = inner
         self.stats = inner.stats
-        if getattr(inner, "deterministic_only", False):
-            self.deterministic_only = True
 
     def read(self, offset: int, length: int) -> bytes:
         return self._inner.read(offset, length)
@@ -617,8 +606,7 @@ class CompressedByteStore(StoreDecorator):
         codec executor (submit ``width - 1`` batches, run the last
         inline); results come back in item order."""
         ex = self._executor
-        if (ex is None or len(items) < 4
-                or self.deterministic_only or faultsites.any_active()):
+        if ex is None or len(items) < 4:
             return [fn(it) for it in items]
         width = min(max(1, ex.threads), len(items))
         size = (len(items) + width - 1) // width

@@ -63,6 +63,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..core.errors import MPIFileError
+from ..core import faultsites
 from ..core.faultsites import crash_point
 from ..pfs.pfile import PFSFile
 from ..pfs.striping import Extent, coalesce_extents
@@ -494,13 +495,20 @@ def _domains(comm, pfile: PFSFile, extents: list[Extent],
     return aggs, mine
 
 
+def _faults_armed(pfile: PFSFile) -> bool:
+    """Whether any fault machinery — an active fault-site plan or a
+    per-server fault plan — is observing ``pfile``'s servers."""
+    return faultsites.any_active() or any(
+        s.fault_plan is not None for s in pfile.servers)
+
+
 @contextmanager
 def _aggregator_turn(comm, pfile: PFSFile, aggs: list[int]):
     """Phase B of one aggregator.  Under an armed fault plan the
     aggregators take turns in aggregator order (a token chain), so
     scripted fault schedules see a deterministic PFS call order."""
     my_idx = aggs.index(comm.rank)
-    serialize = pfile.faults_armed() and len(aggs) > 1
+    serialize = _faults_armed(pfile) and len(aggs) > 1
     if serialize and my_idx > 0:
         comm.recv(source=aggs[my_idx - 1], tag=TAG_TOKEN)
     yield

@@ -42,12 +42,13 @@ Two notions of time coexist and must not be conflated:
     serially it is the sum-over-servers.  Benchmarks report both so the
     overlap actually achieved is visible.
 
-When an executor is attached (the default — sized by
-``DRX_EXECUTOR_THREADS``), multi-server batches are dispatched
-concurrently and their results applied in deterministic server order;
-the serial loops are kept verbatim and remain the only path whenever a
-fault plan is armed (scripted fault schedules are op-count ordered) or
-the executor is disabled.
+Each per-server fan-out is written once.  When an executor is attached
+(the default — sized by ``DRX_EXECUTOR_THREADS``), multi-server batches
+are dispatched concurrently and their results applied in deterministic
+server order; a lone batch, or any batch with no executor, runs on the
+caller's thread.  While a fault plan is armed the executor itself runs
+each batch inline as it is submitted, so scripted fault schedules and
+kill sites see the batches in server order.
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ import time
 from bisect import bisect_right
 from typing import Any
 
-from ..core import faultsites
 from ..core.errors import PFSError, ServerDownError
-from ..core.executor import IOExecutor, resolve_executor
+from ..core.executor import IOExecutor, gather, resolve_executor, run_inline
 from ..core.faultsites import crash_point
 from .replication import ReplicaLayout, replica_object_name
 from .server import IOServer
@@ -147,47 +147,24 @@ class PFSFile:
             with self._lock:        # concurrent callers both account
                 self.wall_time += dt
 
-    def faults_armed(self) -> bool:
-        """Whether any fault machinery (an active fault-site plan or a
-        per-server fault plan) is observing this file's servers.  The
-        concurrency layers — per-server dispatch here, aggregator
-        fan-out in :mod:`repro.mpi.collective` — fall back to their
-        serial order while this is true, so scripted fault schedules
-        keep firing deterministically."""
-        if faultsites.any_active():
-            return True
-        return any(s.fault_plan is not None for s in self.servers)
-
-    def _parallel_ok(self) -> bool:
-        """Whether per-server batches may be dispatched concurrently.
-
-        Serial whenever the executor is off or any fault machinery is
-        armed — scripted fault schedules and chaos kill sites are
-        op-count ordered, so they must observe the historical dispatch
-        order.
-        """
-        if self.executor is None:
-            return False
-        return not self.faults_armed()
+    def _fan_out(self, nbatches: int):
+        """``(submit, gather)`` for a fan-out of ``nbatches`` server
+        batches: the executor's when one is attached and there is more
+        than one batch, else the caller's-thread pair."""
+        ex = self.executor
+        if ex is None or nbatches < 2:
+            return run_inline, gather
+        return ex.submit, ex.gather
 
     def _readv_plain(self, extents: list[Extent]) -> tuple[bytes, float]:
-        """The historical unreplicated read path.  Per-server batches
-        are dispatched concurrently when the executor allows; results
-        are applied in server order either way, so bytes and stats are
-        identical to the serial loop."""
+        """The unreplicated read path: one batch per server, results
+        applied in server order."""
         per_server = self.layout.split_extents(extents)
         work = [(sid, reqs) for sid, reqs in enumerate(per_server) if reqs]
-        if len(work) > 1 and self._parallel_ok():
-            futs = [self.executor.submit(
-                        self.servers[sid].read_batch, self.name,
-                        [(srv_off, ln) for srv_off, _lo, ln in reqs])
-                    for sid, reqs in work]
-            results = self.executor.gather(futs)
-        else:
-            results = [self.servers[sid].read_batch(
-                           self.name,
-                           [(srv_off, ln) for srv_off, _lo, ln in reqs])
-                       for sid, reqs in work]
+        submit, join = self._fan_out(len(work))
+        results = join([submit(self.servers[sid].read_batch, self.name,
+                               [(srv_off, ln) for srv_off, _lo, ln in reqs])
+                        for sid, reqs in work])
         pieces: dict[int, bytes] = {}
         elapsed = 0.0
         for (sid, reqs), (data, t) in zip(work, results):
@@ -226,50 +203,33 @@ class PFSFile:
                 batches.setdefault((sid, copy), []).append(
                     (srv_off, log_off, take))
 
+        # dispatch the whole wave; failures fail over in server order
+        # and their re-routed pieces make up the next wave
         queue = sorted(batches.items())
-        parallel = self._parallel_ok()
         while queue:
-            if parallel and len(queue) > 1:
-                # dispatch the whole wave concurrently; failures fail
-                # over sequentially and re-enter the queue as a new wave.
-                # Kill-site hooks force the serial branch below, so the
-                # crash points here are free no-ops kept for symmetry.
-                wave, queue = queue, []
-                futs = []
-                for (sid, copy), reqs in wave:
-                    crash_point("server.kill.readv.batch")
-                    obj = replica_object_name(self.name, copy)
-                    futs.append(self.executor.submit(
-                        self.servers[sid].read_batch, obj,
-                        [(srv_off, ln) for srv_off, _lo, ln in reqs]))
-                results = self.executor.gather(futs, return_exceptions=True)
-                for ((sid, copy), reqs), res in zip(wave, results):
-                    if isinstance(res, PFSError):
-                        queue.extend(
-                            self._reroute_failed(sid, reqs, failed, res))
-                    elif isinstance(res, BaseException):
-                        raise res
-                    else:
-                        data, t = res
-                        elapsed_by_server[sid] = (
-                            elapsed_by_server.get(sid, 0.0) + t)
-                        for (_so, log_off, _ln), piece in zip(reqs, data):
-                            pieces[log_off] = piece
-                continue
-            (sid, copy), reqs = queue.pop(0)
-            crash_point("server.kill.readv.batch")
-            obj = replica_object_name(self.name, copy)
-            try:
-                data, t = self.servers[sid].read_batch(
-                    obj, [(srv_off, ln) for srv_off, _lo, ln in reqs])
-            except PFSError as exc:
-                # the server answered with an error (or a chaos hook just
-                # killed it): exclude it and re-route its pieces
-                queue.extend(self._reroute_failed(sid, reqs, failed, exc))
-                continue
-            elapsed_by_server[sid] = elapsed_by_server.get(sid, 0.0) + t
-            for (_srv_off, log_off, _ln), piece in zip(reqs, data):
-                pieces[log_off] = piece
+            wave, queue = queue, []
+            submit, join = self._fan_out(len(wave))
+            futs = []
+            for (sid, copy), reqs in wave:
+                crash_point("server.kill.readv.batch")
+                obj = replica_object_name(self.name, copy)
+                futs.append(submit(
+                    self.servers[sid].read_batch, obj,
+                    [(srv_off, ln) for srv_off, _lo, ln in reqs]))
+            results = join(futs, return_exceptions=True)
+            for ((sid, copy), reqs), res in zip(wave, results):
+                if isinstance(res, PFSError):
+                    # the server answered with an error (or a chaos hook
+                    # just killed it): exclude it and re-route its pieces
+                    queue.extend(self._reroute_failed(sid, reqs, failed, res))
+                elif isinstance(res, BaseException):
+                    raise res
+                else:
+                    data, t = res
+                    elapsed_by_server[sid] = (
+                        elapsed_by_server.get(sid, 0.0) + t)
+                    for (_so, log_off, _ln), piece in zip(reqs, data):
+                        pieces[log_off] = piece
 
         elapsed = max(elapsed_by_server.values(), default=0.0)
         out = self._assemble(extents, pieces)
@@ -381,21 +341,15 @@ class PFSFile:
 
     def _writev_plain(self, extents: list[Extent], source: "_Pieces"
                       ) -> float:
-        """The historical unreplicated write path.  Batches are built in
-        server order, then dispatched concurrently when the executor
-        allows — bytes and stats identical to the serial loop."""
+        """The unreplicated write path: batches built in server order,
+        one per server."""
         work = [(sid, [(srv_off, source.take(log_off, ln))
                        for srv_off, log_off, ln in reqs])
                 for sid, reqs in enumerate(self.layout.split_extents(extents))
                 if reqs]
-        if len(work) > 1 and self._parallel_ok():
-            futs = [self.executor.submit(
-                        self.servers[sid].write_batch, self.name, batch)
-                    for sid, batch in work]
-            times = self.executor.gather(futs)
-        else:
-            times = [self.servers[sid].write_batch(self.name, batch)
-                     for sid, batch in work]
+        submit, join = self._fan_out(len(work))
+        times = join([submit(self.servers[sid].write_batch, self.name, batch)
+                      for sid, batch in work])
         elapsed = max(times, default=0.0)
         self._size = max(self._size,
                          max((o + n for o, n in extents), default=0))
@@ -404,119 +358,70 @@ class PFSFile:
 
     def _writev_replicated(self, extents: list[Extent],
                            source: "_Pieces") -> float:
-        """Fan the write out to every replica copy."""
+        """Fan the write out to every replica copy.
+
+        Liveness checks, skip accounting and batch assembly run on the
+        caller's thread in (copy, server) order, visiting
+        ``server.kill.writev.batch`` before each batch; each batch is
+        dispatched as soon as it is built, and the results are applied
+        back in that same order.  The fan-out is idempotent, so a batch
+        that still lands after an earlier one raised is covered by the
+        retry contract.
+        """
         crash_point("server.kill.writev.begin")
         layout: ReplicaLayout = self.layout  # type: ignore[assignment]
-        if self._parallel_ok():
-            return self._writev_replicated_parallel(extents, source)
-        elapsed_by_server: dict[int, float] = {}
+        plan = [(copy, sid, reqs) for copy in range(self.replication)
+                for sid, reqs in enumerate(
+                    layout.split_extents_copy(extents, copy))
+                if reqs]
+        submit, join = self._fan_out(len(plan))
         #: landed copies per piece, keyed by logical offset
         landed: dict[int, int] = {}
-        for copy in range(self.replication):
-            per_server = layout.split_extents_copy(extents, copy)
+        jobs: list[tuple[int, int, list[tuple[int, int, int]]]] = []
+        futs = []
+        for copy, sid, reqs in plan:
+            crash_point("server.kill.writev.batch")
+            srv = self.servers[sid]
             obj = replica_object_name(self.name, copy)
-            for sid, reqs in enumerate(per_server):
-                if not reqs:
-                    continue
-                crash_point("server.kill.writev.batch")
-                srv = self.servers[sid]
-                for _srv_off, log_off, _ln in reqs:
-                    landed.setdefault(log_off, 0)
-                if not srv.alive or (srv.stale and not srv.has_object(obj)):
-                    # dead — or wiped-then-revived with the object still
-                    # missing: rebuild recreates it and repays the debt
-                    self.rstats.missed_writes += len(reqs)
-                    continue
-                batch = [(srv_off, source.take(log_off, ln))
-                         for srv_off, log_off, ln in reqs]
-                nbytes = sum(ln for _so, _lo, ln in reqs)
-                try:
-                    t = srv.write_batch(obj, batch)
-                except ServerDownError:
-                    # killed between the liveness check and the batch
-                    # (e.g. by a chaos hook at the crash point above)
-                    self.rstats.missed_writes += len(reqs)
-                    continue
+            for _srv_off, log_off, _ln in reqs:
+                landed.setdefault(log_off, 0)
+            if not srv.alive or (srv.stale and not srv.has_object(obj)):
+                # dead — or wiped-then-revived with the object still
+                # missing: rebuild recreates it and repays the debt
+                self.rstats.missed_writes += len(reqs)
+                continue
+            batch = [(srv_off, source.take(log_off, ln))
+                     for srv_off, log_off, ln in reqs]
+            jobs.append((copy, sid, reqs))
+            futs.append(submit(_land, srv, obj, batch))
+        elapsed_by_server: dict[int, float] = {}
+        for (copy, sid, reqs), res in zip(
+                jobs, join(futs, return_exceptions=True)):
+            if isinstance(res, ServerDownError):
+                # killed between the liveness check and the batch
+                # (e.g. by a chaos hook at the crash point above)
+                self.rstats.missed_writes += len(reqs)
+                continue
+            if isinstance(res, BaseException):
                 # any other PFSError propagates: a reachable server that
                 # refuses a write is a transient fault the retry layers
                 # must re-issue (the fan-out is idempotent), not a
                 # silently tolerable replica skip — stale write-through
                 # included, else a batch lost after its region was
                 # rebuilt would go unnoticed
-                elapsed_by_server[sid] = elapsed_by_server.get(sid, 0.0) + t
-                if srv.available:
-                    for _srv_off, log_off, _ln in reqs:
-                        landed[log_off] += 1
-                else:
-                    # write-through to a stale server: the bytes are
-                    # down, but nobody may read them until rebuild —
-                    # they don't count toward durability
-                    self.rstats.write_through += len(reqs)
-                if copy:
-                    self.rstats.replica_bytes += nbytes
-        orphans = [off for off, n in landed.items() if n == 0]
-        if orphans:
-            raise ServerDownError(
-                f"file {self.name!r}: write lost — no readable replica "
-                f"for pieces at offsets {sorted(orphans)[:4]}"
-                f"{'...' if len(orphans) > 4 else ''}")
-        elapsed = max(elapsed_by_server.values(), default=0.0)
-        self._size = max(self._size,
-                         max((o + n for o, n in extents), default=0))
-        self.io_time += elapsed
-        return elapsed
-
-    def _writev_replicated_parallel(self, extents: list[Extent],
-                                    source: "_Pieces") -> float:
-        """Concurrent replica fan-out: liveness checks, skip accounting
-        and batch assembly run in the main thread in the serial order;
-        only the server batches themselves are dispatched concurrently,
-        with results applied back in that same order.  Semantically
-        identical to the serial fan-out (the fan-out is idempotent, so
-        the one observable difference — later batches still landing
-        after an earlier batch raised a non-ServerDown error — is
-        covered by the same retry contract)."""
-        layout: ReplicaLayout = self.layout  # type: ignore[assignment]
-        elapsed_by_server: dict[int, float] = {}
-        landed: dict[int, int] = {}
-        jobs: list[tuple[int, int, IOServer, str,
-                         list[tuple[int, int, int]],
-                         list[tuple[int, memoryview]], int]] = []
-        for copy in range(self.replication):
-            per_server = layout.split_extents_copy(extents, copy)
-            obj = replica_object_name(self.name, copy)
-            for sid, reqs in enumerate(per_server):
-                if not reqs:
-                    continue
-                srv = self.servers[sid]
-                for _srv_off, log_off, _ln in reqs:
-                    landed.setdefault(log_off, 0)
-                if not srv.alive or (srv.stale and not srv.has_object(obj)):
-                    self.rstats.missed_writes += len(reqs)
-                    continue
-                batch = [(srv_off, source.take(log_off, ln))
-                         for srv_off, log_off, ln in reqs]
-                nbytes = sum(ln for _so, _lo, ln in reqs)
-                jobs.append((copy, sid, srv, obj, reqs, batch, nbytes))
-        futs = [self.executor.submit(srv.write_batch, obj, batch)
-                for _copy, _sid, srv, obj, _reqs, batch, _n in jobs]
-        results = self.executor.gather(futs, return_exceptions=True)
-        for (copy, sid, srv, _obj, reqs, _batch, nbytes), res in zip(
-                jobs, results):
-            if isinstance(res, ServerDownError):
-                # killed between the liveness check and the batch
-                self.rstats.missed_writes += len(reqs)
-                continue
-            if isinstance(res, BaseException):
                 raise res
-            elapsed_by_server[sid] = elapsed_by_server.get(sid, 0.0) + res
-            if srv.available:
+            t, readable = res
+            elapsed_by_server[sid] = elapsed_by_server.get(sid, 0.0) + t
+            if readable:
                 for _srv_off, log_off, _ln in reqs:
                     landed[log_off] += 1
             else:
+                # write-through to a stale server: the bytes are down,
+                # but nobody may read them until rebuild — they don't
+                # count toward durability
                 self.rstats.write_through += len(reqs)
             if copy:
-                self.rstats.replica_bytes += nbytes
+                self.rstats.replica_bytes += sum(ln for _so, _lo, ln in reqs)
         orphans = [off for off, n in landed.items() if n == 0]
         if orphans:
             raise ServerDownError(
@@ -767,6 +672,13 @@ class PFSFile:
 
     def write(self, offset: int, data: bytes) -> None:
         self.writev([(offset, len(data))], data)
+
+
+def _land(srv: IOServer, obj: str, batch: list) -> tuple[float, bool]:
+    """One replica batch: its simulated time, and whether the copy is
+    readable once it has landed (a stale server's write-through is
+    not)."""
+    return srv.write_batch(obj, batch), srv.available
 
 
 class _Pieces:

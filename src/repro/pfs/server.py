@@ -160,11 +160,6 @@ class IOServer:
             self._objects.pop(name, None)
             self._head.pop(name, None)
 
-    def object_size(self, name: str) -> int:
-        with self._lock:
-            self._touch("stat")
-            return len(self._objects.get(name, b""))
-
     # ------------------------------------------------------------------
     # request batches
     # ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The concurrent I/O executor and everything wired through it.
 
 Covers the :class:`~repro.core.executor.IOExecutor` primitives, the
-environment switch (``DRX_EXECUTOR_THREADS=0`` restores the exact serial
-paths), bit- and stats-identity of the parallel per-server dispatch in
+environment switch (``DRX_EXECUTOR_THREADS=0`` attaches no executor),
+inline execution while a fault plan is armed, bit- and stats-identity of the parallel per-server dispatch in
 :class:`~repro.pfs.pfile.PFSFile`, replicated failover under threads,
 Mpool thread-safety / read-ahead / write-behind, the DRX streaming
 pipelines, and the dirty-page shadowing guarantee of ``_read_streaming``
@@ -11,12 +11,13 @@ under a concurrent writer.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core.errors import DRXError
+from repro.core.errors import CrashError, DRXError
 from repro.core.executor import (
     DEFAULT_THREADS,
     IOExecutor,
@@ -30,7 +31,7 @@ from repro.core.executor import (
 from repro.drx.drxfile import DRXFile
 from repro.drx.mpool import Mpool
 from repro.drx.resilience import FaultInjector, FaultPlan
-from repro.drx.storage import MemoryByteStore, PFSByteStore
+from repro.drx.storage import MemoryByteStore, PFSByteStore, StoreDecorator
 from repro.pfs import ParallelFileSystem
 from repro.workloads import random_boxes
 
@@ -169,14 +170,159 @@ class TestEnvironmentSwitch:
         finally:
             mine.shutdown()
 
-    def test_fault_injected_store_forces_serial(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "4")
-        reset_default_executors()
-        wrapper = lambda s, role: FaultInjector(s, FaultPlan(seed=1))
-        a = DRXFile.create(None, (8, 8), (4, 4), store_wrapper=wrapper)
-        assert a._executor is None
-        assert a._pool._executor is None
-        a.close()
+
+
+# ---------------------------------------------------------------------------
+# armed faults: the executor runs tasks inline, the wired paths stay put
+# ---------------------------------------------------------------------------
+
+class _ThreadLog(StoreDecorator):
+    """Records ``(op, thread id)`` for every transfer that reaches it."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = []
+
+    def read(self, offset, length):
+        self.calls.append(("read", threading.get_ident()))
+        return super().read(offset, length)
+
+    def readv(self, extents):
+        self.calls.append(("readv", threading.get_ident()))
+        return super().readv(extents)
+
+    def write(self, offset, data):
+        self.calls.append(("write", threading.get_ident()))
+        super().write(offset, data)
+
+    def writev(self, extents, data):
+        self.calls.append(("writev", threading.get_ident()))
+        super().writev(extents, data)
+
+
+class TestArmedFaultsRunInline:
+    def test_submit_runs_on_the_caller_and_settles(self):
+        e = IOExecutor(4)
+        try:
+            with FaultPlan():
+                fut = e.submit(threading.get_ident)
+                assert fut.done()
+                assert fut.result() == threading.get_ident()
+                failed = e.submit(lambda: 1 / 0)
+                assert isinstance(failed.exception(), ZeroDivisionError)
+            assert e.submit(threading.get_ident).result() \
+                != threading.get_ident()
+            assert e.stats.submitted == 3
+            assert e.stats.completed == 2 and e.stats.failed == 1
+        finally:
+            e.shutdown()
+
+    def test_inline_crash_escapes_submit(self):
+        e = IOExecutor(4)
+        ran = []
+
+        def crash():
+            ran.append(1)
+            raise CrashError("process died")
+
+        try:
+            with FaultPlan():
+                with pytest.raises(CrashError):
+                    e.submit(crash)
+            assert ran == [1]
+        finally:
+            e.shutdown()
+
+    def test_drxfile_over_injector_keeps_its_concurrent_shape(self):
+        """An injected store gets the shipped pipelines: one streamed
+        batch per run, read-ahead and write-behind — all run on the
+        caller's thread while the plan is armed."""
+        plan = FaultPlan(seed=1)
+        logs = []
+
+        def wrapper(store, role):
+            logs.append(_ThreadLog(store))
+            return FaultInjector(logs[-1], plan)
+
+        e = IOExecutor(4)
+        ref = np.random.default_rng(3).random((64, 64))
+        try:
+            with plan:
+                a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=4,
+                                   executor=e, store_wrapper=wrapper)
+                data = next(log for log in logs
+                            if a._data is log or a._data._inner is log)
+                a.write((0, 0), ref)
+                a.flush()
+                # a tall narrow box: 8 runs of 3 chunks, streamed
+                data.calls.clear()
+                assert np.array_equal(a.read((0, 0), (64, 24)),
+                                      ref[:, :24])
+                assert [op for op, _t in data.calls] == ["readv"] * 8
+                # a chunk-by-chunk scan down one chunk column: read-ahead
+                for i in range(8):
+                    assert np.array_equal(
+                        a.read((8 * i, 40), (8 * i + 8, 48)),
+                        ref[8 * i:8 * i + 8, 40:48])
+                assert a.cache_stats.prefetch_issued > 0
+                # dirtying more chunks than the pool holds: write-behind
+                for i in range(8):
+                    a.write((8 * i, 0), np.full((4, 4), float(i)))
+                assert a.cache_stats.writebehind_runs > 0
+                a.close()
+            assert e.stats.submitted > 0
+            assert {t for _op, t in data.calls} == {threading.get_ident()}
+        finally:
+            e.shutdown()
+
+    def test_crash_at_a_replica_batch_stops_the_fan_out(self):
+        e = IOExecutor(4)
+        try:
+            fs = ParallelFileSystem(nservers=4, stripe_size=64,
+                                    replication=2, executor=e)
+            f = fs.create("f")
+            f.write(0, pattern(1024))
+            landed = []
+            for srv in fs.servers:
+                def spy(obj, batch, _sid=srv.server_id,
+                        _inner=srv.write_batch):
+                    landed.append(_sid)
+                    return _inner(obj, batch)
+                srv.write_batch = spy
+            plan = FaultPlan().crash("server.kill.writev.batch", after=1)
+            with plan, pytest.raises(CrashError):
+                f.write(0, pattern(1024, salt=1))
+            assert landed == [0]        # the first batch, and no other
+            assert plan.injected == {"server.kill.writev.batch": 1}
+        finally:
+            e.shutdown()
+
+    def test_shared_plan_fires_exactly_times_across_threads(self):
+        plan = FaultPlan().fail("read", times=100)
+        errors = []
+        nthreads, per_thread = 8, 5000
+
+        def worker():
+            for _ in range(per_thread):
+                rule = plan.consult("read")
+                if rule is not None:
+                    errors.append(rule)
+
+        threads = [threading.Thread(target=worker) for _ in range(nthreads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # interleave inside _match
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(errors) == 100
+        assert plan.rules[0].fired == 100
+        assert plan.rules[0].seen == nthreads * per_thread
+        assert plan.hits["read"] == nthreads * per_thread
 
 
 # ---------------------------------------------------------------------------

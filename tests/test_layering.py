@@ -96,6 +96,31 @@ def test_test_rigs_stay_out_of_src():
     assert offenders == []
 
 
+#: names of the deleted serial twins: armed faults are scheduled in
+#: ``IOExecutor.submit`` alone, not by each call site
+TWIN_NAMES = ("deterministic_only", "_parallel_ok",
+              "_writev_replicated_parallel")
+
+#: the only modules that ask whether a fault plan is armed: the site
+#: registry, the executor, the daemon's connection dispatch and the
+#: collective's aggregator token chain
+ARMED_CHECKS = {"core/faultsites.py", "core/executor.py",
+                "serve/server.py", "mpi/collective.py"}
+
+
+def test_armed_faults_have_one_schedule():
+    """No call site keeps a serial twin for armed faults."""
+    twins, checks = [], set()
+    for path in sorted(ROOT.rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        text = path.read_text()
+        twins += [(rel, n) for n in TWIN_NAMES if n in text]
+        if "any_active(" in text:
+            checks.add(rel)
+    assert twins == []
+    assert checks <= ARMED_CHECKS
+
+
 def _design_module_map() -> set[str]:
     """``package/module.py`` for every module the code block of
     DESIGN.md §3 lists (packages at two spaces, modules at four)."""

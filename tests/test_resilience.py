@@ -624,21 +624,6 @@ class TestDecoratorContract:
         inner = MemoryByteStore()
         store = DECORATORS[deco](inner)
         assert store.stats is inner.stats
-        assert store.deterministic_only is (deco == "FaultInjector")
-        inner.deterministic_only = True
-        assert DECORATORS[deco](inner).deterministic_only is True
-
-    def test_order_sensitivity_is_visible_through_any_stack_depth(self):
-        def injected():
-            return FaultInjector(MemoryByteStore(), FaultPlan())
-        assert CancelGateStore(RetryingByteStore(injected())) \
-            .deterministic_only
-        assert _OffsetByteStore(injected(), _BASE).deterministic_only
-        assert CompressedByteStore(
-            _OffsetByteStore(RetryingByteStore(injected()), _BASE),
-            get_codec("zlib", 1), SlotTable(), _NB).deterministic_only
-        assert not CancelGateStore(RetryingByteStore(
-            _OffsetByteStore(MemoryByteStore(), _BASE))).deterministic_only
 
     def test_cancel_gate_gates_transfers_but_never_the_commit(
             self, monkeypatch):
