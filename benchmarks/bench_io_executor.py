@@ -16,8 +16,8 @@ Swept: executor width (0 = serial) x access pattern —
 * ``strided readv``     — every other stripe (the acceptance pattern:
   many per-server batches, all independent),
 * ``replicated writev`` — full-file fan-out to 2 copies,
-* ``drx streamed read`` — a PFS-backed DRX array read through the
-  double-buffered streaming pipeline,
+* ``drx streamed read`` — a PFS-backed DRX array streamed past its
+  pool in windows, one vectored call per window,
 * ``mpool sequential``  — a sequential page scan with read-ahead.
 
 Every threaded run is checked bit-identical to its serial baseline, and

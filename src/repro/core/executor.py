@@ -11,7 +11,7 @@ bounded thread pool with
 * ``submit`` / ``gather`` primitives used by the three wired layers
   (:class:`~repro.pfs.pfile.PFSFile` per-server dispatch,
   :class:`~repro.drx.mpool.Mpool` read-ahead and write-behind,
-  :class:`~repro.drx.drxfile.DRXFile` double-buffered streaming),
+  :class:`~repro.drx.storage.CompressedByteStore` codec fan-out),
 * *keyed* in-flight futures so two requests for the same extent share one
   physical transfer instead of issuing it twice, and
 * per-executor stats: in-flight high-water mark, summed task time, and
@@ -35,17 +35,21 @@ Three executor *tiers* exist, each a process-wide singleton:
     ``PFSFile.readv``/``writev``/``sieve_writev``, whose per-server
     fan-out is what this tier parallelizes.
 ``"drx"``
-    Background tier.  Mpool read-ahead / write-behind and DRX streaming
-    pipelines.  Tasks here are plain store calls; they may *block on*
-    file locks and dispatch into the ``pfs`` tier, but nothing in the
-    ``pfs`` tier ever waits for a ``drx`` slot, so the wait graph is
-    acyclic and saturation cannot deadlock.
+    Background tier.  Mpool read-ahead / write-behind.  Tasks here are
+    plain store calls; they may *block on* file locks and dispatch into
+    the ``pfs`` and ``codec`` tiers, but nothing in those tiers ever
+    waits for a ``drx`` slot, so the wait graph is acyclic and
+    saturation cannot deadlock.  DRX streaming does not use this tier:
+    a streamed window's store transfer runs on the caller's thread.
 ``"codec"``
-    Pure-CPU leaf tier.  Batched chunk (de)compression offloaded by
+    Pure-CPU leaf tier.  Chunk (de)compression split across threads by
     :class:`~repro.drx.storage.CompressedByteStore` — ``zlib`` releases
-    the GIL, so codec time overlaps server I/O.  Codec tasks never
-    submit further work, so ``drx``-tier tasks may wait on ``codec``
-    results without closing a cycle.
+    the GIL.  For a streamed window of a compressed array its tasks
+    also finish the chunks: they verify CRCs, decode and copy straight
+    into the caller's box (reads), or copy out of it and encode
+    (writes).  Codec tasks take no Mpool lock, do no store I/O and never
+    submit further work, so a caller holding the pool lock (a batched
+    fault) may wait on ``codec`` results without closing a cycle.
 
 There is no tier above these three: the serve daemon
 (:mod:`repro.serve.server`) runs an admitted request's handler on the

@@ -162,6 +162,39 @@ class SlotTable:
         self._uncommitted.add(index)
         return slot
 
+    def revert(self, index: int, prior: Slot | None, slot: Slot) -> None:
+        """Undo :meth:`allocate` of ``slot`` for chunk ``index``, whose
+        payload write failed, putting back the ``prior`` slot.
+
+        The new extent returns to the free list (or lowers the append
+        mark).  A moved-from committed extent leaves the pending list; an
+        epoch-local one the allocation released is carved back out of
+        the free list, so the old payload is where ``prior`` says.  That
+        last case is exact only if no other chunk's allocation took the
+        released extent in between — a concurrent writer of the same
+        array whose write raced a failed one.
+        """
+        if prior is not None and prior.offset == slot.offset:
+            self._slots[index] = prior          # in-place: same extent
+            return
+        if slot.capacity > 0:
+            if slot.end == self._end:
+                self._end = slot.offset
+            else:
+                self._insert_free(slot.offset, slot.capacity)
+        if prior is None:
+            del self._slots[index]
+            self._uncommitted.discard(index)
+            return
+        self._slots[index] = prior
+        extent = (prior.offset, prior.capacity)
+        if extent in self._pending_free:        # was committed: COW
+            self._pending_free.remove(extent)
+            self._uncommitted.discard(index)
+        elif prior.capacity > 0:
+            self._carve(prior.offset, prior.capacity)
+            self._end = max(self._end, prior.end)
+
     def remove(self, index: int) -> None:
         """Drop a chunk's slot (shrink); extent freed per COW rules."""
         old = self._slots.pop(index, None)
@@ -218,6 +251,19 @@ class SlotTable:
                 merged.append((off, length))
         self._free = merged
 
+    def _carve(self, offset: int, length: int) -> None:
+        """Take ``[offset, offset+length)`` out of the free list."""
+        kept: list[tuple[int, int]] = []
+        for off, flen in self._free:
+            if off + flen <= offset or off >= offset + length:
+                kept.append((off, flen))
+                continue
+            if off < offset:
+                kept.append((off, offset - off))
+            if off + flen > offset + length:
+                kept.append((offset + length, off + flen - offset - length))
+        self._free = kept
+
     # -- reserved span (single-file tail meta blob) ------------------------
 
     def reserve(self, offset: int, length: int) -> None:
@@ -234,16 +280,7 @@ class SlotTable:
         self._reserved = (offset, length)
         self._end = max(self._end, offset + length)
         # a reservation may land on space the free list offered; carve it out
-        kept: list[tuple[int, int]] = []
-        for off, flen in self._free:
-            if off + flen <= offset or off >= offset + length:
-                kept.append((off, flen))
-                continue
-            if off < offset:
-                kept.append((off, offset - off))
-            if off + flen > offset + length:
-                kept.append((offset + length, off + flen - offset - length))
-        self._free = kept
+        self._carve(offset, length)
         self._coalesce()
 
     # -- commit protocol ---------------------------------------------------
@@ -302,17 +339,7 @@ class SlotTable:
         self._uncommitted.add(index)
         self._release(old.offset, old.capacity, pending=True)
         # the destination came out of the free list; drop it there
-        kept: list[tuple[int, int]] = []
-        for off, flen in self._free:
-            if off + flen <= new_offset or off >= new_offset + slot.length:
-                kept.append((off, flen))
-                continue
-            if off < new_offset:
-                kept.append((off, new_offset - off))
-            if off + flen > new_offset + slot.length:
-                kept.append((new_offset + slot.length,
-                             off + flen - new_offset - slot.length))
-        self._free = kept
+        self._carve(new_offset, slot.length)
         return slot
 
     def trim_end(self) -> int:

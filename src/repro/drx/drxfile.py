@@ -21,10 +21,13 @@ into maximal contiguous address runs and executed on one of two routes,
 chosen from the plan's size.  A request that fits the pool is **pooled**:
 its chunks are pinned with batched faulting (one vectored store call for
 all missing chunks; a single-chunk request is the scalar case of the
-same route).  A request larger than the pool **streams**: it moves whole
-runs with ``readv``/``writev`` and never churns the cache, overlaying
-dirty cached pages on reads and refreshing stale cached pages on writes
-so the pool and the bypass stay coherent.  Both routes, in both
+same route).  A request larger than the pool **streams** past it in
+*windows* of at most the pool's byte capacity, one ``readv``/``writev``
+per window, and never churns the cache, overlaying dirty cached pages on
+reads and refreshing stale cached pages on writes so the pool and the
+bypass stay coherent.  On a compressed array each window is split once
+across the ``codec`` executor tier, whose tasks decode straight into the
+caller's array (or copy out of it and encode).  Both routes, in both
 directions, share one per-chunk copy (``DRXFile._copy_chunks``).
 """
 
@@ -101,9 +104,9 @@ class DRXFile:
         self.meta = meta
         self._meta_store = meta_store
         self._writable = writable
-        # background executor for Mpool read-ahead / write-behind and
-        # the streaming pipelines; ``"auto"`` = the process-wide
-        # ``drx``-tier pool sized by ``DRX_EXECUTOR_THREADS``.
+        # background executor for Mpool read-ahead / write-behind;
+        # ``"auto"`` = the process-wide ``drx``-tier pool sized by
+        # ``DRX_EXECUTOR_THREADS``.
         self._executor = resolve_executor(executor, tier="drx")
         #: the advisor's report when ``tune="auto"`` was requested
         self.tuning_advice = None
@@ -113,14 +116,14 @@ class DRXFile:
             readahead = self._auto_tune(data_store, executor, readahead)
         # Per-chunk compression: the data store is wrapped in a
         # CompressedByteStore exposing the logical chunk address space,
-        # so the pool (decompressed pages), the streaming pipelines and
-        # the conversions below work unchanged.  CRC verification then
-        # happens *inside* the adapter — over the compressed payload at
-        # its physical slot — so the file-level guard stays None.  The
-        # (de)compression CPU of batched transfers is offloaded onto the
-        # dedicated ``codec`` executor tier: a pure-CPU leaf tier (codec
-        # tasks never submit further work), so it cannot deadlock with
-        # the ``drx`` tier that calls into the adapter.
+        # so the pool (decompressed pages) and the conversions below
+        # work unchanged.  CRC verification then happens *inside* the
+        # adapter — over the compressed payload at its physical slot —
+        # so the file-level guard stays None.  The (de)compression CPU
+        # of batched transfers is split across the dedicated ``codec``
+        # executor tier: a pure-CPU leaf tier (codec tasks take no pool
+        # lock and never submit further work), so it cannot deadlock
+        # with a pool fault or a ``drx``-tier task that waits on it.
         self._guard = None
         self._codec_store: CompressedByteStore | None = None
         if meta.codec != "none":
@@ -658,7 +661,7 @@ class DRXFile:
         ``order="F"`` costs no extra I/O pass (on-the-fly transposition).
         The visit list is coalesced into contiguous runs: requests that
         fit the pool fault every missing chunk with one vectored store
-        call, larger ones stream run by run past the pool.
+        call, larger ones stream past the pool in pool-sized windows.
         """
         self._require_open()
         lo = tuple(lo) if lo is not None else (0,) * self.rank
@@ -676,8 +679,8 @@ class DRXFile:
         """Write ``values`` into the box starting at ``lo``.
 
         Fully covered chunks of oversized requests are streamed straight
-        to the store in coalesced runs; partially covered chunks always
-        read-modify-write through the pool.
+        to the store in pool-sized windows; partially covered chunks
+        always read-modify-write through the pool.
         """
         self._require_open()
         self._require_writable()
@@ -902,114 +905,143 @@ class DRXFile:
             else:
                 pool.put_many(addrs, dirty=not to_box)
 
-    def _stream_batches(self, plan: IOPlan) -> list[tuple[list, list]]:
-        """Group a streamed plan's runs into store transfers, each a
-        ``(visits, byte extents)`` pair.
-
-        One batch holding every run — a single vectored call — without
-        an executor or for a single run; otherwise one batch per run, so
-        the next transfer is in flight while this one is copied.
-        """
-        runs = plan.runs
-        if self._executor is None or len(runs) <= 1:
-            groups = [runs]
-        else:
-            groups = [[r] for r in runs]
+    def _windows(self, plan: IOPlan,
+                 sizes: list | None = None) -> list[IOPlan]:
+        """Cut a streamed plan into windows of at most the pool's byte
+        capacity (``cache_pages × chunk_nbytes``), each moved with one
+        store transfer; a window holds at least one chunk.  ``sizes``
+        are the visits' stored sizes (``chunk_nbytes`` each when
+        omitted, as on a plain array)."""
+        visits = plan.visits
         nb = plan.chunk_nbytes
-        return [(plan.visits[g[0].first:g[-1].first + g[-1].count],
-                 [r.byte_extent(nb) for r in g]) for g in groups]
-
-    def _begin(self, overlap: bool, call: Callable, *args) -> Callable:
-        """Start a store transfer and return the callable that waits for
-        it: in flight on the executor with ``overlap``, else run at the
-        wait itself."""
-        if not overlap:
-            return lambda: call(*args)
-        ex = self._executor
-        fut = ex.submit(call, *args)
-        return lambda: ex.result(fut)
+        cap = self._pool.max_pages * nb
+        windows: list[IOPlan] = []
+        first = held = 0
+        for i, size in enumerate(sizes or [nb] * len(visits)):
+            if held + size > cap and i > first:
+                windows.append(IOPlan(visits[first:i], nb))
+                first, held = i, 0
+            held += size
+        if first < len(visits):
+            windows.append(IOPlan(visits[first:], nb))
+        return windows
 
     def _read_streaming(self, plan: IOPlan, out: np.ndarray) -> None:
-        """Move whole runs with vectored reads, bypassing the pool.
+        """Move the plan window by window (:meth:`_windows`), bypassing
+        the pool: one store read per window.
 
-        Dirty cached pages shadow the file, so their buffers are used in
-        place of the freshly read bytes (coherence with unflushed
-        writes); clean cached pages are byte-identical to the file.
-        Pending background write-backs are drained first — a streamed
-        read must not observe the store before an already-submitted
-        write-back lands.
+        Dirty cached pages shadow the file, so a window's dirty chunks
+        are copied from their pool page instead of from the bytes just
+        read (coherence with unflushed writes); clean cached pages are
+        byte-identical to the file.  Dirty pages are resolved on this
+        thread after the window's read returned.  Pending background
+        write-backs are drained first — a streamed read must not observe
+        the store before an already-submitted write-back lands.
 
-        Batch ``i+1`` (see :meth:`_stream_batches`) is read while batch
-        ``i`` scatters into ``out``.
+        A plain window's chunks are CRC-checked and copied on this
+        thread.  A compressed window is split once across the codec
+        tier: each task verifies and decodes its chunks and copies them
+        straight into ``out``.
         """
-        nb = self.meta.chunk_nbytes
-        self._pool.drain_writebehind()
-        batches = self._stream_batches(plan)
-        overlap = len(batches) > 1
-        pending = self._begin(overlap, self._data.readv, batches[0][1])
-        for i, (visits, _extents) in enumerate(batches):
-            blob = memoryview(pending())
-            if i + 1 < len(batches):
-                pending = self._begin(overlap, self._data.readv,
-                                      batches[i + 1][1])
-            bufs = []
-            for pos, v in enumerate(visits):
-                buf = self._pool.peek_dirty(v.address)
-                if buf is None:
-                    buf = blob[pos * nb:(pos + 1) * nb]
-                    if self._guard is not None:
-                        # a CRC mismatch arbitrates among replica copies
-                        # of the chunk (no alternates when unreplicated)
-                        buf = self._guard.check_or_arbitrate(
-                            v.address, buf, self._data, v.address * nb, nb)
-                bufs.append(buf)
+        nb = plan.chunk_nbytes
+        pool, cs = self._pool, self._codec_store
+        zeros = bytes(nb)
+        pool.drain_writebehind()
+
+        def put(visits, bufs) -> None:
             self._copy_chunks(visits, bufs, out, to_box=True)
 
-    def _write_streaming(self, plan: IOPlan, values: np.ndarray) -> None:
-        """Stream fully covered chunks to the store in coalesced runs.
+        sizes = None if cs is None else cs.stored_nbytes(plan.addresses)
+        for window in self._windows(plan, sizes):
+            visits = window.visits
+            if cs is not None:
+                frames = cs.read_frames([v.address for v in visits])
+            else:
+                blob = memoryview(self._data.readv(window.byte_extents()))
+                frames = [blob[i * nb:(i + 1) * nb]
+                          for i in range(len(visits))]
+            here, bufs, coded = [], [], []
+            for v, frame in zip(visits, frames):
+                buf = pool.peek_dirty(v.address)
+                if buf is None:
+                    if cs is None:
+                        buf = frame
+                        if self._guard is not None:
+                            # a CRC mismatch arbitrates among replica
+                            # copies (no alternates when unreplicated)
+                            buf = self._guard.check_or_arbitrate(
+                                v.address, buf, self._data,
+                                v.address * nb, nb)
+                    elif frame is None:
+                        buf = zeros              # never written
+                    else:
+                        coded.append((v, frame))
+                        continue
+                here.append(v)
+                bufs.append(buf)
+            put(here, bufs)
+            if coded:
+                cs.decode_each(coded, put)
 
+    def _write_streaming(self, plan: IOPlan, values: np.ndarray) -> None:
+        """Stream fully covered chunks to the store window by window
+        (:meth:`_windows`): one store write per window, issued on this
+        thread, so at most one is in flight and writes land in order.
+
+        A plain window is copied out of ``values`` on this thread; a
+        compressed one is split once across the codec tier, each task
+        copying its chunks out of ``values`` and encoding them.
         Partially covered (edge) chunks still read-modify-write through
         the pool, in capacity-sized batches.  Pending background
         write-backs are drained first (an in-flight write-back must not
         land *after* this write) and pending read-aheads are invalidated
         (one could have captured pre-write bytes).
-
-        While batch ``i`` (see :meth:`_stream_batches`) is being
-        written, batch ``i+1``'s payload is gathered — at most one store
-        write in flight, so write ordering is preserved.
         """
         nb = self.meta.chunk_nbytes
+        cs = self._codec_store
         full = [v for v in plan.visits if v.full]
         partial = [v for v in plan.visits if not v.full]
         self._pool.drain_writebehind()
         self._pool.discard_prefetch()
-        if full:
-            batches = self._stream_batches(IOPlan(full, nb))
-            inflight = None
-            for visits, extents in batches:
-                payload = bytearray(len(visits) * nb)
-                mv = memoryview(payload)
-                chunks = [mv[i * nb:(i + 1) * nb]
-                          for i in range(len(visits))]
-                self._copy_chunks(visits, chunks, values, to_box=False)
-                if inflight is not None:
-                    self._landed(*inflight)
-                wait = self._begin(len(batches) > 1, self._data.writev,
-                                   extents, payload)
-                inflight = (wait, visits, chunks)
-            self._landed(*inflight)
+
+        def copy_out(visits) -> tuple[bytearray, list]:
+            buf = bytearray(len(visits) * nb)
+            mv = memoryview(buf)
+            raws = [mv[i * nb:(i + 1) * nb] for i in range(len(visits))]
+            self._copy_chunks(visits, raws, values, to_box=False)
+            return buf, raws
+
+        def encode(visits) -> list:
+            _buf, raws = copy_out(visits)
+            return [(raw, cs.encode(raw)) for raw in raws]
+
+        # a chunk's stored size is known only once it is encoded: count
+        # each at the compression ratio the array has shown so far
+        sizes = None if cs is None \
+            else [nb / cs.codec_stats.ratio] * len(full)
+        for window in self._windows(IOPlan(full, nb), sizes):
+            visits = window.visits
+            if cs is not None:
+                done = cs.fan_out(encode, visits)
+                raws = [raw for raw, _p in done]
+                cs.write_frames([v.address for v in visits],
+                                [p for _raw, p in done])
+            else:
+                payload, raws = copy_out(visits)
+                self._data.writev(window.byte_extents(), payload)
+            self._landed(visits, raws)
         for i in range(0, len(partial), self._pool.max_pages):
             self._pooled(partial[i:i + self._pool.max_pages], values,
                          to_box=False)
 
-    def _landed(self, wait: Callable, visits, chunks) -> None:
-        """Finish one streamed write batch.  Only once its store write
-        has returned are the chunks' checksums recorded and their cached
-        copies refreshed in place (so the pool cannot later resurface,
-        or write back, stale bytes): a write that fails leaves the CRC
-        table and the pool describing the bytes the store still holds."""
-        wait()
-        for v, raw in zip(visits, chunks):
+    def _landed(self, visits, raws) -> None:
+        """Finish one streamed write window, whose store write has
+        returned: only now are the chunks' checksums recorded and their
+        cached copies refreshed in place (so the pool cannot later
+        resurface, or write back, stale bytes).  A write that fails
+        leaves the CRC table and the pool describing the bytes the store
+        still holds."""
+        for v, raw in zip(visits, raws):
             if self._guard is not None:
                 self._guard.record(v.address, raw)
             self._pool.refresh(v.address, raw)

@@ -52,6 +52,9 @@ read-ahead window, write-behind has no switch of its own):
   predecessors (per-page FIFO), demand faults wait for overlapping
   in-flight write-backs before touching the store, and ``flush()`` /
   ``invalidate()`` / ``drain_writebehind()`` are full barriers.
+* **Waits.**  Every wait on a background future goes through
+  :meth:`~repro.core.executor.IOExecutor.result`, so the time the pool
+  blocks on its executor counts in that executor's ``wait_time``.
 
 Everything stays strictly serial — bit- and counter-identical to the
 pre-executor pool — when no executor is attached.  Fault injectors and
@@ -400,7 +403,7 @@ class Mpool:
             while len(self._wb) >= _WB_QUEUE:
                 self.stats.writebehind_stalls += 1
                 fut, _pages = self._wb.popleft()
-                fut.result()
+                self._executor.result(fut)
             fut = self._executor.submit(
                 call, *args,
                 key=("mpool-wb", id(self), members[0][0], len(members)))
@@ -437,7 +440,7 @@ class Mpool:
         while self._wb:
             fut, wpages = self._wb.popleft()
             if wpages & pages:
-                fut.result()
+                self._executor.result(fut)
             else:
                 keep.append((fut, wpages))
         self._wb = keep
@@ -449,7 +452,7 @@ class Mpool:
         while self._wb:
             fut, _pages = self._wb.popleft()
             try:
-                fut.result()
+                self._executor.result(fut)
             except BaseException as exc:  # noqa: BLE001
                 if error is None:
                     error = exc
@@ -564,7 +567,7 @@ class Mpool:
         if fut is None:
             return None
         try:
-            start, blob = fut.result()
+            start, blob = self._executor.result(fut)
         except Exception:
             return None     # advisory data only; demand path recovers
         at = (pageno - start) * self.page_size
@@ -584,7 +587,7 @@ class Mpool:
         if wait:
             for f in futs.values():
                 try:
-                    f.result()
+                    self._executor.result(f)
                 except Exception:
                     pass
 
@@ -654,7 +657,7 @@ class Mpool:
             self._pf_discard(wait=True)
             for fut, _pages in list(self._wb):
                 try:
-                    fut.result()
+                    self._executor.result(fut)
                 except Exception:       # noqa: BLE001 - crash path
                     pass
             self._wb.clear()

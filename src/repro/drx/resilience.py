@@ -557,6 +557,9 @@ class ChecksumGuard:
     (fault-in, write-back) and the streaming I/O paths share.  Chunks
     without an entry — never written, or created before checksums were
     enabled — verify vacuously.
+
+    Read-ahead tasks and codec-tier tasks verify chunks concurrently
+    with the caller, so the counters are bumped under one lock.
     """
 
     def __init__(self, crcs: dict[int, int]) -> None:
@@ -564,6 +567,7 @@ class ChecksumGuard:
         self.checked = 0       #: verifications performed
         self.failures = 0      #: mismatches detected
         self.arbitrated = 0    #: mismatches resolved from a replica copy
+        self._lock = threading.Lock()
 
     def record(self, address: int, data) -> None:
         """Update the stored CRC after writing chunk ``address``."""
@@ -574,10 +578,12 @@ class ChecksumGuard:
         want = self.crcs.get(int(address))
         if want is None:
             return
-        self.checked += 1
         got = chunk_crc(data)
+        with self._lock:
+            self.checked += 1
+            if got != want:
+                self.failures += 1
         if got != want:
-            self.failures += 1
             raise ChecksumError(
                 f"chunk {address}: CRC32 mismatch "
                 f"(stored {want:#010x}, read {got:#010x}) — torn or "
@@ -587,8 +593,25 @@ class ChecksumGuard:
     def check_or_arbitrate(self, address: int, data, store=None,
                            offset: int | None = None,
                            length: int | None = None):
-        """Verify chunk ``address``; on a CRC mismatch, *arbitrate*
-        among the store's replica copies.
+        """Verify chunk ``address``; on a CRC mismatch, :meth:`arbitrate`
+        among the store's replica copies of ``[offset, offset+length)``
+        (without a store the :class:`ChecksumError` propagates).
+
+        Returns the verified bytes (``data`` itself when it checked
+        out, the arbitrated copy otherwise).
+        """
+        try:
+            self.check(address, data)
+            return data
+        except ChecksumError as exc:
+            if store is None or offset is None or length is None:
+                raise
+            return self.arbitrate(address, exc, store, offset, length)
+
+    def arbitrate(self, address: int, error: ChecksumError, store,
+                  offset: int, length: int):
+        """The replica copy of chunk ``address`` that matches its stored
+        CRC, after a read of it failed :meth:`check` with ``error``.
 
         A torn replica fan-out (or at-rest corruption of one copy)
         leaves the copies diverging; the recorded CRC identifies the
@@ -600,30 +623,23 @@ class ChecksumGuard:
         :meth:`~repro.drx.storage.ByteStore.repair` path (no write
         stats, no fault injection — this is a read, and the simulator's
         counters must stay faithful), so a later rebuild or scrub sees
-        converged replicas.  With no matching alternate the original
-        :class:`ChecksumError` propagates.
-
-        Returns the verified bytes (``data`` itself when it checked
-        out, the arbitrated copy otherwise).
+        converged replicas.  With no matching alternate ``error`` is
+        raised.  It does replica I/O, so it runs on the caller's thread,
+        never on a codec-tier task.
         """
-        try:
-            self.check(address, data)
-            return data
-        except ChecksumError:
-            if store is None or offset is None or length is None:
-                raise
-            want = self.crcs.get(int(address))
-            heal = getattr(store, "repair", None) or store.write
-            for alt in store.read_alternates(offset, length):
-                if chunk_crc(alt) != want:
-                    continue
+        want = self.crcs.get(int(address))
+        heal = getattr(store, "repair", None) or store.write
+        for alt in store.read_alternates(offset, length):
+            if chunk_crc(alt) != want:
+                continue
+            with self._lock:
                 self.arbitrated += 1
-                try:                     # heal the divergent copy
-                    heal(offset, alt)
-                except Exception:
-                    pass                 # degraded but readable is fine
-                return alt
-            raise
+            try:                     # heal the divergent copy
+                heal(offset, alt)
+            except Exception:
+                pass                 # degraded but readable is fine
+            return alt
+        raise error
 
 
 @dataclass

@@ -51,7 +51,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..core.errors import DRXFileError, PFSError
+from ..core.errors import ChecksumError, DRXFileError, PFSError
 from ..core.faultsites import crash_point
 from ..pfs.pfile import PFSFile
 from .chunkalloc import SlotTable
@@ -529,9 +529,9 @@ class CompressedByteStore(StoreDecorator):
 
     Exposes the array's *logical* uncompressed chunk address space —
     chunk ``q`` still appears to live at ``q * chunk_nbytes``, so the
-    Mpool, the streaming pipelines and the container conversions work
-    unchanged (and the pool caches *decompressed* pages; its eviction
-    write-backs recompress right here).  Underneath, each chunk's framed
+    Mpool and the container conversions work unchanged (and the pool
+    caches *decompressed* pages; its eviction write-backs recompress
+    right here).  Underneath, each chunk's framed
     compressed payload (:mod:`repro.drx.codec`) is placed by a
     :class:`~repro.drx.chunkalloc.SlotTable` and moved through the inner
     store at its physical extent.  Every access must be chunk-aligned —
@@ -545,11 +545,14 @@ class CompressedByteStore(StoreDecorator):
     copies of the physical slot — so replication, healing and the chaos
     suites operate on compressed arrays exactly as on plain ones.
 
-    CPU offload: with a ``codec``-tier executor attached, multi-chunk
-    batches split their encode/decode work across its threads (pure-CPU
-    leaf tasks — ``zlib`` releases the GIL — so codec time overlaps the
-    inner store's server I/O).  Falls back to serial for small batches,
-    order-sensitive inner stores, or while fault machinery is armed.
+    CPU offload: with a ``codec``-tier executor attached, a multi-chunk
+    transfer is split once across its threads (:meth:`fan_out`; pure-CPU
+    leaf tasks — ``zlib`` releases the GIL).  One per-chunk routine
+    each way, :meth:`encode` and :meth:`decode`, serves both the byte
+    interface here and ``DRXFile``'s streamed windows, which move a
+    window's payloads with one :meth:`read_frames` / :meth:`write_frames`
+    call and decode or encode them straight against the caller's box.
+    A split of fewer than four chunks runs on the caller's thread.
 
     ``stats`` is shared with the inner store: the transfer counters
     report the *compressed* bytes physically moved, which is the
@@ -600,35 +603,76 @@ class CompressedByteStore(StoreDecorator):
         with self._ch_lock:
             return self._table.end
 
-    # -- codec offload ------------------------------------------------------
-    def _map_codec(self, fn, items: list) -> list:
-        """Apply ``fn`` to every item, splitting large batches across the
-        codec executor (submit ``width - 1`` batches, run the last
-        inline); results come back in item order."""
+    # -- the codec tier ------------------------------------------------------
+    def fan_out(self, fn, items: list) -> list:
+        """Split ``items`` once across the codec tier and return the
+        concatenated ``fn(batch)`` results in item order.
+
+        One batch per executor thread goes to the executor and one more
+        runs on the caller's thread; small splits (or no executor) run
+        as one batch on the caller.  ``fn`` must be pure CPU — no pool
+        lock, no store I/O, no further submits — so a caller holding the
+        pool lock may wait on it.
+        """
         ex = self._executor
         if ex is None or len(items) < 4:
-            return [fn(it) for it in items]
-        width = min(max(1, ex.threads), len(items))
+            return fn(items)
+        width = min(ex.threads + 1, len(items))
         size = (len(items) + width - 1) // width
         batches = [items[i:i + size] for i in range(0, len(items), size)]
-        run = lambda batch: [fn(it) for it in batch]  # noqa: E731
-        futs = [ex.submit(run, b) for b in batches[:-1]]
-        tail = run(batches[-1])
+        futs = [ex.submit(fn, b) for b in batches[:-1]]
+        try:
+            tail = fn(batches[-1])
+        except BaseException:
+            ex.gather(futs, return_exceptions=True)
+            raise
         out: list = []
-        for f in futs:
-            out.extend(ex.result(f))
+        for part in ex.gather(futs):
+            out.extend(part)
         out.extend(tail)
         return out
 
-    def _encode_many(self, raws: list) -> list[bytes]:
-        codec, st = self._codec, self.codec_stats
-        return self._map_codec(
-            lambda raw: timed_frame_encode(codec, raw, st), raws)
+    def encode(self, raw) -> bytes:
+        """One chunk's stored frame (the per-chunk encode routine)."""
+        return timed_frame_encode(self._codec, raw, self.codec_stats)
 
-    def _decode_many(self, payloads: list) -> list[bytes]:
-        codec, st, nb = self._codec, self.codec_stats, self._nb
-        return self._map_codec(
-            lambda p: timed_frame_decode(codec, p, nb, st), payloads)
+    def decode(self, frame, verify: bool = True) -> bytes:
+        """One chunk's raw bytes from a :meth:`read_frames` entry (the
+        per-chunk decode routine).  With ``verify`` the payload's CRC is
+        checked first; a mismatch raises
+        :class:`~repro.core.errors.ChecksumError`."""
+        chunk, _slot, payload = frame
+        if verify and self._guard is not None:
+            self._guard.check(chunk, payload)
+        return timed_frame_decode(self._codec, payload, self._nb,
+                                  self.codec_stats)
+
+    def decode_each(self, frames: list, consume) -> None:
+        """Decode ``(tag, frame)`` pairs split once across the codec
+        tier; each task hands ``consume(tags, raws)`` its decoded chunks.
+
+        CRCs are verified inside the tasks.  A chunk that fails its CRC
+        is arbitrated among the inner store's replica copies of its slot
+        on the caller's thread (that is replica I/O), then decoded and
+        consumed there.
+        """
+        def task(batch: list) -> list:
+            tags, raws, bad = [], [], []
+            for tag, frame in batch:
+                try:
+                    raws.append(self.decode(frame))
+                except ChecksumError as exc:
+                    bad.append((tag, frame, exc))
+                    continue
+                tags.append(tag)
+            consume(tags, raws)
+            return bad
+
+        for tag, (chunk, slot, payload), exc in self.fan_out(task, frames):
+            payload = self._guard.arbitrate(chunk, exc, self._inner,
+                                            slot.offset, slot.length)
+            consume([tag], [self.decode((chunk, slot, payload),
+                                        verify=False)])
 
     # -- address decomposition ----------------------------------------------
     def _chunks_of(self, offset: int, length: int) -> range:
@@ -640,7 +684,47 @@ class CompressedByteStore(StoreDecorator):
             )
         return range(offset // nb, (offset + length) // nb)
 
+    @staticmethod
+    def _merged(slots) -> list[Extent]:
+        """The physical extents of ``slots``, physically adjacent ones
+        merged — one vectored inner call moves them all."""
+        extents: list[list[int]] = []
+        for s in slots:
+            if extents and extents[-1][0] + extents[-1][1] == s.offset:
+                extents[-1][1] += s.length
+            else:
+                extents.append([s.offset, s.length])
+        return [(off, length) for off, length in extents]
+
     # -- reads ---------------------------------------------------------------
+    def stored_nbytes(self, chunks: Sequence[int]) -> list[int]:
+        """Each chunk's stored payload size (0 for a chunk never
+        written) — what a streamed read of it moves."""
+        with self._ch_lock:
+            slots = [self._table.get(c) for c in chunks]
+        return [0 if s is None else s.length for s in slots]
+
+    def read_frames(self, chunks: Sequence[int]) -> list:
+        """The stored payloads of ``chunks`` with one inner ``readv``:
+        per chunk a ``(chunk, slot, payload)`` frame, or ``None`` for a
+        chunk never written (it reads as zeros).  Payloads are not yet
+        verified — :meth:`decode` does that."""
+        with self._ch_lock:
+            slots = [self._table.get(c) for c in chunks]
+        present = [s for s in slots if s is not None and s.length > 0]
+        if not present:
+            return [None] * len(slots)
+        blob = memoryview(self._inner.readv(self._merged(present)))
+        frames: list = []
+        pos = 0
+        for c, s in zip(chunks, slots):
+            if s is None or s.length == 0:
+                frames.append(None)
+                continue
+            frames.append((c, s, blob[pos:pos + s.length]))
+            pos += s.length
+        return frames
+
     def read(self, offset: int, length: int) -> bytes:
         return self._read_chunks(list(self._chunks_of(offset, length)))
 
@@ -652,35 +736,15 @@ class CompressedByteStore(StoreDecorator):
 
     def _read_chunks(self, chunks: list[int]) -> bytes:
         nb = self._nb
-        with self._ch_lock:
-            slots = [self._table.get(c) for c in chunks]
-        present = [(i, c, s) for i, (c, s) in enumerate(zip(chunks, slots))
-                   if s is not None and s.length > 0]
         out = bytearray(len(chunks) * nb)     # absent chunks read as zeros
-        if not present:
-            return bytes(out)
-        extents: list[list[int]] = []
-        for _i, _c, s in present:             # merge physically adjacent
-            if extents and extents[-1][0] + extents[-1][1] == s.offset:
-                extents[-1][1] += s.length
-            else:
-                extents.append([s.offset, s.length])
-        blob = memoryview(self._inner.readv(
-            [(off, length) for off, length in extents]))
-        payloads: list = []
-        pos = 0
-        for _i, c, s in present:
-            payload = blob[pos:pos + s.length]
-            pos += s.length
-            if self._guard is not None:
-                # a CRC mismatch over the compressed payload arbitrates
-                # among the inner store's replica copies of the slot
-                payload = self._guard.check_or_arbitrate(
-                    c, payload, self._inner, s.offset, s.length)
-            payloads.append(payload)
-        raws = self._decode_many(payloads)
-        for (i, _c, _s), raw in zip(present, raws):
-            out[i * nb:(i + 1) * nb] = raw
+
+        def place(idx: list[int], raws: list) -> None:
+            for i, raw in zip(idx, raws):
+                out[i * nb:(i + 1) * nb] = raw
+
+        frames = self.read_frames(chunks)
+        self.decode_each([(i, f) for i, f in enumerate(frames)
+                          if f is not None], place)
         return bytes(out)
 
     # -- writes --------------------------------------------------------------
@@ -702,28 +766,40 @@ class CompressedByteStore(StoreDecorator):
     def _write_chunks(self, chunks: list[int], data) -> None:
         nb = self._nb
         mv = memoryview(data)
-        payloads = self._encode_many(
+        payloads = self.fan_out(
+            lambda raws: [self.encode(raw) for raw in raws],
             [mv[i * nb:(i + 1) * nb] for i in range(len(chunks))])
+        self.write_frames(chunks, payloads)
+
+    def write_frames(self, chunks: Sequence[int], payloads: list) -> None:
+        """Store encoded ``payloads`` for ``chunks`` with one inner
+        ``writev`` at freshly allocated slots.
+
+        The CRCs and the logical size are recorded only once that write
+        has returned.  A write that fails reverts every allocation, so
+        the slot table and the CRC table still describe the payloads the
+        store holds.
+        """
         with self._ch_lock:
+            priors = [self._table.get(c) for c in chunks]
             slots = [self._table.allocate(c, len(p))
                      for c, p in zip(chunks, payloads)]
+        try:
+            if slots:
+                self._inner.writev(self._merged(slots), b"".join(payloads))
+        except BaseException:
+            with self._ch_lock:
+                for c, prior, slot in reversed(
+                        list(zip(chunks, priors, slots))):
+                    self._table.revert(c, prior, slot)
+            raise
+        with self._ch_lock:
             if self._guard is not None:
                 for c, p in zip(chunks, payloads):
                     self._guard.record(c, p)
             if chunks:
                 self._logical = max(self._logical,
-                                    (max(chunks) + 1) * nb)
-        extents: list[list[int]] = []
-        blob = bytearray()
-        for s, p in zip(slots, payloads):
-            if extents and extents[-1][0] + extents[-1][1] == s.offset:
-                extents[-1][1] += len(p)
-            else:
-                extents.append([s.offset, len(p)])
-            blob += p
-        if extents:
-            self._inner.writev([(off, length) for off, length in extents],
-                               bytes(blob))
+                                    (max(chunks) + 1) * self._nb)
 
     def replace(self, data) -> None:
         raise DRXFileError(

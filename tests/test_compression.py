@@ -10,11 +10,13 @@ The big sweeps honour ``DRX_CODEC`` (the CI codec matrix) through
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core.errors import DRXFileError, DRXFormatError
+from repro.core.errors import DRXFileError, DRXFormatError, PFSError
+from repro.core.executor import IOExecutor
 from repro.core.metadata import DRXMeta
 from repro.drx import (
     DRXFile,
@@ -30,7 +32,7 @@ from repro.drx.codec import (
     ZlibCodec,
     default_codec_name,
 )
-from repro.drx.resilience import ChecksumGuard, chunk_crc
+from repro.drx.resilience import ChecksumGuard, FaultInjector, chunk_crc
 from repro.pfs import ParallelFileSystem
 from repro.workloads import pattern_array
 
@@ -505,6 +507,41 @@ class TestCompressedIntegrity:
         with DRXFile.open_pfs(fs, "arb") as b:
             assert not b.scrub().corrupt               # repair persisted
 
+    def test_streamed_read_arbitrates_on_the_caller(self):
+        """Codec-tier tasks verify a streamed window's CRCs; a mismatch
+        is arbitrated once, on the caller's thread (replica I/O)."""
+        fs = make_fs(replication=2)
+        data = np.repeat(np.arange(16.0), 16).reshape(16, 16)
+        a = DRXFile.create_pfs(fs, "win", (16, 16), (4, 4),
+                               codec="zlib", checksums=True)
+        a.write((0, 0), data)
+        a.close()
+        b = DRXFile.open_pfs(fs, "win", cache_pages=2)
+        codec_ex = IOExecutor(2, name="codec")
+        b._codec_store._executor = codec_ex
+        try:
+            slot = b._codec_store.table.get(5)
+            assert slot.offset + slot.length <= 512      # stripe 0
+            fs.servers[0].corrupt("win.xta", slot.offset,
+                                  b"\xff" * slot.length)
+            inner = b._codec_store.inner
+            seen = []
+
+            def spy(offset, length, _real=inner.read_alternates):
+                seen.append(threading.get_ident())
+                return _real(offset, length)
+
+            inner.read_alternates = spy
+            assert np.array_equal(b.read(), data)   # 16 chunks > 2 pages
+            guard = b._codec_store.guard
+            assert (guard.checked, guard.failures, guard.arbitrated) \
+                == (16, 1, 1)
+            assert seen == [threading.get_ident()]
+            assert codec_ex.stats.submitted > 0
+        finally:
+            b.close()
+            codec_ex.shutdown()
+
     def test_degraded_read_without_checksums(self):
         fs = make_fs(replication=2)
         data = pattern_array((8, 8))
@@ -514,6 +551,88 @@ class TestCompressedIntegrity:
         fs.kill_server(1)
         with DRXFile.open_pfs(fs, "deg") as b:
             assert np.array_equal(b.read(), data)
+
+
+class TestFailedWriteKeepsOldBytes:
+    """A store write that fails leaves the chunks it was replacing as
+    they were: the old bytes read back, plain or compressed, with or
+    without checksums.  A compressed store allocates new slots before
+    it writes, so the failure must revert those allocations."""
+
+    @staticmethod
+    def _array(codec, checksums, plan, flush=True):
+        """A (64, 64) array of (8, 8) chunks over a fault-injected data
+        store, holding ``SMOOTH`` (streamed in: 64 chunks > 2 pages)."""
+        def wrap(store, role):
+            return FaultInjector(store, plan) if role == "data" else store
+        a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=2,
+                           codec=codec, checksums=checksums,
+                           store_wrapper=wrap)
+        a.write((0, 0), SMOOTH)
+        if flush:
+            a.flush()
+        return a
+
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    @pytest.mark.parametrize("checksums", [False, True],
+                             ids=["nocrc", "crc"])
+    @pytest.mark.parametrize("epoch", ["committed", "same-epoch"])
+    def test_streamed_write(self, codec, checksums, epoch):
+        plan = FaultPlan()
+        a = self._array(codec, checksums, plan, flush=epoch == "committed")
+        plan.fail("writev", times=1)
+        with pytest.raises(PFSError):
+            a.write((0, 0), SMOOTH * 3.0 + 1.0)
+        assert np.array_equal(a.read(), SMOOTH)        # streamed read
+        a.write((0, 0), SMOOTH * 3.0 + 1.0)            # the fault is spent
+        a.flush()
+        assert np.array_equal(a.read(), SMOOTH * 3.0 + 1.0)
+        assert a.scrub().corrupt == []
+        a.close()
+
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    @pytest.mark.parametrize("checksums", [False, True],
+                             ids=["nocrc", "crc"])
+    def test_pool_writeback(self, codec, checksums):
+        plan = FaultPlan()
+        a = self._array(codec, checksums, plan)
+        nb = a.meta.chunk_nbytes
+        a.write((0, 0), SMOOTH[:16, :8] + 1.0)   # two dirty pages: 0, 8
+        plan.fail("writev", times=1)
+        with pytest.raises(PFSError):
+            a.flush()
+        # the store under the pool still holds (and verifies) the old
+        # chunks
+        for q, rows in ((0, slice(0, 8)), (8, slice(8, 16))):
+            old = np.ascontiguousarray(SMOOTH[rows, :8]).tobytes()
+            assert a._data.read(q * nb, nb) == old, q
+        a.flush()                                 # the pages stayed dirty
+        for q, rows in ((0, slice(0, 8)), (8, slice(8, 16))):
+            new = np.ascontiguousarray(SMOOTH[rows, :8] + 1.0).tobytes()
+            assert a._data.read(q * nb, nb) == new, q
+        assert a.scrub().corrupt == []
+        a.close()
+
+    def test_revert_restores_each_allocation_kind(self):
+        t = SlotTable()
+        t.allocate(0, 100)
+        t.allocate(1, 50)
+        t.mark_committed()
+        t.allocate(2, 30)                 # epoch-local
+        before = t.serialize(), t.free_bytes, t.end
+        # copy-on-write of a committed slot
+        prior = t.get(0)
+        t.revert(0, prior, t.allocate(0, 60))
+        # an epoch-local slot overwritten in place, and outgrown
+        prior = t.get(2)
+        t.revert(2, prior, t.allocate(2, 20))
+        t.revert(2, prior, t.allocate(2, 90))
+        # a chunk never written before
+        t.revert(3, None, t.allocate(3, 40))
+        assert (t.serialize(), t.free_bytes, t.end) == before
+        assert 3 not in t
+        t.mark_committed()
+        assert t.free_bytes == 0          # no extent leaked or lost
 
 
 class TestCompressedChaos:

@@ -234,8 +234,8 @@ class TestArmedFaultsRunInline:
             e.shutdown()
 
     def test_drxfile_over_injector_keeps_its_concurrent_shape(self):
-        """An injected store gets the shipped pipelines: one streamed
-        batch per run, read-ahead and write-behind — all run on the
+        """An injected store gets the shipped paths: one store read per
+        streamed window, read-ahead and write-behind — all run on the
         caller's thread while the plan is armed."""
         plan = FaultPlan(seed=1)
         logs = []
@@ -254,11 +254,12 @@ class TestArmedFaultsRunInline:
                             if a._data is log or a._data._inner is log)
                 a.write((0, 0), ref)
                 a.flush()
-                # a tall narrow box: 8 runs of 3 chunks, streamed
+                # a tall narrow box: 8 runs of 3 chunks, streamed in
+                # windows of the pool's 4 chunks
                 data.calls.clear()
                 assert np.array_equal(a.read((0, 0), (64, 24)),
                                       ref[:, :24])
-                assert [op for op, _t in data.calls] == ["readv"] * 8
+                assert [op for op, _t in data.calls] == ["readv"] * 6
                 # a chunk-by-chunk scan down one chunk column: read-ahead
                 for i in range(8):
                     assert np.array_equal(
@@ -640,19 +641,34 @@ class TestWriteBehind:
 # ---------------------------------------------------------------------------
 
 #: the three ways a plan executes, as (cache_pages, executor threads):
-#: everything fits the pool; streams as one vectored batch; streams one
-#: run per batch with the next transfer in flight
-ROUTES = {"pooled": (128, 0), "one-batch": (4, 0), "pipelined": (4, 2)}
+#: everything fits the pool; streams in pool-sized windows on the
+#: caller's thread; streams in windows whose compressed chunks are split
+#: across a codec executor
+ROUTES = {"pooled": (128, 0), "windowed": (4, 0), "fanned-out": (4, 2)}
 
 with_checksums = pytest.mark.parametrize("checksums", [
     pytest.param(False, id=pytest.HIDDEN_PARAM),
     pytest.param(True, id="checksums"),
 ])
 
+#: plain arrays keep the historical test ids
+with_codecs = pytest.mark.parametrize("codec", [
+    pytest.param("none", id=pytest.HIDDEN_PARAM),
+    pytest.param("zlib", id="zlib"),
+    pytest.param("delta+zlib", id="delta+zlib"),
+])
+
+
+def attach_codec_executor(a: DRXFile, ex: IOExecutor) -> None:
+    """Split a compressed array's codec work across ``ex`` whatever
+    ``DRX_EXECUTOR_THREADS`` says (the codec tier is process-wide)."""
+    if a._codec_store is not None:
+        a._codec_store._executor = ex
+
 
 class TestStreamingPipelines:
     @pytest.fixture
-    def routes(self, checksums):
+    def routes(self, checksums, codec):
         """One (64, 64) array of (8, 8) chunks per route."""
         executors, arrays = [], {}
         for name, (cache_pages, threads) in ROUTES.items():
@@ -660,7 +676,11 @@ class TestStreamingPipelines:
             executors.append(e)
             arrays[name] = DRXFile.create(
                 None, (64, 64), (8, 8), cache_pages=cache_pages,
-                checksums=checksums, executor=e)
+                checksums=checksums, codec=codec, executor=e)
+            if e is not None:
+                codec_ex = IOExecutor(threads, name="codec")
+                executors.append(codec_ex)
+                attach_codec_executor(arrays[name], codec_ex)
         yield arrays
         for a in arrays.values():
             a.close()
@@ -672,9 +692,12 @@ class TestStreamingPipelines:
     SLABS = [((1, 0), (3, 2), (21, 32)), ((0, 5), (9, 1), (8, 40)),
              ((7, 7), (8, 8), (8, 8))]
 
+    @with_codecs
     @with_checksums
     def test_streamed_read_identity(self, routes):
-        ref = np.random.default_rng(42).random((64, 64))
+        # two decimals: compressible, so a window holds enough chunks
+        # to be split across the codec executor
+        ref = np.round(np.random.default_rng(42).random((64, 64)), 2)
         for a in routes.values():
             a.write((0, 0), ref)
         # a tall narrow box -> many non-contiguous runs when streamed
@@ -693,9 +716,12 @@ class TestStreamingPipelines:
         # the routes are the ones named: everything stayed resident in
         # the big pool, the full scans went past the small ones
         assert routes["pooled"].cache_stats.evictions == 0
-        assert routes["one-batch"].cache_stats.misses < 64
-        assert routes["pipelined"].cache_stats.misses < 64
+        assert routes["windowed"].cache_stats.misses < 64
+        assert routes["fanned-out"].cache_stats.misses < 64
+        cs = routes["fanned-out"]._codec_store
+        assert cs is None or cs._executor.stats.submitted > 0
 
+    @with_codecs
     @with_checksums
     def test_streamed_write_identity(self, routes):
         rng = np.random.default_rng(7)
@@ -813,3 +839,147 @@ class TestDirtyPageShadowing:
             a.close()
         finally:
             e.shutdown()
+
+    def test_concurrent_writer_shadows_streamed_zlib_read(self):
+        """The same guarantee over a compressed array: dirty pages are
+        resolved after the window's read, before its codec split."""
+        blocking = {}
+
+        def wrapper(store, role):
+            if role != "data":
+                return store
+            blocking["store"] = self.BlockingStore()
+            return blocking["store"]
+
+        e, codec_ex = IOExecutor(2), IOExecutor(2, name="codec")
+        try:
+            a = DRXFile.create(None, (32, 32), (4, 4), cache_pages=4,
+                               codec="zlib", checksums=True,
+                               store_wrapper=wrapper, executor=e)
+            attach_codec_executor(a, codec_ex)
+            store = blocking["store"]
+            ref = np.arange(32 * 32, dtype=np.float64).reshape(32, 32)
+            a.write((0, 0), ref)
+            a.flush()
+            store.arm = True
+            result = {}
+            t = threading.Thread(target=lambda: result.update(out=a.read()))
+            t.start()
+            assert store.entered.wait(10)
+            a.put((31, 31), -123.0)
+            store.gate.set()
+            t.join(10)
+            assert not t.is_alive()
+            expect = ref.copy()
+            expect[31, 31] = -123.0
+            assert np.array_equal(result["out"], expect)
+            a.close()
+        finally:
+            e.shutdown()
+            codec_ex.shutdown()
+
+
+class TestCompressedWindows:
+    """A streamed read of a compressed array moves one store transfer
+    per pool-sized window and splits each window once across the codec
+    tier; the codec tasks take no pool lock."""
+
+    class ReadLog(StoreDecorator):
+        def __init__(self, inner):
+            super().__init__(inner)
+            self.readv_bytes: list[int] = []
+
+        def readv(self, extents):
+            self.readv_bytes.append(sum(n for _off, n in extents))
+            return super().readv(extents)
+
+    def test_one_store_read_per_window(self):
+        logs = {}
+
+        def wrapper(store, role):
+            if role != "data":
+                return store
+            logs["data"] = self.ReadLog(store)
+            return logs["data"]
+
+        e, codec_ex = IOExecutor(2), IOExecutor(2, name="codec")
+        try:
+            a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=4,
+                               codec="zlib", checksums=True, executor=e,
+                               store_wrapper=wrapper)
+            attach_codec_executor(a, codec_ex)
+            ref = np.round(np.random.default_rng(5).random((64, 64)), 2)
+            a.write((0, 0), ref)
+            a.flush()
+            # a tall narrow box: 8 runs of 3 chunks; the windows follow
+            # from the stored sizes, cut at the pool's byte capacity
+            cap = 4 * a.meta.chunk_nbytes
+            addrs = sorted(a.meta.eci.address((i, j))
+                           for i in range(8) for j in range(3))
+            windows, held = 1, 0
+            for n in a._codec_store.stored_nbytes(addrs):
+                if held and held + n > cap:
+                    windows, held = windows + 1, 0
+                held += n
+            assert windows >= 3
+            log = logs["data"]
+            log.readv_bytes.clear()
+            drx_before = e.stats.submitted
+            assert np.array_equal(a.read((0, 0), (64, 24)), ref[:, :24])
+            assert len(log.readv_bytes) == windows
+            assert max(log.readv_bytes) <= cap
+            assert e.stats.submitted == drx_before      # no drx-tier hop
+            assert codec_ex.stats.submitted > 0
+            a.close()
+        finally:
+            e.shutdown()
+            codec_ex.shutdown()
+
+    def test_pool_faults_and_streamed_reads_stay_live(self):
+        """``get_many`` holds the pool lock across its store read, which
+        on a compressed array waits on codec tasks.  A streamed read
+        over dirty pages shares the codec executor — here one thread —
+        and must not need that lock inside its tasks."""
+        e, codec_ex = IOExecutor(2), IOExecutor(1, name="codec")
+        try:
+            a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=8,
+                               codec="zlib", checksums=True, executor=e)
+            attach_codec_executor(a, codec_ex)
+            ref = np.round(np.random.default_rng(6).random((64, 64)), 2)
+            a.write((0, 0), ref)
+            a.flush()
+            errors: list[BaseException] = []
+
+            def faulter():
+                try:
+                    for k in range(40):
+                        # 4 chunks: pooled, faulted with get_many
+                        lo = ((k % 8) * 8, (k % 2) * 32)
+                        got = a.read(lo, (lo[0] + 8, lo[1] + 32))
+                        assert np.array_equal(
+                            got, ref[lo[0]:lo[0] + 8, lo[1]:lo[1] + 32])
+                        # re-dirty a page with the bytes it holds
+                        a.put((lo[0], 63 - lo[1]), ref[lo[0], 63 - lo[1]])
+                except BaseException as exc:    # noqa: BLE001
+                    errors.append(exc)
+
+            def streamer():
+                try:
+                    for _ in range(20):
+                        assert np.array_equal(a.read(), ref)   # streamed
+                except BaseException as exc:    # noqa: BLE001
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=faulter),
+                       threading.Thread(target=streamer)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert codec_ex.stats.submitted > 0
+            a.close()
+        finally:
+            e.shutdown()
+            codec_ex.shutdown()

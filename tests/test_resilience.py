@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import errno
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.core.errors import (
     PFSError,
 )
 from repro.drx import (
+    ChecksumGuard,
     DRXFile,
     DRXSingleFile,
     FaultInjector,
@@ -31,6 +34,7 @@ from repro.drx import (
     PFSByteStore,
     PosixByteStore,
     RetryingByteStore,
+    chunk_crc,
     is_transient,
 )
 from repro.pfs import ParallelFileSystem
@@ -417,6 +421,34 @@ class TestChecksums:
             assert b.checksums_enabled
             report = b.scrub()
         assert report.corrupt == [1]
+
+    def test_guard_counters_are_exact_under_threads(self):
+        """Read-ahead and codec-tier tasks verify chunks concurrently:
+        no check is lost from the counters."""
+        good, torn = b"committed chunk", b"torn chunk"
+        guard = ChecksumGuard({0: chunk_crc(good)})
+        nthreads, per_thread = 8, 5000
+
+        def worker():
+            for i in range(per_thread):
+                try:
+                    guard.check(0, torn if i % 10 == 0 else good)
+                except ChecksumError:
+                    pass
+
+        threads = [threading.Thread(target=worker) for _ in range(nthreads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # interleave inside check
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert guard.checked == nthreads * per_thread
+        assert guard.failures == nthreads * per_thread // 10
 
 
 # ---------------------------------------------------------------------------
