@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.bench import Table, speedup
 from repro.core.executor import IOExecutor
+from repro.drx.chunkstore import ChunkStore
 from repro.drx.drxfile import DRXFile
 from repro.drx.mpool import Mpool
 from repro.drx.storage import PFSByteStore
@@ -129,7 +130,7 @@ def pat_mpool_sequential(pfs_ex, drx_ex):
     f = fs.create("pool")
     f.writev([(0, FILE_BYTES)], payload(salt=9))
     store = PFSByteStore(f)
-    pool = Mpool(store, STRIPE, max_pages=16, executor=drx_ex,
+    pool = Mpool(ChunkStore(store, STRIPE), max_pages=16, executor=drx_ex,
                  readahead=8)
 
     def scan():

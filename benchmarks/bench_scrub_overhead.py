@@ -46,7 +46,7 @@ def measure_read(path: pathlib.Path, chunk, checksums: bool,
     secs, out = wallclock(once, repeat)
     assert np.allclose(out, data)
     if checksums:
-        assert a._guard is not None and a._guard.failures == 0
+        assert a._store.guard.failures == 0
     a.close()
     return secs
 

@@ -11,7 +11,7 @@ bounded thread pool with
 * ``submit`` / ``gather`` primitives used by the three wired layers
   (:class:`~repro.pfs.pfile.PFSFile` per-server dispatch,
   :class:`~repro.drx.mpool.Mpool` read-ahead and write-behind,
-  :class:`~repro.drx.storage.CompressedByteStore` codec fan-out),
+  :class:`~repro.drx.chunkstore.ChunkStore` codec fan-out),
 * *keyed* in-flight futures so two requests for the same extent share one
   physical transfer instead of issuing it twice, and
 * per-executor stats: in-flight high-water mark, summed task time, and
@@ -43,13 +43,14 @@ Three executor *tiers* exist, each a process-wide singleton:
     a streamed window's store transfer runs on the caller's thread.
 ``"codec"``
     Pure-CPU leaf tier.  Chunk (de)compression split across threads by
-    :class:`~repro.drx.storage.CompressedByteStore` — ``zlib`` releases
-    the GIL.  For a streamed window of a compressed array its tasks
+    a compressed array's :class:`~repro.drx.chunkstore.ChunkStore` —
+    ``zlib`` releases the GIL.  For a streamed read window its tasks
     also finish the chunks: they verify CRCs, decode and copy straight
-    into the caller's box (reads), or copy out of it and encode
-    (writes).  Codec tasks take no Mpool lock, do no store I/O and never
-    submit further work, so a caller holding the pool lock (a batched
-    fault) may wait on ``codec`` results without closing a cycle.
+    into the caller's box.  A plain array has no codec work and never
+    uses this tier.  Codec tasks take no Mpool lock, do no store I/O and
+    never submit further work, so a caller holding the pool lock (a
+    batched fault) may wait on ``codec`` results without closing a
+    cycle.
 
 There is no tier above these three: the serve daemon
 (:mod:`repro.serve.server`) runs an admitted request's handler on the

@@ -1,15 +1,19 @@
 """``repro.drx`` — the serial Disk Resident eXtendible array library.
 
 DRX files live in any POSIX file system as an ``.xmd``/``.xta`` pair and
-are accessed through an Mpool buffer cache; the memory-resident variant
-keeps the same chunked axial-vector layout in core.  Arrays may be
-transparently compressed per chunk (:mod:`repro.drx.codec` +
+are accessed through an Mpool buffer cache, which pages through one
+:class:`ChunkStore` per array: chunk placement, the per-chunk codec and
+the checksums sit behind that one seam, over plain byte stores
+(:mod:`repro.drx.storage`).  The memory-resident variant keeps the same
+chunked axial-vector layout in core.  Arrays may be transparently
+compressed per chunk (:mod:`repro.drx.codec` +
 :mod:`repro.drx.chunkalloc`); ``codec="none"`` keeps the historical
 direct-placement layout bit for bit.
 """
 
 from ..core.faultsites import CRASH_SITES, crash_point
 from .chunkalloc import Slot, SlotTable
+from .chunkstore import ChunkStore
 from .codec import (
     Codec,
     CodecStats,
@@ -34,7 +38,6 @@ from .resilience import (
 from .singlefile import DRXSingleFile
 from .storage import (
     ByteStore,
-    CompressedByteStore,
     MemoryByteStore,
     PFSByteStore,
     PosixByteStore,
@@ -50,7 +53,7 @@ __all__ = [
     "default_codec_name",
     "Slot",
     "SlotTable",
-    "CompressedByteStore",
+    "ChunkStore",
     "describe",
     "verify",
     "load_meta",

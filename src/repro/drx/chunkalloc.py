@@ -382,7 +382,18 @@ class SlotTable:
         }
 
     @classmethod
-    def deserialize(cls, doc: dict) -> "SlotTable":
+    def deserialize(cls, doc: dict, chunk_nbytes: int | None = None,
+                    num_chunks: int | None = None) -> "SlotTable":
+        """The table ``doc`` describes, for an array of ``num_chunks``
+        chunks of ``chunk_nbytes`` bytes.
+
+        The document comes from disk, so it is hostile until checked:
+        every slot must lie inside the region's extent, no two slots may
+        share a byte, and — given the array's geometry — every slot must
+        name a chunk of the array and hold at most one stored frame
+        (``chunk_nbytes + 1`` bytes: tag byte plus the raw escape).
+        Anything else raises :class:`DRXFormatError`.
+        """
         try:
             table = cls()
             for entry in doc["slots"]:
@@ -396,4 +407,30 @@ class SlotTable:
                 table._reserved = (int(reserved[0]), int(reserved[1]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DRXFormatError(f"corrupt chunk slot table: {exc}") from exc
+        table._validate(chunk_nbytes, num_chunks)
         return table
+
+    def _validate(self, chunk_nbytes: int | None,
+                  num_chunks: int | None) -> None:
+        frame_max = float("inf") if chunk_nbytes is None \
+            else chunk_nbytes + 1
+        prev: tuple[int, Slot] | None = None
+        for i, s in sorted(self._slots.items(), key=lambda e: e[1].offset):
+            if i < 0 or num_chunks is not None and i >= num_chunks:
+                raise DRXFormatError(
+                    f"slot for chunk {i} of a {num_chunks}-chunk array")
+            if s.offset < 0 or not 0 <= s.length <= s.capacity \
+                    <= frame_max:
+                raise DRXFormatError(
+                    f"chunk {i}: slot {s} impossible for a "
+                    f"{chunk_nbytes}-byte chunk")
+            if s.end > self._end:
+                raise DRXFormatError(
+                    f"chunk {i}: slot ends at {s.end}, past the region "
+                    f"end {self._end}")
+            if s.capacity == 0:
+                continue
+            if prev is not None and prev[1].end > s.offset:
+                raise DRXFormatError(
+                    f"chunks {prev[0]} and {i} share bytes at {s.offset}")
+            prev = (i, s)

@@ -13,9 +13,11 @@ table (:mod:`repro.drx.chunkalloc`).
 Available codecs (registry names):
 
 ``none``
-    Identity.  Arrays created with ``codec="none"`` bypass this module
-    entirely and keep the historical direct-placement layout
-    (``offset = F*(index) * chunk_nbytes``) bit for bit.
+    Identity.  An array created with ``codec="none"`` stores raw chunks
+    with no frame: its :class:`~repro.drx.chunkstore.ChunkStore` runs no
+    codec, keeps no :class:`CodecStats` and places chunks at the
+    historical direct-placement layout (``offset = F*(index) *
+    chunk_nbytes``) bit for bit.
 ``zlib`` / ``zlib:<level>``
     DEFLATE over the raw chunk bytes (level 6 unless given).
 ``delta+zlib`` / ``delta+zlib:<level>``

@@ -22,13 +22,19 @@ chosen from the plan's size.  A request that fits the pool is **pooled**:
 its chunks are pinned with batched faulting (one vectored store call for
 all missing chunks; a single-chunk request is the scalar case of the
 same route).  A request larger than the pool **streams** past it in
-*windows* of at most the pool's byte capacity, one ``readv``/``writev``
-per window, and never churns the cache, overlaying dirty cached pages on
+*windows* of at most the pool's byte capacity, one store transfer per
+window, and never churns the cache, overlaying dirty cached pages on
 reads and refreshing stale cached pages on writes so the pool and the
-bypass stay coherent.  On a compressed array each window is split once
-across the ``codec`` executor tier, whose tasks decode straight into the
-caller's array (or copy out of it and encode).  Both routes, in both
-directions, share one per-chunk copy (``DRXFile._copy_chunks``).
+bypass stay coherent.  Both routes, in both directions, share one
+per-chunk copy (``DRXFile._copy_chunks``).
+
+Below both routes sits one :class:`~repro.drx.chunkstore.ChunkStore`,
+built from the meta-data: it places chunks (directly at ``q* ·
+chunk_nbytes``, or through the slot table of a compressed array), runs
+the codec (the identity for a plain array), records and verifies the
+checksums, and splits a compressed window's codec work across the
+``codec`` executor tier, whose tasks decode straight into the caller's
+array.  Nothing in this module knows which codec an array uses.
 """
 
 from __future__ import annotations
@@ -48,22 +54,16 @@ from ..core.errors import (
     DRXFileNotFoundError,
     DRXIndexError,
 )
-from ..core.executor import IOExecutor, default_executor, resolve_executor
+from ..core.executor import IOExecutor, resolve_executor
 from ..core.faultsites import crash_point
 from ..core.hyperslab import Hyperslab
 from ..core.metadata import DRXMeta, DRXType
-from .chunkalloc import SlotTable
+from .chunkstore import ChunkStore
 from .codec import CodecStats, get_codec
-from .ioplan import IOPlan, PlanCache, coalesce_addresses
+from .ioplan import IOPlan, PlanCache
 from .mpool import Mpool
-from .resilience import ChecksumGuard, ScrubReport, chunk_crc
-from .storage import (
-    ByteStore,
-    CompressedByteStore,
-    MemoryByteStore,
-    PFSByteStore,
-    PosixByteStore,
-)
+from .resilience import ScrubReport
+from .storage import ByteStore, MemoryByteStore, PFSByteStore, PosixByteStore
 
 __all__ = ["DRXFile"]
 
@@ -114,40 +114,17 @@ class DRXFile:
         self._check_options(tune=tune)
         if tune == "auto":
             readahead = self._auto_tune(data_store, executor, readahead)
-        # Per-chunk compression: the data store is wrapped in a
-        # CompressedByteStore exposing the logical chunk address space,
-        # so the pool (decompressed pages) and the conversions below
-        # work unchanged.  CRC verification then happens *inside* the
-        # adapter — over the compressed payload at its physical slot —
-        # so the file-level guard stays None.  The (de)compression CPU
-        # of batched transfers is split across the dedicated ``codec``
+        # The one chunk store over the (decorated) data store: placement,
+        # codec and checksums as the meta-data says.  A compressed
+        # array's codec work is split across the dedicated ``codec``
         # executor tier: a pure-CPU leaf tier (codec tasks take no pool
         # lock and never submit further work), so it cannot deadlock
         # with a pool fault or a ``drx``-tier task that waits on it.
-        self._guard = None
-        self._codec_store: CompressedByteStore | None = None
-        if meta.codec != "none":
-            table = SlotTable.deserialize(meta.chunk_slots) \
-                if meta.chunk_slots is not None else SlotTable()
-            guard = None if meta.chunk_crcs is None \
-                else ChecksumGuard(meta.chunk_crcs)
-            codec_ex = None if self._executor is None \
-                else default_executor("codec")
-            data_store = CompressedByteStore(
-                data_store, get_codec(meta.codec, meta.dtype.itemsize),
-                table, meta.chunk_nbytes,
-                logical_nbytes=meta.data_nbytes,
-                guard=guard, executor=codec_ex)
-            self._codec_store = data_store
-        elif meta.chunk_crcs is not None:
-            # checksums are on iff the meta-data carries a CRC table;
-            # the guard is shared by the pool (fault-in / write-back)
-            # and the streaming paths below.
-            self._guard = ChecksumGuard(meta.chunk_crcs)
         self._data = data_store
-        self._pool = Mpool(data_store, meta.chunk_nbytes,
-                           max_pages=max(1, cache_pages),
-                           guard=self._guard, executor=self._executor,
+        self._store = ChunkStore.for_meta(
+            meta, data_store, offload=self._executor is not None)
+        self._pool = Mpool(self._store, max_pages=max(1, cache_pages),
+                           executor=self._executor,
                            readahead=8 if readahead is None
                            else max(0, int(readahead)))
         # compiled-request memo: generation-keyed, so extend() (which
@@ -298,7 +275,7 @@ class DRXFile:
         purely in-memory array for scratch use).  ``bounds`` are the
         initial element bounds, ``chunk_shape`` the chunk shape.
         ``checksums=True`` maintains per-chunk CRC32 checksums in the
-        meta-data, verified on every fault-in and streamed read (and by
+        meta-data, verified on every chunk read (and by
         :meth:`scrub`).  ``codec`` selects transparent per-chunk
         compression (:mod:`repro.drx.codec`; ``"none"`` keeps the
         historical direct-placement layout bit-identical).
@@ -421,30 +398,25 @@ class DRXFile:
         """Commit the meta-data crash-consistently — the one commit
         sequence of both containers; only :meth:`_land_meta` differs.
 
-        For a compressed array the slot-allocation table commits with
-        the document: its copy-on-write discipline guarantees that no
-        extent the *previous* committed table references has been
-        overwritten, so a crash anywhere (``codec.slots.written`` being
-        the canonical point: payloads down, table not) reopens the old
-        table with every old payload intact.  Only after the document
-        lands are the table's quarantined extents released for reuse.
+        Background write-backs are quiesced first, so the document's
+        CRC table and (for a compressed array) slot table describe the
+        bytes actually on the store.  The slot table's copy-on-write
+        discipline guarantees that no extent the *previous* committed
+        table references has been overwritten, so a crash anywhere
+        (``codec.slots.written`` being the canonical point: payloads
+        down, table not) reopens the old table with every old payload
+        intact.  Only after the document lands are the table's
+        quarantined extents released for reuse.
 
         A scratch in-memory array has no durable document: the
         in-memory table is the only truth, so every commit completes
         immediately and quarantined extents recycle.
         """
-        cstore = self._codec_store
-        if cstore is not None:
-            # quiesce background write-backs so the serialized table
-            # matches the payloads actually on the store
-            self._pool.drain_writebehind()
+        self._pool.drain_writebehind()
         if self._meta_store is not None:
-            if cstore is not None:
-                crash_point("codec.slots.written")
-                self.meta.chunk_slots = cstore.table.serialize()
+            self.meta.chunk_slots = self._store.slot_doc()
             self._land_meta(self.meta.to_bytes())
-        if cstore is not None:
-            cstore.table.mark_committed()
+        self._store.mark_committed()
         self._note_committed()
 
     def _land_meta(self, blob: bytes) -> None:
@@ -553,17 +525,13 @@ class DRXFile:
         """Compression counters — raw vs ``compressed_bytes``, achieved
         ``ratio``, encode/decode wall-time — or ``None`` for a plain
         array."""
-        if self._codec_store is None:
-            return None
-        return self._codec_store.codec_stats
+        return self._store.codec_stats
 
     def data_extent_nbytes(self) -> int:
         """Physical size of the chunk region: the slot table's append
         high-water mark for a compressed array, the logical
         ``data_nbytes`` for a plain one."""
-        if self._codec_store is None:
-            return self.meta.data_nbytes
-        return self._codec_store.data_extent_nbytes()
+        return self._store.end
 
     @property
     def attrs(self):
@@ -588,26 +556,16 @@ class DRXFile:
         self._require_writable()
         self.meta.extend_elements(dim, by)
         # Nothing to write eagerly: reads of unwritten chunks see zeros
-        # (sparse semantics); the logical size still grows so that a
+        # (sparse semantics); the chunk store still grows so that a
         # whole-file scan covers the new segment.
-        needed = self.meta.data_nbytes
-        if self._data.size < needed:
-            self._data.truncate(needed)
+        self._store.grow(self.meta.num_chunks)
         self._persist_meta()
 
     def _fill_chunks(self, addresses, value) -> None:
         payload = np.full(self.meta.chunk_elems, value,
                           dtype=self.dtype).tobytes()
-        nb = self.meta.chunk_nbytes
-        addrs = np.sort(np.fromiter((int(q) for q in addresses),
-                                    dtype=np.int64))
-        starts, counts = coalesce_addresses(addrs)
-        extents = [(int(s) * nb, int(c) * nb)
-                   for s, c in zip(starts, counts)]
-        self._data.writev(extents, payload * len(addrs))
-        if self._guard is not None:
-            for q in addrs:
-                self._guard.record(int(q), payload)
+        addrs = sorted(int(q) for q in addresses)
+        self._store.write(addrs, payload * len(addrs))
 
     # ------------------------------------------------------------------
     # element access
@@ -734,19 +692,19 @@ class DRXFile:
     # ------------------------------------------------------------------
     @property
     def checksums_enabled(self) -> bool:
-        """Whether per-chunk CRC32 checksums are maintained (for a
-        compressed array the guard lives inside the codec store)."""
+        """Whether per-chunk CRC32 checksums are maintained."""
         return self.meta.chunk_crcs is not None
 
     def scrub(self, batch_chunks: int = 256) -> ScrubReport:
         """Scan the whole container and verify every chunk's checksum.
 
-        Reads the chunk region in coalesced batches (``batch_chunks``
-        chunks per vectored call) and compares each chunk against the
-        CRC table committed in the meta-data.  Chunks without a stored
-        CRC (never written, or written before checksums were enabled)
-        are counted as unverified.  Dirty cached pages are flushed first
-        on writable handles so the scan sees the committed state.
+        Reads the chunk region in batches (``batch_chunks`` chunks per
+        store call) and compares each chunk's stored bytes — the framed
+        payload at its slot for a compressed array — against the CRC
+        table committed in the meta-data.  Chunks without a stored CRC
+        (never written, or written before checksums were enabled) are
+        counted as unverified.  Dirty cached pages are flushed first on
+        writable handles so the scan sees the committed state.
 
         Returns a :class:`~repro.drx.resilience.ScrubReport` whose
         ``corrupt`` list pinpoints torn or bit-rotted chunks by linear
@@ -755,59 +713,7 @@ class DRXFile:
         self._require_open()
         if self._writable:
             self.flush()
-        if self._codec_store is not None:
-            return self._scrub_compressed(batch_chunks)
-        crcs = self.meta.chunk_crcs or {}
-        nb = self.meta.chunk_nbytes
-        total = self.num_chunks
-        corrupt: list[int] = []
-        checked = unverified = 0
-        for start in range(0, total, max(1, batch_chunks)):
-            count = min(batch_chunks, total - start)
-            blob = memoryview(self._data.readv([(start * nb, count * nb)]))
-            for i in range(count):
-                addr = start + i
-                want = crcs.get(addr)
-                if want is None:
-                    unverified += 1
-                    continue
-                checked += 1
-                if chunk_crc(blob[i * nb:(i + 1) * nb]) != want:
-                    corrupt.append(addr)
-        return ScrubReport(total_chunks=total, checked=checked,
-                           corrupt=corrupt, unverified=unverified)
-
-    def _scrub_compressed(self, batch_chunks: int) -> ScrubReport:
-        """Scrub a compressed array: the CRC covers the framed
-        compressed payload at its physical slot, so the scan reads the
-        *inner* store at the slot extents (no decompression needed)."""
-        crcs = self.meta.chunk_crcs or {}
-        cs = self._codec_store
-        total = self.num_chunks
-        corrupt: list[int] = []
-        checked = unverified = 0
-        todo: list[tuple[int, object, int]] = []
-        for addr in range(total):
-            slot = cs.table.get(addr)
-            want = crcs.get(addr)
-            if want is None or slot is None or slot.length == 0:
-                unverified += 1
-                continue
-            todo.append((addr, slot, want))
-        step = max(1, batch_chunks)
-        for start in range(0, len(todo), step):
-            batch = todo[start:start + step]
-            blob = memoryview(cs.inner.readv(
-                [(s.offset, s.length) for _a, s, _w in batch]))
-            pos = 0
-            for addr, slot, want in batch:
-                payload = blob[pos:pos + slot.length]
-                pos += slot.length
-                checked += 1
-                if chunk_crc(payload) != want:
-                    corrupt.append(addr)
-        return ScrubReport(total_chunks=total, checked=checked,
-                           corrupt=corrupt, unverified=unverified)
+        return self._store.scrub(batch_chunks)
 
     # ------------------------------------------------------------------
     # compaction (compressed arrays)
@@ -828,32 +734,27 @@ class DRXFile:
         """
         self._require_open()
         self._require_writable()
-        if self._codec_store is None:
+        table = self._store.table
+        if table is None:
             return {"moves": 0, "end": self.meta.data_nbytes,
                     "reclaimed": 0}
-        cs = self._codec_store
         self.flush()            # quiesce + commit (promotes pending frees)
-        before = cs.table.end
+        before = table.end
         moves = 0
         while True:
             budget = None if max_moves is None else max_moves - moves
             if budget is not None and budget <= 0:
                 break
-            plan = cs.table.plan_compaction(budget)
-            if not plan:
+            moved = self._store.migrate(budget)
+            if not moved:
                 break
-            for index, slot, new_off in plan:
-                payload = cs.inner.read(slot.offset, slot.length)
-                cs.inner.write(new_off, payload)
-                cs.table.apply_move(index, new_off)
-            cs.inner.flush()
             self._persist_meta()
-            moves += len(plan)
-        cs.table.trim_end()
+            moves += moved
+        table.trim_end()
         self._persist_meta()    # may place a tail meta blob (single file)
-        end = cs.table.end
-        if cs.inner.size > end:
-            cs.inner.truncate(end)
+        end = table.end
+        if self._data.size > end:
+            self._data.truncate(end)
         return {"moves": moves, "end": end,
                 "reclaimed": max(0, before - end)}
 
@@ -890,8 +791,8 @@ class DRXFile:
                 scalar: bool = False) -> None:
         """Pin the visits' chunks in the pool (at most its capacity),
         copy, unpin — dirty after a write.  The misses fault with one
-        vectored store call; ``scalar`` (the plan is a single chunk)
-        pins through ``Mpool.get``/``put`` and a plain store ``read``."""
+        store transfer; ``scalar`` (the plan is a single chunk) pins
+        through ``Mpool.get``/``put``."""
         pool = self._pool
         addrs = [v.address for v in visits]
         bufs = [pool.get(q) for q in addrs] if scalar \
@@ -905,19 +806,18 @@ class DRXFile:
             else:
                 pool.put_many(addrs, dirty=not to_box)
 
-    def _windows(self, plan: IOPlan,
-                 sizes: list | None = None) -> list[IOPlan]:
+    def _windows(self, plan: IOPlan, sizes: list) -> list[IOPlan]:
         """Cut a streamed plan into windows of at most the pool's byte
         capacity (``cache_pages × chunk_nbytes``), each moved with one
         store transfer; a window holds at least one chunk.  ``sizes``
-        are the visits' stored sizes (``chunk_nbytes`` each when
-        omitted, as on a plain array)."""
+        are the visits' stored sizes (``chunk_nbytes`` each on a plain
+        array)."""
         visits = plan.visits
         nb = plan.chunk_nbytes
         cap = self._pool.max_pages * nb
         windows: list[IOPlan] = []
         first = held = 0
-        for i, size in enumerate(sizes or [nb] * len(visits)):
+        for i, size in enumerate(sizes):
             if held + size > cap and i > first:
                 windows.append(IOPlan(visits[first:i], nb))
                 first, held = i, 0
@@ -928,120 +828,83 @@ class DRXFile:
 
     def _read_streaming(self, plan: IOPlan, out: np.ndarray) -> None:
         """Move the plan window by window (:meth:`_windows`), bypassing
-        the pool: one store read per window.
+        the pool: one store transfer per window.
 
         Dirty cached pages shadow the file, so a window's dirty chunks
         are copied from their pool page instead of from the bytes just
         read (coherence with unflushed writes); clean cached pages are
         byte-identical to the file.  Dirty pages are resolved on this
-        thread after the window's read returned.  Pending background
-        write-backs are drained first — a streamed read must not observe
-        the store before an already-submitted write-back lands.
-
-        A plain window's chunks are CRC-checked and copied on this
-        thread.  A compressed window is split once across the codec
-        tier: each task verifies and decodes its chunks and copies them
-        straight into ``out``.
+        thread after the window's read returned and before the rest is
+        verified and decoded — split once across the codec tier for a
+        compressed array, whose tasks copy straight into ``out``.
+        Pending background write-backs are drained first — a streamed
+        read must not observe the store before an already-submitted
+        write-back lands.
         """
-        nb = plan.chunk_nbytes
-        pool, cs = self._pool, self._codec_store
-        zeros = bytes(nb)
+        pool, store = self._pool, self._store
         pool.drain_writebehind()
 
         def put(visits, bufs) -> None:
             self._copy_chunks(visits, bufs, out, to_box=True)
 
-        sizes = None if cs is None else cs.stored_nbytes(plan.addresses)
-        for window in self._windows(plan, sizes):
+        for window in self._windows(plan, store.stored_nbytes(plan.addresses)):
             visits = window.visits
-            if cs is not None:
-                frames = cs.read_frames([v.address for v in visits])
-            else:
-                blob = memoryview(self._data.readv(window.byte_extents()))
-                frames = [blob[i * nb:(i + 1) * nb]
-                          for i in range(len(visits))]
-            here, bufs, coded = [], [], []
+            frames = store.fetch([v.address for v in visits])
+            dirty, bufs, rest = [], [], []
             for v, frame in zip(visits, frames):
                 buf = pool.peek_dirty(v.address)
                 if buf is None:
-                    if cs is None:
-                        buf = frame
-                        if self._guard is not None:
-                            # a CRC mismatch arbitrates among replica
-                            # copies (no alternates when unreplicated)
-                            buf = self._guard.check_or_arbitrate(
-                                v.address, buf, self._data,
-                                v.address * nb, nb)
-                    elif frame is None:
-                        buf = zeros              # never written
-                    else:
-                        coded.append((v, frame))
-                        continue
-                here.append(v)
-                bufs.append(buf)
-            put(here, bufs)
-            if coded:
-                cs.decode_each(coded, put)
+                    rest.append((v, frame))
+                else:
+                    dirty.append(v)
+                    bufs.append(buf)
+            put(dirty, bufs)
+            store.decode_each(rest, put)
 
     def _write_streaming(self, plan: IOPlan, values: np.ndarray) -> None:
         """Stream fully covered chunks to the store window by window
         (:meth:`_windows`): one store write per window, issued on this
         thread, so at most one is in flight and writes land in order.
 
-        A plain window is copied out of ``values`` on this thread; a
-        compressed one is split once across the codec tier, each task
-        copying its chunks out of ``values`` and encoding them.
-        Partially covered (edge) chunks still read-modify-write through
-        the pool, in capacity-sized batches.  Pending background
-        write-backs are drained first (an in-flight write-back must not
-        land *after* this write) and pending read-aheads are invalidated
-        (one could have captured pre-write bytes).
+        Each window is copied out of ``values`` into one buffer that the
+        chunk store writes; a compressed window's copy and encode are
+        split across the codec tier.  Partially covered (edge) chunks
+        still read-modify-write through the pool, in capacity-sized
+        batches.
+        Pending background write-backs are drained first (an in-flight
+        write-back must not land *after* this write) and pending
+        read-aheads are invalidated (one could have captured pre-write
+        bytes).
         """
         nb = self.meta.chunk_nbytes
-        cs = self._codec_store
         full = [v for v in plan.visits if v.full]
         partial = [v for v in plan.visits if not v.full]
         self._pool.drain_writebehind()
         self._pool.discard_prefetch()
-
-        def copy_out(visits) -> tuple[bytearray, list]:
-            buf = bytearray(len(visits) * nb)
-            mv = memoryview(buf)
-            raws = [mv[i * nb:(i + 1) * nb] for i in range(len(visits))]
-            self._copy_chunks(visits, raws, values, to_box=False)
-            return buf, raws
-
-        def encode(visits) -> list:
-            _buf, raws = copy_out(visits)
-            return [(raw, cs.encode(raw)) for raw in raws]
-
         # a chunk's stored size is known only once it is encoded: count
         # each at the compression ratio the array has shown so far
-        sizes = None if cs is None \
-            else [nb / cs.codec_stats.ratio] * len(full)
+        sizes = [nb / self._store.ratio] * len(full)
         for window in self._windows(IOPlan(full, nb), sizes):
             visits = window.visits
-            if cs is not None:
-                done = cs.fan_out(encode, visits)
-                raws = [raw for raw, _p in done]
-                cs.write_frames([v.address for v in visits],
-                                [p for _raw, p in done])
-            else:
-                payload, raws = copy_out(visits)
-                self._data.writev(window.byte_extents(), payload)
-            self._landed(visits, raws)
+
+            def fill(idx, raws, visits=visits) -> None:
+                self._copy_chunks([visits[i] for i in idx], raws, values,
+                                  to_box=False)
+
+            buf = bytearray(len(visits) * nb)
+            self._store.write([v.address for v in visits], buf, fill)
+            self._landed(visits, buf)
         for i in range(0, len(partial), self._pool.max_pages):
             self._pooled(partial[i:i + self._pool.max_pages], values,
                          to_box=False)
 
-    def _landed(self, visits, raws) -> None:
-        """Finish one streamed write window, whose store write has
-        returned: only now are the chunks' checksums recorded and their
-        cached copies refreshed in place (so the pool cannot later
-        resurface, or write back, stale bytes).  A write that fails
-        leaves the CRC table and the pool describing the bytes the store
-        still holds."""
-        for v, raw in zip(visits, raws):
-            if self._guard is not None:
-                self._guard.record(v.address, raw)
-            self._pool.refresh(v.address, raw)
+    def _landed(self, visits, buf) -> None:
+        """Finish one streamed write window, whose store write of
+        ``buf`` has returned (and recorded the chunks' checksums): only
+        now are the cached copies refreshed in place, so the pool cannot
+        later resurface, or write back, stale bytes.  A write that fails
+        leaves the pool describing the bytes the store still holds."""
+        nb = self.meta.chunk_nbytes
+        mv = memoryview(buf)
+        for i, v in enumerate(visits):
+            self._pool.refresh(v.address, mv[i * nb:(i + 1) * nb])

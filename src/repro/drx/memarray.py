@@ -155,8 +155,7 @@ class MemExtendibleArray:
         f.meta.eci = self.meta.eci.copy()
         f.meta.element_bounds = self.shape
         if self._chunks:
-            nbytes = f.meta.chunk_nbytes
-            f._data.writev([(0, nbytes * len(self._chunks))],
+            f._store.write(range(len(self._chunks)),
                            b"".join(chunk.tobytes()
                                     for chunk in self._chunks))
         f._persist_meta()
@@ -168,15 +167,8 @@ class MemExtendibleArray:
         history (axial vectors are replicated, not recomputed)."""
         arr = cls.__new__(cls)
         arr.meta = drxfile.meta.replicate()
-        nbytes = arr.meta.chunk_nbytes
-        arr._chunks = []
-        if arr.meta.num_chunks:
-            blob = memoryview(
-                drxfile._data.readv([(0, nbytes * arr.meta.num_chunks)]))
-            for q in range(arr.meta.num_chunks):
-                raw = blob[q * nbytes:(q + 1) * nbytes]
-                arr._chunks.append(
-                    np.frombuffer(bytearray(raw), dtype=arr.meta.dtype)
-                    .reshape(arr.meta.chunk_shape)
-                )
+        arr._chunks = [
+            np.frombuffer(bytearray(raw), dtype=arr.meta.dtype)
+            .reshape(arr.meta.chunk_shape)
+            for raw in drxfile._store.read(range(arr.meta.num_chunks))]
         return arr

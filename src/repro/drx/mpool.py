@@ -4,12 +4,12 @@ The paper: "DRX has the added feature that the memory arrays can be
 maintained as either conventional arrays or memory resident extendible
 arrays with I/O caching using the BerkeleyDB Mpool sub-system."
 
-The pool caches fixed-size *pages* (one page = one chunk of the array
-file) with the classic Mpool discipline:
+The pool caches fixed-size *pages* (one page = one chunk of the array)
+with the classic Mpool discipline:
 
 * ``get(pageno)`` pins a page, faulting it in from the store on a miss;
 * ``get_many(pagenos)`` pins a batch, faulting every miss with a single
-  vectored store call over the coalesced contiguous runs;
+  store transfer;
 * ``put(pageno, dirty=...)`` unpins it, optionally marking it dirty;
 * clean/unpinned pages are evicted LRU; dirty pages are written back on
   eviction — together with any dirty unpinned neighbours at consecutive
@@ -22,12 +22,13 @@ Hit/miss/eviction/write-back counters feed experiment E7 (cache size vs
 locality sweeps); the ``syscalls``/``coalesced_runs`` counters quantify
 how much run coalescing compresses the pool's store traffic.
 
-Over a :class:`~repro.drx.storage.CompressedByteStore` the pool caches
-*decompressed* pages: the adapter presents the logical chunk address
-space, decodes on fault-in and recompresses on eviction write-back, so
-hot pages pay the codec once, not per access.  The pool's ``guard`` is
-``None`` in that configuration — CRC verification happens inside the
-adapter, over the compressed payload at its physical slot.
+The pool pages through a :class:`~repro.drx.chunkstore.ChunkStore` by
+chunk number: it never builds a byte extent, never sees a checksum and
+never sees a codec.  Faults, write-backs and read-aheads each name their
+sorted page numbers, and the chunk store places, verifies and (for a
+compressed array) decodes or encodes them with one transfer — so the
+pool caches *decompressed* pages and hot pages pay the codec once, not
+per access.
 
 Concurrency (only with an attached executor; ``readahead=`` sizes the
 read-ahead window, write-behind has no switch of its own):
@@ -39,19 +40,21 @@ read-ahead window, write-behind has no switch of its own):
   stride) and ``get_many`` (repeated batch stride, the shape DRX plan
   execution produces).  Once a stride repeats, the predicted next pages
   are read asynchronously through the executor.  Prefetched pages are
-  *adopted* on first use — installed clean, checksum-verified, counted
-  as ``hits`` + ``prefetch_hits`` — and never evict pinned pages (they
-  go through the normal ``_make_room``).  A prefetch that is never used
-  is simply dropped (``prefetch_dropped``); a failed background read is
-  ignored and the page faults normally.
+  *adopted* on first use — installed clean (the chunk store verified
+  them on the background read), counted as ``hits`` +
+  ``prefetch_hits`` — and never evict pinned pages (they go through the
+  normal ``_make_room``).  A prefetch that is never used is simply
+  dropped (``prefetch_dropped``); a failed background read is ignored
+  and the page faults normally.
 * **Write-behind.**  Eviction write-backs go through the same
-  ``_writeback_run`` as ``flush``, handed to the executor: the payload
-  is copied, counters and checksums are recorded at submit time
-  (identical values to the foreground call), and the future joins a
-  bounded dirty queue.  Overlapping submissions wait for their
-  predecessors (per-page FIFO), demand faults wait for overlapping
-  in-flight write-backs before touching the store, and ``flush()`` /
-  ``invalidate()`` / ``drain_writebehind()`` are full barriers.
+  ``_writeback`` as ``flush``, handed to the executor: the payload is
+  copied and the pool's counters are recorded at submit time (identical
+  values to the foreground call; the chunk store records checksums once
+  the write has landed), and the future joins a bounded dirty queue.
+  Overlapping submissions wait for their predecessors (per-page FIFO),
+  demand faults wait for overlapping in-flight write-backs before
+  touching the store, and ``flush()`` / ``invalidate()`` /
+  ``drain_writebehind()`` are full barriers.
 * **Waits.**  Every wait on a background future goes through
   :meth:`~repro.core.executor.IOExecutor.result`, so the time the pool
   blocks on its executor counts in that executor's ``wait_time``.
@@ -75,14 +78,20 @@ import numpy as np
 
 from ..core.errors import DRXError
 from ..core.faultsites import crash_point
-from .ioplan import coalesce_addresses
-from .storage import ByteStore
+from .chunkstore import ChunkStore
 
 __all__ = ["Mpool", "MpoolStats"]
 
 #: write-behind runs that may be in flight before an eviction stalls on
 #: the oldest one
 _WB_QUEUE = 4
+
+
+def _runs(pages: list[int]) -> int:
+    """Contiguous runs in sorted, distinct page numbers."""
+    if len(pages) < 2:
+        return len(pages)
+    return 1 + sum(1 for a, b in zip(pages, pages[1:]) if b != a + 1)
 
 
 @dataclass
@@ -135,23 +144,15 @@ class _Page:
 
 
 class Mpool:
-    """A pinned-page LRU buffer pool over a byte store."""
+    """A pinned-page LRU buffer pool over a chunk store (one page per
+    chunk)."""
 
-    def __init__(self, store: ByteStore, page_size: int,
-                 max_pages: int = 64, guard=None, executor=None,
-                 readahead: int = 8) -> None:
-        if page_size < 1:
-            raise DRXError(f"page size must be >= 1, got {page_size}")
+    def __init__(self, store: ChunkStore, max_pages: int = 64,
+                 executor=None, readahead: int = 8) -> None:
         if max_pages < 1:
             raise DRXError(f"pool must hold >= 1 page, got {max_pages}")
         self.store = store
-        self.page_size = page_size
         self.max_pages = max_pages
-        #: optional integrity hook (``repro.drx.resilience.ChecksumGuard``):
-        #: ``check_or_arbitrate`` on every fault-in, ``record(pageno,
-        #: bytes)`` on every write-back — the pool is where chunk bytes
-        #: cross the store boundary, so checksums are enforced here.
-        self.guard = guard
         self.stats = MpoolStats()
         #: pageno -> page, in LRU order (oldest first)
         self._pages: "OrderedDict[int, _Page]" = OrderedDict()
@@ -164,9 +165,9 @@ class Mpool:
                            if executor is not None else 0)
         #: pending write-behind: (future, frozenset of page numbers)
         self._wb: "deque[tuple[Future, frozenset[int]]]" = deque()
-        #: pageno -> in-flight/landed read-ahead future; one future may
-        #: serve several keys (it read a contiguous run)
-        self._pf: dict[int, Future] = {}
+        #: pageno -> (in-flight/landed read-ahead future, first page it
+        #: reads); one future serves every page of its contiguous run
+        self._pf: dict[int, tuple[Future, int]] = {}
         # scalar stride detector (get)
         self._ra_last: int | None = None
         self._ra_stride = 0
@@ -197,20 +198,14 @@ class Mpool:
                     self.stats.prefetch_hits += 1
                 else:
                     self.stats.misses += 1
-                    self._wb_wait_overlap({pageno})
-                    self._make_room(1)
-                    raw = self.store.read(pageno * self.page_size,
-                                          self.page_size)
-                    self.stats.syscalls += 1
-                    self.stats.bytes_faulted += self.page_size
-                    page = self._install(pageno, raw)
+                    page = self._read_in([pageno], batch=False)[0]
             page.pins += 1
             self._note_scalar_access(pageno)
             return page.buf
 
     def get_many(self, pagenos: Sequence[int]) -> list[np.ndarray]:
-        """Pin a batch of pages, faulting all misses with one vectored
-        store call over the coalesced contiguous runs.
+        """Pin a batch of pages, faulting all misses with one store
+        transfer.
 
         Returns the page buffers aligned with ``pagenos`` (duplicates are
         pinned once per occurrence).  The batch may not exceed the pool
@@ -259,7 +254,7 @@ class Mpool:
 
     def _fault_many(self, missing: list[int]) -> None:
         """Fault the (sorted, absent) pages in — adopting any pending
-        read-aheads, then one vectored read for the rest."""
+        read-aheads, then one store transfer for the rest."""
         adopted: list[int] = []
         if self._pf:
             rest: list[int] = []
@@ -279,34 +274,26 @@ class Mpool:
                 page.pins += 1               # protective pin, see get_many
         if adopted:
             missing.sort()
-        if not missing:
-            return
-        self._wb_wait_overlap(set(missing))
-        self._make_room(len(missing))
-        ps = self.page_size
-        starts, counts = coalesce_addresses(
-            np.asarray(missing, dtype=np.int64))
-        extents = [(int(s) * ps, int(c) * ps)
-                   for s, c in zip(starts, counts)]
-        blob = self.store.readv(extents)
-        self.stats.syscalls += len(extents)
-        self.stats.coalesced_runs += len(extents)
-        self.stats.bytes_faulted += len(blob)
-        mv = memoryview(blob)
-        for i, p in enumerate(missing):
-            # protective pin, see get_many
-            self._install(p, mv[i * ps:(i + 1) * ps]).pins = 1
+        for page in self._read_in(missing, batch=True) if missing else ():
+            page.pins = 1                    # protective pin, see get_many
+
+    def _read_in(self, pages: list[int], batch: bool) -> list[_Page]:
+        """Read the (sorted, absent) pages from the chunk store with one
+        transfer and cache them clean, unpinned.  Only a ``batch`` fault
+        (``get_many``) counts its runs as coalesced."""
+        if self._wb:
+            self._wb_wait_overlap(set(pages))
+        self._make_room(len(pages))
+        raws = self.store.read(pages)
+        runs = _runs(pages)
+        self.stats.syscalls += runs
+        self.stats.coalesced_runs += runs if batch else 0
+        self.stats.bytes_faulted += len(pages) * self.store.chunk_nbytes
+        return [self._install(p, raw) for p, raw in zip(pages, raws)]
 
     def _install(self, pageno: int, raw) -> _Page:
-        """Cache the bytes just read for ``pageno`` as a clean page (the
-        caller has made room).  The integrity guard verifies them first;
-        it gets the store handle so a CRC mismatch can be resolved from
-        a replica copy — the installed bytes are then the arbitrated
-        version."""
-        if self.guard is not None:
-            ps = self.page_size
-            raw = self.guard.check_or_arbitrate(pageno, raw, self.store,
-                                                pageno * ps, ps)
+        """Cache the verified bytes just read for ``pageno`` as a clean
+        page (the caller has made room)."""
         page = _Page(np.frombuffer(bytearray(raw), dtype=np.uint8))
         self._pages[pageno] = page
         return page
@@ -363,63 +350,51 @@ class Mpool:
                 and nb.dirty and nb.pins == 0:
             members.append((hi, nb))
             hi += 1
-        self._writeback_run(members, background=self._executor is not None)
+        self._writeback(members, background=self._executor is not None)
 
-    def _writeback_run(self, members: list[tuple[int, _Page]],
-                       background: bool = False) -> None:
-        """Write back a set of dirty pages as sorted coalesced runs.
+    def _writeback(self, members: list[tuple[int, _Page]],
+                   background: bool = False) -> None:
+        """Write back a set of dirty pages with one chunk-store write, in
+        page-number order.
 
-        A single page moves with a plain ``write`` of its buffer, more
-        with one ``writev`` of the joined payload.  In the foreground
-        the checksums and counters are recorded once the store call has
-        returned.  With ``background`` (write-behind) the call is handed
-        to the executor instead: the payload is a *copy* (the pages stay
-        cached and may be re-dirtied while the write is in flight),
-        checksums and counters are recorded at submit time — the same
-        values — and ordering is preserved by waiting for any pending
-        write-behind touching the same pages (per-page FIFO) and by the
-        bounded queue.
+        In the foreground the call returns once the store has the bytes.
+        With ``background`` (write-behind) it is handed to the executor
+        instead: the payload is a *copy* (the pages stay cached and may
+        be re-dirtied while the write is in flight), the pool's counters
+        are recorded at submit time — the same values — and ordering is
+        preserved by waiting for any pending write-behind touching the
+        same pages (per-page FIFO) and by the bounded queue.
         """
         if not members:
             return
         members = sorted(members, key=lambda m: m[0])
-        ps = self.page_size
+        pages = [p for p, _pg in members]
         if len(members) == 1:
-            pageno, page = members[0]
-            calls, vectored = 1, 0
-            payload = bytes(page.buf.data) if background else page.buf.data
-            call, args = self.store.write, (pageno * ps, payload)
+            data = members[0][1].buf.data
+            if background:
+                data = bytes(data)
         else:
-            starts, counts = coalesce_addresses(
-                np.asarray([p for p, _pg in members], dtype=np.int64))
-            extents = [(int(s) * ps, int(c) * ps)
-                       for s, c in zip(starts, counts)]
-            calls = vectored = len(extents)
-            payload = b"".join(pg.buf.data for _p, pg in members)
-            call, args = self.store.writev, (extents, payload)
+            data = b"".join(pg.buf.data for _p, pg in members)
         if background:
-            pages = frozenset(p for p, _pg in members)
-            self._wb_wait_overlap(pages)
+            wpages = frozenset(pages)
+            self._wb_wait_overlap(wpages)
             while len(self._wb) >= _WB_QUEUE:
                 self.stats.writebehind_stalls += 1
                 fut, _pages = self._wb.popleft()
                 self._executor.result(fut)
             fut = self._executor.submit(
-                call, *args,
-                key=("mpool-wb", id(self), members[0][0], len(members)))
-            self._wb.append((fut, pages))
+                self.store.write, pages, data,
+                key=("mpool-wb", id(self), pages[0], len(pages)))
+            self._wb.append((fut, wpages))
             self.stats.writebehind_runs += 1
-            self.stats.writebehind_bytes += len(payload)
+            self.stats.writebehind_bytes += len(data)
         else:
-            call(*args)
-        if self.guard is not None:
-            mv = memoryview(payload)
-            for i, (p, _pg) in enumerate(members):
-                self.guard.record(p, mv[i * ps:(i + 1) * ps])
+            self.store.write(pages, data)
+        runs = _runs(pages)
         self.stats.writebacks += len(members)
-        self.stats.syscalls += calls
-        self.stats.coalesced_runs += vectored
-        self.stats.bytes_written += len(payload)
+        self.stats.syscalls += runs
+        self.stats.coalesced_runs += runs if len(pages) > 1 else 0
+        self.stats.bytes_written += len(data)
         for _p, pg in members:
             pg.dirty = False
 
@@ -523,13 +498,12 @@ class Mpool:
         ex = self._executor
         if ex is None or not predicted:
             return
-        ps = self.page_size
-        limit = self.store.size
+        limit = self.store.readable_chunks
         wb_pages: set[int] = set()
         for _fut, wpages in self._wb:
             wb_pages |= wpages
         want = sorted({p for p in predicted
-                       if p >= 0 and p * ps < limit
+                       if 0 <= p < limit
                        and p not in self._pages
                        and p not in self._pf
                        and p not in wb_pages})
@@ -540,39 +514,37 @@ class Mpool:
             return
         if len(self._pf) > 4 * max(self._readahead, 1) + 8:
             self._pf_discard(wait=False)
-        starts, counts = coalesce_addresses(
-            np.asarray(want, dtype=np.int64))
-        for s, c in zip(starts, counts):
-            start, count = int(s), int(c)
-            fut = ex.submit(self._pf_read, start, count,
-                            key=("mpool-pf", id(self), start, count))
-            for p in range(start, start + count):
-                self._pf[p] = fut
+        first = 0
+        for i in range(1, len(want) + 1):
+            if i < len(want) and want[i] == want[i - 1] + 1:
+                continue
+            run = want[first:i]
+            first = i
+            # one background read per contiguous run
+            fut = ex.submit(self.store.read, run,
+                            key=("mpool-pf", id(self), run[0], len(run)))
+            for p in run:
+                self._pf[p] = (fut, run[0])
             self.stats.prefetch_issued += 1
-            self.stats.prefetch_pages += count
+            self.stats.prefetch_pages += len(run)
             self.stats.syscalls += 1
             self.stats.coalesced_runs += 1
-            self.stats.bytes_faulted += count * ps
-
-    def _pf_read(self, start: int, count: int) -> tuple[int, bytes]:
-        """Executor task: one contiguous background read."""
-        ps = self.page_size
-        return start, self.store.readv([(start * ps, count * ps)])
+            self.stats.bytes_faulted += len(run) * self.store.chunk_nbytes
 
     def _adopt_prefetch(self, pageno: int) -> _Page | None:
         """Install page ``pageno`` from a pending read-ahead, or return
         ``None`` (no read-ahead covers it / the background read failed —
         the caller faults normally)."""
-        fut = self._pf.pop(pageno, None)
-        if fut is None:
+        entry = self._pf.pop(pageno, None)
+        if entry is None:
             return None
+        fut, start = entry
         try:
-            start, blob = self._executor.result(fut)
+            raws = self._executor.result(fut)
         except Exception:
             return None     # advisory data only; demand path recovers
-        at = (pageno - start) * self.page_size
         self._make_room(1)
-        return self._install(pageno, blob[at:at + self.page_size])
+        return self._install(pageno, raws[pageno - start])
 
     def _pf_discard(self, wait: bool) -> None:
         """Drop every pending read-ahead (counting unused pages as
@@ -581,7 +553,7 @@ class Mpool:
         in the background and their results are simply never consumed."""
         if not self._pf:
             return
-        futs = {id(f): f for f in self._pf.values()}
+        futs = {id(f): f for f, _start in self._pf.values()}
         self.stats.prefetch_dropped += len(self._pf)
         self._pf.clear()
         if wait:
@@ -638,7 +610,7 @@ class Mpool:
             self._pf_discard(wait=True)
             crash_point("mpool.flush.begin")
             dirty = [(p, pg) for p, pg in self._pages.items() if pg.dirty]
-            self._writeback_run(dirty)
+            self._writeback(dirty)
             crash_point("mpool.flush.after_writeback")
             self.store.flush()
 
@@ -669,7 +641,7 @@ class Mpool:
         with self._lock:
             self._wb_drain()
             self._pf_discard(wait=True)
-            self._writeback_run(
+            self._writeback(
                 [(p, pg) for p, pg in self._pages.items()
                  if pg.dirty and pg.pins == 0]
             )

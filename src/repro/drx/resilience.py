@@ -553,8 +553,8 @@ class ChecksumGuard:
 
     The table lives in the meta-data document
     (:attr:`~repro.core.metadata.DRXMeta.chunk_crcs`) and is committed
-    with it; this guard is the in-memory read/write interface the Mpool
-    (fault-in, write-back) and the streaming I/O paths share.  Chunks
+    with it; this guard is its in-memory read/write interface, held by
+    the array's :class:`~repro.drx.chunkstore.ChunkStore`.  Chunks
     without an entry — never written, or created before checksums were
     enabled — verify vacuously.
 

@@ -183,12 +183,12 @@ class DRXSingleFile(DRXFile):
         relative): fence its span off from future chunk-slot
         allocations.  The stale previous copy's span is released by the
         reserve swap; re-registering the same span is a no-op."""
-        cstore, span = self._codec_store, self._blob_span
-        if cstore is not None and span is not None \
+        table, span = self._store.table, self._blob_span
+        if table is not None and span is not None \
                 and span[0] >= self._reserve:
-            cstore.table.mark_committed()
-            cstore.table.reserve(span[0] - self._reserve, span[1])
-            cstore.table.mark_committed()
+            table.mark_committed()
+            table.reserve(span[0] - self._reserve, span[1])
+            table.mark_committed()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -368,7 +368,7 @@ class DRXSingleFile(DRXFile):
     def extend(self, dim: int, by: int) -> None:
         self._require_open()
         if self._writable and self._blob_span is not None \
-                and self._codec_store is None \
+                and self._store.table is None \
                 and self._blob_span[0] >= self._reserve:
             # The committed blob lives in the tail, where the extension
             # is about to materialize chunk payloads.  Recommit it past
@@ -402,10 +402,11 @@ class DRXSingleFile(DRXFile):
     def from_pair(cls, pair: DRXFile, path: str | pathlib.Path | None,
                   header_reserve: int = DEFAULT_HEADER_RESERVE,
                   codec: str | None = None) -> "DRXSingleFile":
-        """Repackage a two-file array into a single file (chunk bytes and
-        axial vectors are carried verbatim; the codec follows the source
-        unless overridden — payloads cross the boundary decompressed, so
-        conversions can also recompress with a different codec)."""
+        """Repackage a two-file array into a single file (chunk bytes,
+        axial vectors and checksumming are carried verbatim; the codec
+        follows the source unless overridden — payloads cross the
+        boundary decompressed, so conversions can also recompress with a
+        different codec)."""
         return _repackage(pair, cls.create, path, codec, overwrite=True,
                           header_reserve=header_reserve)
 
@@ -421,16 +422,20 @@ class DRXSingleFile(DRXFile):
 def _repackage(src: DRXFile, create, path, codec: str | None,
                **options) -> DRXFile:
     """Carry ``src`` into the fresh container ``create`` makes at
-    ``path``: same geometry and axial vectors, the logical chunk address
-    space copied in one vectored transfer."""
+    ``path``: same geometry, axial vectors and checksumming, the chunks
+    copied window by window through both chunk stores — at most
+    ``cache_pages`` chunks (the source pool's capacity) per transfer, so
+    the copy never holds the whole array.  The target records its own
+    CRCs over what it stores."""
     src.flush()
     out = create(path, src.shape, src.chunk_shape, src.meta.dtype_name,
                  codec=src.meta.codec if codec is None else codec,
-                 **options)
+                 checksums=src.checksums_enabled, **options)
     out.meta.eci = src.meta.eci.copy()
     out.meta.element_bounds = src.meta.element_bounds
-    total = src.meta.num_chunks * src.meta.chunk_nbytes
-    if total:
-        out._data.writev([(0, total)], src._data.readv([(0, total)]))
+    total, step = src.meta.num_chunks, src._pool.max_pages
+    for start in range(0, total, step):
+        chunks = list(range(start, min(start + step, total)))
+        out._store.write(chunks, b"".join(src._store.read(chunks)))
     out._persist_meta()
     return out

@@ -35,12 +35,16 @@ points for the crash-consistency tests); the in-memory default is a
 plain rewrite.  The meta-data commit protocols build on it.
 
 Stores stack: every wrapper — fault injection and retries
-(:mod:`repro.drx.resilience`), the serve daemon's deadline gate, the
-single file's offset view, and :class:`CompressedByteStore` here —
-derives from :class:`StoreDecorator`, which forwards the whole interface
-to the inner store and shares its counters, so a wrapper spells out only
-the entry points it changes.  ``DRXFile._mount`` is the one place a
-caller's ``store_wrapper`` is applied to the raw backends.
+(:mod:`repro.drx.resilience`), the serve daemon's deadline gate and the
+single file's offset view — derives from :class:`StoreDecorator`, which
+forwards the whole interface to the inner store and shares its counters,
+so a wrapper spells out only the entry points it changes.
+``DRXFile._mount`` is the one place a caller's ``store_wrapper`` is
+applied to the raw backends.
+
+Byte stores know nothing of chunks.  How a chunk is placed, coded and
+checksummed on top of them is :class:`~repro.drx.chunkstore.ChunkStore`'s
+business, one per array.
 """
 
 from __future__ import annotations
@@ -51,14 +55,12 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..core.errors import ChecksumError, DRXFileError, PFSError
+from ..core.errors import DRXFileError, PFSError
 from ..core.faultsites import crash_point
 from ..pfs.pfile import PFSFile
-from .chunkalloc import SlotTable
-from .codec import Codec, CodecStats, timed_frame_decode, timed_frame_encode
 
 __all__ = ["ByteStore", "StoreStats", "StoreDecorator", "PosixByteStore",
-           "MemoryByteStore", "PFSByteStore", "CompressedByteStore"]
+           "MemoryByteStore", "PFSByteStore"]
 
 #: A half-open byte extent ``(offset, length)``.
 Extent = tuple[int, int]
@@ -178,6 +180,8 @@ class ByteStore:
         accounting).  Backends with a cheaper vectored path override this.
         """
         self.stats.note_readv(len(extents))
+        if len(extents) == 1:
+            return self.read(*extents[0])
         return b"".join(self.read(off, length) for off, length in extents)
 
     def writev(self, extents: Sequence[Extent], data) -> None:
@@ -256,7 +260,7 @@ class ByteStore:
 class StoreDecorator(ByteStore):
     """A byte store layered over an ``inner`` one — the base of every
     wrapper in the stack (fault injection, retries, deadline gates, the
-    single file's offset view, compression).
+    single file's offset view).
 
     It presents one accounting surface per physical file (``stats`` *is*
     the inner store's counter block) and forwards all eleven entry
@@ -522,315 +526,3 @@ class PFSByteStore(ByteStore):
 
     def truncate(self, size: int) -> None:
         self._pfile.set_size(size)
-
-
-class CompressedByteStore(StoreDecorator):
-    """Transparent per-chunk compression over an inner byte store.
-
-    Exposes the array's *logical* uncompressed chunk address space —
-    chunk ``q`` still appears to live at ``q * chunk_nbytes``, so the
-    Mpool and the container conversions work unchanged (and the pool
-    caches *decompressed* pages; its eviction write-backs recompress
-    right here).  Underneath, each chunk's framed
-    compressed payload (:mod:`repro.drx.codec`) is placed by a
-    :class:`~repro.drx.chunkalloc.SlotTable` and moved through the inner
-    store at its physical extent.  Every access must be chunk-aligned —
-    which every caller in the stack already is, because the chunk is the
-    transfer unit.
-
-    Integrity: the optional ``guard`` (a
-    :class:`~repro.drx.resilience.ChecksumGuard`, duck-typed to avoid an
-    import cycle) records and verifies CRC32 over the *compressed*
-    payload, and a mismatch arbitrates among the inner store's replica
-    copies of the physical slot — so replication, healing and the chaos
-    suites operate on compressed arrays exactly as on plain ones.
-
-    CPU offload: with a ``codec``-tier executor attached, a multi-chunk
-    transfer is split once across its threads (:meth:`fan_out`; pure-CPU
-    leaf tasks — ``zlib`` releases the GIL).  One per-chunk routine
-    each way, :meth:`encode` and :meth:`decode`, serves both the byte
-    interface here and ``DRXFile``'s streamed windows, which move a
-    window's payloads with one :meth:`read_frames` / :meth:`write_frames`
-    call and decode or encode them straight against the caller's box.
-    A split of fewer than four chunks runs on the caller's thread.
-
-    ``stats`` is shared with the inner store: the transfer counters
-    report the *compressed* bytes physically moved, which is the
-    quantity compression exists to shrink.  The codec-side accounting
-    (raw vs stored bytes, ratio, encode/decode wall-time) lives in
-    ``codec_stats``.
-    """
-
-    def __init__(self, inner: ByteStore, codec: Codec, table: SlotTable,
-                 chunk_nbytes: int, logical_nbytes: int = 0,
-                 guard=None, executor=None) -> None:
-        # one accounting surface per physical file (compressed bytes)
-        super().__init__(inner)
-        if chunk_nbytes < 1:
-            raise DRXFileError(f"chunk size must be >= 1, got {chunk_nbytes}")
-        self._codec = codec
-        self._table = table
-        self._nb = int(chunk_nbytes)
-        self._logical = int(logical_nbytes)
-        self._guard = guard
-        self._executor = executor
-        self.codec_stats = CodecStats()
-        # table mutations race between the foreground thread and the
-        # pool's write-behind tasks; inner I/O runs outside the lock
-        # (slot extents are disjoint per chunk, and the pool already
-        # orders same-chunk operations)
-        self._ch_lock = threading.RLock()
-
-    # -- wiring surface for the file layer ---------------------------------
-    @property
-    def inner(self) -> ByteStore:
-        return self._inner
-
-    @property
-    def table(self) -> SlotTable:
-        return self._table
-
-    @property
-    def codec(self) -> Codec:
-        return self._codec
-
-    @property
-    def guard(self):
-        return self._guard
-
-    def data_extent_nbytes(self) -> int:
-        """Physical end of the compressed chunk region."""
-        with self._ch_lock:
-            return self._table.end
-
-    # -- the codec tier ------------------------------------------------------
-    def fan_out(self, fn, items: list) -> list:
-        """Split ``items`` once across the codec tier and return the
-        concatenated ``fn(batch)`` results in item order.
-
-        One batch per executor thread goes to the executor and one more
-        runs on the caller's thread; small splits (or no executor) run
-        as one batch on the caller.  ``fn`` must be pure CPU — no pool
-        lock, no store I/O, no further submits — so a caller holding the
-        pool lock may wait on it.
-        """
-        ex = self._executor
-        if ex is None or len(items) < 4:
-            return fn(items)
-        width = min(ex.threads + 1, len(items))
-        size = (len(items) + width - 1) // width
-        batches = [items[i:i + size] for i in range(0, len(items), size)]
-        futs = [ex.submit(fn, b) for b in batches[:-1]]
-        try:
-            tail = fn(batches[-1])
-        except BaseException:
-            ex.gather(futs, return_exceptions=True)
-            raise
-        out: list = []
-        for part in ex.gather(futs):
-            out.extend(part)
-        out.extend(tail)
-        return out
-
-    def encode(self, raw) -> bytes:
-        """One chunk's stored frame (the per-chunk encode routine)."""
-        return timed_frame_encode(self._codec, raw, self.codec_stats)
-
-    def decode(self, frame, verify: bool = True) -> bytes:
-        """One chunk's raw bytes from a :meth:`read_frames` entry (the
-        per-chunk decode routine).  With ``verify`` the payload's CRC is
-        checked first; a mismatch raises
-        :class:`~repro.core.errors.ChecksumError`."""
-        chunk, _slot, payload = frame
-        if verify and self._guard is not None:
-            self._guard.check(chunk, payload)
-        return timed_frame_decode(self._codec, payload, self._nb,
-                                  self.codec_stats)
-
-    def decode_each(self, frames: list, consume) -> None:
-        """Decode ``(tag, frame)`` pairs split once across the codec
-        tier; each task hands ``consume(tags, raws)`` its decoded chunks.
-
-        CRCs are verified inside the tasks.  A chunk that fails its CRC
-        is arbitrated among the inner store's replica copies of its slot
-        on the caller's thread (that is replica I/O), then decoded and
-        consumed there.
-        """
-        def task(batch: list) -> list:
-            tags, raws, bad = [], [], []
-            for tag, frame in batch:
-                try:
-                    raws.append(self.decode(frame))
-                except ChecksumError as exc:
-                    bad.append((tag, frame, exc))
-                    continue
-                tags.append(tag)
-            consume(tags, raws)
-            return bad
-
-        for tag, (chunk, slot, payload), exc in self.fan_out(task, frames):
-            payload = self._guard.arbitrate(chunk, exc, self._inner,
-                                            slot.offset, slot.length)
-            consume([tag], [self.decode((chunk, slot, payload),
-                                        verify=False)])
-
-    # -- address decomposition ----------------------------------------------
-    def _chunks_of(self, offset: int, length: int) -> range:
-        nb = self._nb
-        if offset % nb or length % nb:
-            raise DRXFileError(
-                f"compressed store access must be chunk-aligned: "
-                f"offset {offset}, length {length}, chunk {nb} bytes"
-            )
-        return range(offset // nb, (offset + length) // nb)
-
-    @staticmethod
-    def _merged(slots) -> list[Extent]:
-        """The physical extents of ``slots``, physically adjacent ones
-        merged — one vectored inner call moves them all."""
-        extents: list[list[int]] = []
-        for s in slots:
-            if extents and extents[-1][0] + extents[-1][1] == s.offset:
-                extents[-1][1] += s.length
-            else:
-                extents.append([s.offset, s.length])
-        return [(off, length) for off, length in extents]
-
-    # -- reads ---------------------------------------------------------------
-    def stored_nbytes(self, chunks: Sequence[int]) -> list[int]:
-        """Each chunk's stored payload size (0 for a chunk never
-        written) — what a streamed read of it moves."""
-        with self._ch_lock:
-            slots = [self._table.get(c) for c in chunks]
-        return [0 if s is None else s.length for s in slots]
-
-    def read_frames(self, chunks: Sequence[int]) -> list:
-        """The stored payloads of ``chunks`` with one inner ``readv``:
-        per chunk a ``(chunk, slot, payload)`` frame, or ``None`` for a
-        chunk never written (it reads as zeros).  Payloads are not yet
-        verified — :meth:`decode` does that."""
-        with self._ch_lock:
-            slots = [self._table.get(c) for c in chunks]
-        present = [s for s in slots if s is not None and s.length > 0]
-        if not present:
-            return [None] * len(slots)
-        blob = memoryview(self._inner.readv(self._merged(present)))
-        frames: list = []
-        pos = 0
-        for c, s in zip(chunks, slots):
-            if s is None or s.length == 0:
-                frames.append(None)
-                continue
-            frames.append((c, s, blob[pos:pos + s.length]))
-            pos += s.length
-        return frames
-
-    def read(self, offset: int, length: int) -> bytes:
-        return self._read_chunks(list(self._chunks_of(offset, length)))
-
-    def readv(self, extents: Sequence[Extent]) -> bytes:
-        chunks: list[int] = []
-        for off, length in extents:
-            chunks.extend(self._chunks_of(off, length))
-        return self._read_chunks(chunks)
-
-    def _read_chunks(self, chunks: list[int]) -> bytes:
-        nb = self._nb
-        out = bytearray(len(chunks) * nb)     # absent chunks read as zeros
-
-        def place(idx: list[int], raws: list) -> None:
-            for i, raw in zip(idx, raws):
-                out[i * nb:(i + 1) * nb] = raw
-
-        frames = self.read_frames(chunks)
-        self.decode_each([(i, f) for i, f in enumerate(frames)
-                          if f is not None], place)
-        return bytes(out)
-
-    # -- writes --------------------------------------------------------------
-    def write(self, offset: int, data) -> None:
-        self._write_chunks(list(self._chunks_of(offset, len(data))), data)
-
-    def writev(self, extents: Sequence[Extent], data) -> None:
-        mv = memoryview(data)
-        total = sum(length for _off, length in extents)
-        if total != len(mv):
-            raise DRXFileError(
-                f"writev: extents cover {total} bytes, data has {len(mv)}"
-            )
-        chunks: list[int] = []
-        for off, length in extents:
-            chunks.extend(self._chunks_of(off, length))
-        self._write_chunks(chunks, mv)
-
-    def _write_chunks(self, chunks: list[int], data) -> None:
-        nb = self._nb
-        mv = memoryview(data)
-        payloads = self.fan_out(
-            lambda raws: [self.encode(raw) for raw in raws],
-            [mv[i * nb:(i + 1) * nb] for i in range(len(chunks))])
-        self.write_frames(chunks, payloads)
-
-    def write_frames(self, chunks: Sequence[int], payloads: list) -> None:
-        """Store encoded ``payloads`` for ``chunks`` with one inner
-        ``writev`` at freshly allocated slots.
-
-        The CRCs and the logical size are recorded only once that write
-        has returned.  A write that fails reverts every allocation, so
-        the slot table and the CRC table still describe the payloads the
-        store holds.
-        """
-        with self._ch_lock:
-            priors = [self._table.get(c) for c in chunks]
-            slots = [self._table.allocate(c, len(p))
-                     for c, p in zip(chunks, payloads)]
-        try:
-            if slots:
-                self._inner.writev(self._merged(slots), b"".join(payloads))
-        except BaseException:
-            with self._ch_lock:
-                for c, prior, slot in reversed(
-                        list(zip(chunks, priors, slots))):
-                    self._table.revert(c, prior, slot)
-            raise
-        with self._ch_lock:
-            if self._guard is not None:
-                for c, p in zip(chunks, payloads):
-                    self._guard.record(c, p)
-            if chunks:
-                self._logical = max(self._logical,
-                                    (max(chunks) + 1) * self._nb)
-
-    def replace(self, data) -> None:
-        raise DRXFileError(
-            "replace() is not supported on a compressed chunk store"
-        )
-
-    # The logical address space has no replica copies of its own (a CRC
-    # mismatch arbitrates inside, at the chunk's physical slot), so the
-    # single-copy defaults apply rather than a forward of logical
-    # offsets to the physical store.
-    read_alternates = ByteStore.read_alternates
-    repair = ByteStore.repair
-
-    # -- geometry / lifecycle -------------------------------------------------
-    @property
-    def size(self) -> int:
-        """The *logical* (uncompressed) size — what the pool's read-ahead
-        bounds against and ``DRXFile.extend`` grows."""
-        return self._logical
-
-    def truncate(self, size: int) -> None:
-        nb = self._nb
-        if size % nb:
-            raise DRXFileError(
-                f"compressed store size must be chunk-aligned, got {size}"
-            )
-        with self._ch_lock:
-            if size < self._logical:
-                keep = size // nb
-                for c in [c for c in self._table.indices() if c >= keep]:
-                    self._table.remove(c)
-                    if self._guard is not None:
-                        self._guard.crcs.pop(c, None)
-            self._logical = size

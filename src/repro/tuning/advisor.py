@@ -215,9 +215,9 @@ class Observed:
 def pfs_geometry(store) -> tuple[int, int]:
     """``(stripe_size, nservers)`` of a PFS-backed byte store.
 
-    Unwraps a :class:`CompressedByteStore` to its inner store and reads
-    the striping off the PFS file's layout; non-PFS stores get the
-    simulator defaults (the advisor still prices them consistently).
+    Unwraps one store decorator to its inner store and reads the
+    striping off the PFS file's layout; non-PFS stores get the simulator
+    defaults (the advisor still prices them consistently).
     """
     pfile = getattr(store, "_pfile", None)
     if pfile is None:
@@ -233,14 +233,12 @@ def observed_profile(f) -> Observed:
     from ..mpi.datatypes import DATATYPE_STATS
 
     store = getattr(f, "_data", None)
-    codec_store = getattr(f, "_codec_store", None)
     pool = getattr(f, "_pool", None)
     return Observed(
         store=store.stats.snapshot() if store is not None
         and hasattr(store, "stats") else None,
         pool=pool.stats if pool is not None else None,
-        codec=codec_store.codec_stats if codec_store is not None
-        and hasattr(codec_store, "codec_stats") else None,
+        codec=getattr(f, "codec_stats", None),
         scatter=SCATTER_STATS.snapshot(),
         datatypes=DATATYPE_STATS.snapshot(),
     )

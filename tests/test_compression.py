@@ -447,6 +447,49 @@ class TestFormatCompatibility:
             DRXMeta.from_bytes(blob)
 
 
+def _set(entry: int, field: int, value):
+    """Overwrite one field of one ``[chunk, offset, length, capacity]``
+    slot entry."""
+    def corrupt(doc: dict) -> None:
+        doc["slots"][entry][field] = value(doc) if callable(value) \
+            else value
+    return corrupt
+
+
+#: corruptions of a 4-chunk zlib array's slot table (128-byte chunks);
+#: each leaves a document that parses
+HOSTILE_SLOTS = {
+    "negative-offset": _set(0, 1, -8),
+    "negative-length": _set(0, 2, -1),
+    "oversized-slot": _set(0, 3, 100_000),
+    "past-the-end": _set(3, 3, lambda d: d["end"] - d["slots"][3][1] + 1),
+    "chunk-out-of-range": _set(0, 0, 10 ** 6),
+    "negative-chunk": _set(0, 0, -1),
+    "shared-extent": _set(1, 1, lambda d: d["slots"][0][1]),
+}
+
+
+class TestHostileSlotTable:
+    """The slot table comes from disk: an impossible one is refused at
+    open, not met as a raw OS error or silently wrong data at read."""
+
+    @pytest.mark.parametrize("corrupt", HOSTILE_SLOTS,
+                             ids=list(HOSTILE_SLOTS))
+    def test_refused_at_open(self, tmp_path, corrupt):
+        data = pattern_array((8, 8))
+        with DRXFile.create(tmp_path / "h", (8, 8), (4, 4),
+                            codec="zlib") as a:
+            a.write((0, 0), data)
+            assert a.meta.chunk_nbytes == 128
+        xmd = tmp_path / "h.xmd"
+        meta = DRXMeta.from_bytes(xmd.read_bytes())
+        meta.chunk_slots["slots"].sort()
+        HOSTILE_SLOTS[corrupt](meta.chunk_slots)
+        xmd.write_bytes(meta.to_bytes())
+        with pytest.raises(DRXFormatError):
+            DRXFile.open(tmp_path / "h").close()
+
+
 # ---------------------------------------------------------------------------
 # integrity: scrub, CRC arbitration, chaos
 # ---------------------------------------------------------------------------
@@ -462,7 +505,7 @@ class TestCompressedIntegrity:
                             codec="zlib", checksums=True) as a:
             a.write((0, 0), pattern_array((8, 8)))
         with DRXFile.open(tmp_path / "s") as b:
-            slot = b._codec_store.table.get(2)
+            slot = b._store.table.get(2)
         raw = bytearray((tmp_path / "s.xta").read_bytes())
         raw[slot.offset + slot.length // 2] ^= 0xFF
         (tmp_path / "s.xta").write_bytes(bytes(raw))
@@ -485,10 +528,9 @@ class TestCompressedIntegrity:
                             codec="zlib", checksums=True) as a:
             a.write((0, 0), pattern_array((4, 4)))
             a.flush()
-            cs = a._codec_store
             for q in range(a.num_chunks):
-                slot = cs.table.get(q)
-                payload = cs.inner.read(slot.offset, slot.length)
+                slot = a._store.table.get(q)
+                payload = a._data.read(slot.offset, slot.length)
                 assert chunk_crc(payload) == a.meta.chunk_crcs[q]
 
     def test_arbitration_heals_corrupt_replica(self):
@@ -518,13 +560,13 @@ class TestCompressedIntegrity:
         a.close()
         b = DRXFile.open_pfs(fs, "win", cache_pages=2)
         codec_ex = IOExecutor(2, name="codec")
-        b._codec_store._executor = codec_ex
+        b._store._executor = codec_ex
         try:
-            slot = b._codec_store.table.get(5)
+            slot = b._store.table.get(5)
             assert slot.offset + slot.length <= 512      # stripe 0
             fs.servers[0].corrupt("win.xta", slot.offset,
                                   b"\xff" * slot.length)
-            inner = b._codec_store.inner
+            inner = b._data
             seen = []
 
             def spy(offset, length, _real=inner.read_alternates):
@@ -533,7 +575,7 @@ class TestCompressedIntegrity:
 
             inner.read_alternates = spy
             assert np.array_equal(b.read(), data)   # 16 chunks > 2 pages
-            guard = b._codec_store.guard
+            guard = b._store.guard
             assert (guard.checked, guard.failures, guard.arbitrated) \
                 == (16, 1, 1)
             assert seen == [threading.get_ident()]
@@ -596,7 +638,6 @@ class TestFailedWriteKeepsOldBytes:
     def test_pool_writeback(self, codec, checksums):
         plan = FaultPlan()
         a = self._array(codec, checksums, plan)
-        nb = a.meta.chunk_nbytes
         a.write((0, 0), SMOOTH[:16, :8] + 1.0)   # two dirty pages: 0, 8
         plan.fail("writev", times=1)
         with pytest.raises(PFSError):
@@ -605,11 +646,11 @@ class TestFailedWriteKeepsOldBytes:
         # chunks
         for q, rows in ((0, slice(0, 8)), (8, slice(8, 16))):
             old = np.ascontiguousarray(SMOOTH[rows, :8]).tobytes()
-            assert a._data.read(q * nb, nb) == old, q
+            assert bytes(a._store.read([q])[0]) == old, q
         a.flush()                                 # the pages stayed dirty
         for q, rows in ((0, slice(0, 8)), (8, slice(8, 16))):
             new = np.ascontiguousarray(SMOOTH[rows, :8] + 1.0).tobytes()
-            assert a._data.read(q * nb, nb) == new, q
+            assert bytes(a._store.read([q])[0]) == new, q
         assert a.scrub().corrupt == []
         a.close()
 
@@ -842,15 +883,15 @@ class TestSingleFileCompressed:
 # ---------------------------------------------------------------------------
 
 class TestGuardPlumbing:
-    def test_pool_guard_is_none_for_compressed(self, tmp_path):
-        with DRXFile.create(tmp_path / "g", (8, 8), (4, 4),
-                            codec="zlib", checksums=True) as a:
-            assert a._guard is None
-            assert isinstance(a._codec_store.guard, ChecksumGuard)
-            assert a.checksums_enabled
-
-    def test_plain_array_keeps_file_level_guard(self, tmp_path):
-        with DRXFile.create(tmp_path / "p", (8, 8), (4, 4),
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    def test_one_guard_on_the_chunk_store(self, tmp_path, codec):
+        """Checksums live in one place whatever the codec: the chunk
+        store's guard, sharing the meta-data's CRC table."""
+        with DRXFile.create(tmp_path / "g", (8, 8), (4, 4), codec=codec,
                             checksums=True) as a:
-            assert isinstance(a._guard, ChecksumGuard)
-            assert a._codec_store is None
+            guards = [v for obj in (a, a._pool, a._store, a._data)
+                      for v in vars(obj).values()
+                      if isinstance(v, ChecksumGuard)]
+            assert guards == [a._store.guard]
+            assert a._store.guard.crcs is a.meta.chunk_crcs
+            assert a.checksums_enabled

@@ -27,11 +27,11 @@ from repro.drx import (
     FaultInjector,
     FaultPlan,
     MemoryByteStore,
-    Mpool,
 )
 from repro.drx.singlefile import _SLOT0_OFF, _SLOT_SIZE, _unpack_slot
 from repro.drx.storage import StoreDecorator
 from repro.workloads import pattern_array
+from tests.support.pools import byte_pool
 from tests.test_singlefile import committed_slot
 
 
@@ -163,7 +163,7 @@ class TestStorageFaults:
     def test_fault_during_write_surfaces(self):
         plan = FaultPlan()
         store = FaultInjector(MemoryByteStore(), plan)
-        pool = Mpool(store, page_size=32, max_pages=1)
+        pool = byte_pool(store, page_size=32, max_pages=1)
         page = pool.get(0)
         page[:] = 1
         pool.put(0, dirty=True)
@@ -174,7 +174,7 @@ class TestStorageFaults:
     def test_fault_during_eviction_surfaces(self):
         plan = FaultPlan()
         store = FaultInjector(MemoryByteStore(), plan)
-        pool = Mpool(store, page_size=32, max_pages=1)
+        pool = byte_pool(store, page_size=32, max_pages=1)
         p = pool.get(0)
         p[:] = 7
         pool.put(0, dirty=True)
@@ -186,7 +186,7 @@ class TestStorageFaults:
         """A batched (writev) flush cannot dodge injection."""
         plan = FaultPlan()
         store = FaultInjector(MemoryByteStore(), plan)
-        pool = Mpool(store, page_size=16, max_pages=8)
+        pool = byte_pool(store, page_size=16, max_pages=8)
         for p in range(4):
             buf = pool.get(p)
             buf[:] = p + 1
@@ -200,7 +200,7 @@ class TestStorageFaults:
         """A batched (readv) miss fill cannot dodge injection."""
         plan = FaultPlan()
         store = FaultInjector(MemoryByteStore(), plan)
-        pool = Mpool(store, page_size=16, max_pages=8)
+        pool = byte_pool(store, page_size=16, max_pages=8)
         plan.fail("readv", times=None)
         with pytest.raises(PFSError):
             pool.get_many([0, 1, 2])
@@ -209,7 +209,7 @@ class TestStorageFaults:
     def test_pool_state_consistent_after_fault(self):
         plan = FaultPlan()
         store = FaultInjector(MemoryByteStore(), plan)
-        pool = Mpool(store, page_size=16, max_pages=4)
+        pool = byte_pool(store, page_size=16, max_pages=4)
         buf = pool.get(0)
         buf[:] = 3
         pool.put(0, dirty=True)

@@ -32,6 +32,7 @@ from repro.drx.ioplan import (
 from repro.drx.storage import MemoryByteStore
 from repro.drxmp.subarray import chunk_datatype, indexed_filetype
 from repro.workloads import chunk_boxes
+from tests.support.pools import byte_pool
 
 
 class RecordingStore(MemoryByteStore):
@@ -193,7 +194,7 @@ class TestPoolBatch:
     def test_get_many_single_vectored_fault(self):
         st = RecordingStore()
         st.write(0, bytes(range(64)))
-        pool = Mpool(st, page_size=8, max_pages=8)
+        pool = byte_pool(st, page_size=8, max_pages=8)
         bufs = pool.get_many([0, 1, 2, 5])
         assert [bytes(b) for b in bufs] == [
             bytes(range(0, 8)), bytes(range(8, 16)),
@@ -210,7 +211,7 @@ class TestPoolBatch:
 
     def test_get_many_mixed_hits_and_duplicates(self):
         st = MemoryByteStore()
-        pool = Mpool(st, page_size=4, max_pages=4)
+        pool = byte_pool(st, page_size=4, max_pages=4)
         pool.get(1)
         pool.put(1)
         bufs = pool.get_many([2, 1, 2])
@@ -221,14 +222,14 @@ class TestPoolBatch:
         assert pool.pinned_pages == 0
 
     def test_get_many_capacity_error(self):
-        pool = Mpool(MemoryByteStore(), page_size=4, max_pages=2)
+        pool = byte_pool(MemoryByteStore(), page_size=4, max_pages=2)
         with pytest.raises(DRXError):
             pool.get_many([0, 1, 2])
 
     def test_get_many_keeps_resident_pinned_batch_safe(self):
         # residents must not be evicted while the batch faults the rest
         st = MemoryByteStore()
-        pool = Mpool(st, page_size=4, max_pages=2)
+        pool = byte_pool(st, page_size=4, max_pages=2)
         pool.get(5)
         pool.put(5, dirty=True)
         bufs = pool.get_many([5, 0])
@@ -240,7 +241,7 @@ class TestPoolBatch:
 
     def test_eviction_clusters_dirty_neighbours(self):
         st = RecordingStore()
-        pool = Mpool(st, page_size=4, max_pages=4)
+        pool = byte_pool(st, page_size=4, max_pages=4)
         for p in (0, 1, 2):
             pool.get(p)
             pool.put(p, dirty=True)
@@ -257,7 +258,7 @@ class TestPoolBatch:
 
     def test_flush_writes_sorted_coalesced_runs(self):
         st = RecordingStore()
-        pool = Mpool(st, page_size=4, max_pages=8)
+        pool = byte_pool(st, page_size=4, max_pages=8)
         for p in (6, 2, 0, 5, 1):     # dirty in scrambled LRU order
             pool.get(p)
             pool.put(p, dirty=True)
@@ -270,7 +271,7 @@ class TestPoolBatch:
 
     def test_streaming_coherence_hooks(self):
         st = MemoryByteStore()
-        pool = Mpool(st, page_size=4, max_pages=4)
+        pool = byte_pool(st, page_size=4, max_pages=4)
         buf = pool.get(2)
         buf[:] = 9
         pool.put(2, dirty=True)
@@ -324,9 +325,11 @@ class TestFileRouting:
     def test_per_chunk_write_read_by_coalesced(self, tmp_path, rng):
         ref = rng.random((11, 13))
         a = DRXFile.create(tmp_path / "a", (11, 13), (3, 4), cache_pages=4)
-        for lo, hi in chunk_boxes((0, 0), a.shape, a.chunk_shape):
+        boxes = list(chunk_boxes((0, 0), a.shape, a.chunk_shape))
+        for lo, hi in boxes:
             a.write(lo, ref[lo[0]:hi[0], lo[1]:hi[1]])
-        assert a._data.stats.readv_calls == 0      # scalar faults only
+        # nothing streamed: one pool access per one-chunk request
+        assert a.cache_stats.accesses == len(boxes)
         a.close()
         b = DRXFile.open(tmp_path / "a", cache_pages=4)
         assert np.allclose(b.read(), ref)
@@ -404,8 +407,13 @@ class TestFileRouting:
 def test_one_data_path_under_drxfile():
     """Structural guard: ``drxfile.py`` has one per-chunk copy (every
     route and direction calls it) and neither the file nor the pool
-    grows an engine switch back."""
+    grows an engine switch back.  Checksums and the codec live behind
+    the one chunk store: neither module names a guard, a CRC or a codec
+    store, the pool takes no guard or page size, and the byte-store
+    disguise of a compressed array is gone."""
+    import repro.drx
     import repro.drx.drxfile as module
+    import repro.drx.mpool as pool_module
     copy_sites = [
         fn.name for fn in ast.walk(ast.parse(inspect.getsource(module)))
         if isinstance(fn, ast.FunctionDef)
@@ -415,8 +423,23 @@ def test_one_data_path_under_drxfile():
     for ctor in (DRXFile.__init__, DRXFile.create, DRXFile.open,
                  DRXFile.create_pfs, DRXFile.open_pfs):
         assert "coalesce" not in inspect.signature(ctor).parameters
-    assert not {"write_behind", "wb_queue"} \
-        & set(inspect.signature(Mpool.__init__).parameters)
+    params = set(inspect.signature(Mpool.__init__).parameters)
+    assert not {"write_behind", "wb_queue", "guard", "page_size"} & params
+    for mod in (module, pool_module):
+        tree = ast.parse(inspect.getsource(mod))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+        names |= {n.name for n in ast.walk(tree)
+                  if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        banned = [n for n in names if n == "chunk_crc"
+                  or "guard" in n.lower() or "codec_store" in n]
+        assert banned == [], (mod.__name__, banned)
+    assert not hasattr(repro.drx, "CompressedByteStore")
+    assert "CompressedByteStore" not in repro.drx.__all__
 
 
 def test_plan_compile_makes_no_numpy_call():

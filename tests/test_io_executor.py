@@ -29,11 +29,11 @@ from repro.core.executor import (
     resolve_executor,
 )
 from repro.drx.drxfile import DRXFile
-from repro.drx.mpool import Mpool
 from repro.drx.resilience import FaultInjector, FaultPlan
 from repro.drx.storage import MemoryByteStore, PFSByteStore, StoreDecorator
 from repro.pfs import ParallelFileSystem
 from repro.workloads import random_boxes
+from tests.support.pools import byte_pool
 
 
 def pattern(n: int, salt: int = 0) -> bytes:
@@ -438,7 +438,7 @@ class TestMpoolThreadSafety:
         store = MemoryByteStore()
         store.truncate(32 * ps)
         e = IOExecutor(4)
-        pool = Mpool(store, ps, max_pages=8, executor=e)
+        pool = byte_pool(store, ps, max_pages=8, executor=e)
         errors = []
 
         def worker(tid: int):
@@ -469,7 +469,7 @@ class TestMpoolThreadSafety:
         store = MemoryByteStore()
         store.truncate(16 * ps)
         e = IOExecutor(2)
-        pool = Mpool(store, ps, max_pages=2, executor=e)
+        pool = byte_pool(store, ps, max_pages=2, executor=e)
         pool.get(0)                      # keep pinned
         pool.get(1)
         pool.put(1)
@@ -490,7 +490,7 @@ class TestReadAhead:
         for p in range(npages):
             store.write(p * ps, pattern(ps, p))
         e = IOExecutor(threads)
-        pool = Mpool(store, ps, max_pages=max_pages, executor=e,
+        pool = byte_pool(store, ps, max_pages=max_pages, executor=e,
                      readahead=readahead)
         return store, e, pool
 
@@ -564,7 +564,7 @@ class TestReadAhead:
         ps = 64
         store = MemoryByteStore()
         store.truncate(32 * ps)
-        pool = Mpool(store, ps, max_pages=8)       # no executor
+        pool = byte_pool(store, ps, max_pages=8)       # no executor
         for p in range(20):
             pool.get(p)
             pool.put(p)
@@ -578,7 +578,7 @@ class TestWriteBehind:
         store = MemoryByteStore()
         store.truncate(32 * ps)
         e = IOExecutor(2)
-        pool = Mpool(store, ps, max_pages=4, executor=e, readahead=0)
+        pool = byte_pool(store, ps, max_pages=4, executor=e, readahead=0)
         try:
             for p in range(16):
                 buf = pool.get(p)
@@ -597,7 +597,7 @@ class TestWriteBehind:
         store = MemoryByteStore()
         store.truncate(8 * ps)
         e = IOExecutor(2)
-        pool = Mpool(store, ps, max_pages=2, executor=e, readahead=0)
+        pool = byte_pool(store, ps, max_pages=2, executor=e, readahead=0)
         try:
             buf = pool.get(0)
             buf[:] = 7
@@ -618,7 +618,7 @@ class TestWriteBehind:
             ps = 64
             store = MemoryByteStore()
             store.truncate(32 * ps)
-            pool = Mpool(store, ps, max_pages=4, executor=executor,
+            pool = byte_pool(store, ps, max_pages=4, executor=executor,
                          readahead=0)
             for p in range(16):
                 buf = pool.get(p)
@@ -662,8 +662,8 @@ with_codecs = pytest.mark.parametrize("codec", [
 def attach_codec_executor(a: DRXFile, ex: IOExecutor) -> None:
     """Split a compressed array's codec work across ``ex`` whatever
     ``DRX_EXECUTOR_THREADS`` says (the codec tier is process-wide)."""
-    if a._codec_store is not None:
-        a._codec_store._executor = ex
+    if a.codec != "none":
+        a._store._executor = ex
 
 
 class TestStreamingPipelines:
@@ -718,8 +718,9 @@ class TestStreamingPipelines:
         assert routes["pooled"].cache_stats.evictions == 0
         assert routes["windowed"].cache_stats.misses < 64
         assert routes["fanned-out"].cache_stats.misses < 64
-        cs = routes["fanned-out"]._codec_store
-        assert cs is None or cs._executor.stats.submitted > 0
+        fanned = routes["fanned-out"]
+        assert fanned.codec == "none" \
+            or fanned._store._executor.stats.submitted > 0
 
     @with_codecs
     @with_checksums
@@ -917,7 +918,7 @@ class TestCompressedWindows:
             addrs = sorted(a.meta.eci.address((i, j))
                            for i in range(8) for j in range(3))
             windows, held = 1, 0
-            for n in a._codec_store.stored_nbytes(addrs):
+            for n in a._store.stored_nbytes(addrs):
                 if held and held + n > cap:
                     windows, held = windows + 1, 0
                 held += n

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.errors import DRXError
-from repro.drx.mpool import Mpool
 from repro.drx.storage import MemoryByteStore
+from tests.support.pools import byte_pool
 
 
 def make(pool_pages=4, page_size=8):
     store = MemoryByteStore()
     store.write(0, bytes(range(page_size * 16)))
-    return store, Mpool(store, page_size, max_pages=pool_pages)
+    return store, byte_pool(store, page_size, max_pages=pool_pages)
 
 
 class TestBasics:
@@ -41,10 +41,10 @@ class TestBasics:
     def test_bad_arguments(self):
         store = MemoryByteStore()
         with pytest.raises(DRXError):
-            Mpool(store, 0)
+            byte_pool(store, 0)
         with pytest.raises(DRXError):
-            Mpool(store, 8, max_pages=0)
-        pool = Mpool(store, 8)
+            byte_pool(store, 8, max_pages=0)
+        pool = byte_pool(store, 8)
         with pytest.raises(DRXError):
             pool.get(-1)
 

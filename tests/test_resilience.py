@@ -543,14 +543,13 @@ import inspect
 import textwrap
 
 from repro.core.watchdog import CancelScope
-from repro.drx import SlotTable, get_codec
 from repro.drx.singlefile import _OffsetByteStore
-from repro.drx.storage import ByteStore, CompressedByteStore, StoreDecorator
+from repro.drx.storage import ByteStore, StoreDecorator
 from repro.serve import server as serve_server
 from repro.serve.server import CancelGateStore
 
 _BASE = 64           # the offset view's shift
-_NB = 8              # the compressed store's chunk size
+_NB = 8              # the transfer size of the probes
 
 
 class _Recorder(MemoryByteStore):
@@ -590,12 +589,10 @@ DECORATORS = {
     "RetryingByteStore": lambda inner: RetryingByteStore(inner,
                                                          base_delay=0.0),
     "_OffsetByteStore": lambda inner: _OffsetByteStore(inner, _BASE),
-    "CompressedByteStore": lambda inner: CompressedByteStore(
-        inner, get_codec("zlib", 1), SlotTable(), _NB),
 }
 
 #: every entry point with arguments valid in any decorator's address
-#: space (chunk-aligned for the compressed one); ``None`` = a property
+#: space; ``None`` = a property
 ENTRY_POINTS = {
     "read": (0, _NB),
     "write": (0, b"w" * _NB),
@@ -617,15 +614,6 @@ DEPARTURES = {
     ("_OffsetByteStore", "close"): [],
     # a whole-store replace would overwrite the .drx header
     ("_OffsetByteStore", "replace"): DRXFileError,
-    # chunk payloads always move through the vectored path ...
-    ("CompressedByteStore", "read"): ["readv"],
-    ("CompressedByteStore", "write"): ["writev"],
-    ("CompressedByteStore", "repair"): ["writev"],
-    # ... and the logical address space is not the physical one
-    ("CompressedByteStore", "replace"): DRXFileError,
-    ("CompressedByteStore", "read_alternates"): [],
-    ("CompressedByteStore", "size"): [],
-    ("CompressedByteStore", "truncate"): [],
 }
 
 

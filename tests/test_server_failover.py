@@ -536,7 +536,7 @@ class TestArbitration:
         fs.servers[0].corrupt("arr.xta", 0, b"\x7f" * nb)
         got = a.read((0, 0), (8, 8))
         assert np.array_equal(got, vals)
-        assert a._guard.arbitrated >= 1
+        assert a._store.guard.arbitrated >= 1
         a.close()
 
 

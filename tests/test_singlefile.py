@@ -17,6 +17,7 @@ from repro.core.errors import (
     DRXFormatError,
 )
 from repro.drx import DRXFile, DRXSingleFile
+from repro.drx.storage import StoreDecorator
 from repro.drx.singlefile import (
     _HEADER_END,
     _SLOT0_OFF,
@@ -211,6 +212,39 @@ class TestConversion:
         # the two pairs' data files are byte-identical
         assert (tmp_path / "p.xta").read_bytes() == \
             (tmp_path / "back.xta").read_bytes()
+
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    def test_conversion_keeps_checksums_and_copies_by_window(self, tmp_path,
+                                                            codec):
+        """A checksummed pair converts to a checksummed single file and
+        back, every chunk verified; the source is read at most
+        ``cache_pages`` chunks per store transfer, never whole."""
+        reads = []
+
+        class ReadLog(StoreDecorator):
+            def readv(self, extents):
+                reads.append(sum(n for _off, n in extents))
+                return super().readv(extents)
+
+        data = pattern_array((32, 32))            # 64 chunks of (4, 4)
+        pair = DRXFile.create(
+            tmp_path / "p", (32, 32), (4, 4), codec=codec, checksums=True,
+            cache_pages=8, store_wrapper=lambda store, role:
+            ReadLog(store) if role == "data" else store)
+        pair.write((0, 0), data)
+        pair.flush()
+        reads.clear()
+        single = DRXSingleFile.from_pair(pair, tmp_path / "s")
+        assert reads and max(reads) <= 8 * pair.meta.chunk_nbytes
+        back = single.to_pair(tmp_path / "b")
+        for arr in (single, back):
+            assert arr.checksums_enabled
+            report = arr.scrub()
+            assert (report.checked, report.unverified, report.corrupt) \
+                == (64, 0, [])
+            assert np.array_equal(arr.read(), data)
+        for arr in (pair, single, back):
+            arr.close()
 
     def test_single_still_extendible_after_conversion(self, tmp_path):
         pair = DRXFile.create(tmp_path / "p", (4, 4), (2, 2))
