@@ -42,7 +42,7 @@ from repro.core.mapping import f_star_many
 from repro.core.metadata import DRXMeta
 from repro.core.scatter import gather_chunks, scatter_chunks, set_vectorized
 from repro.drx.drxfile import DRXFile
-from repro.drxmp.subarray import chunk_datatype, indexed_filetype
+from repro.mpi.datatypes import from_numpy_dtype
 from repro.pfs import ParallelFileSystem
 from repro.tuning import Workload, advise
 
@@ -93,13 +93,13 @@ def _hot_path_inputs(bounds, chunk):
     staging = rng.random((len(addrs), *chunk))
     out = np.zeros(bounds)
     payload = staging.tobytes()
-    ft = indexed_filetype(meta, addrs)
-    dt = chunk_datatype(meta)
-    return meta, addrs, indices, staging, out, payload, ft, dt
+    dt = from_numpy_dtype(meta.dtype).Create_contiguous(
+        meta.chunk_elems).Commit()
+    return meta, addrs, indices, staging, out, payload, dt
 
 
 def measure_vectorization(bounds, chunk) -> dict:
-    meta, addrs, indices, staging, out, payload, ft, dt = \
+    meta, addrs, indices, staging, out, payload, dt = \
         _hot_path_inputs(bounds, chunk)
     cs = meta.chunk_shape
     eb = meta.element_bounds

@@ -142,12 +142,6 @@ class DRXMeta:
     #: plain arrays.  Committed with the document, so it describes the
     #: last flushed physical placement.
     chunk_slots: dict | None = None
-    #: Session-local derived-value cache (committed datatypes, chunk
-    #: plans — see :mod:`repro.drxmp.subarray`).  Never serialized,
-    #: never compared; entries depending on the chunk index key
-    #: themselves on ``eci.generation``.
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     # ------------------------------------------------------------------
     # construction

@@ -36,7 +36,9 @@ ratio, encode/decode wall-time) lives in ``codec_stats``.
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ..core.errors import ChecksumError, DRXError
 from ..core.executor import default_executor
@@ -48,7 +50,7 @@ from .codec import Codec, CodecStats, get_codec, timed_frame_decode, \
 from .resilience import ChecksumGuard, ScrubReport, chunk_crc
 from .storage import ByteStore, Extent
 
-__all__ = ["ChunkStore"]
+__all__ = ["ChunkStore", "commit_meta"]
 
 
 def _merged(extents: Sequence[Extent]) -> list[Extent]:
@@ -157,6 +159,23 @@ class ChunkStore:
             slots = [self.table.get(c) for c in chunks]
         return [None if s is None or s.length == 0 else (s.offset, s.length)
                 for s in slots]
+
+    def physical_extents(self, chunks: Sequence[int]
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, offsets, lengths)`` for a front end that moves the
+        stored bytes itself (DRX-MP's file view): the positions in
+        ``chunks`` of the chunks with stored bytes, sorted by physical
+        offset, and each one's extent in that order."""
+        chunks = np.asarray(chunks, dtype=np.int64)
+        nb = self.chunk_nbytes
+        if self.table is None:
+            rows = np.argsort(chunks, kind="stable")
+            return rows, chunks[rows] * nb, np.full(len(rows), nb, np.int64)
+        stored = sorted((e[0], e[1], i) for i, e in
+                        enumerate(self._extents(chunks.tolist()))
+                        if e is not None)
+        table = np.array(stored, dtype=np.int64).reshape(-1, 3)
+        return table[:, 2], table[:, 0], table[:, 1]
 
     def stored_nbytes(self, chunks: Sequence[int]) -> list[int]:
         """What reading each chunk moves (0 for a chunk never stored)."""
@@ -385,3 +404,22 @@ class ChunkStore:
                     corrupt.append(addr)
         return ScrubReport(total_chunks=total, checked=checked,
                            corrupt=corrupt, unverified=unverified)
+
+
+def commit_meta(meta: DRXMeta, chunks: ChunkStore, meta_store: ByteStore,
+                land: Callable[[bytes], None] | None = None) -> None:
+    """Commit ``meta``, with the chunk store's slot table, as the
+    array's document — the one commit of ``DRXFile`` and DRX-MP.  It
+    lands through the container's ``land(blob)`` when given, else
+    through ``meta_store``'s atomic ``replace`` between the
+    ``xmd.commit.*`` crash points; only then may extents the previous
+    document referenced be reused."""
+    meta.chunk_slots = chunks.slot_doc()
+    blob = meta.to_bytes()
+    if land is not None:
+        land(blob)
+    else:
+        crash_point("xmd.commit.begin")
+        meta_store.replace(blob)
+        crash_point("xmd.commit.end")
+    chunks.mark_committed()

@@ -55,10 +55,9 @@ from ..core.errors import (
     DRXIndexError,
 )
 from ..core.executor import IOExecutor, resolve_executor
-from ..core.faultsites import crash_point
 from ..core.hyperslab import Hyperslab
 from ..core.metadata import DRXMeta, DRXType
-from .chunkstore import ChunkStore
+from .chunkstore import ChunkStore, commit_meta
 from .codec import CodecStats, get_codec
 from .ioplan import IOPlan, PlanCache
 from .mpool import Mpool
@@ -396,7 +395,9 @@ class DRXFile:
 
     def _persist_meta(self) -> None:
         """Commit the meta-data crash-consistently — the one commit
-        sequence of both containers; only :meth:`_land_meta` differs.
+        sequence of both containers and of DRX-MP
+        (:func:`~repro.drx.chunkstore.commit_meta`); only
+        :attr:`_land_meta` differs.
 
         Background write-backs are quiesced first, so the document's
         CRC table and (for a compressed array) slot table describe the
@@ -413,21 +414,17 @@ class DRXFile:
         immediately and quarantined extents recycle.
         """
         self._pool.drain_writebehind()
-        if self._meta_store is not None:
-            self.meta.chunk_slots = self._store.slot_doc()
-            self._land_meta(self.meta.to_bytes())
-        self._store.mark_committed()
+        if self._meta_store is None:
+            self._store.mark_committed()
+        else:
+            commit_meta(self.meta, self._store, self._meta_store,
+                        self._land_meta)
         self._note_committed()
 
-    def _land_meta(self, blob: bytes) -> None:
-        """Make ``blob`` the committed document (the container-specific
-        step of :meth:`_persist_meta`).  The ``.xmd`` goes through the
-        store's atomic ``replace`` — for a POSIX file temp-file + fsync +
-        rename, so a crash at any instant leaves either the previous or
-        the new document, never a torn one."""
-        crash_point("xmd.commit.begin")
-        self._meta_store.replace(blob)
-        crash_point("xmd.commit.end")
+    #: The container's own landing step (``land(blob)``), or ``None``:
+    #: the ``.xmd`` store's atomic ``replace`` (POSIX: temp-file +
+    #: fsync + rename, so a crash leaves the old or the new document).
+    _land_meta = None
 
     def _note_committed(self) -> None:
         self._commit_epoch += 1

@@ -29,10 +29,11 @@ arithmetic.  Zone file views, whose batches hold hundreds of chunks,
 use :func:`~repro.core.mapping.f_star_many` instead.
 
 The planner is pure geometry + address arithmetic; the transfers live in
-``DRXFile`` (which executes plans against its :class:`Mpool` and
-:class:`~repro.drx.storage.ByteStore`) and in
-:func:`repro.drxmp.subarray.indexed_filetype` (which folds runs into the
-blocklengths of the MPI indexed filetype).
+``DRXFile``, which executes plans against its :class:`Mpool` and
+:class:`~repro.drx.chunkstore.ChunkStore`.  DRX-MP plans a zone with
+one vectorized ``F*`` and a sort instead (:mod:`repro.drxmp.subarray`),
+and its file view merges the chunk store's physically adjacent extents
+into runs.
 """
 
 from __future__ import annotations

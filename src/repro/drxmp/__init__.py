@@ -1,6 +1,7 @@
 """``repro.drxmp`` — the parallel Disk Resident eXtendible array library.
 
-Zones, collective sub-array I/O via MPI-IO file views, the DRXMP_* API
+Zones, collective sub-array I/O via MPI-IO file views over the chunk
+store ``DRXFile`` shares (one ``.xmd``/``.xta`` format), the DRXMP_* API
 of the paper's section IV-C, and the Global-Array-style one-sided layer.
 """
 
@@ -34,8 +35,7 @@ from .partition import BlockCyclicPartition, BlockPartition, Zone, dims_create
 from .subarray import (
     box_read,
     box_write,
-    chunk_datatype,
-    indexed_filetype,
+    extent_filetype,
     zone_read,
     zone_write,
 )
@@ -50,6 +50,5 @@ __all__ = [
     "ga_dot", "ga_norm2", "ga_reduce_max", "ga_reduce_min", "ga_matmul",
     "DRXMDHdl", "DRXMDMemHdl",
     "Zone", "BlockPartition", "BlockCyclicPartition", "dims_create",
-    "zone_read", "zone_write", "box_read", "box_write",
-    "chunk_datatype", "indexed_filetype",
+    "zone_read", "zone_write", "box_read", "box_write", "extent_filetype",
 ]

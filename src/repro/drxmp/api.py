@@ -8,9 +8,10 @@ the bottom so the paper's programming examples translate directly.
 
 File layout, as in the paper's section IV: an array named ``xyz`` is the
 pair ``xyz.xmd`` (meta-data) / ``xyz.xta`` (chunk payloads) on the
-parallel file system; on open, the meta-data content is replicated into
-every participating process, so each process computes chunk addresses
-and zone ownership locally.
+parallel file system, the format ``DRXFile`` uses; on open, the
+meta-data content is replicated into every participating process, which
+computes chunk addresses and zone ownership and builds its chunk store
+locally.  A compressed array opens read-only.
 
 All lifecycle operations (create/open/extend/close) are collective over
 the handle's communicator.
@@ -27,8 +28,11 @@ from ..core.errors import (
     DRXFileError,
     DRXFileExistsError,
     DRXFileNotFoundError,
+    DRXFormatError,
 )
 from ..core.metadata import DRXMeta, DRXType
+from ..drx.chunkstore import ChunkStore, commit_meta
+from ..drx.storage import PFSByteStore
 from ..mpi import file as mpiio
 from ..mpi.comm import Intracomm
 from ..pfs.filesystem import ParallelFileSystem
@@ -89,10 +93,11 @@ class DRXMPFile:
                 err = f"array {name!r} already exists"
             else:
                 meta0 = DRXMeta.create(bounds, chunk_shape, dtype)
-                xmd = fs.create(name + XMD_SUFFIX)
-                xmd.write(0, meta0.to_bytes())
+                xmd = PFSByteStore(fs.create(name + XMD_SUFFIX))
                 xta = fs.create(name + XTA_SUFFIX)
                 xta.set_size(meta0.data_nbytes)
+                commit_meta(meta0, ChunkStore.for_meta(
+                    meta0, PFSByteStore(xta)), xmd)
         err = comm.bcast(err)
         if err:
             raise DRXFileExistsError(err)
@@ -126,16 +131,27 @@ class DRXMPFile:
             blob = xmd.read(0, xmd.size)
         blob = comm.bcast(blob)
         meta = DRXMeta.from_bytes(blob)
+        if mode == "r+" and meta.codec != "none":
+            raise DRXFormatError(
+                f"array {name!r} is compressed ({meta.codec}); DRX-MP "
+                f"opens compressed arrays read-only"
+            )
         amode = mpiio.MODE_RDONLY if mode == "r" else mpiio.MODE_RDWR
         fh = mpiio.File.Open(comm, name + XTA_SUFFIX, amode, fs, info=info)
-        handle = DRXMDHdl(name=name, comm=comm, meta=meta,
-                          data_file=fh, mode=mode)
+        store = ChunkStore.for_meta(meta, PFSByteStore(
+            fs.open(name + XTA_SUFFIX)))
+        handle = DRXMDHdl(name=name, comm=comm, meta=meta, data_file=fh,
+                          store=store, mode=mode)
         return cls(handle, fs)
 
     def close(self) -> None:
-        """Collective close (paper: ``DRXMP_Close``); idempotent."""
+        """Collective close (paper: ``DRXMP_Close``); idempotent.  A
+        writable checksummed array commits its ranks' CRCs."""
         if self._h.closed:
             return
+        if self._h.mode == "r+" and self._h.meta.chunk_crcs is not None:
+            self._h.sync_crcs()
+            self._commit()
         self._h.data_file.Close()
         self._h.closed = True
         if self in _open_handles():
@@ -194,19 +210,23 @@ class DRXMPFile:
         return self._h.data_file.Get_info()
 
     def flush_attrs(self) -> None:
-        """Collectively persist attributes (meta-data rewrite by rank 0)."""
+        """Collectively persist attributes (meta-data commit by rank 0)."""
         self._h.require_open()
         self._require_writable()
+        self._h.sync_crcs()
         blobs = self.comm.allgather(self._h.meta.to_bytes())
         if any(b != blobs[0] for b in blobs):
             raise DRXFileError(
                 "attribute flush with diverged replicas; set attributes "
                 "identically on every rank"
             )
+        self._commit()
+
+    def _commit(self) -> None:
+        """Rank 0 commits the (identical) replica as the ``.xmd``."""
         if self.comm.rank == 0:
-            xmd = self._fs.open(self._h.name + XMD_SUFFIX)
-            xmd.set_size(0)
-            xmd.write(0, blobs[0])
+            commit_meta(self._h.meta, self._h.store, PFSByteStore(
+                self._fs.open(self._h.name + XMD_SUFFIX)))
         self.comm.barrier()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -253,8 +273,8 @@ class DRXMPFile:
         self._h.require_open()
         zone = self.my_zone(partition) if into is None else into.zone
         use_order = order if into is None else into.order
-        arr = zone_read(self._h.data_file, self._h.meta, zone,
-                        order=use_order, collective=collective)
+        arr = zone_read(self._h, zone, order=use_order,
+                        collective=collective)
         lo, _hi = zone.element_box(self.chunk_shape, self.shape)
         if into is not None:
             if tuple(into.array.shape) != tuple(arr.shape):
@@ -274,8 +294,8 @@ class DRXMPFile:
         ``DRXMP_Write``)."""
         self._h.require_open()
         self._require_writable()
-        zone_write(self._h.data_file, self._h.meta, memhdl.zone,
-                   memhdl.array, collective=collective)
+        zone_write(self._h, memhdl.zone, memhdl.array,
+                   collective=collective)
 
     # ------------------------------------------------------------------
     # independent box I/O (any rank, any rectilinear region)
@@ -284,15 +304,13 @@ class DRXMPFile:
              order: str = "C") -> np.ndarray:
         """Independent read of an arbitrary element box."""
         self._h.require_open()
-        return box_read(self._h.data_file, self._h.meta, lo, hi,
-                        order=order, collective=False)
+        return box_read(self._h, lo, hi, order=order, collective=False)
 
     def write(self, lo: Sequence[int], values: np.ndarray) -> None:
         """Independent write of an arbitrary element box."""
         self._h.require_open()
         self._require_writable()
-        box_write(self._h.data_file, self._h.meta, lo, values,
-                  collective=False)
+        box_write(self._h, lo, values, collective=False)
 
     def _require_writable(self) -> None:
         if self._h.mode == "r":
@@ -306,7 +324,7 @@ class DRXMPFile:
 
         Every replica applies the identical extension, so the meta-data
         stays consistent across processes without communication of the
-        axial vectors themselves; rank 0 persists the new meta-data.
+        axial vectors themselves; rank 0 commits the new meta-data.
         Previously allocated chunks never move.
         """
         self._h.require_open()
@@ -319,12 +337,9 @@ class DRXMPFile:
             )
         self._h.meta.extend_elements(dim, by)
         self._h.data_file.Set_size(self._h.meta.data_nbytes)
-        if self.comm.rank == 0:
-            xmd = self._fs.open(self._h.name + XMD_SUFFIX)
-            blob = self._h.meta.to_bytes()
-            xmd.set_size(0)
-            xmd.write(0, blob)
-        self.comm.barrier()
+        self._h.store.grow(self._h.meta.num_chunks)
+        self._h.sync_crcs()
+        self._commit()
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ locally.  ``get``/``put``/``acc`` then move whole chunks with
 exactly as on disk).
 
 The facade loads from / stores to a :class:`~repro.drxmp.api.DRXMPFile`
-with collective I/O, completing the paper's DRA-compatible life cycle:
-file -> distributed memory -> compute via get/put/acc -> file.
+with the same collective transfer as its zone I/O (so any array the file
+can read, compressed or checksummed, loads), completing the paper's
+DRA-compatible life cycle: file -> distributed memory -> compute via
+get/put/acc -> file.
 """
 
 from __future__ import annotations
@@ -26,20 +28,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.chunking import (
-    box_shape,
-    chunk_element_box,
-    iter_box_intersections,
-    validate_box,
-)
+from ..core.chunking import box_shape, iter_box_intersections, validate_box
 from ..core.errors import DRXDistributionError, DRXIndexError
-from ..core.inverse import f_star_inv_many
 from ..core.mapping import f_star_many
 from ..core.metadata import DRXMeta
+from ..core.scatter import gather_chunks, scatter_chunks
 from ..mpi.comm import SUM, Intracomm
 from ..mpi.datatypes import from_numpy_dtype
 from ..mpi.win import Win
 from .api import DRXMPFile
+from .subarray import _plan, _transfer
 
 __all__ = ["GlobalArray"]
 
@@ -57,13 +55,8 @@ class GlobalArray:
                 f"processes, communicator has {comm.size}"
             )
         # local chunks, sorted by linear address (the canonical slot order)
-        my_chunks = partition.chunks_of(comm.rank)
-        if my_chunks.shape[0]:
-            addrs = f_star_many(meta.eci, my_chunks)
-            order = np.argsort(addrs, kind="stable")
-            self.local_addresses = addrs[order]
-        else:
-            self.local_addresses = np.empty(0, dtype=np.int64)
+        self.local_addresses, self._local_indices = _plan(
+            meta, partition.chunks_of(comm.rank))
         self.local = np.zeros(
             (len(self.local_addresses), *meta.chunk_shape), dtype=meta.dtype
         )
@@ -85,13 +78,8 @@ class GlobalArray:
         if info:
             dmp.set_info(info)
         ga = cls(dmp.comm, dmp.meta.replicate(), partition)
-        if len(ga.local_addresses):
-            from .subarray import indexed_filetype
-            ft = indexed_filetype(ga.meta, ga.local_addresses)
-            dmp.handle.data_file.Set_view(0, ga._etype, ft)
-        else:
-            dmp.handle.data_file.Set_view(0, ga._etype)
-        dmp.handle.data_file.Read_at_all(0, ga.local)
+        _transfer(dmp.handle, ga.local_addresses, ga.local, write=False,
+                  collective=True)
         # synchronize before anyone RMA-reads a still-loading window
         ga.sync()
         return ga
@@ -101,13 +89,8 @@ class GlobalArray:
         self.sync()
         if info:
             dmp.set_info(info)
-        if len(self.local_addresses):
-            from .subarray import indexed_filetype
-            ft = indexed_filetype(self.meta, self.local_addresses)
-            dmp.handle.data_file.Set_view(0, self._etype, ft)
-        else:
-            dmp.handle.data_file.Set_view(0, self._etype)
-        dmp.handle.data_file.Write_at_all(0, self.local)
+        _transfer(dmp.handle, self.local_addresses, self.local, write=True,
+                  collective=True)
 
     # ------------------------------------------------------------------
     # ownership arithmetic (pure local computation on any rank)
@@ -228,15 +211,8 @@ class GlobalArray:
         lo, hi = zone.element_box(self.chunk_shape, self.shape)
         out = np.zeros(box_shape(lo, hi), dtype=self.meta.dtype,
                        order=order)
-        if len(self.local_addresses):
-            indices = f_star_inv_many(self.meta.eci, self.local_addresses)
-            for payload, ci in zip(self.local, indices):
-                c_lo, c_hi = chunk_element_box(ci, self.chunk_shape,
-                                               self.shape)
-                src = tuple(slice(0, b - a) for a, b in zip(c_lo, c_hi))
-                dst = tuple(slice(a - l, b - l)
-                            for a, b, l in zip(c_lo, c_hi, lo))
-                out[dst] = payload[src]
+        scatter_chunks(self.local, self._local_indices, self.chunk_shape,
+                       self.shape, out, lo)
         return out, lo
 
     def update_local(self, values: np.ndarray) -> None:
@@ -248,15 +224,8 @@ class GlobalArray:
                 f"zone buffer shape {tuple(values.shape)} != "
                 f"{box_shape(lo, hi)}"
             )
-        if len(self.local_addresses):
-            indices = f_star_inv_many(self.meta.eci, self.local_addresses)
-            for payload, ci in zip(self.local, indices):
-                c_lo, c_hi = chunk_element_box(ci, self.chunk_shape,
-                                               self.shape)
-                dst = tuple(slice(0, b - a) for a, b in zip(c_lo, c_hi))
-                src = tuple(slice(a - l, b - l)
-                            for a, b, l in zip(c_lo, c_hi, lo))
-                payload[dst] = values[src]
+        gather_chunks(self._local_indices, self.chunk_shape, self.shape,
+                      values, lo, staging=self.local)
 
     def sync(self) -> None:
         """Barrier + memory fence (GA_Sync)."""

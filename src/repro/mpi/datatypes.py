@@ -52,8 +52,6 @@ class DatatypeStats:
     tiled_misses: int = 0     #: ``_tiled_runs`` built fresh
     index_hits: int = 0       #: memoized scatter/gather index reuses
     index_misses: int = 0     #: scatter/gather indices built fresh
-    chunk_dt_hits: int = 0    #: ``chunk_datatype()`` cache reuses
-    chunk_dt_misses: int = 0  #: ``chunk_datatype()`` built fresh
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   init=False, repr=False, compare=False)
 
@@ -279,23 +277,27 @@ class Datatype:
                 f"{len(blocklengths)} blocklengths vs "
                 f"{len(displacements)} displacements"
             )
-        all_off: list[np.ndarray] = []
-        all_len: list[np.ndarray] = []
-        lb = 0
-        ub = 0
-        for bl, disp in zip(blocklengths, displacements):
-            if bl < 0:
-                raise MPIDatatypeError(f"negative blocklength {bl}")
-            block = self.Create_contiguous(bl)
-            all_off.append(block.offsets + disp)
-            all_len.append(block.lengths)
-            lb = min(lb, disp + block.lb)
-            ub = max(ub, disp + block.ub)
-        offsets = np.concatenate(all_off) if all_off else np.empty(0, np.int64)
-        lengths = np.concatenate(all_len) if all_len else np.empty(0, np.int64)
+        bl = np.asarray(blocklengths, dtype=np.int64).reshape(-1)
+        disp = np.asarray(displacements, dtype=np.int64).reshape(-1)
+        if np.any(bl < 0):
+            raise MPIDatatypeError(f"negative blocklength {bl.min()}")
+        if self.is_contiguous:
+            # each block is one run (a byte-level filetype over thousands
+            # of extents costs one vectorized step)
+            offsets, lengths = disp, bl * self.extent
+        else:
+            # block b tiles bl[b] instances of the type from disp[b]
+            item = np.arange(int(bl.sum())) - np.repeat(np.cumsum(bl) - bl,
+                                                         bl)
+            starts = np.repeat(disp, bl) + item * self.extent
+            offsets = (starts[:, None] + self.offsets[None, :]).ravel()
+            lengths = np.tile(self.lengths, len(starts))
+        ends = disp + self.lb + bl * self.extent
+        lb = min(0, int((disp + self.lb).min())) if disp.size else 0
+        ub = max(0, int(ends.max())) if disp.size else 0
         offsets, lengths = _coalesce_runs(offsets, lengths)
         return Datatype(offsets, lengths, lb=lb, extent=ub - lb,
-                        name=f"indexed({len(blocklengths)})x{self.name}")
+                        name=f"indexed({len(bl)})x{self.name}")
 
     def Create_subarray(self, sizes: Sequence[int], subsizes: Sequence[int],
                         starts: Sequence[int], order: str = "C") -> "Datatype":

@@ -297,60 +297,3 @@ class TestPaperStyleAPI:
         with pytest.raises(SPMDFailure) as ei:
             run(1, body)
         assert isinstance(ei.value.failures[0], DRXExtendError)
-
-
-class TestPlanMemoization:
-    """``chunk_datatype`` and the sorted F* plan are memoized on the
-    meta-data object; extension invalidates the plans (generation bump)
-    but not the chunk datatype (chunk shape is immutable)."""
-
-    def test_chunk_datatype_is_memoized(self):
-        from repro.core.metadata import DRXMeta
-        from repro.drxmp.subarray import chunk_datatype
-        meta = DRXMeta.create((8, 8), (2, 2))
-        dt = chunk_datatype(meta)
-        assert chunk_datatype(meta) is dt
-        meta.extend_elements(0, 4)      # chunk dtype unaffected by growth
-        assert chunk_datatype(meta) is dt
-        other = DRXMeta.create((8, 8), (2, 2))
-        assert chunk_datatype(other) is not dt
-
-    def test_plan_cache_hits_and_generation_invalidation(self):
-        import numpy as np
-        from repro.core.metadata import DRXMeta
-        from repro.drxmp.subarray import _sorted_chunk_plan
-        meta = DRXMeta.create((8, 8), (2, 2))
-        idx = np.asarray([[0, 0], [1, 1], [0, 1]], dtype=np.int64)
-        p1 = _sorted_chunk_plan(meta, idx)
-        p2 = _sorted_chunk_plan(meta, idx)
-        assert p1[0] is p2[0] and p1[1] is p2[1]          # cache hit
-        gen = meta.eci.generation
-        meta.extend_elements(0, 2)
-        assert meta.eci.generation != gen
-        p3 = _sorted_chunk_plan(meta, idx)
-        assert p3[0] is not p1[0]                          # invalidated
-        assert np.array_equal(p3[0], p1[0])                # same mapping
-        p4 = _sorted_chunk_plan(meta, idx)
-        assert p4[0] is p3[0]                              # re-cached
-
-    def test_plan_cache_not_shared_across_metas(self):
-        import numpy as np
-        from repro.core.metadata import DRXMeta
-        from repro.drxmp.subarray import _sorted_chunk_plan
-        idx = np.asarray([[0, 0], [1, 0]], dtype=np.int64)
-        a = DRXMeta.create((4, 4), (2, 2))
-        b = DRXMeta.create((4, 4), (2, 2))
-        pa = _sorted_chunk_plan(a, idx)
-        pb = _sorted_chunk_plan(b, idx)
-        assert pa[0] is not pb[0]
-        assert np.array_equal(pa[0], pb[0])
-
-    def test_replicated_meta_does_not_share_cache(self):
-        """``replicate()`` must hand each rank an independent cache —
-        committed MPI datatypes are communicator-local state."""
-        from repro.core.metadata import DRXMeta
-        from repro.drxmp.subarray import chunk_datatype
-        meta = DRXMeta.create((8, 8), (2, 2))
-        dt = chunk_datatype(meta)
-        clone = meta.replicate()
-        assert clone._cache == {} or chunk_datatype(clone) is not dt

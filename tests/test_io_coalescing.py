@@ -30,7 +30,9 @@ from repro.drx.ioplan import (
     plan_slab,
 )
 from repro.drx.storage import MemoryByteStore
-from repro.drxmp.subarray import chunk_datatype, indexed_filetype
+from repro.drx.chunkstore import ChunkStore
+from repro.drxmp.subarray import extent_filetype
+from repro.mpi.datatypes import DOUBLE, Datatype
 from repro.workloads import chunk_boxes
 from tests.support.pools import byte_pool
 
@@ -498,26 +500,54 @@ class TestContainers:
 
 
 # ----------------------------------------------------------------------
-# MPI indexed filetype pre-coalescing
+# DRX-MP's file view: a byte-level filetype over the chunk store's extents
 # ----------------------------------------------------------------------
 class TestIndexedFiletype:
     def _meta(self) -> DRXMeta:
         return DRXMeta.create((8, 8), (2, 2), "double")
 
+    def _filetype(self, meta: DRXMeta, addrs) -> Datatype:
+        store = ChunkStore.for_meta(meta, MemoryByteStore())
+        _rows, offsets, lengths = store.physical_extents(addrs)
+        return extent_filetype(offsets, lengths)
+
     def test_typemap_identical_to_per_chunk(self):
         meta = self._meta()
         addrs = np.array([0, 1, 2, 5, 6, 9], dtype=np.int64)
-        ft = indexed_filetype(meta, addrs)
-        chunk = chunk_datatype(meta)
+        ft = self._filetype(meta, addrs)
+        chunk = DOUBLE.Create_contiguous(meta.chunk_elems).Commit()
         ref = chunk.Create_indexed([1] * len(addrs),
                                    [int(a) for a in addrs]).Commit()
-        assert ft.offsets.tolist() == ref.offsets.tolist()
-        assert ft.lengths.tolist() == ref.lengths.tolist()
-        assert ft.extent == ref.extent
+        # the block-by-block construction (struct of chunk types)
+        nb = meta.chunk_nbytes
+        slow = Datatype.Create_struct([1] * len(addrs),
+                                      [int(a) * nb for a in addrs],
+                                      [chunk] * len(addrs)).Commit()
+        for other in (ref, slow):
+            assert ft.offsets.tolist() == other.offsets.tolist()
+            assert ft.lengths.tolist() == other.lengths.tolist()
+            assert ft.extent == other.extent
 
     def test_coalesced_construction_shrinks_runs(self):
         meta = self._meta()
         addrs = np.arange(16, dtype=np.int64)
-        ft = indexed_filetype(meta, addrs)
+        ft = self._filetype(meta, addrs)
         assert ft.num_runs == 1
         assert ft.size == 16 * meta.chunk_nbytes
+
+    def test_slot_extents_sorted_by_offset(self):
+        """A compressed array's slots follow write order, not ``F*``:
+        the extents come back in physical order (a file view needs
+        nondecreasing offsets) and a chunk never written has none."""
+        meta = self._meta()
+        meta.codec = "zlib"
+        store = ChunkStore.for_meta(meta, MemoryByteStore())
+        nb = meta.chunk_nbytes
+        for c in (5, 1, 3):
+            store.write([c], bytes(nb))
+        rows, offsets, lengths = store.physical_extents([1, 3, 5, 7])
+        assert rows.tolist() == [2, 0, 1]
+        assert np.all(np.diff(offsets) > 0)
+        assert lengths.tolist() == store.stored_nbytes([5, 1, 3])
+        ft = extent_filetype(offsets, lengths)
+        assert ft.size == int(lengths.sum())

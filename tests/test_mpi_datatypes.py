@@ -116,6 +116,29 @@ class TestConstructors:
         tiled = t.Create_contiguous(2)
         assert [int(o) for o in tiled.offsets] == [0, 24]
 
+    @pytest.mark.parametrize("base", [
+        mpi.BYTE,
+        mpi.DOUBLE.Create_vector(3, 2, 5),
+        mpi.INT.Create_resized(-4, 16),
+        mpi.BYTE.Create_indexed([2, 0, 3], [0, 4, 9]),
+    ], ids=["byte", "vector", "resized", "holey"])
+    def test_hindexed_matches_block_by_block(self, base):
+        """The vectorized typemap equals the struct of per-block types,
+        the block-by-block construction."""
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            n = int(rng.integers(0, 6))
+            bl = rng.integers(0, 4, n).tolist()
+            disp = (np.arange(n) * (4 * base.extent + 64)
+                    + rng.integers(0, 3, n)).tolist()
+            if rng.random() < 0.3:
+                disp = disp[::-1]
+            got = base.Create_hindexed(bl, disp)
+            ref = Datatype.Create_struct(bl, disp, [base] * n)
+            assert got.offsets.tolist() == ref.offsets.tolist()
+            assert got.lengths.tolist() == ref.lengths.tolist()
+            assert (got.lb, got.extent) == (ref.lb, ref.extent)
+
 
 class TestSubarray:
     def test_2d_c_order(self):

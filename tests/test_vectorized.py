@@ -222,17 +222,6 @@ class TestPackUnpack:
         assert after.tiled_hits == mid.tiled_hits + 1
         assert after.tiled_misses == mid.tiled_misses
 
-    def test_chunk_datatype_memoized(self):
-        from repro.drxmp.subarray import chunk_datatype
-        meta = DRXMeta.create((40, 40), (8, 8))
-        before = DATATYPE_STATS.snapshot()
-        chunk_datatype(meta)
-        mid = DATATYPE_STATS.snapshot()
-        chunk_datatype(meta)
-        after = DATATYPE_STATS.snapshot()
-        assert mid.chunk_dt_misses >= before.chunk_dt_misses
-        assert after.chunk_dt_hits == mid.chunk_dt_hits + 1
-
 
 # ---------------------------------------------------------------------------
 # the generation-keyed plan cache
