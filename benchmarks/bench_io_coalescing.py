@@ -148,11 +148,14 @@ def test_full_scan_read_coalesces_4x(tmp_path, rng):
                           (0, 0), ARRAY, repeat=1)
     _, coa = measure_read(tmp_path / "c", (16, 16), False, data,
                           (0, 0), ARRAY, repeat=1)
-    # 256 chunks per-chunk vs one vectored run
+    # 256 chunks one call each vs a plan larger than the pool streamed
+    # in pool-sized windows: 512 KiB through 8 pages of 2 KiB chunks is
+    # 32 windows, each one vectored run of 16 KiB
     assert coa.syscalls * 4 <= per.syscalls
-    assert coa.readv_calls == 1
-    assert coa.coalesced_runs == 1
+    assert coa.readv_calls == 32
+    assert coa.coalesced_runs == 32
     assert coa.bytes_read == per.bytes_read == ARRAY[0] * ARRAY[1] * 8
+    assert coa.bytes_per_call == 16 << 10
     assert coa.bytes_per_call >= 4 * per.bytes_per_call
 
 

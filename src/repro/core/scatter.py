@@ -9,20 +9,31 @@ small chunks the interpreter — not the memory system — sets the pace.
 This module replaces the loop with whole-batch NumPy operations.  The
 key observation: the chunks touched by a rectilinear request form a
 **dense chunk grid** (every chunk index in ``[g_lo, g_hi)`` appears
-exactly once).  A dense grid scatters with three C-level operations,
-independent of the number of chunks:
+exactly once).
+
+When that grid tiles the destination box **exactly** — the box starts
+on the grid and no chunk is clipped, as for every chunk-aligned zone —
+the destination array itself, viewed with ``as_strided`` from its own
+strides as ``(g0, ..., gk-1, c0, ..., ck-1)`` grid and chunk axes, takes
+every payload in one fancy-index assignment: no scratch array, no
+per-chunk loop, any chunk size, any memory order.  Gather is the same
+fancy index read the other way, and its result is the payload array.
+
+Otherwise a dense grid of small chunks (at most ``_DENSE_CHUNK_CUTOFF``
+bytes each) goes through a scratch array spanning the grid:
 
 1. a fancy-index assignment placing every payload at its grid position
-   of a scratch array viewed as ``(g0, c0, g1, c1, ...)`` interleaved
+   of the scratch array viewed as ``(g0, c0, g1, c1, ...)`` interleaved
    grid/chunk axes;
 2. nothing — the transpose is a stride trick, not a copy;
 3. one sliced assignment moving the requested element box into the
    destination array (any memory order — NumPy handles the strides).
 
-Gather runs the same dance backwards.  Requests whose chunk set is not
-a dense grid (hyperslabs that skip chunks, degenerate plans) fall back
-to a per-chunk loop over **vectorized** box arithmetic — the geometry
-is still computed for the whole batch at once.
+Gather runs the same dance backwards.  Larger clipped chunks, where the
+scratch copy costs more than the loop saves, and requests whose chunk
+set is not a dense grid (hyperslabs that skip chunks, degenerate plans)
+fall back to a per-chunk loop over **vectorized** box arithmetic — the
+geometry is still computed for the whole batch at once.
 
 :func:`set_vectorized` forces the per-chunk fallback everywhere; the
 autotune macro-benchmark flips this switch to measure the pure-CPU win
@@ -37,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "ScatterStats",
@@ -52,12 +64,14 @@ __all__ = [
 
 _vectorized = True
 
-#: Dense-grid fast path cutoff: chunk payloads at most this many bytes
-#: go through the grid kernels.  Small chunks are interpreter-bound (the
-#: per-chunk loop costs ~4 µs of Python per chunk vs. microseconds of
-#: memmove) and batch 2-7x faster; large chunks are memmove-bound, where
-#: the grid scratch's extra full copy costs more than the loop saves
-#: (measured crossover ~8 KiB on the E2/E5 shapes).
+#: Scratch-grid cutoff: a dense grid that does not tile the box exactly
+#: goes through the scratch grid when its chunk payloads are at most this
+#: many bytes (an exact grid never needs the scratch, whatever its chunk
+#: size).  Small chunks are interpreter-bound (the per-chunk loop costs
+#: ~4 µs of Python per chunk vs. microseconds of memmove) and batch 2-7x
+#: faster; large chunks are memmove-bound, where the scratch's extra full
+#: copy costs more than the loop saves (measured crossover ~8 KiB on the
+#: E2/E5 shapes).
 _DENSE_CHUNK_CUTOFF = 4096
 
 
@@ -157,6 +171,25 @@ def _grid_map(indices: np.ndarray):
     return g_lo, tuple(int(x) for x in gshape), tuple(coords)
 
 
+def _exact_grid(a: np.ndarray, g_lo: np.ndarray, gshape: tuple[int, ...],
+                chunk_shape: Sequence[int], element_bounds: Sequence[int],
+                origin: Sequence[int]) -> np.ndarray | None:
+    """``a`` itself viewed as ``(g0, ..., gk-1, c0, ..., ck-1)`` grid and
+    chunk axes, when the chunk grid tiles ``a``'s element box exactly:
+    the box starts on the grid, no chunk is clipped, and every chunk
+    lies whole inside it.  ``None`` otherwise.  Built from ``a``'s own
+    strides, so C, Fortran and strided arrays all qualify."""
+    for d, c in enumerate(chunk_shape):
+        lo = int(g_lo[d]) * c
+        hi = lo + gshape[d] * c
+        if origin[d] != lo or a.shape[d] != hi - lo \
+                or hi > element_bounds[d]:
+            return None
+    strides = tuple(s * c for s, c in zip(a.strides, chunk_shape))
+    return as_strided(a, shape=gshape + tuple(chunk_shape),
+                      strides=strides + a.strides)
+
+
 def _grid_scratch(gshape: tuple[int, ...], chunk_shape: Sequence[int],
                   dtype) -> tuple[np.ndarray, np.ndarray]:
     """A scratch element array spanning the whole chunk grid, plus the
@@ -214,10 +247,16 @@ def scatter_chunks(staging: np.ndarray, indices: np.ndarray,
     n = indices.shape[0]
     if n == 0:
         return
-    if _vectorized and n > 1 and staging[0].nbytes <= _DENSE_CHUNK_CUTOFF:
-        grid = _grid_map(indices)
-        if grid is not None:
-            g_lo, gshape, coords = grid
+    grid = _grid_map(indices) if _vectorized else None
+    if grid is not None:
+        g_lo, gshape, coords = grid
+        v = _exact_grid(out, g_lo, gshape, chunk_shape, element_bounds,
+                        origin)
+        if v is not None:
+            v[coords] = staging
+            SCATTER_STATS.note(True, n)
+            return
+        if n > 1 and staging[0].nbytes <= _DENSE_CHUNK_CUTOFF:
             sel = _grid_selectors(g_lo, gshape, chunk_shape,
                                   element_bounds, origin, out.shape)
             if sel is None:
@@ -261,36 +300,47 @@ def gather_chunks(indices: np.ndarray, chunk_shape: Sequence[int],
                   dtype=None) -> np.ndarray:
     """Build chunk payloads from ``values`` (element box at ``origin``).
 
-    With ``staging=None`` a zero-filled ``(n, *chunk_shape)`` array is
-    allocated — pad regions (beyond the clipped box or outside
-    ``values``) stay zero, matching the historical write path.  Passing
+    With ``staging=None`` a fresh ``(n, *chunk_shape)`` array is
+    returned whose pad regions (beyond the clipped box or outside
+    ``values``) are zero, matching the historical write path.  Passing
     an existing ``staging`` overlays ``values`` onto it instead (the
     read-modify-write of partially covered chunks keeps the bytes read
     from the file).
     """
     n = indices.shape[0]
     cs = tuple(chunk_shape)
+    dtype = values.dtype if dtype is None else dtype
+    grid = _grid_map(indices) if _vectorized and n else None
+    if grid is not None:
+        g_lo, gshape, coords = grid
+        v = _exact_grid(values, g_lo, gshape, cs, element_bounds, origin)
+        if v is not None:
+            # every chunk lies whole inside ``values``: the fancy index
+            # is the payload array itself
+            SCATTER_STATS.note(True, n)
+            if staging is None:
+                return np.ascontiguousarray(v[coords], dtype=dtype)
+            staging[...] = v[coords]
+            return staging
     if staging is None:
-        staging = np.zeros((n, *cs), dtype=dtype or values.dtype)
+        staging = np.zeros((n, *cs), dtype=dtype)
     if n == 0:
         return staging
-    if _vectorized and n > 1 and staging[0].nbytes <= _DENSE_CHUNK_CUTOFF:
-        grid = _grid_map(indices)
-        if grid is not None:
-            g_lo, gshape, coords = grid
-            sel = _grid_selectors(g_lo, gshape, cs, element_bounds,
-                                  origin, values.shape)
-            if sel is not None:
-                tmp, v = _grid_scratch(gshape, cs, staging.dtype)
-                # seed the scratch grid with the existing payloads so
-                # un-overlaid bytes (pads, RMW data) survive the round
-                # trip bit-identically
-                v[coords] = staging
-                sel_tmp, sel_val = sel
-                tmp[sel_tmp] = values[sel_val]
-                staging[...] = v[coords]
-                SCATTER_STATS.note(True, n)
-                return staging
+    if grid is not None and n > 1 and staging[0].nbytes <= _DENSE_CHUNK_CUTOFF:
+        g_lo, gshape, coords = grid
+        sel = _grid_selectors(g_lo, gshape, cs, element_bounds,
+                              origin, values.shape)
+        if sel is not None:
+            tmp, v = _grid_scratch(gshape, cs, staging.dtype)
+            # seed the scratch grid with the existing payloads so
+            # un-overlaid bytes (pads, RMW data) survive the round
+            # trip bit-identically
+            v[coords] = staging
+            sel_tmp, sel_val = sel
+            tmp[sel_tmp] = values[sel_val]
+            staging[...] = v[coords]
+            SCATTER_STATS.note(True, n)
+            return staging
     _loop_gather(staging, indices, cs, element_bounds, values, origin)
     SCATTER_STATS.note(False, n)
     return staging

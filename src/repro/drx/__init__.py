@@ -23,7 +23,7 @@ from .codec import (
 )
 from .drxfile import DRXFile
 from .inspect import describe, load_meta, verify
-from .ioplan import IOPlan, Run, Visit, coalesce_addresses, plan_box, plan_slab
+from .ioplan import IOPlan, Run, Visit, plan_box, plan_slab
 from .memarray import MemExtendibleArray
 from .mpool import Mpool, MpoolStats
 from .resilience import (
@@ -69,7 +69,6 @@ __all__ = [
     "IOPlan",
     "Run",
     "Visit",
-    "coalesce_addresses",
     "plan_box",
     "plan_slab",
     "FaultPlan",

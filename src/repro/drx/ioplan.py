@@ -45,44 +45,15 @@ from itertools import product
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from ..core.chunking import AxisEntry, axis_rows
 from ..core.errors import DRXIndexError
 from ..core.extendible import ExtendibleChunkIndex
 from ..core.hyperslab import Hyperslab
 
-__all__ = ["Visit", "Run", "IOPlan", "PlanCache", "coalesce_addresses",
-           "plan_box", "plan_slab"]
+__all__ = ["Visit", "Run", "IOPlan", "PlanCache", "plan_box", "plan_slab"]
 
 #: A half-open byte extent ``(offset, length)``.
 Extent = tuple[int, int]
-
-
-def coalesce_addresses(addresses: np.ndarray | Sequence[int]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Group strictly increasing chunk addresses into contiguous runs.
-
-    Returns ``(starts, counts)``: run ``i`` covers addresses
-    ``starts[i] .. starts[i] + counts[i] - 1``.  Raises
-    :class:`DRXIndexError` when the input is not strictly increasing
-    (planners always sort and deduplicate first).
-    """
-    a = np.ascontiguousarray(addresses, dtype=np.int64)
-    if a.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    gaps = np.diff(a)
-    if np.any(gaps < 1):
-        raise DRXIndexError(
-            "addresses must be strictly increasing to coalesce"
-        )
-    breaks = np.empty(a.size, dtype=bool)
-    breaks[0] = True
-    breaks[1:] = gaps > 1
-    starts = a[breaks]
-    first = np.flatnonzero(breaks)
-    counts = np.diff(np.append(first, a.size))
-    return starts, counts.astype(np.int64)
 
 
 @dataclass(frozen=True, slots=True)

@@ -140,8 +140,9 @@ def _read(h: DRXMDHdl, chunk_indices: np.ndarray, lo, hi, order: str,
     # zero-filled: unwritten chunks (sparse/short reads) must read as 0
     staging = np.zeros((len(addrs), *meta.chunk_shape), dtype=meta.dtype)
     _transfer(h, addrs, staging, False, collective)
-    out = np.zeros(box_shape(lo, hi), dtype=meta.dtype, order=order)
+    # the chunks cover [lo, hi), so the scatter writes every element;
     # the kernel clips every chunk box against [lo, hi) in one batch
+    out = np.empty(box_shape(lo, hi), dtype=meta.dtype, order=order)
     scatter_chunks(staging, indices, meta.chunk_shape, meta.element_bounds,
                    out, lo)
     return out

@@ -24,9 +24,11 @@ stripe-aligned *file domains*, each owned by one *aggregator* rank
 point-to-point — O(total data) bytes, not the O(P x data) of a
 bulletin-board broadcast — so only aggregators ever touch the PFS.
 Payloads pass by reference (ranks are threads of one process), so a
-read's aggregator carves each rank's bytes straight into that rank's
-buffer, and a write's aggregator hands views into each rank's buffer
-straight to the PFS.
+read's aggregator hands the PFS views into each requesting rank's own
+buffer, and the servers copy every byte once, straight from their
+stores into the rank that asked for it; a write's aggregator hands
+views into each rank's buffer straight to the PFS.  Nothing is staged
+or carved on the aggregator.
 Phase B issues one large vectored request per aggregator per
 ``cb_buffer_size`` window, data-sieving hole-bearing windows.
 Overlapping collective writers are legal and resolved in rank order
@@ -41,8 +43,10 @@ the established serial-fallback-under-armed-faults rule to the fan-out.
 
 Both optimizations are one kernel: coalesce the requested extents into
 runs, merge runs across tolerable holes into covering groups, move the
-covering extents window by window, carve the requested bytes back out.
-Independent sieving is phase B with one source and one window.
+covering extents window by window.  A read names the requested pieces
+as sinks of the covering read, so the hole bytes it reads through are
+accounted but land nowhere.  Independent sieving is phase B with one
+source and one window.
 
 Steering comes from MPI-IO hints only (``info`` at ``File.Open`` /
 ``Set_info`` / ``Set_view``), resolved once into a
@@ -301,58 +305,42 @@ def _windows(groups: Iterable[Group], cap: int | None
         yield win
 
 
-def _carve(starts: list[int], blobs: list[memoryview],
-           pieces: Iterable[tuple[int, int, int]], dest) -> int:
-    """Copy each ``(offset, length, data_position)`` piece out of the
-    covering blobs (a piece may span several consecutive covering
-    extents) into ``dest[data_position:data_position+length]``.
-    Returns the bytes copied."""
-    moved = 0
-    for off, length, at in pieces:
-        end = off + length
-        i = bisect_right(starts, off) - 1
-        while off < end:
-            s = starts[i]
-            b = blobs[i]
-            take = min(end, s + len(b)) - off
-            dest[at:at + take] = b[off - s:off - s + take]
-            off += take
-            at += take
-            i += 1
-        moved += length
-    return moved
-
-
-def _read_groups(pfile: PFSFile, groups: list[Group], window: int | None,
-                 sieve_site: str | None = None
-                 ) -> tuple[list[int], list[memoryview], float]:
+def _read_into(pfile: PFSFile, groups: list[Group], window: int | None,
+                 sinks: list[tuple[int, Any]],
+                 sieve_site: str | None = None) -> float:
     """Read every group's covering extent, one vectored request per
-    window.  Returns the covering ``(starts, blobs)`` index for
-    :func:`_carve` (each blob a view into its window's reply) and the
-    summed simulated time; ``sieve_site`` names the crash point visited
-    before a hole-bearing window."""
-    starts: list[int] = []
-    blobs: list[memoryview] = []
+    window, the PFS copying the requested bytes straight into ``sinks``
+    — ``(offset, view)`` pairs, each inside one group (a piece never
+    straddles the run that covers it).  Hole bytes land nowhere.
+    Returns the summed simulated time; ``sieve_site`` names the crash
+    point visited before a hole-bearing window."""
+    wins = list(_windows(groups, window))
+    starts = [win[0][0] for win in wins]
+    per_win: list[list[tuple[int, Any]]] = [[] for _ in wins]
+    for sink in sinks:
+        per_win[bisect_right(starts, sink[0]) - 1].append(sink)
     io_t = 0.0
     after = 0
-    for win in _windows(groups, window):
+    for win, into in zip(wins, per_win):
         if sieve_site and any(g[2] for g in win):
             crash_point(sieve_site)
         covering = [(s, e - s) for s, e, *_ in win]
-        blob, t = pfile.readv(covering)
-        io_t += t
+        io_t += pfile.readv(covering, into)[1]
         after += len(covering)
-        view = memoryview(blob)
-        pos = 0
-        for s, n in covering:
-            starts.append(s)
-            blobs.append(view[pos:pos + n])
-            pos += n
     account(pfile,
             sieve_reads=sum(1 for g in groups if g[2]),
             wasted_bytes=sum((e - s) - u for s, e, _h, u, *_ in groups),
             requests_after=after)
-    return starts, blobs, io_t
+    return io_t
+
+
+def _sinks(pieces: Iterable[tuple[int, int, int]], dest
+           ) -> list[tuple[int, memoryview]]:
+    """The ``(offset, view)`` read sinks of ``(offset, length,
+    data_position)`` pieces: each a view of ``dest`` at its data
+    position."""
+    view = memoryview(dest).cast("B")
+    return [(off, view[at:at + n]) for off, n, at in pieces if n]
 
 
 def _write_groups(pfile: PFSFile,
@@ -421,16 +409,17 @@ def sieved_readv(pfile: PFSFile, extents: list[Extent],
 
     Falls through to a plain ``pfile.readv(extents)`` whenever sieving
     is disabled or no hole gets merged; otherwise issues one vectored
-    read of the covering extents and carves the pieces out in memory.
+    read of the covering extents whose sinks are the pieces' places in
+    the output, so the servers copy straight into it.
     """
     _runs, groups = _sieve_plan(extents, hints.romio_ds_read, hints,
                                 hints.ind_rd_buffer_size)
     if not any(g[2] for g in groups):
         return pfile.readv(extents)
-    starts, blobs, elapsed = _read_groups(pfile, groups, None)
-    account(pfile, requests_before=len(extents))
     out = bytearray(sum(n for _o, n in extents))
-    _carve(starts, blobs, _data_pieces(extents), out)
+    elapsed = _read_into(pfile, groups, None,
+                           _sinks(_data_pieces(extents), out))
+    account(pfile, requests_before=len(extents))
     return out, elapsed
 
 
@@ -524,9 +513,11 @@ def two_phase_read(comm, pfile: PFSFile, extents: list[Extent],
 
     Phase A ships ``dest`` itself with this rank's request to every
     aggregator (:meth:`Intracomm.exchange_p2p` passes payloads by
-    reference), and each aggregator carves the requested pieces
-    straight from its covering windows into it, answering with a bare
-    completion message.  ``exchange_bytes`` counts the bytes carved.
+    reference).  Each aggregator hands the requested pieces to
+    :meth:`PFSFile.readv` as sinks into it, so the servers fill ``dest``
+    directly and nothing is carved; the aggregator then answers with a
+    bare completion message.  ``exchange_bytes`` counts the bytes
+    delivered.
     ``dest`` is undefined when the collective fails: with several
     aggregators, one may have filled its part before another raised."""
     t0, meta = _agree(comm, pfile, extents, hints)
@@ -554,13 +545,14 @@ def two_phase_read(comm, pfile: PFSFile, extents: list[Extent],
                     for off, n, _p in incoming[src][0]]
             _runs, groups = _sieve_plan(flat, hints.romio_ds_read, hints,
                                         hints.cb_buffer_size)
-            starts, blobs, io_t = _read_groups(
+            io_t = _read_into(
                 pfile, groups, hints.cb_buffer_size,
+                [sink for src in range(comm.size)
+                 for sink in _sinks(*incoming[src])],
                 "server.kill.collective.sieve")
             account(pfile, io_time=io_t)
         account(pfile, exchange_bytes=sum(
-            _carve(starts, blobs, *incoming[src])
-            for src in range(comm.size)))
+            n for src in range(comm.size) for _o, n, _p in incoming[src][0]))
         done = dict.fromkeys(range(comm.size))
     # ``dest`` is complete once every aggregator has answered
     comm.exchange_p2p(done, aggs, TAG_DATA)

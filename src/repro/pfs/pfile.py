@@ -22,9 +22,15 @@ When the layout is a :class:`~repro.pfs.replication.ReplicaLayout` with
   writes reach the stale target directly (write-through) while the
   rebuild replays everything older from a partner copy.
 
-With ``replication == 1`` every operation takes the exact historical
-code path — identical bytes, identical stats — so the default
-configuration pays nothing for the failure tier.
+With ``replication == 1`` every operation skips the replica routing —
+identical bytes, identical stats — so the default configuration pays
+nothing for the failure tier.
+
+Reads deliver by reference.  :meth:`PFSFile.readv` is the one read
+body: each per-server request carries the caller's destination views,
+and the server copies its bytes straight from the store into them, so
+a byte is copied once, wherever it lands — a fresh packed buffer, or
+the requesting ranks' own buffers in a collective read.
 
 Two notions of time coexist and must not be conflated:
 
@@ -128,24 +134,45 @@ class PFSFile:
     # ------------------------------------------------------------------
     # vectored independent I/O
     # ------------------------------------------------------------------
-    def readv(self, extents: list[Extent]) -> tuple[bytes, float]:
-        """Read the given byte extents, concatenated in request order.
+    def readv(self, extents: list[Extent], into: list | None = None
+              ) -> tuple[bytearray | None, float]:
+        """Read the given byte extents; returns ``(data, elapsed)``.
 
-        Holes (extents past EOF) read as zeros.  Replicated layouts fail
-        over per stripe to the next live replica; when every replica of
-        a needed stripe is unreachable a :class:`ServerDownError`
-        escapes.
+        ``extents`` are what the servers service and account.  With
+        ``into=None`` they are packed back to back, in request order,
+        into one fresh buffer, which is ``data``.  Otherwise ``into`` is
+        a list of ``(offset, view)`` sinks lying inside ``extents``: the
+        servers copy the bytes of ``[offset, offset + len(view))``
+        straight into each writable ``view`` and ``data`` is ``None``.
+        Sinks may overlap, and they may leave holes: a hole is read and
+        accounted, but none of its bytes lands anywhere.
+
+        Bytes past EOF read as zeros.  Replicated layouts fail over per
+        stripe to the next live replica, the pieces taking their sinks
+        along; when every replica of a needed stripe is unreachable a
+        :class:`ServerDownError` escapes.
         """
         t0 = time.perf_counter()
         try:
             with self._lock:
-                if self.replication == 1:
-                    return self._readv_plain(extents)
-                return self._readv_replicated(extents)
+                return self._read(extents, into)
         finally:
             dt = time.perf_counter() - t0
             with self._lock:        # concurrent callers both account
                 self.wall_time += dt
+
+    def readv_copy(self, extents: list[Extent], copy: int
+                   ) -> tuple[bytearray, float]:
+        """Read the extents purely from replica copy ``copy`` — no
+        failover.  The CRC-arbitration hook: when checksums disagree,
+        the DRX layer asks each copy for its version of the bytes.
+        Raises if any server holding the copy is unreachable.
+        """
+        if not 0 <= copy < self.replication:
+            raise PFSError(
+                f"copy {copy} outside replication factor {self.replication}")
+        with self._lock:
+            return self._read(extents, None, copy)
 
     def _fan_out(self, nbatches: int):
         """``(submit, gather)`` for a fan-out of ``nbatches`` server
@@ -156,144 +183,105 @@ class PFSFile:
             return run_inline, gather
         return ex.submit, ex.gather
 
-    def _readv_plain(self, extents: list[Extent]) -> tuple[bytes, float]:
-        """The unreplicated read path: one batch per server, results
-        applied in server order."""
-        per_server = self.layout.split_extents(extents)
-        work = [(sid, reqs) for sid, reqs in enumerate(per_server) if reqs]
-        submit, join = self._fan_out(len(work))
-        results = join([submit(self.servers[sid].read_batch, self.name,
-                               [(srv_off, ln) for srv_off, _lo, ln in reqs])
-                        for sid, reqs in work])
-        pieces: dict[int, bytes] = {}
-        elapsed = 0.0
-        for (sid, reqs), (data, t) in zip(work, results):
-            elapsed = max(elapsed, t)
-            for (_srv_off, log_off, _ln), piece in zip(reqs, data):
-                pieces[log_off] = piece
-        out = self._assemble(extents, pieces)
-        self.io_time += elapsed
-        return out, elapsed
-
-    def _readv_replicated(self, extents: list[Extent]
-                          ) -> tuple[bytes, float]:
-        """Replica-aware read: route each stripe piece to its preferred
-        live copy, re-routing on server errors until data arrives or no
-        replica remains."""
-        crash_point("server.kill.readv.begin")
-        layout: ReplicaLayout = self.layout  # type: ignore[assignment]
+    def _read(self, extents: list[Extent], into: list | None,
+              copy: int | None = None) -> tuple[bytearray | None, float]:
+        """The one read body (see :meth:`readv`).  ``copy`` pins every
+        piece to that replica copy; ``None`` reads the primary of an
+        unreplicated file, and the preferred live copy, failing over,
+        of a replicated one.  Batches go out one per ``(server, copy)``
+        in server order, and a wave's failures make up the next wave."""
+        out = None
+        if into is None:
+            out = bytearray(sum(n for _o, n in extents))
+            into = _packed(extents, out)
+        failover = copy is None and self.replication > 1
+        if failover:
+            crash_point("server.kill.readv.begin")
+            queue = self._route(extents, into)
+        else:
+            queue = self._route_copy(extents, into, copy or 0)
         failed: set[int] = set()
-        pieces: dict[int, bytes] = {}
         elapsed_by_server: dict[int, float] = {}
-
-        # plan: route every stripe piece to a copy
-        batches: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for off, length in extents:
-            for _srv, srv_off, log_off, take in layout.split_extent(off,
-                                                                    length):
-                stripe = log_off // layout.stripe_size
-                choice = self._choose_copy(stripe, failed)
-                if choice is None:
-                    raise ServerDownError(
-                        f"file {self.name!r}: no live replica for stripe "
-                        f"{stripe}")
-                copy, sid = choice
-                if copy:
-                    self.rstats.degraded_reads += 1
-                batches.setdefault((sid, copy), []).append(
-                    (srv_off, log_off, take))
-
-        # dispatch the whole wave; failures fail over in server order
-        # and their re-routed pieces make up the next wave
-        queue = sorted(batches.items())
         while queue:
             wave, queue = queue, []
             submit, join = self._fan_out(len(wave))
             futs = []
-            for (sid, copy), reqs in wave:
-                crash_point("server.kill.readv.batch")
-                obj = replica_object_name(self.name, copy)
+            for (sid, cp), reqs in wave:
+                if failover:
+                    crash_point("server.kill.readv.batch")
                 futs.append(submit(
-                    self.servers[sid].read_batch, obj,
-                    [(srv_off, ln) for srv_off, _lo, ln in reqs]))
-            results = join(futs, return_exceptions=True)
-            for ((sid, copy), reqs), res in zip(wave, results):
-                if isinstance(res, PFSError):
+                    self.servers[sid].read_batch,
+                    replica_object_name(self.name, cp),
+                    [(srv_off, ln, sinks)
+                     for srv_off, _lo, ln, sinks in reqs]))
+            for ((sid, _cp), reqs), res in zip(
+                    wave, join(futs, return_exceptions=True)):
+                if failover and isinstance(res, PFSError):
                     # the server answered with an error (or a chaos hook
                     # just killed it): exclude it and re-route its pieces
-                    queue.extend(self._reroute_failed(sid, reqs, failed, res))
+                    failed.add(sid)
+                    self.rstats.failovers += 1
+                    queue.extend(self._assign(reqs, failed, res))
                 elif isinstance(res, BaseException):
                     raise res
                 else:
-                    data, t = res
                     elapsed_by_server[sid] = (
-                        elapsed_by_server.get(sid, 0.0) + t)
-                    for (_so, log_off, _ln), piece in zip(reqs, data):
-                        pieces[log_off] = piece
-
+                        elapsed_by_server.get(sid, 0.0) + res)
         elapsed = max(elapsed_by_server.values(), default=0.0)
-        out = self._assemble(extents, pieces)
         self.io_time += elapsed
         return out, elapsed
 
-    def _reroute_failed(self, sid: int, reqs: list[tuple[int, int, int]],
-                        failed: set[int], exc: PFSError
-                        ) -> list[tuple[tuple[int, int],
-                                        list[tuple[int, int, int]]]]:
-        """Route a failed server's pieces to the next live replica,
-        returning the sorted re-issued batches."""
+    def _route_copy(self, extents: list[Extent], into: list, copy: int
+                    ) -> list[tuple[tuple[int, int], list[list]]]:
+        """Every piece from copy ``copy``: one batch per server holding
+        a piece, in server order.  An unavailable server — down, or
+        stale until rebuilt — is refused up front, whatever the copy."""
+        if copy == 0:
+            per_server = self.layout.split_extents(extents)
+        else:
+            layout: ReplicaLayout = self.layout  # type: ignore[assignment]
+            per_server = layout.split_extents_copy(extents, copy)
+        work = [(sid, [[*p, []] for p in reqs])
+                for sid, reqs in enumerate(per_server) if reqs]
+        _attach([p for _sid, reqs in work for p in reqs], into)
+        for sid, _reqs in work:
+            if not self.servers[sid].available:
+                raise ServerDownError(
+                    f"file {self.name!r}: copy {copy} unreachable, "
+                    f"server {sid} unavailable")
+        return [((sid, copy), reqs) for sid, reqs in work]
+
+    def _route(self, extents: list[Extent], into: list
+               ) -> list[tuple[tuple[int, int], list[list]]]:
+        """The first wave of a failover read: every stripe piece, with
+        its sinks, routed to its preferred live copy."""
+        pieces = [[srv_off, log_off, take, []] for off, length in extents
+                  for _srv, srv_off, log_off, take in
+                  self.layout.split_extent(off, length)]
+        _attach(pieces, into)
+        return self._assign(pieces, set())
+
+    def _assign(self, pieces: list[list], failed: set[int],
+                cause: PFSError | None = None
+                ) -> list[tuple[tuple[int, int], list[list]]]:
+        """Route each piece, sinks and all, to its preferred live copy on
+        a server outside ``failed``: the sorted ``((server, copy),
+        pieces)`` batches.  The server-local offset is the same on every
+        copy."""
         layout: ReplicaLayout = self.layout  # type: ignore[assignment]
-        failed.add(sid)
-        self.rstats.failovers += 1
-        rerouted: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for srv_off, log_off, ln in reqs:
-            stripe = log_off // layout.stripe_size
+        batches: dict[tuple[int, int], list[list]] = {}
+        for piece in pieces:
+            stripe = piece[1] // layout.stripe_size
             choice = self._choose_copy(stripe, failed)
             if choice is None:
                 raise ServerDownError(
-                    f"file {self.name!r}: no live replica left for "
-                    f"stripe {stripe}") from exc
-            copy2, sid2 = choice
-            if copy2:
+                    f"file {self.name!r}: no live replica for stripe "
+                    f"{stripe}") from cause
+            copy, sid = choice
+            if copy:
                 self.rstats.degraded_reads += 1
-            rerouted.setdefault((sid2, copy2), []).append(
-                (srv_off, log_off, ln))
-        return sorted(rerouted.items())
-
-    def readv_copy(self, extents: list[Extent], copy: int
-                   ) -> tuple[bytes, float]:
-        """Read the extents purely from replica copy ``copy`` — no
-        failover.  The CRC-arbitration hook: when checksums disagree,
-        the DRX layer asks each copy for its version of the bytes.
-        Raises if any server holding the copy is unreachable.
-        """
-        if not 0 <= copy < self.replication:
-            raise PFSError(
-                f"copy {copy} outside replication factor {self.replication}")
-        with self._lock:
-            if copy == 0:
-                return self._readv_plain(extents)
-            layout: ReplicaLayout = self.layout  # type: ignore[assignment]
-            per_server = layout.split_extents_copy(extents, copy)
-            obj = replica_object_name(self.name, copy)
-            pieces: dict[int, bytes] = {}
-            elapsed = 0.0
-            for sid, reqs in enumerate(per_server):
-                if not reqs:
-                    continue
-                srv = self.servers[sid]
-                if not srv.available:
-                    raise ServerDownError(
-                        f"file {self.name!r}: copy {copy} unreachable, "
-                        f"server {sid} unavailable")
-                data, t = srv.read_batch(
-                    obj, [(srv_off, ln) for srv_off, _lo, ln in reqs])
-                elapsed = max(elapsed, t)
-                for (_srv_off, log_off, _ln), piece in zip(reqs, data):
-                    pieces[log_off] = piece
-            out = self._assemble(extents, pieces)
-            self.io_time += elapsed
-            return out, elapsed
+            batches.setdefault((sid, copy), []).append(piece)
+        return sorted(batches.items())
 
     def writev(self, extents: list[Extent], data) -> float:
         """Write ``data`` into the given byte extents, in order.
@@ -461,8 +449,7 @@ class PFSFile:
                 elapsed = max(elapsed,
                               self._write(direct[0], _Pieces(direct[1])))
             for cover_off, cover_len, pieces in rmw:
-                blob, t_r = self.readv([(cover_off, cover_len)])
-                buf = bytearray(blob)
+                buf, t_r = self.readv([(cover_off, cover_len)])
                 for off, data in pieces:
                     at = off - cover_off
                     buf[at:at + len(data)] = data
@@ -494,20 +481,6 @@ class PFSFile:
             if fallback is None:
                 fallback = (copy, sid)
         return fallback
-
-    @staticmethod
-    def _assemble(extents: list[Extent],
-                  pieces: dict[int, bytes]) -> bytes:
-        """Concatenate stripe pieces back into request order."""
-        order: list[bytes] = []
-        for off, length in extents:
-            pos = off
-            end = off + length
-            while pos < end:
-                piece = pieces[pos]
-                order.append(piece)
-                pos += len(piece)
-        return b"".join(order)
 
     # ------------------------------------------------------------------
     # online rebuild / verification
@@ -574,13 +547,14 @@ class PFSFile:
                             f"live partner copy")
                     src_copy, src_sid = src
                     src_obj = replica_object_name(self.name, src_copy)
+                    data = bytearray(take)
                     try:
-                        data, t_r = self.servers[src_sid].read_batch(
-                            src_obj, [(pos, take)])
+                        t_r = self.servers[src_sid].read_batch(
+                            src_obj, [(pos, take, [(0, memoryview(data))])])
                     except PFSError:
                         failed.add(src_sid)
                         continue
-                    t_w = target.write_batch(obj, [(pos, data[0])])
+                    t_w = target.write_batch(obj, [(pos, data)])
                 self.rstats.rebuild_bytes += take
                 pos += take
                 yield t_r + t_w
@@ -672,6 +646,43 @@ class PFSFile:
 
     def write(self, offset: int, data: bytes) -> None:
         self.writev([(offset, len(data))], data)
+
+
+def _packed(extents: list[Extent], out: bytearray
+            ) -> list[tuple[int, memoryview]]:
+    """Sinks packing ``extents`` back to back, in request order, into
+    ``out``."""
+    view = memoryview(out)
+    sinks = []
+    pos = 0
+    for off, n in extents:
+        sinks.append((off, view[pos:pos + n]))
+        pos += n
+    return sinks
+
+
+def _attach(pieces: list[list], into: list) -> None:
+    """Give each ``[srv_off, log_off, length, sinks]`` piece the parts
+    of the ``(offset, view)`` sinks it covers, as ``(position in the
+    piece, view)`` pairs appended to its ``sinks``.  One sweep over both
+    sorted by offset; sinks may overlap each other and the pieces."""
+    views = ((off, memoryview(view).cast("B")) for off, view in into)
+    order = sorted(((off, view) for off, view in views if len(view)),
+                   key=lambda sink: sink[0])
+    active: list[tuple[int, int, memoryview]] = []
+    j = 0
+    for piece in sorted(pieces, key=lambda p: p[1]):
+        lo, hi = piece[1], piece[1] + piece[2]
+        while j < len(order) and order[j][0] < hi:
+            off, view = order[j]
+            active.append((off, off + len(view), view))
+            j += 1
+        active = [a for a in active if a[1] > lo]
+        for start, end, view in active:
+            if start < hi:
+                a = max(lo, start)
+                piece[3].append((a - lo,
+                                 view[a - start:min(hi, end) - start]))
 
 
 def _land(srv: IOServer, obj: str, batch: list) -> tuple[float, bool]:

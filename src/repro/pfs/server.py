@@ -163,35 +163,42 @@ class IOServer:
     # ------------------------------------------------------------------
     # request batches
     # ------------------------------------------------------------------
-    def read_batch(self, name: str,
-                   requests: list[tuple[int, int]]) -> tuple[list[bytes], float]:
-        """Service an ordered batch of ``(offset, length)`` reads.
+    def read_batch(self, name: str, requests: list) -> float:
+        """Service an ordered batch of ``(offset, length, sinks)`` reads.
 
-        Returns the data pieces and the simulated service time of the
-        batch on this server.
+        Each request is accounted as one ``length``-byte read, whatever
+        its sinks.  ``sinks`` are the ``(position, view)`` destinations
+        the request fills: ``view`` receives the object bytes from
+        ``offset + position`` on, straight from the store, and reads as
+        zeros past the written end.  Bytes of a request no sink covers
+        are accounted and dropped (the holes a sieved read reads
+        through).  Returns the simulated service time of the batch.
         """
         with self._lock:
             self._touch("read")
             store = self._require(name)
-            out: list[bytes] = []
             elapsed = 0.0
             head = self._head[name]
+            written = len(store)
             # released on exit, so the object can grow again
             with memoryview(store) as view:
-                for off, length in requests:
+                for off, length, sinks in requests:
                     seek = off != head
-                    end = off + length
-                    # one copy; past the written end reads as zeros
-                    out.append(bytes(view[off:end]).ljust(length, b"\x00"))
+                    for at, dest in sinks:
+                        lo = off + at
+                        got = max(0, min(len(dest), written - lo))
+                        dest[:got] = view[lo:lo + got]
+                        if got < len(dest):
+                            _zero(dest, got)
                     elapsed += self.cost_model.request_time(length, seek)
                     self.stats.read_requests += 1
                     self.stats.bytes_read += length
                     if seek:
                         self.stats.seeks += 1
-                    head = end
+                    head = off + length
             self._head[name] = head
             self.stats.busy_time += elapsed
-            return out, elapsed
+            return elapsed
 
     def write_batch(self, name: str,
                     requests: list[tuple[int, bytes]]) -> float:
@@ -205,9 +212,7 @@ class IOServer:
                 length = len(data)
                 seek = off != head
                 end = off + length
-                if end > len(store):
-                    store.extend(b"\x00" * (end - len(store)))
-                store[off:end] = data
+                _put(store, off, data)
                 elapsed += self.cost_model.request_time(length, seek)
                 self.stats.write_requests += 1
                 self.stats.bytes_written += length
@@ -247,10 +252,7 @@ class IOServer:
             if store is None:
                 raise PFSError(
                     f"server {self.server_id}: no object {name!r}")
-            end = offset + len(data)
-            if end > len(store):
-                store.extend(b"\x00" * (end - len(store)))
-            store[offset:end] = data
+            _put(store, offset, data)
 
     def corrupt(self, name: str, offset: int, data: bytes) -> None:
         """Silently overwrite object bytes (torn-write simulation for
@@ -272,3 +274,24 @@ class IOServer:
                  "stale" if self.alive else "down")
         return (f"IOServer(id={self.server_id}, {state}, "
                 f"objects={len(self._objects)}, {self.stats})")
+
+
+#: the zeros a read past the written end is filled from
+_ZEROS = memoryview(bytes(1 << 16))
+
+
+def _zero(dest: memoryview, start: int) -> None:
+    """Zero ``dest[start:]``."""
+    end = len(dest)
+    while start < end:
+        step = min(end - start, len(_ZEROS))
+        dest[start:start + step] = _ZEROS[:step]
+        start += step
+
+
+def _put(store: bytearray, off: int, data) -> None:
+    """Store ``data`` at ``off``: zeros fill a gap past the end, and
+    bytes past the end are appended by the slice assignment itself."""
+    if off > len(store):
+        store.extend(bytes(off - len(store)))
+    store[off:off + len(data)] = data

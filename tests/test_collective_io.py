@@ -754,6 +754,87 @@ class TestWriteByReference:
 # helpers and stats
 # ---------------------------------------------------------------------------
 
+class TestReadByReference:
+    """Phase B hands the PFS views into the requesters' own buffers:
+    each byte is copied once, from the server store into the rank that
+    asked for it."""
+
+    def test_read_allocates_no_copy(self):
+        """A 2-rank read of 8 MiB per rank grows the traced peak by less
+        than 1 MiB beyond the callers' buffers: no stripe pieces, window
+        joins or staging blobs."""
+        n = 8 << 20
+        fs = make_fs()
+        payload = np.arange(2 * n // 8, dtype=np.int64).view(np.uint8)
+        fs.create("f").write(0, payload)
+        bufs = [np.zeros(n, dtype=np.uint8) for _rank in range(2)]
+
+        def body(comm):
+            fh = mpi.File.Open(comm, "f", mpi.MODE_RDONLY, fs)
+            fh.Read_at_all(comm.rank * n, bufs[comm.rank])
+            fh.Close()
+            return True
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert all(run(2, body))
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert growth < 1 << 20, f"peak grew by {growth} bytes"
+        assert bufs[0].tobytes() + bufs[1].tobytes() == payload.tobytes()
+
+    def test_overlapping_requesters(self):
+        """Two ranks read the same extent: both buffers fill from one
+        covering request."""
+        fs = make_fs(stripe=512)
+        base = bytes((11 * i + 7) % 256 for i in range(4096))
+        fs.create("f").write(0, base)
+        fs.reset_stats()
+
+        def body(comm):
+            fh = mpi.File.Open(comm, "f", mpi.MODE_RDONLY, fs)
+            buf = bytearray(1500)
+            fh.Read_at_all(1000 + 100 * comm.rank, buf)
+            fh.Close()
+            return bytes(buf)
+
+        assert run(2, body) == [base[1000:2500], base[1100:2600]]
+        assert fs.total_stats().bytes_read == 1600
+        assert fs.collective_stats().exchange_bytes == 3000
+
+    def test_sieved_window_with_holes(self):
+        """Rank r reads 64-byte blocks at ``256 i + 64 r``: one covering
+        read spans the 128-byte holes, whose bytes land in no buffer,
+        and the sieving counters are those of the carving engine."""
+        fs = make_fs(stripe=512)
+        base = bytes((29 * i + 3) % 251 for i in range(4096))
+        fs.create("f").write(0, base)
+        fs.reset_stats()
+
+        def body(comm):
+            blk = mpi.BYTE.Create_contiguous(64)
+            view = blk.Create_indexed(
+                [1] * 8, [4 * i + comm.rank for i in range(8)]).Commit()
+            fh = mpi.File.Open(comm, "f", mpi.MODE_RDONLY, fs)
+            fh.Set_view(0, mpi.BYTE, view)
+            buf = bytearray(512)
+            fh.Read_at_all(0, buf)
+            fh.Close()
+            return bytes(buf)
+
+        for rank, got in enumerate(run(2, body)):
+            assert got == b"".join(base[256 * i + 64 * rank:][:64]
+                                   for i in range(8))
+        cs = fs.collective_stats()
+        assert (cs.sieve_reads, cs.wasted_bytes) == (1, 896)
+        assert (cs.requests_before, cs.requests_after) == (16, 1)
+        assert cs.exchange_bytes == 1024
+        st = fs.total_stats()
+        assert (st.read_requests, st.bytes_read) == (4, 1920)
+
+
 class TestPlumbing:
     def test_check_write_extents(self):
         _check_write_extents([(0, 4), (8, 4)], b"12345678")

@@ -25,7 +25,6 @@ from repro.drx import DRXFile, DRXSingleFile, MemExtendibleArray, Mpool
 from repro.drx.ioplan import (
     IOPlan,
     Visit,
-    coalesce_addresses,
     plan_box,
     plan_slab,
 )
@@ -62,35 +61,9 @@ class RecordingStore(MemoryByteStore):
 
 
 # ----------------------------------------------------------------------
-# coalesce_addresses / IOPlan
+# IOPlan
 # ----------------------------------------------------------------------
 class TestCoalesce:
-    def test_single_run(self):
-        starts, counts = coalesce_addresses([3, 4, 5, 6])
-        assert starts.tolist() == [3]
-        assert counts.tolist() == [4]
-
-    def test_multiple_runs(self):
-        starts, counts = coalesce_addresses([0, 1, 4, 5, 6, 9])
-        assert starts.tolist() == [0, 4, 9]
-        assert counts.tolist() == [2, 3, 1]
-
-    def test_empty(self):
-        starts, counts = coalesce_addresses([])
-        assert starts.size == 0 and counts.size == 0
-
-    def test_singleton(self):
-        starts, counts = coalesce_addresses([7])
-        assert starts.tolist() == [7] and counts.tolist() == [1]
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(DRXIndexError):
-            coalesce_addresses([2, 1])
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(DRXIndexError):
-            coalesce_addresses([1, 1, 2])
-
     def test_ioplan_runs_and_extents(self):
         visits = [
             Visit(a, (slice(None),), (slice(None),), True)

@@ -462,14 +462,18 @@ class TestIOServerHook:
         srv = IOServer(0, fault_plan=plan)
         srv.create_object("x")
         srv.write_batch("x", [(0, b"abc")])
+        out = bytearray(3)
+        read = [(0, 3, [(0, memoryview(out))])]
         with pytest.raises(PFSError):
-            srv.read_batch("x", [(0, 3)])
-        out, _t = srv.read_batch("x", [(0, 3)])
-        assert out == [b"abc"]
+            srv.read_batch("x", read)
+        srv.read_batch("x", read)
+        assert out == b"abc"
         plan.fail("server.write", times=1)
         with pytest.raises(PFSError):
             srv.write_batch("x", [(0, b"zzz")])
-        assert srv.read_batch("x", [(0, 3)])[0] == [b"abc"]
+        out[:] = b"???"
+        srv.read_batch("x", read)
+        assert out == b"abc"
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,21 @@ class TestArbitration:
         # stripe 0: copy 0 lives on dead server 0, copy 1 on server 1
         assert store.read_alternates(0, 64) == [pattern(200)[:64]]
 
+    def test_stale_primary_is_no_alternate(self):
+        """A revived, not yet rebuilt server missed a write: its primary
+        copy is refused like any other copy on it, so arbitration only
+        sees the current bytes."""
+        fs = make_fs(nservers=3, stripe=64, replication=2)
+        f = fs.create("a")
+        store = PFSByteStore(f)
+        f.write(0, b"A" * 384)
+        fs.kill_server(0)
+        f.write(0, b"B" * 384)
+        fs.revive_server(0)
+        with pytest.raises(ServerDownError):
+            f.readv_copy([(0, 64)], 0)
+        assert store.read_alternates(0, 64) == [b"B" * 64]
+
     def test_unreplicated_store_has_no_alternates(self):
         fs = make_fs(replication=1)
         store = PFSByteStore(fs.create("a"))

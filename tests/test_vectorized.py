@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.errors import DRXFileError
 from repro.core.executor import reset_default_executors
+from repro.core import scatter as scatter_mod
 from repro.core.metadata import DRXMeta
 from repro.core.scatter import (
     SCATTER_STATS,
@@ -155,18 +156,107 @@ class TestScatterGatherIdentity:
         assert after.dense_ops == before.dense_ops + 1
         assert after.chunks_moved == before.chunks_moved + 16
 
-    def test_large_chunks_use_loop(self, vec_state):
-        """Above the cutoff memmove dominates: the loop path wins and
-        must be the one taken even with vectorization on."""
+    def test_large_clipped_chunks_use_loop(self, vec_state):
+        """Above the cutoff, a grid whose edge chunks are clipped does
+        not tile the box, and the scratch copy costs more than the loop
+        saves: the loop serves it, bit-identical to the scalar path."""
         chunk = (32, 32)
         assert np.prod(chunk) * 8 > _DENSE_CHUNK_CUTOFF
         indices = self._grid_indices((2, 2))
-        staging = np.zeros((4, *chunk))
-        out = np.zeros((64, 64))
+        staging = np.random.default_rng(5).random((4, *chunk))
+
+        def run():
+            out = np.zeros((50, 50))
+            scatter_chunks(staging, indices, chunk, (50, 50), out, (0, 0))
+            return out
+
         before = SCATTER_STATS.snapshot()
-        scatter_chunks(staging, indices, chunk, (64, 64), out, (0, 0))
+        vec, scalar = _both_paths(run)
         after = SCATTER_STATS.snapshot()
+        assert after.fallback_ops == before.fallback_ops + 2
+        assert after.dense_ops == before.dense_ops
+        assert vec.tobytes() == scalar.tobytes()
+
+
+class TestExactGrid:
+    """A chunk grid that tiles the destination box exactly scatters and
+    gathers through a strided view of the caller's array itself: one
+    fancy-index assignment, no scratch grid, at any chunk size."""
+
+    CASES = [((4, 4), (3, 5), (1, 2)),          # 128 B chunks
+             ((32, 32), (2, 3), (2, 1)),        # 8 KiB chunks
+             ((4, 4, 2), (2, 3, 2), (1, 0, 3))]  # rank 3
+
+    @pytest.fixture
+    def no_scratch(self, vec_state, monkeypatch):
+        def refuse(*_a, **_k):
+            raise AssertionError("exact grid built a scratch array")
+        monkeypatch.setattr("repro.core.scatter._grid_scratch", refuse)
+
+    @staticmethod
+    def _case(chunk, gshape, g_lo):
+        grid = np.stack(np.meshgrid(*[np.arange(g) for g in gshape],
+                                    indexing="ij"),
+                        axis=-1).reshape(-1, len(gshape))
+        # file order is not grid order: shuffle the plan
+        indices = np.random.default_rng(1).permutation(grid) + g_lo
+        origin = tuple(l * c for l, c in zip(g_lo, chunk))
+        box = tuple(g * c for g, c in zip(gshape, chunk))
+        bounds = tuple(o + b + c for o, b, c in zip(origin, box, chunk))
+        return indices, origin, box, bounds
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("chunk,gshape,g_lo", CASES)
+    def test_scatter(self, no_scratch, order, chunk, gshape, g_lo):
+        indices, origin, box, bounds = self._case(chunk, gshape, g_lo)
+        staging = np.random.default_rng(2).random((len(indices), *chunk))
+
+        def run():
+            out = np.zeros(box, order=order)
+            scatter_chunks(staging, indices, chunk, bounds, out, origin)
+            return out
+
+        before = SCATTER_STATS.snapshot()
+        vec, scalar = _both_paths(run)
+        after = SCATTER_STATS.snapshot()
+        assert after.dense_ops == before.dense_ops + 1
         assert after.fallback_ops == before.fallback_ops + 1
+        assert vec.flags[f"{order}_CONTIGUOUS"]
+        assert vec.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("chunk,gshape,g_lo", CASES)
+    def test_gather(self, no_scratch, order, chunk, gshape, g_lo):
+        indices, origin, box, bounds = self._case(chunk, gshape, g_lo)
+        values = np.asarray(np.random.default_rng(3).random(box),
+                            order=order)
+        fresh, fresh_scalar = _both_paths(lambda: gather_chunks(
+            indices, chunk, bounds, values, origin))
+        assert fresh.flags["C_CONTIGUOUS"]
+        assert fresh.shape == (len(indices), *chunk)
+        assert fresh.tobytes() == fresh_scalar.tobytes()
+        seed = np.random.default_rng(4).random((len(indices), *chunk))
+
+        def overlay():
+            staging = seed.copy()
+            gather_chunks(indices, chunk, bounds, values, origin,
+                          staging=staging)
+            return staging
+
+        vec, scalar = _both_paths(overlay)
+        assert vec.tobytes() == scalar.tobytes() == fresh.tobytes()
+
+    def test_off_grid_origin_is_not_exact(self, vec_state, monkeypatch):
+        """A box that starts inside a chunk keeps the scratch path."""
+        indices, _origin, _box, bounds = self._case((4, 4), (2, 2), (0, 0))
+        called = []
+        real = scatter_mod._grid_scratch
+        monkeypatch.setattr(scatter_mod, "_grid_scratch",
+                            lambda *a: called.append(1) or real(*a))
+        staging = np.ones((4, 4, 4))
+        out = np.zeros((7, 7))
+        scatter_chunks(staging, indices, (4, 4), bounds, out, (1, 1))
+        assert called and out.all()
 
 
 # ---------------------------------------------------------------------------
