@@ -11,9 +11,7 @@ bounded thread pool with
 * ``submit`` / ``gather`` primitives used by the three wired layers
   (:class:`~repro.pfs.pfile.PFSFile` per-server dispatch,
   :class:`~repro.drx.mpool.Mpool` read-ahead and write-behind,
-  :class:`~repro.drx.chunkstore.ChunkStore` codec fan-out),
-* *keyed* in-flight futures so two requests for the same extent share one
-  physical transfer instead of issuing it twice, and
+  :class:`~repro.drx.chunkstore.ChunkStore` codec fan-out), and
 * per-executor stats: in-flight high-water mark, summed task time, and
   the time callers spent blocked waiting on results.
 
@@ -108,7 +106,6 @@ class ExecutorStats:
     submitted: int = 0        #: tasks handed to the pool
     completed: int = 0        #: tasks that finished cleanly
     failed: int = 0           #: tasks that raised
-    dedup_hits: int = 0       #: submits served by an in-flight keyed future
     inflight_hw: int = 0      #: high-water mark of concurrently pending tasks
     #: summed task execution time (seconds of work performed)
     busy_time: float = 0.0
@@ -132,18 +129,16 @@ class IOExecutor:
             max_workers=self.threads, thread_name_prefix=f"drx-{name}")
         self._lock = threading.Lock()
         self._inflight = 0
-        #: key -> in-flight future (dedup of identical extents)
-        self._keyed: dict[object, Future] = {}
 
     # ------------------------------------------------------------------
-    def submit(self, fn: Callable, /, *args, key: object = None,
-               **kwargs) -> Future:
+    def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
         """Schedule ``fn(*args, **kwargs)``; return its future.
 
-        With ``key`` set, an in-flight future previously submitted under
-        the same key is returned instead of issuing the work twice — the
-        dedup that lets a demand read adopt a read-ahead already on the
-        wire.  The key is released when the future completes.
+        Every call is a new task: the executor keeps no record of what
+        its tasks read or write.  A caller that must not issue the same
+        transfer twice tracks its own in-flight work (the
+        :class:`~repro.drx.mpool.Mpool` does, in its read-ahead and
+        write-behind tables).
 
         While a fault plan is armed the task runs here, on the caller's
         thread, and the future comes back settled: fault schedules are
@@ -154,11 +149,6 @@ class IOExecutor:
         pool.
         """
         with self._lock:
-            if key is not None:
-                prior = self._keyed.get(key)
-                if prior is not None and not prior.done():
-                    self.stats.dedup_hits += 1
-                    return prior
             self.stats.submitted += 1
             self._inflight += 1
             self.stats.inflight_hw = max(self.stats.inflight_hw,
@@ -172,15 +162,13 @@ class IOExecutor:
                 with self._lock:
                     self.stats.busy_time += time.perf_counter() - t0
 
-        def done(f: Future, key=key) -> None:
+        def done(f: Future) -> None:
             with self._lock:
                 self._inflight -= 1
                 if f.cancelled() or f.exception() is not None:
                     self.stats.failed += 1
                 else:
                     self.stats.completed += 1
-                if key is not None and self._keyed.get(key) is f:
-                    del self._keyed[key]
 
         if faultsites.any_active():
             fut = Future()
@@ -189,10 +177,6 @@ class IOExecutor:
             return fut
         fut = self._pool.submit(run)
         fut.add_done_callback(done)
-        if key is not None:
-            with self._lock:
-                if not fut.done():
-                    self._keyed[key] = fut
         return fut
 
     def result(self, fut: Future):

@@ -21,7 +21,7 @@ from .codec import (
     default_codec_name,
     get_codec,
 )
-from .drxfile import DRXFile
+from .drxfile import DRXFile, repackage
 from .inspect import describe, load_meta, verify
 from .ioplan import IOPlan, Run, Visit, plan_box, plan_slab
 from .memarray import MemExtendibleArray
@@ -46,6 +46,7 @@ from .storage import (
 
 __all__ = [
     "DRXFile",
+    "repackage",
     "Codec",
     "CodecStats",
     "get_codec",

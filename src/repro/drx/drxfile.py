@@ -39,7 +39,6 @@ array.  Nothing in this module knows which codec an array uses.
 
 from __future__ import annotations
 
-import os
 import pathlib
 from typing import Callable, Sequence
 
@@ -64,7 +63,7 @@ from .mpool import Mpool
 from .resilience import ScrubReport
 from .storage import ByteStore, MemoryByteStore, PFSByteStore, PosixByteStore
 
-__all__ = ["DRXFile"]
+__all__ = ["DRXFile", "repackage"]
 
 #: Hook wrapping each backing store at create/open time — receives the
 #: store and its role (``"data"`` or ``"meta"``), returns the store to
@@ -97,9 +96,7 @@ class DRXFile:
     def __init__(self, meta: DRXMeta, data_store: ByteStore,
                  meta_store: ByteStore | None, writable: bool,
                  cache_pages: int = 64,
-                 executor: "IOExecutor | None | str" = "auto",
-                 readahead: int | None = None,
-                 tune: str | None = None) -> None:
+                 executor: "IOExecutor | None | str" = "auto") -> None:
         self.meta = meta
         self._meta_store = meta_store
         self._writable = writable
@@ -107,12 +104,6 @@ class DRXFile:
         # ``"auto"`` = the process-wide ``drx``-tier pool sized by
         # ``DRX_EXECUTOR_THREADS``.
         self._executor = resolve_executor(executor, tier="drx")
-        #: the advisor's report when ``tune="auto"`` was requested
-        self.tuning_advice = None
-        self._owned_executor: "IOExecutor | None" = None
-        self._check_options(tune=tune)
-        if tune == "auto":
-            readahead = self._auto_tune(data_store, executor, readahead)
         # The one chunk store over the (decorated) data store: placement,
         # codec and checksums as the meta-data says.  A compressed
         # array's codec work is split across the dedicated ``codec``
@@ -123,9 +114,7 @@ class DRXFile:
         self._store = ChunkStore.for_meta(
             meta, data_store, offload=self._executor is not None)
         self._pool = Mpool(self._store, max_pages=max(1, cache_pages),
-                           executor=self._executor,
-                           readahead=8 if readahead is None
-                           else max(0, int(readahead)))
+                           executor=self._executor)
         # compiled-request memo: generation-keyed, so extend() (which
         # bumps eci.generation) invalidates it for free; hit/miss
         # counters land in the data store's StoreStats.
@@ -138,56 +127,11 @@ class DRXFile:
         self._commit_epoch = 0
         self._commit_hooks: list[Callable[[int], None]] = []
 
-    def _auto_tune(self, data_store: ByteStore,
-                   executor: "IOExecutor | None | str",
-                   readahead: int | None) -> int | None:
-        """``tune="auto"``: price the default scan workload and apply
-        the runtime-adjustable knobs.
-
-        The read-ahead window is taken from the advice unless the
-        caller pinned one; the executor width is upgraded only when the
-        caller asked for ``"auto"`` *and* ``DRX_EXECUTOR_THREADS`` is
-        unset (an explicit environment choice always wins — it is how
-        the test matrix forces the exact historical serial paths).
-        Creation-time knobs (chunk shape, stripe, codec) cannot change
-        on a live handle; they stay visible in :attr:`tuning_advice`.
-        """
-        from ..tuning.advisor import Workload, advise, pfs_geometry
-        stripe, nservers = pfs_geometry(data_store)
-        w = Workload(
-            bounds=self.meta.element_bounds,
-            chunk_shape=self.meta.chunk_shape, dtype=self.meta.dtype,
-            stripe_size=stripe, nservers=nservers)
-        cur_threads = getattr(self._executor, "threads", 0) \
-            if self._executor is not None else 0
-        advice = advise(w, current={
-            "codec": self.meta.codec,
-            "executor_threads": cur_threads,
-            "readahead": 8 if readahead is None else int(readahead),
-        })
-        self.tuning_advice = advice
-        threads = advice.chosen("executor_threads")
-        if (executor == "auto" and os.environ.get("DRX_EXECUTOR_THREADS")
-                is None and self._executor is not None
-                and threads != cur_threads and threads > 0):
-            self._owned_executor = IOExecutor(threads, name="drx-tuned")
-            self._executor = self._owned_executor
-        if readahead is None:
-            readahead = int(advice.chosen("readahead"))
-        return readahead
-
     # ------------------------------------------------------------------
     # lifecycle: each public constructor only resolves its raw backing
     # stores (POSIX pair, memory, PFS pair); one create body / one open
     # body does the rest
     # ------------------------------------------------------------------
-    @classmethod
-    def _check_options(cls, tune: str | None = None, **_handle) -> None:
-        """Reject bad handle options; the create body calls this before
-        any store is opened, so a typo cannot truncate an array."""
-        if tune not in (None, "", "off", "auto"):
-            raise DRXFileError(f"tune must be 'auto' or None, got {tune!r}")
-
     @classmethod
     def _mount(cls, meta: DRXMeta, data: ByteStore,
                meta_store: ByteStore | None,
@@ -214,7 +158,6 @@ class DRXFile:
         meta.codec = get_codec(codec, meta.dtype.itemsize).name
         if checksums:
             meta.chunk_crcs = {}
-        cls._check_options(**handle)
         data, meta_store, discard = place()
         try:
             obj = cls._mount(meta, data, meta_store, store_wrapper,
@@ -265,9 +208,7 @@ class DRXFile:
                fill: float | int | complex = 0,
                checksums: bool = False, codec: str = "none",
                store_wrapper: StoreWrapper | None = None,
-               executor: "IOExecutor | None | str" = "auto",
-               readahead: int | None = None,
-               tune: str | None = None) -> "DRXFile":
+               executor: "IOExecutor | None | str" = "auto") -> "DRXFile":
         """Create a new extendible array file.
 
         ``path`` is the array name without suffix (``None`` creates a
@@ -292,16 +233,13 @@ class DRXFile:
                 lambda: (xmd.unlink(), xta.unlink())
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
                            codec, fill, store_wrapper,
-                           cache_pages=cache_pages, executor=executor,
-                           readahead=readahead, tune=tune)
+                           cache_pages=cache_pages, executor=executor)
 
     @classmethod
     def open(cls, path: str | pathlib.Path, mode: str = "r",
              cache_pages: int = 64,
              store_wrapper: StoreWrapper | None = None,
-             executor: "IOExecutor | None | str" = "auto",
-             readahead: int | None = None,
-             tune: str | None = None) -> "DRXFile":
+             executor: "IOExecutor | None | str" = "auto") -> "DRXFile":
         """Open an existing array file (``mode`` is ``"r"`` or ``"r+"``).
 
         The paper: "The file must exist otherwise it returns an error."
@@ -317,8 +255,7 @@ class DRXFile:
             meta_store = PosixByteStore(xmd, mode)
             return meta, PosixByteStore(xta, mode), meta_store
         return cls._open(mode, resolve, store_wrapper,
-                         cache_pages=cache_pages, executor=executor,
-                         readahead=readahead, tune=tune)
+                         cache_pages=cache_pages, executor=executor)
 
     @classmethod
     def create_pfs(cls, fs, name: str,
@@ -327,9 +264,7 @@ class DRXFile:
                    cache_pages: int = 64, fill: float | int | complex = 0,
                    checksums: bool = False, codec: str = "none",
                    store_wrapper: StoreWrapper | None = None,
-                   executor: "IOExecutor | None | str" = "auto",
-                   readahead: int | None = None,
-                   tune: str | None = None) -> "DRXFile":
+                   executor: "IOExecutor | None | str" = "auto") -> "DRXFile":
         """Create an array backed by a simulated parallel file system.
 
         The ``.xmd`` / ``.xta`` pair becomes two striped PFS files in
@@ -348,16 +283,13 @@ class DRXFile:
                 lambda: (fs.delete(xmd), fs.delete(xta))
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
                            codec, fill, store_wrapper,
-                           cache_pages=cache_pages, executor=executor,
-                           readahead=readahead, tune=tune)
+                           cache_pages=cache_pages, executor=executor)
 
     @classmethod
     def open_pfs(cls, fs, name: str, mode: str = "r",
                  cache_pages: int = 64,
                  store_wrapper: StoreWrapper | None = None,
-                 executor: "IOExecutor | None | str" = "auto",
-                 readahead: int | None = None,
-                 tune: str | None = None) -> "DRXFile":
+                 executor: "IOExecutor | None | str" = "auto") -> "DRXFile":
         """Open a PFS-backed array created by :meth:`create_pfs`."""
         def resolve():
             xmd = fs.open(name + cls.XMD_SUFFIX)
@@ -365,8 +297,7 @@ class DRXFile:
             return meta, PFSByteStore(fs.open(name + cls.XTA_SUFFIX)), \
                 PFSByteStore(xmd)
         return cls._open(mode, resolve, store_wrapper,
-                         cache_pages=cache_pages, executor=executor,
-                         readahead=readahead, tune=tune)
+                         cache_pages=cache_pages, executor=executor)
 
     def close(self) -> None:
         """Flush and close both files (idempotent)."""
@@ -378,13 +309,6 @@ class DRXFile:
         if self._meta_store is not None:
             self._meta_store.close()
         self._closed = True
-        self._shutdown_owned_executor()
-
-    def _shutdown_owned_executor(self) -> None:
-        """Stop the pool ``tune="auto"`` started for this handle."""
-        if self._owned_executor is not None:
-            self._owned_executor.shutdown()
-            self._owned_executor = None
 
     def flush(self) -> None:
         """Write back dirty chunks and persist the meta-data."""
@@ -468,7 +392,6 @@ class DRXFile:
                 store.close()
             except Exception:           # noqa: BLE001 - crash path
                 pass
-        self._shutdown_owned_executor()
 
     def __enter__(self) -> "DRXFile":
         return self
@@ -905,3 +828,35 @@ class DRXFile:
         mv = memoryview(buf)
         for i, v in enumerate(visits):
             self._pool.refresh(v.address, mv[i * nb:(i + 1) * nb])
+
+
+def repackage(src: DRXFile, create: Callable[..., DRXFile],
+              codec: str | None = None) -> DRXFile:
+    """Carry ``src`` into the fresh container that ``create(bounds,
+    chunk_shape, dtype=, codec=, checksums=)`` makes — the one copy
+    behind container conversion and the serve daemon's snapshot.
+
+    The copy keeps the source's geometry, axial vectors and
+    checksumming.  Its chunks move window by window through both chunk
+    stores, at most ``cache_pages`` chunks (the source pool's capacity)
+    per transfer, so the copy never holds the whole array.  The codec
+    follows the source unless overridden; payloads cross decompressed,
+    so a copy can also recompress.  The target records its own CRCs
+    over what it stores.  Returns the committed, still-open copy.
+    """
+    src.flush()
+    out = create(src.shape, src.chunk_shape, dtype=src.meta.dtype_name,
+                 codec=src.meta.codec if codec is None else codec,
+                 checksums=src.checksums_enabled)
+    try:
+        out.meta.eci = src.meta.eci.copy()
+        out.meta.element_bounds = src.meta.element_bounds
+        total, step = src.meta.num_chunks, src._pool.max_pages
+        for start in range(0, total, step):
+            chunks = list(range(start, min(start + step, total)))
+            out._store.write(chunks, b"".join(src._store.read(chunks)))
+        out._persist_meta()
+    except BaseException:
+        out.abandon()
+        raise
+    return out

@@ -31,11 +31,18 @@ pool caches *decompressed* pages and hot pages pay the codec once, not
 per access.
 
 Concurrency (only with an attached executor; ``readahead=`` sizes the
-read-ahead window, write-behind has no switch of its own):
+read-ahead window — 8 pages by default, clamped to half the pool —
+and write-behind has no switch of its own):
 
 * **Thread safety.**  Every public entry point runs under one reentrant
   lock, so the pool can be shared between the MPI-as-threads ranks and
   the executor's background tasks.
+* **One record of in-flight I/O.**  The pool alone knows which
+  background reads and writes are in flight: pending read-aheads live in
+  its read-ahead table, pending write-backs in its write-behind queue.
+  The executor keeps no record of its own, so a read-ahead the pool has
+  discarded can never be handed back to it: a later prediction of the
+  same pages issues a fresh read.
 * **Read-ahead.**  An access-pattern detector watches ``get`` (scalar
   stride) and ``get_many`` (repeated batch stride, the shape DRX plan
   execution produces).  Once a stride repeats, the predicted next pages
@@ -367,7 +374,7 @@ class Mpool:
         """
         if not members:
             return
-        members = sorted(members, key=lambda m: m[0])
+        members = sorted(members)     # distinct page numbers: sorts by them
         pages = [p for p, _pg in members]
         if len(members) == 1:
             data = members[0][1].buf.data
@@ -382,9 +389,7 @@ class Mpool:
                 self.stats.writebehind_stalls += 1
                 fut, _pages = self._wb.popleft()
                 self._executor.result(fut)
-            fut = self._executor.submit(
-                self.store.write, pages, data,
-                key=("mpool-wb", id(self), pages[0], len(pages)))
+            fut = self._executor.submit(self.store.write, pages, data)
             self._wb.append((fut, wpages))
             self.stats.writebehind_runs += 1
             self.stats.writebehind_bytes += len(data)
@@ -521,8 +526,7 @@ class Mpool:
             run = want[first:i]
             first = i
             # one background read per contiguous run
-            fut = ex.submit(self.store.read, run,
-                            key=("mpool-pf", id(self), run[0], len(run)))
+            fut = ex.submit(self.store.read, run)
             for p in run:
                 self._pf[p] = (fut, run[0])
             self.stats.prefetch_issued += 1

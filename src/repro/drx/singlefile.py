@@ -50,6 +50,7 @@ from __future__ import annotations
 import pathlib
 import struct
 import zlib
+from functools import partial
 from math import prod
 from typing import Sequence
 
@@ -65,7 +66,7 @@ from ..core.errors import (
 from ..core.faultsites import crash_point
 from ..core.metadata import DRXMeta, DRXType
 from .codec import get_codec
-from .drxfile import DRXFile, StoreWrapper
+from .drxfile import DRXFile, StoreWrapper, repackage
 from .storage import (ByteStore, MemoryByteStore, PosixByteStore,
                       StoreDecorator)
 
@@ -86,6 +87,17 @@ def _pack_slot(generation: int, offset: int, length: int,
                meta_crc: int) -> bytes:
     body = struct.pack(_SLOT_BODY_FMT, generation, offset, length, meta_crc)
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _check_reserve(header_reserve: int) -> None:
+    """Reject a header reserve too small for the header and a blob; the
+    create path calls this before any store is opened, so a bad value
+    cannot truncate an array."""
+    if header_reserve < _HEADER_END + 64:
+        raise DRXFileError(
+            f"header reserve {header_reserve} too small "
+            f"(need >= {_HEADER_END + 64})"
+        )
 
 
 def _unpack_slot(raw: bytes) -> tuple[int, int, int, int] | None:
@@ -159,7 +171,7 @@ class DRXSingleFile(DRXFile):
                  header_reserve: int, generation: int = 0,
                  blob_span: tuple[int, int] | None = None,
                  **handle) -> None:
-        self._check_options(header_reserve=header_reserve)
+        _check_reserve(header_reserve)
         self._reserve = header_reserve
         #: generation of the last committed header slot (0 = none yet)
         self._generation = generation
@@ -194,16 +206,6 @@ class DRXSingleFile(DRXFile):
     # lifecycle
     # ------------------------------------------------------------------
     @classmethod
-    def _check_options(cls, header_reserve: int = DEFAULT_HEADER_RESERVE,
-                       **handle) -> None:
-        if header_reserve < _HEADER_END + 64:
-            raise DRXFileError(
-                f"header reserve {header_reserve} too small "
-                f"(need >= {_HEADER_END + 64})"
-            )
-        super()._check_options(**handle)
-
-    @classmethod
     def _mount(cls, meta: DRXMeta | None, raw: ByteStore, _meta_store,
                store_wrapper: StoreWrapper | None, writable: bool,
                header_reserve: int | None = None,
@@ -233,6 +235,8 @@ class DRXSingleFile(DRXFile):
                codec: str = "none",
                store_wrapper: StoreWrapper | None = None,
                executor="auto") -> "DRXSingleFile":
+        _check_reserve(header_reserve)
+
         def place():
             if path is None:
                 return MemoryByteStore(), None, lambda: None
@@ -407,35 +411,14 @@ class DRXSingleFile(DRXFile):
         follows the source unless overridden — payloads cross the
         boundary decompressed, so conversions can also recompress with a
         different codec)."""
-        return _repackage(pair, cls.create, path, codec, overwrite=True,
-                          header_reserve=header_reserve)
+        return repackage(pair, partial(cls.create, path, overwrite=True,
+                                       header_reserve=header_reserve),
+                         codec)
 
     def to_pair(self, path: str | pathlib.Path,
                 overwrite: bool = False,
                 codec: str | None = None) -> DRXFile:
         """Repackage into the classic ``.xmd``/``.xta`` pair (codec
         carried over unless overridden)."""
-        return _repackage(self, DRXFile.create, path, codec,
-                          overwrite=overwrite)
-
-
-def _repackage(src: DRXFile, create, path, codec: str | None,
-               **options) -> DRXFile:
-    """Carry ``src`` into the fresh container ``create`` makes at
-    ``path``: same geometry, axial vectors and checksumming, the chunks
-    copied window by window through both chunk stores — at most
-    ``cache_pages`` chunks (the source pool's capacity) per transfer, so
-    the copy never holds the whole array.  The target records its own
-    CRCs over what it stores."""
-    src.flush()
-    out = create(path, src.shape, src.chunk_shape, src.meta.dtype_name,
-                 codec=src.meta.codec if codec is None else codec,
-                 checksums=src.checksums_enabled, **options)
-    out.meta.eci = src.meta.eci.copy()
-    out.meta.element_bounds = src.meta.element_bounds
-    total, step = src.meta.num_chunks, src._pool.max_pages
-    for start in range(0, total, step):
-        chunks = list(range(start, min(start + step, total)))
-        out._store.write(chunks, b"".join(src._store.read(chunks)))
-    out._persist_meta()
-    return out
+        return repackage(self, partial(DRXFile.create, path,
+                                       overwrite=overwrite), codec)

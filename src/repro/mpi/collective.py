@@ -404,23 +404,24 @@ def _data_pieces(extents: Iterable[Extent]) -> list[tuple[int, int, int]]:
 
 
 def sieved_readv(pfile: PFSFile, extents: list[Extent],
-                 hints: CollectiveHints) -> tuple[bytes | bytearray, float]:
-    """Independent vectored read with data sieving.
+                 hints: CollectiveHints, dest) -> float:
+    """Independent vectored read with data sieving into ``dest``, a
+    writable byte view at least as long as ``extents``: the bytes land
+    in data order from position 0.  Returns the simulated time.
 
-    Falls through to a plain ``pfile.readv(extents)`` whenever sieving
-    is disabled or no hole gets merged; otherwise issues one vectored
-    read of the covering extents whose sinks are the pieces' places in
-    the output, so the servers copy straight into it.
+    The extents themselves are read whenever sieving is disabled or no
+    hole gets merged; otherwise one vectored read of the covering
+    extents.  Either way the pieces' places in ``dest`` are the
+    :meth:`PFSFile.readv` sinks, so the servers copy straight into it.
     """
     _runs, groups = _sieve_plan(extents, hints.romio_ds_read, hints,
                                 hints.ind_rd_buffer_size)
+    sinks = _sinks(_data_pieces(extents), dest)
     if not any(g[2] for g in groups):
-        return pfile.readv(extents)
-    out = bytearray(sum(n for _o, n in extents))
-    elapsed = _read_into(pfile, groups, None,
-                           _sinks(_data_pieces(extents), out))
+        return pfile.readv(extents, sinks)[1]
+    elapsed = _read_into(pfile, groups, None, sinks)
     account(pfile, requests_before=len(extents))
-    return out, elapsed
+    return elapsed
 
 
 def sieved_writev(pfile: PFSFile, extents: list[Extent], data,
@@ -524,8 +525,7 @@ def two_phase_read(comm, pfile: PFSFile, extents: list[Extent],
     if hints.romio_cb_read == "disable":
         # every rank accesses the PFS itself (sieved); the allgather
         # above already provided the collective synchronization
-        data, _t = sieved_readv(pfile, extents, hints)
-        dest[:len(data)] = data
+        sieved_readv(pfile, extents, hints, dest)
         return
     aggs, mine = _domains(comm, pfile, extents, hints, meta)
     if not aggs:

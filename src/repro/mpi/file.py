@@ -293,10 +293,16 @@ class File:
         nbytes, _arr = _buf_nbytes(buf)
         extents = self._view.extents(offset * self._view.etype.size, nbytes)
         extents = _clamp_extents(extents, self._pfile.size)
-        data, _t = collective.sieved_readv(self._pfile, extents,
-                                           self._hints)
-        _unpack_buf(buf, data)
-        return self._finish(status, len(data))
+        total = sum(n for _off, n in extents)
+        # the servers fill a plain contiguous buffer in place; any other
+        # buffer (typed, read-only, strided) reads into scratch and is
+        # unpacked -- or refused -- afterwards, as in Read_at_all
+        dest = _writable_view(buf)
+        into = bytearray(total) if dest is None else dest
+        collective.sieved_readv(self._pfile, extents, self._hints, into)
+        if dest is None:
+            _unpack_buf(buf, into)
+        return self._finish(status, total)
 
     def Read(self, buf, status: Status | None = None) -> int:
         n = self.Read_at(self._fp, buf, status)

@@ -108,7 +108,7 @@ from ..core.errors import (
 )
 from ..core.faultsites import crash_point
 from ..core.watchdog import CancelScope, Deadline, Watchdog, default_watchdog
-from ..drx.drxfile import DRXFile
+from ..drx.drxfile import DRXFile, repackage
 from ..drx.storage import (ByteStore, PFSByteStore, PosixByteStore,
                            StoreDecorator)
 from .journal import JOURNAL_SUFFIX, DedupTable, Journal
@@ -1320,15 +1320,10 @@ class DRXServer:
         self._check_new(dest)
         entry.rw.acquire_exclusive(scope)
         try:
-            src = entry.file
-            src.flush()
-            copy = self._backend.create(
-                dest, src.shape, src.chunk_shape, dtype=src.dtype,
-                checksums=src.checksums_enabled, codec=src.codec)
-            try:
-                copy.write([0] * src.rank, src.read_all())
-            finally:
-                copy.close()
+            # window by window through both chunk stores, axial vectors
+            # and all: the copy never holds the whole array
+            repackage(entry.file,
+                      functools.partial(self._backend.create, dest)).close()
         finally:
             entry.rw.release_exclusive()
         return ({"dest": dest, "shape": list(entry.file.shape)}, b"")

@@ -23,11 +23,13 @@ tuning knob over a candidate list and keeps the cheapest value:
     threads overlap distinct servers, flooring at the max-of-servers
     time the simulator charges.  Threads only pay when the pass is
     I/O-bound.
-``readahead``
-    A window ``w`` lets a sequential scan overlap assembly CPU with the
-    next fault; the hidden fraction grows with ``w`` until the window
-    covers one coalesced run.  Random workloads are charged for the
-    wasted prefetches instead.
+
+The Mpool's read-ahead window is not a knob: every handle runs the
+pool's default (8 pages, clamped to half the pool).  It is an *input*
+of the price — a window ``w`` lets a sequential scan overlap assembly
+CPU with the next fault, the hidden fraction growing with ``w`` until
+the window covers one coalesced run, and random workloads are charged
+for the wasted prefetches instead.
 
 Every candidate is returned with its predicted cost; when an
 :class:`Observed` counter block is supplied, the candidates matching
@@ -70,8 +72,7 @@ CPU_PER_CHUNK_SCALAR = 40e-6
 #: observed :class:`CodecStats` rate is available.
 DEFAULT_CODEC_RATE = 150e6
 
-KNOBS = ("chunk_shape", "stripe_size", "codec", "executor_threads",
-         "readahead")
+KNOBS = ("chunk_shape", "stripe_size", "codec", "executor_threads")
 
 
 def _itemsize(dtype) -> int:
@@ -431,8 +432,9 @@ def advise(workload: Workload, observed: Observed | None = None,
     """Sweep every knob and return the full candidate table.
 
     ``current`` pins the settings the handle runs with today (defaults:
-    the workload's own geometry, no codec, serial, read-ahead 8); the
-    matching candidates are flagged and — when ``observed`` counters
+    the workload's own geometry, no codec, serial) and the pool's
+    read-ahead window it is priced under (``"readahead"``, default 8);
+    the matching candidates are flagged and — when ``observed`` counters
     are given — priced a second time by replaying those counters
     through the cost model.
     """
@@ -522,20 +524,6 @@ def advise(workload: Workload, observed: Observed | None = None,
             else f"overlaps up to {min(v, workload.nservers)} servers"
 
     sweep("executor_threads", thread_vals, thread_why)
-
-    ra_vals = [0, 2, 4, 8, 16, 32]
-    if cur["readahead"] not in ra_vals:
-        ra_vals.append(cur["readahead"])
-        ra_vals.sort()
-
-    def ra_why(v):
-        if v == 0:
-            return "demand faults only"
-        if not workload.sequential:
-            return "wasted on a random pattern"
-        return f"window {v} pages ahead of a sequential scan"
-
-    sweep("readahead", ra_vals, ra_why)
     return advice
 
 
@@ -548,8 +536,9 @@ def advise_file(f, request_shape: tuple[int, ...] | None = None,
     The workload defaults to whole-array sequential scans; the PFS
     geometry is discovered from the backing store when it is
     PFS-backed, else the simulator defaults are assumed.  Executor and
-    codec currents are read off the handle so the report marks what the
-    file runs with today.
+    codec currents, and the pool's read-ahead window, are read off the
+    handle so the report marks and prices what the file runs with
+    today.
     """
     meta = f.meta
     stripe, nservers = pfs_geometry(getattr(f, "_data", None))

@@ -785,6 +785,44 @@ class TestReadByReference:
         assert growth < 1 << 20, f"peak grew by {growth} bytes"
         assert bufs[0].tobytes() + bufs[1].tobytes() == payload.tobytes()
 
+    @pytest.mark.parametrize("ds", ["disable", "enable"])
+    def test_independent_read_allocates_no_copy(self, ds):
+        """An independent 8 MiB ``Read_at`` into a NumPy buffer — plain
+        or sieved across a hole — grows the traced peak by less than
+        1 MiB: the servers fill the caller's buffer, nothing is packed
+        and unpacked."""
+        n = 8 << 20
+        fs = make_fs()
+        payload = np.arange((n + 4096) // 8, dtype=np.int64).view(np.uint8)
+        fs.create("f").write(0, payload)
+        buf = np.zeros(n, dtype=np.uint8)
+        # two blocks with a 64-byte hole between them: sieving reads
+        # through it under "enable", two extents under "disable"
+        blk = n // 2
+        view = mpi.BYTE.Create_hindexed([blk, blk], [0, blk + 64])
+
+        def body(comm):
+            fh = mpi.File.Open(comm, "f", mpi.MODE_RDONLY, fs,
+                               info=hints_info(romio_ds_read=ds,
+                                               ind_rd_buffer_size=16 << 20))
+            fh.Set_view(0, mpi.BYTE, view.Commit())
+            fh.Read_at(0, buf)
+            fh.Close()
+            return True
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(1, body) == [True]
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert growth < 1 << 20, f"peak grew by {growth} bytes"
+        raw = payload.tobytes()
+        assert buf.tobytes() == raw[:blk] + raw[blk + 64:n + 64]
+        if ds == "enable":
+            assert fs.collective_stats().sieve_reads == 1
+
     def test_overlapping_requesters(self):
         """Two ranks read the same extent: both buffers fill from one
         covering request."""

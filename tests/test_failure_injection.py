@@ -317,7 +317,7 @@ def _open_fds() -> int:
 
 #: a create call per container, and an option each one rejects
 CONTAINERS = {
-    "pair": (DRXFile.create, {"tune": "bogus"}),
+    "pair": (DRXFile.create, {"codec": "bogus"}),
     "single": (DRXSingleFile.create, {"header_reserve": 10}),
 }
 

@@ -70,30 +70,6 @@ class TestIOExecutor:
         finally:
             e.shutdown()
 
-    def test_keyed_dedup_shares_inflight_future(self, ex):
-        gate = threading.Event()
-        calls = []
-
-        def slow():
-            gate.wait(5)
-            calls.append(1)
-            return 42
-
-        f1 = ex.submit(slow, key="k")
-        f2 = ex.submit(slow, key="k")
-        assert f1 is f2
-        assert ex.stats.dedup_hits == 1
-        gate.set()
-        assert ex.result(f1) == 42
-        assert len(calls) == 1
-
-    def test_key_released_after_completion(self, ex):
-        f1 = ex.submit(lambda: 1, key="k")
-        assert ex.result(f1) == 1
-        f2 = ex.submit(lambda: 2, key="k")
-        assert ex.result(f2) == 2
-        assert f1 is not f2
-
     def test_gather_reraises_first_failure_after_settling(self, ex):
         def boom():
             raise RuntimeError("boom")
@@ -483,6 +459,25 @@ class TestMpoolThreadSafety:
         e.shutdown()
 
 
+class _FirstBackgroundReadBlocks(StoreDecorator):
+    """The first ``readv`` issued off the constructing thread (the
+    first read-ahead) captures its bytes, then blocks until ``gate``."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.owner = threading.get_ident()
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def readv(self, extents):
+        data = super().readv(extents)
+        if threading.get_ident() != self.owner \
+                and not self.entered.is_set():
+            self.entered.set()
+            self.gate.wait(5)
+        return data
+
+
 class TestReadAhead:
     def make(self, npages=64, max_pages=16, threads=2, readahead=4):
         ps = 64
@@ -558,6 +553,35 @@ class TestReadAhead:
                 >= 1
             assert not pool._pf
         finally:
+            e.shutdown()
+
+    def test_discarded_readahead_is_never_served(self):
+        """A read-ahead dropped by ``discard_prefetch`` — as a streamed
+        write does before it lands — must not come back when the same
+        pages are predicted again while the old read is still running:
+        the re-prediction reads the store afresh."""
+        ps = 64
+        store = _FirstBackgroundReadBlocks(MemoryByteStore())
+        for p in range(64):
+            store.write(p * ps, bytes([p]) * ps)
+        e = IOExecutor(2)
+        pool = byte_pool(store, ps, max_pages=16, executor=e, readahead=4)
+        batches = [list(range(s, s + 4)) for s in (0, 8, 16)]
+        try:
+            for batch in batches:       # batch stride 8: reads 24..27 ahead
+                pool.get_many(batch)
+                pool.put_many(batch)
+            assert store.entered.wait(5), "no read-ahead was issued"
+            pool.discard_prefetch()
+            store.write(24 * ps, bytes([200]) * (4 * ps))
+            for batch in batches:       # the same stride predicts 24..27
+                pool.get_many(batch)
+                pool.put_many(batch)
+            store.gate.set()            # the stale read (24s) completes
+            assert bytes(pool.get(24)) == bytes([200]) * ps
+            pool.put(24)
+        finally:
+            store.gate.set()
             e.shutdown()
 
     def test_serial_pool_never_prefetches(self):

@@ -19,11 +19,6 @@ TIER = {"core": 0, "drx": 1, "pfs": 1, "mpi": 2, "drxmp": 3,
         "tuning": 4, "serve": 4,
         "baselines": 5, "bench": 5, "workloads": 5}
 
-#: the one upward import: ``tune="auto"`` asks the advisor, lazily, so
-#: that ``repro.drx`` loads without it
-UPWARD_ALLOWED = {("drx/drxfile.py", "tuning")}
-
-
 def _package_imports(path: Path) -> set[str]:
     """Top-level ``repro`` packages a source file imports, anywhere in
     it (relative imports resolved against the file's own package)."""
@@ -151,12 +146,12 @@ def test_every_package_has_a_tier():
 
 def test_nothing_imports_upward():
     upward = {(f, dst) for f, src, dst in _edges() if TIER[dst] > TIER[src]}
-    assert upward == UPWARD_ALLOWED
+    assert upward == set()
 
 
 def test_package_graph_is_acyclic():
-    """Even counting the allowed upward import, no package reaches
-    itself (``drx -> tuning -> drxmp -> drx`` was such a loop)."""
+    """No package reaches itself (``drx -> tuning -> drxmp -> drx`` was
+    such a loop)."""
     graph: dict[str, set[str]] = {pkg: set() for pkg in TIER}
     for _f, src, dst in _edges():
         graph[src].add(dst)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import pathlib
 import signal
 import socket
 import struct
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +360,63 @@ class TestBasics:
             with make_client(srv, "x", max_retries=0) as c:
                 with pytest.raises(ServeError, match="unknown verb"):
                     c.request("frobnicate")
+
+
+# ---------------------------------------------------------------------------
+# snapshot: the window-bounded copy of drx.repackage
+# ---------------------------------------------------------------------------
+class TestSnapshot:
+    def test_snapshot_keeps_axial_vectors_and_stored_chunks(self, tmp_path):
+        """An array extended along both dimensions is copied as it is
+        laid out: the same axial vectors and the same stored chunk bytes,
+        not a fresh layout of the same elements."""
+        rng = np.random.default_rng(3)
+        with serve_ctx("root", tmp_path) as (srv, _):
+            with make_client(srv, "snap") as c:
+                c.create("a", [8, 8], [4, 4])
+                c.write("a", (0, 0), rng.random((8, 8)))
+                c.extend("a", to=[16, 8])
+                c.extend("a", to=[16, 12])
+                c.extend("a", to=[20, 12])
+                c.write("a", (0, 0), rng.random((20, 12)))
+                c.snapshot("a", "copy")
+            srv.shutdown(drain=True)
+        with DRXFile.open(tmp_path / "a") as a, \
+                DRXFile.open(tmp_path / "copy") as b:
+            assert b.meta.eci.axial_vectors == a.meta.eci.axial_vectors
+            assert np.array_equal(b.read_all(), a.read_all())
+        assert (tmp_path / "copy.xta").read_bytes() \
+            == (tmp_path / "a.xta").read_bytes()
+
+    def test_snapshot_peak_memory_is_window_bounded(self, tmp_path):
+        """A 16 MiB snapshot moves through windows of the source pool's
+        capacity: the traced peak stays within 4x that capacity instead
+        of materializing the array."""
+        pages, chunk = 16, (64, 64)
+        capacity = pages * 64 * 64 * 8                 # 512 KiB
+        with DRXFile.create(tmp_path / "big", (2048, 1024), chunk,
+                            executor=None) as a:
+            for r in range(0, 2048, 256):
+                a.write((r, 0), np.full((256, 1024), float(r)))
+        with serve_ctx("root", tmp_path, cache_pages=pages) as (srv, _):
+            with make_client(srv, "snap") as c:
+                c.open("big")
+                tracemalloc.start()
+                try:
+                    c.snapshot("big", "big-copy")
+                    _now, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert np.array_equal(c.read("big-copy", (1800, 3), (1801, 4)),
+                                      [[1792.0]])
+        assert peak <= 4 * capacity, f"peak {peak} B"
+
+    def test_no_whole_array_reads_in_the_daemon(self):
+        """The daemon never materializes a whole array: no ``read_all``
+        call anywhere under ``repro.serve``."""
+        root = pathlib.Path(protocol.__file__).parent
+        assert [p.name for p in sorted(root.rglob("*.py"))
+                if ".read_all(" in p.read_text()] == []
 
 
 # ---------------------------------------------------------------------------

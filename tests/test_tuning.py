@@ -181,7 +181,7 @@ class TestAdvise:
         from repro.tuning import advise
         advice = advise(self._workload())
         for knob in ("chunk_shape", "stripe_size", "codec",
-                     "executor_threads", "readahead"):
+                     "executor_threads"):
             chosen = [c for c in advice.candidates
                       if c.knob == knob and c.chosen]
             current = [c for c in advice.candidates
@@ -190,7 +190,10 @@ class TestAdvise:
             assert len(current) == 1, knob
         settings = advice.settings()
         assert set(settings) == {"chunk_shape", "stripe_size", "codec",
-                                 "executor_threads", "readahead"}
+                                 "executor_threads"}
+        # the pool's read-ahead window is an input of the price, not a
+        # knob: no candidate sweeps it
+        assert not [c for c in advice.candidates if c.knob == "readahead"]
 
     def test_small_chunks_rejected_for_tile_scans(self):
         """8x8 chunks cost 8 runs per 64x64 request; the advisor must
@@ -234,9 +237,18 @@ class TestAdvise:
         assert advice.chosen("executor_threads") > 0
 
     def test_readahead_zero_for_random(self):
+        """The read-ahead window is an input of the price, not a knob:
+        on a random pattern a zero window prices the current settings
+        lower than the pool's default 8, whose prefetches are wasted."""
         from repro.tuning import advise
-        advice = advise(self._workload(sequential=False))
-        assert advice.chosen("readahead") == 0
+        w = self._workload(sequential=False)
+
+        def current_cost(readahead):
+            advice = advise(w, current={"readahead": readahead})
+            return [c.predicted_cost for c in advice.candidates
+                    if c.knob == "executor_threads" and c.current][0]
+
+        assert current_cost(8) > current_cost(0)
 
     def test_explain_and_to_dict(self):
         from repro.tuning import advise

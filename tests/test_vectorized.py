@@ -1,4 +1,4 @@
-"""The raw-speed pass: vectorized kernels, plan cache, auto-tuning.
+"""The raw-speed pass: vectorized kernels and the plan cache.
 
 Three contracts pinned here:
 
@@ -17,14 +17,10 @@ Three contracts pinned here:
 
 from __future__ import annotations
 
-import os
-import threading
 
 import numpy as np
 import pytest
 
-from repro.core.errors import DRXFileError
-from repro.core.executor import reset_default_executors
 from repro.core import scatter as scatter_mod
 from repro.core.metadata import DRXMeta
 from repro.core.scatter import (
@@ -37,7 +33,6 @@ from repro.core.scatter import (
 from repro.drx.drxfile import DRXFile
 from repro.drx.ioplan import PlanCache
 from repro.mpi.datatypes import DATATYPE_STATS, DOUBLE, _as_bytes_view
-from repro.pfs import ParallelFileSystem
 
 
 @pytest.fixture
@@ -410,68 +405,3 @@ class TestPlanCache:
                 assert np.array_equal(a.read((3, 1), (19, 22)),
                                       ref[3:19, 1:22])
                 a._plans.clear()
-
-
-# ---------------------------------------------------------------------------
-# tune="auto"
-# ---------------------------------------------------------------------------
-
-class TestAutoTune:
-    def test_advice_attached(self):
-        with DRXFile.create(None, (64, 64), (8, 8), executor=None,
-                            tune="auto") as a:
-            adv = a.tuning_advice
-            assert adv is not None
-            settings = adv.settings()
-            assert set(settings) == {"chunk_shape", "stripe_size",
-                                     "codec", "executor_threads",
-                                     "readahead"}
-            assert "knob" in adv.explain() and adv.to_dict()["candidates"]
-
-    def test_bad_tune_rejected(self):
-        with pytest.raises(DRXFileError):
-            DRXFile.create(None, (8, 8), (4, 4), tune="everything")
-
-    def test_explicit_readahead_wins(self):
-        # the pool zeroes read-ahead without an executor, so resolve the
-        # default pool here; the pinned window must survive tune="auto"
-        with DRXFile.create(None, (64, 64), (8, 8),
-                            tune="auto", readahead=3) as a:
-            if a._executor is not None:
-                assert a._pool._readahead == 3
-            adv = a.tuning_advice
-            assert adv is not None     # advice attached either way
-
-    def test_env_threads_never_overridden(self, monkeypatch):
-        monkeypatch.setitem(os.environ, "DRX_EXECUTOR_THREADS", "0")
-        with DRXFile.create(None, (64, 64), (8, 8), tune="auto") as a:
-            assert a._owned_executor is None
-
-    def test_abandon_stops_the_tuned_executor(self, monkeypatch, request):
-        """``abandon()`` releases what ``close()`` releases: no worker
-        of the pool ``tune="auto"`` started outlives the handle."""
-        monkeypatch.delitem(os.environ, "DRX_EXECUTOR_THREADS",
-                            raising=False)
-        # the tier defaults cached under the suite's environment (none
-        # at all in the DRX_EXECUTOR_THREADS=0 leg) are re-read here and
-        # again, after the variable is back, by whoever asks next
-        reset_default_executors()
-        request.addfinalizer(reset_default_executors)
-        # two servers: the advisor narrows the pool from the default 4
-        fs = ParallelFileSystem(nservers=2, stripe_size=4096)
-        a = DRXFile.create_pfs(fs, "a", (64, 64), (8, 8), tune="auto")
-        assert a._owned_executor is not None
-        a._owned_executor.map(abs, [1, 2])      # spin the workers up
-        assert any("drx-tuned" in t.name for t in threading.enumerate())
-        a.abandon()
-        assert [t.name for t in threading.enumerate()
-                if "drx-tuned" in t.name] == []
-
-    def test_round_trip_unchanged(self):
-        """Auto-tuning never changes array contents."""
-        rng = np.random.default_rng(17)
-        ref = rng.random((48, 48))
-        with DRXFile.create(None, (48, 48), (8, 8), executor=None,
-                            tune="auto") as a:
-            a.write((0, 0), ref)
-            assert np.array_equal(a.read_all(), ref)
