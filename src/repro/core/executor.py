@@ -1,16 +1,14 @@
 """The shared bounded I/O executor.
 
-The paper's premise is that the k-dimensional zones of a DRX array move
-through the parallel file system *concurrently*.  The simulator charges
-the analytic cost model's max-of-servers time, but until this module the
-actual Python execution was strictly serial: every per-server batch, every
-coalesced run, every write-back ran one after another on the calling
-thread.  :class:`IOExecutor` supplies the missing real concurrency — a
-bounded thread pool with
+The paper's servers work in parallel inside the simulator's cost
+model, which charges each call the slowest server's time; the PFS runs
+its per-server batches on the caller's thread (see
+:mod:`repro.pfs.pfile`).  What does pay for a thread is work that the
+caller need not wait for, or CPU that releases the GIL.
+:class:`IOExecutor` is that bounded thread pool, with
 
-* ``submit`` / ``gather`` primitives used by the three wired layers
-  (:class:`~repro.pfs.pfile.PFSFile` per-server dispatch,
-  :class:`~repro.drx.mpool.Mpool` read-ahead and write-behind,
+* ``submit`` / ``gather`` primitives used by the two wired layers
+  (:class:`~repro.drx.mpool.Mpool` read-ahead and write-behind,
   :class:`~repro.drx.chunkstore.ChunkStore` codec fan-out), and
 * per-executor stats: in-flight high-water mark, summed task time, and
   the time callers spent blocked waiting on results.
@@ -19,23 +17,14 @@ Configuration is one environment variable::
 
     DRX_EXECUTOR_THREADS=0   # serial: no executor; every wired path
                              # runs its tasks on the calling thread
-    DRX_EXECUTOR_THREADS=4   # the default: up to 4 concurrent transfers
+    DRX_EXECUTOR_THREADS=4   # the default: up to 4 concurrent tasks
 
-Three executor *tiers* exist, each a process-wide singleton:
+Two executor *tiers* are wired, each a process-wide singleton:
 
-``"pfs"``
-    Leaf tier.  Per-server request batches dispatched by
-    :class:`~repro.pfs.pfile.PFSFile`.  Tasks here touch only
-    :class:`~repro.pfs.server.IOServer` locks and never wait on another
-    executor — the tier that may be waited on while holding file locks.
-    The collective-I/O engine (:mod:`repro.mpi.collective`) rides this
-    tier for free: aggregator ranks issue their phase-B windows through
-    ``PFSFile.readv``/``writev``/``sieve_writev``, whose per-server
-    fan-out is what this tier parallelizes.
 ``"drx"``
     Background tier.  Mpool read-ahead / write-behind.  Tasks here are
-    plain store calls; they may *block on* file locks and dispatch into
-    the ``pfs`` and ``codec`` tiers, but nothing in those tiers ever
+    plain store calls; they may *block on* file and server locks and
+    dispatch into the ``codec`` tier, but nothing in that tier ever
     waits for a ``drx`` slot, so the wait graph is acyclic and
     saturation cannot deadlock.  DRX streaming does not use this tier:
     a streamed window's store transfer runs on the caller's thread.
@@ -50,12 +39,13 @@ Three executor *tiers* exist, each a process-wide singleton:
     batched fault) may wait on ``codec`` results without closing a
     cycle.
 
-There is no tier above these three: the serve daemon
+There is no tier above these two: the serve daemon
 (:mod:`repro.serve.server`) runs an admitted request's handler on the
 connection thread that dispatched it, which calls down into
-``drx``-tier work (which calls ``pfs``/``codec``); nothing below ever
-waits on a connection thread, so the ordering ``drx → {pfs, codec}``
-keeps the wait graph acyclic.
+``drx``-tier work (which calls ``codec``); nothing below ever waits on
+a connection thread, so the ordering ``drx → codec`` keeps the wait
+graph acyclic.  :func:`default_executor` builds a pool for any tier
+name it is asked for; only these two are wired.
 
 Determinism contract: the wired call sites have no serial twin.  The
 one decision lives in :meth:`IOExecutor.submit`: while a fault plan is
@@ -73,7 +63,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import faultsites
 from .errors import CrashError
@@ -86,7 +76,6 @@ __all__ = [
     "configured_threads",
     "default_executor",
     "gather",
-    "run_inline",
     "resolve_executor",
     "reset_default_executors",
 ]
@@ -199,16 +188,9 @@ class IOExecutor:
             with self._lock:
                 self.stats.wait_time += time.perf_counter() - t0
 
-    def map(self, fn: Callable, items: Iterable) -> list:
-        """``gather([submit(fn, it) for it in items])``."""
-        return self.gather([self.submit(fn, it) for it in items])
-
-    def shutdown(self, wait: bool = True,
-                 cancel_futures: bool = False) -> None:
-        """Stop the pool.  ``cancel_futures`` drops queued-but-unstarted
-        tasks — the serve daemon's abrupt-kill path, where work that
-        never started must not run against abandoned files."""
-        self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the pool."""
+        self._pool.shutdown(wait=wait)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IOExecutor(name={self.name!r}, threads={self.threads}, "
@@ -216,7 +198,7 @@ class IOExecutor:
 
 
 # ---------------------------------------------------------------------------
-# the caller's-thread schedule (no executor, a lone task, or armed faults)
+# the caller's-thread schedule (armed faults)
 # ---------------------------------------------------------------------------
 
 def _settle(fut: Future, fn: Callable) -> None:
@@ -230,15 +212,6 @@ def _settle(fut: Future, fn: Callable) -> None:
         raise
     except Exception as exc:  # noqa: BLE001 - transported verbatim
         fut.set_exception(exc)
-
-
-def run_inline(fn: Callable, /, *args, **kwargs) -> Future:
-    """``fn(*args, **kwargs)`` on the caller's thread, as a settled
-    future — the ``submit`` of a fan-out with no executor to go to (see
-    :meth:`IOExecutor.submit` for what escapes it)."""
-    fut: Future = Future()
-    _settle(fut, lambda: fn(*args, **kwargs))
-    return fut
 
 
 def gather(futures: Sequence[Future],

@@ -1,8 +1,7 @@
 """Per-chunk compression codecs for DRX chunk payloads.
 
-PRs 1 and 4 optimized *how* bytes move (coalesced vectored I/O,
-concurrent per-server dispatch); this layer reduces *how many* bytes
-move.  A codec transforms one raw chunk payload (always exactly
+Coalesced vectored I/O optimizes *how* bytes move; this layer reduces
+*how many* bytes move.  A codec transforms one raw chunk payload (always exactly
 ``chunk_nbytes`` bytes) into a variable-length compressed payload and
 back.  The design follows the HDF5-filter / ArrayBridge model: the chunk
 is the unit of compression, the codec choice is a per-array property

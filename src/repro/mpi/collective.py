@@ -35,11 +35,11 @@ Overlapping collective writers are legal and resolved in rank order
 (the higher rank's bytes win, matching the serial reference in which
 ranks write one after the other).
 
-Aggregator PFS calls funnel through :meth:`PFSFile.readv`/``writev``
-and therefore through the ``pfs``-tier :class:`~repro.core.executor.
-IOExecutor`; under an armed fault plan the aggregators additionally
-serialize phase B in aggregator order through a token chain, extending
-the established serial-fallback-under-armed-faults rule to the fan-out.
+Aggregator PFS calls funnel through :meth:`PFSFile.readv`/``writev``,
+which visit the servers on the aggregator's own thread, in server
+order; under an armed fault plan the aggregators additionally serialize
+phase B in aggregator order through a token chain, so kill sites fire
+in one scripted order across ranks too.
 
 Both optimizations are one kernel: coalesce the requested extents into
 runs, merge runs across tolerable holes into covering groups, move the

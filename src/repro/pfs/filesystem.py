@@ -26,7 +26,6 @@ import pathlib
 import threading
 
 from ..core.errors import PFSError, ServerDownError
-from ..core.executor import IOExecutor, resolve_executor
 from .costmodel import CostModel, DEFAULT_COST_MODEL
 from .pfile import PFSFile
 from .replication import ReplicaLayout, replica_object_name
@@ -42,8 +41,7 @@ class ParallelFileSystem:
 
     def __init__(self, nservers: int = 4, stripe_size: int = 64 * 1024,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 replication: int = 1, fault_plan=None,
-                 executor: "IOExecutor | None | str" = "auto") -> None:
+                 replication: int = 1, fault_plan=None) -> None:
         if replication == 1:
             self.layout: StripeLayout = StripeLayout(
                 nservers=nservers, stripe_size=stripe_size)
@@ -53,10 +51,6 @@ class ParallelFileSystem:
                 replication=replication)
         self.replication = replication
         self.cost_model = cost_model
-        #: shared per-server dispatch pool handed to every file
-        #: (``"auto"`` = the process-wide ``pfs``-tier executor sized by
-        #: ``DRX_EXECUTOR_THREADS``; ``None`` = serial)
-        self.executor = resolve_executor(executor, tier="pfs")
         self.servers = [IOServer(i, cost_model, fault_plan=fault_plan)
                         for i in range(nservers)]
         self._files: dict[str, PFSFile] = {}
@@ -69,8 +63,7 @@ class ParallelFileSystem:
         with self._lock:
             if name in self._files:
                 raise PFSError(f"file exists: {name!r}", transient=False)
-            f = PFSFile(name, self.servers, self.layout,
-                        executor=self.executor)
+            f = PFSFile(name, self.servers, self.layout)
             self._files[name] = f
             return f
 

@@ -41,20 +41,18 @@ Two notions of time coexist and must not be conflated:
     how the Python process actually executes the batches.
 ``wall_time``
     *Measured* wall-clock seconds this process spent inside ``readv`` /
-    ``writev`` (the aggregators of a collective included).  With
-    an :class:`~repro.core.executor.IOExecutor` attached, per-server
-    batches are dispatched concurrently and ``wall_time`` genuinely
-    shrinks toward the max-server shape ``io_time`` always assumed;
-    serially it is the sum-over-servers.  Benchmarks report both so the
-    overlap actually achieved is visible.
+    ``writev`` (the aggregators of a collective included).  The caller's
+    thread visits the servers one after another, so ``wall_time`` is the
+    sum over servers of what the copies cost in this process.
+    Benchmarks report both.
 
-Each per-server fan-out is written once.  When an executor is attached
-(the default — sized by ``DRX_EXECUTOR_THREADS``), multi-server batches
-are dispatched concurrently and their results applied in deterministic
-server order; a lone batch, or any batch with no executor, runs on the
-caller's thread.  While a fault plan is armed the executor itself runs
-each batch inline as it is submitted, so scripted fault schedules and
-kill sites see the batches in server order.
+Every per-server batch runs on the caller's thread, in server order:
+the servers' parallelism lives in the cost model, and a byte copy that
+holds the GIL would buy nothing from another thread.  A call runs every
+batch of a fan-out (or of a failover wave), even after an earlier one
+raised, applies the results in batch order and raises the first failure
+after the last batch; a :class:`~repro.core.errors.CrashError` is
+process death and stops the fan-out at once.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ import time
 from bisect import bisect_right
 from typing import Any
 
-from ..core.errors import PFSError, ServerDownError
-from ..core.executor import IOExecutor, gather, resolve_executor, run_inline
+from ..core.errors import CrashError, PFSError, ServerDownError
 from ..core.faultsites import crash_point
 from .replication import ReplicaLayout, replica_object_name
 from .server import IOServer
@@ -82,8 +79,7 @@ class PFSFile:
     """One striped logical file (see module docstring)."""
 
     def __init__(self, name: str, servers: list[IOServer],
-                 layout: StripeLayout,
-                 executor: "IOExecutor | None | str" = "auto") -> None:
+                 layout: StripeLayout) -> None:
         if layout.nservers != len(servers):
             raise PFSError(
                 f"layout expects {layout.nservers} servers, got {len(servers)}"
@@ -104,9 +100,6 @@ class PFSFile:
         self.io_time = 0.0
         #: cumulative *measured* wall-clock seconds spent in readv/writev
         self.wall_time = 0.0
-        #: per-server dispatch pool (None = serial); ``"auto"`` resolves
-        #: the process-wide ``pfs``-tier executor from the environment
-        self.executor = resolve_executor(executor, tier="pfs")
         for copy in range(self.replication):
             obj = replica_object_name(name, copy)
             for s in servers:
@@ -129,7 +122,7 @@ class PFSFile:
         if size < 0:
             raise PFSError(f"negative size {size}", transient=False)
         with self._lock:
-            self._size = max(self._size, size) if size >= self._size else size
+            self._size = size
 
     # ------------------------------------------------------------------
     # vectored independent I/O
@@ -174,15 +167,6 @@ class PFSFile:
         with self._lock:
             return self._read(extents, None, copy)
 
-    def _fan_out(self, nbatches: int):
-        """``(submit, gather)`` for a fan-out of ``nbatches`` server
-        batches: the executor's when one is attached and there is more
-        than one batch, else the caller's-thread pair."""
-        ex = self.executor
-        if ex is None or nbatches < 2:
-            return run_inline, gather
-        return ex.submit, ex.gather
-
     def _read(self, extents: list[Extent], into: list | None,
               copy: int | None = None) -> tuple[bytearray | None, float]:
         """The one read body (see :meth:`readv`).  ``copy`` pins every
@@ -204,18 +188,16 @@ class PFSFile:
         elapsed_by_server: dict[int, float] = {}
         while queue:
             wave, queue = queue, []
-            submit, join = self._fan_out(len(wave))
-            futs = []
+            results = []
             for (sid, cp), reqs in wave:
                 if failover:
                     crash_point("server.kill.readv.batch")
-                futs.append(submit(
+                results.append(_outcome(
                     self.servers[sid].read_batch,
                     replica_object_name(self.name, cp),
                     [(srv_off, ln, sinks)
                      for srv_off, _lo, ln, sinks in reqs]))
-            for ((sid, _cp), reqs), res in zip(
-                    wave, join(futs, return_exceptions=True)):
+            for ((sid, _cp), reqs), res in zip(wave, results):
                 if failover and isinstance(res, PFSError):
                     # the server answered with an error (or a chaos hook
                     # just killed it): exclude it and re-route its pieces
@@ -335,9 +317,11 @@ class PFSFile:
                        for srv_off, log_off, ln in reqs])
                 for sid, reqs in enumerate(self.layout.split_extents(extents))
                 if reqs]
-        submit, join = self._fan_out(len(work))
-        times = join([submit(self.servers[sid].write_batch, self.name, batch)
-                      for sid, batch in work])
+        times = [_outcome(self.servers[sid].write_batch, self.name, batch)
+                 for sid, batch in work]
+        for res in times:
+            if isinstance(res, BaseException):
+                raise res
         elapsed = max(times, default=0.0)
         self._size = max(self._size,
                          max((o + n for o, n in extents), default=0))
@@ -348,13 +332,11 @@ class PFSFile:
                            source: "_Pieces") -> float:
         """Fan the write out to every replica copy.
 
-        Liveness checks, skip accounting and batch assembly run on the
-        caller's thread in (copy, server) order, visiting
-        ``server.kill.writev.batch`` before each batch; each batch is
-        dispatched as soon as it is built, and the results are applied
-        back in that same order.  The fan-out is idempotent, so a batch
-        that still lands after an earlier one raised is covered by the
-        retry contract.
+        The batches run in (copy, server) order, visiting
+        ``server.kill.writev.batch`` before each one, and the results
+        are applied back in that same order.  The fan-out is idempotent,
+        so a batch that still lands after an earlier one raised is
+        covered by the retry contract.
         """
         crash_point("server.kill.writev.begin")
         layout: ReplicaLayout = self.layout  # type: ignore[assignment]
@@ -362,11 +344,11 @@ class PFSFile:
                 for sid, reqs in enumerate(
                     layout.split_extents_copy(extents, copy))
                 if reqs]
-        submit, join = self._fan_out(len(plan))
         #: landed copies per piece, keyed by logical offset
         landed: dict[int, int] = {}
-        jobs: list[tuple[int, int, list[tuple[int, int, int]]]] = []
-        futs = []
+        #: ``(copy, server, pieces, outcome, readable)`` per batch sent;
+        #: a stale server's write-through lands but is not readable
+        jobs = []
         for copy, sid, reqs in plan:
             crash_point("server.kill.writev.batch")
             srv = self.servers[sid]
@@ -380,11 +362,10 @@ class PFSFile:
                 continue
             batch = [(srv_off, source.take(log_off, ln))
                      for srv_off, log_off, ln in reqs]
-            jobs.append((copy, sid, reqs))
-            futs.append(submit(_land, srv, obj, batch))
+            res = _outcome(srv.write_batch, obj, batch)
+            jobs.append((copy, sid, reqs, res, srv.available))
         elapsed_by_server: dict[int, float] = {}
-        for (copy, sid, reqs), res in zip(
-                jobs, join(futs, return_exceptions=True)):
+        for copy, sid, reqs, res, readable in jobs:
             if isinstance(res, ServerDownError):
                 # killed between the liveness check and the batch
                 # (e.g. by a chaos hook at the crash point above)
@@ -398,8 +379,7 @@ class PFSFile:
                 # included, else a batch lost after its region was
                 # rebuilt would go unnoticed
                 raise res
-            t, readable = res
-            elapsed_by_server[sid] = elapsed_by_server.get(sid, 0.0) + t
+            elapsed_by_server[sid] = elapsed_by_server.get(sid, 0.0) + res
             if readable:
                 for _srv_off, log_off, _ln in reqs:
                     landed[log_off] += 1
@@ -685,11 +665,16 @@ def _attach(pieces: list[list], into: list) -> None:
                                  view[a - start:min(hi, end) - start]))
 
 
-def _land(srv: IOServer, obj: str, batch: list) -> tuple[float, bool]:
-    """One replica batch: its simulated time, and whether the copy is
-    readable once it has landed (a stale server's write-through is
-    not)."""
-    return srv.write_batch(obj, batch), srv.available
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised, for the caller to
+    apply in batch order.  A :class:`CrashError` is process death: it
+    propagates at once, and no later batch runs."""
+    try:
+        return fn(*args)
+    except CrashError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - applied by the caller
+        return exc
 
 
 class _Pieces:

@@ -29,10 +29,11 @@ batches alike — funnels through the single checked entry point
 uniformly (earlier revisions only checked the batch paths, letting
 scalar byte-store traffic bypass fault injection).
 
-Concurrency.  :class:`~repro.core.executor.IOExecutor` dispatches
-per-server batches from multiple threads, so every operation runs under
-a per-server reentrant lock: one server services one batch at a time
-(it models a single disk) while distinct servers proceed in parallel.
+Concurrency.  A server is shared by every file striped over it, and
+threads of one process (SPMD ranks, pool read-ahead and write-behind)
+reach it at once, so every operation runs under a per-server reentrant
+lock: one server services one batch at a time (it models a single
+disk).
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ class IOServer:
         self.server_id = server_id
         self.cost_model = cost_model
         self.stats = IOStats()
-        #: one batch at a time per server (a server models one disk);
-        #: distinct servers proceed concurrently under the executor
+        #: one batch at a time per server (a server models one disk)
         self._lock = threading.RLock()
         #: optional fault source (duck-typed so pfs stays import-free of
         #: the drx layer): any object with ``check(op)`` that raises when

@@ -13,8 +13,8 @@ already keeps about itself (:class:`~repro.drx.storage.StoreStats`,
 >>> from repro.tuning import Workload, advise
 >>> w = Workload(bounds=(4096, 4096), chunk_shape=(64, 64))
 >>> advice = advise(w)
->>> advice.settings()["executor_threads"]  # doctest: +SKIP
-4
+>>> advice.settings()["codec"]             # doctest: +SKIP
+'none'
 >>> print(advice.explain())               # doctest: +SKIP
 
 Every candidate value of every knob carries its *predicted* cost in
@@ -22,15 +22,14 @@ cost-model seconds — and, when observed counters are supplied, the
 cost-model replay of what actually happened — so a recommendation is
 never a black box.  The advisor is an offline report: it reconfigures
 nothing.  :func:`advise_file` prices a live handle with the settings it
-runs with today (its chunk shape, PFS stripe, codec, executor width and
-the pool's read-ahead window), and the CLI prices a workload described
-on the command line::
+runs with today (its chunk shape, PFS stripe and codec, priced under
+its executor width and the pool's read-ahead window), and the CLI
+prices a workload described on the command line::
 
     python -m repro.tuning report --bounds 4096,4096 --chunk 64,64
 
 Acting on the advice is the caller's choice: the chunk shape, stripe
-size and codec are fixed when an array is created, and the executor
-width is ``DRX_EXECUTOR_THREADS``.
+size and codec are fixed when an array is created.
 
 The chunk-shape heuristics (E5's chunk/stripe reconciliation) live in
 :mod:`repro.tuning.chunkshape`, so this package is the single entry

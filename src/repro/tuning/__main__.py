@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--codec", default="none",
                      help="codec the array currently uses")
     rep.add_argument("--threads", type=int, default=0,
-                     help="current executor thread count")
+                     help="current executor thread count (read-ahead "
+                          "runs only with an executor)")
     rep.add_argument("--readahead", type=int, default=8,
                      help="current Mpool read-ahead window")
     rep.add_argument("--json", action="store_true",

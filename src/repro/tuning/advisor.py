@@ -18,18 +18,16 @@ tuning knob over a candidate list and keeps the cheapest value:
     the transfer seconds saved exceed the encode/decode seconds added
     (rates come from :class:`~repro.drx.codec.CodecStats` when
     available, else a conservative default).
-``executor_threads``
-    Serial wall clock is the *sum* of per-server batch times; ``t``
-    threads overlap distinct servers, flooring at the max-of-servers
-    time the simulator charges.  Threads only pay when the pass is
-    I/O-bound.
-
-The Mpool's read-ahead window is not a knob: every handle runs the
-pool's default (8 pages, clamped to half the pool).  It is an *input*
-of the price — a window ``w`` lets a sequential scan overlap assembly
-CPU with the next fault, the hidden fraction growing with ``w`` until
-the window covers one coalesced run, and random workloads are charged
-for the wasted prefetches instead.
+The PFS visits a pass's servers one after another on the caller's
+thread, so a pass's I/O costs the *sum* of its per-server batch times
+whatever the executor width.  Neither the width nor the Mpool's
+read-ahead window is a knob; both are *inputs* of the price.  Every
+handle runs the pool's default window (8 pages, clamped to half the
+pool), and the pool reads ahead only with an executor attached: then a
+window ``w`` lets a sequential scan overlap assembly CPU with the next
+fault, the hidden fraction growing with ``w`` until the window covers
+one coalesced run.  Random workloads are charged for the wasted
+prefetches instead.
 
 Every candidate is returned with its predicted cost; when an
 :class:`Observed` counter block is supplied, the candidates matching
@@ -72,7 +70,7 @@ CPU_PER_CHUNK_SCALAR = 40e-6
 #: observed :class:`CodecStats` rate is available.
 DEFAULT_CODEC_RATE = 150e6
 
-KNOBS = ("chunk_shape", "stripe_size", "codec", "executor_threads")
+KNOBS = ("chunk_shape", "stripe_size", "codec")
 
 
 def _itemsize(dtype) -> int:
@@ -90,8 +88,9 @@ class Workload:
 
     ``request_shape=None`` means whole-array requests (the scan
     workloads of E1/E2/E7); ``sequential=False`` declares that
-    successive requests do *not* walk increasing file addresses, which
-    flips the read-ahead recommendation.  ``read_fraction`` weighs the
+    successive requests do *not* walk increasing file addresses, so a
+    read-ahead window is charged for wasted prefetches instead of
+    credited for overlap.  ``read_fraction`` weighs the
     codec's decode vs. encode rates.
     """
 
@@ -291,25 +290,19 @@ def _wall(io_par: float, cpu: float, w: Workload, threads: int,
           model: CostModel = DEFAULT_COST_MODEL) -> float:
     """Wall-clock seconds combining the I/O and CPU prices.
 
-    Serial execution visits servers one after another (sum); ``t``
-    threads overlap distinct servers down to the max-of-servers floor.
-    A read-ahead window overlaps CPU with I/O on sequential passes and
-    wastes prefetches on random ones.
+    The servers are visited one after another (sum) at any executor
+    width.  With an executor (``threads > 0``) a read-ahead window
+    overlaps CPU with I/O on sequential passes; a window wastes
+    prefetches on random ones.
     """
-    io_serial = io_par * w.nservers
-    if threads <= 0:
-        io_wall = io_serial
-        overlap = 0.0
-    else:
-        io_wall = max(io_par, io_serial / min(threads, w.nservers))
-        if readahead > 0 and w.sequential:
-            cs = tuple(chunk_shape or w.chunk_shape)
-            run_len = max(1, w.chunk_counts(cs)[-1]
-                          if w.chunk_counts(cs) else 1)
-            hide = min(1.0, readahead / run_len)
-            overlap = hide * min(io_wall, cpu)
-        else:
-            overlap = 0.0
+    io_wall = io_par * w.nservers
+    overlap = 0.0
+    if threads > 0 and readahead > 0 and w.sequential:
+        cs = tuple(chunk_shape or w.chunk_shape)
+        run_len = max(1, w.chunk_counts(cs)[-1]
+                      if w.chunk_counts(cs) else 1)
+        hide = min(1.0, readahead / run_len)
+        overlap = hide * min(io_wall, cpu)
     wall = io_wall + cpu - overlap
     if readahead > 0 and not w.sequential:
         # wasted prefetch requests compete with demand faults
@@ -432,8 +425,9 @@ def advise(workload: Workload, observed: Observed | None = None,
     """Sweep every knob and return the full candidate table.
 
     ``current`` pins the settings the handle runs with today (defaults:
-    the workload's own geometry, no codec, serial) and the pool's
-    read-ahead window it is priced under (``"readahead"``, default 8);
+    the workload's own geometry, no codec) and the inputs it is priced
+    under: the executor width (``"executor_threads"``, default 0) and
+    the pool's read-ahead window (``"readahead"``, default 8);
     the matching candidates are flagged and — when ``observed`` counters
     are given — priced a second time by replaying those counters
     through the cost model.
@@ -513,17 +507,6 @@ def advise(workload: Workload, observed: Observed | None = None,
         return "no observed ratio; assumed incompressible"
 
     sweep("codec", codec_vals, codec_why, extra=codec_extra)
-
-    thread_vals = [0, 2, 4, 8]
-    if cur["executor_threads"] not in thread_vals:
-        thread_vals.append(cur["executor_threads"])
-        thread_vals.sort()
-
-    def thread_why(v):
-        return "serial (exact historical path)" if v == 0 \
-            else f"overlaps up to {min(v, workload.nservers)} servers"
-
-    sweep("executor_threads", thread_vals, thread_why)
     return advice
 
 
@@ -535,9 +518,9 @@ def advise_file(f, request_shape: tuple[int, ...] | None = None,
 
     The workload defaults to whole-array sequential scans; the PFS
     geometry is discovered from the backing store when it is
-    PFS-backed, else the simulator defaults are assumed.  Executor and
-    codec currents, and the pool's read-ahead window, are read off the
-    handle so the report marks and prices what the file runs with
+    PFS-backed, else the simulator defaults are assumed.  The codec,
+    the executor width and the pool's read-ahead window are read off
+    the handle so the report marks and prices what the file runs with
     today.
     """
     meta = f.meta

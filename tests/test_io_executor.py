@@ -2,11 +2,11 @@
 
 Covers the :class:`~repro.core.executor.IOExecutor` primitives, the
 environment switch (``DRX_EXECUTOR_THREADS=0`` attaches no executor),
-inline execution while a fault plan is armed, bit- and stats-identity of the parallel per-server dispatch in
-:class:`~repro.pfs.pfile.PFSFile`, replicated failover under threads,
-Mpool thread-safety / read-ahead / write-behind, the DRX streaming
-pipelines, and the dirty-page shadowing guarantee of ``_read_streaming``
-under a concurrent writer.
+inline execution while a fault plan is armed, the PFS serving every
+per-server batch on its caller's thread, Mpool thread-safety /
+read-ahead / write-behind, the DRX streaming pipelines, and the
+dirty-page shadowing guarantee of ``_read_streaming`` under a
+concurrent writer.
 """
 
 from __future__ import annotations
@@ -125,10 +125,8 @@ class TestEnvironmentSwitch:
     def test_zero_threads_means_fully_serial(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV, "0")
         reset_default_executors()
-        assert default_executor("pfs") is None
+        assert default_executor("codec") is None
         assert default_executor("drx") is None
-        fs = ParallelFileSystem(nservers=3, stripe_size=64)
-        assert fs.executor is None
         a = DRXFile.create(None, (8, 8), (4, 4))
         assert a._executor is None
         assert a._pool._executor is None
@@ -137,9 +135,9 @@ class TestEnvironmentSwitch:
     def test_auto_resolves_tier_default(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV, "2")
         reset_default_executors()
-        e = resolve_executor("auto", tier="pfs")
+        e = resolve_executor("auto", tier="codec")
         assert e is not None and e.threads == 2
-        assert resolve_executor(None, tier="pfs") is None
+        assert resolve_executor(None, tier="codec") is None
         mine = IOExecutor(1)
         try:
             assert resolve_executor(mine) is mine
@@ -253,26 +251,20 @@ class TestArmedFaultsRunInline:
             e.shutdown()
 
     def test_crash_at_a_replica_batch_stops_the_fan_out(self):
-        e = IOExecutor(4)
-        try:
-            fs = ParallelFileSystem(nservers=4, stripe_size=64,
-                                    replication=2, executor=e)
-            f = fs.create("f")
-            f.write(0, pattern(1024))
-            landed = []
-            for srv in fs.servers:
-                def spy(obj, batch, _sid=srv.server_id,
-                        _inner=srv.write_batch):
-                    landed.append(_sid)
-                    return _inner(obj, batch)
-                srv.write_batch = spy
-            plan = FaultPlan().crash("server.kill.writev.batch", after=1)
-            with plan, pytest.raises(CrashError):
-                f.write(0, pattern(1024, salt=1))
-            assert landed == [0]        # the first batch, and no other
-            assert plan.injected == {"server.kill.writev.batch": 1}
-        finally:
-            e.shutdown()
+        fs = ParallelFileSystem(nservers=4, stripe_size=64, replication=2)
+        f = fs.create("f")
+        f.write(0, pattern(1024))
+        landed = []
+        for srv in fs.servers:
+            def spy(obj, batch, _sid=srv.server_id, _inner=srv.write_batch):
+                landed.append(_sid)
+                return _inner(obj, batch)
+            srv.write_batch = spy
+        plan = FaultPlan().crash("server.kill.writev.batch", after=1)
+        with plan, pytest.raises(CrashError):
+            f.write(0, pattern(1024, salt=1))
+        assert landed == [0]        # the first batch, and no other
+        assert plan.injected == {"server.kill.writev.batch": 1}
 
     def test_shared_plan_fires_exactly_times_across_threads(self):
         plan = FaultPlan().fail("read", times=100)
@@ -303,7 +295,7 @@ class TestArmedFaultsRunInline:
 
 
 # ---------------------------------------------------------------------------
-# PFS per-server dispatch: parallel must be bit- and stats-identical
+# PFS: every per-server batch runs on the caller's thread, in server order
 # ---------------------------------------------------------------------------
 
 def fill_fs(fs, name, nbytes, salt=0):
@@ -312,96 +304,98 @@ def fill_fs(fs, name, nbytes, salt=0):
     return f
 
 
-class TestParallelDispatchIdentity:
+def spy_batches(fs):
+    """Log ``(op, server, thread id)`` for every batch a server runs."""
+    log = []
+    for srv in fs.servers:
+        def read_batch(obj, reqs, _sid=srv.server_id,
+                       _inner=srv.read_batch):
+            log.append(("read", _sid, threading.get_ident()))
+            return _inner(obj, reqs)
+
+        def write_batch(obj, batch, _sid=srv.server_id,
+                        _inner=srv.write_batch):
+            log.append(("write", _sid, threading.get_ident()))
+            return _inner(obj, batch)
+
+        srv.read_batch, srv.write_batch = read_batch, write_batch
+    return log
+
+
+class TestPFSRunsOnTheCallersThread:
+    """Whatever ``DRX_EXECUTOR_THREADS`` says, the PFS has no pool: a
+    call visits its servers one after another on the caller's
+    thread."""
+
     EXTENTS = [(0, 300), (1024, 512), (64, 64), (3000, 1000), (512, 128)]
 
-    def test_readv_bits_and_stats(self):
-        fs_ser = ParallelFileSystem(nservers=4, stripe_size=64,
-                                    executor=None)
-        e = IOExecutor(4)
-        try:
-            fs_par = ParallelFileSystem(nservers=4, stripe_size=64,
-                                        executor=e)
-            f_ser = fill_fs(fs_ser, "a", 4096)
-            f_par = fill_fs(fs_par, "a", 4096)
-            fs_ser.reset_stats()
-            fs_par.reset_stats()
-            d_ser, t_ser = f_ser.readv(self.EXTENTS)
-            d_par, t_par = f_par.readv(self.EXTENTS)
-            assert d_ser == d_par
-            assert t_ser == t_par                       # simulated time
-            assert f_ser.io_time == f_par.io_time
-            assert fs_ser.per_server_stats() == fs_par.per_server_stats()
-        finally:
-            e.shutdown()
+    @staticmethod
+    def assert_on_caller(log, op, servers):
+        assert {sid for o, sid, _t in log if o == op} == set(servers)
+        assert {t for _o, _sid, t in log} == {threading.get_ident()}
 
-    def test_writev_bits_and_stats(self):
-        e = IOExecutor(4)
-        try:
-            fs_ser = ParallelFileSystem(nservers=4, stripe_size=64,
-                                        executor=None)
-            fs_par = ParallelFileSystem(nservers=4, stripe_size=64,
-                                        executor=e)
-            f_ser = fs_ser.create("a")
-            f_par = fs_par.create("a")
-            blob = pattern(sum(n for _o, n in self.EXTENTS), 7)
-            t_ser = f_ser.writev(self.EXTENTS, blob)
-            t_par = f_par.writev(self.EXTENTS, blob)
-            assert t_ser == t_par
-            whole_s = f_ser.read(0, f_ser.size)
-            whole_p = f_par.read(0, f_par.size)
-            assert whole_s == whole_p
-            assert fs_ser.per_server_stats() == fs_par.per_server_stats()
-        finally:
-            e.shutdown()
+    def test_plain_readv(self):
+        fs = ParallelFileSystem(nservers=4, stripe_size=64)
+        f = fill_fs(fs, "a", 4096)
+        log = spy_batches(fs)
+        data, _t = f.readv(self.EXTENTS)
+        assert data == b"".join(pattern(4096)[o:o + n]
+                                for o, n in self.EXTENTS)
+        self.assert_on_caller(log, "read", range(4))
+        # one batch per server, in server order
+        assert [sid for _o, sid, _t in log] == [0, 1, 2, 3]
 
-    def test_replicated_write_fanout_identity(self):
-        e = IOExecutor(4)
-        try:
-            fs_ser = ParallelFileSystem(nservers=4, stripe_size=64,
-                                        replication=2, executor=None)
-            fs_par = ParallelFileSystem(nservers=4, stripe_size=64,
-                                        replication=2, executor=e)
-            f_ser = fill_fs(fs_ser, "a", 4096, salt=3)
-            f_par = fill_fs(fs_par, "a", 4096, salt=3)
-            assert f_ser.verify_replicas() == []
-            assert f_par.verify_replicas() == []
-            assert f_ser.rstats.snapshot() == f_par.rstats.snapshot()
-            assert f_ser.read(0, 4096) == f_par.read(0, 4096)
-        finally:
-            e.shutdown()
+    def test_replicated_readv_with_a_killed_server(self):
+        fs = ParallelFileSystem(nservers=4, stripe_size=64, replication=2)
+        f = fill_fs(fs, "a", 4096, salt=5)
+        fs.kill_server(1)
+        log = spy_batches(fs)
+        assert f.read(0, 4096) == pattern(4096, 5)
+        # the dead server is known up front, so its stripes reroute as
+        # degraded reads
+        assert f.rstats.degraded_reads > 0
+        self.assert_on_caller(log, "read", {0, 2, 3})
 
-    def test_degraded_failover_under_threads(self):
-        e = IOExecutor(4)
-        try:
-            fs = ParallelFileSystem(nservers=4, stripe_size=64,
-                                    replication=2, executor=e)
-            f = fill_fs(fs, "a", 4096, salt=5)
-            fs.kill_server(1)
-            got = f.read(0, 4096)
-            assert got == pattern(4096, 5)
-            # the dead server is known up front, so its stripes reroute
-            # as degraded reads (mid-flight failovers need a server that
-            # dies between copy choice and dispatch)
-            assert f.rstats.degraded_reads > 0
-        finally:
-            e.shutdown()
+    def test_plain_writev(self):
+        fs = ParallelFileSystem(nservers=4, stripe_size=64)
+        f = fs.create("a")
+        log = spy_batches(fs)
+        blob = pattern(sum(n for _o, n in self.EXTENTS), 7)
+        f.writev(self.EXTENTS, blob)
+        self.assert_on_caller(log, "write", range(4))
+        want, pos = bytearray(f.size), 0
+        for off, n in self.EXTENTS:         # a later extent wins
+            want[off:off + n] = blob[pos:pos + n]
+            pos += n
+        assert f.read(0, f.size) == want
 
-    def test_write_skips_dead_server_under_threads(self):
-        e = IOExecutor(4)
-        try:
-            fs = ParallelFileSystem(nservers=4, stripe_size=64,
-                                    replication=2, executor=e)
-            f = fs.create("a")
-            fs.kill_server(2)
-            f.write(0, pattern(4096, 9))
-            assert f.rstats.missed_writes > 0
-            assert f.read(0, 4096) == pattern(4096, 9)   # replicas cover
-            fs.revive_server(2)
-            fs.rebuild_server(2)
-            assert f.verify_replicas() == []
-        finally:
-            e.shutdown()
+    def test_replicated_writev_with_a_killed_server(self):
+        fs = ParallelFileSystem(nservers=4, stripe_size=64, replication=2)
+        f = fs.create("a")
+        fs.kill_server(2)
+        log = spy_batches(fs)
+        f.write(0, pattern(4096, 9))
+        assert f.rstats.missed_writes > 0
+        self.assert_on_caller(log, "write", {0, 1, 3})
+        assert f.read(0, 4096) == pattern(4096, 9)   # replicas cover
+        fs.revive_server(2)
+        fs.rebuild_server(2)
+        assert f.verify_replicas() == []
+
+    def test_sieve_writev(self):
+        fs = ParallelFileSystem(nservers=4, stripe_size=64)
+        f = fill_fs(fs, "a", 4096)
+        log = spy_batches(fs)
+        direct = ([(0, 512)], [(0, pattern(512, 1))])
+        rmw = [(1024, 512, [(1030, pattern(10, 2)), (1400, pattern(20, 3))])]
+        f.sieve_writev(direct, rmw)
+        self.assert_on_caller(log, "read", range(4))
+        self.assert_on_caller(log, "write", range(4))
+        want = bytearray(pattern(4096))
+        want[0:512] = pattern(512, 1)
+        want[1030:1040] = pattern(10, 2)
+        want[1400:1420] = pattern(20, 3)
+        assert f.read(0, 4096) == want
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +786,7 @@ class TestStreamingPipelines:
         e = IOExecutor(4)
         try:
             fs = ParallelFileSystem(nservers=4, stripe_size=512,
-                                    replication=2, executor=e)
+                                    replication=2)
             a = DRXFile.create_pfs(fs, "arr", (48, 48), (8, 8),
                                    cache_pages=4, executor=e)
             a.write((0, 0), ref)

@@ -180,8 +180,7 @@ class TestAdvise:
     def test_every_knob_has_one_choice(self):
         from repro.tuning import advise
         advice = advise(self._workload())
-        for knob in ("chunk_shape", "stripe_size", "codec",
-                     "executor_threads"):
+        for knob in ("chunk_shape", "stripe_size", "codec"):
             chosen = [c for c in advice.candidates
                       if c.knob == knob and c.chosen]
             current = [c for c in advice.candidates
@@ -189,11 +188,10 @@ class TestAdvise:
             assert len(chosen) == 1, knob
             assert len(current) == 1, knob
         settings = advice.settings()
-        assert set(settings) == {"chunk_shape", "stripe_size", "codec",
-                                 "executor_threads"}
-        # the pool's read-ahead window is an input of the price, not a
-        # knob: no candidate sweeps it
-        assert not [c for c in advice.candidates if c.knob == "readahead"]
+        assert set(settings) == {"chunk_shape", "stripe_size", "codec"}
+        # the executor width and the pool's read-ahead window are inputs
+        # of the price, not knobs: no candidate sweeps them
+        assert {c.knob for c in advice.candidates} == set(settings)
 
     def test_small_chunks_rejected_for_tile_scans(self):
         """8x8 chunks cost 8 runs per 64x64 request; the advisor must
@@ -231,11 +229,6 @@ class TestAdvise:
                         current={"codec": "zlib"})
         assert advice.chosen("codec") == "none"
 
-    def test_threads_help_io_bound_pass(self):
-        from repro.tuning import advise
-        advice = advise(self._workload())
-        assert advice.chosen("executor_threads") > 0
-
     def test_readahead_zero_for_random(self):
         """The read-ahead window is an input of the price, not a knob:
         on a random pattern a zero window prices the current settings
@@ -246,9 +239,26 @@ class TestAdvise:
         def current_cost(readahead):
             advice = advise(w, current={"readahead": readahead})
             return [c.predicted_cost for c in advice.candidates
-                    if c.knob == "executor_threads" and c.current][0]
+                    if c.knob == "chunk_shape" and c.current][0]
 
         assert current_cost(8) > current_cost(0)
+
+    def test_executor_width_prices_only_readahead(self):
+        """The PFS visits servers one after another at any width: a
+        width moves a pass's price only by the read-ahead overlap, which
+        hides CPU on a sequential pass and nothing on a random one."""
+        from repro.tuning import advise
+
+        def current_cost(w, threads):
+            advice = advise(w, current={"executor_threads": threads})
+            return [c.predicted_cost for c in advice.candidates
+                    if c.knob == "chunk_shape" and c.current][0]
+
+        rand = self._workload(sequential=False)
+        assert current_cost(rand, 4) == current_cost(rand, 0)
+        seq = self._workload()
+        assert current_cost(seq, 4) == current_cost(seq, 8)
+        assert current_cost(seq, 4) < current_cost(seq, 0)
 
     def test_explain_and_to_dict(self):
         from repro.tuning import advise
