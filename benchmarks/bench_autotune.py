@@ -153,8 +153,7 @@ def _tile_scan_cost(bounds, chunk, stripe, tile) -> dict:
     alongside as the parallel-completion view.
     """
     fs = ParallelFileSystem(nservers=NSERVERS, stripe_size=stripe)
-    a = DRXFile.create_pfs(fs, "arr", bounds, chunk, cache_pages=4,
-                           executor=None)
+    a = DRXFile.create_pfs(fs, "arr", bounds, chunk, cache_pages=4)
     ref = np.arange(np.prod(bounds), dtype=np.float64).reshape(bounds)
     a.write((0, 0), ref)
     a.flush()

@@ -1,33 +1,26 @@
 """The shared bounded I/O executor.
 
-The paper's servers work in parallel inside the simulator's cost
+The paper's servers work in parallel only inside the simulator's cost
 model, which charges each call the slowest server's time; the PFS runs
 its per-server batches on the caller's thread (see
-:mod:`repro.pfs.pfile`).  What does pay for a thread is work that the
-caller need not wait for, or CPU that releases the GIL.
-:class:`IOExecutor` is that bounded thread pool, with
+:mod:`repro.pfs.pfile`), and the Mpool pages on its caller's thread too
+(see :mod:`repro.drx.mpool`).  A hop to another thread pays only when
+the work it schedules costs more than the hop: here, CPU that releases
+the GIL.  :class:`IOExecutor` is that bounded thread pool, with
 
-* ``submit`` / ``gather`` primitives used by the two wired layers
-  (:class:`~repro.drx.mpool.Mpool` read-ahead and write-behind,
-  :class:`~repro.drx.chunkstore.ChunkStore` codec fan-out), and
+* ``submit`` / ``gather`` primitives used by the one wired layer, the
+  :class:`~repro.drx.chunkstore.ChunkStore` codec fan-out, and
 * per-executor stats: in-flight high-water mark, summed task time, and
   the time callers spent blocked waiting on results.
 
 Configuration is one environment variable::
 
-    DRX_EXECUTOR_THREADS=0   # serial: no executor; every wired path
-                             # runs its tasks on the calling thread
+    DRX_EXECUTOR_THREADS=0   # serial: no executor; the codec work runs
+                             # on the calling thread
     DRX_EXECUTOR_THREADS=4   # the default: up to 4 concurrent tasks
 
-Two executor *tiers* are wired, each a process-wide singleton:
+One executor *tier* is wired, a process-wide singleton:
 
-``"drx"``
-    Background tier.  Mpool read-ahead / write-behind.  Tasks here are
-    plain store calls; they may *block on* file and server locks and
-    dispatch into the ``codec`` tier, but nothing in that tier ever
-    waits for a ``drx`` slot, so the wait graph is acyclic and
-    saturation cannot deadlock.  DRX streaming does not use this tier:
-    a streamed window's store transfer runs on the caller's thread.
 ``"codec"``
     Pure-CPU leaf tier.  Chunk (de)compression split across threads by
     a compressed array's :class:`~repro.drx.chunkstore.ChunkStore` —
@@ -39,15 +32,14 @@ Two executor *tiers* are wired, each a process-wide singleton:
     batched fault) may wait on ``codec`` results without closing a
     cycle.
 
-There is no tier above these two: the serve daemon
-(:mod:`repro.serve.server`) runs an admitted request's handler on the
-connection thread that dispatched it, which calls down into
-``drx``-tier work (which calls ``codec``); nothing below ever waits on
-a connection thread, so the ordering ``drx → codec`` keeps the wait
-graph acyclic.  :func:`default_executor` builds a pool for any tier
-name it is asked for; only these two are wired.
+There is no tier above it: the serve daemon (:mod:`repro.serve.server`)
+runs an admitted request's handler on the connection thread that
+dispatched it, which calls down through the pool into ``codec`` work;
+nothing below ever waits on a connection thread, so the wait graph is
+acyclic.  :func:`default_executor` builds a pool for any tier name it is
+asked for; only ``codec`` is wired.
 
-Determinism contract: the wired call sites have no serial twin.  The
+Determinism contract: the wired call site has no serial twin.  The
 one decision lives in :meth:`IOExecutor.submit`: while a fault plan is
 armed (:func:`repro.core.faultsites.any_active`) it runs the task on the
 caller's thread at once and returns a settled future, so the code that
@@ -76,7 +68,6 @@ __all__ = [
     "configured_threads",
     "default_executor",
     "gather",
-    "resolve_executor",
     "reset_default_executors",
 ]
 
@@ -122,12 +113,6 @@ class IOExecutor:
     # ------------------------------------------------------------------
     def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
         """Schedule ``fn(*args, **kwargs)``; return its future.
-
-        Every call is a new task: the executor keeps no record of what
-        its tasks read or write.  A caller that must not issue the same
-        transfer twice tracks its own in-flight work (the
-        :class:`~repro.drx.mpool.Mpool` does, in its read-ahead and
-        write-behind tables).
 
         While a fault plan is armed the task runs here, on the caller's
         thread, and the future comes back settled: fault schedules are
@@ -263,7 +248,7 @@ def configured_threads() -> int:
     return max(0, min(n, MAX_THREADS))
 
 
-def default_executor(tier: str = "drx") -> IOExecutor | None:
+def default_executor(tier: str = "codec") -> IOExecutor | None:
     """The process-wide executor for ``tier`` (``None`` = serial).
 
     Created lazily on first use from :func:`configured_threads`; cached
@@ -274,19 +259,6 @@ def default_executor(tier: str = "drx") -> IOExecutor | None:
             n = configured_threads()
             _defaults[tier] = IOExecutor(n, name=tier) if n > 0 else None
         return _defaults[tier]
-
-
-def resolve_executor(executor: "IOExecutor | None | str" = "auto",
-                     tier: str = "drx") -> IOExecutor | None:
-    """Normalize an ``executor`` constructor argument.
-
-    ``"auto"`` resolves to the tier's environment-configured default,
-    ``None`` forces the serial path, and an :class:`IOExecutor` instance
-    is used as-is.
-    """
-    if executor == "auto":
-        return default_executor(tier)
-    return executor  # type: ignore[return-value]
 
 
 def reset_default_executors() -> None:

@@ -188,9 +188,9 @@ def any_active() -> bool:
 
     Fault schedules are op-count ordered, so while a plan is armed
     :meth:`repro.core.executor.IOExecutor.submit` runs every task on the
-    caller's thread, in submission order: read-ahead, write-behind and
-    codec fan-out all keep their one code path, and injected faults and
-    kill sites fire deterministically.  The PFS needs no such rule: it
+    caller's thread, in submission order: the codec fan-out keeps its
+    one code path, and injected faults and kill sites fire
+    deterministically.  The PFS needs no such rule: it
     serves every per-server batch on the caller's thread already.
     """
     return bool(_ACTIVE)

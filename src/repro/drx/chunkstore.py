@@ -90,18 +90,17 @@ class ChunkStore:
         self.nchunks = int(nchunks)
         self._executor = executor
         self._zeros = bytes(self.chunk_nbytes)
-        # table mutations race between the foreground thread and the
-        # pool's write-behind tasks; store I/O runs outside the lock
-        # (slot extents are disjoint per chunk, and the pool already
+        # table mutations race between the threads that share one
+        # handle (rank threads, serve workers); store I/O runs outside
+        # the lock (slot extents are disjoint per chunk, and the pool
         # orders same-chunk operations)
         self._lock = threading.RLock()
 
     @classmethod
-    def for_meta(cls, meta: DRXMeta, store: ByteStore,
-                 offload: bool = False) -> "ChunkStore":
-        """The chunk store ``meta`` describes over ``store``.  With
-        ``offload`` a compressed array splits its codec work across the
-        process-wide ``codec`` executor tier."""
+    def for_meta(cls, meta: DRXMeta, store: ByteStore) -> "ChunkStore":
+        """The chunk store ``meta`` describes over ``store``.  A
+        compressed array splits its codec work across the process-wide
+        ``codec`` executor tier (none at ``DRX_EXECUTOR_THREADS=0``)."""
         if meta.codec == "none":
             return cls(store, meta.chunk_nbytes, crcs=meta.chunk_crcs,
                        nchunks=meta.num_chunks)
@@ -111,8 +110,7 @@ class ChunkStore:
         return cls(store, meta.chunk_nbytes,
                    get_codec(meta.codec, meta.dtype.itemsize), table,
                    meta.chunk_crcs,
-                   default_executor("codec") if offload else None,
-                   meta.num_chunks)
+                   default_executor("codec"), meta.num_chunks)
 
     # -- geometry ---------------------------------------------------------
     def grow(self, nchunks: int) -> None:
@@ -124,15 +122,6 @@ class ChunkStore:
             needed = self.nchunks * self.chunk_nbytes
             if self.store.size < needed:
                 self.store.truncate(needed)
-
-    @property
-    def readable_chunks(self) -> int:
-        """How far read-ahead may look: up to the byte store's end under
-        direct placement, every chunk of the array under a slot table
-        (unwritten chunks cost no I/O there)."""
-        if self.table is None:
-            return -(-self.store.size // self.chunk_nbytes)
-        return self.nchunks
 
     @property
     def end(self) -> int:

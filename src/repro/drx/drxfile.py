@@ -53,7 +53,6 @@ from ..core.errors import (
     DRXFileNotFoundError,
     DRXIndexError,
 )
-from ..core.executor import IOExecutor, resolve_executor
 from ..core.hyperslab import Hyperslab
 from ..core.metadata import DRXMeta, DRXType
 from .chunkstore import ChunkStore, commit_meta
@@ -95,26 +94,20 @@ class DRXFile:
 
     def __init__(self, meta: DRXMeta, data_store: ByteStore,
                  meta_store: ByteStore | None, writable: bool,
-                 cache_pages: int = 64,
-                 executor: "IOExecutor | None | str" = "auto") -> None:
+                 cache_pages: int = 64) -> None:
         self.meta = meta
         self._meta_store = meta_store
         self._writable = writable
-        # background executor for Mpool read-ahead / write-behind;
-        # ``"auto"`` = the process-wide ``drx``-tier pool sized by
-        # ``DRX_EXECUTOR_THREADS``.
-        self._executor = resolve_executor(executor, tier="drx")
         # The one chunk store over the (decorated) data store: placement,
         # codec and checksums as the meta-data says.  A compressed
-        # array's codec work is split across the dedicated ``codec``
-        # executor tier: a pure-CPU leaf tier (codec tasks take no pool
-        # lock and never submit further work), so it cannot deadlock
-        # with a pool fault or a ``drx``-tier task that waits on it.
+        # array's codec work is split across the process-wide ``codec``
+        # executor tier (sized by ``DRX_EXECUTOR_THREADS``): a pure-CPU
+        # leaf tier (codec tasks take no pool lock and never submit
+        # further work), so it cannot deadlock with a pool fault that
+        # waits on it.  The pool itself pages on the caller's thread.
         self._data = data_store
-        self._store = ChunkStore.for_meta(
-            meta, data_store, offload=self._executor is not None)
-        self._pool = Mpool(self._store, max_pages=max(1, cache_pages),
-                           executor=self._executor)
+        self._store = ChunkStore.for_meta(meta, data_store)
+        self._pool = Mpool(self._store, max_pages=max(1, cache_pages))
         # compiled-request memo: generation-keyed, so extend() (which
         # bumps eci.generation) invalidates it for free; hit/miss
         # counters land in the data store's StoreStats.
@@ -207,8 +200,7 @@ class DRXFile:
                overwrite: bool = False, cache_pages: int = 64,
                fill: float | int | complex = 0,
                checksums: bool = False, codec: str = "none",
-               store_wrapper: StoreWrapper | None = None,
-               executor: "IOExecutor | None | str" = "auto") -> "DRXFile":
+               store_wrapper: StoreWrapper | None = None) -> "DRXFile":
         """Create a new extendible array file.
 
         ``path`` is the array name without suffix (``None`` creates a
@@ -233,13 +225,12 @@ class DRXFile:
                 lambda: (xmd.unlink(), xta.unlink())
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
                            codec, fill, store_wrapper,
-                           cache_pages=cache_pages, executor=executor)
+                           cache_pages=cache_pages)
 
     @classmethod
     def open(cls, path: str | pathlib.Path, mode: str = "r",
              cache_pages: int = 64,
-             store_wrapper: StoreWrapper | None = None,
-             executor: "IOExecutor | None | str" = "auto") -> "DRXFile":
+             store_wrapper: StoreWrapper | None = None) -> "DRXFile":
         """Open an existing array file (``mode`` is ``"r"`` or ``"r+"``).
 
         The paper: "The file must exist otherwise it returns an error."
@@ -255,7 +246,7 @@ class DRXFile:
             meta_store = PosixByteStore(xmd, mode)
             return meta, PosixByteStore(xta, mode), meta_store
         return cls._open(mode, resolve, store_wrapper,
-                         cache_pages=cache_pages, executor=executor)
+                         cache_pages=cache_pages)
 
     @classmethod
     def create_pfs(cls, fs, name: str,
@@ -263,8 +254,7 @@ class DRXFile:
                    dtype: str | np.dtype | type = DRXType.DOUBLE,
                    cache_pages: int = 64, fill: float | int | complex = 0,
                    checksums: bool = False, codec: str = "none",
-                   store_wrapper: StoreWrapper | None = None,
-                   executor: "IOExecutor | None | str" = "auto") -> "DRXFile":
+                   store_wrapper: StoreWrapper | None = None) -> "DRXFile":
         """Create an array backed by a simulated parallel file system.
 
         The ``.xmd`` / ``.xta`` pair becomes two striped PFS files in
@@ -283,13 +273,12 @@ class DRXFile:
                 lambda: (fs.delete(xmd), fs.delete(xta))
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
                            codec, fill, store_wrapper,
-                           cache_pages=cache_pages, executor=executor)
+                           cache_pages=cache_pages)
 
     @classmethod
     def open_pfs(cls, fs, name: str, mode: str = "r",
                  cache_pages: int = 64,
-                 store_wrapper: StoreWrapper | None = None,
-                 executor: "IOExecutor | None | str" = "auto") -> "DRXFile":
+                 store_wrapper: StoreWrapper | None = None) -> "DRXFile":
         """Open a PFS-backed array created by :meth:`create_pfs`."""
         def resolve():
             xmd = fs.open(name + cls.XMD_SUFFIX)
@@ -297,7 +286,7 @@ class DRXFile:
             return meta, PFSByteStore(fs.open(name + cls.XTA_SUFFIX)), \
                 PFSByteStore(xmd)
         return cls._open(mode, resolve, store_wrapper,
-                         cache_pages=cache_pages, executor=executor)
+                         cache_pages=cache_pages)
 
     def close(self) -> None:
         """Flush and close both files (idempotent)."""
@@ -323,21 +312,20 @@ class DRXFile:
         (:func:`~repro.drx.chunkstore.commit_meta`); only
         :attr:`_land_meta` differs.
 
-        Background write-backs are quiesced first, so the document's
-        CRC table and (for a compressed array) slot table describe the
-        bytes actually on the store.  The slot table's copy-on-write
-        discipline guarantees that no extent the *previous* committed
-        table references has been overwritten, so a crash anywhere
-        (``codec.slots.written`` being the canonical point: payloads
-        down, table not) reopens the old table with every old payload
-        intact.  Only after the document lands are the table's
+        The pool writes back on its callers' threads and keeps nothing
+        in flight, so the document's CRC table and (for a compressed
+        array) slot table describe the bytes actually on the store.  The slot
+        table's copy-on-write discipline guarantees that no extent the
+        *previous* committed table references has been overwritten, so a
+        crash anywhere (``codec.slots.written`` being the canonical
+        point: payloads down, table not) reopens the old table with every
+        old payload intact.  Only after the document lands are the table's
         quarantined extents released for reuse.
 
         A scratch in-memory array has no durable document: the
         in-memory table is the only truth, so every commit completes
         immediately and quarantined extents recycle.
         """
-        self._pool.drain_writebehind()
         if self._meta_store is None:
             self._store.mark_committed()
         else:
@@ -372,10 +360,9 @@ class DRXFile:
         """Drop the handle the way a crash would: no flush, no commit.
 
         Dirty cached pages are discarded (unflushed state is lost,
-        exactly as the page cache of a killed process), already-issued
-        background write-backs are awaited, and the backing stores are
-        closed best-effort.  Idempotent, and safe to call instead of
-        :meth:`close` on any error path that must not publish
+        exactly as the page cache of a killed process), and the backing
+        stores are closed best-effort.  Idempotent, and safe to call
+        instead of :meth:`close` on any error path that must not publish
         half-applied state.
         """
         if self._closed:
@@ -757,12 +744,8 @@ class DRXFile:
         thread after the window's read returned and before the rest is
         verified and decoded — split once across the codec tier for a
         compressed array, whose tasks copy straight into ``out``.
-        Pending background write-backs are drained first — a streamed
-        read must not observe the store before an already-submitted
-        write-back lands.
         """
         pool, store = self._pool, self._store
-        pool.drain_writebehind()
 
         def put(visits, bufs) -> None:
             self._copy_chunks(visits, bufs, out, to_box=True)
@@ -791,16 +774,10 @@ class DRXFile:
         split across the codec tier.  Partially covered (edge) chunks
         still read-modify-write through the pool, in capacity-sized
         batches.
-        Pending background write-backs are drained first (an in-flight
-        write-back must not land *after* this write) and pending
-        read-aheads are invalidated (one could have captured pre-write
-        bytes).
         """
         nb = self.meta.chunk_nbytes
         full = [v for v in plan.visits if v.full]
         partial = [v for v in plan.visits if not v.full]
-        self._pool.drain_writebehind()
-        self._pool.discard_prefetch()
         # a chunk's stored size is known only once it is encoded: count
         # each at the compression ratio the array has shown so far
         sizes = [nb / self._store.ratio] * len(full)

@@ -558,8 +558,8 @@ class ChecksumGuard:
     without an entry — never written, or created before checksums were
     enabled — verify vacuously.
 
-    Read-ahead tasks and codec-tier tasks verify chunks concurrently
-    with the caller, so the counters are bumped under one lock.
+    Codec-tier tasks, and threads sharing one handle, verify chunks
+    concurrently, so the counters are bumped under one lock.
     """
 
     def __init__(self, crcs: dict[int, int]) -> None:

@@ -233,8 +233,7 @@ class DRXSingleFile(DRXFile):
                header_reserve: int = DEFAULT_HEADER_RESERVE,
                cache_pages: int = 64, checksums: bool = False,
                codec: str = "none",
-               store_wrapper: StoreWrapper | None = None,
-               executor="auto") -> "DRXSingleFile":
+               store_wrapper: StoreWrapper | None = None) -> "DRXSingleFile":
         _check_reserve(header_reserve)
 
         def place():
@@ -247,20 +246,19 @@ class DRXSingleFile(DRXFile):
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
                            codec, 0, store_wrapper,
                            header_reserve=header_reserve,
-                           cache_pages=cache_pages, executor=executor)
+                           cache_pages=cache_pages)
 
     @classmethod
     def open(cls, path: str | pathlib.Path, mode: str = "r",
              cache_pages: int = 64,
-             store_wrapper: StoreWrapper | None = None,
-             executor="auto") -> "DRXSingleFile":
+             store_wrapper: StoreWrapper | None = None) -> "DRXSingleFile":
         def resolve():
             drx = cls._with_suffix(path)
             if not drx.exists():
                 raise DRXFileNotFoundError(f"no array named {drx}")
             return None, PosixByteStore(drx, mode), None
         return cls._open(mode, resolve, store_wrapper,
-                         cache_pages=cache_pages, executor=executor)
+                         cache_pages=cache_pages)
 
     @classmethod
     def create_pfs(cls, *_args, **_kwargs):

@@ -70,9 +70,9 @@ Extent = tuple[int, int]
 class StoreStats:
     """Cumulative transfer counters for one byte store.
 
-    The counter block is shared between the foreground thread and the
-    executor's background read-ahead / write-behind tasks, so the
-    ``note_*`` helpers serialize on a private lock.  ``snapshot()`` /
+    The counter block is shared between every thread that uses the
+    store (rank threads, serve workers), so the ``note_*`` helpers
+    serialize on a private lock.  ``snapshot()`` /
     ``delta()`` return plain value copies (the lock is never copied).
     """
 
@@ -427,8 +427,8 @@ class PosixByteStore(ByteStore):
 class MemoryByteStore(ByteStore):
     """An in-memory byte store (unit tests, scratch arrays).
 
-    The body is guarded by a lock: background read-ahead / write-behind
-    tasks touch the same ``bytearray`` as the foreground thread, and a
+    The body is guarded by a lock: threads sharing one array (rank
+    threads, serve workers) touch the same ``bytearray``, and a
     concurrent ``extend`` during a slice read is not atomic in general.
     """
 

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.chunking import box_shape
 from ..core.errors import (
     DRXExtendError,
     DRXFileError,
@@ -271,22 +272,27 @@ class DRXMPFile:
         buffer shape must still match the current array bounds.
         """
         self._h.require_open()
-        zone = self.my_zone(partition) if into is None else into.zone
-        use_order = order if into is None else into.order
-        arr = zone_read(self._h, zone, order=use_order,
-                        collective=collective)
-        lo, _hi = zone.element_box(self.chunk_shape, self.shape)
-        if into is not None:
-            if tuple(into.array.shape) != tuple(arr.shape):
-                raise DRXFileError(
-                    f"memory handle shape {tuple(into.array.shape)} no "
-                    f"longer matches zone box {tuple(arr.shape)} "
-                    f"(did the array grow?)"
-                )
-            into.array[...] = arr
-            into.origin = lo
-            return into
-        return DRXMDMemHdl(array=arr, zone=zone, order=order, origin=lo)
+        if into is None:
+            zone = self.my_zone(partition)
+            arr = zone_read(self._h, zone, order=order,
+                            collective=collective)
+            lo, _hi = zone.element_box(self.chunk_shape, self.shape)
+            return DRXMDMemHdl(array=arr, zone=zone, order=order, origin=lo)
+        lo, hi = into.zone.element_box(self.chunk_shape, self.shape)
+        if tuple(into.array.shape) != box_shape(lo, hi):
+            if collective:
+                # join the collective anyway: the other ranks' reads
+                # must complete before this one raises
+                zone_read(self._h, into.zone, order=into.order)
+            raise DRXFileError(
+                f"memory handle shape {tuple(into.array.shape)} no "
+                f"longer matches zone box {box_shape(lo, hi)} "
+                f"(did the array grow?)"
+            )
+        zone_read(self._h, into.zone, order=into.order,
+                  collective=collective, out=into.array)
+        into.origin = lo
+        return into
 
     def write_zone(self, memhdl: DRXMDMemHdl,
                    collective: bool = True) -> None:

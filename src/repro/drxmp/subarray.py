@@ -119,20 +119,23 @@ def _transfer(h: DRXMDHdl, addrs: np.ndarray, staging: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def zone_read(h: DRXMDHdl, zone: Zone, order: str = "C",
-              collective: bool = True) -> np.ndarray:
-    """Read one process's zone into a fresh array of the given order.
+              collective: bool = True,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Read one process's zone into a fresh array of the given order, or
+    into ``out`` (already shaped like the zone's element box).
 
     ``collective=True`` issues ``Read_all`` (all ranks of the handle's
     communicator must call together, zones may differ); ``False`` issues
     an independent ``Read_at``.
     """
     lo, hi = zone.element_box(h.meta.chunk_shape, h.meta.element_bounds)
-    return _read(h, zone.chunk_indices(), lo, hi, order, collective)
+    return _read(h, zone.chunk_indices(), lo, hi, order, collective, out)
 
 
 def _read(h: DRXMDHdl, chunk_indices: np.ndarray, lo, hi, order: str,
-          collective: bool) -> np.ndarray:
-    """The element box ``[lo, hi)`` from the chunks that cover it."""
+          collective: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """The element box ``[lo, hi)`` from the chunks that cover it,
+    scattered into ``out`` (a fresh ``order`` array when ``None``)."""
     if order not in ("C", "F"):
         raise DRXIndexError(f"order must be 'C' or 'F', got {order!r}")
     meta = h.meta
@@ -142,7 +145,8 @@ def _read(h: DRXMDHdl, chunk_indices: np.ndarray, lo, hi, order: str,
     _transfer(h, addrs, staging, False, collective)
     # the chunks cover [lo, hi), so the scatter writes every element;
     # the kernel clips every chunk box against [lo, hi) in one batch
-    out = np.empty(box_shape(lo, hi), dtype=meta.dtype, order=order)
+    if out is None:
+        out = np.empty(box_shape(lo, hi), dtype=meta.dtype, order=order)
     scatter_chunks(staging, indices, meta.chunk_shape, meta.element_bounds,
                    out, lo)
     return out

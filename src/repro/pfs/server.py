@@ -30,10 +30,9 @@ uniformly (earlier revisions only checked the batch paths, letting
 scalar byte-store traffic bypass fault injection).
 
 Concurrency.  A server is shared by every file striped over it, and
-threads of one process (SPMD ranks, pool read-ahead and write-behind)
-reach it at once, so every operation runs under a per-server reentrant
-lock: one server services one batch at a time (it models a single
-disk).
+threads of one process (SPMD ranks, serve workers) reach it at once,
+so every operation runs under a per-server reentrant lock: one server
+services one batch at a time (it models a single disk).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 :mod:`repro.serve.protocol` framing, and multiplexes many concurrent
 clients onto **shared** substrate: one set of open
 :class:`~repro.drx.drxfile.DRXFile` handles (each with its Mpool buffer
-cache and executor wiring), optionally one shared
+cache), optionally one shared
 :class:`~repro.pfs.filesystem.ParallelFileSystem`.  The design
 commitments, in the order a request meets them:
 
@@ -146,7 +146,7 @@ _scope_local = threading.local()
 
 def current_scope() -> CancelScope | None:
     """The :class:`CancelScope` of the request running on this thread
-    (``None`` outside a request — e.g. Mpool background write-behind)."""
+    (``None`` outside a request)."""
     return getattr(_scope_local, "value", None)
 
 
@@ -159,8 +159,9 @@ class CancelGateStore(StoreDecorator):
     installed thread-locally for the duration of the handler, and any
     store operation issued after expiry raises
     :class:`~repro.core.errors.DeadlineError` instead of doing the I/O.
-    Operations issued from background threads (read-ahead, write-behind)
-    carry no scope and pass through ungated.  Only the four transfers
+    The Mpool faults and writes back on the handler's thread, so its
+    transfers are gated too; operations issued outside a request carry
+    no scope and pass through ungated.  Only the four transfers
     are gated; ``replace`` deliberately stays the base class's plain
     forward — it is the crash-consistent meta-data commit, and once
     entered it must complete: a deadline must not tear a commit in half.

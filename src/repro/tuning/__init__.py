@@ -2,9 +2,8 @@
 
 The paper's future-work list asks for "optimizing the access by
 reconciling the chunk size with the strip size of the parallel file
-system"; PRs 1–9 added the machinery that makes every other knob matter
-too (run coalescing, the Mpool read-ahead window, codecs, the executor
-tiers).  This package closes the loop: it combines the analytic PFS
+system"; run coalescing and the codecs make the other knobs matter
+too.  This package closes the loop: it combines the analytic PFS
 cost model (:mod:`repro.pfs.costmodel`) with the counters the system
 already keeps about itself (:class:`~repro.drx.storage.StoreStats`,
 :class:`~repro.drx.mpool.MpoolStats`,
@@ -22,8 +21,7 @@ cost-model seconds — and, when observed counters are supplied, the
 cost-model replay of what actually happened — so a recommendation is
 never a black box.  The advisor is an offline report: it reconfigures
 nothing.  :func:`advise_file` prices a live handle with the settings it
-runs with today (its chunk shape, PFS stripe and codec, priced under
-its executor width and the pool's read-ahead window), and the CLI
+runs with today (its chunk shape, PFS stripe and codec), and the CLI
 prices a workload described on the command line::
 
     python -m repro.tuning report --bounds 4096,4096 --chunk 64,64

@@ -63,11 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dimensions expected to extend, e.g. 0")
     rep.add_argument("--codec", default="none",
                      help="codec the array currently uses")
-    rep.add_argument("--threads", type=int, default=0,
-                     help="current executor thread count (read-ahead "
-                          "runs only with an executor)")
-    rep.add_argument("--readahead", type=int, default=8,
-                     help="current Mpool read-ahead window")
     rep.add_argument("--json", action="store_true",
                      help="emit the machine-readable advice document")
 
@@ -92,11 +87,7 @@ def main(argv: list[str] | None = None) -> int:
                  requests=args.requests, sequential=not args.random,
                  stripe_size=args.stripe, nservers=args.servers,
                  growth_dims=growth)
-    advice = advise(w, current={
-        "codec": args.codec,
-        "executor_threads": args.threads,
-        "readahead": args.readahead,
-    })
+    advice = advise(w, current={"codec": args.codec})
     if args.json:
         json.dump(advice.to_dict(), sys.stdout, indent=2)
         print()

@@ -19,15 +19,9 @@ tuning knob over a candidate list and keeps the cheapest value:
     (rates come from :class:`~repro.drx.codec.CodecStats` when
     available, else a conservative default).
 The PFS visits a pass's servers one after another on the caller's
-thread, so a pass's I/O costs the *sum* of its per-server batch times
-whatever the executor width.  Neither the width nor the Mpool's
-read-ahead window is a knob; both are *inputs* of the price.  Every
-handle runs the pool's default window (8 pages, clamped to half the
-pool), and the pool reads ahead only with an executor attached: then a
-window ``w`` lets a sequential scan overlap assembly CPU with the next
-fault, the hidden fraction growing with ``w`` until the window covers
-one coalesced run.  Random workloads are charged for the wasted
-prefetches instead.
+thread, and the Mpool faults on the caller's thread with nothing read
+ahead, so a pass costs the *sum* of its per-server batch times plus its
+CPU, whatever the executor width and whatever the access order.
 
 Every candidate is returned with its predicted cost; when an
 :class:`Observed` counter block is supplied, the candidates matching
@@ -88,10 +82,10 @@ class Workload:
 
     ``request_shape=None`` means whole-array requests (the scan
     workloads of E1/E2/E7); ``sequential=False`` declares that
-    successive requests do *not* walk increasing file addresses, so a
-    read-ahead window is charged for wasted prefetches instead of
-    credited for overlap.  ``read_fraction`` weighs the
-    codec's decode vs. encode rates.
+    successive requests do *not* walk increasing file addresses (it is
+    reported, not priced: a demand-paged pool costs the same either
+    way).  ``read_fraction`` weighs the codec's decode vs. encode
+    rates.
     """
 
     bounds: tuple[int, ...]
@@ -285,29 +279,10 @@ def _pass_cpu(w: Workload, chunk_shape=None, vectorized: bool = True,
     return t
 
 
-def _wall(io_par: float, cpu: float, w: Workload, threads: int,
-          readahead: int, chunk_shape=None,
-          model: CostModel = DEFAULT_COST_MODEL) -> float:
-    """Wall-clock seconds combining the I/O and CPU prices.
-
-    The servers are visited one after another (sum) at any executor
-    width.  With an executor (``threads > 0``) a read-ahead window
-    overlaps CPU with I/O on sequential passes; a window wastes
-    prefetches on random ones.
-    """
-    io_wall = io_par * w.nservers
-    overlap = 0.0
-    if threads > 0 and readahead > 0 and w.sequential:
-        cs = tuple(chunk_shape or w.chunk_shape)
-        run_len = max(1, w.chunk_counts(cs)[-1]
-                      if w.chunk_counts(cs) else 1)
-        hide = min(1.0, readahead / run_len)
-        overlap = hide * min(io_wall, cpu)
-    wall = io_wall + cpu - overlap
-    if readahead > 0 and not w.sequential:
-        # wasted prefetch requests compete with demand faults
-        wall += w.requests * readahead * model.request_overhead
-    return wall
+def _wall(io_par: float, cpu: float, w: Workload) -> float:
+    """Wall-clock seconds combining the I/O and CPU prices: the servers
+    are visited one after another (sum), and nothing overlaps the CPU."""
+    return io_par * w.nservers + cpu
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +329,7 @@ def _knob_cost(w: Workload, model: CostModel, settings: dict) -> float:
     cpu = _pass_cpu(w, settings["chunk_shape"], vectorized=True,
                     codec_on=codec_on,
                     codec_rate=settings.get("codec_rate"))
-    return _wall(io, cpu, w, settings["executor_threads"],
-                 settings["readahead"], settings["chunk_shape"], model)
+    return _wall(io, cpu, w)
 
 
 @dataclass
@@ -425,19 +399,14 @@ def advise(workload: Workload, observed: Observed | None = None,
     """Sweep every knob and return the full candidate table.
 
     ``current`` pins the settings the handle runs with today (defaults:
-    the workload's own geometry, no codec) and the inputs it is priced
-    under: the executor width (``"executor_threads"``, default 0) and
-    the pool's read-ahead window (``"readahead"``, default 8);
-    the matching candidates are flagged and — when ``observed`` counters
-    are given — priced a second time by replaying those counters
-    through the cost model.
+    the workload's own geometry, no codec); the matching candidates are
+    flagged and — when ``observed`` counters are given — priced a second
+    time by replaying those counters through the cost model.
     """
     cur = {
         "chunk_shape": workload.chunk_shape,
         "stripe_size": workload.stripe_size,
         "codec": "none",
-        "executor_threads": 0,
-        "readahead": 8,
     }
     if current:
         cur.update(current)
@@ -518,9 +487,8 @@ def advise_file(f, request_shape: tuple[int, ...] | None = None,
 
     The workload defaults to whole-array sequential scans; the PFS
     geometry is discovered from the backing store when it is
-    PFS-backed, else the simulator defaults are assumed.  The codec,
-    the executor width and the pool's read-ahead window are read off
-    the handle so the report marks and prices what the file runs with
+    PFS-backed, else the simulator defaults are assumed.  The codec is
+    read off the handle so the report marks what the file runs with
     today.
     """
     meta = f.meta
@@ -529,11 +497,6 @@ def advise_file(f, request_shape: tuple[int, ...] | None = None,
                  dtype=meta.dtype, request_shape=request_shape,
                  requests=requests, sequential=sequential,
                  stripe_size=stripe, nservers=nservers)
-    ex = getattr(f, "_executor", None)
-    cur = {
-        "codec": meta.codec,
-        "executor_threads": getattr(ex, "threads", 0) if ex else 0,
-        "readahead": getattr(f._pool, "_readahead", 8),
-    }
     obs = observed_profile(f) if with_observed else None
-    return advise(w, observed=obs, model=model, current=cur)
+    return advise(w, observed=obs, model=model,
+                  current={"codec": meta.codec})

@@ -7,6 +7,8 @@ modes.  Every test runs a real SPMD job through ``mpiexec``.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,55 @@ class TestZoneIO:
             a.close()
             return ok
         assert all(run(4, body))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_refresh_into_scatters_in_place(self, order):
+        """``read_zone(into=)`` scatters straight into the handle's
+        array: the array object stays, its values equal a fresh read, and
+        a two-rank refresh allocates little beyond the chunk staging —
+        under 1.5x the zones' bytes, where a fresh zone array plus a copy
+        would take about 2x.  The PFS has its default 64 KiB stripes: at
+        the 1 KiB of the ``pfs`` fixture the per-stripe routing objects
+        alone come to about half the bytes read."""
+        pfs = ParallelFileSystem(nservers=4)
+        bounds, chunk = (256, 256), (16, 16)
+        ref = pattern_array(bounds)
+        traced = {}
+
+        def body(comm):
+            a = DRXMPFile.create(comm, pfs, f"into{order}", bounds, chunk)
+            if comm.rank == 0:
+                a.write((0, 0), ref)
+            comm.barrier()
+            mem = a.read_zone(order=order)
+            buf = mem.array
+            buf[...] = -1.0
+            zone_bytes = comm.allreduce(buf.nbytes)
+            if comm.rank == 0:
+                traced["base"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            comm.barrier()
+            refreshed = a.read_zone(into=mem)
+            comm.barrier()
+            if comm.rank == 0:
+                traced["peak"] = tracemalloc.get_traced_memory()[1]
+            comm.barrier()
+            fresh = a.read_zone(order=order).array
+            ok = (refreshed is mem and mem.array is buf
+                  and np.array_equal(buf, fresh)
+                  and buf.flags[f"{order}_CONTIGUOUS"])
+            a.close()
+            return ok, zone_bytes
+
+        tracemalloc.start()
+        try:
+            results = run(2, body)
+        finally:
+            tracemalloc.stop()
+        assert all(ok for ok, _n in results)
+        zone_bytes = results[0][1]
+        assert zone_bytes == ref.nbytes
+        assert traced["peak"] - traced["base"] < 1.5 * zone_bytes
 
     def test_zone_write_shape_mismatch(self, pfs):
         def body(comm):

@@ -52,7 +52,7 @@ def drx_array(fs, codec, checksums, name="arr"):
     it).  Returns the NumPy model."""
     rng = np.random.default_rng(SEED)
     a = DRXFile.create_pfs(fs, name, (10, 8), CHUNK, codec=codec,
-                           checksums=checksums, executor=None)
+                           checksums=checksums)
     ref = np.zeros((17, 14))
     ref[:10, :8] = rng.random((10, 8))
     a.write((0, 0), ref[:10, :8])
@@ -231,7 +231,7 @@ class TestRankWithoutChunks:
         still join every collective."""
         fs = make_fs()
         a = DRXFile.create_pfs(fs, "arr", (8, 6), CHUNK, codec=codec,
-                               checksums=checksums, executor=None)
+                               checksums=checksums)
         ref = np.random.default_rng(SEED).random((8, 6))
         a.write((0, 0), ref)
         a.close()
@@ -301,8 +301,7 @@ def _box(rng, shape):
 def test_interleaved_front_ends(case):
     checksums, order, steps = case
     fs = make_fs()
-    a = DRXFile.create_pfs(fs, "p", (6, 5), CHUNK, checksums=checksums,
-                           executor=None)
+    a = DRXFile.create_pfs(fs, "p", (6, 5), CHUNK, checksums=checksums)
     a.close()
     ref = np.zeros((6, 5))
     for kind, arg, by in steps:

@@ -20,7 +20,7 @@ from repro.core.errors import (
     DRXFormatError,
     PFSError,
 )
-from repro.core.executor import IOExecutor
+from repro.core.executor import THREADS_ENV, reset_default_executors
 from repro.drx import (
     DRXFile,
     DRXSingleFile,
@@ -221,8 +221,7 @@ class TestStorageFaults:
 
 
 class _FailingWritev(StoreDecorator):
-    """A store whose vectored writes fail once armed.  No fault plan is
-    involved, so an attached executor really pipelines."""
+    """A store whose vectored writes fail once armed."""
 
     armed = False
 
@@ -234,21 +233,23 @@ class _FailingWritev(StoreDecorator):
 
 @pytest.mark.parametrize("threads", [0, 2], ids=["one-batch", "pipelined"])
 def test_failed_streamed_write_leaves_crcs_and_pool_on_the_old_bytes(
-        threads):
+        threads, monkeypatch):
     """Checksums are recorded, and cached copies refreshed, only after
     the batch's store write returned: when it raises, the CRC table and
-    the pool still describe what the store holds."""
+    the pool still describe what the store holds.  The pool pages on
+    its caller's thread, so a configured executor width (the
+    ``pipelined`` leg) must leave that unchanged."""
+    monkeypatch.setenv(THREADS_ENV, str(threads))
+    reset_default_executors()
     wrapped = []
 
     def wrapper(store, role):
         wrapped.append(_FailingWritev(store))
         return wrapped[-1]
 
-    ex = IOExecutor(threads) if threads else None
     try:
         a = DRXFile.create(None, (16, 16), (4, 4), cache_pages=2,
-                           checksums=True, store_wrapper=wrapper,
-                           executor=ex)
+                           checksums=True, store_wrapper=wrapper)
         old = pattern_array((16, 16))
         a.write((0, 0), old)
         a.flush()
@@ -263,8 +264,8 @@ def test_failed_streamed_write_leaves_crcs_and_pool_on_the_old_bytes(
         assert np.array_equal(a.read(), old)       # verifies every CRC
         a.close()
     finally:
-        if ex is not None:
-            ex.shutdown()
+        monkeypatch.undo()
+        reset_default_executors()
 
 
 class TestMisuse:

@@ -2,11 +2,10 @@
 
 Covers the :class:`~repro.core.executor.IOExecutor` primitives, the
 environment switch (``DRX_EXECUTOR_THREADS=0`` attaches no executor),
-inline execution while a fault plan is armed, the PFS serving every
-per-server batch on its caller's thread, Mpool thread-safety /
-read-ahead / write-behind, the DRX streaming pipelines, and the
-dirty-page shadowing guarantee of ``_read_streaming`` under a
-concurrent writer.
+inline execution while a fault plan is armed, the PFS and the Mpool
+serving every store call on their caller's thread, Mpool thread-safety,
+the DRX streaming pipelines, and the dirty-page shadowing guarantee of
+``_read_streaming`` under a concurrent writer.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.core.executor import (
     configured_threads,
     default_executor,
     reset_default_executors,
-    resolve_executor,
 )
 from repro.drx.drxfile import DRXFile
 from repro.drx.resilience import FaultInjector, FaultPlan
@@ -126,24 +124,22 @@ class TestEnvironmentSwitch:
         monkeypatch.setenv(THREADS_ENV, "0")
         reset_default_executors()
         assert default_executor("codec") is None
-        assert default_executor("drx") is None
-        a = DRXFile.create(None, (8, 8), (4, 4))
-        assert a._executor is None
-        assert a._pool._executor is None
+        a = DRXFile.create(None, (8, 8), (4, 4), codec="zlib")
+        assert a._store._executor is None
         a.close()
 
     def test_auto_resolves_tier_default(self, monkeypatch):
+        """A compressed array's chunk store takes the process-wide
+        ``codec`` tier; a plain one has no codec work and no executor."""
         monkeypatch.setenv(THREADS_ENV, "2")
         reset_default_executors()
-        e = resolve_executor("auto", tier="codec")
+        e = default_executor("codec")
         assert e is not None and e.threads == 2
-        assert resolve_executor(None, tier="codec") is None
-        mine = IOExecutor(1)
-        try:
-            assert resolve_executor(mine) is mine
-        finally:
-            mine.shutdown()
-
+        assert default_executor("codec") is e
+        with DRXFile.create(None, (8, 8), (4, 4), codec="zlib") as a:
+            assert a._store._executor is e
+        with DRXFile.create(None, (8, 8), (4, 4)) as a:
+            assert a._store._executor is None
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +205,8 @@ class TestArmedFaultsRunInline:
 
     def test_drxfile_over_injector_keeps_its_concurrent_shape(self):
         """An injected store gets the shipped paths: one store read per
-        streamed window, read-ahead and write-behind — all run on the
-        caller's thread while the plan is armed."""
+        streamed window, demand faults and eviction write-backs — all on
+        the caller's thread."""
         plan = FaultPlan(seed=1)
         logs = []
 
@@ -218,37 +214,30 @@ class TestArmedFaultsRunInline:
             logs.append(_ThreadLog(store))
             return FaultInjector(logs[-1], plan)
 
-        e = IOExecutor(4)
         ref = np.random.default_rng(3).random((64, 64))
-        try:
-            with plan:
-                a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=4,
-                                   executor=e, store_wrapper=wrapper)
-                data = next(log for log in logs
-                            if a._data is log or a._data._inner is log)
-                a.write((0, 0), ref)
-                a.flush()
-                # a tall narrow box: 8 runs of 3 chunks, streamed in
-                # windows of the pool's 4 chunks
-                data.calls.clear()
-                assert np.array_equal(a.read((0, 0), (64, 24)),
-                                      ref[:, :24])
-                assert [op for op, _t in data.calls] == ["readv"] * 6
-                # a chunk-by-chunk scan down one chunk column: read-ahead
-                for i in range(8):
-                    assert np.array_equal(
-                        a.read((8 * i, 40), (8 * i + 8, 48)),
-                        ref[8 * i:8 * i + 8, 40:48])
-                assert a.cache_stats.prefetch_issued > 0
-                # dirtying more chunks than the pool holds: write-behind
-                for i in range(8):
-                    a.write((8 * i, 0), np.full((4, 4), float(i)))
-                assert a.cache_stats.writebehind_runs > 0
-                a.close()
-            assert e.stats.submitted > 0
-            assert {t for _op, t in data.calls} == {threading.get_ident()}
-        finally:
-            e.shutdown()
+        with plan:
+            a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=4,
+                               store_wrapper=wrapper)
+            data = next(log for log in logs
+                        if a._data is log or a._data._inner is log)
+            a.write((0, 0), ref)
+            a.flush()
+            # a tall narrow box: 8 runs of 3 chunks, streamed in
+            # windows of the pool's 4 chunks
+            data.calls.clear()
+            assert np.array_equal(a.read((0, 0), (64, 24)), ref[:, :24])
+            assert [op for op, _t in data.calls] == ["readv"] * 6
+            # a chunk-by-chunk scan down one chunk column
+            for i in range(8):
+                assert np.array_equal(
+                    a.read((8 * i, 40), (8 * i + 8, 48)),
+                    ref[8 * i:8 * i + 8, 40:48])
+            # dirtying more chunks than the pool holds
+            for i in range(8):
+                a.write((8 * i, 0), np.full((4, 4), float(i)))
+            assert a.cache_stats.writebacks > 0
+            a.close()
+        assert {t for _op, t in data.calls} == {threading.get_ident()}
 
     def test_crash_at_a_replica_batch_stops_the_fan_out(self):
         fs = ParallelFileSystem(nservers=4, stripe_size=64, replication=2)
@@ -398,8 +387,61 @@ class TestPFSRunsOnTheCallersThread:
         assert f.read(0, 4096) == want
 
 
+class TestPoolRunsOnTheCallersThread:
+    """Whatever ``DRX_EXECUTOR_THREADS`` says, the Mpool has no
+    background I/O: its faults, eviction write-backs and flushes reach
+    the data store on the caller's thread."""
+
+    @pytest.fixture(autouse=True)
+    def _four_threads(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "4")
+        reset_default_executors()
+        yield
+        reset_default_executors()
+
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    def test_every_store_call_runs_on_the_caller(self, codec):
+        logs = {}
+
+        def wrapper(store, role):
+            if role == "data":
+                logs["data"] = _ThreadLog(store)
+                return logs["data"]
+            return store
+
+        rng = np.random.default_rng(8)
+        ref = np.round(rng.random((64, 64)), 2)
+        a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=8,
+                           codec=codec, store_wrapper=wrapper)
+        log = logs["data"]
+        a.write((0, 0), ref)
+        a.flush()
+        a._pool.invalidate()
+        log.calls.clear()
+        # a chunk-by-chunk scan down one chunk column (the stride a
+        # read-ahead detector would follow)
+        for i in range(8):
+            assert np.array_equal(a.read((8 * i, 40), (8 * i + 8, 48)),
+                                  ref[8 * i:8 * i + 8, 40:48])
+        # random boxes of at most 4 chunks, dirtying far more chunks
+        # than the pool's 8 pages: eviction writes back dirty pages
+        for _ in range(40):
+            r, c = rng.integers(0, 56, size=2)
+            h, w = rng.integers(1, 9, size=2)
+            patch = np.round(rng.random((h, w)), 2)
+            a.write((r, c), patch)
+            ref[r:r + h, c:c + w] = patch
+            assert np.array_equal(a.read((r, c), (r + h, c + w)), patch)
+        assert a.cache_stats.evictions > 0
+        a.flush()
+        assert {op for op, _t in log.calls} >= {"readv", "writev"}
+        assert {t for _op, t in log.calls} == {threading.get_ident()}
+        assert np.array_equal(a.read(), ref)
+        a.close()
+
+
 # ---------------------------------------------------------------------------
-# Mpool: thread-safety, read-ahead, write-behind
+# Mpool: thread-safety
 # ---------------------------------------------------------------------------
 
 class TestMpoolThreadSafety:
@@ -407,8 +449,7 @@ class TestMpoolThreadSafety:
         ps = 64
         store = MemoryByteStore()
         store.truncate(32 * ps)
-        e = IOExecutor(4)
-        pool = byte_pool(store, ps, max_pages=8, executor=e)
+        pool = byte_pool(store, ps, max_pages=8)
         errors = []
 
         def worker(tid: int):
@@ -432,14 +473,12 @@ class TestMpoolThreadSafety:
         pool.flush()
         for p in range(32):
             assert store.read(p * ps, 8) == pattern(8, p)
-        e.shutdown()
 
     def test_pinned_never_evicted_under_pressure(self):
         ps = 64
         store = MemoryByteStore()
         store.truncate(16 * ps)
-        e = IOExecutor(2)
-        pool = byte_pool(store, ps, max_pages=2, executor=e)
+        pool = byte_pool(store, ps, max_pages=2)
         pool.get(0)                      # keep pinned
         pool.get(1)
         pool.put(1)
@@ -450,215 +489,13 @@ class TestMpoolThreadSafety:
             # second pin would need to evict page 0 — refused
             pool.get(10), pool.get(11)
         pool.put(0)
-        e.shutdown()
-
-
-class _FirstBackgroundReadBlocks(StoreDecorator):
-    """The first ``readv`` issued off the constructing thread (the
-    first read-ahead) captures its bytes, then blocks until ``gate``."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.owner = threading.get_ident()
-        self.entered = threading.Event()
-        self.gate = threading.Event()
-
-    def readv(self, extents):
-        data = super().readv(extents)
-        if threading.get_ident() != self.owner \
-                and not self.entered.is_set():
-            self.entered.set()
-            self.gate.wait(5)
-        return data
-
-
-class TestReadAhead:
-    def make(self, npages=64, max_pages=16, threads=2, readahead=4):
-        ps = 64
-        store = MemoryByteStore()
-        for p in range(npages):
-            store.write(p * ps, pattern(ps, p))
-        e = IOExecutor(threads)
-        pool = byte_pool(store, ps, max_pages=max_pages, executor=e,
-                     readahead=readahead)
-        return store, e, pool
-
-    def test_sequential_scan_triggers_and_adopts(self):
-        _store, e, pool = self.make()
-        try:
-            for p in range(24):
-                buf = pool.get(p)
-                assert bytes(buf) == pattern(64, p)
-                pool.put(p)
-            assert pool.stats.prefetch_issued > 0
-            assert pool.stats.prefetch_hits > 0
-            # adopted pages count as hits, not misses
-            assert pool.stats.hits >= pool.stats.prefetch_hits
-            assert pool.stats.accesses == 24
-        finally:
-            e.shutdown()
-
-    def test_strided_scan_triggers(self):
-        _store, e, pool = self.make(readahead=8)
-        try:
-            for p in range(0, 48, 3):
-                buf = pool.get(p)
-                assert bytes(buf) == pattern(64, p)
-                pool.put(p)
-            assert pool.stats.prefetch_issued > 0
-            assert pool.stats.prefetch_hits > 0
-        finally:
-            e.shutdown()
-
-    def test_batch_stride_detector(self):
-        _store, e, pool = self.make(max_pages=16, readahead=8)
-        try:
-            for start in range(0, 40, 8):
-                batch = list(range(start, start + 4))
-                bufs = pool.get_many(batch)
-                for p, buf in zip(batch, bufs):
-                    assert bytes(buf) == pattern(64, p)
-                pool.put_many(batch)
-            assert pool.stats.prefetch_issued > 0
-            assert pool.stats.prefetch_hits > 0
-        finally:
-            e.shutdown()
-
-    def test_random_access_stays_quiet(self):
-        _store, e, pool = self.make()
-        try:
-            for p in [0, 17, 3, 41, 9, 28, 5, 33]:   # no repeated stride
-                pool.get(p)
-                pool.put(p)
-            assert pool.stats.prefetch_issued == 0
-        finally:
-            e.shutdown()
-
-    def test_unused_prefetch_dropped_on_flush(self):
-        _store, e, pool = self.make()
-        try:
-            for p in range(6):           # arm the detector, issue ahead
-                pool.get(p)
-                pool.put(p)
-            issued_pages = pool.stats.prefetch_pages
-            assert issued_pages > 0
-            pool.flush()
-            assert pool.stats.prefetch_hits + pool.stats.prefetch_dropped \
-                >= 1
-            assert not pool._pf
-        finally:
-            e.shutdown()
-
-    def test_discarded_readahead_is_never_served(self):
-        """A read-ahead dropped by ``discard_prefetch`` — as a streamed
-        write does before it lands — must not come back when the same
-        pages are predicted again while the old read is still running:
-        the re-prediction reads the store afresh."""
-        ps = 64
-        store = _FirstBackgroundReadBlocks(MemoryByteStore())
-        for p in range(64):
-            store.write(p * ps, bytes([p]) * ps)
-        e = IOExecutor(2)
-        pool = byte_pool(store, ps, max_pages=16, executor=e, readahead=4)
-        batches = [list(range(s, s + 4)) for s in (0, 8, 16)]
-        try:
-            for batch in batches:       # batch stride 8: reads 24..27 ahead
-                pool.get_many(batch)
-                pool.put_many(batch)
-            assert store.entered.wait(5), "no read-ahead was issued"
-            pool.discard_prefetch()
-            store.write(24 * ps, bytes([200]) * (4 * ps))
-            for batch in batches:       # the same stride predicts 24..27
-                pool.get_many(batch)
-                pool.put_many(batch)
-            store.gate.set()            # the stale read (24s) completes
-            assert bytes(pool.get(24)) == bytes([200]) * ps
-            pool.put(24)
-        finally:
-            store.gate.set()
-            e.shutdown()
-
-    def test_serial_pool_never_prefetches(self):
-        ps = 64
-        store = MemoryByteStore()
-        store.truncate(32 * ps)
-        pool = byte_pool(store, ps, max_pages=8)       # no executor
-        for p in range(20):
-            pool.get(p)
-            pool.put(p)
-        assert pool.stats.prefetch_issued == 0
-        assert pool.stats.misses == 20
-
-
-class TestWriteBehind:
-    def test_eviction_writebacks_go_async_and_flush_barriers(self):
-        ps = 64
-        store = MemoryByteStore()
-        store.truncate(32 * ps)
-        e = IOExecutor(2)
-        pool = byte_pool(store, ps, max_pages=4, executor=e, readahead=0)
-        try:
-            for p in range(16):
-                buf = pool.get(p)
-                buf[:] = np.frombuffer(pattern(ps, p + 100), dtype=np.uint8)
-                pool.put(p, dirty=True)
-            assert pool.stats.writebehind_runs > 0
-            pool.flush()
-            assert not pool._wb                     # barrier drained
-            for p in range(16):
-                assert store.read(p * ps, ps) == pattern(ps, p + 100)
-        finally:
-            e.shutdown()
-
-    def test_refault_after_writebehind_sees_new_bytes(self):
-        ps = 64
-        store = MemoryByteStore()
-        store.truncate(8 * ps)
-        e = IOExecutor(2)
-        pool = byte_pool(store, ps, max_pages=2, executor=e, readahead=0)
-        try:
-            buf = pool.get(0)
-            buf[:] = 7
-            pool.put(0, dirty=True)
-            pool.get(1), pool.put(1)
-            pool.get(2), pool.put(2)   # evicts page 0 -> write-behind
-            got = pool.get(3), pool.put(3)  # evicts again
-            buf0 = pool.get(0)          # demand fault waits the WB
-            assert bytes(buf0) == bytes([7]) * ps
-            pool.put(0)
-        finally:
-            e.shutdown()
-
-    def test_counters_match_serial_values(self):
-        # write-behind records the same writeback/syscall/bytes counters
-        # the synchronous path would have
-        def run(executor):
-            ps = 64
-            store = MemoryByteStore()
-            store.truncate(32 * ps)
-            pool = byte_pool(store, ps, max_pages=4, executor=executor,
-                         readahead=0)
-            for p in range(16):
-                buf = pool.get(p)
-                buf[:] = p
-                pool.put(p, dirty=True)
-            pool.flush()
-            s = pool.stats
-            return (s.writebacks, s.syscalls, s.bytes_written,
-                    s.bytes_faulted, s.hits, s.misses, s.evictions)
-
-        e = IOExecutor(2)
-        try:
-            assert run(None) == run(e)
-        finally:
-            e.shutdown()
 
 
 # ---------------------------------------------------------------------------
 # DRX streaming pipelines
 # ---------------------------------------------------------------------------
 
-#: the three ways a plan executes, as (cache_pages, executor threads):
+#: the three ways a plan executes, as (cache_pages, codec threads):
 #: everything fits the pool; streams in pool-sized windows on the
 #: caller's thread; streams in windows whose compressed chunks are split
 #: across a codec executor
@@ -690,12 +527,10 @@ class TestStreamingPipelines:
         """One (64, 64) array of (8, 8) chunks per route."""
         executors, arrays = [], {}
         for name, (cache_pages, threads) in ROUTES.items():
-            e = IOExecutor(threads) if threads else None
-            executors.append(e)
             arrays[name] = DRXFile.create(
                 None, (64, 64), (8, 8), cache_pages=cache_pages,
-                checksums=checksums, codec=codec, executor=e)
-            if e is not None:
+                checksums=checksums, codec=codec)
+            if threads:
                 codec_ex = IOExecutor(threads, name="codec")
                 executors.append(codec_ex)
                 attach_codec_executor(arrays[name], codec_ex)
@@ -703,8 +538,7 @@ class TestStreamingPipelines:
         for a in arrays.values():
             a.close()
         for e in executors:
-            if e is not None:
-                e.shutdown()
+            e.shutdown()
 
     #: (start, stride, count) lattices over the (64, 64) array
     SLABS = [((1, 0), (3, 2), (21, 32)), ((0, 5), (9, 1), (8, 40)),
@@ -767,36 +601,26 @@ class TestStreamingPipelines:
     def test_streamed_write_then_checksum_scrub(self):
         rng = np.random.default_rng(11)
         ref = rng.random((64, 64))
-        e = IOExecutor(2)
-        try:
-            a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=4,
-                               checksums=True, executor=e)
-            a.write((0, 0), ref)
-            a.flush()
-            report = a.scrub()
-            assert report.corrupt == []
-            assert np.array_equal(a.read(), ref)
-            a.close()
-        finally:
-            e.shutdown()
+        a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=4,
+                           checksums=True)
+        a.write((0, 0), ref)
+        a.flush()
+        report = a.scrub()
+        assert report.corrupt == []
+        assert np.array_equal(a.read(), ref)
+        a.close()
 
     def test_pfs_backed_roundtrip_under_threads(self):
         rng = np.random.default_rng(13)
         ref = rng.random((48, 48))
-        e = IOExecutor(4)
-        try:
-            fs = ParallelFileSystem(nservers=4, stripe_size=512,
-                                    replication=2)
-            a = DRXFile.create_pfs(fs, "arr", (48, 48), (8, 8),
-                                   cache_pages=4, executor=e)
-            a.write((0, 0), ref)
-            a.flush()
-            assert np.array_equal(a.read(), ref)
-            fs.kill_server(0)
-            assert np.array_equal(a.read(), ref)     # degraded, streamed
-            a.close()
-        finally:
-            e.shutdown()
+        fs = ParallelFileSystem(nservers=4, stripe_size=512, replication=2)
+        a = DRXFile.create_pfs(fs, "arr", (48, 48), (8, 8), cache_pages=4)
+        a.write((0, 0), ref)
+        a.flush()
+        assert np.array_equal(a.read(), ref)
+        fs.kill_server(0)
+        assert np.array_equal(a.read(), ref)     # degraded, streamed
+        a.close()
 
 
 class TestDirtyPageShadowing:
@@ -827,37 +651,33 @@ class TestDirtyPageShadowing:
             blocking["store"] = b
             return b
 
-        e = IOExecutor(2)
-        try:
-            a = DRXFile.create(None, (32, 32), (4, 4), cache_pages=4,
-                               store_wrapper=wrapper, executor=e)
-            store = blocking["store"]
-            ref = np.arange(32 * 32, dtype=np.float64).reshape(32, 32)
-            a.write((0, 0), ref)
-            a.flush()
-            store.arm = True
-            result = {}
+        a = DRXFile.create(None, (32, 32), (4, 4), cache_pages=4,
+                           store_wrapper=wrapper)
+        store = blocking["store"]
+        ref = np.arange(32 * 32, dtype=np.float64).reshape(32, 32)
+        a.write((0, 0), ref)
+        a.flush()
+        store.arm = True
+        result = {}
 
-            def reader():
-                result["out"] = a.read()
+        def reader():
+            result["out"] = a.read()
 
-            t = threading.Thread(target=reader)
-            t.start()
-            assert store.entered.wait(10)
-            # the streamed readv is parked inside the store: dirty a page
-            # it has not scattered yet, then let it continue
-            a.put((31, 31), -123.0)
-            store.gate.set()
-            t.join(10)
-            assert not t.is_alive()
-            out = result["out"]
-            assert out[31, 31] == -123.0             # shadowed, not stale
-            expect = ref.copy()
-            expect[31, 31] = -123.0
-            assert np.array_equal(out, expect)
-            a.close()
-        finally:
-            e.shutdown()
+        t = threading.Thread(target=reader)
+        t.start()
+        assert store.entered.wait(10)
+        # the streamed readv is parked inside the store: dirty a page it
+        # has not scattered yet, then let it continue
+        a.put((31, 31), -123.0)
+        store.gate.set()
+        t.join(10)
+        assert not t.is_alive()
+        out = result["out"]
+        assert out[31, 31] == -123.0             # shadowed, not stale
+        expect = ref.copy()
+        expect[31, 31] = -123.0
+        assert np.array_equal(out, expect)
+        a.close()
 
     def test_concurrent_writer_shadows_streamed_zlib_read(self):
         """The same guarantee over a compressed array: dirty pages are
@@ -870,11 +690,11 @@ class TestDirtyPageShadowing:
             blocking["store"] = self.BlockingStore()
             return blocking["store"]
 
-        e, codec_ex = IOExecutor(2), IOExecutor(2, name="codec")
+        codec_ex = IOExecutor(2, name="codec")
         try:
             a = DRXFile.create(None, (32, 32), (4, 4), cache_pages=4,
                                codec="zlib", checksums=True,
-                               store_wrapper=wrapper, executor=e)
+                               store_wrapper=wrapper)
             attach_codec_executor(a, codec_ex)
             store = blocking["store"]
             ref = np.arange(32 * 32, dtype=np.float64).reshape(32, 32)
@@ -894,7 +714,6 @@ class TestDirtyPageShadowing:
             assert np.array_equal(result["out"], expect)
             a.close()
         finally:
-            e.shutdown()
             codec_ex.shutdown()
 
 
@@ -921,10 +740,10 @@ class TestCompressedWindows:
             logs["data"] = self.ReadLog(store)
             return logs["data"]
 
-        e, codec_ex = IOExecutor(2), IOExecutor(2, name="codec")
+        codec_ex = IOExecutor(2, name="codec")
         try:
             a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=4,
-                               codec="zlib", checksums=True, executor=e,
+                               codec="zlib", checksums=True,
                                store_wrapper=wrapper)
             attach_codec_executor(a, codec_ex)
             ref = np.round(np.random.default_rng(5).random((64, 64)), 2)
@@ -943,15 +762,12 @@ class TestCompressedWindows:
             assert windows >= 3
             log = logs["data"]
             log.readv_bytes.clear()
-            drx_before = e.stats.submitted
             assert np.array_equal(a.read((0, 0), (64, 24)), ref[:, :24])
             assert len(log.readv_bytes) == windows
             assert max(log.readv_bytes) <= cap
-            assert e.stats.submitted == drx_before      # no drx-tier hop
             assert codec_ex.stats.submitted > 0
             a.close()
         finally:
-            e.shutdown()
             codec_ex.shutdown()
 
     def test_pool_faults_and_streamed_reads_stay_live(self):
@@ -959,10 +775,10 @@ class TestCompressedWindows:
         on a compressed array waits on codec tasks.  A streamed read
         over dirty pages shares the codec executor — here one thread —
         and must not need that lock inside its tasks."""
-        e, codec_ex = IOExecutor(2), IOExecutor(1, name="codec")
+        codec_ex = IOExecutor(1, name="codec")
         try:
             a = DRXFile.create(None, (64, 64), (8, 8), cache_pages=8,
-                               codec="zlib", checksums=True, executor=e)
+                               codec="zlib", checksums=True)
             attach_codec_executor(a, codec_ex)
             ref = np.round(np.random.default_rng(6).random((64, 64)), 2)
             a.write((0, 0), ref)
@@ -1000,5 +816,4 @@ class TestCompressedWindows:
             assert codec_ex.stats.submitted > 0
             a.close()
         finally:
-            e.shutdown()
             codec_ex.shutdown()

@@ -423,8 +423,8 @@ class TestChecksums:
         assert report.corrupt == [1]
 
     def test_guard_counters_are_exact_under_threads(self):
-        """Read-ahead and codec-tier tasks verify chunks concurrently:
-        no check is lost from the counters."""
+        """Codec-tier tasks and threads sharing a handle verify chunks
+        concurrently: no check is lost from the counters."""
         good, torn = b"committed chunk", b"torn chunk"
         guard = ChecksumGuard({0: chunk_crc(good)})
         nthreads, per_thread = 8, 5000

@@ -394,8 +394,7 @@ class TestSnapshot:
         of materializing the array."""
         pages, chunk = 16, (64, 64)
         capacity = pages * 64 * 64 * 8                 # 512 KiB
-        with DRXFile.create(tmp_path / "big", (2048, 1024), chunk,
-                            executor=None) as a:
+        with DRXFile.create(tmp_path / "big", (2048, 1024), chunk) as a:
             for r in range(0, 2048, 256):
                 a.write((r, 0), np.full((256, 1024), float(r)))
         with serve_ctx("root", tmp_path, cache_pages=pages) as (srv, _):

@@ -189,8 +189,7 @@ class TestAdvise:
             assert len(current) == 1, knob
         settings = advice.settings()
         assert set(settings) == {"chunk_shape", "stripe_size", "codec"}
-        # the executor width and the pool's read-ahead window are inputs
-        # of the price, not knobs: no candidate sweeps them
+        # only knobs are swept
         assert {c.knob for c in advice.candidates} == set(settings)
 
     def test_small_chunks_rejected_for_tile_scans(self):
@@ -229,36 +228,23 @@ class TestAdvise:
                         current={"codec": "zlib"})
         assert advice.chosen("codec") == "none"
 
-    def test_readahead_zero_for_random(self):
-        """The read-ahead window is an input of the price, not a knob:
-        on a random pattern a zero window prices the current settings
-        lower than the pool's default 8, whose prefetches are wasted."""
+    def test_random_pass_priced_as_io_plus_cpu(self):
+        """The pool is demand-paged and reads nothing ahead: a random
+        pass costs its servers' I/O one after another plus its CPU, no
+        more, and the same as the sequential pass of the same requests."""
+        from repro.pfs.costmodel import DEFAULT_COST_MODEL
         from repro.tuning import advise
-        w = self._workload(sequential=False)
+        from repro.tuning.advisor import _pass_cpu, _pass_io_parallel
 
-        def current_cost(readahead):
-            advice = advise(w, current={"readahead": readahead})
-            return [c.predicted_cost for c in advice.candidates
-                    if c.knob == "chunk_shape" and c.current][0]
-
-        assert current_cost(8) > current_cost(0)
-
-    def test_executor_width_prices_only_readahead(self):
-        """The PFS visits servers one after another at any width: a
-        width moves a pass's price only by the read-ahead overlap, which
-        hides CPU on a sequential pass and nothing on a random one."""
-        from repro.tuning import advise
-
-        def current_cost(w, threads):
-            advice = advise(w, current={"executor_threads": threads})
-            return [c.predicted_cost for c in advice.candidates
+        def current_cost(w):
+            return [c.predicted_cost for c in advise(w).candidates
                     if c.knob == "chunk_shape" and c.current][0]
 
         rand = self._workload(sequential=False)
-        assert current_cost(rand, 4) == current_cost(rand, 0)
-        seq = self._workload()
-        assert current_cost(seq, 4) == current_cost(seq, 8)
-        assert current_cost(seq, 4) < current_cost(seq, 0)
+        want = (_pass_io_parallel(rand, DEFAULT_COST_MODEL) * rand.nservers
+                + _pass_cpu(rand))
+        assert current_cost(rand) == pytest.approx(want, rel=1e-12)
+        assert current_cost(rand) == current_cost(self._workload())
 
     def test_explain_and_to_dict(self):
         from repro.tuning import advise
@@ -289,7 +275,7 @@ class TestAdviseFile:
     def test_live_handle(self):
         from repro.drx.drxfile import DRXFile
         from repro.tuning import advise_file
-        with DRXFile.create(None, (64, 64), (8, 8), executor=None) as a:
+        with DRXFile.create(None, (64, 64), (8, 8)) as a:
             a.write((0, 0), np.ones((64, 64)))
             a.read_all()
             advice = advise_file(a)
@@ -304,7 +290,7 @@ class TestAdviseFile:
         from repro.pfs import ParallelFileSystem
         from repro.tuning import advise_file
         fs = ParallelFileSystem(nservers=8, stripe_size=128 * 1024)
-        a = DRXFile.create_pfs(fs, "t", (64, 64), (8, 8), executor=None)
+        a = DRXFile.create_pfs(fs, "t", (64, 64), (8, 8))
         try:
             advice = advise_file(a, with_observed=False)
             assert advice.workload.stripe_size == 128 * 1024

@@ -314,7 +314,7 @@ class TestPackUnpack:
 
 class TestPlanCache:
     def test_hit_miss_counters(self):
-        with DRXFile.create(None, (32, 32), (8, 8), executor=None) as a:
+        with DRXFile.create(None, (32, 32), (8, 8)) as a:
             st = a._data.stats
             a.read((0, 0), (16, 16))
             assert (st.plan_misses, st.plan_hits) == (1, 0)
@@ -324,7 +324,7 @@ class TestPlanCache:
             assert st.plan_misses == 2
 
     def test_extend_invalidates(self):
-        with DRXFile.create(None, (16, 16), (4, 4), executor=None) as a:
+        with DRXFile.create(None, (16, 16), (4, 4)) as a:
             ref = np.arange(256, dtype=float).reshape(16, 16)
             a.write((0, 0), ref)
             a.read((0, 0), (16, 16))
@@ -341,7 +341,7 @@ class TestPlanCache:
             assert np.all(a.read((16, 0), (20, 16)) == 0)
 
     def test_slab_plans_cached(self):
-        with DRXFile.create(None, (20, 20), (4, 4), executor=None) as a:
+        with DRXFile.create(None, (20, 20), (4, 4)) as a:
             a.write((0, 0), np.ones((20, 20)))
             s1 = a.read_slab((0, 0), (2, 2), (5, 5))
             misses = a._data.stats.plan_misses
@@ -350,7 +350,7 @@ class TestPlanCache:
             assert np.array_equal(s1, s2)
 
     def test_write_read_share_plan(self):
-        with DRXFile.create(None, (16, 16), (4, 4), executor=None) as a:
+        with DRXFile.create(None, (16, 16), (4, 4)) as a:
             vals = np.full((8, 8), 3.0)
             a.write((4, 4), vals)
             misses = a._data.stats.plan_misses
@@ -379,8 +379,7 @@ class TestPlanCache:
         reclaimed physical extents."""
         rng = np.random.default_rng(19)
         ref = rng.random((32, 32))
-        with DRXFile.create(None, (32, 32), (8, 8), executor=None,
-                            codec="zlib") as a:
+        with DRXFile.create(None, (32, 32), (8, 8), codec="zlib") as a:
             a.write((0, 0), ref)
             box = ((4, 4), (28, 28))
             assert np.array_equal(a.read(*box), ref[4:28, 4:28])
@@ -399,7 +398,7 @@ class TestPlanCache:
         """Reads through the cache equal fresh compilations."""
         rng = np.random.default_rng(13)
         ref = rng.random((24, 24))
-        with DRXFile.create(None, (24, 24), (5, 5), executor=None) as a:
+        with DRXFile.create(None, (24, 24), (5, 5)) as a:
             a.write((0, 0), ref)
             for _ in range(2):            # second pass served from cache
                 assert np.array_equal(a.read((3, 1), (19, 22)),
