@@ -7,7 +7,7 @@ from the analytic model), or a one-line chunk-shape suggestion via
 
     python -m repro.tuning report --bounds 4096,4096 --chunk 64,64
     python -m repro.tuning report --bounds 4096,4096 --chunk 64,64 \\
-        --request 512,512 --requests 64 --random
+        --request 512,512 --requests 64
     python -m repro.tuning suggest --bounds 4096,4096 --stripe 65536
 """
 
@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--request", type=_dims, default=None,
                      help="per-request box shape (default: whole array)")
     rep.add_argument("--requests", type=int, default=1)
-    rep.add_argument("--random", action="store_true",
-                     help="requests do not walk increasing addresses")
     rep.add_argument("--stripe", type=int, default=64 * 1024)
     rep.add_argument("--servers", type=int, default=4)
     rep.add_argument("--growth-dims", type=_indices, default=None,
@@ -84,9 +82,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     w = Workload(bounds=args.bounds, chunk_shape=args.chunk,
                  dtype=args.dtype, request_shape=args.request,
-                 requests=args.requests, sequential=not args.random,
-                 stripe_size=args.stripe, nservers=args.servers,
-                 growth_dims=growth)
+                 requests=args.requests, stripe_size=args.stripe,
+                 nservers=args.servers, growth_dims=growth)
     advice = advise(w, current={"codec": args.codec})
     if args.json:
         json.dump(advice.to_dict(), sys.stdout, indent=2)

@@ -81,11 +81,9 @@ class Workload:
     """What the advisor prices: a stream of rectilinear requests.
 
     ``request_shape=None`` means whole-array requests (the scan
-    workloads of E1/E2/E7); ``sequential=False`` declares that
-    successive requests do *not* walk increasing file addresses (it is
-    reported, not priced: a demand-paged pool costs the same either
-    way).  ``read_fraction`` weighs the codec's decode vs. encode
-    rates.
+    workloads of E1/E2/E7).  The pool is demand-paged, so the order of
+    the requests is not priced.  ``read_fraction`` weighs the codec's
+    decode vs. encode rates.
     """
 
     bounds: tuple[int, ...]
@@ -93,7 +91,6 @@ class Workload:
     dtype: Any = "double"
     request_shape: tuple[int, ...] | None = None
     requests: int = 1
-    sequential: bool = True
     read_fraction: float = 1.0
     stripe_size: int = DEFAULT_STRIPE
     nservers: int = DEFAULT_SERVERS
@@ -355,7 +352,6 @@ class Advice:
                 "chunk_shape": list(self.workload.chunk_shape),
                 "request_shape": list(self.workload.effective_request),
                 "requests": self.workload.requests,
-                "sequential": self.workload.sequential,
                 "stripe_size": self.workload.stripe_size,
                 "nservers": self.workload.nservers,
             },
@@ -370,8 +366,7 @@ class Advice:
             f"workload: bounds={self.workload.bounds} "
             f"chunk={self.workload.chunk_shape} "
             f"request={self.workload.effective_request} "
-            f"x{self.workload.requests} "
-            f"{'sequential' if self.workload.sequential else 'random'}",
+            f"x{self.workload.requests}",
             f"pfs: stripe={self.workload.stripe_size} "
             f"servers={self.workload.nservers}",
             "",
@@ -480,12 +475,12 @@ def advise(workload: Workload, observed: Observed | None = None,
 
 
 def advise_file(f, request_shape: tuple[int, ...] | None = None,
-                requests: int = 1, sequential: bool = True,
+                requests: int = 1,
                 model: CostModel = DEFAULT_COST_MODEL,
                 with_observed: bool = True) -> Advice:
     """Advice for a live ``DRXFile`` handle.
 
-    The workload defaults to whole-array sequential scans; the PFS
+    The workload defaults to whole-array scans; the PFS
     geometry is discovered from the backing store when it is
     PFS-backed, else the simulator defaults are assumed.  The codec is
     read off the handle so the report marks what the file runs with
@@ -495,8 +490,7 @@ def advise_file(f, request_shape: tuple[int, ...] | None = None,
     stripe, nservers = pfs_geometry(getattr(f, "_data", None))
     w = Workload(bounds=meta.element_bounds, chunk_shape=meta.chunk_shape,
                  dtype=meta.dtype, request_shape=request_shape,
-                 requests=requests, sequential=sequential,
-                 stripe_size=stripe, nservers=nservers)
+                 requests=requests, stripe_size=stripe, nservers=nservers)
     obs = observed_profile(f) if with_observed else None
     return advise(w, observed=obs, model=model,
                   current={"codec": meta.codec})
