@@ -57,6 +57,10 @@ __all__ = ["AxialRecord", "AxialVector", "SENTINEL_ADDRESS"]
 #: dimensions 0..k-2 at creation time (Fig. 3b shows ``0; -1; 0 0 0``).
 SENTINEL_ADDRESS = -1
 
+#: :meth:`AxialVector.span`'s bound for the last record, which reaches
+#: every later index.
+_NO_END = float("inf")
+
 
 @dataclass(frozen=True, slots=True)
 class AxialRecord:
@@ -258,14 +262,24 @@ class AxialVector:
         dimension for a chunk whose component along this dimension is
         ``index``.
         """
+        return self.span(index)[0]
+
+    def span(self, index: int) -> tuple[AxialRecord, float]:
+        """:meth:`search`, plus how far its answer holds: the candidate
+        record of ``index`` and the start index of the next record
+        (``inf`` past the last one).  Every index from ``index`` up to
+        that bound has the same candidate, so a planner splits a row of
+        chunk indices there and never searches inside a piece."""
         if index < 0:
             raise DRXIndexError(f"negative chunk index {index}")
-        pos = bisect_right(self._start_indices, index) - 1
-        if pos < 0:
+        starts = self._start_indices
+        pos = bisect_right(starts, index)
+        if pos == 0:
             raise DRXIndexError(
                 f"no axial record covers index {index} on dimension {self.dim}"
             )
-        return self._records[pos]
+        return (self._records[pos - 1],
+                starts[pos] if pos < len(starts) else _NO_END)
 
     # ------------------------------------------------------------------
     # vectorized mirrors

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import index, sub
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,9 +45,11 @@ __all__ = [
     "chunk_element_box",
     "chunks_covering_box",
     "ChunkIntersection",
+    "axis_row",
     "axis_rows",
     "iter_box_intersections",
     "box_shape",
+    "index_tuple",
     "validate_box",
 ]
 
@@ -123,17 +126,37 @@ def chunk_element_box(chunk_index: Sequence[int],
     return lo, hi
 
 
-def validate_box(lo: Sequence[int], hi: Sequence[int],
-                 element_bounds: Sequence[int]) -> None:
-    """Check that ``[lo, hi)`` is a non-empty box inside ``element_bounds``."""
-    if len(lo) != len(hi) or len(lo) != len(element_bounds):
+def index_tuple(values, what: str = "index") -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints, through ``operator.index``.
+
+    Integer types (NumPy's included) pass; anything else — a float, even
+    an integral one — raises :class:`DRXIndexError` naming ``what``.
+    The API boundary's one conversion: past it, corners and indices are
+    plain ints.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DRXIndexError(f"{what} {values!r} is not a sequence of "
+                            f"integers") from None
+
+
+def validate_box(lo, hi, element_bounds: Sequence[int]
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Check that ``[lo, hi)`` is a non-empty integer box inside
+    ``element_bounds``; return it as ``(lo, hi, shape)``, its corners
+    made ints by :func:`index_tuple`."""
+    lo = index_tuple(lo, "box corner")
+    hi = index_tuple(hi, "box corner")
+    if not len(lo) == len(hi) == len(element_bounds):
         raise DRXIndexError("box rank mismatch")
     for l, h, n in zip(lo, hi, element_bounds):
         if not (0 <= l < h <= n):
             raise DRXIndexError(
-                f"box lo={tuple(lo)} hi={tuple(hi)} invalid for bounds "
+                f"box lo={lo} hi={hi} invalid for bounds "
                 f"{tuple(element_bounds)}"
             )
+    return lo, hi, tuple(map(sub, hi, lo))
 
 
 def box_shape(lo: Sequence[int], hi: Sequence[int]) -> tuple[int, ...]:
@@ -187,36 +210,39 @@ class ChunkIntersection:
 
 
 #: One chunk index along one dimension: ``(i, chunk_slice, box_slice,
-#: full)`` — see :func:`axis_rows`.
+#: full)`` — see :func:`axis_row`.
 AxisEntry = tuple[int, slice, slice, bool]
+
+
+def axis_row(l: int, h: int, c: int) -> list[AxisEntry]:
+    """The chunks covering ``[l, h)`` along one dimension of chunk extent
+    ``c``: one entry per chunk index ``i`` in ``[l // c, ceil(h / c))``,
+    ``(i, chunk_slice, box_slice, full)`` — the overlap with that chunk
+    in chunk-local and box-relative coordinates, and whether it spans
+    the whole chunk.  Empty when ``l >= h``."""
+    row = []
+    for i in range(l // c, -(-h // c)):
+        c_lo = i * c
+        c_hi = c_lo + c
+        o_lo = l if l > c_lo else c_lo
+        o_hi = h if h < c_hi else c_hi
+        row.append((i, slice(o_lo - c_lo, o_hi - c_lo),
+                    slice(o_lo - l, o_hi - l),
+                    o_lo == c_lo and o_hi == c_hi))
+    return row
 
 
 def axis_rows(lo: Sequence[int], hi: Sequence[int],
               chunk_shape: Sequence[int]) -> list[list[AxisEntry]]:
-    """The chunks covering ``[lo, hi)``, one row per dimension.
+    """The chunks covering ``[lo, hi)``, one :func:`axis_row` per
+    dimension.
 
-    Row ``j`` holds one entry per chunk index ``i`` in
-    ``[lo_j // c_j, ceil(hi_j / c_j))``: ``(i, chunk_slice, box_slice,
-    full)``, the overlap of the box with that chunk along ``j`` in
-    chunk-local and box-relative coordinates, and whether it spans the
-    whole chunk.  A box's overlap with a chunk is separable, so the
-    covering chunks are exactly ``itertools.product`` of the rows — in
-    row-major order — and each chunk's overlap is its entries' slices.
-    An empty box (``lo_j >= hi_j``) gives an empty row.
+    A box's overlap with a chunk is separable, so the covering chunks
+    are exactly ``itertools.product`` of the rows — in row-major order —
+    and each chunk's overlap is its entries' slices.  An empty box
+    (``lo_j >= hi_j``) gives an empty row.
     """
-    rows = []
-    for l, h, c in zip(lo, hi, chunk_shape):
-        row = []
-        for i in range(l // c, -(-h // c)):
-            c_lo = i * c
-            c_hi = c_lo + c
-            o_lo = l if l > c_lo else c_lo
-            o_hi = h if h < c_hi else c_hi
-            row.append((i, slice(o_lo - c_lo, o_hi - c_lo),
-                        slice(o_lo - l, o_hi - l),
-                        o_lo == c_lo and o_hi == c_hi))
-        rows.append(row)
-    return rows
+    return [axis_row(l, h, c) for l, h, c in zip(lo, hi, chunk_shape)]
 
 
 def iter_box_intersections(lo: Sequence[int], hi: Sequence[int],

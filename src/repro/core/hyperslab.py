@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
+from .chunking import index_tuple
 from .errors import DRXIndexError
 
 __all__ = ["Hyperslab"]
@@ -44,9 +45,12 @@ class Hyperslab:
     @classmethod
     def build(cls, start: Sequence[int], stride: Sequence[int],
               count: Sequence[int]) -> "Hyperslab":
-        return cls(tuple(int(x) for x in start),
-                   tuple(int(x) for x in stride),
-                   tuple(int(x) for x in count))
+        """The slab of integer ``start``/``stride``/``count`` sequences
+        (:func:`~repro.core.chunking.index_tuple`: a float raises
+        :class:`DRXIndexError` rather than being truncated)."""
+        return cls(index_tuple(start, "hyperslab start"),
+                   index_tuple(stride, "hyperslab stride"),
+                   index_tuple(count, "hyperslab count"))
 
     # ------------------------------------------------------------------
     @property

@@ -40,11 +40,12 @@ array.  Nothing in this module knows which codec an array uses.
 from __future__ import annotations
 
 import pathlib
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.chunking import box_shape, chunk_of, validate_box
+from ..core.chunking import chunk_of, index_tuple, validate_box
 from ..core.errors import (
     CrashError,
     DRXClosedError,
@@ -96,6 +97,10 @@ class DRXFile:
                  meta_store: ByteStore | None, writable: bool,
                  cache_pages: int = 64) -> None:
         self.meta = meta
+        # fixed for the handle's life: read on every request
+        self._dtype = meta.dtype
+        self._chunk_shape = meta.chunk_shape
+        self._chunk_nbytes = meta.chunk_nbytes
         self._meta_store = meta_store
         self._writable = writable
         # The one chunk store over the (decorated) data store: placement,
@@ -404,11 +409,11 @@ class DRXFile:
 
     @property
     def chunk_shape(self) -> tuple[int, ...]:
-        return self.meta.chunk_shape
+        return self._chunk_shape
 
     @property
     def dtype(self) -> np.dtype:
-        return self.meta.dtype
+        return self._dtype
 
     @property
     def rank(self) -> int:
@@ -470,7 +475,7 @@ class DRXFile:
 
     def _fill_chunks(self, addresses, value) -> None:
         payload = np.full(self.meta.chunk_elems, value,
-                          dtype=self.dtype).tobytes()
+                          dtype=self._dtype).tobytes()
         addrs = sorted(int(q) for q in addresses)
         self._store.write(addrs, payload * len(addrs))
 
@@ -480,12 +485,10 @@ class DRXFile:
     def get(self, index: Sequence[int]) -> np.generic:
         """Read one element (computed access: F* then in-chunk offset)."""
         self._require_open()
-        self._check_element(index)
-        ci, local = chunk_of(index, self.chunk_shape)
-        q = self.meta.eci.address(ci)
+        q, local = self._locate(index)
         buf = self._pool.get(q)
         try:
-            arr = buf.view(self.dtype).reshape(self.chunk_shape)
+            arr = buf.view(self._dtype).reshape(self._chunk_shape)
             return arr[local].copy()
         finally:
             self._pool.put(q)
@@ -494,24 +497,28 @@ class DRXFile:
         """Write one element."""
         self._require_open()
         self._require_writable()
-        self._check_element(index)
-        ci, local = chunk_of(index, self.chunk_shape)
-        q = self.meta.eci.address(ci)
+        q, local = self._locate(index)
         buf = self._pool.get(q)
         try:
-            arr = buf.view(self.dtype).reshape(self.chunk_shape)
+            arr = buf.view(self._dtype).reshape(self._chunk_shape)
             arr[local] = value
         finally:
             self._pool.put(q, dirty=True)
 
-    def _check_element(self, index: Sequence[int]) -> None:
-        if len(index) != self.rank:
-            raise DRXIndexError(f"index rank {len(index)} != {self.rank}")
-        for i, n in zip(index, self.shape):
+    def _locate(self, index: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """The chunk address of element ``index`` and its coordinates in
+        the chunk, after checking it is an integer index in bounds."""
+        index = index_tuple(index, "element index")
+        shape = self.shape
+        if len(index) != len(shape):
+            raise DRXIndexError(f"index rank {len(index)} != {len(shape)}")
+        for i, n in zip(index, shape):
             if not 0 <= i < n:
                 raise DRXIndexError(
-                    f"element {tuple(index)} outside bounds {self.shape}"
+                    f"element {index} outside bounds {shape}"
                 )
+        ci, local = chunk_of(index, self._chunk_shape)
+        return self.meta.eci.address(ci), local
 
     # ------------------------------------------------------------------
     # sub-array access
@@ -529,14 +536,15 @@ class DRXFile:
         call, larger ones stream past the pool in pool-sized windows.
         """
         self._require_open()
-        lo = tuple(lo) if lo is not None else (0,) * self.rank
-        hi = tuple(hi) if hi is not None else self.shape
-        validate_box(lo, hi, self.shape)
+        bounds = self.meta.element_bounds
+        lo, hi, shape = validate_box((0,) * len(bounds) if lo is None else lo,
+                                     bounds if hi is None else hi, bounds)
         if order not in ("C", "F"):
             raise DRXIndexError(f"order must be 'C' or 'F', got {order!r}")
-        plan = self._plans.box(self.meta.eci, lo, hi, self.chunk_shape,
-                               self.meta.chunk_nbytes)
-        out = np.zeros(box_shape(lo, hi), dtype=self.dtype, order=order)
+        plan = self._plans.box(self.meta.eci, lo, hi, self._chunk_shape,
+                               self._chunk_nbytes)
+        # every route writes every element of the box
+        out = np.empty(shape, dtype=self._dtype, order=order)
         self._execute(plan, out, to_box=True)
         return out
 
@@ -549,12 +557,15 @@ class DRXFile:
         """
         self._require_open()
         self._require_writable()
-        values = np.asarray(values, dtype=self.dtype)
-        lo = tuple(lo)
-        hi = tuple(l + s for l, s in zip(lo, values.shape))
-        validate_box(lo, hi, self.shape)
-        plan = self._plans.box(self.meta.eci, lo, hi, self.chunk_shape,
-                               self.meta.chunk_nbytes)
+        values = np.asarray(values, dtype=self._dtype)
+        lo = index_tuple(lo, "box corner")
+        if len(lo) != values.ndim:
+            raise DRXIndexError(f"box corner {lo} and values of shape "
+                                f"{values.shape} differ in rank")
+        lo, hi, _shape = validate_box(lo, map(add, lo, values.shape),
+                                      self.meta.element_bounds)
+        plan = self._plans.box(self.meta.eci, lo, hi, self._chunk_shape,
+                               self._chunk_nbytes)
         self._execute(plan, values, to_box=False)
 
     def read_all(self, order: str = "C") -> np.ndarray:
@@ -576,9 +587,10 @@ class DRXFile:
         self._require_open()
         slab = Hyperslab.build(start, stride, count)
         slab.validate(self.shape)
-        plan = self._plans.slab(self.meta.eci, slab, self.chunk_shape,
-                                self.meta.chunk_nbytes)
-        out = np.zeros(slab.shape, dtype=self.dtype, order=order)
+        plan = self._plans.slab(self.meta.eci, slab, self._chunk_shape,
+                                self._chunk_nbytes)
+        # every route writes every element of the lattice
+        out = np.empty(slab.shape, dtype=self._dtype, order=order)
         self._execute(plan, out, to_box=True)
         return out
 
@@ -587,11 +599,11 @@ class DRXFile:
         stride, values.shape)``."""
         self._require_open()
         self._require_writable()
-        values = np.asarray(values, dtype=self.dtype)
+        values = np.asarray(values, dtype=self._dtype)
         slab = Hyperslab.build(start, stride, values.shape)
         slab.validate(self.shape)
-        plan = self._plans.slab(self.meta.eci, slab, self.chunk_shape,
-                                self.meta.chunk_nbytes)
+        plan = self._plans.slab(self.meta.eci, slab, self._chunk_shape,
+                                self._chunk_nbytes)
         self._execute(plan, values, to_box=False)
 
     # ------------------------------------------------------------------
@@ -673,69 +685,65 @@ class DRXFile:
         ``box``, the request's in-memory array in the visits'
         ``box_slices`` coordinate frame.  The route follows from the
         plan's size against the pool's capacity."""
-        n = plan.num_chunks
-        if n > self._pool.max_pages:
+        visits = plan.visits
+        if len(visits) > self._pool.max_pages:
             stream = self._read_streaming if to_box else self._write_streaming
-            stream(plan, box)
+            stream(visits, box)
         else:
-            self._pooled(plan.visits, box, to_box, scalar=n <= 1)
+            self._pooled(visits, box, to_box)
 
     def _copy_chunks(self, visits, bufs, box: np.ndarray,
                      to_box: bool) -> None:
         """The one per-chunk copy: each visit's region moves between its
         chunk buffer (``bufs`` aligned with ``visits``; any object with
         the buffer protocol holding one row-major chunk) and ``box``."""
-        cs = self.chunk_shape
-        dtype = self.dtype
+        cs = self._chunk_shape
+        dtype = self._dtype
         for v, buf in zip(visits, bufs):
-            arr = np.frombuffer(buf, dtype=dtype).reshape(cs)
+            arr = np.ndarray(cs, dtype, buf)
             if to_box:
                 box[v.box_slices] = arr[v.chunk_slices]
             else:
                 arr[v.chunk_slices] = box[v.box_slices]
 
-    def _pooled(self, visits, box: np.ndarray, to_box: bool,
-                scalar: bool = False) -> None:
+    def _pooled(self, visits, box: np.ndarray, to_box: bool) -> None:
         """Pin the visits' chunks in the pool (at most its capacity),
         copy, unpin — dirty after a write.  The misses fault with one
-        store transfer; ``scalar`` (the plan is a single chunk) pins
-        through ``Mpool.get``/``put``."""
+        store transfer; a one-chunk plan pins through
+        ``Mpool.get``/``put``."""
         pool = self._pool
         addrs = [v.address for v in visits]
-        bufs = [pool.get(q) for q in addrs] if scalar \
-            else pool.get_many(addrs)
+        scalar = len(addrs) == 1
+        bufs = [pool.get(addrs[0])] if scalar else pool.get_many(addrs)
         try:
             self._copy_chunks(visits, bufs, box, to_box)
         finally:
             if scalar:
-                for q in addrs:
-                    pool.put(q, dirty=not to_box)
+                pool.put(addrs[0], dirty=not to_box)
             else:
                 pool.put_many(addrs, dirty=not to_box)
 
-    def _windows(self, plan: IOPlan, sizes: list) -> list[IOPlan]:
-        """Cut a streamed plan into windows of at most the pool's byte
-        capacity (``cache_pages × chunk_nbytes``), each moved with one
-        store transfer; a window holds at least one chunk.  ``sizes``
-        are the visits' stored sizes (``chunk_nbytes`` each on a plain
-        array)."""
-        visits = plan.visits
-        nb = plan.chunk_nbytes
-        cap = self._pool.max_pages * nb
-        windows: list[IOPlan] = []
+    def _windows(self, visits: list, sizes: list) -> list[list]:
+        """Cut a streamed plan's visits into windows of at most the
+        pool's byte capacity (``cache_pages × chunk_nbytes``), each
+        moved with one store transfer; a window holds at least one
+        chunk.  ``sizes`` are the visits' stored sizes (``chunk_nbytes``
+        each on a plain array)."""
+        cap = self._pool.max_pages * self._chunk_nbytes
+        windows: list[list] = []
         first = held = 0
         for i, size in enumerate(sizes):
             if held + size > cap and i > first:
-                windows.append(IOPlan(visits[first:i], nb))
+                windows.append(visits[first:i])
                 first, held = i, 0
             held += size
         if first < len(visits):
-            windows.append(IOPlan(visits[first:], nb))
+            windows.append(visits[first:])
         return windows
 
-    def _read_streaming(self, plan: IOPlan, out: np.ndarray) -> None:
-        """Move the plan window by window (:meth:`_windows`), bypassing
-        the pool: one store transfer per window.
+    def _read_streaming(self, visits: list, out: np.ndarray) -> None:
+        """Move a plan's visits window by window (:meth:`_windows`),
+        bypassing the pool: one store transfer per window.
 
         Dirty cached pages shadow the file, so a window's dirty chunks
         are copied from their pool page instead of from the bytes just
@@ -750,11 +758,11 @@ class DRXFile:
         def put(visits, bufs) -> None:
             self._copy_chunks(visits, bufs, out, to_box=True)
 
-        for window in self._windows(plan, store.stored_nbytes(plan.addresses)):
-            visits = window.visits
-            frames = store.fetch([v.address for v in visits])
+        sizes = store.stored_nbytes([v.address for v in visits])
+        for window in self._windows(visits, sizes):
+            frames = store.fetch([v.address for v in window])
             dirty, bufs, rest = [], [], []
-            for v, frame in zip(visits, frames):
+            for v, frame in zip(window, frames):
                 buf = pool.peek_dirty(v.address)
                 if buf is None:
                     rest.append((v, frame))
@@ -764,7 +772,7 @@ class DRXFile:
             put(dirty, bufs)
             store.decode_each(rest, put)
 
-    def _write_streaming(self, plan: IOPlan, values: np.ndarray) -> None:
+    def _write_streaming(self, visits: list, values: np.ndarray) -> None:
         """Stream fully covered chunks to the store window by window
         (:meth:`_windows`): one store write per window, issued on this
         thread, so at most one is in flight and writes land in order.
@@ -775,22 +783,21 @@ class DRXFile:
         still read-modify-write through the pool, in capacity-sized
         batches.
         """
-        nb = self.meta.chunk_nbytes
-        full = [v for v in plan.visits if v.full]
-        partial = [v for v in plan.visits if not v.full]
+        nb = self._chunk_nbytes
+        full = [v for v in visits if v.full]
+        partial = [v for v in visits if not v.full]
         # a chunk's stored size is known only once it is encoded: count
         # each at the compression ratio the array has shown so far
         sizes = [nb / self._store.ratio] * len(full)
-        for window in self._windows(IOPlan(full, nb), sizes):
-            visits = window.visits
+        for window in self._windows(full, sizes):
 
-            def fill(idx, raws, visits=visits) -> None:
-                self._copy_chunks([visits[i] for i in idx], raws, values,
+            def fill(idx, raws, window=window) -> None:
+                self._copy_chunks([window[i] for i in idx], raws, values,
                                   to_box=False)
 
-            buf = bytearray(len(visits) * nb)
-            self._store.write([v.address for v in visits], buf, fill)
-            self._landed(visits, buf)
+            buf = bytearray(len(window) * nb)
+            self._store.write([v.address for v in window], buf, fill)
+            self._landed(window, buf)
         for i in range(0, len(partial), self._pool.max_pages):
             self._pooled(partial[i:i + self._pool.max_pages], values,
                          to_box=False)
@@ -801,7 +808,7 @@ class DRXFile:
         now are the cached copies refreshed in place, so the pool cannot
         later resurface, or write back, stale bytes.  A write that fails
         leaves the pool describing the bytes the store still holds."""
-        nb = self.meta.chunk_nbytes
+        nb = self._chunk_nbytes
         mv = memoryview(buf)
         for i, v in enumerate(visits):
             self._pool.refresh(v.address, mv[i * nb:(i + 1) * nb])

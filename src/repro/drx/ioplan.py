@@ -13,20 +13,28 @@ data sieving / two-phase aggregation).
 
 How a plan is compiled: a box's overlap with a chunk is separable, so
 the compiler walks each dimension's chunk range once
-(:func:`~repro.core.chunking.axis_rows`).  Every chunk index ``i`` along
-dimension ``j`` gets a row entry — its chunk and box slices, whether it
-is full along ``j``, and its candidate record
-``eci.axial_vectors[j].search(i)`` (one binary search).  A hyperslab's
-lattice is applied to the rows too, dropping entries that hold no
-lattice point.  The chunks are the product of the rows; each takes the
-candidate with the largest segment start as its governing record and
-its address from that record's Eq. (1) — the paper's ``F*``, with the
-binary searches done once per row entry instead of once per chunk.  The
-visits are sorted by address and :class:`IOPlan` cuts them into runs in
-one pass.  The compiler is scalar Python on purpose: most requests
-cover a few chunks, where NumPy's fixed cost per call outweighs the
-arithmetic.  Zone file views, whose batches hold hundreds of chunks,
-use :func:`~repro.core.mapping.f_star_many` instead.
+(:func:`~repro.core.chunking.axis_row`): every chunk index ``i`` along
+dimension ``j`` gets a row entry — its chunk and box slices and whether
+it is full along ``j``.  The row is cut where the dimension's candidate
+record changes: :meth:`~repro.core.axial.AxialVector.span` returns the
+candidate of the row's first index and the index where the next record
+starts, so a row costs one binary search per piece.  A hyperslab's
+lattice filters the pieces' entries, dropping those that hold no
+lattice point.  A product of pieces, one per dimension, is a *block*:
+all its chunks have the same candidates, hence the same governing
+record (the candidate with the largest segment start), and the paper's
+Eq. (1) for them reduces to ``base + sum(i_j * C_j)`` with the record's
+coefficients ``C`` and ``base = M* - N*_l * C_l``.  So the ``max`` and
+the searches are paid once per block, and each chunk costs its
+arithmetic and one :class:`Visit`.  A box inside one segment per
+dimension (any box of an array never extended, for one) is one block;
+a box across a seam is several.  A block comes out in row-major
+order, which is address order when its record extends dimension 0;
+any other plan is sorted once.  :class:`IOPlan` cuts the visits into
+runs only when asked.  The compiler is scalar Python on purpose: most
+requests cover a few chunks, where NumPy's fixed cost per call
+outweighs the arithmetic.  Zone file views, whose batches hold hundreds
+of chunks, use :func:`~repro.core.mapping.f_star_many` instead.
 
 The planner is pure geometry + address arithmetic; the transfers live in
 ``DRXFile``, which executes plans against its :class:`Mpool` and
@@ -40,12 +48,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from ..core.chunking import AxisEntry, axis_rows
+from ..core.axial import AxialRecord
+from ..core.chunking import AxisEntry, axis_row
 from ..core.errors import DRXIndexError
 from ..core.extendible import ExtendibleChunkIndex
 from ..core.hyperslab import Hyperslab
@@ -56,8 +64,7 @@ __all__ = ["Visit", "Run", "IOPlan", "PlanCache", "plan_box", "plan_slab"]
 Extent = tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Visit:
+class Visit(NamedTuple):
     """One chunk touched by a request, with its scatter/gather slices.
 
     ``chunk_slices`` select the transferred region inside the chunk
@@ -73,8 +80,7 @@ class Visit:
     full: bool
 
 
-@dataclass(frozen=True, slots=True)
-class Run:
+class Run(NamedTuple):
     """A maximal stretch of consecutive chunk addresses.
 
     ``first`` indexes the run's first chunk in the plan's visit list, so
@@ -90,16 +96,23 @@ class Run:
 
 
 class IOPlan:
-    """A request compiled to file order: sorted visits + contiguous runs."""
+    """A request compiled to file order: sorted visits + contiguous runs.
 
-    __slots__ = ("visits", "runs", "chunk_nbytes")
+    The runs are cut on first use: the pool and the chunk store find the
+    runs of the addresses they move themselves, so a request pays for
+    ``runs`` only where something reads it.
+    """
 
     def __init__(self, visits: list[Visit], chunk_nbytes: int) -> None:
         self.visits = visits
         self.chunk_nbytes = chunk_nbytes
+
+    @cached_property
+    def runs(self) -> list[Run]:
         # one pass: a run breaks wherever the next address is not the
         # previous one plus one
         runs: list[Run] = []
+        visits = self.visits
         if visits:
             start = prev = visits[0].address
             first = 0
@@ -114,7 +127,7 @@ class IOPlan:
                     start, first = a, n
                 prev = a
             runs.append(Run(start, len(visits) - first, first))
-        self.runs = runs
+        return runs
 
     @property
     def num_chunks(self) -> int:
@@ -151,25 +164,34 @@ class PlanCache:
     *logical* chunk-address space: the compressed slot table remaps
     logical addresses to physical extents at I/O time, so compaction and
     codec rewrites never stale a cached plan (pinned by regression
-    test).  Cached plans are immutable after construction and may be
-    executed concurrently by multiple reader threads.
+    test).  A cached plan does not change once compiled (its runs are
+    cut once, on first use) and may be executed concurrently by
+    multiple reader threads.
 
     ``stats`` (optional) is a :class:`~repro.drx.storage.StoreStats`
     whose ``plan_hits``/``plan_misses`` counters make the hit rate
-    observable.
+    observable.  The cache is their only writer and counts under its
+    own lock, so a lookup takes one lock, not two.
 
-    With the per-dimension compiler a miss costs little more than a
-    lookup, so the cache earns little.  It stays because the repository
-    benchmark's tracer binds its ``core.plan_map`` boundary to
-    :meth:`box`/:meth:`slab` (and ``core.plan_lookup``/``plan_store`` to
-    :meth:`lookup`/:meth:`store`); deleting it waits for a
-    benchmark-side change that moves that boundary.
+    A compile costs about ten hits: for a 2-D box of one to four chunks
+    inside one segment per dimension it is two row walks, two binary
+    searches, one Eq. (1) base and one tuple per chunk — 6 to 8 µs
+    against 0.7 µs for a hit's key hash, lock and LRU touch (2-vCPU
+    Xeon, Python 3.11).  Random small boxes almost never hit, so the
+    memo earns little.  It stays because the repository benchmark's
+    tracer binds its ``core.plan_map`` boundary to :meth:`box`/
+    :meth:`slab` (and ``core.plan_lookup``/``plan_store`` to
+    :meth:`lookup`/:meth:`store`, whose call counts give
+    ``drx.plan_hit_ratio``); deleting it waits for a benchmark-side
+    change that moves that boundary.
     """
 
     def __init__(self, max_entries: int = 256, stats=None) -> None:
         self.max_entries = max(1, int(max_entries))
         self.stats = stats
         self._plans: "OrderedDict[tuple, IOPlan]" = OrderedDict()
+        #: the generation of every key held (keys carry it at ``[1]``)
+        self._generation = None
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -182,25 +204,27 @@ class PlanCache:
     def lookup(self, key: tuple) -> IOPlan | None:
         with self._lock:
             plan = self._plans.get(key)
+            stats = self.stats
             if plan is not None:
                 self._plans.move_to_end(key)
-            if self.stats is not None:
-                self.stats.note_plan(plan is not None)
+                if stats is not None:
+                    stats.plan_hits += 1
+            elif stats is not None:
+                stats.plan_misses += 1
             return plan
 
     def store(self, key: tuple, plan: IOPlan) -> None:
         with self._lock:
+            plans = self._plans
             # a generation bump obsoletes every older entry wholesale;
             # dropping them keeps the LRU from squatting on dead keys
-            gen = key[1]
-            if self._plans:
-                first = next(iter(self._plans))
-                if first[1] != gen:
-                    self._plans.clear()
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            while len(self._plans) > self.max_entries:
-                self._plans.popitem(last=False)
+            if key[1] != self._generation:
+                plans.clear()
+                self._generation = key[1]
+            plans[key] = plan
+            plans.move_to_end(key)
+            if len(plans) > self.max_entries:
+                plans.popitem(last=False)
 
     # -- convenience wrappers over the pure planners -------------------
     def box(self, eci: ExtendibleChunkIndex, lo, hi,
@@ -227,8 +251,7 @@ def plan_box(eci: ExtendibleChunkIndex, lo: Sequence[int],
              hi: Sequence[int], chunk_shape: Sequence[int],
              chunk_nbytes: int) -> IOPlan:
     """Compile a dense box request ``[lo, hi)`` into an :class:`IOPlan`."""
-    return _compile(eci, _checked_rows(eci, lo, hi, chunk_shape),
-                    chunk_nbytes)
+    return _compile(_checked_rows(eci, lo, hi, chunk_shape), chunk_nbytes)
 
 
 def plan_slab(eci: ExtendibleChunkIndex, slab: Hyperslab,
@@ -243,64 +266,102 @@ def plan_slab(eci: ExtendibleChunkIndex, slab: Hyperslab,
     """
     lo, hi = slab.bounding_box()
     rows = []
-    for j, row in enumerate(_checked_rows(eci, lo, hi, chunk_shape)):
+    for j, pieces in enumerate(_checked_rows(eci, lo, hi, chunk_shape)):
         l, c = lo[j], chunk_shape[j]
         kept = []
-        for i, cs, bs, full in row:
-            sel = slab.axis_selector(j, l + bs.start, l + bs.stop)
-            if sel is not None:
-                rs, out = sel
-                kept.append((i, slice(cs.start + rs.start,
-                                      cs.start + rs.stop, rs.step), out,
-                             full and rs.step == 1 and rs.start == 0
-                             and rs.stop == c))
+        for start, dim, rec, row in pieces:
+            entries = []
+            for i, cs, bs, full in row:
+                sel = slab.axis_selector(j, l + bs.start, l + bs.stop)
+                if sel is not None:
+                    rs, out = sel
+                    entries.append((i, slice(cs.start + rs.start,
+                                             cs.start + rs.stop, rs.step),
+                                    out, full and rs.step == 1
+                                    and rs.start == 0 and rs.stop == c))
+            if entries:
+                kept.append((start, dim, rec, entries))
         rows.append(kept)
-    return _compile(eci, rows, chunk_nbytes)
+    return _compile(rows, chunk_nbytes)
+
+
+#: A stretch of one dimension's row with one candidate record:
+#: ``(record.start_address, dimension, record, entries)``.  The first
+#: two fields key ``max`` over a block's pieces: live records never
+#: share a start, and sentinels (-1, which never win) tie only with
+#: each other, where the dimension settles it before records compare.
+Piece = tuple[int, int, AxialRecord, list[AxisEntry]]
 
 
 def _checked_rows(eci: ExtendibleChunkIndex, lo: Sequence[int],
                   hi: Sequence[int], chunk_shape: Sequence[int]
-                  ) -> list[list[AxisEntry]]:
-    """:func:`axis_rows` of a non-empty box inside the chunk bounds."""
-    rows = axis_rows(lo, hi, chunk_shape)
-    problem = None
-    if len(rows) != eci.rank:
-        problem = f"has rank {len(rows)}, not the array's {eci.rank}"
-    elif not all(rows):
-        problem = "is empty"
-    elif any(row[0][0] < 0 or row[-1][0] >= n
-             for row, n in zip(rows, eci.bounds)):
-        problem = f"leaves the chunk bounds {eci.bounds}"
-    if problem is not None:
-        raise DRXIndexError(
-            f"box lo={tuple(lo)} hi={tuple(hi)} with chunk shape "
-            f"{tuple(chunk_shape)} {problem}"
-        )
+                  ) -> list[list[Piece]]:
+    """The rows (:func:`axis_row`) of a non-empty box inside the chunk
+    bounds, each cut where its dimension's candidate record changes.
+
+    A row holds consecutive chunk indices, so :meth:`AxialVector.span`
+    says where each piece ends without a search inside it: one binary
+    search per piece, and one per dimension for a box that stays inside
+    a segment.
+    """
+    bounds = eci.bounds
+    if not len(lo) == len(hi) == len(chunk_shape) == len(bounds):
+        raise _bad_box(lo, hi, chunk_shape,
+                       f"has rank {len(lo)}, not the array's {len(bounds)}")
+    rows = []
+    for j, (l, h, c, n, vec) in enumerate(zip(lo, hi, chunk_shape, bounds,
+                                              eci.axial_vectors)):
+        if l >= h:
+            raise _bad_box(lo, hi, chunk_shape, "is empty")
+        first = l // c
+        last = (h - 1) // c
+        if first < 0 or last >= n:
+            raise _bad_box(lo, hi, chunk_shape,
+                           f"leaves the chunk bounds {bounds}")
+        row = axis_row(l, h, c)
+        rec, end = vec.span(first)
+        pieces = []
+        at = 0
+        while end <= last:
+            cut = end - first
+            pieces.append((rec.start_address, j, rec, row[at:cut]))
+            at = cut
+            rec, end = vec.span(end)
+        pieces.append((rec.start_address, j, rec, row[at:] if at else row))
+        rows.append(pieces)
     return rows
 
 
-def _compile(eci: ExtendibleChunkIndex, rows: list[list[AxisEntry]],
-             chunk_nbytes: int) -> IOPlan:
+def _bad_box(lo, hi, chunk_shape, problem: str) -> DRXIndexError:
+    return DRXIndexError(f"box lo={tuple(lo)} hi={tuple(hi)} with chunk "
+                         f"shape {tuple(chunk_shape)} {problem}")
+
+
+def _compile(rows: list[list[Piece]], chunk_nbytes: int) -> IOPlan:
     """The plan of the chunks in the product of per-dimension rows.
 
-    Each row entry gets its dimension's candidate record (one binary
-    search).  A chunk's governing record is its candidate with the
-    largest segment start, and its address is that record's Eq. (1).
-    Live records never share a start and sentinels (-1) never win, so
-    the dimension index in each key only keeps ``max`` from comparing
-    records.
+    A product of pieces, one per dimension, is a *block*: its chunks
+    share every candidate record, so the candidate with the largest
+    segment start governs the whole block, and Eq. (1) collapses to
+    ``base + sum(i_j * C_j)`` over the governing record's coefficients
+    ``C``.  A block's visits come out in row-major order, which is
+    address order when its record extends dimension 0; any other plan
+    is sorted once.
     """
-    keyed = []
-    for j, (row, vec) in enumerate(zip(rows, eci.axial_vectors)):
-        keyed_row = []
-        for i, cs, bs, full in row:
-            rec = vec.search(i)
-            keyed_row.append((rec.start_address, j, rec, i, cs, bs, full))
-        keyed.append(keyed_row)
-    visits = []
-    for chunk in product(*keyed):
-        gov = max(chunk)[2]
-        _, _, _, index, cs, bs, full = zip(*chunk)
-        visits.append(Visit(gov.address_of(index), cs, bs, all(full)))
-    visits.sort(key=attrgetter("address"))
+    visits: list[Visit] = []
+    in_order = True
+    for block in product(*rows):
+        gov = max(block)[2]
+        in_order = in_order and not (gov.dim or visits)
+        coeffs = gov.coeffs
+        acc = [(gov.start_address - gov.start_index * coeffs[gov.dim],
+                (), (), True)]
+        for piece, c in zip(block, coeffs):
+            acc = [(a + i * c, cs + (ecs,), bs + (ebs,), full and efull)
+                   for a, cs, bs, full in acc
+                   for i, ecs, ebs, efull in piece[3]]
+        visits += map(Visit._make, acc)
+    if not in_order:
+        visits.sort()       # addresses are distinct: tuples order by them
     return IOPlan(visits, chunk_nbytes)
+

@@ -46,6 +46,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import lt
 from typing import Sequence
 
 import numpy as np
@@ -146,48 +147,52 @@ class Mpool:
         Returns the page buffers aligned with ``pagenos`` (duplicates are
         pinned once per occurrence).  The batch may not exceed the pool
         capacity — callers split larger requests (or stream around the
-        pool entirely, as ``DRXFile`` does).
+        pool entirely, as ``DRXFile`` does).  A plan's addresses arrive
+        sorted and distinct, and are used as they come; any other batch
+        is sorted and deduplicated first.
         """
-        nos = [int(p) for p in pagenos]
-        if any(p < 0 for p in nos):
+        nos = list(map(int, pagenos))
+        distinct = nos if all(map(lt, nos, nos[1:])) else sorted(set(nos))
+        if distinct and distinct[0] < 0:
             raise DRXError(f"negative page number in batch {nos!r}")
-        distinct = sorted(set(nos))
         if len(distinct) > self.max_pages:
             raise DRXError(
                 f"batch of {len(distinct)} pages exceeds pool capacity "
                 f"{self.max_pages}"
             )
         with self._lock:
-            resident: list[int] = []
+            pages = self._pages
+            resident: list[_Page] = []
             missing: list[int] = []
             for p in distinct:
-                page = self._pages.get(p)
+                page = pages.get(p)
                 if page is None:
                     missing.append(p)
                 else:
                     page.pins += 1          # protect from eviction below
-                    self._pages.move_to_end(p)
-                    resident.append(p)
+                    pages.move_to_end(p)
+                    resident.append(page)
             self.stats.hits += len(resident)
             self.stats.misses += len(missing)
             if missing:
                 try:
                     faulted = self._read_in(missing, batch=True)
                 except BaseException:
-                    for p in resident:
-                        self._pages[p].pins -= 1
+                    for page in resident:
+                        page.pins -= 1
                     raise
                 for page in faulted:
                     page.pins = 1           # the same protective pin
-            # duplicates in the request pin once per occurrence, like
-            # get(); every distinct page (resident or just faulted) holds
-            # one protective pin at this point, dropped after the real
-            # pins land
-            for p in nos:
-                self._pages[p].pins += 1
-            for p in distinct:
-                self._pages[p].pins -= 1
-            return [self._pages[p].buf for p in nos]
+            if distinct is not nos:
+                # duplicates in the request pin once per occurrence,
+                # like get(): every distinct page holds one protective
+                # pin here, dropped after the real pins land
+                for p in nos:
+                    pages[p].pins += 1
+                for p in distinct:
+                    pages[p].pins -= 1
+            # (a batch without duplicates keeps its protective pins)
+            return [pages[p].buf for p in nos]
 
     def _read_in(self, pages: list[int], batch: bool) -> list[_Page]:
         """Read the (sorted, absent) pages from the chunk store with one
@@ -216,10 +221,16 @@ class Mpool:
             page.pins -= 1
 
     def put_many(self, pagenos: Sequence[int], dirty: bool = False) -> None:
-        """Unpin every page of a batch (the inverse of :meth:`get_many`)."""
+        """Unpin every page of a batch (the inverse of :meth:`get_many`),
+        as :meth:`put` unpins one."""
         with self._lock:
+            pages = self._pages
             for p in pagenos:
-                self.put(int(p), dirty=dirty)
+                page = pages.get(p)
+                if page is None or page.pins == 0:
+                    raise DRXError(f"put of page {p} that is not pinned")
+                page.dirty = page.dirty or dirty
+                page.pins -= 1
 
     def _make_room(self, needed: int) -> None:
         """Evict LRU unpinned pages until ``needed`` slots are free."""

@@ -72,7 +72,9 @@ class StoreStats:
 
     The counter block is shared between every thread that uses the
     store (rank threads, serve workers), so the ``note_*`` helpers
-    serialize on a private lock.  ``snapshot()`` /
+    serialize on a private lock.  The plan counters have one writer,
+    the handle's :class:`~repro.drx.ioplan.PlanCache`, which counts
+    under its own lock.  ``snapshot()`` /
     ``delta()`` return plain value copies (the lock is never copied).
     """
 
@@ -124,13 +126,6 @@ class StoreStats:
         with self._lock:
             self.writev_calls += 1
             self.coalesced_runs += nruns
-
-    def note_plan(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.plan_hits += 1
-            else:
-                self.plan_misses += 1
 
     def snapshot(self) -> "StoreStats":
         return replace(self)

@@ -110,6 +110,41 @@ class TestElementAccess:
         with pytest.raises(DRXIndexError):
             arr.get((0,))
 
+    def test_non_integer_corners_and_indices(self, arr):
+        """Corners and indices go through ``operator.index`` once at the
+        API boundary: a float, even an integral one, is refused with
+        ``DRXIndexError`` (not a NumPy ``TypeError``/``IndexError``, and
+        not truncated), and NumPy integers pass."""
+        ref = pattern_array((10, 12))
+        arr.write((0, 0), ref)
+        # an integral float must not borrow the cached plan of its int twin
+        arr.read((1, 0), (10, 10))
+        bad = [
+            lambda: arr.read((1.5, 0), (10, 10)),
+            lambda: arr.read((1.0, 0), (10, 10)),
+            lambda: arr.read((0, 0), (10.0, 10)),
+            lambda: arr.write((0.5, 0), np.ones((2, 2))),
+            lambda: arr.get((1.0, 2)),
+            lambda: arr.put((1.0, 2), 3.0),
+            lambda: arr.get(("1", 2)),
+            lambda: arr.read_slab((1.5, 0), (1, 1), (2, 2)),
+            lambda: arr.read_slab((1, 0), (1, 1), (2.0, 2)),
+            lambda: arr.write_slab((0, 0.5), (2, 2), np.ones((2, 2))),
+            # values of another rank than the corner: not NumPy's
+            # broadcast ValueError either
+            lambda: arr.write((0, 0), np.ones((2, 2, 2))),
+        ]
+        for call in bad:
+            with pytest.raises(DRXIndexError):
+                call()
+        assert np.array_equal(arr.read(), ref)       # nothing was written
+        i, j = np.int64(2), np.int32(3)
+        assert arr.get((i, j)) == ref[2, 3]
+        assert np.array_equal(arr.read((i, j), (i + 3, j + 4)),
+                              ref[2:5, 3:7])
+        assert np.array_equal(arr.read_slab((i, 0), (2, j), (3, 4)),
+                              ref[2:8:2, 0:12:3])
+
 
 class TestSubArrays:
     def test_roundtrip(self, arr, rng):

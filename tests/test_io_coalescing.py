@@ -18,6 +18,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.core.axial import AxialVector
 from repro.core.errors import DRXError, DRXFileError, DRXIndexError
 from repro.core.hyperslab import Hyperslab
 from repro.core.metadata import DRXMeta
@@ -379,6 +380,58 @@ class TestFileRouting:
         assert a.cache_stats.hits == before + 4
 
 
+#: per route, a box and a slab of the (12, 16) array of
+#: :func:`test_every_read_route_writes_every_element` (4x4 chunks, a
+#: 4-page pool): one chunk, four chunks, every chunk
+_ROUTE_CASES = {
+    "scalar": (((8, 12), (12, 16)), ((8, 12), (2, 2), (2, 2))),
+    "pooled": (((5, 10), (11, 15)), ((5, 10), (2, 2), (3, 3))),
+    "streamed": (((0, 0), (12, 16)), ((0, 1), (1, 3), (12, 5))),
+}
+
+
+@pytest.mark.parametrize("codec", ["none", "zlib"])
+@pytest.mark.parametrize("route", sorted(_ROUTE_CASES))
+@pytest.mark.parametrize("kind", ["box", "slab"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_every_read_route_writes_every_element(tmp_path, rng, codec,
+                                               route, kind, order):
+    """``read`` hands back ``np.empty``, which is sound only because
+    every route writes every element of its box.  A NaN-filled output
+    goes through ``_execute`` and must come back NaN-free and equal to
+    the oracle, over chunks never written, a region an ``extend`` added
+    and dirty pages not yet flushed."""
+    a = DRXFile.create(tmp_path / "a", (12, 12), (4, 4), cache_pages=4,
+                       codec=codec)
+    ref = np.zeros((12, 16))
+    ref[1:7, 2:9] = rng.random((6, 7))
+    a.write((1, 2), ref[1:7, 2:9])
+    a.flush()
+    a.extend(dim=1, by=4)               # chunk column 3: never written
+    ref[9:11, 13:15] = rng.random((2, 2))
+    a.write((9, 13), ref[9:11, 13:15])  # dirty in the pool
+    ref[0:2, 0:2] = rng.random((2, 2))
+    a.write((0, 0), ref[0:2, 0:2])      # dirty in the pool
+    box, slab = _ROUTE_CASES[route]
+    nb = a.meta.chunk_nbytes
+    if kind == "box":
+        lo, hi = box
+        plan = plan_box(a.meta.eci, lo, hi, a.chunk_shape, nb)
+        want = ref[lo[0]:hi[0], lo[1]:hi[1]]
+    else:
+        s = Hyperslab.build(*slab)
+        plan = plan_slab(a.meta.eci, s, a.chunk_shape, nb)
+        want = ref[tuple(slice(b, b + t * n, t) for b, t, n in zip(*slab))]
+    n = plan.num_chunks
+    assert {"scalar": n == 1, "pooled": 1 < n <= 4,
+            "streamed": n > 4}[route], n
+    out = np.full(want.shape, np.nan, order=order)
+    a._execute(plan, out, to_box=True)
+    assert not np.isnan(out).any()
+    assert np.array_equal(out, want)
+    a.close()
+
+
 def test_one_data_path_under_drxfile():
     """Structural guard: ``drxfile.py`` has one per-chunk copy (every
     route and direction calls it) and neither the file nor the pool
@@ -431,7 +484,8 @@ def test_plan_compile_makes_no_numpy_call():
 
     for fn in (ioplan.plan_box, ioplan.plan_slab, ioplan._checked_rows,
                ioplan._compile, ioplan.IOPlan.__init__, chunking.axis_rows,
-               chunking.iter_box_intersections):
+               chunking.iter_box_intersections, ioplan.IOPlan.runs.func,
+               ioplan._bad_box, chunking.axis_row, AxialVector.span):
         assert "np" not in names(fn), fn.__qualname__
     assert "f_star_many" not in vars(ioplan)
     assert "chunks_covering_box" not in \

@@ -14,7 +14,7 @@ Plus serialization fidelity of the meta-data and the Fig.-2 orders.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -185,8 +185,22 @@ def _as_tuples(plan):
             [(r.start, r.count, r.first) for r in plan.runs])
 
 
+def _grown(bounds, history):
+    eci = ExtendibleChunkIndex(bounds)
+    for dim, by in history:
+        eci.extend(dim, by)
+    return eci
+
+
 @settings(max_examples=150, deadline=None)
 @given(plan_cases())
+# inside one segment per dimension (one block), governed by a record
+# that extends dimension 1, so the visits need sorting
+@example((_grown([3, 3], [(1, 2)]), [2, 3], [1, 10], [5, 14],
+          Hyperslab.build((0, 9), (2, 2), (3, 3))))
+# across a seam in each dimension: rows cut in three and two pieces
+@example((_grown([2, 2], [(0, 2), (1, 2), (0, 1)]), [2, 2], [1, 1], [9, 7],
+          Hyperslab.build((1, 1), (3, 2), (3, 3))))
 def test_plans_match_the_scalar_oracle(case):
     """Box and slab plans equal the oracle's: visits, order, slices,
     ``full`` flags and runs — under merged and unmerged histories."""
