@@ -96,7 +96,9 @@ class CancelScope:
 
     def __init__(self, deadline: Deadline | None = None) -> None:
         self.deadline = deadline if deadline is not None else Deadline()
-        self._cancelled = threading.Event()
+        #: set by :meth:`cancel`; work polls it at its checkpoints and
+        #: nothing waits on it, so a plain attribute suffices
+        self.cancelled = False
         self.reason: str | None = None
 
     def cancel(self, reason: str = "cancelled") -> None:
@@ -104,11 +106,7 @@ class CancelScope:
         first reason sticks)."""
         if self.reason is None:
             self.reason = reason
-        self._cancelled.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled.is_set()
+        self.cancelled = True
 
     @property
     def expired(self) -> bool:
@@ -119,7 +117,7 @@ class CancelScope:
             else self.deadline.remaining()
 
     def check(self, what: str = "operation") -> None:
-        if self._cancelled.is_set():
+        if self.cancelled:
             raise DeadlineError(f"{self.reason or 'cancelled'} during {what}")
         self.deadline.check(what)
 

@@ -541,11 +541,9 @@ class DRXFile:
                                      bounds if hi is None else hi, bounds)
         if order not in ("C", "F"):
             raise DRXIndexError(f"order must be 'C' or 'F', got {order!r}")
-        plan = self._plans.box(self.meta.eci, lo, hi, self._chunk_shape,
-                               self._chunk_nbytes)
         # every route writes every element of the box
         out = np.empty(shape, dtype=self._dtype, order=order)
-        self._execute(plan, out, to_box=True)
+        self._execute(self._box_plan(lo, hi), out, to_box=True)
         return out
 
     def write(self, lo: Sequence[int], values: np.ndarray) -> None:
@@ -564,9 +562,23 @@ class DRXFile:
                                 f"{values.shape} differ in rank")
         lo, hi, _shape = validate_box(lo, map(add, lo, values.shape),
                                       self.meta.element_bounds)
-        plan = self._plans.box(self.meta.eci, lo, hi, self._chunk_shape,
+        self._execute(self._box_plan(lo, hi), values, to_box=False)
+
+    def plan(self, lo: Sequence[int], hi: Sequence[int]) -> IOPlan:
+        """The compiled :class:`IOPlan` of the box ``[lo, hi)``: every
+        chunk it touches, in file order (``plan(lo, hi).addresses``).
+
+        It is the plan :meth:`read` and :meth:`write` of that box then
+        execute — all three go through the handle's plan cache, so
+        asking first costs the access one cache hit.  The array service
+        takes its chunk locks from it."""
+        self._require_open()
+        lo, hi, _shape = validate_box(lo, hi, self.meta.element_bounds)
+        return self._box_plan(lo, hi)
+
+    def _box_plan(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> IOPlan:
+        return self._plans.box(self.meta.eci, lo, hi, self._chunk_shape,
                                self._chunk_nbytes)
-        self._execute(plan, values, to_box=False)
 
     def read_all(self, order: str = "C") -> np.ndarray:
         """The whole principal array as one in-memory array."""

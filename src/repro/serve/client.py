@@ -186,7 +186,9 @@ class _Exchange:
     ``depth`` bounds the in-flight window (:meth:`begin` blocks past
     it), clamped to :data:`~repro.serve.protocol.MAX_PIPELINE_DEPTH` —
     the cap the server's dedup window is sized against, so every
-    request that could be re-sent still has its result cached.
+    request that could be re-sent still has its result cached.  Every
+    REQ carries it as ``window``: at ``window: 1`` nothing can overtake
+    a request, so the daemon answers it on the thread that read it.
     """
 
     def __init__(self, client: "DRXClient", depth: int = 64) -> None:
@@ -205,14 +207,16 @@ class _Exchange:
     def begin(self, verb: str, header: dict | None, payload,
               timeout: float | None, decode=None) -> PendingReply:
         """Stamp, register and transmit one request.  The header's
-        fixed part — verb, client, idempotency key, ``rid`` — is
-        assigned here, once, BEFORE the first attempt: every retry,
-        including reconnect-with-resume after a daemon restart,
-        re-issues the request under the same ``(client, sid, seq)``."""
+        fixed part — verb, client, in-flight ``window``, idempotency
+        key, ``rid`` — is assigned here, once, BEFORE the first
+        attempt: every retry, including reconnect-with-resume after a
+        daemon restart, re-issues the request under the same
+        ``(client, sid, seq)``."""
         client = self.client
         hdr = dict(header or {})
         hdr["verb"] = verb
         hdr["client"] = client.client_id
+        hdr["window"] = self.depth
         client._stamp_key(hdr)
         deadline = Deadline(timeout if timeout is not None
                             else client.timeout)

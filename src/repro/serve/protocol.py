@@ -39,7 +39,14 @@ Frame kinds:
     server can count forced retries per client), ``timeout`` (the
     request's remaining deadline budget in seconds — the *client*
     owns the deadline and ships the remaining budget, the server
-    enforces it), plus verb-specific fields.  Mutating verbs
+    enforces it; ``attempt`` and ``timeout``, when present, must be
+    finite numbers, or the request is answered with one fatal ``ERR``
+    and never admitted), ``window`` (the sender's in-flight window on
+    this connection: ``1`` promises that the next REQ follows only
+    this one's reply, so the server answers it on the thread that
+    read it; any other value, or none, lets replies overtake one
+    another — a client that breaks the promise only serialises its
+    own connection), plus verb-specific fields.  Mutating verbs
     (:data:`KEYED_VERBS`) additionally carry the idempotency key:
     ``sid`` (an opaque per-stub session token) and ``seq`` (the stub's
     monotonic request number) — assigned **once** per logical request

@@ -11,8 +11,8 @@ Counter conservation is a hard invariant the soak test asserts::
 
     requests == ok + errors + retry_later + deadline_misses
 
-i.e. every data-plane request received is counted exactly once on
-arrival and exactly once by outcome.  A ``batch`` frame is *not* a
+i.e. every data-plane request received is counted exactly once as an
+arrival (when admitted, or when refused) and exactly once by outcome.  A ``batch`` frame is *not* a
 request of its own: each operation it carries is one arrival with one
 outcome (the frame itself only bumps the ``batches`` counter, which
 sits outside the law).  A *replayed* retry answered from
@@ -20,9 +20,14 @@ the dedup table is still one arrival with one outcome (``ok``) — it
 additionally bumps ``dedup_hits``, so the conservation law holds under
 retries and reconnects while the operator can still see how many
 acknowledgements were served from cache instead of re-applied.  All
-mutation therefore goes through :meth:`ClientQoS.bump` under a
-per-record lock — bare ``+=`` from many connection threads would drop
-counts.
+mutation goes through a per-record lock — bare ``+=`` from many
+connection threads would drop counts — and a request takes it twice:
+:meth:`ClientQoS.enter` counts the arrival once it holds an in-flight
+slot, :meth:`ClientQoS.exit` its outcome (a request refused at
+admission is one :meth:`ClientQoS.refuse`).  The daemon counts a keyed
+request's outcome *before* its result is published to the dedup
+table, so a retry answered from that cache can never be observed
+ahead of the original's outcome.
 
 Snapshots are plain JSON-able dicts — the ``stats`` protocol verb and
 ``drx-serve --dump-stats`` both export them verbatim.
@@ -53,24 +58,43 @@ class ClientQoS:
         self._inflight = 0
         self._lock = threading.Lock()
 
-    def bump(self, *, queue_wait: float = 0.0, **deltas: int) -> None:
-        """Add ``deltas`` to the named counters atomically."""
+    def count_batch(self) -> None:
+        """One batch frame (outside the conservation law: each of its
+        operations is counted as a request of its own)."""
         with self._lock:
-            for name, delta in deltas.items():
-                if name not in _COUNTERS:
-                    raise AttributeError(f"no QoS counter {name!r}")
-                setattr(self, name, getattr(self, name) + delta)
-            self.queue_wait += queue_wait
+            self.batches += 1
 
-    def enter_inflight(self) -> None:
+    def enter(self, retry: bool, queue_wait: float) -> None:
+        """One admitted request: its arrival, whether it is a retry,
+        its admission wait, and one more in flight."""
         with self._lock:
+            self.requests += 1
+            self.retries += retry
+            self.queue_wait += queue_wait
             self._inflight += 1
             if self._inflight > self.inflight_hw:
                 self.inflight_hw = self._inflight
 
-    def exit_inflight(self) -> None:
+    def exit(self, outcome: str, bytes_read: int = 0,
+             bytes_written: int = 0, dedup_hit: bool = False) -> None:
+        """An admitted request's outcome (``ok``, ``errors`` or
+        ``deadline_misses``); one fewer in flight."""
         with self._lock:
+            setattr(self, outcome, getattr(self, outcome) + 1)
+            self.bytes_read += bytes_read
+            self.bytes_written += bytes_written
+            self.dedup_hits += dedup_hit
             self._inflight -= 1
+
+    def refuse(self, outcome: str, retry: bool,
+               queue_wait: float = 0.0) -> None:
+        """A request turned away at admission: arrival and outcome
+        (``retry_later`` or ``deadline_misses``) at once."""
+        with self._lock:
+            self.requests += 1
+            self.retries += retry
+            self.queue_wait += queue_wait
+            setattr(self, outcome, getattr(self, outcome) + 1)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -92,11 +116,13 @@ class QoSRegistry:
         self.inflight_hw = 0
 
     def client(self, name: str) -> ClientQoS:
-        with self._lock:
-            qos = self._clients.get(name)
-            if qos is None:
-                qos = self._clients[name] = ClientQoS()
-            return qos
+        # a known client is one dict read; records are never removed,
+        # so only a first sighting needs the lock
+        qos = self._clients.get(name)
+        if qos is None:
+            with self._lock:
+                qos = self._clients.setdefault(name, ClientQoS())
+        return qos
 
     def note_queue_depth(self, depth: int) -> None:
         with self._lock:

@@ -8,19 +8,23 @@ cache), optionally one shared
 :class:`~repro.pfs.filesystem.ParallelFileSystem`.  The design
 commitments, in the order a request meets them:
 
-*One dispatch.*  Every request carries an integer ``rid``.  The
-connection's reader hands it to the connection's reusable worker pool
+*One dispatch.*  Every request carries an integer ``rid`` and gets
+exactly one reply echoing it.  A request stamped ``window: 1`` — every
+call of a synchronous :class:`~repro.serve.client.DRXClient` — cannot
+be overtaken (its client sends nothing else until the reply), so the
+connection's reader answers it itself: no hand-off, no worker thread.
+Any other request goes to the connection's reusable worker pool
 (threads grown on demand, bounded, never created per-request once
-warm); the handler — ``_op_<verb>``, looked up through
-:data:`~repro.serve.protocol.VERB_TABLE` — runs on that worker and the
-reply, echoing the ``rid``, may leave **out of order**.  The
-per-connection fan-out is capped by ``max_conn_inflight`` (reader-side
-backpressure past it) and the work itself still funnels through
-admission control below.  While a chaos fault plan is armed the reader
-runs the same routine inline, one request at a time, so kill schedules
-replay deterministically.  A ``batch`` frame carries many operations
-in one round trip; each passes through admission, QoS, deadline, and
-locking individually (see :mod:`repro.serve.protocol`).
+warm) and its reply may leave **out of order**; the per-connection
+fan-out is capped by ``max_conn_inflight`` (reader-side backpressure
+past it).  Either way the same routine runs the handler —
+``_op_<verb>``, looked up through
+:data:`~repro.serve.protocol.VERB_TABLE` — and the work funnels
+through admission control below.  While a chaos fault plan is armed
+the reader answers every request inline, one at a time, so kill
+schedules replay deterministically.  A ``batch`` frame carries many
+operations in one round trip; each passes through admission, QoS,
+deadline, and locking individually (see :mod:`repro.serve.protocol`).
 
 *Admission control.*  A request first claims an in-flight slot —
 bounded per client and globally.  Waiters park on a condition variable
@@ -87,13 +91,14 @@ makes the daemon die abruptly at that instant via :meth:`kill`.
 from __future__ import annotations
 
 import functools
+import math
 import pathlib
 import queue
 import re
 import socket
 import threading
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -142,6 +147,22 @@ __all__ = ["DRXServer", "CancelGateStore", "current_scope"]
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,127}\Z")
 
 _scope_local = threading.local()
+
+
+def _number(header: dict, field: str) -> float | None:
+    """A numeric REQ field (``attempt``, ``timeout``) as a float, or
+    ``None`` when absent; anything but a finite number is refused with
+    a fatal :class:`ServeError` — the request's one reply."""
+    value = header.get(field)
+    if value is None:
+        return None
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:       # an int past the float range
+        pass
+    raise ServeError(f"request field {field!r} must be a finite number, "
+                     f"got {value!r}")
 
 
 def current_scope() -> CancelScope | None:
@@ -242,7 +263,8 @@ class Admission:
                     self._queued -= 1
             self._inflight += 1
             self._per_client[client] = self._per_client.get(client, 0) + 1
-            self.qos.note_inflight(self._inflight)
+            if self._inflight > self.qos.inflight_hw:
+                self.qos.note_inflight(self._inflight)
         return time.monotonic() - t0
 
     def release(self, client: str) -> None:
@@ -290,16 +312,17 @@ class Admission:
 
 
 class _ConnWorkers:
-    """A lazily-grown, bounded worker pool for one connection's
-    requests.
+    """A lazily-grown, bounded worker pool for the requests of one
+    connection that may overtake one another (``window`` other than 1).
 
     ``cap`` bounds the jobs in flight — past it :meth:`submit` blocks,
     so the connection's reader parks and TCP backpressure does the rest
     — and thereby the threads: one is created only when every existing
-    worker is busy, and all are reused, so a synchronous client costs
-    one thread and a warm pipeline never pays per-request thread
-    creation.  A worker survives any job failure; ``close()`` wakes
-    every worker to exit, letting in-flight handlers finish first.
+    worker is busy, and all are reused, so a warm pipeline never pays
+    per-request thread creation.  A synchronous client's requests are
+    answered by the reader and start no worker at all.  A worker
+    survives any job failure; ``close()`` wakes every worker to exit,
+    letting in-flight handlers finish first.
     """
 
     _STOP = object()
@@ -406,18 +429,6 @@ class _ArrayEntry:
         with self._seq_lock:
             self._seq += 1
             return self._seq
-
-
-def _box_addresses(file: DRXFile, lo: Sequence[int],
-                   hi: Sequence[int]) -> list[int]:
-    """Linear addresses of every chunk the box ``[lo, hi)`` touches."""
-    from itertools import product
-
-    if any(h <= l for l, h in zip(lo, hi)):
-        return []
-    ranges = [range(l // c, (h - 1) // c + 1)
-              for l, h, c in zip(lo, hi, file.chunk_shape)]
-    return [file.meta.eci.address(ci) for ci in product(*ranges)]
 
 
 _XMD = DRXFile.XMD_SUFFIX
@@ -791,14 +802,16 @@ class DRXServer:
                             "a REQ needs a non-negative integer rid, "
                             f"got {rid!r}")))
                     continue
+                if header.get("window") == 1 or faultsites.any_active():
+                    # nothing can overtake a synchronous request (its
+                    # client sends the next one only after this reply),
+                    # so the reader answers it; while chaos is armed
+                    # every request goes this way, one at a time in
+                    # arrival order, so kill schedules replay exactly
+                    self._answer(sock, send_lock, header, payload, rid)
+                    continue
                 answer = functools.partial(
                     self._answer, sock, send_lock, header, payload, rid)
-                if faultsites.any_active():
-                    # the deterministic path while chaos is armed: one
-                    # request at a time, in arrival order, so kill-site
-                    # schedules replay exactly as scripted
-                    answer()
-                    continue
                 try:
                     workers.submit(answer)      # replies leave out of order
                 except RuntimeError:
@@ -818,18 +831,26 @@ class DRXServer:
 
     def _answer(self, sock: socket.socket, send_lock: threading.Lock,
                 header: dict, payload: bytes, rid: int) -> None:
-        """Dispatch one request and send its reply, echoing ``rid``.
-        The request gets a *private* owner token: its own locks release
-        in the handler's ``finally``; the backstop here reclaims
-        whatever a torn-down thread still held, without touching the
-        locks of sibling requests on the same connection."""
+        """Dispatch one request and send its one reply, echoing
+        ``rid``.  The request gets a *private* owner token: its locks
+        release in the handlers' ``finally`` blocks; only a handler
+        that raises out of its own error handling pays for the backstop
+        that reclaims whatever that token still holds — never the locks
+        of sibling requests on the same connection — and its request is
+        answered with an ERR all the same."""
         owner = object()
         with self._conn_lock:
             self._answering += 1
         try:
             handle = self._handle_batch if header.get("verb") == "batch" \
                 else self._handle_request
-            kind, hdr, out = handle(header, payload, owner)
+            try:
+                kind, hdr, out = handle(header, payload, owner)
+            except Exception as exc:   # noqa: BLE001 - answered below
+                self._release_owner(owner)
+                if isinstance(exc, CrashError):
+                    raise
+                kind, hdr, out = ERR, encode_error(exc), b""
             # lost-ack window: mutation applied and journal-synced, OK
             # not yet on the wire — the retry must be answered from the
             # dedup table, never re-applied
@@ -845,7 +866,6 @@ class DRXServer:
         except CrashError:
             self.kill()
         finally:
-            self._release_owner(owner)
             with self._conn_lock:
                 self._answering -= 1
 
@@ -868,16 +888,17 @@ class DRXServer:
                 f"{MAX_BATCH_OPS}-op cap")), b"")
         try:
             pieces = split_payload(ops, payload)
-        except ProtocolError as exc:
+            timeout = _number(header, "timeout")
+            _number(header, "attempt")
+        except (ProtocolError, ServeError) as exc:
             return (ERR, encode_error(exc), b"")
-        self.qos.client(client).bump(batches=1)
+        self.qos.client(client).count_batch()
         # ONE deadline for the whole frame: every sub-op is dispatched
         # with the batch's *remaining* budget, so N serially-executed
         # ops share one timeout instead of each restarting it (an op
         # that starts after expiry deadline-misses immediately through
         # the normal path, with its QoS counters intact)
-        deadline = Deadline(float(header["timeout"])) \
-            if header.get("timeout") is not None else None
+        deadline = Deadline(timeout) if timeout is not None else None
         results: list[dict] = []
         out: list[bytes] = []
         for op, piece in zip(ops, pieces):
@@ -887,8 +908,12 @@ class DRXServer:
             if deadline is not None:
                 budget = deadline.remaining()
                 own = oh.get("timeout")
-                oh["timeout"] = budget if own is None \
-                    else min(float(own), budget)
+                if own is None:
+                    oh["timeout"] = budget
+                elif type(own) in (int, float):
+                    oh["timeout"] = min(own, budget)
+                # any other own timeout stays as sent: that op alone
+                # is refused
             if "attempt" in header:
                 oh.setdefault("attempt", header["attempt"])
             verb = oh.get("verb")
@@ -902,10 +927,11 @@ class DRXServer:
         return (OK, {"results": results}, b"".join(out))
 
     def _release_owner(self, owner: object) -> None:
-        """Abrupt-disconnect cleanup: drop any chunk locks *and* array
-        RW holds the connection still owns (normal paths release via
-        finally; this is the backstop for a thread torn down between
-        acquiring the array lock and its chunk locks)."""
+        """The backstop for a handler that raised out of its own error
+        handling: drop any chunk locks *and* array RW holds ``owner``
+        still has.  Its cost grows with the number of open arrays, so
+        the normal paths — which release in their ``finally`` blocks —
+        never call it."""
         with self._arrays_lock:
             entries = list(self._arrays.values())
         for entry in entries:
@@ -918,7 +944,6 @@ class DRXServer:
     def _handle_request(self, header: dict, payload: bytes,
                         owner: object) -> tuple[int, dict, bytes]:
         verb = header.get("verb")
-        client = str(header.get("client", "anon"))
         spec = VERB_TABLE.get(verb) if isinstance(verb, str) else None
         handler = getattr(self, f"_op_{verb}", None) if spec else None
         if handler is None:
@@ -929,67 +954,98 @@ class DRXServer:
                 return (OK, *handler(header, payload, owner, None))
             except Exception as exc:   # noqa: BLE001 - transported
                 return (ERR, encode_error(exc), b"")
+        try:
+            retry = (_number(header, "attempt") or 0) > 0
+            timeout = _number(header, "timeout")
+        except ServeError as exc:
+            # a malformed envelope, like an unknown verb: answered,
+            # never admitted or counted
+            return (ERR, encode_error(exc), b"")
 
+        client = str(header.get("client", "anon"))
         qos = self.qos.client(client)
-        qos.bump(requests=1)
-        if int(header.get("attempt", 0)) > 0:
-            qos.bump(retries=1)
-        timeout = header.get("timeout")
         scope = CancelScope(Deadline(timeout))
         wd_handle = None
         if timeout is not None:
             wd_handle = self._watchdog.schedule(
-                float(timeout),
-                lambda: scope.cancel("deadline exceeded"))
+                timeout, functools.partial(scope.cancel,
+                                           "deadline exceeded"))
         with self._scopes_lock:
             self._scopes.add(scope)
-        admitted = False
         try:
             t_adm = time.monotonic()
             try:
                 wait = self.admission.admit(client, scope)
             except RetryLater as exc:
-                qos.bump(retry_later=1)
+                qos.refuse("retry_later", retry)
                 return (RETRY_LATER, {"reason": exc.reason}, b"")
             except DeadlineError as exc:
                 # the whole budget was spent parked in the queue —
                 # charge it so the operator sees *where* time went
-                qos.bump(deadline_misses=1,
-                         queue_wait=time.monotonic() - t_adm)
+                qos.refuse("deadline_misses", retry,
+                           time.monotonic() - t_adm)
                 return (DEADLINE, {"message": str(exc)}, b"")
-            admitted = True
-            qos.bump(queue_wait=wait)
-            qos.enter_inflight()
+            qos.enter(retry, wait)
             try:
-                crash_point("server.kill.daemon.admitted")
-                # the handler runs on the thread that dispatched it
-                _scope_local.value = scope
-                scope.check(f"{verb} dispatch")
-                if spec.keyed:
-                    handler = functools.partial(self._exactly_once, handler)
-                hdr, pl = handler(header, payload, owner, scope)
-                qos.bump(ok=1,
-                         bytes_read=len(pl) if verb == "read" else 0,
-                         bytes_written=(len(payload)
-                                        if verb == "write" else 0))
-                return (OK, hdr, pl)
-            except DeadlineError as exc:
-                qos.bump(deadline_misses=1)
-                return (DEADLINE, {"message": str(exc)}, b"")
-            except CrashError:
-                raise
-            except Exception as exc:   # noqa: BLE001 - transported
-                qos.bump(errors=1)
-                return (ERR, encode_error(exc), b"")
-        finally:
-            _scope_local.value = None
-            if admitted:
-                qos.exit_inflight()
+                return self._run(verb, spec, handler, header, payload,
+                                 owner, scope, qos)
+            finally:
                 self.admission.release(client)
+        finally:
             with self._scopes_lock:
                 self._scopes.discard(scope)
             if wd_handle is not None:
                 self._watchdog.cancel(wd_handle)
+
+    def _run(self, verb, spec, handler, header, payload, owner, scope,
+             qos) -> tuple[int, dict, bytes]:
+        """Run an admitted request's handler and count its outcome once.
+
+        A keyed verb runs under its idempotency key: a replayed retry
+        is answered from the dedup table (counted in ``dedup_hits``)
+        instead of re-applied, and a request without a key is refused
+        before anything is journaled or applied.  Its result is
+        published to the table when the handler returns — so a keyed
+        handler returns only after its COMMIT record is synced — and
+        only after its outcome is counted, so a retry answered from
+        the table is never seen ahead of the original's outcome."""
+        outcome, hit, nread, nwritten = "errors", False, 0, 0
+        dedup = key = result = None     # a keyed request's own claim
+        try:
+            crash_point("server.kill.daemon.admitted")
+            # the handler runs on the thread that dispatched it
+            _scope_local.value = scope
+            scope.check(f"{verb} dispatch")
+            if spec.keyed:
+                key = self._idem_key(header)
+                table = self._entry(header["name"]).dedup
+                cached = table.claim(key, scope)
+                if cached is not None:
+                    outcome, hit = "ok", True
+                    return (OK, cached, b"")
+                dedup = table
+            result, out = handler(header, payload, owner, scope)
+            outcome = "ok"
+            if verb == "read":
+                nread = len(out)
+            elif verb == "write":
+                nwritten = len(payload)
+            return (OK, result, out)
+        except DeadlineError as exc:
+            outcome = "deadline_misses"
+            return (DEADLINE, {"message": str(exc)}, b"")
+        except CrashError:
+            raise
+        except Exception as exc:   # noqa: BLE001 - transported
+            return (ERR, encode_error(exc), b"")
+        finally:
+            _scope_local.value = None
+            qos.exit(outcome, nread, nwritten, hit)
+            if dedup is not None:
+                if outcome == "ok":
+                    dedup.fulfill(key, result)
+                else:
+                    dedup.abandon(key)
 
     # ------------------------------------------------------------------
     # control-plane verbs (no admission slot)
@@ -1141,36 +1197,14 @@ class DRXServer:
         return (str(header.get("client", "anon")),
                 str(header["sid"]), int(header["seq"]))
 
-    def _exactly_once(self, handler, header, payload, owner, scope):
-        """Run a keyed verb's handler under its idempotency key: a
-        replayed retry is answered from the dedup table (counted in
-        ``dedup_hits``) instead of re-applied, and a request without a
-        key is refused before anything is journaled or applied.  The
-        result is cached when the handler returns, so a keyed handler
-        must return only after its COMMIT record is synced — a replay
-        must never be acked from cache before that."""
-        key = self._idem_key(header)
-        entry = self._entry(header["name"])
-        cached = entry.dedup.claim(key, scope)
-        if cached is not None:
-            self.qos.client(key[0]).bump(dedup_hits=1)
-            return (cached, b"")
-        try:
-            result, out = handler(header, payload, owner, scope)
-        except BaseException:
-            entry.dedup.abandon(key)
-            raise
-        entry.dedup.fulfill(key, result)
-        return (result, out)
-
     def _op_read(self, header, payload, owner, scope):
         entry = self._entry(header["name"])
-        lo = [int(x) for x in header["lo"]]
-        hi = [int(x) for x in header["hi"]]
+        lo, hi = header["lo"], header["hi"]
         entry.rw.acquire_shared(scope, owner)
         try:
+            # the chunks of the plan the read then executes (a cache hit)
             taken = entry.chunks.acquire(
-                _box_addresses(entry.file, lo, hi), owner, scope)
+                entry.file.plan(lo, hi).addresses, owner, scope)
             try:
                 data = entry.file.read(lo, hi)
             finally:
@@ -1192,8 +1226,9 @@ class DRXServer:
         key = self._idem_key(header)
         entry.rw.acquire_shared(scope, owner)
         try:
+            # an invalid box fails here, before anything is journaled
             taken = entry.chunks.acquire(
-                _box_addresses(entry.file, lo, hi), owner, scope)
+                entry.file.plan(lo, hi).addresses, owner, scope)
             try:
                 crash_point("server.kill.daemon.locked")
                 # redo logging: intent + payload hit the journal

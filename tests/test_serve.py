@@ -46,6 +46,7 @@ from repro.serve import DRXClient, DRXServer
 from repro.serve import protocol
 from repro.serve.locks import ArrayRWLock, ChunkLocks
 from tests.support.netfault import FaultySocket, arm_first_connection
+from tests.support.qosprobe import snapshots_at_fulfill
 from tests.support.slowserve import slow_array
 
 SEED = int(os.environ.get("DRX_FAULT_SEED", "0"))
@@ -1007,6 +1008,72 @@ class TestHostileWire:
             assert snap["inflight"] == 0
             assert snap["qos"]["clients"]["h"]["errors"] == 1
 
+    @pytest.mark.parametrize("window", [None, 1])
+    @pytest.mark.parametrize("form,bad", [
+        ("op", {"attempt": "again"}), ("op", {"attempt": [1]}),
+        ("op", {"timeout": "soon"}), ("op", {"timeout": {"s": 1}}),
+        ("batch", {"timeout": "soon"}), ("batch", {"attempt": "again"})],
+        ids=["attempt-str", "attempt-list", "timeout-str",
+             "timeout-dict", "batch-timeout", "batch-attempt"])
+    def test_non_numeric_attempt_or_timeout_gets_one_err(self, form, bad,
+                                                         window):
+        """A REQ whose ``attempt`` or ``timeout`` is not a number — or
+        a batch frame whose is — gets exactly one fatal ERR echoing its
+        rid instead of no reply at all: never admitted nor counted, and
+        the connection (whether the reader or a worker answered) still
+        serves."""
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "setup") as c:
+                c.create("num", [4], [2])
+            hdr = {"verb": "read", "name": "num", "lo": [0], "hi": [4]}
+            if form == "batch":
+                hdr = {"verb": "batch", "ops": [dict(hdr, nbytes=0)]}
+            hdr.update(bad, client="h", rid=3)
+            if window is not None:
+                hdr["window"] = window
+            raw = socket.create_connection(srv.address, timeout=2.0)
+            try:
+                protocol.send_frame(raw, protocol.REQ, hdr)
+                kind, rep, _ = protocol.recv_frame(raw)
+                assert (kind, rep["rid"]) == (protocol.ERR, 3)
+                assert not rep["transient"]
+                assert next(iter(bad)) in rep["message"]
+                protocol.send_frame(raw, protocol.REQ, {
+                    "verb": "ping", "client": "h", "rid": 4})
+                kind, rep, _ = protocol.recv_frame(raw)
+                assert (kind, rep["rid"], rep["pong"]) == \
+                    (protocol.OK, 4, True)
+            finally:
+                raw.close()
+            snap = srv.stats_snapshot()
+            assert snap["inflight"] == 0
+            assert "h" not in snap["qos"]["clients"]
+
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_exception_escaping_a_handler_is_still_answered(self, window):
+        """A batch op whose ``nbytes`` is not an integer raises out of
+        the frame's parsing: the request still gets its one ERR, and
+        the reader — whether it ran the handler or a worker did — keeps
+        serving the connection."""
+        with serve_ctx() as (srv, _):
+            raw = socket.create_connection(srv.address, timeout=2.0)
+            try:
+                hdr = {"verb": "batch", "client": "h", "rid": 5,
+                       "ops": [{"verb": "ping", "nbytes": "x"}]}
+                if window is not None:
+                    hdr["window"] = window
+                protocol.send_frame(raw, protocol.REQ, hdr)
+                kind, rep, _ = protocol.recv_frame(raw)
+                assert (kind, rep["rid"]) == (protocol.ERR, 5)
+                protocol.send_frame(raw, protocol.REQ, {
+                    "verb": "ping", "client": "h", "rid": 6})
+                kind, rep, _ = protocol.recv_frame(raw)
+                assert (kind, rep["rid"], rep["pong"]) == \
+                    (protocol.OK, 6, True)
+            finally:
+                raw.close()
+            assert srv.stats_snapshot()["inflight"] == 0
+
     def test_client_cannot_make_the_daemon_sleep(self):
         """No header makes the daemon sleep: a write carrying
         ``"_delay": 3600`` and no timeout is served at full speed, and
@@ -1229,6 +1296,63 @@ def conservation_holds(snap: dict) -> bool:
     return tot["requests"] == (tot["ok"] + tot["errors"]
                                + tot["retry_later"]
                                + tot["deadline_misses"])
+
+
+class TestDispatch:
+    def test_synchronous_client_starts_no_worker_thread(self):
+        """Every call of a ``DRXClient`` is stamped ``window: 1`` and
+        answered by its connection's reader: the connection never
+        starts a ``drx-serve-op`` worker."""
+        def workers():
+            return {t.ident for t in threading.enumerate()
+                    if t.name == "drx-serve-op"}
+
+        with serve_ctx() as (srv, _):
+            before = workers()
+            with make_client(srv, "sync") as c:
+                c.create("s", [8, 8], [4, 4])
+                c.write("s", (0, 0), np.ones((8, 8)))
+                assert np.array_equal(c.read("s", (0, 0), (8, 8)),
+                                      np.ones((8, 8)))
+                assert c.extend("s", dim=0, by=4)["shape"] == [12, 8]
+                (hdr, _), = c.batch([{"verb": "read", "name": "s",
+                                      "lo": [0, 0], "hi": [4, 4]}])
+                assert hdr["shape"] == [4, 4]
+                assert c.ping()["pong"]
+                assert workers() - before == set()
+
+    def test_window_one_sent_back_to_back_is_answered_in_order(self):
+        """A raw client stamps ``window: 1`` but sends a slow write and
+        a read of the same box without waiting: it only serialises its
+        own connection — both replies arrive, in order, and the read
+        sees the write."""
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "setup") as c:
+                c.create("w1", [4, 4], [2, 2])
+            slow_array(srv, "w1", write=0.2)
+            raw = socket.create_connection(srv.address, timeout=5.0)
+            try:
+                protocol.send_frame(raw, protocol.REQ, {
+                    "verb": "write", "client": "liar", "rid": 1,
+                    "window": 1, "name": "w1", "lo": [0, 0],
+                    "shape": [4, 4], "dtype": "<f8", "sid": "liar",
+                    "seq": 1}, np.full((4, 4), 7.0).tobytes())
+                protocol.send_frame(raw, protocol.REQ, {
+                    "verb": "read", "client": "liar", "rid": 2,
+                    "window": 1, "name": "w1", "lo": [0, 0],
+                    "hi": [4, 4]})
+                first = protocol.recv_frame(raw)
+                second = protocol.recv_frame(raw)
+            finally:
+                raw.close()
+            kind, hdr, _ = first
+            assert (kind, hdr["rid"], hdr["nbytes"]) == \
+                (protocol.OK, 1, 4 * 4 * 8)
+            kind, hdr, payload = second
+            assert (kind, hdr["rid"]) == (protocol.OK, 2)
+            got = np.frombuffer(payload, dtype=hdr["dtype"]) \
+                .reshape(hdr["shape"])
+            assert np.array_equal(got, np.full((4, 4), 7.0))
 
 
 class TestPipeline:
@@ -1460,6 +1584,24 @@ class TestBatch:
             snap = srv.qos.snapshot()
             assert conservation_holds({"qos": snap})
             assert snap["totals"]["dedup_hits"] >= nops
+
+    def test_outcome_is_counted_before_the_result_is_published(self):
+        """From the instant ``DedupTable.fulfill`` publishes a keyed
+        result, a retry of that key is answered from the cache and its
+        client may read the counters: the original's outcome must
+        already be counted there, or the client sees ``requests ==
+        ok + 1``."""
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "keyed") as c:
+                c.create("pub", [4, 4], [2, 2])
+                seen = snapshots_at_fulfill(srv, "pub")
+                c.write("pub", (0, 0), np.ones((4, 4)))
+                c.extend("pub", dim=0, by=2)
+                c.batch([{"verb": "extend", "name": "pub", "dim": 1,
+                          "by": 2} for _ in range(3)])
+            assert len(seen) == 5
+            for snap in seen:
+                assert conservation_holds({"qos": snap})
 
     def test_batch_budget_shared_across_ops(self):
         """The frame's timeout is ONE budget: each sub-op runs on the

@@ -360,6 +360,31 @@ class TestPlanCache:
             assert a._data.stats.plan_misses == misses
             assert np.array_equal(out, vals)
 
+    def test_plan_is_the_plan_read_and_write_execute(self):
+        """``DRXFile.plan`` names every chunk of a box in file order —
+        the set the array service locks — and the read or write of
+        that box then executes it from the cache."""
+        from itertools import product
+
+        from repro.core.errors import DRXIndexError
+
+        with DRXFile.create(None, (16, 16), (4, 4)) as a:
+            a.extend(dim=1, by=8)       # addresses no longer row-major
+            lo, hi = (2, 3), (11, 21)
+            plan = a.plan(lo, hi)
+            want = sorted(a.meta.eci.address(ci) for ci in product(
+                *(range(l // c, (h - 1) // c + 1)
+                  for l, h, c in zip(lo, hi, a.chunk_shape))))
+            assert plan.addresses == want
+            misses = a._data.stats.plan_misses
+            a.write(lo, np.ones((9, 18)))
+            assert np.array_equal(a.read(lo, hi), np.ones((9, 18)))
+            assert a._data.stats.plan_misses == misses
+            for bad in (((4, 4), (4, 8)), ((0, 0), (17, 4)),
+                        ((0, 0.5), (4, 4))):
+                with pytest.raises(DRXIndexError):
+                    a.plan(*bad)
+
     def test_lru_bound(self):
         meta = DRXMeta.create((64, 64), (8, 8))
         cache = PlanCache(max_entries=2)
