@@ -18,7 +18,9 @@ dimension ``j`` gets a row entry — its chunk and box slices and whether
 it is full along ``j``.  The row is cut where the dimension's candidate
 record changes: :meth:`~repro.core.axial.AxialVector.span` returns the
 candidate of the row's first index and the index where the next record
-starts, so a row costs one binary search per piece.  A hyperslab's
+starts, so a row costs one binary search per piece.  A handle's
+:class:`PlanCache` memoizes each cut row under the index generation, so
+a coordinate range seen before costs one dictionary hit.  A hyperslab's
 lattice filters the pieces' entries, dropping those that hold no
 lattice point.  A product of pieces, one per dimension, is a *block*:
 all its chunks have the same candidates, hence the same governing
@@ -58,7 +60,8 @@ from ..core.errors import DRXIndexError
 from ..core.extendible import ExtendibleChunkIndex
 from ..core.hyperslab import Hyperslab
 
-__all__ = ["Visit", "Run", "IOPlan", "PlanCache", "plan_box", "plan_slab"]
+__all__ = ["Visit", "Run", "IOPlan", "PlanCache", "ROW_MEMO_CAP",
+           "plan_box", "plan_slab"]
 
 #: A half-open byte extent ``(offset, length)``.
 Extent = tuple[int, int]
@@ -154,6 +157,11 @@ class IOPlan:
                 f"chunk_nbytes={self.chunk_nbytes})")
 
 
+#: The most cut rows one :class:`PlanCache` holds.  A full memo is
+#: cleared, not trimmed, so a hit does no bookkeeping.
+ROW_MEMO_CAP = 4096
+
+
 class PlanCache:
     """A bounded, generation-keyed memo of compiled :class:`IOPlan`\\ s.
 
@@ -173,17 +181,25 @@ class PlanCache:
     observable.  The cache is their only writer and counts under its
     own lock, so a lookup takes one lock, not two.
 
-    A compile costs about ten hits: for a 2-D box of one to four chunks
-    inside one segment per dimension it is two row walks, two binary
-    searches, one Eq. (1) base and one tuple per chunk — 6 to 8 µs
-    against 0.7 µs for a hit's key hash, lock and LRU touch (2-vCPU
-    Xeon, Python 3.11).  Random small boxes almost never hit, so the
-    memo earns little.  It stays because the repository benchmark's
-    tracer binds its ``core.plan_map`` boundary to :meth:`box`/
-    :meth:`slab` (and ``core.plan_lookup``/``plan_store`` to
-    :meth:`lookup`/:meth:`store`, whose call counts give
-    ``drx.plan_hit_ratio``); deleting it waits for a benchmark-side
-    change that moves that boundary.
+    Whole-box plans rarely repeat (random small boxes hit about one
+    lookup in a thousand), but their coordinate ranges do: a workload
+    of random 16x32 boxes draws a few hundred distinct ``(lo_j, hi_j)``
+    per dimension.  So a miss compiles from a second memo, each
+    dimension's cut row keyed by ``(dimension, lo_j, hi_j, chunk
+    extent)`` and kept for one index generation (an extend starts an
+    empty one, as :meth:`store` drops stale plans).  A hit there stands
+    for a range checked under that generation; the API boundary still
+    validates every box.  The row memo holds at most
+    :data:`ROW_MEMO_CAP` rows (about 2.5 MiB of 16- and 32-wide rows
+    of 64-wide chunks) and is cleared when full.  Per call, for a 2-D
+    box of one to four chunks (2-vCPU Xeon, Python 3.11, ``timeit``
+    minimum): both rows from the memo 0.9 µs, both cut afresh 4.2 µs;
+    the block product after them 3 µs; a whole-box hit 0.7 µs.  The
+    whole-box memo stays because the repository benchmark's tracer
+    binds its ``core.plan_map`` boundary to :meth:`box`/:meth:`slab`
+    (and ``core.plan_lookup``/``plan_store`` to :meth:`lookup`/
+    :meth:`store`, whose call counts give ``drx.plan_hit_ratio``; row
+    hits are not counted there).
     """
 
     def __init__(self, max_entries: int = 256, stats=None) -> None:
@@ -193,6 +209,8 @@ class PlanCache:
         #: the generation of every key held (keys carry it at ``[1]``)
         self._generation = None
         self._lock = threading.Lock()
+        #: ``(generation, row memo)``, replaced whole by a new generation
+        self._rows: tuple = (None, {})
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -200,6 +218,17 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
+            self._rows = (None, {})
+
+    def _row_memo(self, generation: int) -> dict:
+        """The row memo of ``generation``: the current one, or a new
+        empty one that replaces it.  A miss stores its rows only into
+        the memo of the generation its key was read under."""
+        gen, memo = self._rows
+        if gen != generation:
+            memo = {}
+            self._rows = (generation, memo)
+        return memo
 
     def lookup(self, key: tuple) -> IOPlan | None:
         with self._lock:
@@ -232,7 +261,8 @@ class PlanCache:
         key = ("box", eci.generation, tuple(lo), tuple(hi))
         plan = self.lookup(key)
         if plan is None:
-            plan = plan_box(eci, lo, hi, chunk_shape, chunk_nbytes)
+            plan = plan_box(eci, lo, hi, chunk_shape, chunk_nbytes,
+                            self._row_memo(key[1]))
             self.store(key, plan)
         return plan
 
@@ -242,20 +272,28 @@ class PlanCache:
                slab.count)
         plan = self.lookup(key)
         if plan is None:
-            plan = plan_slab(eci, slab, chunk_shape, chunk_nbytes)
+            plan = plan_slab(eci, slab, chunk_shape, chunk_nbytes,
+                             self._row_memo(key[1]))
             self.store(key, plan)
         return plan
 
 
 def plan_box(eci: ExtendibleChunkIndex, lo: Sequence[int],
              hi: Sequence[int], chunk_shape: Sequence[int],
-             chunk_nbytes: int) -> IOPlan:
-    """Compile a dense box request ``[lo, hi)`` into an :class:`IOPlan`."""
-    return _compile(_checked_rows(eci, lo, hi, chunk_shape), chunk_nbytes)
+             chunk_nbytes: int, memo: dict | None = None) -> IOPlan:
+    """Compile a dense box request ``[lo, hi)`` into an :class:`IOPlan`.
+
+    ``memo`` is a row memo of ``eci``'s current generation (see
+    :class:`PlanCache`); without one every dimension's row is cut
+    afresh."""
+    return _compile(_checked_rows(eci, lo, hi, chunk_shape,
+                                  {} if memo is None else memo),
+                    chunk_nbytes)
 
 
 def plan_slab(eci: ExtendibleChunkIndex, slab: Hyperslab,
-              chunk_shape: Sequence[int], chunk_nbytes: int) -> IOPlan:
+              chunk_shape: Sequence[int], chunk_nbytes: int,
+              memo: dict | None = None) -> IOPlan:
     """Compile a strided hyperslab into an :class:`IOPlan`.
 
     Chunks of the slab's bounding box that hold no lattice point are
@@ -263,10 +301,13 @@ def plan_slab(eci: ExtendibleChunkIndex, slab: Hyperslab,
     the lattice and dense ``box_slices`` into the result array.  The
     lattice is separable, so it is applied to each dimension's row: an
     entry with no lattice point drops every chunk that contains it.
+    ``memo`` is as for :func:`plan_box`: it holds the bounding box's
+    rows, which the lattice filters into new lists.
     """
     lo, hi = slab.bounding_box()
     rows = []
-    for j, pieces in enumerate(_checked_rows(eci, lo, hi, chunk_shape)):
+    for j, pieces in enumerate(_checked_rows(
+            eci, lo, hi, chunk_shape, {} if memo is None else memo)):
         l, c = lo[j], chunk_shape[j]
         kept = []
         for start, dim, rec, row in pieces:
@@ -294,42 +335,63 @@ Piece = tuple[int, int, AxialRecord, list[AxisEntry]]
 
 
 def _checked_rows(eci: ExtendibleChunkIndex, lo: Sequence[int],
-                  hi: Sequence[int], chunk_shape: Sequence[int]
-                  ) -> list[list[Piece]]:
+                  hi: Sequence[int], chunk_shape: Sequence[int],
+                  memo: dict) -> list[list[Piece]]:
     """The rows (:func:`axis_row`) of a non-empty box inside the chunk
     bounds, each cut where its dimension's candidate record changes.
 
-    A row holds consecutive chunk indices, so :meth:`AxialVector.span`
-    says where each piece ends without a search inside it: one binary
-    search per piece, and one per dimension for a box that stays inside
-    a segment.
+    ``memo`` maps ``(dimension, lo_j, hi_j, chunk extent)`` to the cut
+    row of that range, for one index generation: a key found there was
+    checked and cut under that generation, so a hit is the whole cost
+    of its dimension.  A miss is checked, cut and stored; a full memo
+    is cleared first, so it never holds more than
+    :data:`ROW_MEMO_CAP` rows.
     """
-    bounds = eci.bounds
-    if not len(lo) == len(hi) == len(chunk_shape) == len(bounds):
+    if not len(lo) == len(hi) == len(chunk_shape) == eci.rank:
         raise _bad_box(lo, hi, chunk_shape,
-                       f"has rank {len(lo)}, not the array's {len(bounds)}")
+                       f"has rank {len(lo)}, not the array's {eci.rank}")
     rows = []
-    for j, (l, h, c, n, vec) in enumerate(zip(lo, hi, chunk_shape, bounds,
-                                              eci.axial_vectors)):
-        if l >= h:
-            raise _bad_box(lo, hi, chunk_shape, "is empty")
-        first = l // c
-        last = (h - 1) // c
-        if first < 0 or last >= n:
-            raise _bad_box(lo, hi, chunk_shape,
-                           f"leaves the chunk bounds {bounds}")
-        row = axis_row(l, h, c)
-        rec, end = vec.span(first)
-        pieces = []
-        at = 0
-        while end <= last:
-            cut = end - first
-            pieces.append((rec.start_address, j, rec, row[at:cut]))
-            at = cut
-            rec, end = vec.span(end)
-        pieces.append((rec.start_address, j, rec, row[at:] if at else row))
+    for key in zip(range(len(lo)), lo, hi, chunk_shape):
+        pieces = memo.get(key)
+        if pieces is None:
+            pieces = _cut_row(eci, key, lo, hi, chunk_shape)
+            if len(memo) >= ROW_MEMO_CAP:
+                memo.clear()
+            memo[key] = pieces
         rows.append(pieces)
     return rows
+
+
+def _cut_row(eci: ExtendibleChunkIndex, key: tuple[int, int, int, int],
+             lo, hi, chunk_shape) -> list[Piece]:
+    """One dimension's checked row of ``[l, h)`` in chunks of extent
+    ``c``, cut into pieces of one candidate record each.
+
+    A row holds consecutive chunk indices, so :meth:`AxialVector.span`
+    says where each piece ends without a search inside it: one binary
+    search per piece, and one for a range that stays inside a segment.
+    """
+    j, l, h, c = key
+    if l >= h:
+        raise _bad_box(lo, hi, chunk_shape, "is empty")
+    bounds = eci.bounds
+    first = l // c
+    last = (h - 1) // c
+    if first < 0 or last >= bounds[j]:
+        raise _bad_box(lo, hi, chunk_shape,
+                       f"leaves the chunk bounds {bounds}")
+    row = axis_row(l, h, c)
+    vec = eci.axial_vectors[j]
+    rec, end = vec.span(first)
+    pieces = []
+    at = 0
+    while end <= last:
+        cut = end - first
+        pieces.append((rec.start_address, j, rec, row[at:cut]))
+        at = cut
+        rec, end = vec.span(end)
+    pieces.append((rec.start_address, j, rec, row[at:] if at else row))
+    return pieces
 
 
 def _bad_box(lo, hi, chunk_shape, problem: str) -> DRXIndexError:

@@ -118,6 +118,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ..core.chunking import index_tuple
 from ..core.errors import DRXError, ServeError
 from ..drx.resilience import is_transient
 
@@ -140,10 +141,12 @@ DEADLINE = 5
 KIND_NAMES = {REQ: "REQ", OK: "OK", ERR: "ERR",
               RETRY_LATER: "RETRY_LATER", DEADLINE: "DEADLINE"}
 
-def _ints(seq) -> list[int]:
+def _ints(seq, what: str = "coordinates") -> list[int]:
     """Coordinates, shapes and bounds as plain ints (numpy integers are
-    not JSON-serializable)."""
-    return [int(x) for x in seq]
+    not JSON-serializable), as strict as the engine: anything but
+    integers — a float, even an integral one — raises
+    :class:`~repro.core.errors.DRXIndexError` before a frame is sent."""
+    return list(index_tuple(seq, what))
 
 
 def _reply_array(hdr: dict, payload) -> np.ndarray:
@@ -166,7 +169,8 @@ def _named(name: str, timeout: float | None = None):
 def _create(name: str, bounds, chunk, dtype: str = "<f8",
             checksums: bool = False, codec: str = "none",
             exists_ok: bool = False, timeout: float | None = None):
-    return {"name": name, "bounds": _ints(bounds), "chunk": _ints(chunk),
+    return {"name": name, "bounds": _ints(bounds, "bounds"),
+            "chunk": _ints(chunk, "chunk shape"),
             "dtype": dtype, "checksums": checksums, "codec": codec,
             "exists_ok": exists_ok}, b""
 
@@ -179,12 +183,13 @@ def _read(name: str, lo, hi, timeout: float | None = None):
     writable and private to its reply frame, so callers may mutate the
     result in place and it cannot alias another reply's data.
     """
-    return {"name": name, "lo": _ints(lo), "hi": _ints(hi)}, b""
+    return {"name": name, "lo": _ints(lo, "box corner"),
+            "hi": _ints(hi, "box corner")}, b""
 
 
 def _write(name: str, lo, values, timeout: float | None = None):
     values = np.ascontiguousarray(values)
-    header = {"name": name, "lo": _ints(lo),
+    header = {"name": name, "lo": _ints(lo, "box corner"),
               "shape": list(values.shape), "dtype": values.dtype.str}
     # a snapshot, not a view: a retry re-sends this payload under the
     # same idempotency key, so it must carry the bytes the caller
@@ -195,8 +200,9 @@ def _write(name: str, lo, values, timeout: float | None = None):
 def _extend(name: str, dim: int | None = None, by: int | None = None,
             to=None, timeout: float | None = None):
     if to is not None:
-        return {"name": name, "to": _ints(to)}, b""
-    return {"name": name, "dim": int(dim), "by": int(by)}, b""
+        return {"name": name, "to": _ints(to, "extend to=")}, b""
+    dim, by = _ints((dim, by), "extend dim/by")
+    return {"name": name, "dim": dim, "by": by}, b""
 
 
 def _snapshot(name: str, dest: str, timeout: float | None = None):

@@ -103,6 +103,7 @@ from typing import Callable
 import numpy as np
 
 from ..core import faultsites
+from ..core.chunking import index_tuple
 from ..core.errors import (
     CrashError,
     DeadlineError,
@@ -1218,8 +1219,9 @@ class DRXServer:
 
     def _op_write(self, header, payload, owner, scope):
         entry = self._entry(header["name"])
-        lo = [int(x) for x in header["lo"]]
-        shape = [int(x) for x in header["shape"]]
+        # as strict as DRXFile: a float corner or extent is refused
+        lo = list(index_tuple(header["lo"], "box corner"))
+        shape = list(index_tuple(header["shape"], "box shape"))
         values = np.frombuffer(payload, dtype=header["dtype"])
         values = values.reshape(shape)
         hi = [l + s for l, s in zip(lo, shape)]
@@ -1283,7 +1285,7 @@ class DRXServer:
             # journal is still untouched
             if "to" in header:
                 # absolute-shape form: idempotent as given
-                to = [int(x) for x in header["to"]]
+                to = list(index_tuple(header["to"], "extend to="))
                 if len(to) != entry.file.rank:
                     raise ServeError(
                         f"extend to= rank {len(to)} != "
@@ -1296,13 +1298,14 @@ class DRXServer:
                 # under the exclusive lock, so the journaled intent
                 # — and any retry answered from the dedup table —
                 # is idempotent even though dim/by is not
-                dim = int(header["dim"])
+                dim, by = index_tuple((header["dim"], header["by"]),
+                                      "extend dim/by")
                 if not 0 <= dim < entry.file.rank:
                     raise ServeError(
                         f"extend dim {dim} out of range for rank "
                         f"{entry.file.rank}")
                 to = list(entry.file.shape)
-                to[dim] += int(header["by"])
+                to[dim] += by
             seq = entry.next_seq()
             result = {"seq": seq,
                       "shape": [max(s, t) for s, t

@@ -483,7 +483,8 @@ def test_plan_compile_makes_no_numpy_call():
         return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
     for fn in (ioplan.plan_box, ioplan.plan_slab, ioplan._checked_rows,
-               ioplan._compile, ioplan.IOPlan.__init__, chunking.axis_rows,
+               ioplan._cut_row, ioplan.PlanCache._row_memo, ioplan._compile,
+               ioplan.IOPlan.__init__, chunking.axis_rows,
                chunking.iter_box_intersections, ioplan.IOPlan.runs.func,
                ioplan._bad_box, chunking.axis_row, AxialVector.span):
         assert "np" not in names(fn), fn.__qualname__

@@ -27,7 +27,7 @@ from repro.core import (
 )
 from repro.core.hyperslab import Hyperslab
 from repro.core.orders import SymmetricShellOrder, ZOrder
-from repro.drx.ioplan import plan_box, plan_slab
+from repro.drx.ioplan import ROW_MEMO_CAP, PlanCache, plan_box, plan_slab
 from tests.support.fstar_oracle import f_star
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,83 @@ def test_plans_match_the_scalar_oracle(case):
         == everything
     assert sorted(f_star(eci, i) for i in np.ndindex(*eci.bounds)) \
         == everything
+
+
+@st.composite
+def memo_sessions(draw):
+    """An index, a chunk shape and a session of steps against one
+    long-lived plan cache: extends (merged or not) interleaved with
+    boxes and slabs, and repeats of earlier requests.  Requests are
+    drawn as raw integers and placed inside the extent current when
+    they run."""
+    k = draw(st.integers(1, 3))
+    bounds = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    chunk_shape = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    raw = st.lists(st.integers(0, 10 ** 6), min_size=k, max_size=k)
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("extend"), st.integers(0, k - 1),
+                  st.integers(1, 2), st.booleans()),
+        st.tuples(st.just("box"), raw, raw),
+        st.tuples(st.just("slab"), raw, raw),
+        st.tuples(st.just("again"), st.integers(0, 10 ** 6))),
+        min_size=1, max_size=12))
+    return bounds, chunk_shape, steps
+
+
+def _session_request(kind, a, b, extent):
+    if kind == "box":
+        lo = [x % e for x, e in zip(a, extent)]
+        return lo, [l + 1 + y % (e - l) for l, y, e in zip(lo, b, extent)]
+    start = [x % e for x, e in zip(a, extent)]
+    stride = [1 + y % 3 for y in b]
+    count = [1 + (e - 1 - s) // t for s, t, e in zip(start, stride, extent)]
+    return Hyperslab.build(start, stride, count)
+
+
+@settings(max_examples=120, deadline=None)
+@given(memo_sessions())
+# a box's rows memoized, then its dimension extended twice (merged):
+# the same box, and one across the new seam sharing its other row
+@example(([2, 2], [2, 2], [("box", [0, 1], [3, 2]),
+                           ("extend", 0, 2, True), ("extend", 0, 1, True),
+                           ("again", 0), ("box", [1, 1], [6, 2]),
+                           ("slab", [0, 1], [1, 0]), ("again", 0)]))
+def test_one_plan_cache_across_extends_matches_the_oracle(session):
+    """One long-lived :class:`PlanCache` (whole-box plans plus its
+    memo of cut rows) serves boxes, slabs and repeats across
+    interleaved extends; every plan equals the scalar oracle's for the
+    index as it stands, including boxes whose rows were memoized
+    before an extend, and the row memo never outgrows its cap."""
+    bounds, chunk_shape, steps = session
+    eci = ExtendibleChunkIndex(bounds)
+    cache = PlanCache(max_entries=4)
+    seen = []
+    for step in steps:
+        kind = step[0]
+        if kind == "extend":
+            if eci.num_chunks * 2 > 3000:
+                continue
+            eci.extend(step[1], step[2], merge=step[3])
+            continue
+        if kind == "again":
+            if not seen:
+                continue
+            request = seen[step[1] % len(seen)]
+        else:
+            extent = [n * c for n, c in zip(eci.bounds, chunk_shape)]
+            request = _session_request(kind, step[1], step[2], extent)
+            seen.append(request)
+        if isinstance(request, Hyperslab):
+            plan = cache.slab(eci, request, chunk_shape, 8)
+            s_lo, s_hi = request.bounding_box()
+            want = reference_plan(eci, s_lo, s_hi, chunk_shape, request)
+        else:
+            plan = cache.box(eci, *request, chunk_shape, 8)
+            want = reference_plan(eci, *request, chunk_shape)
+        assert _as_tuples(plan) == want
+        generation, memo = cache._rows
+        assert generation == eci.generation
+        assert len(memo) <= ROW_MEMO_CAP
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import pathlib
 import signal
@@ -29,6 +30,7 @@ from repro import mpi
 from repro.core.errors import (
     CrashError,
     DeadlineError,
+    DRXIndexError,
     MPIError,
     ServeError,
 )
@@ -1073,6 +1075,153 @@ class TestHostileWire:
             finally:
                 raw.close()
             assert srv.stats_snapshot()["inflight"] == 0
+
+    @staticmethod
+    def _one_reply_then_ping(srv, header, payload=b""):
+        """Send one raw REQ (rid 9), read its one reply, then check that
+        the same connection still answers a ping; the reply's kind and
+        header."""
+        raw = socket.create_connection(srv.address, timeout=5.0)
+        try:
+            protocol.send_frame(raw, protocol.REQ,
+                                dict(header, client="h", rid=9), payload)
+            kind, rep, _ = protocol.recv_frame(raw)
+            assert rep["rid"] == 9
+            protocol.send_frame(raw, protocol.REQ, {
+                "verb": "ping", "client": "h", "rid": 10})
+            k, pong, _ = protocol.recv_frame(raw)
+            assert (k, pong["rid"], pong["pong"]) == (protocol.OK, 10, True)
+        finally:
+            raw.close()
+        return kind, rep
+
+    @pytest.mark.parametrize("window", [None, 1])
+    @pytest.mark.parametrize("verb,fields", [
+        ("write", {"lo": [1.5]}), ("write", {"shape": [2.0]}),
+        ("extend", {"to": [8.5]}), ("extend", {"dim": 0, "by": 1.5}),
+        ("extend", {"dim": 0.0, "by": 4})],
+        ids=["write-lo", "write-shape", "extend-to", "extend-by",
+             "extend-dim"])
+    def test_float_corner_gets_one_err_and_changes_nothing(
+            self, verb, fields, window):
+        """The wire is as strict as ``DRXFile``: a write corner or
+        extent, or an extend target, that is not an integer — even an
+        integral float — is refused with one fatal ERR, nothing is
+        journaled or applied, and the connection still serves."""
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "setup") as c:
+                c.create("f", [8], [4])
+                c.write("f", [0], np.arange(8.0))
+            entry = srv._entry("f")
+            size = entry.journal.size
+            hdr = {"verb": verb, "name": "f", "sid": "h", "seq": 1}
+            payload = b""
+            if verb == "write":
+                hdr.update(lo=[1], shape=[2], dtype="<f8")
+                payload = np.full(2, -1.0).tobytes()
+            hdr.update(fields)
+            if window is not None:
+                hdr["window"] = window
+            kind, rep = self._one_reply_then_ping(srv, hdr, payload)
+            assert kind == protocol.ERR and not rep["transient"]
+            assert "integers" in rep["message"]
+            assert entry.journal.size == size
+            assert entry.file.shape == (8,)
+            assert np.array_equal(entry.file.read(), np.arange(8.0))
+            assert srv.stats_snapshot()["inflight"] == 0
+
+    def test_client_refuses_a_float_corner_before_sending(self):
+        """``DRXClient`` raises ``DRXIndexError`` for a float corner,
+        extent or extend argument before any frame leaves: the daemon
+        counts no request from it."""
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "c") as c:
+                c.create("f", [8], [4])
+                calls = [lambda: c.read("f", [1.5], [3]),
+                         lambda: c.read("f", [0], [np.float64(4)]),
+                         lambda: c.write("f", [1.0], np.ones(2)),
+                         lambda: c.extend("f", to=[9.5]),
+                         lambda: c.extend("f", dim=0, by=2.0),
+                         lambda: c.create("g", [8.0], [4])]
+                for call in calls:
+                    with pytest.raises(DRXIndexError):
+                        call()
+                requests = srv.stats_snapshot()["qos"]["clients"]["c"][
+                    "requests"]
+                assert c.read("f", [0], [4]).shape == (4,)
+            snap = srv.stats_snapshot()
+            assert snap["qos"]["clients"]["c"]["requests"] == requests + 1
+            assert srv._entry("f").file.shape == (8,)
+
+    @pytest.mark.parametrize("window", [None, 1])
+    @pytest.mark.parametrize("verb", ["read", "write"])
+    @pytest.mark.parametrize("lo,hi", [
+        ([-1, 0], [2, 2]), ([0, -3], [2, 2]),
+        ([10 ** 30, 0], [10 ** 30 + 2, 2]), ([0, 0], [2, 10 ** 30]),
+        ([3, 3], [3, 5]), ([3, 3], [5, 2])],
+        ids=["negative", "negative-inner", "huge", "huge-hi", "empty",
+             "inverted"])
+    def test_hostile_box_gets_one_err_and_leaks_nothing(self, lo, hi, verb,
+                                                        window):
+        """A negative, huge, empty or inverted box is refused with one
+        fatal ERR on either dispatch path; afterwards the connection
+        serves a ping, no admission slot is held, no chunk lock or array
+        hold is left and the array is unchanged."""
+        with serve_ctx() as (srv, _):
+            ref = np.arange(64.0).reshape(8, 8)
+            with make_client(srv, "setup") as c:
+                c.create("b", [8, 8], [4, 4])
+                c.write("b", [0, 0], ref)
+            entry = srv._entry("b")
+            size = entry.journal.size
+            hdr = {"verb": verb, "name": "b", "lo": lo}
+            payload = b""
+            if verb == "read":
+                hdr["hi"] = hi
+            else:
+                shape = [h - l for l, h in zip(lo, hi)]
+                hdr.update(shape=shape, dtype="<f8", sid="h", seq=1)
+                # a huge box cannot carry its payload: at most 64 values
+                payload = np.zeros(min(max(0, math.prod(shape)),
+                                       64)).tobytes()
+            if window is not None:
+                hdr["window"] = window
+            kind, rep = self._one_reply_then_ping(srv, hdr, payload)
+            assert kind == protocol.ERR and not rep["transient"]
+            self._assert_nothing_leaked(srv, entry, size, ref)
+
+    @pytest.mark.parametrize("window", [None, 1])
+    @pytest.mark.parametrize("nvalues", [0, 3, 5, 4.5],
+                             ids=["empty", "short", "long", "torn-item"])
+    def test_write_payload_not_matching_its_shape_gets_one_err(
+            self, nvalues, window):
+        """A write whose payload is not ``shape`` × dtype bytes — none,
+        an element short or over, or not a whole number of elements —
+        gets one fatal ERR and leaks nothing."""
+        with serve_ctx() as (srv, _):
+            ref = np.arange(64.0).reshape(8, 8)
+            with make_client(srv, "setup") as c:
+                c.create("b", [8, 8], [4, 4])
+                c.write("b", [0, 0], ref)
+            entry = srv._entry("b")
+            size = entry.journal.size
+            payload = np.zeros(8).tobytes()[:int(nvalues * 8)]
+            hdr = {"verb": "write", "name": "b", "lo": [2, 2],
+                   "shape": [2, 2], "dtype": "<f8", "sid": "h", "seq": 1}
+            if window is not None:
+                hdr["window"] = window
+            kind, rep = self._one_reply_then_ping(srv, hdr, payload)
+            assert kind == protocol.ERR and not rep["transient"]
+            self._assert_nothing_leaked(srv, entry, size, ref)
+
+    @staticmethod
+    def _assert_nothing_leaked(srv, entry, journal_size, ref):
+        assert srv.admission.inflight == 0
+        assert srv.stats_snapshot()["inflight"] == 0
+        assert entry.chunks.held() == 0
+        assert entry.rw.held() == (0, False)
+        assert entry.journal.size == journal_size
+        assert np.array_equal(entry.file.read(), ref)
 
     def test_client_cannot_make_the_daemon_sleep(self):
         """No header makes the daemon sleep: a write carrying

@@ -31,7 +31,7 @@ from repro.core.scatter import (
     set_vectorized,
 )
 from repro.drx.drxfile import DRXFile
-from repro.drx.ioplan import PlanCache
+from repro.drx.ioplan import ROW_MEMO_CAP, PlanCache
 from repro.mpi.datatypes import DATATYPE_STATS, DOUBLE, _as_bytes_view
 
 
@@ -397,6 +397,40 @@ class TestPlanCache:
         p = cache.box(meta.eci, (0, 0), (32, 32), meta.chunk_shape,
                       meta.chunk_nbytes)
         assert p is not None and len(cache) == misses_before
+
+    def test_rows_are_memoized_per_generation(self):
+        """Each dimension's cut row is memoized under the index
+        generation: a box sharing a range with an earlier one reuses
+        its row, the whole-box hit counters do not see row hits, and
+        an extend starts an empty memo."""
+        with DRXFile.create(None, (64, 64), (8, 8)) as a:
+            st = a._data.stats
+            a.read((3, 5), (19, 21))
+            gen, memo = a._plans._rows
+            assert gen == a.meta.eci.generation
+            assert sorted(memo) == [(0, 3, 19, 8), (1, 5, 21, 8)]
+            a.read((3, 40), (19, 44))         # dimension 0's row reused
+            assert len(memo) == 3
+            assert (st.plan_hits, st.plan_misses) == (0, 2)
+            a.extend(dim=1, by=8)
+            assert np.all(a.read((3, 5), (19, 21)) == 0)
+            gen, fresh = a._plans._rows
+            assert gen == a.meta.eci.generation and fresh is not memo
+            assert sorted(fresh) == [(0, 3, 19, 8), (1, 5, 21, 8)]
+
+    def test_row_memo_never_exceeds_its_cap(self):
+        """The row memo is bounded by ``ROW_MEMO_CAP``: a full memo is
+        cleared before the next row goes in, and plans stay right."""
+        meta = DRXMeta.create((8 * (ROW_MEMO_CAP + 64),), (8,))
+        cache = PlanCache()
+        sizes = []
+        for n in range(ROW_MEMO_CAP + 64):
+            plan = cache.box(meta.eci, (n,), (n + 9,), meta.chunk_shape,
+                             meta.chunk_nbytes)
+            assert plan.addresses == [n // 8, n // 8 + 1]
+            sizes.append(len(cache._rows[1]))
+        assert max(sizes) == ROW_MEMO_CAP
+        assert sizes[-1] == 64
 
     def test_compaction_never_stales_plans(self):
         """Plans live in logical chunk-address space: slot reallocation
