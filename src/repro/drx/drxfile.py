@@ -113,10 +113,10 @@ class DRXFile:
         self._data = data_store
         self._store = ChunkStore.for_meta(meta, data_store)
         self._pool = Mpool(self._store, max_pages=max(1, cache_pages))
-        # compiled-request memo: generation-keyed, so extend() (which
-        # bumps eci.generation) invalidates it for free; hit/miss
-        # counters land in the data store's StoreStats.
-        self._plans = PlanCache(stats=getattr(self._data, "stats", None))
+        # plan memo: cut rows keyed by eci.generation, so extend()
+        # (which bumps it) invalidates them for free, plus the last
+        # plan, which plan() then read/write of one box share
+        self._plans = PlanCache()
         self._closed = False
         # -- lifecycle hooks (serve daemon, replication tooling) --------
         #: successful meta-data commits through this handle; an
@@ -145,7 +145,7 @@ class DRXFile:
     @classmethod
     def _create(cls, place: Callable[[], tuple], bounds: Sequence[int],
                 chunk_shape: Sequence[int], dtype, checksums: bool,
-                codec: str, fill, store_wrapper: StoreWrapper | None,
+                codec: str, store_wrapper: StoreWrapper | None,
                 **handle) -> "DRXFile":
         """The one create body.  ``place()`` opens the fresh raw stores
         and returns ``(data, meta_store, discard)``; whatever fails after
@@ -160,8 +160,6 @@ class DRXFile:
         try:
             obj = cls._mount(meta, data, meta_store, store_wrapper,
                              writable=True, **handle)
-            if fill != 0:
-                obj._fill_chunks(range(meta.num_chunks), fill)
             obj._persist_meta()
         except CrashError:
             raise               # a simulated process death cleans up nothing
@@ -203,7 +201,6 @@ class DRXFile:
                bounds: Sequence[int], chunk_shape: Sequence[int],
                dtype: str | np.dtype | type = DRXType.DOUBLE,
                overwrite: bool = False, cache_pages: int = 64,
-               fill: float | int | complex = 0,
                checksums: bool = False, codec: str = "none",
                store_wrapper: StoreWrapper | None = None) -> "DRXFile":
         """Create a new extendible array file.
@@ -229,7 +226,7 @@ class DRXFile:
             return PosixByteStore(xta, "w+"), meta_store, \
                 lambda: (xmd.unlink(), xta.unlink())
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
-                           codec, fill, store_wrapper,
+                           codec, store_wrapper,
                            cache_pages=cache_pages)
 
     @classmethod
@@ -257,8 +254,8 @@ class DRXFile:
     def create_pfs(cls, fs, name: str,
                    bounds: Sequence[int], chunk_shape: Sequence[int],
                    dtype: str | np.dtype | type = DRXType.DOUBLE,
-                   cache_pages: int = 64, fill: float | int | complex = 0,
-                   checksums: bool = False, codec: str = "none",
+                   cache_pages: int = 64, checksums: bool = False,
+                   codec: str = "none",
                    store_wrapper: StoreWrapper | None = None) -> "DRXFile":
         """Create an array backed by a simulated parallel file system.
 
@@ -277,7 +274,7 @@ class DRXFile:
             return PFSByteStore(fs.create(xta)), meta_store, \
                 lambda: (fs.delete(xmd), fs.delete(xta))
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
-                           codec, fill, store_wrapper,
+                           codec, store_wrapper,
                            cache_pages=cache_pages)
 
     @classmethod
@@ -473,12 +470,6 @@ class DRXFile:
         self._store.grow(self.meta.num_chunks)
         self._persist_meta()
 
-    def _fill_chunks(self, addresses, value) -> None:
-        payload = np.full(self.meta.chunk_elems, value,
-                          dtype=self._dtype).tobytes()
-        addrs = sorted(int(q) for q in addresses)
-        self._store.write(addrs, payload * len(addrs))
-
     # ------------------------------------------------------------------
     # element access
     # ------------------------------------------------------------------
@@ -569,8 +560,8 @@ class DRXFile:
         chunk it touches, in file order (``plan(lo, hi).addresses``).
 
         It is the plan :meth:`read` and :meth:`write` of that box then
-        execute — all three go through the handle's plan cache, so
-        asking first costs the access one cache hit.  The array service
+        execute — the handle keeps its last plan, so asking first costs
+        the access no second compile.  The array service
         takes its chunk locks from it."""
         self._require_open()
         lo, hi, _shape = validate_box(lo, hi, self.meta.element_bounds)

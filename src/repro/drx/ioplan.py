@@ -20,7 +20,8 @@ record changes: :meth:`~repro.core.axial.AxialVector.span` returns the
 candidate of the row's first index and the index where the next record
 starts, so a row costs one binary search per piece.  A handle's
 :class:`PlanCache` memoizes each cut row under the index generation, so
-a coordinate range seen before costs one dictionary hit.  A hyperslab's
+a coordinate range seen before costs one dictionary hit, and keeps the
+last plan it compiled for a repeat of its box.  A hyperslab's
 lattice filters the pieces' entries, dropping those that hold no
 lattice point.  A product of pieces, one per dimension, is a *block*:
 all its chunks have the same candidates, hence the same governing
@@ -48,10 +49,8 @@ into runs.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from ..core.axial import AxialRecord
@@ -158,142 +157,103 @@ class IOPlan:
 
 
 #: The most cut rows one :class:`PlanCache` holds.  A full memo is
-#: cleared, not trimmed, so a hit does no bookkeeping.
+#: replaced by an empty one, not trimmed, so a hit does no bookkeeping.
 ROW_MEMO_CAP = 4096
 
 
 class PlanCache:
-    """A bounded, generation-keyed memo of compiled :class:`IOPlan`\\ s.
+    """A handle's plan memo: cut rows per index generation, plus the
+    last plan compiled.
 
-    Request geometry (box corners, hyperslab parameters) plus the axial
-    index's **generation** form the key, so any :meth:`extend` — which
-    bumps the generation — implicitly invalidates every cached plan; no
-    explicit flush hook can be forgotten.  Plans are compiled in
-    *logical* chunk-address space: the compressed slot table remaps
-    logical addresses to physical extents at I/O time, so compaction and
-    codec rewrites never stale a cached plan (pinned by regression
-    test).  A cached plan does not change once compiled (its runs are
-    cut once, on first use) and may be executed concurrently by
-    multiple reader threads.
+    Whole-box plans rarely repeat (random small boxes repeat about one
+    box in a thousand), but their coordinate ranges do: a workload of
+    random 16x32 boxes draws a few hundred distinct ``(lo_j, hi_j)``
+    per dimension.  So the memo holds each dimension's cut row, keyed
+    ``(generation, dimension, lo_j, hi_j, chunk extent)``, and every
+    plan is compiled from rows (:func:`_compile`).  The index
+    **generation** in the key means any ``extend`` — which bumps it —
+    invalidates every row by construction; :meth:`store` starts a fresh
+    memo when the generation changes or the memo reaches
+    :data:`ROW_MEMO_CAP` rows (about 2.5 MiB of 16- and 32-wide rows of
+    64-wide chunks).  A row found under a key was checked and cut under
+    that key's generation; the API boundary still validates every box.
 
-    ``stats`` (optional) is a :class:`~repro.drx.storage.StoreStats`
-    whose ``plan_hits``/``plan_misses`` counters make the hit rate
-    observable.  The cache is their only writer and counts under its
-    own lock, so a lookup takes one lock, not two.
+    One slot, ``_last``, holds the latest box or slab with its plan.
+    The array service asks :meth:`DRXFile.plan` for a box's chunk locks
+    and then reads or writes the same box, so the slot lets that
+    request compile its box once.  Plans are compiled in *logical*
+    chunk-address space: the compressed slot table remaps logical
+    addresses to physical extents at I/O time, so compaction and codec
+    rewrites never stale a plan (pinned by regression test).  A plan
+    does not change once compiled (its runs are cut once, on first use)
+    and may be executed concurrently by several reader threads.
 
-    Whole-box plans rarely repeat (random small boxes hit about one
-    lookup in a thousand), but their coordinate ranges do: a workload
-    of random 16x32 boxes draws a few hundred distinct ``(lo_j, hi_j)``
-    per dimension.  So a miss compiles from a second memo, each
-    dimension's cut row keyed by ``(dimension, lo_j, hi_j, chunk
-    extent)`` and kept for one index generation (an extend starts an
-    empty one, as :meth:`store` drops stale plans).  A hit there stands
-    for a range checked under that generation; the API boundary still
-    validates every box.  The row memo holds at most
-    :data:`ROW_MEMO_CAP` rows (about 2.5 MiB of 16- and 32-wide rows
-    of 64-wide chunks) and is cleared when full.  Per call, for a 2-D
-    box of one to four chunks (2-vCPU Xeon, Python 3.11, ``timeit``
-    minimum): both rows from the memo 0.9 µs, both cut afresh 4.2 µs;
-    the block product after them 3 µs; a whole-box hit 0.7 µs.  The
-    whole-box memo stays because the repository benchmark's tracer
-    binds its ``core.plan_map`` boundary to :meth:`box`/:meth:`slab`
-    (and ``core.plan_lookup``/``plan_store`` to :meth:`lookup`/
-    :meth:`store`, whose call counts give ``drx.plan_hit_ratio``; row
-    hits are not counted there).
+    Nothing here takes a lock.  The slot is read once and replaced
+    whole; a memo is a plain dict, replaced whole when it goes stale or
+    full, and a store racing that replacement costs at most a row cut
+    again.  Per call, for a 2-D box of one to four chunks (2-vCPU Xeon,
+    Python 3.11, ``timeit`` minimum): a repeat of the last box 0.3 to
+    0.4 µs; both rows from the memo 1.3 µs, both cut afresh 3.8 µs;
+    the block product after them 2.5 µs.  Over 3,000 random 16x32
+    boxes of a 1024x1024 array of 64x64 chunks, :meth:`box` takes
+    4.7 µs a call, where the whole-box LRU this replaced took 5.7 µs.
     """
 
-    def __init__(self, max_entries: int = 256, stats=None) -> None:
-        self.max_entries = max(1, int(max_entries))
-        self.stats = stats
-        self._plans: "OrderedDict[tuple, IOPlan]" = OrderedDict()
-        #: the generation of every key held (keys carry it at ``[1]``)
+    def __init__(self) -> None:
+        self._memo: dict = {}
+        #: the generation of every row in ``_memo``
         self._generation = None
-        self._lock = threading.Lock()
-        #: ``(generation, row memo)``, replaced whole by a new generation
-        self._rows: tuple = (None, {})
+        #: ``(key, plan)`` of the latest box or slab
+        self._last: tuple = (None, None)
 
-    def __len__(self) -> int:
-        return len(self._plans)
+    def lookup(self, key: tuple) -> list[Piece] | None:
+        """The cut row memoized under ``key``, or None."""
+        return self._memo.get(key)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self._rows = (None, {})
+    def store(self, key: tuple, row: list[Piece]) -> None:
+        """Memoize ``row`` under ``key`` (its generation at ``[0]``)."""
+        memo = self._memo
+        if key[0] != self._generation or len(memo) >= ROW_MEMO_CAP:
+            memo = self._memo = {}
+            self._generation = key[0]
+        memo[key] = row
 
-    def _row_memo(self, generation: int) -> dict:
-        """The row memo of ``generation``: the current one, or a new
-        empty one that replaces it.  A miss stores its rows only into
-        the memo of the generation its key was read under."""
-        gen, memo = self._rows
-        if gen != generation:
-            memo = {}
-            self._rows = (generation, memo)
-        return memo
-
-    def lookup(self, key: tuple) -> IOPlan | None:
-        with self._lock:
-            plan = self._plans.get(key)
-            stats = self.stats
-            if plan is not None:
-                self._plans.move_to_end(key)
-                if stats is not None:
-                    stats.plan_hits += 1
-            elif stats is not None:
-                stats.plan_misses += 1
-            return plan
-
-    def store(self, key: tuple, plan: IOPlan) -> None:
-        with self._lock:
-            plans = self._plans
-            # a generation bump obsoletes every older entry wholesale;
-            # dropping them keeps the LRU from squatting on dead keys
-            if key[1] != self._generation:
-                plans.clear()
-                self._generation = key[1]
-            plans[key] = plan
-            plans.move_to_end(key)
-            if len(plans) > self.max_entries:
-                plans.popitem(last=False)
-
-    # -- convenience wrappers over the pure planners -------------------
     def box(self, eci: ExtendibleChunkIndex, lo, hi,
             chunk_shape, chunk_nbytes: int) -> IOPlan:
         key = ("box", eci.generation, tuple(lo), tuple(hi))
-        plan = self.lookup(key)
-        if plan is None:
-            plan = plan_box(eci, lo, hi, chunk_shape, chunk_nbytes,
-                            self._row_memo(key[1]))
-            self.store(key, plan)
+        last = self._last
+        if last[0] == key:
+            return last[1]
+        plan = plan_box(eci, lo, hi, chunk_shape, chunk_nbytes, self)
+        self._last = (key, plan)
         return plan
 
     def slab(self, eci: ExtendibleChunkIndex, slab: Hyperslab,
              chunk_shape, chunk_nbytes: int) -> IOPlan:
         key = ("slab", eci.generation, slab.start, slab.stride,
                slab.count)
-        plan = self.lookup(key)
-        if plan is None:
-            plan = plan_slab(eci, slab, chunk_shape, chunk_nbytes,
-                             self._row_memo(key[1]))
-            self.store(key, plan)
+        last = self._last
+        if last[0] == key:
+            return last[1]
+        plan = plan_slab(eci, slab, chunk_shape, chunk_nbytes, self)
+        self._last = (key, plan)
         return plan
 
 
 def plan_box(eci: ExtendibleChunkIndex, lo: Sequence[int],
              hi: Sequence[int], chunk_shape: Sequence[int],
-             chunk_nbytes: int, memo: dict | None = None) -> IOPlan:
+             chunk_nbytes: int, cache: PlanCache | None = None) -> IOPlan:
     """Compile a dense box request ``[lo, hi)`` into an :class:`IOPlan`.
 
-    ``memo`` is a row memo of ``eci``'s current generation (see
-    :class:`PlanCache`); without one every dimension's row is cut
-    afresh."""
-    return _compile(_checked_rows(eci, lo, hi, chunk_shape,
-                                  {} if memo is None else memo),
+    ``cache`` supplies and keeps the rows (see :class:`PlanCache`);
+    without one every dimension's row is cut afresh."""
+    return _compile(_checked_rows(eci, lo, hi, chunk_shape, cache),
                     chunk_nbytes)
 
 
 def plan_slab(eci: ExtendibleChunkIndex, slab: Hyperslab,
               chunk_shape: Sequence[int], chunk_nbytes: int,
-              memo: dict | None = None) -> IOPlan:
+              cache: PlanCache | None = None) -> IOPlan:
     """Compile a strided hyperslab into an :class:`IOPlan`.
 
     Chunks of the slab's bounding box that hold no lattice point are
@@ -301,13 +261,13 @@ def plan_slab(eci: ExtendibleChunkIndex, slab: Hyperslab,
     the lattice and dense ``box_slices`` into the result array.  The
     lattice is separable, so it is applied to each dimension's row: an
     entry with no lattice point drops every chunk that contains it.
-    ``memo`` is as for :func:`plan_box`: it holds the bounding box's
+    ``cache`` is as for :func:`plan_box`: it holds the bounding box's
     rows, which the lattice filters into new lists.
     """
     lo, hi = slab.bounding_box()
     rows = []
-    for j, pieces in enumerate(_checked_rows(
-            eci, lo, hi, chunk_shape, {} if memo is None else memo)):
+    for j, pieces in enumerate(_checked_rows(eci, lo, hi, chunk_shape,
+                                             cache)):
         l, c = lo[j], chunk_shape[j]
         kept = []
         for start, dim, rec, row in pieces:
@@ -336,33 +296,32 @@ Piece = tuple[int, int, AxialRecord, list[AxisEntry]]
 
 def _checked_rows(eci: ExtendibleChunkIndex, lo: Sequence[int],
                   hi: Sequence[int], chunk_shape: Sequence[int],
-                  memo: dict) -> list[list[Piece]]:
+                  cache: PlanCache | None) -> list[list[Piece]]:
     """The rows (:func:`axis_row`) of a non-empty box inside the chunk
     bounds, each cut where its dimension's candidate record changes.
 
-    ``memo`` maps ``(dimension, lo_j, hi_j, chunk extent)`` to the cut
-    row of that range, for one index generation: a key found there was
-    checked and cut under that generation, so a hit is the whole cost
-    of its dimension.  A miss is checked, cut and stored; a full memo
-    is cleared first, so it never holds more than
-    :data:`ROW_MEMO_CAP` rows.
+    A row is keyed ``(generation, dimension, lo_j, hi_j, chunk
+    extent)``: a key ``cache`` holds was checked and cut under that
+    generation, so a hit is the whole cost of its dimension.  A miss is
+    checked, cut and stored.
     """
     if not len(lo) == len(hi) == len(chunk_shape) == eci.rank:
         raise _bad_box(lo, hi, chunk_shape,
                        f"has rank {len(lo)}, not the array's {eci.rank}")
+    keys = zip(repeat(eci.generation), range(len(lo)), lo, hi, chunk_shape)
+    if cache is None:
+        return [_cut_row(eci, key, lo, hi, chunk_shape) for key in keys]
     rows = []
-    for key in zip(range(len(lo)), lo, hi, chunk_shape):
-        pieces = memo.get(key)
-        if pieces is None:
-            pieces = _cut_row(eci, key, lo, hi, chunk_shape)
-            if len(memo) >= ROW_MEMO_CAP:
-                memo.clear()
-            memo[key] = pieces
-        rows.append(pieces)
+    for key in keys:
+        row = cache.lookup(key)
+        if row is None:
+            row = _cut_row(eci, key, lo, hi, chunk_shape)
+            cache.store(key, row)
+        rows.append(row)
     return rows
 
 
-def _cut_row(eci: ExtendibleChunkIndex, key: tuple[int, int, int, int],
+def _cut_row(eci: ExtendibleChunkIndex, key: tuple[int, ...],
              lo, hi, chunk_shape) -> list[Piece]:
     """One dimension's checked row of ``[l, h)`` in chunks of extent
     ``c``, cut into pieces of one candidate record each.
@@ -371,7 +330,7 @@ def _cut_row(eci: ExtendibleChunkIndex, key: tuple[int, int, int, int],
     says where each piece ends without a search inside it: one binary
     search per piece, and one for a range that stays inside a segment.
     """
-    j, l, h, c = key
+    _generation, j, l, h, c = key
     if l >= h:
         raise _bad_box(lo, hi, chunk_shape, "is empty")
     bounds = eci.bounds

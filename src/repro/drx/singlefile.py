@@ -244,7 +244,7 @@ class DRXSingleFile(DRXFile):
                 raise DRXFileExistsError(f"array {drx} already exists")
             return PosixByteStore(drx, "w+"), None, drx.unlink
         return cls._create(place, bounds, chunk_shape, dtype, checksums,
-                           codec, 0, store_wrapper,
+                           codec, store_wrapper,
                            header_reserve=header_reserve,
                            cache_pages=cache_pages)
 

@@ -72,10 +72,8 @@ class StoreStats:
 
     The counter block is shared between every thread that uses the
     store (rank threads, serve workers), so the ``note_*`` helpers
-    serialize on a private lock.  The plan counters have one writer,
-    the handle's :class:`~repro.drx.ioplan.PlanCache`, which counts
-    under its own lock.  ``snapshot()`` /
-    ``delta()`` return plain value copies (the lock is never copied).
+    serialize on a private lock.  ``snapshot()`` / ``delta()`` return
+    plain value copies (the lock is never copied).
     """
 
     reads: int = 0            #: physical read transfers issued
@@ -88,8 +86,6 @@ class StoreStats:
     short_reads: int = 0      #: partial transfers recovered by re-reading
     retries: int = 0          #: operations re-issued after transient faults
     giveups: int = 0          #: operations abandoned (permanent / exhausted)
-    plan_hits: int = 0        #: IOPlan compilations served from the cache
-    plan_misses: int = 0      #: IOPlan compilations built fresh
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   init=False, repr=False, compare=False)
 
@@ -143,8 +139,6 @@ class StoreStats:
             short_reads=self.short_reads - earlier.short_reads,
             retries=self.retries - earlier.retries,
             giveups=self.giveups - earlier.giveups,
-            plan_hits=self.plan_hits - earlier.plan_hits,
-            plan_misses=self.plan_misses - earlier.plan_misses,
         )
 
     def reset(self) -> None:
@@ -153,7 +147,6 @@ class StoreStats:
         self.coalesced_runs = 0
         self.bytes_read = self.bytes_written = 0
         self.short_reads = self.retries = self.giveups = 0
-        self.plan_hits = self.plan_misses = 0
 
 
 class ByteStore:

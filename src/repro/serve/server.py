@@ -1203,7 +1203,8 @@ class DRXServer:
         lo, hi = header["lo"], header["hi"]
         entry.rw.acquire_shared(scope, owner)
         try:
-            # the chunks of the plan the read then executes (a cache hit)
+            # the chunks of the plan the read then executes (the
+            # handle's last plan: the box compiles once)
             taken = entry.chunks.acquire(
                 entry.file.plan(lo, hi).addresses, owner, scope)
             try:

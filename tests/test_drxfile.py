@@ -260,6 +260,31 @@ class TestExtend:
             assert np.allclose(a.read(), shadow), step
         a.close()
 
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    def test_unwritten_cells_read_zero_across_extends(self, tmp_path,
+                                                      codec):
+        """There is no fill value: ``create`` takes none, and every
+        never-written cell reads 0, in the created region and in every
+        segment an extend adds, on plain and compressed arrays."""
+        from repro.pfs import ParallelFileSystem
+
+        with pytest.raises(TypeError):
+            DRXFile.create(None, (8, 8), (4, 4), fill=7.0)
+        with pytest.raises(TypeError):
+            DRXFile.create_pfs(ParallelFileSystem(nservers=2), "f",
+                               (8, 8), (4, 4), fill=7.0)
+        with DRXFile.create(tmp_path / "z", (8, 8), (4, 4),
+                            codec=codec) as a:
+            assert np.all(a.read() == 0)
+            a.write((2, 2), np.ones((3, 3)))
+            a.extend(0, 4)
+            a.extend(1, 6)
+            a.extend(0, 3)
+            want = np.zeros((15, 14))
+            want[2:5, 2:5] = 1
+            assert np.array_equal(a.read(), want)
+            assert a.get((10, 0)) == 0 and a.get((0, 12)) == 0
+
 
 class TestCache:
     def test_cache_counts(self, tmp_path):

@@ -259,14 +259,14 @@ def _session_request(kind, a, b, extent):
                            ("again", 0), ("box", [1, 1], [6, 2]),
                            ("slab", [0, 1], [1, 0]), ("again", 0)]))
 def test_one_plan_cache_across_extends_matches_the_oracle(session):
-    """One long-lived :class:`PlanCache` (whole-box plans plus its
-    memo of cut rows) serves boxes, slabs and repeats across
-    interleaved extends; every plan equals the scalar oracle's for the
-    index as it stands, including boxes whose rows were memoized
-    before an extend, and the row memo never outgrows its cap."""
+    """One long-lived :class:`PlanCache` (its memo of cut rows plus
+    the last plan) serves boxes, slabs and repeats across interleaved
+    extends; every plan equals the scalar oracle's for the index as it
+    stands, including boxes whose rows were memoized before an extend,
+    and the row memo never outgrows its cap."""
     bounds, chunk_shape, steps = session
     eci = ExtendibleChunkIndex(bounds)
-    cache = PlanCache(max_entries=4)
+    cache = PlanCache()
     seen = []
     for step in steps:
         kind = step[0]
@@ -291,9 +291,68 @@ def test_one_plan_cache_across_extends_matches_the_oracle(session):
             plan = cache.box(eci, *request, chunk_shape, 8)
             want = reference_plan(eci, *request, chunk_shape)
         assert _as_tuples(plan) == want
-        generation, memo = cache._rows
-        assert generation == eci.generation
-        assert len(memo) <= ROW_MEMO_CAP
+        assert {key[0] for key in cache._memo} == {eci.generation}
+        assert len(cache._memo) <= ROW_MEMO_CAP
+
+
+def test_one_plan_cache_shared_by_threads_matches_the_oracle(monkeypatch):
+    """Four threads share one lock-free :class:`PlanCache` and compile
+    random boxes and slabs; every plan equals the scalar oracle's.  A
+    small row cap makes the memo's replacement race the lookups."""
+    import random
+    import sys
+    import threading
+
+    from repro.drx import ioplan
+
+    monkeypatch.setattr(ioplan, "ROW_MEMO_CAP", 6)
+    eci = _grown([2, 3], [(0, 2), (1, 2), (0, 1), (1, 1)])
+    chunk_shape = [3, 2]
+    extent = [n * c for n, c in zip(eci.bounds, chunk_shape)]
+    rng = random.Random(46)
+    cases = []
+    for n in range(40):
+        a = [rng.randrange(10 ** 6) for _ in extent]
+        b = [rng.randrange(10 ** 6) for _ in extent]
+        request = _session_request("box" if n % 2 else "slab", a, b, extent)
+        if isinstance(request, Hyperslab):
+            want = reference_plan(eci, *request.bounding_box(), chunk_shape,
+                                  request)
+        else:
+            want = reference_plan(eci, *request, chunk_shape)
+        cases.append((request, want))
+    cache = PlanCache()
+    start = threading.Barrier(4)
+    wrong = []
+
+    def worker(seed):
+        pick = random.Random(seed)
+        start.wait()
+        for _ in range(400):
+            request, want = pick.choice(cases)
+            try:
+                if isinstance(request, Hyperslab):
+                    plan = cache.slab(eci, request, chunk_shape, 8)
+                else:
+                    plan = cache.box(eci, *request, chunk_shape, 8)
+                if _as_tuples(plan) != want:
+                    wrong.append(request)
+            except Exception as exc:        # reported by the assertion
+                wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -1503,6 +1503,31 @@ class TestDispatch:
                 .reshape(hdr["shape"])
             assert np.array_equal(got, np.full((4, 4), 7.0))
 
+    def test_one_request_compiles_its_box_once(self, monkeypatch):
+        """A read or write takes its chunk locks from ``DRXFile.plan``
+        and then executes the same box: the handle's last-plan slot
+        makes that one plan compile per request."""
+        from repro.drx import ioplan
+
+        calls = []
+        compile_ = ioplan._compile
+
+        def counted(rows, chunk_nbytes):
+            calls.append(chunk_nbytes)
+            return compile_(rows, chunk_nbytes)
+
+        with serve_ctx() as (srv, _):
+            with make_client(srv, "once") as c:
+                c.create("o", [16, 16], [4, 4])
+                monkeypatch.setattr(ioplan, "_compile", counted)
+                c.write("o", (2, 3), np.ones((5, 6)))
+                assert len(calls) == 1
+                got = c.read("o", (1, 1), (9, 9))
+                assert len(calls) == 2
+        want = np.zeros((8, 8))
+        want[1:6, 2:8] = 1
+        assert np.array_equal(got, want)
+
 
 class TestPipeline:
     def test_many_in_flight_bit_identical(self):

@@ -10,8 +10,8 @@ Three contracts pinned here:
 * the hot paths are **zero-copy**: ``_as_bytes_view`` aliases the
   caller's memory (``np.shares_memory``), it never materializes an
   intermediate ``bytes``;
-* the generation-keyed :class:`~repro.drx.ioplan.PlanCache` serves
-  repeated requests from memory, invalidates wholesale on ``extend()``
+* the :class:`~repro.drx.ioplan.PlanCache` memoizes cut rows per index
+  generation and keeps the last plan, starts afresh on ``extend()``
   (the generation bump), and never changes what a read returns.
 """
 
@@ -31,7 +31,8 @@ from repro.core.scatter import (
     set_vectorized,
 )
 from repro.drx.drxfile import DRXFile
-from repro.drx.ioplan import ROW_MEMO_CAP, PlanCache
+from repro.drx import ioplan
+from repro.drx.ioplan import ROW_MEMO_CAP, PlanCache, plan_box
 from repro.mpi.datatypes import DATATYPE_STATS, DOUBLE, _as_bytes_view
 
 
@@ -313,57 +314,80 @@ class TestPackUnpack:
 # ---------------------------------------------------------------------------
 
 class TestPlanCache:
-    def test_hit_miss_counters(self):
+    @staticmethod
+    def count_compiles(monkeypatch) -> list:
+        """Count the plans compiled from here on (``ioplan._compile``)."""
+        calls = []
+        compile_ = ioplan._compile
+
+        def counted(rows, chunk_nbytes):
+            calls.append(chunk_nbytes)
+            return compile_(rows, chunk_nbytes)
+        monkeypatch.setattr(ioplan, "_compile", counted)
+        return calls
+
+    def test_last_plan_slot_serves_a_repeated_box(self, monkeypatch):
+        """The latest box's plan sits in one slot: asking for that box
+        again compiles nothing, and another box replaces it."""
         with DRXFile.create(None, (32, 32), (8, 8)) as a:
-            st = a._data.stats
+            calls = self.count_compiles(monkeypatch)
+            plan = a.plan((0, 0), (16, 16))
+            assert a.plan((0, 0), (16, 16)) is plan
             a.read((0, 0), (16, 16))
-            assert (st.plan_misses, st.plan_hits) == (1, 0)
-            a.read((0, 0), (16, 16))
-            assert (st.plan_misses, st.plan_hits) == (1, 1)
-            a.read((0, 0), (12, 12))      # different key
-            assert st.plan_misses == 2
+            assert len(calls) == 1
+            other = a.plan((0, 0), (12, 12))      # a different box
+            assert len(calls) == 2 and a._plans._last[1] is other
+            assert a.plan((0, 0), (16, 16)) is not plan
+            assert len(calls) == 3
 
     def test_extend_invalidates(self):
         with DRXFile.create(None, (16, 16), (4, 4)) as a:
             ref = np.arange(256, dtype=float).reshape(16, 16)
             a.write((0, 0), ref)
-            a.read((0, 0), (16, 16))
-            a.read((0, 0), (16, 16))
-            hits0 = a._data.stats.plan_hits
+            plan = a.plan((0, 0), (16, 16))
             a.extend(dim=0, by=4)
-            # same box, new generation: recompiled, and the old entries
-            # are dropped wholesale on the next store
+            # same box, new generation: recompiled, and every memoized
+            # row is of the new generation
+            assert a.plan((0, 0), (16, 16)) is not plan
             out = a.read((0, 0), (16, 16))
             assert np.array_equal(out, ref)
-            assert a._data.stats.plan_hits == hits0
-            assert len(a._plans) == 1
-            # the extended region reads back as fill
+            assert {key[0] for key in a._plans._memo} == \
+                {a.meta.eci.generation}
+            # the extended region reads back as zeros
             assert np.all(a.read((16, 0), (20, 16)) == 0)
 
-    def test_slab_plans_cached(self):
+    def test_slab_plans_cached(self, monkeypatch):
+        """A repeated slab is the slot's plan; after another request
+        it compiles again, from memoized rows."""
         with DRXFile.create(None, (20, 20), (4, 4)) as a:
             a.write((0, 0), np.ones((20, 20)))
             s1 = a.read_slab((0, 0), (2, 2), (5, 5))
-            misses = a._data.stats.plan_misses
+            plan = a._plans._last[1]
+            calls = self.count_compiles(monkeypatch)
             s2 = a.read_slab((0, 0), (2, 2), (5, 5))
-            assert a._data.stats.plan_misses == misses
+            assert calls == [] and a._plans._last[1] is plan
             assert np.array_equal(s1, s2)
+            a.read((0, 0), (1, 1))
+            memo = dict(a._plans._memo)
+            s3 = a.read_slab((0, 0), (2, 2), (5, 5))
+            assert len(calls) == 2 and a._plans._memo == memo
+            assert np.array_equal(s1, s3)
 
-    def test_write_read_share_plan(self):
+    def test_write_read_share_plan(self, monkeypatch):
         with DRXFile.create(None, (16, 16), (4, 4)) as a:
             vals = np.full((8, 8), 3.0)
             a.write((4, 4), vals)
-            misses = a._data.stats.plan_misses
+            calls = self.count_compiles(monkeypatch)
             # same box geometry, same generation: the read reuses the
             # write's compiled plan
             out = a.read((4, 4), (12, 12))
-            assert a._data.stats.plan_misses == misses
+            assert calls == []
             assert np.array_equal(out, vals)
 
-    def test_plan_is_the_plan_read_and_write_execute(self):
+    def test_plan_is_the_plan_read_and_write_execute(self, monkeypatch):
         """``DRXFile.plan`` names every chunk of a box in file order —
         the set the array service locks — and the read or write of
-        that box then executes it from the cache."""
+        that box then executes that plan without compiling another."""
         from itertools import product
 
         from repro.core.errors import DRXIndexError
@@ -376,51 +400,39 @@ class TestPlanCache:
                 *(range(l // c, (h - 1) // c + 1)
                   for l, h, c in zip(lo, hi, a.chunk_shape))))
             assert plan.addresses == want
-            misses = a._data.stats.plan_misses
+            calls = self.count_compiles(monkeypatch)
             a.write(lo, np.ones((9, 18)))
             assert np.array_equal(a.read(lo, hi), np.ones((9, 18)))
-            assert a._data.stats.plan_misses == misses
+            assert calls == []
             for bad in (((4, 4), (4, 8)), ((0, 0), (17, 4)),
                         ((0, 0.5), (4, 4))):
                 with pytest.raises(DRXIndexError):
                     a.plan(*bad)
 
-    def test_lru_bound(self):
-        meta = DRXMeta.create((64, 64), (8, 8))
-        cache = PlanCache(max_entries=2)
-        for hi in (8, 16, 24, 32):
-            cache.box(meta.eci, (0, 0), (hi, hi), meta.chunk_shape,
-                      meta.chunk_nbytes)
-        assert len(cache) == 2
-        # most-recent key survives
-        misses_before = len(cache)
-        p = cache.box(meta.eci, (0, 0), (32, 32), meta.chunk_shape,
-                      meta.chunk_nbytes)
-        assert p is not None and len(cache) == misses_before
-
     def test_rows_are_memoized_per_generation(self):
         """Each dimension's cut row is memoized under the index
         generation: a box sharing a range with an earlier one reuses
-        its row, the whole-box hit counters do not see row hits, and
-        an extend starts an empty memo."""
+        its row, and an extend starts an empty memo."""
         with DRXFile.create(None, (64, 64), (8, 8)) as a:
-            st = a._data.stats
+            gen = a.meta.eci.generation
             a.read((3, 5), (19, 21))
-            gen, memo = a._plans._rows
-            assert gen == a.meta.eci.generation
-            assert sorted(memo) == [(0, 3, 19, 8), (1, 5, 21, 8)]
+            memo = a._plans._memo
+            assert sorted(memo) == [(gen, 0, 3, 19, 8), (gen, 1, 5, 21, 8)]
+            row = memo[gen, 0, 3, 19, 8]
             a.read((3, 40), (19, 44))         # dimension 0's row reused
-            assert len(memo) == 3
-            assert (st.plan_hits, st.plan_misses) == (0, 2)
+            assert a._plans._memo is memo and len(memo) == 3
+            assert memo[gen, 0, 3, 19, 8] is row
             a.extend(dim=1, by=8)
             assert np.all(a.read((3, 5), (19, 21)) == 0)
-            gen, fresh = a._plans._rows
-            assert gen == a.meta.eci.generation and fresh is not memo
-            assert sorted(fresh) == [(0, 3, 19, 8), (1, 5, 21, 8)]
+            gen = a.meta.eci.generation
+            fresh = a._plans._memo
+            assert fresh is not memo
+            assert sorted(fresh) == [(gen, 0, 3, 19, 8), (gen, 1, 5, 21, 8)]
 
     def test_row_memo_never_exceeds_its_cap(self):
         """The row memo is bounded by ``ROW_MEMO_CAP``: a full memo is
-        cleared before the next row goes in, and plans stay right."""
+        replaced by an empty one before the next row goes in, and plans
+        stay right."""
         meta = DRXMeta.create((8 * (ROW_MEMO_CAP + 64),), (8,))
         cache = PlanCache()
         sizes = []
@@ -428,11 +440,11 @@ class TestPlanCache:
             plan = cache.box(meta.eci, (n,), (n + 9,), meta.chunk_shape,
                              meta.chunk_nbytes)
             assert plan.addresses == [n // 8, n // 8 + 1]
-            sizes.append(len(cache._rows[1]))
+            sizes.append(len(cache._memo))
         assert max(sizes) == ROW_MEMO_CAP
         assert sizes[-1] == 64
 
-    def test_compaction_never_stales_plans(self):
+    def test_compaction_never_stales_plans(self, monkeypatch):
         """Plans live in logical chunk-address space: slot reallocation
         (overwrite churn + compact) must not redirect a cached plan to
         reclaimed physical extents."""
@@ -447,19 +459,26 @@ class TestPlanCache:
             for _ in range(3):
                 ref[:16] = rng.random((16, 32))
                 a.write((0, 0), ref[:16])
+            assert np.array_equal(a.read(*box), ref[4:28, 4:28])
             a.compact()
             a._pool.invalidate()
             # the cached plan for `box` must still read the right bytes
+            calls = self.count_compiles(monkeypatch)
             assert np.array_equal(a.read(*box), ref[4:28, 4:28])
-            assert a._data.stats.plan_hits > 0
+            assert calls == []
 
     def test_results_identical_with_cache_disabled(self):
-        """Reads through the cache equal fresh compilations."""
+        """Plans and reads through the memo equal fresh compilations."""
         rng = np.random.default_rng(13)
         ref = rng.random((24, 24))
         with DRXFile.create(None, (24, 24), (5, 5)) as a:
             a.write((0, 0), ref)
-            for _ in range(2):            # second pass served from cache
+            a.extend(dim=1, by=6)
+            for _ in range(2):            # second pass from the memo
+                lo, hi = (3, 1), (19, 28)
+                fresh = plan_box(a.meta.eci, lo, hi, a.chunk_shape,
+                                 a._chunk_nbytes)
+                assert a.plan(lo, hi).visits == fresh.visits
                 assert np.array_equal(a.read((3, 1), (19, 22)),
                                       ref[3:19, 1:22])
-                a._plans.clear()
+                a.read((0, 0), (1, 1))    # moves the last-plan slot
